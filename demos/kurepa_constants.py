@@ -1,4 +1,4 @@
-"""The Kurepa function by adaptive Gauss-Legendre quadrature.
+"""The Kurepa function by adaptive Gauss-Kronrod quadrature.
 
 K(x) = integral_0^inf exp(-t) (t^x - 1)/(t - 1) dt is increasing on [0, 1],
 concave up to its single inflection point, convex after.  This script

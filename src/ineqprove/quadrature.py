@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Legendre quadrature for the Kurepa function family.
+"""Adaptive Gauss-Kronrod quadrature for the Kurepa function family.
 
 The Kurepa function is the improper integral
 
@@ -10,15 +10,22 @@ t = 0 for the derivative integrals.  The domain is therefore split:
 
 * (0, 7/8]   -- substituted t = exp(-s), which turns the t -> 0 endpoint
                into a smooth exponential tail in s;
-* [7/8, 9/8] -- the quotient factor is replaced by its power series in
-               u = t - 1, truncated once terms drop below 10^-(p+10);
+* [7/8, 9/8] -- integrated in u = t - 1, with the quotient at u = 0 replaced
+               by its limit;
 * [9/8, T]  -- integrated directly; T is chosen so the dropped tail is
                provably below the error target and its bound is added to
                ``error_bound``.
 
-Each region is covered by adaptive Gauss-Legendre panels whose error is
-estimated by comparing the n-node and 2n-node rules.  Everything is summed
-in a fixed order, so results are bit-for-bit reproducible.
+In every region the integrand at a node is c expm1(x L) for j = 0 and
+c L^j exp(x L) for j >= 1, where only the factors (c, L) depend on the region
+and the node, never on x.  They are kept in a node table per panel, so each
+x costs one exponential per node, and the adaptive bisection, which visits
+the same panels for nearby x, reuses the tables.
+
+Each region is covered by adaptive panels whose error is estimated by
+comparing the n-node Gauss rule with its nested (2n+1)-node Kronrod extension.
+Everything is summed in a fixed order, so results are bit-for-bit
+reproducible, with or without warm tables.
 """
 
 from __future__ import annotations
@@ -28,6 +35,16 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import (
+    fone,
+    fzero,
+    mpf_add,
+    mpf_exp,
+    mpf_mul,
+    mpf_pow_int,
+    mpf_sub,
+    round_nearest,
+)
 
 from .errors import (
     ConfigurationError,
@@ -38,8 +55,17 @@ from .errors import (
 from .precision import Precision, to_mpf, working
 
 _node_cache = {}
+_kronrod_cache = {}
+_table_cache = {}
 _result_cache = {}
-_RESULT_CACHE_LIMIT = 65536
+_CACHE_LIMIT = 65536
+
+
+def _remember(cache, key, value):
+    """Store into a memo that is emptied wholesale when it reaches its limit."""
+    if len(cache) >= _CACHE_LIMIT:
+        cache.clear()
+    cache[key] = value
 
 
 @dataclass(frozen=True)
@@ -104,22 +130,189 @@ def gauss_legendre_nodes(n: int):
     return result
 
 
-def _gauss_panel(f, lo, hi, n):
-    """(n-node estimate, 2n-node estimate, evaluations used) on [lo, hi]."""
-    half = (hi - lo) / 2
-    mid = (lo + hi) / 2
-    out = []
-    for count in (n, 2 * n):
-        xs, ws = gauss_legendre_nodes(count)
+def _kronrod_betas(n):
+    """Recurrence coefficients b_0..b_2n of the Legendre Jacobi-Kronrod matrix.
+
+    Laurie's algorithm (D. Laurie, "Calculation of Gauss-Kronrod quadrature
+    rules", Math. Comp. 1997), specialised to the Legendre weight, whose
+    diagonal coefficients all vanish.  The first ceil(3n/2)+1 coefficients
+    are those of the Legendre polynomials; the rest are filled in from the
+    mixed moments s and t.
+    """
+    b = [mp.mpf(2)] + [mp.mpf(k * k) / (4 * k * k - 1)
+                       for k in range(1, (3 * n + 1) // 2 + 1)]
+    b += [mp.mpf(0)] * (2 * n + 1 - len(b))
+    s = [mp.mpf(0)] * (n // 2 + 3)
+    t = s[:]
+    t[1] = b[n + 1]
+    for m in range(n - 1):
         acc = mp.mpf(0)
-        for t, w in zip(xs, ws):
-            acc += w * f(mid + half * t)
-        out.append(half * acc)
-    return out[0], out[1], 3 * n
+        for k in range((m + 1) // 2, -1, -1):
+            acc += b[k + n + 1] * s[k] - b[m - k] * s[k + 1]
+            s[k + 1] = acc
+        s, t = t, s
+    s[1:] = s[:-1]
+    for m in range(n - 1, 2 * n - 2):
+        acc = mp.mpf(0)
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            j = n - 1 - (m - k)
+            acc += b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1]
+            s[j + 1] = acc
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    return b[:2 * n + 1]
 
 
-def _adaptive(f, panels, tol_abs, n_nodes, state):
+def gauss_kronrod_rule(n: int):
+    """The (2n+1)-node Kronrod extension of the n-node Gauss rule on [-1, 1].
+
+    Returns (nodes, Kronrod weights, Gauss weights) at the current precision,
+    cached per (n, binary precision).  Nodes ascend and are exactly symmetric
+    about 0; ``nodes[1::2]`` are the Gauss nodes of ``gauss_legendre_nodes(n)``
+    and the Gauss weights belong to them.  The other n+1 nodes interlace the
+    Gauss nodes; each is found by Newton's method on the characteristic
+    polynomial of the Jacobi-Kronrod matrix divided by P_n, seeded between
+    its two neighbouring Gauss nodes.  All weights follow from the orthonormal
+    recurrence: w(z) = 1 / sum_k q_k(z)^2.
+    """
+    key = (n, mp.prec)
+    cached = _kronrod_cache.get(key)
+    if cached is not None:
+        return cached
+    gauss_x, gauss_w = gauss_legendre_nodes(n)
+    positive = [z for z in gauss_x if z > 0]
+    with mp.extraprec(40):
+        b = _kronrod_betas(n)
+        root_b = [mp.sqrt(v) for v in b]
+        tol = mp.mpf(2) ** (-(mp.prec - 20))
+
+        def newton_step(z):
+            # f = p_{2n+1} / p_n with monic p_k; returns f / f'
+            p0, p1, d0, d1 = mp.mpf(0), mp.mpf(1), mp.mpf(0), mp.mpf(0)
+            for k in range(2 * n + 1):
+                if k == n:
+                    pn, dn = p1, d1
+                p0, p1, d0, d1 = p1, z * p1 - b[k] * p0, d1, p1 + z * d1 - b[k] * d0
+            return p1 * pn / (d1 * pn - p1 * dn)
+
+        def weight(z):
+            q0, q1 = mp.mpf(0), 1 / root_b[0]
+            acc = q1 * q1
+            for k in range(2 * n):
+                q0, q1 = q1, (z * q1 - root_b[k] * q0) / root_b[k + 1]
+                acc += q1 * q1
+            return 1 / acc
+
+        # one new node in each gap of 1 > g_1 > g_2 > ... > 0 over the positive
+        # Gauss nodes g_i, seeded at the gap's middle angle; 0 closes the last
+        # gap only when it is a Gauss node (odd n), else that gap is symmetric
+        # about 0 and its node is 0 itself
+        edges = [0.0] + [math.acos(float(z)) for z in reversed(positive)]
+        if n % 2:
+            edges.append(math.pi / 2)
+        added = []
+        for lo, hi in zip(edges, edges[1:]):
+            zk = mp.mpf(math.cos((lo + hi) / 2))
+            for _ in range(100):
+                dz = newton_step(zk)
+                zk -= dz
+                if abs(dz) <= tol:
+                    break
+            added.append(zk)
+        half = sorted(positive + added)
+        nodes = [-z for z in reversed(half)] + [mp.mpf(0)] + half
+        half_w = [weight(z) for z in half]
+        k_weights = half_w[::-1] + [weight(mp.mpf(0))] + half_w
+    result = (tuple(+z for z in nodes), tuple(+w for w in k_weights), gauss_w)
+    _kronrod_cache[key] = result
+    return result
+
+
+def _low_node(s):
+    # t in (0, 7/8] via t = exp(-s); c carries the dt = -exp(-s) ds factor
+    w = mp.exp(-s)
+    return mp.exp(-w) * w / (w - 1), -s
+
+
+def _window_node(u):
+    # u = t - 1; at u = 0 L is None and c = exp(-1), the quotient's limit
+    # being x for j = 0, 1 for j = 1 and 0 for j >= 2
+    if u == 0:
+        return mp.exp(-1), None
+    return mp.exp(-(1 + u)) / u, mpmath.log1p(u)
+
+
+def _high_node(t):
+    return mp.exp(-t) / (t - 1), mp.log(t)
+
+
+def _node_table(node_map, lo, hi, n):
+    """(c, L) at the Kronrod nodes of [lo, hi], c scaled by the half-width.
+
+    Both are kept as raw mpf tuples, the form the panel loop works on.
+    """
+    key = (node_map, lo, hi, n, mp.prec)
+    table = _table_cache.get(key)
+    if table is None:
+        half = (hi - lo) / 2
+        mid = (lo + hi) / 2
+        cs = []
+        ls = []
+        for z in gauss_kronrod_rule(n)[0]:
+            c, ell = node_map(mid + half * z)
+            cs.append((half * c)._mpf_)
+            ls.append(None if ell is None else ell._mpf_)
+        table = (tuple(cs), tuple(ls))
+        _remember(_table_cache, key, table)
+    return table
+
+
+def _expm1(y, prec):
+    """exp(y) - 1 rounded to prec bits, for a raw mpf y.
+
+    exp(y) carries as many extra bits as exp(y) - 1 is smaller than 1, so the
+    subtraction cancels none of the result's bits.
+    """
+    if y == fzero:
+        return fzero
+    extra = 10 + max(0, -(y[2] + y[3]))
+    return mpf_sub(mpf_exp(y, prec + extra, round_nearest), fone, prec, round_nearest)
+
+
+def _kronrod_panel(table, x, j, k_weights, g_weights):
+    """(Gauss estimate, Kronrod estimate) of one panel at argument x.
+
+    The loop runs once per node of every panel, so it works on raw mpf tuples
+    (the weights too) with the same precision and rounding as mpf arithmetic
+    would use.
+    """
+    prec = mp.prec
+    xr = x._mpf_
+    gauss = kronrod = fzero
+    for i, (c, ell) in enumerate(zip(*table)):
+        if ell is None:
+            f = xr if j == 0 else (fone if j == 1 else fzero)
+        elif j == 0:
+            f = _expm1(mpf_mul(xr, ell, prec, round_nearest), prec)
+        else:
+            f = mpf_mul(mpf_pow_int(ell, j, prec, round_nearest),
+                        mpf_exp(mpf_mul(xr, ell, prec, round_nearest), prec, round_nearest),
+                        prec, round_nearest)
+        v = mpf_mul(c, f, prec, round_nearest)
+        kronrod = mpf_add(kronrod, mpf_mul(k_weights[i], v, prec, round_nearest),
+                          prec, round_nearest)
+        if i % 2:
+            gauss = mpf_add(gauss, mpf_mul(g_weights[i // 2], v, prec, round_nearest),
+                            prec, round_nearest)
+    return mp.make_mpf(gauss), mp.make_mpf(kronrod)
+
+
+def _adaptive(node_map, panels, x, j, tol_abs, n, state):
     """Adaptive bisection over an initial panel list, left to right."""
+    _, k_weights, g_weights = gauss_kronrod_rule(n)
+    k_weights = [w._mpf_ for w in k_weights]
+    g_weights = [w._mpf_ for w in g_weights]
     span = mp.mpf(0)
     for lo, hi in panels:
         span += hi - lo
@@ -130,13 +323,14 @@ def _adaptive(f, panels, tol_abs, n_nodes, state):
     while stack:
         lo, hi = stack.pop()
         width = hi - lo
-        v1, v2, used = _gauss_panel(f, lo, hi, n_nodes)
-        state["evals"] += used
+        state["evals"] += 2 * n + 1
         if state["evals"] > state["budget"]:
             raise PrecisionUnreachableError(
                 f"quadrature budget of {state['budget']} evaluations exhausted "
                 "before the error target was met"
             )
+        v1, v2 = _kronrod_panel(_node_table(node_map, lo, hi, n), x, j,
+                                k_weights, g_weights)
         e = abs(v2 - v1)
         if e <= tol_abs * width / span or width <= min_width:
             total += v2
@@ -158,62 +352,6 @@ def _geometric_panels(lo, hi, first_width):
         cur = nxt
         width *= 2
     return panels
-
-
-def _series_quotient(u, x, term_tol):
-    """(t^x - 1)/(t - 1) as its power series in u = t - 1, |u| <= 1/8."""
-    coef = +x
-    acc = +coef
-    upow = mp.mpf(1)
-    k = 1
-    while True:
-        k += 1
-        coef = coef * (x - (k - 1)) / k
-        upow = upow * u
-        term = coef * upow
-        acc += term
-        if abs(term) < term_tol:
-            return acc
-        if k > 600:
-            raise PrecisionUnreachableError("series for the t=1 window did not converge")
-
-
-def _window_integrand(x, j, term_tol):
-    if j == 0:
-        def f(u):
-            return mp.exp(-(1 + u)) * _series_quotient(u, x, term_tol)
-    else:
-        def f(u):
-            if u == 0:
-                lr = mp.mpf(1)
-            else:
-                lr = mpmath.log1p(u) / u
-            return mp.exp(-(1 + u)) * mp.power(1 + u, x) * u ** (j - 1) * lr ** j
-    return f
-
-
-def _low_integrand(x, j):
-    # t in (0, 7/8] via t = exp(-s); includes the dt = -exp(-s) ds factor
-    if j == 0:
-        def f(s):
-            w = mp.exp(-s)
-            return mp.exp(-w) * w * mpmath.expm1(-x * s) / (w - 1)
-    else:
-        sign = (-1) ** j
-        def f(s):
-            w = mp.exp(-s)
-            return mp.exp(-w) * w * mp.exp(-x * s) * (sign * s ** j) / (w - 1)
-    return f
-
-
-def _high_integrand(x, j):
-    if j == 0:
-        def f(t):
-            return mp.exp(-t) * mpmath.expm1(x * mp.log(t)) / (t - 1)
-    else:
-        def f(t):
-            return mp.exp(-t) * mp.power(t, x) * mp.log(t) ** j / (t - 1)
-    return f
 
 
 def _low_tail_bound(x, j, s_max, eps):
@@ -277,14 +415,13 @@ def _kurepa_integral(x, j, p, node_factor, tail_factor, max_evaluations):
             s_max *= mp.mpf(5) / 4
         tail_low = _low_tail_bound(xv, j, s_max, eps)
         v_low, e_low = _adaptive(
-            _low_integrand(xv, j), _geometric_panels(s0, s_max, mp.mpf(1)),
-            region_tol, n_base, state,
+            _low_node, _geometric_panels(s0, s_max, mp.mpf(1)),
+            xv, j, region_tol, n_base, state,
         )
 
-        # series window [1-eps, 1+eps] in u = t - 1
+        # window [1-eps, 1+eps] in u = t - 1
         v_win, e_win = _adaptive(
-            _window_integrand(xv, j, term_tol), [(-eps, eps)],
-            region_tol, n_base, state,
+            _window_node, [(-eps, eps)], xv, j, region_tol, n_base, state,
         )
 
         # high region [1+eps, T]; the closed tail bound needs T well above x+j
@@ -295,8 +432,8 @@ def _kurepa_integral(x, j, p, node_factor, tail_factor, max_evaluations):
         T *= tf
         tail_high = _high_tail_bound(xv, j, T)
         v_high, e_high = _adaptive(
-            _high_integrand(xv, j), _geometric_panels(1 + eps, T, mp.mpf(1)),
-            region_tol, n_base, state,
+            _high_node, _geometric_panels(1 + eps, T, mp.mpf(1)),
+            xv, j, region_tol, n_base, state,
         )
 
         value = v_low + v_win + v_high
@@ -311,9 +448,7 @@ def _kurepa_integral(x, j, p, node_factor, tail_factor, max_evaluations):
             nodes_used=state["evals"],
             tail_cutoff=+T,
         )
-    if len(_result_cache) >= _RESULT_CACHE_LIMIT:
-        _result_cache.clear()
-    _result_cache[key] = result
+    _remember(_result_cache, key, result)
     return result
 
 

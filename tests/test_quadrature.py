@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mpmath
 import pytest
 from mpmath import mp
 
+from ineqprove import quadrature
 from ineqprove import (
     ConfigurationError,
     DomainError,
@@ -15,6 +21,25 @@ from ineqprove import (
 )
 
 from helpers import C_INFLECT, KP0, KP0_TIMES_C, KPP0, KPPP0, K_HALF
+from reference_oracle import kurepa_ts
+
+# QUADPACK qk15: the G7-K15 pair, nodes and weights for x >= 0, outermost first
+QK15_XGK = (
+    "0.991455371120812639206854697526329", "0.949107912342758524526189684047851",
+    "0.864864423359769072789712788640926", "0.741531185599394439863864773280788",
+    "0.586087235467691130294144845693013", "0.405845151377397166906606412076961",
+    "0.207784955007898467600689403773245", "0",
+)
+QK15_WGK = (
+    "0.022935322010529224963732008058970", "0.063092092629978553290700663189204",
+    "0.104790010322250183839876322541518", "0.140653259715525918745189590510238",
+    "0.169004726639267902826583426598550", "0.190350578064785409913256402421014",
+    "0.204432940075298892414161999234649", "0.209482141084727828012999174891714",
+)
+QK15_WG = (
+    "0.129484966168869693270611432679082", "0.279705391489276667901467771423780",
+    "0.381830050505118944950369775488975", "0.417959183673469387755102040816327",
+)
 
 
 class TestGaussLegendre:
@@ -34,6 +59,42 @@ class TestGaussLegendre:
                 assert xs[i] == -xs[-1 - i]
                 assert ws[i] == ws[-1 - i]
             assert abs(sum(ws) - 2) < mp.mpf(10) ** -55
+
+
+class TestGaussKronrod:
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_exactness_on_polynomials(self, n, p50):
+        # the 2n+1 rule integrates degree 3n+1 exactly
+        with working(p50):
+            xs, ws, _ = quadrature.gauss_kronrod_rule(n)
+            for degree in range(3 * n + 2):
+                exact = mp.mpf(2) / (degree + 1) if degree % 2 == 0 else 0
+                val = sum(w * x ** degree for x, w in zip(xs, ws))
+                assert abs(val - exact) < mp.mpf(10) ** -55
+
+    @pytest.mark.parametrize("n", [6, 7, 25])
+    def test_symmetry_and_nesting(self, n, p50):
+        with working(p50):
+            xs, ws, gws = quadrature.gauss_kronrod_rule(n)
+            assert len(xs) == len(ws) == 2 * n + 1
+            assert xs[n] == 0
+            for i in range(n):
+                assert xs[i] == -xs[-1 - i]
+                assert ws[i] == ws[-1 - i]
+            assert all(lo < hi for lo, hi in zip(xs, xs[1:]))
+            assert (xs[1::2], gws) == gauss_legendre_nodes(n)
+
+    def test_matches_quadpack_qk15(self, p50):
+        with working(p50):
+            xs, ws, gws = quadrature.gauss_kronrod_rule(7)
+            tol = mp.mpf(10) ** -18
+            for x, w, x_ref, w_ref in zip(reversed(xs), reversed(ws), QK15_XGK, QK15_WGK):
+                assert abs(x - mp.mpf(x_ref)) < tol
+                assert abs(w - mp.mpf(w_ref)) < tol
+            for w, w_ref in zip(reversed(gws), QK15_WG):
+                assert abs(w - mp.mpf(w_ref)) < tol
+            assert abs(xs[-1] - mp.mpf("0.991455371120812639")) < tol
+            assert abs(ws[-1] - mp.mpf("0.022935322010529225")) < tol
 
 
 class TestKurepaValues:
@@ -90,6 +151,24 @@ class TestKurepaValues:
             assert abs(r.value - exact) <= r.error_bound * 2
             assert r.error_bound <= mpmath.mpf(10) ** (-20)
 
+    @pytest.mark.parametrize("x", ["0.1", "0.7", "2.5"])
+    def test_independent_oracle(self, x, p30):
+        # tanh-sinh quadrature with no package code; a sign slip in the odd
+        # powers of L would show in j = 1 and 3
+        for j in range(4):
+            r = kurepa(x, p30) if j == 0 else kurepa_derivative(x, j, p30)
+            with mp.workdps(45):
+                ref = kurepa_ts(mpmath.mpf(x), j)
+            assert abs(r.value - ref) <= 2 * r.error_bound
+
+    def test_tiny_argument_matches_taylor(self, p35):
+        # x L is tiny at every node, where exp(x L) - 1 cancels
+        r = kurepa("1e-20", p35)
+        h = mpmath.mpf("1e-20")
+        taylor = h * mpmath.mpf(KP0) + h ** 2 * mpmath.mpf(KPP0) / 2
+        # the dropped h^3 term and the 40-digit KP0 are each about 1e-60
+        assert abs(r.value - taylor) <= r.error_bound + mpmath.mpf("1e-58")
+
     def test_domain_and_order_validation(self, p35):
         with pytest.raises(DomainError):
             kurepa(-1, p35)
@@ -138,6 +217,45 @@ class TestConvergenceInvariants:
         b = kurepa("0.77", p35)
         assert a.value._mpf_ == b.value._mpf_
         assert a.error_bound._mpf_ == b.error_bound._mpf_
+
+
+class TestNodeTables:
+    def test_cold_and_warm_tables_agree(self):
+        # fresh interpreters, so no other test has warmed the tables; 36
+        # digits keep the node count of 35 at another working precision
+        script = (
+            "import sys\n"
+            "from ineqprove import Precision, kurepa, kurepa_derivative\n"
+            "if sys.argv[1] == 'warm':\n"
+            "    kurepa('0.37', Precision(36))\n"
+            "    kurepa('0.36', Precision(35))\n"
+            "    kurepa_derivative('0.38', 1, Precision(35))\n"
+            "r = kurepa('0.37', Precision(35))\n"
+            "print(r.value._mpf_, r.error_bound._mpf_, r.nodes_used)\n"
+        )
+        src = str(Path(quadrature.__file__).resolve().parents[1])
+        out = [
+            subprocess.run([sys.executable, "-c", script, mode], check=True,
+                           capture_output=True, text=True, timeout=120,
+                           env=dict(os.environ, PYTHONPATH=src)).stdout
+            for mode in ("cold", "warm")
+        ]
+        assert out[0] and out[0] == out[1]
+
+    def test_memo_stays_within_its_limit(self, monkeypatch):
+        # the guard digits, and so the working precision, grow with x past 2
+        limit = 64
+        monkeypatch.setattr(quadrature, "_CACHE_LIMIT", limit)
+        monkeypatch.setattr(quadrature, "_table_cache", {})
+        monkeypatch.setattr(quadrature, "_result_cache", {})
+        precisions = set()
+        for x in ("0", "0.5", "2.5", "7", "15", "30", "60"):
+            r = kurepa(x, Precision(20))
+            assert r.error_bound <= mpmath.mpf(10) ** -10
+            assert len(quadrature._table_cache) <= limit
+            assert len(quadrature._result_cache) <= limit
+            precisions |= {key[-1] for key in quadrature._table_cache}
+        assert len(precisions) >= 4
 
 
 class TestInflection:
