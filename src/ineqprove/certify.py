@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
@@ -49,6 +50,7 @@ from .quotient import (
 from .remez import (
     CachedFunction,
     Polynomial,
+    _chebyshev_grid,
     minimax,
     verify_equioscillation,
 )
@@ -163,23 +165,12 @@ def residual_check(g, polynomial: Polynomial, delta, grid_size: int,
             f"grid_size must be at least 4*(degree+2) = {4 * (degree + 2)}"
         )
     with working(p):
-        a, b = polynomial.segment
-        mid = (a + b) / 2
-        hw = (b - a) / 2
-        pts = [a]
-        for i in range(1, grid_size - 1):
-            pts.append(mid - hw * mp.cos(mp.pi * i / (grid_size - 1)))
-        pts.append(b)
-        pts.extend(to_mpf(x) for x in extra_points)
-        dv = to_mpf(delta)
-        max_res = mp.mpf(-1)
-        max_loc = pts[0]
-        for x in pts:
-            r = abs(g(x) - polynomial.evaluate(x))
-            if r > max_res:
-                max_res = r
-                max_loc = x
-        threshold = dv * (1 + mp.mpf(10) ** -6)
+        pts = _chebyshev_grid(*polynomial.segment, grid_size)
+        pts += tuple(to_mpf(x) for x in extra_points)
+        # the first point of largest residual
+        max_res, max_loc = max(((abs(g(x) - polynomial.evaluate(x)), x) for x in pts),
+                               key=lambda item: item[0])
+        threshold = to_mpf(delta) * (1 + mp.mpf(10) ** -6)
         return GridStatistics(
             passed=bool(max_res <= threshold),
             max_residual=+max_res,
@@ -341,23 +332,23 @@ def _settings_echo(f_source, a, b, n, m, k, s: ProofSettings, residual_grid_size
     }
 
 
-def _disproof_witness(f: Expression, gc: CachedFunction, p: Precision, scale):
-    """Interior sample with clearly negative f, if the cache holds one."""
+def _disproof_witness(run):
+    """Diagnostics entry of an interior sample with clearly negative f, if g's cache holds one."""
+    p = run.p
     with working(p):
-        floor = mp.mpf(10) ** (-(p.decimal_digits - 15)) * max(mp.mpf(1), abs(scale))
-        worst_x = None
-        worst_g = mp.mpf(0)
-        for x, gval in gc.values.items():
-            if gval < worst_g:
-                worst_x, worst_g = x, gval
-        if worst_x is None or worst_g >= -floor:
+        scale = max(mp.mpf(1), abs(run.fields["alpha"]), abs(run.fields["beta"]))
+        floor = mp.mpf(10) ** (-(p.decimal_digits - 15)) * scale
+        # the first sample of smallest g
+        worst_x, worst_g = min(run.g.values.items(), key=lambda item: item[1],
+                               default=(None, 0))
+        if worst_g >= -floor:
             return None
         try:
-            fv = evaluate(f, worst_x, p)
+            fv = evaluate(run.f, worst_x, p)
         except IneqproveError:
             return None
         if fv < -floor:
-            return (+worst_x, +fv)
+            return {"x": decimal_str(worst_x, p), "f_value": decimal_str(fv, p)}
         return None
 
 
@@ -387,6 +378,178 @@ def _numeric_cross_check(f, av, bv, nv, mv, p: Precision, alpha=None, beta=None)
             entry["beta_relative_gap"] = decimal_str(
                 abs(beta - beta_num) / max(abs(beta), mp.mpf(10) ** -30), p)
     return entry
+
+
+def _limit_method(s: ProofSettings, nv, mv) -> LimitMethod:
+    """The endpoint-limit route the settings ask for; "auto" picks by the orders."""
+    if s.limit_method not in ("auto", "taylor", "numeric", "user"):
+        raise ConfigurationError(f"unknown limit method {s.limit_method!r}")
+    has_override = s.alpha_override is not None or s.beta_override is not None
+    if s.limit_method == "user" or (s.limit_method == "auto" and has_override):
+        if s.alpha_override is None or s.beta_override is None:
+            raise ConfigurationError("user-supplied limits need both alpha and beta")
+        return LimitMethod.USER_SUPPLIED
+    if s.limit_method != "auto":
+        return LimitMethod(s.limit_method)
+    return LimitMethod.TAYLOR if nv == int(nv) and mv == int(mv) else LimitMethod.NUMERIC
+
+
+@dataclass
+class _Run:
+    """One proof: its inputs, the report fields filled in so far, and g once it exists."""
+
+    f: Expression
+    settings: ProofSettings
+    method: LimitMethod
+    residual_grid_size: int
+    fields: dict
+    diagnostics: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=lambda: dict.fromkeys(
+        ("g_evaluations", "remez_iterations", "residual_samples",
+         "certificate_subintervals"), 0))
+    g: CachedFunction = None
+
+    @property
+    def p(self) -> Precision:
+        return self.settings.precision
+
+    @property
+    def limit_inputs(self):  # (f, a, b, n, m, p)
+        return (self.f, *self.fields["segment"], self.fields["n"], self.fields["m"], self.p)
+
+
+class _Stop(NamedTuple):
+    """A failed gate or a disproof by sign: how a stage ends the run."""
+
+    message: str
+    verdict: str = "inconclusive"
+    extra: tuple = ()
+
+
+# Stages look up the routines they call (minimax, residual_check, ...) as
+# module globals at call time, so a wrapper bound to those names sees them.
+
+def _endpoint_limits(run: _Run):
+    s, args = run.settings, run.limit_inputs
+    if run.method is LimitMethod.USER_SUPPLIED:
+        with working(run.p):
+            alpha = to_mpf(s.alpha_override)
+            beta = to_mpf(s.beta_override)
+    elif run.method is LimitMethod.TAYLOR:
+        try:
+            alpha, beta = endpoint_limits_taylor(*args)
+        except _LIMIT_FAILURES:
+            # the numeric route's exponent hint says which order is off
+            run.diagnostics["limit_cross_check"] = _numeric_cross_check(*args)
+            raise
+        run.diagnostics["limit_cross_check"] = _numeric_cross_check(*args, alpha, beta)
+    else:
+        alpha, beta = endpoint_limits_numeric(*args)
+    run.fields.update(alpha=alpha, beta=beta, limit_method=run.method.value)
+
+
+def _precondition(run: _Run):
+    alpha, beta = run.fields["alpha"], run.fields["beta"]
+    outcome = precondition_check(alpha, beta, run.p)
+    if outcome is not Outcome.PROCEED:
+        which = "alpha" if outcome is Outcome.DISPROVEN_ALPHA else "beta"
+        return _Stop(f"endpoint limit {which} is negative; the inequality fails "
+                     f"near that endpoint", "disproven", (("negative_limit", which),))
+    f, a, b, n, m, p = run.limit_inputs
+    run.g = CachedFunction(build_quotient_function(f, a, b, n, m, alpha, beta,
+                                                   run.method, p).evaluate)
+
+
+def _minimax(run: _Run):
+    s = run.settings
+    mr = minimax(run.g, *run.fields["segment"], run.fields["degree"], tol=s.tol, p=run.p,
+                 grid_multiplier=s.grid_multiplier, max_iterations=s.max_iterations)
+    run.timings["remez_iterations"] = mr.iterations
+    run.fields.update(delta_hat=mr.delta_hat, lower_bound=mr.lower_bound,
+                      upper_bound=mr.upper_bound, nodes=mr.nodes,
+                      polynomial=mr.polynomial, minimax_result=mr)
+
+
+def _equioscillation(run: _Run):
+    eq = verify_equioscillation(run.fields["minimax_result"], run.g,
+                                rel_tol=run.settings.equioscillation_rel_tol, p=run.p)
+    run.fields["equioscillation"] = eq
+    run.diagnostics["equioscillation"] = {
+        "passed": eq.passed,
+        "spread": decimal_str(eq.spread, run.p),
+        "message": eq.message,
+    }
+    if not eq.passed:
+        return _Stop(eq.message)
+
+
+def _residual_check(run: _Run):
+    mr = run.fields["minimax_result"]
+    stats = residual_check(run.g, mr.polynomial, mr.delta_hat, run.residual_grid_size,
+                           run.p, extra_points=mr.nodes)
+    run.timings["residual_samples"] = stats.sample_count
+    run.fields["residual"] = stats
+    run.diagnostics["residual_check"] = {
+        "passed": stats.passed,
+        "max_residual": decimal_str(stats.max_residual, run.p),
+        "max_location": decimal_str(stats.max_location, run.p),
+        "threshold": decimal_str(stats.threshold, run.p),
+    }
+    if not stats.passed:
+        return _Stop("sampled residual exceeds delta_hat; the Remez result "
+                     "does not bound g on this grid")
+
+
+def _positivity(run: _Run):
+    mr = run.fields["minimax_result"]
+    cert = certify_positive(mr.polynomial, mr.delta_hat, run.settings.margin_factor, run.p)
+    run.timings["certificate_subintervals"] = len(cert.subintervals)
+    run.fields.update(global_min_bound=cert.global_min_bound, certificate=cert)
+
+
+# (report stage name, stage, exceptions that end the run at that stage)
+_STAGES = (
+    ("endpoint_limits", _endpoint_limits, _LIMIT_FAILURES),
+    ("precondition", _precondition, (ZeroLimitError,)),
+    ("minimax", _minimax, (ConvergenceError, AlternationError, SingularSystemError,
+                           DomainError, PrecisionUnreachableError)),
+    ("equioscillation", _equioscillation, ()),
+    ("residual_check", _residual_check, (DomainError, PrecisionUnreachableError)),
+    ("positivity", _positivity, (CertificationError,)),
+)
+
+
+def _run_stages(run: _Run) -> ProofReport:
+    """Run the stages in order and build the report where the run ends.
+
+    A stage that raises one of its failures, or fails its gate, ends the
+    run inconclusive, unless g's cache holds a concrete negative sample: then
+    the verdict is disproven, with that witness and the failure's message
+    ("negative sample" for a failed gate).
+    """
+    stage, verdict, message, extra = "complete", "proven", "all stages passed", ()
+    for name, step, failures in _STAGES:
+        witness_message = "negative sample"
+        try:
+            stop = step(run)
+        except failures as exc:
+            witness_message = f"{type(exc).__name__}: {exc}"
+            stop = _Stop(witness_message)
+        if stop is None:
+            continue
+        stage = name
+        message, verdict, extra = stop
+        if verdict == "inconclusive" and run.g is not None:
+            witness = _disproof_witness(run)
+            if witness is not None:
+                verdict, message, extra = "disproven", witness_message, (("witness", witness),)
+        break
+    if run.g is not None:
+        run.timings["g_evaluations"] = run.g.calls
+    run.diagnostics.update(stage=stage, message=message)
+    run.diagnostics.update(extra)
+    return ProofReport(verdict=verdict, timings=run.timings,
+                       diagnostics=run.diagnostics, **run.fields)
 
 
 def prove_inequality(f, a, b, n, m, k: int,
@@ -420,170 +583,9 @@ def prove_inequality(f, a, b, n, m, k: int,
 
     residual_grid_size = s.residual_grid_size or 2 * s.grid_multiplier * (k + 2)
     echo = _settings_echo(f.source_text, av, bv, nv, mv, k, s, residual_grid_size)
-    base = dict(
-        function_source=f.source_text, segment=(av, bv), n=nv, m=mv, degree=k,
-        settings=echo,
-    )
-    timings = {"g_evaluations": 0, "remez_iterations": 0,
-               "residual_samples": 0, "certificate_subintervals": 0}
-    diagnostics = {}
-
-    def inconclusive(stage, message, **extra):
-        diagnostics.update({"stage": stage, "message": message})
-        diagnostics.update(extra)
-        return ProofReport(verdict="inconclusive", timings=timings,
-                           diagnostics=diagnostics, **base)
-
-    # endpoint limits
-    if s.limit_method not in ("auto", "taylor", "numeric", "user"):
-        raise ConfigurationError(f"unknown limit method {s.limit_method!r}")
-    has_override = s.alpha_override is not None or s.beta_override is not None
-    if s.limit_method == "user" or (s.limit_method == "auto" and has_override):
-        if s.alpha_override is None or s.beta_override is None:
-            raise ConfigurationError("user-supplied limits need both alpha and beta")
-        method = LimitMethod.USER_SUPPLIED
-    elif s.limit_method == "taylor":
-        method = LimitMethod.TAYLOR
-    elif s.limit_method == "numeric":
-        method = LimitMethod.NUMERIC
-    else:
-        with working(p):
-            integral = nv == int(nv) and mv == int(mv)
-        method = LimitMethod.TAYLOR if integral else LimitMethod.NUMERIC
-
-    try:
-        if method is LimitMethod.USER_SUPPLIED:
-            with working(p):
-                alpha = to_mpf(s.alpha_override)
-                beta = to_mpf(s.beta_override)
-        elif method is LimitMethod.TAYLOR:
-            try:
-                alpha, beta = endpoint_limits_taylor(f, av, bv, nv, mv, p)
-            except _LIMIT_FAILURES:
-                # the numeric route's exponent hint says which order is off
-                diagnostics["limit_cross_check"] = _numeric_cross_check(
-                    f, av, bv, nv, mv, p)
-                raise
-            diagnostics["limit_cross_check"] = _numeric_cross_check(
-                f, av, bv, nv, mv, p, alpha, beta)
-        else:
-            alpha, beta = endpoint_limits_numeric(f, av, bv, nv, mv, p)
-    except _LIMIT_FAILURES as exc:
-        return inconclusive("endpoint_limits", f"{type(exc).__name__}: {exc}")
-
-    base.update(alpha=alpha, beta=beta, limit_method=method.value)
-
-    # sign preconditions
-    try:
-        outcome = precondition_check(alpha, beta, p)
-    except ZeroLimitError as exc:
-        return inconclusive("precondition", f"ZeroLimitError: {exc}")
-    if outcome is not Outcome.PROCEED:
-        which = "alpha" if outcome is Outcome.DISPROVEN_ALPHA else "beta"
-        diagnostics.update({
-            "stage": "precondition",
-            "message": f"endpoint limit {which} is negative; the inequality fails "
-                       f"near that endpoint",
-            "negative_limit": which,
-        })
-        return ProofReport(verdict="disproven", timings=timings,
-                           diagnostics=diagnostics, **base)
-
-    qf = build_quotient_function(f, av, bv, nv, mv, alpha, beta, method, p)
-    gc = CachedFunction(qf.evaluate)
-    with working(p):
-        limit_scale = max(abs(alpha), abs(beta))
-
-    def fold_failure(stage, exc):
-        witness = _disproof_witness(f, gc, p, limit_scale)
-        timings["g_evaluations"] = gc.calls
-        if witness is not None:
-            x, fv = witness
-            diagnostics.update({
-                "stage": stage,
-                "message": f"{type(exc).__name__}: {exc}" if exc is not None else "negative sample",
-                "witness": {"x": decimal_str(x, p), "f_value": decimal_str(fv, p)},
-            })
-            return ProofReport(verdict="disproven", timings=timings,
-                               diagnostics=diagnostics, **base)
-        if exc is None:
-            return None
-        return inconclusive(stage, f"{type(exc).__name__}: {exc}")
-
-    # minimax approximation of g
-    try:
-        mr = minimax(gc, av, bv, k, tol=s.tol, p=p,
-                     grid_multiplier=s.grid_multiplier,
-                     max_iterations=s.max_iterations)
-    except (ConvergenceError, AlternationError, SingularSystemError, DomainError,
-            PrecisionUnreachableError) as exc:
-        return fold_failure("minimax", exc)
-    timings["remez_iterations"] = mr.iterations
-    base.update(delta_hat=mr.delta_hat, lower_bound=mr.lower_bound,
-                upper_bound=mr.upper_bound, nodes=mr.nodes,
-                polynomial=mr.polynomial, minimax_result=mr)
-
-    # equioscillation gate
-    eq = verify_equioscillation(mr, gc, rel_tol=s.equioscillation_rel_tol, p=p)
-    base.update(equioscillation=eq)
-    diagnostics["equioscillation"] = {
-        "passed": eq.passed,
-        "spread": decimal_str(eq.spread, p) if eq.spread is not None else None,
-        "message": eq.message,
-    }
-    if not eq.passed:
-        result = fold_failure("equioscillation", None)
-        if result is not None:
-            return result
-        timings["g_evaluations"] = gc.calls
-        return inconclusive("equioscillation", eq.message)
-
-    # sampled residual bound
-    try:
-        stats = residual_check(gc, mr.polynomial, mr.delta_hat,
-                               residual_grid_size, p, extra_points=mr.nodes)
-    except (DomainError, PrecisionUnreachableError) as exc:
-        return fold_failure("residual_check", exc)
-    timings["residual_samples"] = stats.sample_count
-    base.update(residual=stats)
-    diagnostics["residual_check"] = {
-        "passed": stats.passed,
-        "max_residual": decimal_str(stats.max_residual, p),
-        "max_location": decimal_str(stats.max_location, p),
-        "threshold": decimal_str(stats.threshold, p),
-    }
-    if not stats.passed:
-        result = fold_failure("residual_check", None)
-        if result is not None:
-            return result
-        timings["g_evaluations"] = gc.calls
-        return inconclusive("residual_check",
-                            "sampled residual exceeds delta_hat; the Remez result "
-                            "does not bound g on this grid")
-
-    # rigorous positivity of P - delta*margin
-    try:
-        cert = certify_positive(mr.polynomial, mr.delta_hat, s.margin_factor, p)
-    except CertificationError as exc:
-        result = fold_failure("positivity", exc)
-        if result is not None:
-            return result
-        timings["g_evaluations"] = gc.calls
-        return inconclusive(
-            "positivity", str(exc),
-            failing_subinterval={
-                "left": decimal_str(exc.left, p) if exc.left is not None else None,
-                "right": decimal_str(exc.right, p) if exc.right is not None else None,
-                "bound": decimal_str(exc.bound, p) if exc.bound is not None else None,
-            },
-        )
-    timings["certificate_subintervals"] = len(cert.subintervals)
-    timings["g_evaluations"] = gc.calls
-    base.update(global_min_bound=cert.global_min_bound, certificate=cert)
-    diagnostics["stage"] = "complete"
-    diagnostics["message"] = "all stages passed"
-    return ProofReport(verdict="proven", timings=timings,
-                       diagnostics=diagnostics, **base)
+    fields = dict(function_source=f.source_text, segment=(av, bv), n=nv, m=mv,
+                  degree=k, settings=echo)
+    return _run_stages(_Run(f, s, _limit_method(s, nv, mv), residual_grid_size, fields))
 
 
 def report_to_json(report: ProofReport, p: Precision = None) -> str:
@@ -597,23 +599,20 @@ def report_to_json(report: ProofReport, p: Precision = None) -> str:
         p = Precision(digits)
     doc = {
         "verdict": report.verdict,
-        "alpha": decimal_str(report.alpha, p) if report.alpha is not None else None,
-        "beta": decimal_str(report.beta, p) if report.beta is not None else None,
+        "alpha": decimal_str(report.alpha, p),
+        "beta": decimal_str(report.beta, p),
         "n": decimal_str(report.n, p),
         "m": decimal_str(report.m, p),
         "degree": report.degree,
-        "delta_hat": decimal_str(report.delta_hat, p) if report.delta_hat is not None else None,
-        "lower_bound": decimal_str(report.lower_bound, p) if report.lower_bound is not None else None,
-        "upper_bound": decimal_str(report.upper_bound, p) if report.upper_bound is not None else None,
+        "delta_hat": decimal_str(report.delta_hat, p),
+        "lower_bound": decimal_str(report.lower_bound, p),
+        "upper_bound": decimal_str(report.upper_bound, p),
         "nodes": [decimal_str(t, p) for t in report.nodes] if report.nodes is not None else None,
         "polynomial_coefficients": (
             [decimal_str(c, p) for c in report.polynomial.coefficients]
             if report.polynomial is not None else None
         ),
-        "global_min_bound": (
-            decimal_str(report.global_min_bound, p)
-            if report.global_min_bound is not None else None
-        ),
+        "global_min_bound": decimal_str(report.global_min_bound, p),
         "caveat": report.caveat,
         "settings": report.settings,
         "timings": report.timings,
