@@ -432,11 +432,13 @@ def minimax(g, a, b, k: int, tol="1e-12", p: Precision = Precision(),
             scale = max(abs(gc(x)) for x in grid)
             zero_floor = mp.mpf(10) ** (-p.decimal_digits) * max(1, scale)
             if grid_max <= zero_floor:
+                # exact representation: grid_max is only rounding noise, and a
+                # denser grid finds more of it, so the floor is the estimate
                 lower = min(abs(h), grid_max)
                 return MinimaxResult(
-                    polynomial=poly, delta_hat=+grid_max, nodes=tuple(nodes),
+                    polynomial=poly, delta_hat=+zero_floor, nodes=tuple(nodes),
                     iterations=iteration, levelled_error_history=tuple(history),
-                    lower_bound=+lower, upper_bound=+grid_max,
+                    lower_bound=+lower, upper_bound=+zero_floor,
                 )
             ex = _exchange_core(gc, poly, grid, rvals, p, current_nodes=nodes)
             lower = min(abs(r) for r in ex.residuals)

@@ -204,6 +204,15 @@ class TestProvePipeline:
         assert report.global_min_bound > 0
         assert report.caveat
 
+    def test_exact_polynomial_quotient_proven(self, p50):
+        # g = 4 + 3x is represented exactly at degree 1: delta_hat must sit
+        # at the rounding floor, not at the rounding noise of the Remez grid,
+        # which the denser residual grid exceeds
+        report = prove_inequality("x^2*(4+3*x)", 0, 1, 2, 0, 1,
+                                  ProofSettings(precision=p50))
+        assert (report.verdict, report.diagnostics["stage"]) == ("proven", "complete")
+        assert 0 < report.delta_hat <= mpmath.mpf("1e-45")
+
     def test_numeric_route_exact_powers(self, p30):
         report = prove_inequality("x^(3/2)*(1-x)^(1/2)", 0, 1, "1.5", "0.5", 0,
                                   ProofSettings(precision=p30))

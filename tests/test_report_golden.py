@@ -61,7 +61,7 @@ REPORT_HASHES = {
     "inconclusive_equioscillation":
         "856d21d020271f8a507b6f490a7e4b71f45c48a94e4572614e2c2b6043ccb84d",
     "inconclusive_residual_check":
-        "1bae5b0f46a9d953035d90cd6f11f20eeb3454dff31e2392cec21ca1d4c68133",
+        "21518139ec9e6019aaf8bd445cf22ee62cf84bc6c72cc7268376da33ae99197b",
     "inconclusive_positivity":
         "88f1466cf5402e418df06bdabfc3b2592733c4f7deb9908ad121eea35840035a",
 }
@@ -69,7 +69,7 @@ REPORT_HASHES = {
 # sha256 of the report file `ineqprove prove --config demos/configs/<name>` writes
 CONFIG_HASHES = {
     "arcsin_trig.cfg": "2796521622317a25218892260201dd27201f1aac75205a687e56678006a7b774",
-    "parabola.cfg": "f00ee9d1b80916acbe6428e15c20dfaaa88f742b8225591f0ec33e19f7a3c985",
+    "parabola.cfg": "f586d6136876525d8da0bf7897135815215ecf3efb0442bae3c312cf9191c224",
 }
 
 
