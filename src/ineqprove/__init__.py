@@ -50,11 +50,9 @@ from .quadrature import (
 from .quotient import (
     LimitMethod,
     QuotientFunction,
-    SignCheckReport,
     build_quotient_function,
     endpoint_limits_numeric,
     endpoint_limits_taylor,
-    sign_equivalence_check,
 )
 from .remez import (
     CachedFunction,
@@ -62,7 +60,6 @@ from .remez import (
     ExchangeResult,
     MinimaxResult,
     Polynomial,
-    exchange,
     initial_nodes,
     minimax,
     solve_levelled_system,
@@ -100,7 +97,6 @@ __all__ = [
     "QuadratureResult",
     "QuotientFunction",
     "RootBracketError",
-    "SignCheckReport",
     "SingularSystemError",
     "UnknownIdentifierError",
     "UnstableLimitError",
@@ -112,7 +108,6 @@ __all__ = [
     "endpoint_limits_numeric",
     "endpoint_limits_taylor",
     "evaluate",
-    "exchange",
     "find_inflection",
     "gauss_legendre_nodes",
     "initial_nodes",
@@ -124,7 +119,6 @@ __all__ = [
     "prove_inequality",
     "report_to_json",
     "residual_check",
-    "sign_equivalence_check",
     "solve_levelled_system",
     "to_mpf",
     "verify_equioscillation",

@@ -1,19 +1,23 @@
 """Positivity certification and the full inequality-proof pipeline.
 
 The pipeline proves f(x) >= 0 on [a, b] (roots allowed at the endpoints) by
+one runner walking a fixed table of stages (``_STAGES``):
 
-1. computing the endpoint limits alpha, beta of the quotient extension g;
-   both must be positive, a negative one disproves the inequality outright;
-2. approximating g by a degree-k minimax polynomial P with error estimate
-   delta_hat (Remez exchange), verifying equioscillation;
-3. checking |g - P| <= delta_hat on a dense sample grid;
-4. certifying P(x) - delta_hat * margin > 0 rigorously by adaptive interval
-   bisection with outward rounding.
+1. ``endpoint_limits``: the limits alpha, beta of the quotient extension g;
+2. ``precondition``: both must be positive, a negative one disproves the
+   inequality outright;
+3. ``minimax``: a degree-k minimax polynomial P of g with error estimate
+   delta_hat (Remez exchange);
+4. ``equioscillation``: P must equioscillate before delta_hat is trusted;
+5. ``residual_check``: |g - P| <= delta_hat on a dense sample grid;
+6. ``positivity``: P(x) - delta_hat * margin > 0, certified rigorously by
+   adaptive interval bisection with outward rounding.
 
-Step 3 is a sampled check, not a proof, and step 2's delta_hat is a
-numerical estimate; every report therefore carries a fixed caveat.  The
-verdict vocabulary is three-valued: a failed certification never claims
-disproof, only a concrete negative witness does.
+Each stage adds its results to the run or ends it; the runner alone turns
+the end into a report.  Step 5 is a sampled check, not a proof, and
+delta_hat is a numerical estimate; every report therefore carries a fixed
+caveat.  The verdict vocabulary is three-valued: a failed stage never
+claims disproof, only a concrete negative witness does.
 """
 
 from __future__ import annotations
@@ -572,10 +576,7 @@ def prove_inequality(f, a, b, n, m, k: int,
     if not isinstance(k, int) or k < 0:
         raise ConfigurationError(f"degree must be a nonnegative integer, got {k!r}")
     with working(p):
-        av = to_mpf(a)
-        bv = to_mpf(b)
-        nv = to_mpf(n)
-        mv = to_mpf(m)
+        av, bv, nv, mv = (to_mpf(v) for v in (a, b, n, m))
         if not av < bv:
             raise ConfigurationError("segment must satisfy a < b")
         if nv < 0 or mv < 0:
@@ -595,8 +596,7 @@ def report_to_json(report: ProofReport, p: Precision = None) -> str:
     byte-identical output.
     """
     if p is None:
-        digits = report.settings.get("precision_digits", 50)
-        p = Precision(digits)
+        p = Precision(report.settings.get("precision_digits", 50))
     doc = {
         "verdict": report.verdict,
         "alpha": decimal_str(report.alpha, p),

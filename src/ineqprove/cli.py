@@ -36,12 +36,21 @@ EXIT_DISPROVEN = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_ERROR = 3
 
-_CONFIG_KEYS = (
-    "function", "interval", "n", "m", "degree", "precision", "tol",
-    "grid_multiplier", "residual_grid_size", "margin",
-    "equioscillation_rel_tol", "max_iterations", "limit_method",
-    "alpha_override", "beta_override", "out",
-)
+# config keys that set a ProofSettings field: key -> (field, conversion);
+# ProofSettings holds the default of every key left out
+_SETTING_KEYS = {
+    "precision": ("precision", lambda value: Precision(int(value))),
+    "tol": ("tol", str),
+    "grid_multiplier": ("grid_multiplier", int),
+    "residual_grid_size": ("residual_grid_size", int),
+    "margin": ("margin_factor", str),
+    "equioscillation_rel_tol": ("equioscillation_rel_tol", str),
+    "max_iterations": ("max_iterations", int),
+    "limit_method": ("limit_method", str),
+    "alpha_override": ("alpha_override", str),
+    "beta_override": ("beta_override", str),
+}
+_CONFIG_KEYS = ("function", "interval", "n", "m", "degree", *_SETTING_KEYS, "out")
 
 
 def read_config(path: str) -> dict:
@@ -82,30 +91,15 @@ def _merged(config: dict, args, keys):
 
 def cmd_prove(args) -> int:
     config = read_config(args.config) if args.config else {}
-    merged = _merged(config, args, (
-        "function", "interval", "n", "m", "degree", "precision", "tol",
-        "grid_multiplier", "residual_grid_size", "margin",
-        "equioscillation_rel_tol", "max_iterations", "limit_method",
-        "alpha_override", "beta_override", "out",
-    ))
+    merged = _merged(config, args, _CONFIG_KEYS)
     for required in ("function", "interval", "n", "m"):
         if required not in merged:
             raise IneqproveError(f"missing required setting {required!r}")
     a, b = _split_interval(merged["interval"])
     degree = int(merged.get("degree", 1))
-    settings = ProofSettings(
-        precision=Precision(int(merged.get("precision", 50))),
-        tol=merged.get("tol", "1e-12"),
-        grid_multiplier=int(merged.get("grid_multiplier", 64)),
-        residual_grid_size=(int(merged["residual_grid_size"])
-                            if "residual_grid_size" in merged else None),
-        margin_factor=merged.get("margin", "1.000001"),
-        equioscillation_rel_tol=merged.get("equioscillation_rel_tol", "1e-6"),
-        max_iterations=int(merged.get("max_iterations", 50)),
-        limit_method=merged.get("limit_method", "auto"),
-        alpha_override=merged.get("alpha_override"),
-        beta_override=merged.get("beta_override"),
-    )
+    settings = ProofSettings(**{name: convert(merged[key])
+                                for key, (name, convert) in _SETTING_KEYS.items()
+                                if key in merged})
     report = prove_inequality(merged["function"], a, b, merged["n"], merged["m"],
                               degree, settings)
     payload = report_to_json(report, settings.precision)
@@ -221,13 +215,15 @@ def build_parser() -> argparse.ArgumentParser:
     prove.add_argument("--out")
     prove.set_defaults(func=cmd_prove)
 
+    defaults = ProofSettings()
     mmx = sub.add_parser("minimax", help="minimax approximation of one function")
     mmx.add_argument("--function", required=True)
     mmx.add_argument("--interval", metavar="A,B", required=True)
     mmx.add_argument("--degree", type=int, required=True)
-    mmx.add_argument("--tol", default="1e-12")
-    mmx.add_argument("--precision", type=int, default=50)
-    mmx.add_argument("--grid-multiplier", dest="grid_multiplier", type=int, default=64)
+    mmx.add_argument("--tol", default=defaults.tol)
+    mmx.add_argument("--precision", type=int, default=defaults.precision.decimal_digits)
+    mmx.add_argument("--grid-multiplier", dest="grid_multiplier", type=int,
+                     default=defaults.grid_multiplier)
     mmx.add_argument("--out")
     mmx.set_defaults(func=cmd_minimax)
 

@@ -102,12 +102,6 @@ def neg(u: Node) -> Node:
     return UnaryOp("neg", u)
 
 
-def unary(op: str, u: Node) -> Node:
-    if op == "neg":
-        return neg(u)
-    return UnaryOp(op, u)
-
-
 def add(l: Node, r: Node) -> Node:
     if isinstance(l, Constant) and isinstance(r, Constant):
         return Constant(l.value + r.value)

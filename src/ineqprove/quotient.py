@@ -19,7 +19,6 @@ Endpoint limits come from two routes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import mpmath
@@ -259,35 +258,3 @@ def build_quotient_function(f: Expression, a, b, n, m, alpha, beta,
                             p: Precision = Precision()) -> QuotientFunction:
     """Assemble the continuous quotient extension from precomputed limits."""
     return QuotientFunction(f, a, b, n, m, alpha, beta, limit_method, p)
-
-
-@dataclass(frozen=True)
-class SignCheckReport:
-    samples: int
-    violations: tuple
-    passed: bool
-
-
-def sign_equivalence_check(qf: QuotientFunction, samples: int) -> SignCheckReport:
-    """Verify sign(g) == sign(f) at interior Chebyshev-distributed points.
-
-    The denominator is positive inside (a, b), so any violation indicates a
-    construction defect; the report is expected to be empty.
-    """
-    if samples < 2:
-        raise ConfigurationError("need at least 2 samples")
-    p = qf.precision
-    with working(p):
-        mid = (qf.a + qf.b) / 2
-        hw = (qf.b - qf.a) / 2
-        violations = []
-        for i in range(samples):
-            x = mid - hw * mp.cos(mp.pi * (2 * i + 1) / (2 * samples))
-            fv = evaluate(qf.f, x, p)
-            gv = qf.evaluate(x)
-            sf = (fv > 0) - (fv < 0)
-            sg = (gv > 0) - (gv < 0)
-            if sf != sg:
-                violations.append((+x, +fv, +gv))
-        return SignCheckReport(samples=samples, violations=tuple(violations),
-                               passed=not violations)

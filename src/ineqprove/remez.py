@@ -62,22 +62,6 @@ class Polynomial:
 
     __call__ = evaluate
 
-    def evaluate_interval(self, lo, hi):
-        """Interval enclosure of the range over [lo, hi] (outward rounded)."""
-        from mpmath import iv
-
-        a, b = self.segment
-        c = self.coefficients
-        if len(c) == 1:
-            return iv.mpf(c[0])
-        X = iv.mpf([lo, hi])
-        u = (2 * X - iv.mpf(a) - iv.mpf(b)) / (iv.mpf(b) - iv.mpf(a))
-        d = 2 * u
-        b1 = b2 = iv.mpf(0)
-        for cj in reversed(c[1:]):
-            b1, b2 = d * b1 - b2 + iv.mpf(cj), b1
-        return u * b1 - b2 + iv.mpf(c[0])
-
     def to_monomial(self):
         """Coefficients (low to high) of the same polynomial in powers of x."""
         a, b = self.segment
@@ -193,13 +177,11 @@ def initial_nodes(a, b, k: int):
     bv = to_mpf(b)
     if not av < bv:
         raise ConfigurationError("segment must satisfy a < b")
-    mid = (av + bv) / 2
-    hw = (bv - av) / 2
-    inner = [mid - hw * mp.cos(mp.pi * j / (k + 1)) for j in range(1, k + 1)]
-    return tuple([av] + inner + [bv])
+    return _chebyshev_grid(av, bv, k + 2)
 
 
 def _chebyshev_grid(a, b, count):
+    """The ``count`` Chebyshev extremum abscissae of [a, b], endpoints included."""
     mid = (a + b) / 2
     hw = (b - a) / 2
     return tuple(
@@ -386,17 +368,6 @@ def _exchange_core(g, poly, grid, rvals, p: Precision, current_nodes=None):
     nodes = tuple(+x for x, _, _ in merged)
     residuals = tuple(+r for _, r, _ in merged)
     return ExchangeResult(nodes=nodes, residuals=residuals, grid_max=+grid_max)
-
-
-def exchange(g, polynomial: Polynomial, p: Precision = Precision(),
-             grid_multiplier: int = 64) -> ExchangeResult:
-    """One multi-point exchange step: refined alternating extrema of g - P."""
-    with working(p):
-        a, b = polynomial.segment
-        grid = _chebyshev_grid(a, b, grid_multiplier * (polynomial.degree + 2))
-        gc = g if isinstance(g, CachedFunction) else CachedFunction(g)
-        rvals = [gc(x) - polynomial.evaluate(x) for x in grid]
-        return _exchange_core(gc, polynomial, grid, rvals, p)
 
 
 def minimax(g, a, b, k: int, tol="1e-12", p: Precision = Precision(),

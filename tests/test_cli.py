@@ -4,6 +4,7 @@ import sys
 
 import mpmath
 
+from ineqprove import ProofSettings, prove_inequality, report_to_json
 from ineqprove.cli import main
 
 
@@ -90,6 +91,16 @@ class TestProveCommand:
                      "--n", "1", "--m", "1", "--degree", "1",
                      "--precision", "30", "--limit-method", "user"])
         assert code == 3
+
+    def test_required_keys_only_use_api_defaults(self, tmp_path):
+        # every setting left out of the config takes its ProofSettings default
+        out = tmp_path / "report.json"
+        cfg = write_config(tmp_path / "min.cfg", function="x*(1-x)", interval="0,1",
+                           n=1, m=1, out=str(out))
+        assert main(["prove", "--config", cfg]) == 0
+        report = prove_inequality("x*(1-x)", 0, 1, 1, 1, 1, ProofSettings())
+        assert json.loads(out.read_text())["settings"] == report.settings
+        assert out.read_text() == report_to_json(report) + "\n"
 
     def test_byte_identical_reports(self, tmp_path):
         out1 = tmp_path / "a.json"

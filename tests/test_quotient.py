@@ -14,7 +14,6 @@ from ineqprove import (
     endpoint_limits_numeric,
     endpoint_limits_taylor,
     parse,
-    sign_equivalence_check,
     working,
 )
 
@@ -163,30 +162,3 @@ class TestQuotientFunction:
                 x = mp.mpf(1) / 52 * (i + 1)
                 den = (x - g.a) ** 1 * (g.b - x) ** 1
                 assert den > 0
-
-
-class TestSignEquivalence:
-    def test_positive_case(self, p50):
-        f = parse("x*(1-x)")
-        g = build_quotient_function(f, 0, 1, 1, 1, 1, 1, LimitMethod.TAYLOR, p50)
-        report = sign_equivalence_check(g, 100)
-        assert report.passed
-        assert report.violations == ()
-
-    def test_negative_case_signs_agree(self, p50):
-        f = parse("-x")
-        g = build_quotient_function(f, 0, 1, 1, 0, -1, -1, LimitMethod.TAYLOR, p50)
-        report = sign_equivalence_check(g, 100)
-        assert report.passed
-
-    def test_arcsin_difference(self, p50):
-        f = parse(ARCSIN_DIFF_SOURCE)
-        g = build_quotient_function(f, 0, 1, 1, 1, 1, 1, LimitMethod.USER_SUPPLIED, p50)
-        report = sign_equivalence_check(g, 256)
-        assert report.passed
-
-    def test_sample_validation(self, p50):
-        g = build_quotient_function(parse("x*(1-x)"), 0, 1, 1, 1, 1, 1,
-                                    LimitMethod.TAYLOR, p50)
-        with pytest.raises(ConfigurationError):
-            sign_equivalence_check(g, 1)

@@ -8,7 +8,6 @@ from ineqprove import (
     ConfigurationError,
     Polynomial,
     SingularSystemError,
-    exchange,
     initial_nodes,
     minimax,
     solve_levelled_system,
@@ -68,24 +67,22 @@ class TestLevelledSystem:
 
 
 class TestExchange:
+    """The reference the exchange settles on, seen through minimax."""
+
     def test_parabola_fixed_point(self, p50):
-        poly = Polynomial(coefficients=(mpmath.mpf("0.5"), mpmath.mpf(0)),
-                          segment=(mpmath.mpf(-1), mpmath.mpf(1)))
-        result = exchange(lambda x: x * x, poly, p50)
+        result = minimax(lambda x: x * x, -1, 1, 1, p=p50)
         assert len(result.nodes) == 3
         for node, want in zip(result.nodes, (-1, 0, 1)):
             assert abs(node - want) < mpmath.mpf("1e-10")
-        signs = [r > 0 for r in result.residuals]
-        assert signs == [True, False, True]
-
-    def test_exp_first_iteration_interior_node(self, p50):
-        g = mpmath.exp
-        nodes = initial_nodes(0, 1, 1)
-        P, h = solve_levelled_system(g, nodes, 0, 1, p50)
-        result = exchange(g, P, p50)
         with working(p50):
-            want = mp.log(mp.e - 1)
-            assert abs(result.nodes[1] - want) < mp.mpf("1e-6")
+            residuals = [t * t - result.polynomial.evaluate(t) for t in result.nodes]
+        assert [r > 0 for r in residuals] == [True, False, True]
+
+    def test_exp_interior_node(self, p50):
+        # the interior extremum of exp(x) - (c + (e-1) x) is at log(e-1)
+        result = minimax(mpmath.exp, 0, 1, 1, p=p50)
+        with working(p50):
+            assert abs(result.nodes[1] - mp.log(mp.e - 1)) < mp.mpf("1e-12")
 
 
 class TestMinimax:
@@ -208,23 +205,3 @@ class TestPolynomial:
             for _ in range(10):
                 x = mp.mpf(rng.uniform(-1, 2))
                 assert abs(P.evaluate(x) - Q.evaluate(x)) < mp.mpf(10) ** (-50 + 12)
-
-    def test_interval_enclosure_contains_samples(self, p50):
-        from mpmath import iv
-        rng = random.Random(8642)
-        with working(p50):
-            old = iv.prec
-            iv.prec = mp.prec
-            try:
-                coeffs = tuple(mp.mpf(rng.uniform(-1, 1)) for _ in range(5))
-                P = Polynomial(coefficients=coeffs, segment=(mp.mpf(0), mp.mpf(1)))
-                lo, hi = mp.mpf("0.3"), mp.mpf("0.4")
-                enc = P.evaluate_interval(lo, hi)
-                enc_lo = mp.mpf(enc.a)
-                enc_hi = mp.mpf(enc.b)
-                for i in range(50):
-                    x = lo + (hi - lo) * mp.mpf(i) / 49
-                    v = P.evaluate(x)
-                    assert enc_lo <= v <= enc_hi
-            finally:
-                iv.prec = old
