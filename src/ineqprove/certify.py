@@ -11,7 +11,7 @@ one runner walking a fixed table of stages (``_STAGES``):
 4. ``equioscillation``: P must equioscillate before delta_hat is trusted;
 5. ``residual_check``: |g - P| <= delta_hat on a dense sample grid;
 6. ``positivity``: P(x) - delta_hat * margin > 0, certified rigorously by
-   adaptive interval bisection with outward rounding.
+   exact Bernstein subdivision on integers, refining the lowest leaf first.
 
 Each stage adds its results to the run or ends it; the runner alone turns
 the end into a report.  Step 5 is a sampled check, not a proof, and
@@ -22,13 +22,16 @@ claims disproof, only a concrete negative witness does.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
 import mpmath
-from mpmath import mp
+from mpmath import libmp, mp
 
 from .errors import (
     AlternationError,
@@ -184,134 +187,168 @@ def residual_check(g, polynomial: Polynomial, delta, grid_size: int,
         )
 
 
-def _iv_clenshaw(ivc, u, iv):
-    if len(ivc) == 1:
-        return ivc[0]
-    d = 2 * u
-    b1 = b2 = iv.mpf(0)
-    for cj in reversed(ivc[1:]):
-        b1, b2 = d * b1 - b2 + cj, b1
-    return u * b1 - b2 + ivc[0]
+def _dyadic(value):
+    """(numerator, exponent) of a finite mpf: value == numerator * 2**exponent."""
+    sign, man, exp, _ = value._mpf_
+    return (-int(man) if sign else int(man)), exp
 
 
-def _iv_derivative_coeffs(ivc, iv):
-    """Chebyshev coefficients of d/du of sum c_j T_j(u), in interval arithmetic."""
-    k = len(ivc) - 1
-    if k == 0:
-        return [iv.mpf(0)]
-    d = [iv.mpf(0)] * k
-    d[k - 1] = iv.mpf(2 * k) * ivc[k]
-    if k >= 2:
-        d[k - 2] = iv.mpf(2 * (k - 1)) * ivc[k - 1]
-    for j in range(k - 3, -1, -1):
-        d[j] = d[j + 2] + iv.mpf(2 * (j + 1)) * ivc[j + 1]
-    d[0] = d[0] / 2
-    return d
+def _bernstein(cheb):
+    """Integers N_k with sum_j cheb[j] T_j(2t - 1) == sum_k N_k B_k(t) / n!.
 
-
-def _leaf_range(ivc, ivd, A, B, lo, hi, iv):
-    """Rigorous (low, high) bounds of the polynomial range over [lo, hi].
-
-    Intersects the direct interval Clenshaw enclosure with a mean-value form
-    P(mid) + P'(X) (X - mid); the second is far tighter for narrow leaves at
-    higher degrees, where the Clenshaw recurrence's dependency growth makes
-    the direct enclosure balloon.
+    The shifted Chebyshev polynomials T_j(2t - 1) have integer coefficients
+    in powers of t, and n! clears the denominators of the power-to-Bernstein
+    map b_k = sum_i C(k, i) / C(n, i) a_i.
     """
-    X = iv.mpf([lo, hi])
-    span = B - A
-    u = (2 * X - A - B) / span
-    direct = _iv_clenshaw(ivc, u, iv)
-    mid = (lo + hi) / 2
-    u_mid = (2 * iv.mpf(mid) - A - B) / span
-    at_mid = _iv_clenshaw(ivc, u_mid, iv)
-    # d/dx = (2/(b-a)) d/du
-    deriv = _iv_clenshaw(ivd, u, iv) * (iv.mpf(2) / span)
-    mvf = at_mid + deriv * (X - iv.mpf(mid))
-    low = max(mp.mpf(direct.a), mp.mpf(mvf.a))
-    high = min(mp.mpf(direct.b), mp.mpf(mvf.b))
-    return low, high
+    n = len(cheb) - 1
+    basis = [[1], [-1, 2]]
+    while len(basis) <= n:
+        # T_{j+1} = (4t - 2) T_j - T_{j-1}
+        nxt = [0] * (len(basis[-1]) + 1)
+        for i, v in enumerate(basis[-1]):
+            nxt[i] -= 2 * v
+            nxt[i + 1] += 4 * v
+        for i, v in enumerate(basis[-2]):
+            nxt[i] -= v
+        basis.append(nxt)
+    power = [0] * (n + 1)
+    for c, poly in zip(cheb, basis):
+        for i, v in enumerate(poly):
+            power[i] += c * v
+    fact = [math.factorial(i) for i in range(n + 1)]
+    return [sum(power[i] * fact[k] * fact[n - i] // fact[k - i] for i in range(k + 1))
+            for k in range(n + 1)]
+
+
+def _split(coeffs):
+    """De Casteljau at t = 1/2 on integers: both halves, scaled by 2**n."""
+    n = len(coeffs) - 1
+    left, right = [0] * (n + 1), [0] * (n + 1)
+    row = coeffs
+    for r in range(n + 1):
+        if r:
+            row = [x + y for x, y in zip(row, row[1:])]
+        left[r] = row[0] << (n - r)
+        right[n - r] = row[-1] << (n - r)
+    return left, right
 
 
 def certify_positive(polynomial: Polynomial, delta, margin_factor,
                      p: Precision = Precision(), *, rel_slack="0.01",
-                     max_depth: int = 47, min_width_rel="1e-14",
+                     max_depth: int = 47,
                      max_subintervals: int = 200000) -> PositivityCertificate:
     """Rigorous proof that P(x) - delta*margin_factor > 0 on the segment.
 
-    Adaptive bisection; each leaf's lower bound comes from outward-rounded
-    interval evaluation of the Chebyshev form (direct Clenshaw intersected
-    with a mean-value form), so ``global_min_bound`` is a true lower bound
-    for P - delta*margin on [a, b].  Leaves are refined slightly past the
-    first positive bound (until the enclosure is tight relative to it) so
-    the reported bound is close to the real minimum.
+    Exact Bernstein branch and bound.  The Chebyshev coefficients, delta and
+    margin_factor are exact dyadic rationals; P - delta*margin is put in
+    Bernstein form in t = (x - a)/(b - a) on Python integers, and the leaf
+    with the lowest lower bound (its minimum Bernstein coefficient) is split
+    at its midpoint by de Casteljau, until that bound L is positive and
+    within ``rel_slack * L`` of the least exact value of P - delta*margin
+    seen so far (or the leaf is ``max_depth`` halvings deep).  Each leaf's
+    bound is rounded toward -inf, so ``global_min_bound`` is a true lower
+    bound for P - delta*margin on [a, b], and close to its minimum.
 
-    Raises CertificationError with the deepest failing subinterval when a
-    leaf reaches the width floor without a positive bound; that signals
-    delta too large for this degree, not a disproof.
+    Raises CertificationError when a segment end or a split point has
+    P - delta*margin <= 0, when the lowest leaf reaches ``max_depth`` without
+    a positive bound, or when the leaves would exceed ``max_subintervals``.
+    That signals delta too large for this degree, not a disproof.
     """
     if p.decimal_digits < CERTIFICATION_MIN_DIGITS:
         raise ConfigurationError(
             f"certification requires at least {CERTIFICATION_MIN_DIGITS} decimal digits, "
             f"got {p.decimal_digits}"
         )
-    from mpmath import iv
-
     with working(p):
         dv = to_mpf(delta)
         mv = to_mpf(margin_factor)
         slack = to_mpf(rel_slack)
+        coefficients = [to_mpf(c) for c in polynomial.coefficients]
+        a, b = polynomial.segment
+        inputs = [("delta", dv), ("margin_factor", mv), ("rel_slack", slack),
+                  ("segment end", a), ("segment end", b)]
+        inputs += [("coefficient", c) for c in coefficients]
+        for name, value in inputs:
+            if not mpmath.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if dv < 0:
             raise ConfigurationError("delta must be nonnegative")
         if not (1 < mv <= 2):
             raise ConfigurationError("margin_factor must lie in (1, 2]")
-        a, b = polynomial.segment
-        min_width = (b - a) * to_mpf(min_width_rel)
-        old_prec = iv.prec
-        iv.prec = mp.prec
-        try:
-            inflated = iv.mpf(dv) * iv.mpf(mv)
-            ivc = [iv.mpf(c) for c in polynomial.coefficients]
-            ivd = _iv_derivative_coeffs(ivc, iv)
-            A = iv.mpf(a)
-            B = iv.mpf(b)
-            stack = [(a, b, 0)]
-            leaves = []
-            while stack:
-                lo, hi, depth = stack.pop()
-                enc_low, enc_high = _leaf_range(ivc, ivd, A, B, lo, hi, iv)
-                lower = mp.mpf((iv.mpf(enc_low) - inflated).a)
-                diameter = enc_high - enc_low
-                at_floor = (hi - lo) <= min_width or depth >= max_depth
-                if lower > 0 and (diameter <= slack * lower or at_floor):
-                    leaves.append((lo, hi, +lower))
-                    continue
-                if at_floor:
-                    raise CertificationError(
-                        "positivity not certified: subinterval "
-                        f"[{mpmath.nstr(lo, 17)}, {mpmath.nstr(hi, 17)}] reached the "
-                        f"width floor with lower bound {mpmath.nstr(lower, 8)}; "
-                        "the error bound is too large for this degree",
-                        left=+lo, right=+hi, bound=+lower,
-                    )
-                if len(leaves) + len(stack) >= max_subintervals:
-                    raise CertificationError(
-                        f"positivity not certified within {max_subintervals} "
-                        "subintervals; the enclosure cannot separate P from "
-                        "delta at this degree",
-                        left=+lo, right=+hi, bound=+lower,
-                    )
-                mid = (lo + hi) / 2
-                stack.append((mid, hi, depth + 1))
-                stack.append((lo, mid, depth + 1))
-        finally:
-            iv.prec = old_prec
-        global_min = min(bound for _, _, bound in leaves)
+
+        # every value is an integer times 2**low, and leaves at depth d
+        # scale their coefficients by 2**(n*d): compare at the deepest scale
+        n = len(coefficients) - 1
+        cheb = [_dyadic(c) for c in coefficients]
+        (dn, de), (mn, me) = _dyadic(dv), _dyadic(mv)
+        margin = (dn * mn, de + me)
+        low = min(e for _, e in cheb + [margin])
+        fact = math.factorial(n)
+        root = [v - (margin[0] << (margin[1] - low)) * fact
+                for v in _bernstein([c << (e - low) for c, e in cheb])]
+        slack_num, slack_den = libmp.to_rational(slack._mpf_)
+
+        def key(value, depth):
+            return value << (n * (max_depth - depth))
+
+        def floor_mpf(value, depth):
+            raw = libmp.from_rational(value, fact, mp.prec, libmp.round_floor)
+            return mp.make_mpf(libmp.mpf_shift(raw, low - n * depth))
+
+        def point(value, depth, x):
+            # an exact value of P - delta*margin
+            if value <= 0:
+                bound = floor_mpf(value, depth)
+                raise CertificationError(
+                    f"positivity not certified: P - delta*margin = "
+                    f"{mpmath.nstr(bound, 8)} at x = {mpmath.nstr(x, 17)}; "
+                    "the error bound is too large for this degree",
+                    left=+x, right=+x, bound=bound,
+                )
+            return key(value, depth)
+
+        least = min(point(root[0], 0, a), point(root[-1], 0, b))
+        order = itertools.count()
+        # (scaled lower bound, creation order, depth, index, coefficients, lo, hi)
+        heap = [(key(min(root), 0), next(order), 0, 0, root, a, b)]
+        while True:
+            bound, _, depth, index, coeffs, lo, hi = heap[0]
+            if bound > 0 and (depth >= max_depth
+                              or (least - bound) * slack_den <= slack_num * bound):
+                break
+            if depth >= max_depth:
+                lower = floor_mpf(min(coeffs), depth)
+                raise CertificationError(
+                    "positivity not certified: subinterval "
+                    f"[{mpmath.nstr(lo, 17)}, {mpmath.nstr(hi, 17)}] reached the "
+                    f"width floor with lower bound {mpmath.nstr(lower, 8)}; "
+                    "the error bound is too large for this degree",
+                    left=+lo, right=+hi, bound=lower,
+                )
+            if len(heap) >= max_subintervals:
+                raise CertificationError(
+                    f"positivity not certified within {max_subintervals} "
+                    "subintervals; the enclosure cannot separate P from "
+                    "delta at this degree",
+                    left=+lo, right=+hi, bound=floor_mpf(min(coeffs), depth),
+                )
+            heapq.heappop(heap)
+            left, right = _split(coeffs)
+            mid = (lo + hi) / 2
+            least = min(least, point(left[-1], depth + 1, mid))
+            for child, ends, at in ((left, (lo, mid), 2 * index),
+                                    (right, (mid, hi), 2 * index + 1)):
+                heapq.heappush(heap, (key(min(child), depth + 1), next(order),
+                                      depth + 1, at, child, *ends))
+        heap.sort(key=lambda leaf: leaf[3] << (max_depth - leaf[2]))
+        leaves = tuple((lo, hi, floor_mpf(min(coeffs), depth))
+                       for _, _, depth, _, coeffs, lo, hi in heap)
         return PositivityCertificate(
             polynomial=polynomial,
             delta=+dv,
             margin_factor=+mv,
-            subintervals=tuple(leaves),
-            global_min_bound=+global_min,
+            subintervals=leaves,
+            global_min_bound=min(bound for _, _, bound in leaves),
         )
 
 

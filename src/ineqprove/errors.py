@@ -101,7 +101,12 @@ class ConvergenceError(IneqproveError):
 
 
 class CertificationError(IneqproveError):
-    """Positivity could not be certified; carries the deepest failing leaf."""
+    """Positivity could not be certified.
+
+    ``left``, ``right`` and ``bound`` give the failing leaf and its lower
+    bound, or, with ``left == right``, the point where P - delta*margin was
+    found <= 0 and that value rounded down.
+    """
 
     def __init__(self, message, left=None, right=None, bound=None):
         super().__init__(message)

@@ -1,5 +1,7 @@
 import json
 import random
+from fractions import Fraction
+from math import comb
 
 import mpmath
 import pytest
@@ -131,6 +133,119 @@ class TestCertifyPositive:
                 for i in range(20):
                     x = left + (right - left) * mp.mpf(i) / 19
                     assert P.evaluate(x) - margin >= bound - mp.mpf("1e-40")
+
+
+    @pytest.mark.parametrize("field", ["delta", "margin_factor", "coefficient"])
+    def test_non_finite_input_refused(self, p50, field):
+        for bad in ("nan", "inf", "-inf"):
+            args = {"delta": "0.1", "margin_factor": "1.000001", "coefficient": "1"}
+            args[field] = bad
+            P = Polynomial(coefficients=(mpmath.mpf(args["coefficient"]), mpmath.mpf("0.5")),
+                           segment=(mpmath.mpf(0), mpmath.mpf(1)))
+            with pytest.raises(ConfigurationError, match="finite"):
+                certify_positive(P, args["delta"], args["margin_factor"], p50)
+
+
+def _fraction(value):
+    return Fraction(*mpmath.libmp.to_rational(mpmath.mpf(value)._mpf_))
+
+
+def _exact_taylor(P, lo, hi):
+    """Exact coefficients of P(lo + (hi - lo)*s) in powers of s, by Clenshaw on polynomials."""
+    a, b = (_fraction(v) for v in P.segment)
+    u = [(2 * lo - a - b) / (b - a), 2 * (hi - lo) / (b - a)]  # u as a polynomial in s
+
+    def add(*polys):
+        out = [Fraction(0)] * max(len(q) for q in polys)
+        for q in polys:
+            for i, v in enumerate(q):
+                out[i] += v
+        return out
+
+    def times_u(q, factor):
+        out = [Fraction(0)] * (len(q) + 1)
+        for i, v in enumerate(q):
+            out[i] += factor * u[0] * v
+            out[i + 1] += factor * u[1] * v
+        return out
+
+    b1, b2 = [Fraction(0)], [Fraction(0)]
+    coeffs = [_fraction(c) for c in P.coefficients]
+    for cj in reversed(coeffs[1:]):
+        b1, b2 = add(times_u(b1, 2), [-v for v in b2], [cj]), b1
+    # each step multiplies by u, so the last entry is the zero of an empty b1
+    return add(times_u(b1, 1), [-v for v in b2], [coeffs[0]])[:len(coeffs)]
+
+
+def _exact_value(P, x):
+    return _exact_taylor(P, x, x)[0]
+
+
+class TestExactReplay:
+    """Certificates replayed in rational arithmetic, with none of the certifier's code."""
+
+    def test_fuzz_certificates_replay_exactly(self, p30):
+        rng = random.Random(97531)
+        replayed = 0
+        for _ in range(40):
+            degree = rng.randint(0, 7)
+            monomial = [mpmath.mpf(rng.uniform(-1, 1)) for _ in range(degree + 1)]
+            monomial[0] += mpmath.mpf(repr(rng.choice([0.3, 1.0, 0.05, 2.0])))
+            delta = repr(rng.uniform(0, 0.2))
+            P = make_poly(monomial, 0, 1)
+            try:
+                cert = certify_positive(P, delta, "1.000001", p30)
+            except CertificationError:
+                continue
+            replayed += 1
+            margin = _fraction(cert.delta) * _fraction(cert.margin_factor)
+            leaves = [tuple(_fraction(v) for v in leaf) for leaf in cert.subintervals]
+            assert leaves[0][0] == 0 and leaves[-1][1] == 1
+            for lo, hi, bound in leaves:
+                assert bound > 0
+                for x in (lo, (lo + hi) / 2, hi):
+                    assert _exact_value(P, x) - margin >= bound
+            lowest = min(range(len(leaves)), key=lambda i: leaves[i][2])
+            for lo, hi, bound in {leaves[0], leaves[lowest], leaves[-1]}:
+                power = _exact_taylor(P, lo, hi)
+                n = len(power) - 1
+                bernstein = [sum(comb(k, i) * power[i] / comb(n, i) for i in range(k + 1))
+                             - margin for k in range(n + 1)]
+                # the leaf's bound is its least Bernstein coefficient, rounded down
+                assert bound <= min(bernstein) <= bound * (1 + Fraction(1, 2 ** 100))
+        assert replayed >= 15
+
+
+def _planted_tiny_margin(c, sign, e, wide):
+    """(x - c)^2 * q(x) + sign*10^-e in powers of x, with q = 1 or (1 + x^2)^2."""
+    q = [Fraction(1), Fraction(0), Fraction(2), Fraction(0), Fraction(1)] if wide else [Fraction(1)]
+    out = [Fraction(0)] * (len(q) + 2)
+    for i, v in enumerate(q):
+        for j, w in enumerate((c * c, -2 * c, Fraction(1))):
+            out[i + j] += v * w
+    out[0] += sign * Fraction(1, 10 ** e)
+    return out
+
+
+class TestTinyMarginFuzz:
+    """Margins of 1e-10 to 1e-25 at a non-dyadic point, far below what float oracles see."""
+
+    @pytest.mark.parametrize("digits", [30, 50])
+    def test_planted_tiny_margins(self, digits):
+        p = Precision(digits)
+        rng = random.Random(8642 + digits)
+        for _ in range(12):
+            c = Fraction(rng.randint(1, 100), 101)
+            e = rng.randint(10, 25)
+            for wide in (False, True):
+                below = make_poly(_planted_tiny_margin(c, -1, e, wide))
+                with pytest.raises(CertificationError):
+                    certify_positive(below, 0, "1.000001", p)
+                above = make_poly(_planted_tiny_margin(c, 1, e, wide))
+                cert = certify_positive(above, 0, "1.000001", p)
+                bound = _fraction(cert.global_min_bound)
+                assert 0 < bound <= Fraction(1, 10 ** e)
+                assert bound <= _exact_value(above, _fraction(mpmath.mpf(c.numerator) / c.denominator))
 
 
 def _poly_min_oracle(monomial, a, b, samples=20000):

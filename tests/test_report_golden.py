@@ -49,10 +49,10 @@ CASES = {
 
 # sha256 of report_to_json for each case, at 30 digits
 REPORT_HASHES = {
-    "proven": "c0de2a77c047a3cb3f723c86844256abce9b0e2e4682ce30e8f3b4bf97c1ccb1",
+    "proven": "1527aa2c8057bc63cdf9383d9e2ff0fe44c23fdcc3986ba6e115552174df9dd6",
     "disproven_alpha": "dc78ac2c463c69139bdb8bc28ba7d31b93c88b4a5348aaf6bf96453e9fa4597b",
     "disproven_beta": "030e3f593531b3aedef2be84398e08b359c091b4039f8082b92e1be0c46f4352",
-    "disproven_witness": "8816c04c91028712c22751361c7a01373c4889f534bccd0ea2869ff6ccf41280",
+    "disproven_witness": "b232d47c12442dacb617df8a759c04610bf84430c85f115a1c53e3ad2c585737",
     "inconclusive_endpoint_limits":
         "6ac35d3f21a0d24dd9a8a50d9d0e7fb649364b8a88ac7f23e75ded7b9cfbc620",
     "inconclusive_precondition":
@@ -63,12 +63,12 @@ REPORT_HASHES = {
     "inconclusive_residual_check":
         "21518139ec9e6019aaf8bd445cf22ee62cf84bc6c72cc7268376da33ae99197b",
     "inconclusive_positivity":
-        "88f1466cf5402e418df06bdabfc3b2592733c4f7deb9908ad121eea35840035a",
+        "74198e4e0943ed508212661e03a4e582e4fb963583da1c51803e2c7c8e56a1bf",
 }
 
 # sha256 of the report file `ineqprove prove --config demos/configs/<name>` writes
 CONFIG_HASHES = {
-    "arcsin_trig.cfg": "2796521622317a25218892260201dd27201f1aac75205a687e56678006a7b774",
+    "arcsin_trig.cfg": "7c050aff07d1efc0fce31b5959de2508fea23829a6a8590d32ae1f79b9ef6ccf",
     "parabola.cfg": "f586d6136876525d8da0bf7897135815215ecf3efb0442bae3c312cf9191c224",
 }
 
