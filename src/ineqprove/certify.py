@@ -548,15 +548,21 @@ def _positivity(run: _Run):
     run.fields.update(global_min_bound=cert.global_min_bound, certificate=cert)
 
 
-# (report stage name, stage, exceptions that end the run at that stage)
+def _failing_subinterval(exc: CertificationError, p: Precision):
+    return (("failing_subinterval", {key: decimal_str(getattr(exc, key), p)
+                                     for key in ("left", "right", "bound")}),)
+
+
+# (report stage name, stage, exceptions that end the run at that stage,
+#  the diagnostics entries such an exception adds to an inconclusive report)
 _STAGES = (
-    ("endpoint_limits", _endpoint_limits, _LIMIT_FAILURES),
-    ("precondition", _precondition, (ZeroLimitError,)),
+    ("endpoint_limits", _endpoint_limits, _LIMIT_FAILURES, None),
+    ("precondition", _precondition, (ZeroLimitError,), None),
     ("minimax", _minimax, (ConvergenceError, AlternationError, SingularSystemError,
-                           DomainError, PrecisionUnreachableError)),
-    ("equioscillation", _equioscillation, ()),
-    ("residual_check", _residual_check, (DomainError, PrecisionUnreachableError)),
-    ("positivity", _positivity, (CertificationError,)),
+                           DomainError, PrecisionUnreachableError), None),
+    ("equioscillation", _equioscillation, (), None),
+    ("residual_check", _residual_check, (DomainError, PrecisionUnreachableError), None),
+    ("positivity", _positivity, (CertificationError,), _failing_subinterval),
 )
 
 
@@ -566,16 +572,17 @@ def _run_stages(run: _Run) -> ProofReport:
     A stage that raises one of its failures, or fails its gate, ends the
     run inconclusive, unless g's cache holds a concrete negative sample: then
     the verdict is disproven, with that witness and the failure's message
-    ("negative sample" for a failed gate).
+    ("negative sample" for a failed gate) in place of the stage's extra
+    diagnostics.
     """
     stage, verdict, message, extra = "complete", "proven", "all stages passed", ()
-    for name, step, failures in _STAGES:
+    for name, step, failures, details in _STAGES:
         witness_message = "negative sample"
         try:
             stop = step(run)
         except failures as exc:
             witness_message = f"{type(exc).__name__}: {exc}"
-            stop = _Stop(witness_message)
+            stop = _Stop(witness_message, extra=details(exc, run.p) if details else ())
         if stop is None:
             continue
         stage = name

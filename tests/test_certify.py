@@ -347,6 +347,10 @@ class TestProvePipeline:
         assert "witness" in report.diagnostics
         x = mpmath.mpf(report.diagnostics["witness"]["x"])
         assert mpmath.mpf("0.3") < x < mpmath.mpf("0.7")
+        # the witness replaces the failing leaf, the message stays the failure's
+        assert report.diagnostics["stage"] == "positivity"
+        assert report.diagnostics["message"].startswith("CertificationError: ")
+        assert "failing_subinterval" not in report.diagnostics
 
     def test_inconclusive_when_degree_too_low(self, p30):
         # minimum 1e-8 is far below the degree-0 error estimate
@@ -354,6 +358,12 @@ class TestProvePipeline:
                                   ProofSettings(precision=p30))
         assert report.verdict == "inconclusive"
         assert report.diagnostics["stage"] == "positivity"
+        assert list(report.diagnostics)[-3:] == ["stage", "message", "failing_subinterval"]
+        where = report.diagnostics["failing_subinterval"]
+        assert list(where) == ["left", "right", "bound"]
+        # P - delta*margin is negative already at the left end
+        assert where["left"] == where["right"] == "0.0"
+        assert mpmath.mpf(where["bound"]) < 0
 
     def test_monotone_repair_at_higher_degree(self, p30):
         report = prove_inequality("x^2 - x + 0.25 + 1e-8", 0, 1, 0, 0, 2,

@@ -63,7 +63,7 @@ REPORT_HASHES = {
     "inconclusive_residual_check":
         "21518139ec9e6019aaf8bd445cf22ee62cf84bc6c72cc7268376da33ae99197b",
     "inconclusive_positivity":
-        "74198e4e0943ed508212661e03a4e582e4fb963583da1c51803e2c7c8e56a1bf",
+        "3a85c7232570fecb1f740145378681d168904f6ced3a2cf6a355e980e6e8f8f1",
 }
 
 # sha256 of the report file `ineqprove prove --config demos/configs/<name>` writes
