@@ -99,6 +99,28 @@ class TestCertifyPositive:
         assert cert.global_min_bound >= mpmath.mpf("8.9e-4")
         assert cert.global_min_bound <= mpmath.mpf("8.99e-4") + mpmath.mpf("1e-12")
 
+    def test_tangent_minimum_reaches_width_floor(self, p50):
+        # (x - c)^2 with c a 60-bit binary fraction: positive at every split
+        # point down to 2^-47, while the leaf holding c never gets a positive
+        # lower bound.  Exact Chebyshev coefficients on [0, 1], u = 2x - 1.
+        c = mpmath.mpf(round(mpmath.mpf(2) ** 60 / 3)) / 2 ** 60
+        s = 1 - 2 * c
+        P = Polynomial(coefficients=(s * s / 4 + mpmath.mpf(1) / 8, s / 2, mpmath.mpf(1) / 8),
+                       segment=(mpmath.mpf(0), mpmath.mpf(1)))
+        with pytest.raises(CertificationError, match="width floor") as err:
+            certify_positive(P, 0, "1.000001", p50)
+        assert err.value.left < c < err.value.right
+        assert err.value.right - err.value.left == mpmath.mpf(2) ** -47
+        assert err.value.bound <= 0
+
+    def test_leaf_budget_exhausted(self, p50):
+        # (x - 1/3)^2 + 1e-12 needs about twenty leaves to be certified
+        third = mpmath.mpf(1) / 3
+        P = make_poly([third ** 2 + mpmath.mpf("1e-12"), -2 * third, 1])
+        assert len(certify_positive(P, 0, "1.000001", p50).subintervals) > 3
+        with pytest.raises(CertificationError, match="within 3 subintervals"):
+            certify_positive(P, 0, "1.000001", p50, max_subintervals=3)
+
     def test_low_precision_refused(self):
         P = make_poly(["1"])
         with pytest.raises(ConfigurationError):
@@ -133,7 +155,6 @@ class TestCertifyPositive:
                 for i in range(20):
                     x = left + (right - left) * mp.mpf(i) / 19
                     assert P.evaluate(x) - margin >= bound - mp.mpf("1e-40")
-
 
     @pytest.mark.parametrize("field", ["delta", "margin_factor", "coefficient"])
     def test_non_finite_input_refused(self, p50, field):
@@ -201,10 +222,15 @@ class TestExactReplay:
             margin = _fraction(cert.delta) * _fraction(cert.margin_factor)
             leaves = [tuple(_fraction(v) for v in leaf) for leaf in cert.subintervals]
             assert leaves[0][0] == 0 and leaves[-1][1] == 1
+            ends = {}
             for lo, hi, bound in leaves:
                 assert bound > 0
                 for x in (lo, (lo + hi) / 2, hi):
-                    assert _exact_value(P, x) - margin >= bound
+                    ends[x] = _exact_value(P, x) - margin
+                    assert ends[x] >= bound
+            # stopping rule: within rel_slack = 1 % of the least value at a leaf end
+            least = min(ends[x] for leaf in leaves for x in leaf[:2])
+            assert least - _fraction(cert.global_min_bound) <= least / 100
             lowest = min(range(len(leaves)), key=lambda i: leaves[i][2])
             for lo, hi, bound in {leaves[0], leaves[lowest], leaves[-1]}:
                 power = _exact_taylor(P, lo, hi)
@@ -244,7 +270,7 @@ class TestTinyMarginFuzz:
                 above = make_poly(_planted_tiny_margin(c, 1, e, wide))
                 cert = certify_positive(above, 0, "1.000001", p)
                 bound = _fraction(cert.global_min_bound)
-                assert 0 < bound <= Fraction(1, 10 ** e)
+                assert Fraction(99, 100 * 10 ** e) <= bound <= Fraction(1, 10 ** e)
                 assert bound <= _exact_value(above, _fraction(mpmath.mpf(c.numerator) / c.denominator))
 
 
