@@ -19,7 +19,7 @@ print(f"  nodes     = {[mpmath.nstr(t, 8) for t in r.nodes]}")
 
 print("\n== exp on [0, 1], degree 1: slope e - 1, interior node ln(e-1) ==")
 r = minimax(mpmath.exp, 0, 1, 1, p=p)
-mono = r.polynomial.to_monomial()
+mono = r.polynomial.to_monomial(p)
 with working(p):
     print(f"  slope     = {mpmath.nstr(mono[1], 25)}")
     print(f"  e - 1     = {mpmath.nstr(mp.e - 1, 25)}")

@@ -43,14 +43,12 @@ from .precision import Precision, decimal_str, to_mpf, working
 from .quadrature import (
     QuadratureResult,
     find_inflection,
-    gauss_legendre_nodes,
     kurepa,
     kurepa_derivative,
 )
 from .quotient import (
     LimitMethod,
     QuotientFunction,
-    build_quotient_function,
     endpoint_limits_numeric,
     endpoint_limits_taylor,
 )
@@ -101,7 +99,6 @@ __all__ = [
     "UnknownIdentifierError",
     "UnstableLimitError",
     "ZeroLimitError",
-    "build_quotient_function",
     "certify_positive",
     "decimal_str",
     "differentiate",
@@ -109,7 +106,6 @@ __all__ = [
     "endpoint_limits_taylor",
     "evaluate",
     "find_inflection",
-    "gauss_legendre_nodes",
     "initial_nodes",
     "kurepa",
     "kurepa_derivative",

@@ -47,10 +47,10 @@ from .errors import (
     ZeroLimitError,
 )
 from .expr import Expression, evaluate, parse
-from .precision import Precision, decimal_str, to_mpf, working
+from .precision import Precision, decimal_str, resolution_floor, to_mpf, working
 from .quotient import (
     LimitMethod,
-    build_quotient_function,
+    QuotientFunction,
     endpoint_limits_numeric,
     endpoint_limits_taylor,
 )
@@ -144,7 +144,7 @@ def precondition_check(alpha, beta, p: Precision = Precision()) -> Outcome:
     with working(p):
         av = to_mpf(alpha)
         bv = to_mpf(beta)
-        floor = mp.mpf(10) ** (-(p.decimal_digits - 10))
+        floor = resolution_floor(p)
         for name, v in (("alpha", av), ("beta", bv)):
             if abs(v) <= floor:
                 raise ZeroLimitError(
@@ -497,8 +497,8 @@ def _precondition(run: _Run):
         return _Stop(f"endpoint limit {which} is negative; the inequality fails "
                      f"near that endpoint", "disproven", (("negative_limit", which),))
     f, a, b, n, m, p = run.limit_inputs
-    run.g = CachedFunction(build_quotient_function(f, a, b, n, m, alpha, beta,
-                                                   run.method, p).evaluate)
+    run.g = CachedFunction(QuotientFunction(f, a, b, n, m, alpha, beta,
+                                            run.method, p).evaluate)
 
 
 def _minimax(run: _Run):

@@ -127,8 +127,7 @@ def cmd_minimax(args) -> int:
 
     result = minimax(g, a, b, args.degree, tol=args.tol, p=p,
                      grid_multiplier=args.grid_multiplier)
-    with working(p):
-        mono = result.polynomial.to_monomial()
+    mono = result.polynomial.to_monomial(p)
     doc = {
         "degree": args.degree,
         "segment": [decimal_str(result.polynomial.segment[0], p),

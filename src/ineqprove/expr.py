@@ -379,9 +379,6 @@ class Expression:
     def evaluate(self, x, p: Precision = Precision()):
         return evaluate(self, x, p)
 
-    def derivative(self, order: int = 1) -> "Expression":
-        return differentiate(self, order)
-
 
 def parse(source: str) -> Expression:
     """Parse source text into an Expression.

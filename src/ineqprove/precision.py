@@ -41,6 +41,16 @@ def working(p: Precision, extra: int = GUARD_DIGITS):
         yield mp
 
 
+def resolution_floor(p: Precision):
+    """10^-(digits - 10), at the current working precision.
+
+    The smallest quantity ``p``-digit arithmetic resolves: the Kurepa error
+    target, the least Remez tol, and the zero level of endpoint limits and
+    of minimax residuals.
+    """
+    return mp.mpf(10) ** (-(p.decimal_digits - 10))
+
+
 def to_mpf(value):
     """Convert a scalar to mpf at the current working precision.
 

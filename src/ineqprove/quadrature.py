@@ -19,19 +19,21 @@ t = 0 for the derivative integrals.  The domain is therefore split:
 In every region the integrand at a node is c expm1(x L) for j = 0 and
 c L^j exp(x L) for j >= 1, where only the factors (c, L) depend on the region
 and the node, never on x.  They are kept in a node table per panel, so each
-x costs one exponential per node, and the adaptive bisection, which visits
-the same panels for nearby x, reuses the tables.
+x costs one exponential per node.
 
 Each region is covered by adaptive panels whose error is estimated by
 comparing the n-node Gauss rule with its nested (2n+1)-node Kronrod extension.
-Everything is summed in a fixed order, so results are bit-for-bit
-reproducible, with or without warm tables.
+The rules and the node tables are pure functions of their arguments, the
+binary precision among them, each memoized in a bounded LRU memo; as a
+memoized value depends only on its key, and everything is summed in a fixed
+order, results are bit-for-bit reproducible, with or without warm memos.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath
 from mpmath import mp
@@ -52,20 +54,10 @@ from .errors import (
     PrecisionUnreachableError,
     RootBracketError,
 )
-from .precision import Precision, to_mpf, working
+from .precision import Precision, resolution_floor, to_mpf, working
 
-_node_cache = {}
-_kronrod_cache = {}
-_table_cache = {}
-_result_cache = {}
+# entries kept by each memo: the Kronrod rules and the node tables
 _CACHE_LIMIT = 65536
-
-
-def _remember(cache, key, value):
-    """Store into a memo that is emptied wholesale when it reaches its limit."""
-    if len(cache) >= _CACHE_LIMIT:
-        cache.clear()
-    cache[key] = value
 
 
 @dataclass(frozen=True)
@@ -81,14 +73,11 @@ class QuadratureResult:
 def gauss_legendre_nodes(n: int):
     """Nodes and weights of the n-point rule on [-1, 1] at the current precision.
 
-    Computed by Newton iteration on the Legendre recurrence and cached per
-    (n, binary precision).  Nodes are returned in ascending order and are
+    Computed by Newton iteration on the Legendre recurrence, with no memo of
+    its own: the package calls it only from the memoized
+    ``gauss_kronrod_rule``.  Nodes are returned in ascending order and are
     exactly symmetric about 0.
     """
-    key = (n, mp.prec)
-    cached = _node_cache.get(key)
-    if cached is not None:
-        return cached
     with mp.extraprec(40):
         half = []
         tol = mp.mpf(2) ** (-(mp.prec - 20))
@@ -125,9 +114,7 @@ def gauss_legendre_nodes(n: int):
         for xk, wk in reversed(half):
             nodes.append(xk)
             weights.append(wk)
-    result = (tuple(+x for x in nodes), tuple(+w for w in weights))
-    _node_cache[key] = result
-    return result
+    return tuple(+x for x in nodes), tuple(+w for w in weights)
 
 
 def _kronrod_betas(n):
@@ -164,69 +151,66 @@ def _kronrod_betas(n):
     return b[:2 * n + 1]
 
 
-def gauss_kronrod_rule(n: int):
+@lru_cache(maxsize=_CACHE_LIMIT)
+def gauss_kronrod_rule(n: int, prec: int):
     """The (2n+1)-node Kronrod extension of the n-node Gauss rule on [-1, 1].
 
-    Returns (nodes, Kronrod weights, Gauss weights) at the current precision,
-    cached per (n, binary precision).  Nodes ascend and are exactly symmetric
-    about 0; ``nodes[1::2]`` are the Gauss nodes of ``gauss_legendre_nodes(n)``
-    and the Gauss weights belong to them.  The other n+1 nodes interlace the
-    Gauss nodes; each is found by Newton's method on the characteristic
-    polynomial of the Jacobi-Kronrod matrix divided by P_n, seeded between
-    its two neighbouring Gauss nodes.  All weights follow from the orthonormal
-    recurrence: w(z) = 1 / sum_k q_k(z)^2.
+    Returns (nodes, Kronrod weights, Gauss weights) rounded to ``prec`` bits,
+    whatever the ambient precision, memoized on (n, prec).  Nodes ascend and
+    are exactly symmetric about 0; ``nodes[1::2]`` are the Gauss nodes of
+    ``gauss_legendre_nodes(n)`` at ``prec`` bits and the Gauss weights belong
+    to them.  The other n+1 nodes interlace the Gauss nodes; each is found by
+    Newton's method on the characteristic polynomial of the Jacobi-Kronrod
+    matrix divided by P_n, seeded between its two neighbouring Gauss nodes.
+    All weights follow from the orthonormal recurrence:
+    w(z) = 1 / sum_k q_k(z)^2.
     """
-    key = (n, mp.prec)
-    cached = _kronrod_cache.get(key)
-    if cached is not None:
-        return cached
-    gauss_x, gauss_w = gauss_legendre_nodes(n)
-    positive = [z for z in gauss_x if z > 0]
-    with mp.extraprec(40):
-        b = _kronrod_betas(n)
-        root_b = [mp.sqrt(v) for v in b]
-        tol = mp.mpf(2) ** (-(mp.prec - 20))
+    with mp.workprec(prec):
+        gauss_x, gauss_w = gauss_legendre_nodes(n)
+        positive = [z for z in gauss_x if z > 0]
+        with mp.extraprec(40):
+            b = _kronrod_betas(n)
+            root_b = [mp.sqrt(v) for v in b]
+            tol = mp.mpf(2) ** (-(mp.prec - 20))
 
-        def newton_step(z):
-            # f = p_{2n+1} / p_n with monic p_k; returns f / f'
-            p0, p1, d0, d1 = mp.mpf(0), mp.mpf(1), mp.mpf(0), mp.mpf(0)
-            for k in range(2 * n + 1):
-                if k == n:
-                    pn, dn = p1, d1
-                p0, p1, d0, d1 = p1, z * p1 - b[k] * p0, d1, p1 + z * d1 - b[k] * d0
-            return p1 * pn / (d1 * pn - p1 * dn)
+            def newton_step(z):
+                # f = p_{2n+1} / p_n with monic p_k; returns f / f'
+                p0, p1, d0, d1 = mp.mpf(0), mp.mpf(1), mp.mpf(0), mp.mpf(0)
+                for k in range(2 * n + 1):
+                    if k == n:
+                        pn, dn = p1, d1
+                    p0, p1, d0, d1 = p1, z * p1 - b[k] * p0, d1, p1 + z * d1 - b[k] * d0
+                return p1 * pn / (d1 * pn - p1 * dn)
 
-        def weight(z):
-            q0, q1 = mp.mpf(0), 1 / root_b[0]
-            acc = q1 * q1
-            for k in range(2 * n):
-                q0, q1 = q1, (z * q1 - root_b[k] * q0) / root_b[k + 1]
-                acc += q1 * q1
-            return 1 / acc
+            def weight(z):
+                q0, q1 = mp.mpf(0), 1 / root_b[0]
+                acc = q1 * q1
+                for k in range(2 * n):
+                    q0, q1 = q1, (z * q1 - root_b[k] * q0) / root_b[k + 1]
+                    acc += q1 * q1
+                return 1 / acc
 
-        # one new node in each gap of 1 > g_1 > g_2 > ... > 0 over the positive
-        # Gauss nodes g_i, seeded at the gap's middle angle; 0 closes the last
-        # gap only when it is a Gauss node (odd n), else that gap is symmetric
-        # about 0 and its node is 0 itself
-        edges = [0.0] + [math.acos(float(z)) for z in reversed(positive)]
-        if n % 2:
-            edges.append(math.pi / 2)
-        added = []
-        for lo, hi in zip(edges, edges[1:]):
-            zk = mp.mpf(math.cos((lo + hi) / 2))
-            for _ in range(100):
-                dz = newton_step(zk)
-                zk -= dz
-                if abs(dz) <= tol:
-                    break
-            added.append(zk)
-        half = sorted(positive + added)
-        nodes = [-z for z in reversed(half)] + [mp.mpf(0)] + half
-        half_w = [weight(z) for z in half]
-        k_weights = half_w[::-1] + [weight(mp.mpf(0))] + half_w
-    result = (tuple(+z for z in nodes), tuple(+w for w in k_weights), gauss_w)
-    _kronrod_cache[key] = result
-    return result
+            # one new node in each gap of 1 > g_1 > g_2 > ... > 0 over the positive
+            # Gauss nodes g_i, seeded at the gap's middle angle; 0 closes the last
+            # gap only when it is a Gauss node (odd n), else that gap is symmetric
+            # about 0 and its node is 0 itself
+            edges = [0.0] + [math.acos(float(z)) for z in reversed(positive)]
+            if n % 2:
+                edges.append(math.pi / 2)
+            added = []
+            for lo, hi in zip(edges, edges[1:]):
+                zk = mp.mpf(math.cos((lo + hi) / 2))
+                for _ in range(100):
+                    dz = newton_step(zk)
+                    zk -= dz
+                    if abs(dz) <= tol:
+                        break
+                added.append(zk)
+            half = sorted(positive + added)
+            nodes = [-z for z in reversed(half)] + [mp.mpf(0)] + half
+            half_w = [weight(z) for z in half]
+            k_weights = half_w[::-1] + [weight(mp.mpf(0))] + half_w
+        return tuple(+z for z in nodes), tuple(+w for w in k_weights), gauss_w
 
 
 def _low_node(s):
@@ -247,25 +231,23 @@ def _high_node(t):
     return mp.exp(-t) / (t - 1), mp.log(t)
 
 
-def _node_table(node_map, lo, hi, n):
+@lru_cache(maxsize=_CACHE_LIMIT)
+def _node_table(node_map, lo, hi, n, prec):
     """(c, L) at the Kronrod nodes of [lo, hi], c scaled by the half-width.
 
-    Both are kept as raw mpf tuples, the form the panel loop works on.
+    Computed at ``prec`` bits and memoized on all five arguments.  Both are
+    kept as raw mpf tuples, the form the panel loop works on.
     """
-    key = (node_map, lo, hi, n, mp.prec)
-    table = _table_cache.get(key)
-    if table is None:
+    with mp.workprec(prec):
         half = (hi - lo) / 2
         mid = (lo + hi) / 2
         cs = []
         ls = []
-        for z in gauss_kronrod_rule(n)[0]:
+        for z in gauss_kronrod_rule(n, prec)[0]:
             c, ell = node_map(mid + half * z)
             cs.append((half * c)._mpf_)
             ls.append(None if ell is None else ell._mpf_)
-        table = (tuple(cs), tuple(ls))
-        _remember(_table_cache, key, table)
-    return table
+    return tuple(cs), tuple(ls)
 
 
 def _expm1(y, prec):
@@ -310,7 +292,8 @@ def _kronrod_panel(table, x, j, k_weights, g_weights):
 
 def _adaptive(node_map, panels, x, j, tol_abs, n, state):
     """Adaptive bisection over an initial panel list, left to right."""
-    _, k_weights, g_weights = gauss_kronrod_rule(n)
+    prec = mp.prec
+    _, k_weights, g_weights = gauss_kronrod_rule(n, prec)
     k_weights = [w._mpf_ for w in k_weights]
     g_weights = [w._mpf_ for w in g_weights]
     span = mp.mpf(0)
@@ -329,7 +312,7 @@ def _adaptive(node_map, panels, x, j, tol_abs, n, state):
                 f"quadrature budget of {state['budget']} evaluations exhausted "
                 "before the error target was met"
             )
-        v1, v2 = _kronrod_panel(_node_table(node_map, lo, hi, n), x, j,
+        v1, v2 = _kronrod_panel(_node_table(node_map, lo, hi, n, prec), x, j,
                                 k_weights, g_weights)
         e = abs(v2 - v1)
         if e <= tol_abs * width / span or width <= min_width:
@@ -388,19 +371,16 @@ def _kurepa_integral(x, j, p, node_factor, tail_factor, max_evaluations):
     guard = 15
     if x_probe > 2:
         # the integrals grow like Gamma(x); carry enough digits that the
-        # absolute error target stays above the rounding floor
-        guard += int(x_probe * math.log10(x_probe)) + 5
+        # absolute error target stays above the rounding floor, rounded up to
+        # a multiple of 10 so that nearby x share a working precision, and
+        # with it the memoized rules and node tables
+        guard += -(-(int(x_probe * math.log10(x_probe)) + 5) // 10) * 10
     with working(p, extra=guard):
         xv = to_mpf(x)
         if xv < 0:
             raise DomainError(f"kurepa integrals require x >= 0, got {xv}")
         tf = to_mpf(tail_factor)
-        key = (xv, j, digits, node_factor, str(tf))
-        cached = _result_cache.get(key)
-        if cached is not None:
-            return cached
-
-        target = mp.mpf(10) ** (-(digits - 10))
+        target = resolution_floor(p)
         share = target / 8
         region_tol = target / 4
         term_tol = mp.mpf(10) ** (-(digits + 10))
@@ -442,14 +422,12 @@ def _kurepa_integral(x, j, p, node_factor, tail_factor, max_evaluations):
             raise PrecisionUnreachableError(
                 f"accumulated quadrature error {err} exceeds target {target}"
             )
-        result = QuadratureResult(
+        return QuadratureResult(
             value=+value,
             error_bound=+err,
             nodes_used=state["evals"],
             tail_cutoff=+T,
         )
-    _remember(_result_cache, key, result)
-    return result
 
 
 def kurepa(x, p: Precision = Precision(), *, node_factor: int = 1,

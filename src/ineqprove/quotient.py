@@ -54,6 +54,11 @@ def _pow(base, exponent):
     return mp.power(base, exponent)
 
 
+def _quotient(f, x, a, b, n, m, p):
+    """The raw quotient f(x) / ((x-a)^n (b-x)^m), with no endpoint handling."""
+    return evaluate(f, x, p) / (_pow(x - a, n) * _pow(b - x, m))
+
+
 class QuotientFunction:
     """f(x)/((x-a)^n (b-x)^m) extended continuously to [a, b].
 
@@ -86,15 +91,11 @@ class QuotientFunction:
         self.limit_method = LimitMethod(limit_method)
         self._edge_values = {}
 
-    def _quotient(self, x):
-        fv = evaluate(self.f, x, self.precision)
-        return fv / (_pow(x - self.a, self.n) * _pow(self.b - x, self.m))
-
     def _edge_value(self, which):
         v = self._edge_values.get(which)
         if v is None:
             x0 = self.a + self._edge if which == "a" else self.b - self._edge
-            v = self._quotient(x0)
+            v = _quotient(self.f, x0, self.a, self.b, self.n, self.m, self.precision)
             self._edge_values[which] = v
         return v
 
@@ -113,7 +114,7 @@ class QuotientFunction:
             if self.b - xv < self._edge:
                 g0 = self._edge_value("b")
                 return self.beta + (g0 - self.beta) * (self.b - xv) / self._edge
-            return self._quotient(xv)
+            return _quotient(self.f, xv, self.a, self.b, self.n, self.m, self.precision)
 
     __call__ = evaluate
 
@@ -242,19 +243,10 @@ def endpoint_limits_numeric(f: Expression, a, b, n, m, p: Precision = Precision(
             raise ConfigurationError("orders must be nonnegative")
         tol = to_mpf(stabilize_tol)
         span = bv - av
-
-        def quotient(x):
-            return evaluate(f, x, p) / (_pow(x - av, nv) * _pow(bv - x, mv))
-
-        qa = [quotient(av + span * mp.mpf(4) ** (-j)) for j in range(3, 13)]
-        qb = [quotient(bv - span * mp.mpf(4) ** (-j)) for j in range(3, 13)]
+        qa = [_quotient(f, av + span * mp.mpf(4) ** (-j), av, bv, nv, mv, p)
+              for j in range(3, 13)]
+        qb = [_quotient(f, bv - span * mp.mpf(4) ** (-j), av, bv, nv, mv, p)
+              for j in range(3, 13)]
         alpha = _extrapolate(qa, "a", p.decimal_digits, tol)
         beta = _extrapolate(qb, "b", p.decimal_digits, tol)
         return +alpha, +beta
-
-
-def build_quotient_function(f: Expression, a, b, n, m, alpha, beta,
-                            limit_method=LimitMethod.USER_SUPPLIED,
-                            p: Precision = Precision()) -> QuotientFunction:
-    """Assemble the continuous quotient extension from precomputed limits."""
-    return QuotientFunction(f, a, b, n, m, alpha, beta, limit_method, p)

@@ -31,7 +31,7 @@ from .errors import (
     ConvergenceError,
     SingularSystemError,
 )
-from .precision import Precision, to_mpf, working
+from .precision import Precision, resolution_floor, to_mpf, working
 
 REFINE_WIDTH_FACTOR = "1e-12"
 
@@ -62,66 +62,68 @@ class Polynomial:
 
     __call__ = evaluate
 
-    def to_monomial(self):
+    def to_monomial(self, p: Precision = Precision()):
         """Coefficients (low to high) of the same polynomial in powers of x."""
-        a, b = self.segment
-        k = self.degree
-        # Chebyshev-in-u coefficients -> monomial-in-u
-        acc = [mp.mpf(0)] * (k + 1)
-        t_prev = [mp.mpf(1)]
-        t_cur = [mp.mpf(0), mp.mpf(1)]
-        acc[0] += self.coefficients[0]
-        if k >= 1:
-            for i, v in enumerate(t_cur):
-                acc[i] += self.coefficients[1] * v
-        for j in range(2, k + 1):
-            t_next = [mp.mpf(0)] * (len(t_cur) + 1)
-            for i, v in enumerate(t_cur):
-                t_next[i + 1] += 2 * v
-            for i, v in enumerate(t_prev):
-                t_next[i] -= v
-            for i, v in enumerate(t_next):
-                acc[i] += self.coefficients[j] * v
-            t_prev, t_cur = t_cur, t_next
-        # compose with u = s*x + t
-        s = 2 / (b - a)
-        t = -(a + b) / (b - a)
-        result = [acc[k]]
-        for j in range(k - 1, -1, -1):
-            nxt = [mp.mpf(0)] * (len(result) + 1)
-            for i, v in enumerate(result):
-                nxt[i] += v * t
-                nxt[i + 1] += v * s
-            nxt[0] += acc[j]
-            result = nxt[: k + 1]
-        return tuple(result)
+        with working(p):
+            a, b = self.segment
+            k = self.degree
+            # Chebyshev-in-u coefficients -> monomial-in-u
+            acc = [mp.mpf(0)] * (k + 1)
+            t_prev = [mp.mpf(1)]
+            t_cur = [mp.mpf(0), mp.mpf(1)]
+            acc[0] += self.coefficients[0]
+            if k >= 1:
+                for i, v in enumerate(t_cur):
+                    acc[i] += self.coefficients[1] * v
+            for j in range(2, k + 1):
+                t_next = [mp.mpf(0)] * (len(t_cur) + 1)
+                for i, v in enumerate(t_cur):
+                    t_next[i + 1] += 2 * v
+                for i, v in enumerate(t_prev):
+                    t_next[i] -= v
+                for i, v in enumerate(t_next):
+                    acc[i] += self.coefficients[j] * v
+                t_prev, t_cur = t_cur, t_next
+            # compose with u = s*x + t
+            s = 2 / (b - a)
+            t = -(a + b) / (b - a)
+            result = [acc[k]]
+            for j in range(k - 1, -1, -1):
+                nxt = [mp.mpf(0)] * (len(result) + 1)
+                for i, v in enumerate(result):
+                    nxt[i] += v * t
+                    nxt[i + 1] += v * s
+                nxt[0] += acc[j]
+                result = nxt[: k + 1]
+            return tuple(result)
 
     @staticmethod
-    def from_monomial(coefficients, a, b) -> "Polynomial":
+    def from_monomial(coefficients, a, b, p: Precision = Precision()) -> "Polynomial":
         """Chebyshev form of a monomial-basis polynomial on [a, b]."""
-        av = to_mpf(a)
-        bv = to_mpf(b)
-        coeffs = [to_mpf(c) for c in coefficients]
-        k = len(coeffs) - 1
-        mid = (av + bv) / 2
-        hw = (bv - av) / 2
+        with working(p):
+            av = to_mpf(a)
+            bv = to_mpf(b)
+            coeffs = [to_mpf(c) for c in coefficients]
+            k = len(coeffs) - 1
+            mid = (av + bv) / 2
+            hw = (bv - av) / 2
 
-        def horner(x):
-            acc = mp.mpf(0)
-            for c in reversed(coeffs):
-                acc = acc * x + c
-            return acc
+            def horner(x):
+                acc = mp.mpf(0)
+                for c in reversed(coeffs):
+                    acc = acc * x + c
+                return acc
 
-        npts = k + 1
-        thetas = [mp.pi * (2 * i + 1) / (2 * npts) for i in range(npts)]
-        vals = [horner(mid + hw * mp.cos(th)) for th in thetas]
-        cheb = []
-        for j in range(npts):
-            s = mp.mpf(0)
-            for i in range(npts):
-                s += vals[i] * mp.cos(j * thetas[i])
-            cheb.append(s * (1 if j == 0 else 2) / npts)
-        return Polynomial(coefficients=tuple(cheb), segment=(av, bv))
+            npts = k + 1
+            thetas = [mp.pi * (2 * i + 1) / (2 * npts) for i in range(npts)]
+            vals = [horner(mid + hw * mp.cos(th)) for th in thetas]
+            cheb = []
+            for j in range(npts):
+                s = mp.mpf(0)
+                for i in range(npts):
+                    s += vals[i] * mp.cos(j * thetas[i])
+                cheb.append(s * (1 if j == 0 else 2) / npts)
+            return Polynomial(coefficients=tuple(cheb), segment=(av, bv))
 
 
 @dataclass(frozen=True)
@@ -386,8 +388,7 @@ def minimax(g, a, b, k: int, tol="1e-12", p: Precision = Precision(),
         if not av < bv:
             raise ConfigurationError("segment must satisfy a < b")
         tol_v = to_mpf(tol)
-        floor_tol = mp.mpf(10) ** (-(p.decimal_digits - 10))
-        if tol_v < floor_tol:
+        if tol_v < resolution_floor(p):
             raise ConfigurationError(
                 f"tol={tol} is below what {p.decimal_digits}-digit arithmetic can resolve"
             )
@@ -441,7 +442,7 @@ def verify_equioscillation(result: MinimaxResult, g, rel_tol="1e-6",
         gc = g if isinstance(g, CachedFunction) else CachedFunction(g)
         residuals = [gc(t) - poly.evaluate(t) for t in nodes]
         scale = max([abs(gc(t)) for t in nodes] + [mp.mpf(1)])
-        floor = mp.mpf(10) ** (-(p.decimal_digits - 10)) * scale
+        floor = resolution_floor(p) * scale
         if result.delta_hat <= floor:
             bad = [i for i, r in enumerate(residuals) if abs(r) > floor]
             if not bad:

@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -8,13 +9,13 @@ import pytest
 from mpmath import mp
 
 from ineqprove import quadrature
+from ineqprove.quadrature import gauss_legendre_nodes
 from ineqprove import (
     ConfigurationError,
     DomainError,
     Precision,
     RootBracketError,
     find_inflection,
-    gauss_legendre_nodes,
     kurepa,
     kurepa_derivative,
     working,
@@ -66,7 +67,7 @@ class TestGaussKronrod:
     def test_exactness_on_polynomials(self, n, p50):
         # the 2n+1 rule integrates degree 3n+1 exactly
         with working(p50):
-            xs, ws, _ = quadrature.gauss_kronrod_rule(n)
+            xs, ws, _ = quadrature.gauss_kronrod_rule(n, mp.prec)
             for degree in range(3 * n + 2):
                 exact = mp.mpf(2) / (degree + 1) if degree % 2 == 0 else 0
                 val = sum(w * x ** degree for x, w in zip(xs, ws))
@@ -75,7 +76,7 @@ class TestGaussKronrod:
     @pytest.mark.parametrize("n", [6, 7, 25])
     def test_symmetry_and_nesting(self, n, p50):
         with working(p50):
-            xs, ws, gws = quadrature.gauss_kronrod_rule(n)
+            xs, ws, gws = quadrature.gauss_kronrod_rule(n, mp.prec)
             assert len(xs) == len(ws) == 2 * n + 1
             assert xs[n] == 0
             for i in range(n):
@@ -86,7 +87,7 @@ class TestGaussKronrod:
 
     def test_matches_quadpack_qk15(self, p50):
         with working(p50):
-            xs, ws, gws = quadrature.gauss_kronrod_rule(7)
+            xs, ws, gws = quadrature.gauss_kronrod_rule(7, mp.prec)
             tol = mp.mpf(10) ** -18
             for x, w, x_ref, w_ref in zip(reversed(xs), reversed(ws), QK15_XGK, QK15_WGK):
                 assert abs(x - mp.mpf(x_ref)) < tol
@@ -243,19 +244,37 @@ class TestNodeTables:
         assert out[0] and out[0] == out[1]
 
     def test_memo_stays_within_its_limit(self, monkeypatch):
-        # the guard digits, and so the working precision, grow with x past 2
-        limit = 64
-        monkeypatch.setattr(quadrature, "_CACHE_LIMIT", limit)
-        monkeypatch.setattr(quadrature, "_table_cache", {})
-        monkeypatch.setattr(quadrature, "_result_cache", {})
+        # the guard digits, and so the working precision, grow with x past 2;
+        # both memos are rebuilt small enough to evict along the way
+        for memo in (quadrature.gauss_kronrod_rule, quadrature._node_table):
+            assert memo.cache_info().maxsize == quadrature._CACHE_LIMIT
+        limits = {"gauss_kronrod_rule": 2, "_node_table": 64}
         precisions = set()
+        memos = {}
+        for name, limit in limits.items():
+            build = getattr(quadrature, name).__wrapped__
+
+            def recorded(*args, build=build):
+                precisions.add(args[-1])
+                return build(*args)
+
+            memos[name] = functools.lru_cache(maxsize=limit)(recorded)
+            monkeypatch.setattr(quadrature, name, memos[name])
         for x in ("0", "0.5", "2.5", "7", "15", "30", "60"):
             r = kurepa(x, Precision(20))
             assert r.error_bound <= mpmath.mpf(10) ** -10
-            assert len(quadrature._table_cache) <= limit
-            assert len(quadrature._result_cache) <= limit
-            precisions |= {key[-1] for key in quadrature._table_cache}
+            for name, limit in limits.items():
+                assert memos[name].cache_info().currsize <= limit
         assert len(precisions) >= 4
+
+    def test_nearby_large_arguments_share_rules(self, p35):
+        # x > 2 carries guard digits in steps of 10, so this sweep needs the
+        # rules of two working precisions, not one per x
+        built = quadrature.gauss_kronrod_rule.cache_info().misses
+        for i in range(17):
+            r = kurepa(mpmath.mpf("2.25") + mpmath.mpf(i) / 2, p35)
+            assert r.error_bound <= mpmath.mpf(10) ** -25
+        assert quadrature.gauss_kronrod_rule.cache_info().misses - built <= 2
 
 
 class TestInflection:

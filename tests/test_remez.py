@@ -7,6 +7,7 @@ from mpmath import mp
 from ineqprove import (
     ConfigurationError,
     Polynomial,
+    Precision,
     SingularSystemError,
     initial_nodes,
     minimax,
@@ -205,3 +206,15 @@ class TestPolynomial:
             for _ in range(10):
                 x = mp.mpf(rng.uniform(-1, 2))
                 assert abs(P.evaluate(x) - Q.evaluate(x)) < mp.mpf(10) ** (-50 + 12)
+
+    @pytest.mark.parametrize("digits", [30, 50])
+    def test_basis_conversions_ignore_ambient_precision(self, digits):
+        p = Precision(digits)
+        coeffs = ["0.2", "-0.7", "1", "pi/7"]
+        bits = []
+        for ambient in (15, 60):
+            with mp.workdps(ambient):
+                P = Polynomial.from_monomial(coeffs, 0, "pi/2", p)
+                mono = P.to_monomial(p)
+            bits.append([c._mpf_ for c in P.coefficients + P.segment + mono])
+        assert bits[0] == bits[1]
