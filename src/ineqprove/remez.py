@@ -10,7 +10,9 @@ by full-pivot elimination, then replaces all k+2 reference points with
 refined local extrema of the residual (multi-point exchange, the variant
 with quadratic convergence for smooth g).  Extrema are located on a dense
 Chebyshev-distributed grid of ``grid_multiplier * (k+2)`` points and
-polished by golden-section search to a bracket of width (b-a)*1e-12.
+polished by Brent's parabolic-plus-golden search to a bracket of width
+(b-a)*1e-12; an extremum at a grid end costs one probe when the residual
+falls away from the end.
 
 Convergence is judged by the de la Vallee-Poussin sandwich: the residual
 magnitudes at the exchanged points bound the true minimax error from below,
@@ -270,30 +272,75 @@ def _solve_full_pivot(rows, rhs, p: Precision):
     return out
 
 
-def _golden_max(phi, lo, hi, width_tol, known=()):
-    """Golden-section maximization; returns the best (x, phi(x)) seen."""
-    invphi = (mp.sqrt(5) - 1) / 2
-    best = None
-    for x, v in known:
-        if best is None or v > best[1]:
-            best = (x, v)
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1 = phi(x1)
-    f2 = phi(x2)
-    while hi - lo > width_tol:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = phi(x1)
+def _polish_max(phi, lo, hi, width_tol, known):
+    """Brent's parabolic-plus-golden maximization of phi on [lo, hi].
+
+    ``known`` holds (x, phi(x)) at the bracket ends and, for an interior
+    extremum, first at the grid point between them, whose parabola is the
+    first step.  Stops once the bracket around the best point is at most
+    ``width_tol`` wide; returns the best (x, phi(x)) seen, known points
+    included.  When the best known point is an end of the bracket, one probe
+    ``width_tol`` inside it decides: if phi is no higher there, then under
+    unimodality the maximizer lies within ``width_tol`` of that end, which
+    is returned.
+    """
+    ranked = sorted(known, key=lambda item: item[1], reverse=True)
+    (x, fx), (w, fw) = ranked[0], ranked[1]
+    if hi - lo <= width_tol:
+        return x, fx
+    if x == lo or x == hi:
+        u = lo + width_tol if x == lo else hi - width_tol
+        fu = phi(u)
+        if fu <= fx:
+            return x, fx
+        (v, fv), (w, fw), (x, fx) = (w, fw), (x, fx), (u, fu)
+    else:
+        v, fv = ranked[2]
+    golden = (3 - mp.sqrt(5)) / 2
+    # least step; at a quarter of the width, every probe lands at least one
+    # step inside a bracket wider than width_tol, so the bracket shrinks
+    step_tol = width_tol / 4
+    a, b = lo, hi
+    d = e = b - a
+    while b - a > width_tol:
+        m = (a + b) / 2
+        parabolic = False
+        if abs(e) > step_tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            s = (x - v) * q - (x - w) * r
+            q = 2 * (q - r)
+            if q > 0:
+                s = -s
+            else:
+                q = -q
+            r, e = e, d
+            if abs(s) < abs(q * r / 2) and q * (a - x) < s < q * (b - x):
+                parabolic = True
+                d = s / q
+                if x + d - a < 2 * step_tol or b - x - d < 2 * step_tol:
+                    d = step_tol if x < m else -step_tol
+        if not parabolic:
+            e = (b - x) if x < m else (a - x)
+            d = golden * e
+        u = x + d if abs(d) >= step_tol else x + (step_tol if d > 0 else -step_tol)
+        fu = phi(u)
+        if fu >= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            (v, fv), (w, fw), (x, fx) = (w, fw), (x, fx), (u, fu)
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = phi(x2)
-    for x, v in ((x1, f1), (x2, f2)):
-        if best is None or v > best[1]:
-            best = (x, v)
-    return best
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                (v, fv), (w, fw) = (w, fw), (u, fu)
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def _exchange_core(g, poly, grid, rvals, p: Precision, current_nodes=None):
@@ -328,7 +375,7 @@ def _exchange_core(g, poly, grid, rvals, p: Precision, current_nodes=None):
             known.append((grid[i - 1], sign * rvals[i - 1]))
         if i < count - 1:
             known.append((grid[i + 1], sign * rvals[i + 1]))
-        x_best, v_best = _golden_max(phi, lo, hi, width_tol, known=known)
+        x_best, v_best = _polish_max(phi, lo, hi, width_tol, known)
         if v_best > 0:
             refined.append((x_best, sign * v_best, sign))
 

@@ -15,7 +15,8 @@ from ineqprove import (
     verify_equioscillation,
     working,
 )
-from ineqprove.remez import MinimaxResult
+from ineqprove import remez
+from ineqprove.remez import MinimaxResult, _polish_max
 
 
 class TestInitialNodes:
@@ -84,6 +85,93 @@ class TestExchange:
         result = minimax(mpmath.exp, 0, 1, 1, p=p50)
         with working(p50):
             assert abs(result.nodes[1] - mp.log(mp.e - 1)) < mp.mpf("1e-12")
+
+
+def _counted(fn):
+    """fn and the list of the points it was called at."""
+    calls = []
+
+    def phi(x):
+        calls.append(x)
+        return fn(x)
+
+    return phi, calls
+
+
+class TestPolishMax:
+    """Brent polishing of one residual extremum, counted per call of phi."""
+
+    def test_interior_bump_in_few_evaluations(self, p50):
+        with working(p50):
+            centre = mp.sqrt(2) / 3
+            bump = lambda x: mp.exp(-20 * (x - centre) ** 2)
+            lo, mid, hi = mp.mpf("0.4"), mp.mpf("0.45"), mp.mpf("0.5")
+            width = mp.mpf("1e-12")
+            phi, calls = _counted(bump)
+            x, v = _polish_max(phi, lo, hi, width,
+                               [(mid, bump(mid)), (lo, bump(lo)), (hi, bump(hi))])
+            assert abs(x - centre) <= width
+            assert v == bump(x)
+            # golden-section search needs about 44
+            assert len(calls) <= 15
+
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    def test_falling_end_costs_one_probe(self, p50, side):
+        with working(p50):
+            lo, hi = mp.mpf(0), mp.mpf("0.01")
+            end = lo if side == "lo" else hi
+            falling = lambda x: mp.exp(-abs(x - end))
+            width = mp.mpf("1e-12")
+            phi, calls = _counted(falling)
+            other = hi if side == "lo" else lo
+            x, v = _polish_max(phi, lo, hi, width,
+                               [(end, falling(end)), (other, falling(other))])
+            assert (x, v) == (end, falling(end))
+            assert calls == [lo + width if side == "lo" else hi - width]
+
+    def test_bump_next_to_the_end_is_still_found(self, p50):
+        with working(p50):
+            lo, hi = mp.mpf(0), mp.mpf("0.01")
+            centre = mp.sqrt(2) / 500
+            bump = lambda x: -(x - centre) ** 2
+            assert bump(lo) > bump(hi)
+            width = mp.mpf("1e-12")
+            phi, calls = _counted(bump)
+            x, v = _polish_max(phi, lo, hi, width, [(lo, bump(lo)), (hi, bump(hi))])
+            assert len(calls) > 1
+            assert abs(x - centre) <= width
+
+    def test_never_below_the_best_known_value(self, p30):
+        rng = random.Random(2718)
+        with working(p30):
+            for _ in range(200):
+                freq, shift = mp.mpf(rng.uniform(1, 300)), mp.mpf(rng.uniform(0, 6))
+                wave = lambda x: mp.sin(freq * x + shift)
+                lo = mp.mpf(rng.uniform(-1, 1))
+                hi = lo + mp.mpf(10) ** rng.uniform(-6, 0)
+                points = [lo + (hi - lo) * mp.mpf(rng.random()), lo, hi]
+                known = [(t, wave(t)) for t in points[rng.choice((0, 1)):]]
+                x, v = _polish_max(wave, lo, hi, (hi - lo) * mp.mpf("1e-12"), known)
+                assert lo <= x <= hi
+                assert v == wave(x)
+                assert v >= max(value for _, value in known)
+
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_polishing_calls_per_extremum(self, p50, k, monkeypatch):
+        polish = remez._polish_max
+        searches = []
+
+        def counted_polish(phi, lo, hi, width_tol, known):
+            phi, calls = _counted(phi)
+            result = polish(phi, lo, hi, width_tol, known)
+            best = max(known, key=lambda item: item[1])[0]
+            searches.append((best in (lo, hi), len(calls)))
+            return result
+
+        monkeypatch.setattr(remez, "_polish_max", counted_polish)
+        minimax(mpmath.exp, 0, 1, k, p=p50)
+        assert searches
+        assert all(n <= (1 if at_end else 12) for at_end, n in searches)
 
 
 class TestMinimax:

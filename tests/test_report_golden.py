@@ -49,26 +49,26 @@ CASES = {
 
 # sha256 of report_to_json for each case, at 30 digits
 REPORT_HASHES = {
-    "proven": "1527aa2c8057bc63cdf9383d9e2ff0fe44c23fdcc3986ba6e115552174df9dd6",
+    "proven": "f416f04bf3b19c23d7d7c0cffaade158403520450c4b9bfcf66a5599ae87a0ec",
     "disproven_alpha": "dc78ac2c463c69139bdb8bc28ba7d31b93c88b4a5348aaf6bf96453e9fa4597b",
     "disproven_beta": "030e3f593531b3aedef2be84398e08b359c091b4039f8082b92e1be0c46f4352",
-    "disproven_witness": "b232d47c12442dacb617df8a759c04610bf84430c85f115a1c53e3ad2c585737",
+    "disproven_witness": "1a63c7f1261d1b1995ceeff13437ae13929748a4a429d133a117504b9e8168da",
     "inconclusive_endpoint_limits":
         "6ac35d3f21a0d24dd9a8a50d9d0e7fb649364b8a88ac7f23e75ded7b9cfbc620",
     "inconclusive_precondition":
         "165c642ebea4c2d6712d17f0addf8ca3b4665a2b0e0dc1bb200071e228b6a807",
-    "inconclusive_minimax": "585bff9b75aac314c655026e057d4ddbb51a03af326a6601e776cc42bffa5979",
+    "inconclusive_minimax": "406f95c10c648c69560dfc53f542cd588318a2ae0e99d67bad12f42b438065e7",
     "inconclusive_equioscillation":
-        "856d21d020271f8a507b6f490a7e4b71f45c48a94e4572614e2c2b6043ccb84d",
+        "d4b34d4d13e6b5589267bd94a646a1b3f63851800a7f181f0cb877fb2bff37b5",
     "inconclusive_residual_check":
         "21518139ec9e6019aaf8bd445cf22ee62cf84bc6c72cc7268376da33ae99197b",
     "inconclusive_positivity":
-        "3a85c7232570fecb1f740145378681d168904f6ced3a2cf6a355e980e6e8f8f1",
+        "81462190a6794d44b4a9a5fc18010b3a60a07a4d9b0bf1703f0ba5bb2c0460a7",
 }
 
 # sha256 of the report file `ineqprove prove --config demos/configs/<name>` writes
 CONFIG_HASHES = {
-    "arcsin_trig.cfg": "7c050aff07d1efc0fce31b5959de2508fea23829a6a8590d32ae1f79b9ef6ccf",
+    "arcsin_trig.cfg": "62121c274877af38802b2cdc3d215d4f20e53e57ac80f6a073720fccd59f3805",
     "parabola.cfg": "f586d6136876525d8da0bf7897135815215ecf3efb0442bae3c312cf9191c224",
 }
 
