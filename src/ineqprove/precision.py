@@ -67,7 +67,7 @@ def to_mpf(value):
         value = value.strip()
     try:
         return mp.mpf(value)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         if isinstance(value, str):
             try:
                 from .expr import _eval, parse

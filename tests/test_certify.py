@@ -20,6 +20,7 @@ from ineqprove import (
     prove_inequality,
     report_to_json,
     residual_check,
+    to_mpf,
     working,
 )
 
@@ -450,6 +451,15 @@ class TestProvePipeline:
             for _ in range(10000):
                 x = mp.mpf(rng.random())
                 assert f(x) >= floor
+
+    @pytest.mark.parametrize("text", ["1/0", "0/0", "pi/0", "2*x"])
+    def test_uninterpretable_number_refused(self, text):
+        with pytest.raises(ConfigurationError, match="cannot interpret"):
+            to_mpf(text)
+
+    def test_zero_division_in_bound_refused(self, p30):
+        with pytest.raises(ConfigurationError, match="cannot interpret"):
+            prove_inequality("x", "1/0", 1, 1, 0, 1, ProofSettings(precision=p30))
 
     def test_g_evaluation_count(self, p50):
         # 706 with golden-section polishing, about 44 calls per extremum

@@ -47,6 +47,14 @@ class TestProveCommand:
         assert main(["prove", "--config", cfg]) == 3
         assert "position" in capsys.readouterr().err
 
+    def test_zero_division_in_interval_exit_three(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "zero.cfg",
+            function="x", interval="1/0, 1", n=1, m=0, degree=1, precision=30,
+        )
+        assert main(["prove", "--config", cfg]) == 3
+        assert capsys.readouterr().err.startswith("error: cannot interpret '1/0'")
+
     def test_missing_required_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "missing.cfg", function="x", degree=1)
         assert main(["prove", "--config", cfg]) == 3
