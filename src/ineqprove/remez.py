@@ -336,9 +336,9 @@ def _polish_max(phi, lo, hi, width_tol, known):
                 a = u
             else:
                 b = u
-            if fu >= fw or w == x:
+            if fu >= fw:
                 (v, fv), (w, fw) = (w, fw), (u, fu)
-            elif fu >= fv or v == x or v == w:
+            elif fu >= fv:
                 v, fv = u, fu
     return x, fx
 
