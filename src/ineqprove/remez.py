@@ -301,6 +301,8 @@ def _polish_max(phi, lo, hi, width_tol, known):
     # step inside a bracket wider than width_tol, so the bracket shrinks
     step_tol = width_tol / 4
     a, b = lo, hi
+    # as if the last two steps had spanned the bracket, so that the first
+    # two steps may be parabolic
     d = e = b - a
     while b - a > width_tol:
         m = (a + b) / 2
