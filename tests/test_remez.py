@@ -148,8 +148,10 @@ class TestPolishMax:
                 freq, shift = mp.mpf(rng.uniform(1, 300)), mp.mpf(rng.uniform(0, 6))
                 wave = lambda x: mp.sin(freq * x + shift)
                 lo = mp.mpf(rng.uniform(-1, 1))
-                hi = lo + mp.mpf(10) ** rng.uniform(-6, 0)
-                points = [lo + (hi - lo) * mp.mpf(rng.random()), lo, hi]
+                hi = lo + mp.mpf(10) ** rng.uniform(-3, 0)
+                inside = max((lo + (hi - lo) * mp.mpf(rng.random()) for _ in range(5)),
+                             key=wave)
+                points = [inside, lo, hi]
                 known = [(t, wave(t)) for t in points[rng.choice((0, 1)):]]
                 x, v = _polish_max(wave, lo, hi, (hi - lo) * mp.mpf("1e-12"), known)
                 assert lo <= x <= hi
