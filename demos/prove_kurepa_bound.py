@@ -7,7 +7,7 @@ approximation of it separates from its own error bound, which certifies
 the inequality.  K'(0) is the best possible constant: any smaller slope
 makes the quotient's left limit negative.
 
-Runs in about 11 seconds on a 2-vCPU machine.  Run:  python3 demos/prove_kurepa_bound.py
+Runs in about 10 seconds on a 2-vCPU machine.  Run:  python3 demos/prove_kurepa_bound.py
 """
 
 import time
