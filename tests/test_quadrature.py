@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import os
 import subprocess
 import sys
@@ -21,7 +22,15 @@ from ineqprove import (
     working,
 )
 
-from helpers import C_INFLECT, KP0, KP0_TIMES_C, KPP0, KPPP0, K_HALF
+from helpers import (
+    C_INFLECT,
+    KP0,
+    KP0_TIMES_C,
+    KPP0,
+    KPPP0,
+    K_HALF,
+    requires_recorded_mpmath,
+)
 from reference_oracle import kurepa_ts
 
 # QUADPACK qk15: the G7-K15 pair, nodes and weights for x >= 0, outermost first
@@ -41,6 +50,23 @@ QK15_WG = (
     "0.129484966168869693270611432679082", "0.279705391489276667901467771423780",
     "0.381830050505118944950369775488975", "0.417959183673469387755102040816327",
 )
+
+# sha256 of the _mpf_ tuples of gauss_kronrod_rule(n, prec) for the rules real
+# runs build: P30, P35 and P50 with 15 guard digits, and P35 at node_factor=2
+RULE_HASHES = {
+    (22, 153): "7276de72e32c7c8627c3f88357a09f57c1a3b45bb0da4732d8f1ec43084a45f8",
+    (25, 169): "636750f2abaa884ae08120ec0ea8799046f945b72d8a07a3a6b1342aced2e086",
+    (32, 219): "5bed1825619e3e3f3c0d198653de5b601912999c13f4b44847ffb425c9436fb3",
+    (50, 169): "04008d2b720c55d90464d38842781cdc325d7cd27656bf9d2febd897db8f2c61",
+}
+
+
+@requires_recorded_mpmath
+@pytest.mark.parametrize("n, prec", sorted(RULE_HASHES))
+def test_rule_bits_pinned(n, prec):
+    rule = quadrature.gauss_kronrod_rule(n, prec)
+    data = repr(tuple(tuple(v._mpf_ for v in part) for part in rule)).encode("ascii")
+    assert hashlib.sha256(data).hexdigest() == RULE_HASHES[n, prec]
 
 
 class TestGaussLegendre:

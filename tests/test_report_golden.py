@@ -10,19 +10,16 @@ recorded with; under another one the cases are skipped.
 import hashlib
 from pathlib import Path
 
-import mpmath
 import pytest
 
 from ineqprove import Precision, ProofSettings, prove_inequality, report_to_json
 from ineqprove.cli import main
 
-RECORDED_WITH = ("1.3.0", "python")
+from helpers import requires_recorded_mpmath
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
-pytestmark = pytest.mark.skipif(
-    (mpmath.__version__, mpmath.libmp.BACKEND) != RECORDED_WITH,
-    reason="report hashes were recorded with mpmath %s on the %s backend" % RECORDED_WITH,
-)
+pytestmark = requires_recorded_mpmath
 
 # name: (f, a, b, n, m, k, extra settings, verdict, stage)
 CASES = {
