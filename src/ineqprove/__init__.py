@@ -55,7 +55,6 @@ from .quotient import (
 from .remez import (
     CachedFunction,
     EquioscillationReport,
-    ExchangeResult,
     MinimaxResult,
     Polynomial,
     initial_nodes,
@@ -76,7 +75,6 @@ __all__ = [
     "DivergentLimitError",
     "DomainError",
     "EquioscillationReport",
-    "ExchangeResult",
     "Expression",
     "ExpressionSyntaxError",
     "GridStatistics",

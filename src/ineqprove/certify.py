@@ -309,10 +309,10 @@ def certify_positive(polynomial: Polynomial, delta, margin_factor,
 
         least = min(point(root[0], 0, a), point(root[-1], 0, b))
         order = itertools.count()
-        # (scaled lower bound, creation order, depth, index, coefficients, lo, hi)
-        heap = [(key(min(root), 0), next(order), 0, 0, root, a, b)]
+        # (scaled lower bound, creation order, depth, coefficients, lo, hi)
+        heap = [(key(min(root), 0), next(order), 0, root, a, b)]
         while True:
-            bound, _, depth, index, coeffs, lo, hi = heap[0]
+            bound, _, depth, coeffs, lo, hi = heap[0]
             if bound > 0 and (depth >= max_depth
                               or (least - bound) * slack_den <= slack_num * bound):
                 break
@@ -336,13 +336,13 @@ def certify_positive(polynomial: Polynomial, delta, margin_factor,
             left, right = _split(coeffs)
             mid = (lo + hi) / 2
             least = min(least, point(left[-1], depth + 1, mid))
-            for child, ends, at in ((left, (lo, mid), 2 * index),
-                                    (right, (mid, hi), 2 * index + 1)):
+            for child, ends in ((left, (lo, mid)), (right, (mid, hi))):
                 heapq.heappush(heap, (key(min(child), depth + 1), next(order),
-                                      depth + 1, at, child, *ends))
-        heap.sort(key=lambda leaf: leaf[3] << (max_depth - leaf[2]))
+                                      depth + 1, child, *ends))
+        # the leaves tile [a, b], so their left ends order them
+        heap.sort(key=lambda leaf: leaf[4])
         leaves = tuple((lo, hi, floor_mpf(min(coeffs), depth))
-                       for _, _, depth, _, coeffs, lo, hi in heap)
+                       for _, _, depth, coeffs, lo, hi in heap)
         return PositivityCertificate(
             polynomial=polynomial,
             delta=+dv,
@@ -497,8 +497,7 @@ def _precondition(run: _Run):
         return _Stop(f"endpoint limit {which} is negative; the inequality fails "
                      f"near that endpoint", "disproven", (("negative_limit", which),))
     f, a, b, n, m, p = run.limit_inputs
-    run.g = CachedFunction(QuotientFunction(f, a, b, n, m, alpha, beta,
-                                            run.method, p).evaluate)
+    run.g = CachedFunction(QuotientFunction(f, a, b, n, m, alpha, beta, p).evaluate)
 
 
 def _minimax(run: _Run):
@@ -621,6 +620,8 @@ def prove_inequality(f, a, b, n, m, k: int,
         raise ConfigurationError(f"degree must be a nonnegative integer, got {k!r}")
     with working(p):
         av, bv, nv, mv = (to_mpf(v) for v in (a, b, n, m))
+        if not all(mp.isfinite(v) for v in (av, bv, nv, mv)):
+            raise ConfigurationError("segment ends and orders n, m must be finite")
         if not av < bv:
             raise ConfigurationError("segment must satisfy a < b")
         if nv < 0 or mv < 0:

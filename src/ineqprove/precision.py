@@ -69,12 +69,15 @@ def to_mpf(value):
         return mp.mpf(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         if isinstance(value, str):
+            # x evaluates to None, so an expression in x gives no mpf
             try:
                 from .expr import _eval, parse
 
-                return _eval(parse(value).root, None, None)
+                result = _eval(parse(value).root, None, None)
             except Exception:
-                pass
+                result = None
+            if isinstance(result, mpmath.mpf):
+                return result
         raise ConfigurationError(f"cannot interpret {value!r} as a real number") from exc
 
 

@@ -23,7 +23,9 @@ x costs one exponential per node.
 
 Each region is covered by adaptive panels whose error is estimated by
 comparing the n-node Gauss rule with its nested (2n+1)-node Kronrod extension.
-The rules and the node tables are pure functions of their arguments, the
+Both rules come from one recurrence, that of Laurie's Jacobi-Kronrod matrix,
+by one Newton iteration for the nodes and one formula for the weights.  The
+rules and the node tables are pure functions of their arguments, the
 binary precision among them, each memoized in a bounded LRU memo; as a
 memoized value depends only on its key, and everything is summed in a fixed
 order, results are bit-for-bit reproducible, with or without warm memos.
@@ -70,53 +72,6 @@ class QuadratureResult:
     tail_cutoff: mpmath.mpf
 
 
-def gauss_legendre_nodes(n: int):
-    """Nodes and weights of the n-point rule on [-1, 1] at the current precision.
-
-    Computed by Newton iteration on the Legendre recurrence, with no memo of
-    its own: the package calls it only from the memoized
-    ``gauss_kronrod_rule``.  Nodes are returned in ascending order and are
-    exactly symmetric about 0.
-    """
-    with mp.extraprec(40):
-        half = []
-        tol = mp.mpf(2) ** (-(mp.prec - 20))
-        for i in range(1, n // 2 + 1):
-            xseed = math.cos(math.pi * (i - 0.25) / (n + 0.5))
-            xk = mp.mpf(xseed)
-            for _ in range(100):
-                p0, p1 = mp.mpf(1), xk
-                for k in range(2, n + 1):
-                    p0, p1 = p1, ((2 * k - 1) * xk * p1 - (k - 1) * p0) / k
-                dp = n * (xk * p1 - p0) / (xk * xk - 1)
-                dx = p1 / dp
-                xk -= dx
-                if abs(dx) <= tol:
-                    break
-            p0, p1 = mp.mpf(1), xk
-            for k in range(2, n + 1):
-                p0, p1 = p1, ((2 * k - 1) * xk * p1 - (k - 1) * p0) / k
-            dp = n * (xk * p1 - p0) / (xk * xk - 1)
-            half.append((xk, 2 / ((1 - xk * xk) * dp * dp)))
-        nodes = []
-        weights = []
-        for xk, wk in half:
-            nodes.append(-xk)
-            weights.append(wk)
-        if n % 2 == 1:
-            x0 = mp.mpf(0)
-            p0, p1 = mp.mpf(1), x0
-            for k in range(2, n + 1):
-                p0, p1 = p1, ((2 * k - 1) * x0 * p1 - (k - 1) * p0) / k
-            dp = n * (x0 * p1 - p0) / (x0 * x0 - 1)
-            nodes.append(x0)
-            weights.append(2 / (dp * dp))
-        for xk, wk in reversed(half):
-            nodes.append(xk)
-            weights.append(wk)
-    return tuple(+x for x in nodes), tuple(+w for w in weights)
-
-
 def _kronrod_betas(n):
     """Recurrence coefficients b_0..b_2n of the Legendre Jacobi-Kronrod matrix.
 
@@ -153,64 +108,70 @@ def _kronrod_betas(n):
 
 @lru_cache(maxsize=_CACHE_LIMIT)
 def gauss_kronrod_rule(n: int, prec: int):
-    """The (2n+1)-node Kronrod extension of the n-node Gauss rule on [-1, 1].
+    """The n-node Gauss rule on [-1, 1] and its (2n+1)-node Kronrod extension.
 
     Returns (nodes, Kronrod weights, Gauss weights) rounded to ``prec`` bits,
     whatever the ambient precision, memoized on (n, prec).  Nodes ascend and
-    are exactly symmetric about 0; ``nodes[1::2]`` are the Gauss nodes of
-    ``gauss_legendre_nodes(n)`` at ``prec`` bits and the Gauss weights belong
-    to them.  The other n+1 nodes interlace the Gauss nodes; each is found by
-    Newton's method on the characteristic polynomial of the Jacobi-Kronrod
-    matrix divided by P_n, seeded between its two neighbouring Gauss nodes.
-    All weights follow from the orthonormal recurrence:
-    w(z) = 1 / sum_k q_k(z)^2.
+    are exactly symmetric about 0; ``nodes[1::2]`` are the Gauss nodes and the
+    Gauss weights belong to them.  Both rules come from the recurrence of the
+    Jacobi-Kronrod matrix, whose first n+1 coefficients are Legendre's, and
+    one Newton iteration on monic p_top / p_divisor: the Gauss nodes are the
+    roots of p_n, and the other n+1 nodes, the roots of p_{2n+1} / p_n, are
+    each seeded between two neighbouring Gauss nodes.  Every weight follows
+    from the orthonormal recurrence (Golub and Welsch): 1 / sum_k q_k(z)^2
+    over k < n for the Gauss rule and k <= 2n for the Kronrod rule.
     """
-    with mp.workprec(prec):
-        gauss_x, gauss_w = gauss_legendre_nodes(n)
-        positive = [z for z in gauss_x if z > 0]
-        with mp.extraprec(40):
-            b = _kronrod_betas(n)
-            root_b = [mp.sqrt(v) for v in b]
-            tol = mp.mpf(2) ** (-(mp.prec - 20))
+    with mp.workprec(prec + 40):
+        b = _kronrod_betas(n)
+        root_b = [mp.sqrt(v) for v in b]
+        tol = mp.mpf(2) ** (-(mp.prec - 20))
 
-            def newton_step(z):
-                # f = p_{2n+1} / p_n with monic p_k; returns f / f'
+        def newton_root(seed, top, divisor):
+            # f = p_top / p_divisor with monic p_k; p_0 = 1, so divisor 0 gives p_top
+            z = mp.mpf(seed)
+            for _ in range(100):
                 p0, p1, d0, d1 = mp.mpf(0), mp.mpf(1), mp.mpf(0), mp.mpf(0)
-                for k in range(2 * n + 1):
-                    if k == n:
+                for k in range(top):
+                    if k == divisor:
                         pn, dn = p1, d1
                     p0, p1, d0, d1 = p1, z * p1 - b[k] * p0, d1, p1 + z * d1 - b[k] * d0
-                return p1 * pn / (d1 * pn - p1 * dn)
+                dz = p1 * pn / (d1 * pn - p1 * dn)
+                z -= dz
+                if abs(dz) <= tol:
+                    break
+            return z
 
-            def weight(z):
-                q0, q1 = mp.mpf(0), 1 / root_b[0]
-                acc = q1 * q1
-                for k in range(2 * n):
-                    q0, q1 = q1, (z * q1 - root_b[k] * q0) / root_b[k + 1]
-                    acc += q1 * q1
-                return 1 / acc
+        def weight(z, terms):
+            q0, q1 = mp.mpf(0), 1 / root_b[0]
+            acc = q1 * q1
+            for k in range(terms - 1):
+                q0, q1 = q1, (z * q1 - root_b[k] * q0) / root_b[k + 1]
+                acc += q1 * q1
+            return 1 / acc
 
-            # one new node in each gap of 1 > g_1 > g_2 > ... > 0 over the positive
-            # Gauss nodes g_i, seeded at the gap's middle angle; 0 closes the last
-            # gap only when it is a Gauss node (odd n), else that gap is symmetric
-            # about 0 and its node is 0 itself
-            edges = [0.0] + [math.acos(float(z)) for z in reversed(positive)]
-            if n % 2:
-                edges.append(math.pi / 2)
-            added = []
-            for lo, hi in zip(edges, edges[1:]):
-                zk = mp.mpf(math.cos((lo + hi) / 2))
-                for _ in range(100):
-                    dz = newton_step(zk)
-                    zk -= dz
-                    if abs(dz) <= tol:
-                        break
-                added.append(zk)
-            half = sorted(positive + added)
-            nodes = [-z for z in reversed(half)] + [mp.mpf(0)] + half
-            half_w = [weight(z) for z in half]
-            k_weights = half_w[::-1] + [weight(mp.mpf(0))] + half_w
-        return tuple(+z for z in nodes), tuple(+w for w in k_weights), gauss_w
+        # the positive Gauss nodes g_1 > g_2 > ..., weighed before they are
+        # rounded to prec bits, the form in which they join the Kronrod rule
+        gauss = [newton_root(math.cos(math.pi * (i - 0.25) / (n + 0.5)), n, 0)
+                 for i in range(1, n // 2 + 1)]
+        half_g = [weight(z, n) for z in gauss]
+        g_weights = half_g + [weight(mp.mpf(0), n)] * (n % 2) + half_g[::-1]
+        with mp.workprec(prec):
+            gauss = [+z for z in gauss]
+
+        # one new node in each gap of 1 > g_1 > g_2 > ... > 0, seeded at the
+        # gap's middle angle; 0 closes the last gap only when it is a Gauss
+        # node (odd n), else that gap is symmetric about 0 and its node is 0
+        edges = [0.0] + [math.acos(float(z)) for z in gauss]
+        if n % 2:
+            edges.append(math.pi / 2)
+        added = [newton_root(math.cos((lo + hi) / 2), 2 * n + 1, n)
+                 for lo, hi in zip(edges, edges[1:])]
+        half = sorted(gauss + added)
+        nodes = [-z for z in reversed(half)] + [mp.mpf(0)] + half
+        half_k = [weight(z, 2 * n + 1) for z in half]
+        k_weights = half_k[::-1] + [weight(mp.mpf(0), 2 * n + 1)] + half_k
+    with mp.workprec(prec):
+        return tuple(tuple(+v for v in part) for part in (nodes, k_weights, g_weights))
 
 
 def _low_node(s):
@@ -362,7 +323,10 @@ def _high_tail_bound(x, j, T):
 def _kurepa_integral(x, j, p, node_factor, tail_factor, max_evaluations):
     digits = p.decimal_digits
     with working(p):
-        x_probe = float(to_mpf(x))
+        xv = to_mpf(x)
+        if not mp.isfinite(xv):
+            raise ConfigurationError(f"kurepa argument must be finite, got {xv}")
+        x_probe = float(xv)
     if x_probe > 1000:
         raise ConfigurationError(
             f"kurepa argument {x_probe} is too large: the integral has about "

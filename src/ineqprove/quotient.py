@@ -68,7 +68,7 @@ class QuotientFunction:
     """
 
     def __init__(self, f: Expression, a, b, n, m, alpha, beta,
-                 limit_method: LimitMethod, precision: Precision = Precision()):
+                 precision: Precision = Precision()):
         self.precision = precision
         with working(precision):
             self.a = to_mpf(a)
@@ -88,7 +88,6 @@ class QuotientFunction:
                     )
             self._edge = (self.b - self.a) * to_mpf(EDGE_FRACTION)
         self.f = f
-        self.limit_method = LimitMethod(limit_method)
         self._edge_values = {}
 
     def _edge_value(self, which):

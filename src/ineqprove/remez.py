@@ -140,13 +140,6 @@ class MinimaxResult:
 
 
 @dataclass(frozen=True)
-class ExchangeResult:
-    nodes: tuple
-    residuals: tuple
-    grid_max: mpmath.mpf
-
-
-@dataclass(frozen=True)
 class EquioscillationReport:
     passed: bool
     residuals: tuple
@@ -345,13 +338,13 @@ def _polish_max(phi, lo, hi, width_tol, known):
     return x, fx
 
 
-def _exchange_core(g, poly, grid, rvals, p: Precision, current_nodes=None):
+def _exchange_core(g, poly, grid, rvals, grid_max, current_nodes=None):
+    """(nodes, residuals) of the next reference; grid_max only labels a failure."""
     a, b = poly.segment
     k = poly.degree
     required = k + 2
     width_tol = (b - a) * to_mpf(REFINE_WIDTH_FACTOR)
     count = len(grid)
-    grid_max = max(abs(r) for r in rvals)
 
     candidates = []
     for i in range(count):
@@ -403,8 +396,7 @@ def _exchange_core(g, poly, grid, rvals, p: Precision, current_nodes=None):
             nodes.sort()
             if all(l < r for l, r in zip(nodes, nodes[1:])):
                 residuals = tuple(g(t) - poly.evaluate(t) for t in nodes)
-                return ExchangeResult(nodes=tuple(nodes), residuals=residuals,
-                                      grid_max=+grid_max)
+                return tuple(nodes), residuals
         raise AlternationError(
             f"exchange found {len(merged)} alternating extrema, needs {required} "
             f"(grid max residual {mpmath.nstr(grid_max, 8)})",
@@ -416,9 +408,7 @@ def _exchange_core(g, poly, grid, rvals, p: Precision, current_nodes=None):
         else:
             merged.pop()
 
-    nodes = tuple(+x for x, _, _ in merged)
-    residuals = tuple(+r for _, r, _ in merged)
-    return ExchangeResult(nodes=nodes, residuals=residuals, grid_max=+grid_max)
+    return tuple(+x for x, _, _ in merged), tuple(+r for _, r, _ in merged)
 
 
 def minimax(g, a, b, k: int, tol="1e-12", p: Precision = Precision(),
@@ -461,10 +451,10 @@ def minimax(g, a, b, k: int, tol="1e-12", p: Precision = Precision(),
                     iterations=iteration, levelled_error_history=tuple(history),
                     lower_bound=+lower, upper_bound=+zero_floor,
                 )
-            ex = _exchange_core(gc, poly, grid, rvals, p, current_nodes=nodes)
-            lower = min(abs(r) for r in ex.residuals)
-            upper = max(max(abs(r) for r in ex.residuals), grid_max)
-            nodes = ex.nodes
+            nodes, residuals = _exchange_core(gc, poly, grid, rvals, grid_max,
+                                              current_nodes=nodes)
+            lower = min(abs(r) for r in residuals)
+            upper = max(max(abs(r) for r in residuals), grid_max)
             if (upper - lower) / upper <= tol_v:
                 return MinimaxResult(
                     polynomial=poly, delta_hat=+upper, nodes=tuple(nodes),

@@ -452,7 +452,7 @@ class TestProvePipeline:
                 x = mp.mpf(rng.random())
                 assert f(x) >= floor
 
-    @pytest.mark.parametrize("text", ["1/0", "0/0", "pi/0", "2*x"])
+    @pytest.mark.parametrize("text", ["1/0", "0/0", "pi/0", "2*x", "x", "-(-x)"])
     def test_uninterpretable_number_refused(self, text):
         with pytest.raises(ConfigurationError, match="cannot interpret"):
             to_mpf(text)
@@ -460,6 +460,14 @@ class TestProvePipeline:
     def test_zero_division_in_bound_refused(self, p30):
         with pytest.raises(ConfigurationError, match="cannot interpret"):
             prove_inequality("x", "1/0", 1, 1, 0, 1, ProofSettings(precision=p30))
+
+    @pytest.mark.parametrize("a, b, n, m", [
+        (0, "inf", 1, 1), ("-inf", 1, 1, 1), ("nan", 1, 1, 1),
+        (0, 1, "inf", 1), (0, 1, 1, "nan"),
+    ])
+    def test_non_finite_input_refused(self, a, b, n, m, p30):
+        with pytest.raises(ConfigurationError, match="finite"):
+            prove_inequality("x*(1-x)", a, b, n, m, 1, ProofSettings(precision=p30))
 
     def test_g_evaluation_count(self, p50):
         # 706 with golden-section polishing, about 44 calls per extremum

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import mpmath
+import pytest
 
 from ineqprove import ProofSettings, prove_inequality, report_to_json
 from ineqprove.cli import main
@@ -195,6 +196,14 @@ class TestExitContract:
     def test_bad_interval(self, capsys):
         assert main(["minimax", "--function", "x", "--interval", "0",
                      "--degree", "1"]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["prove", "--function", "x*(1-x)", "--interval", "x,1", "--n", "1", "--m", "1"],
+        ["kurepa", "--x", "nan"],
+    ])
+    def test_bad_number_is_configuration_error(self, argv, capsys):
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_installed_entry_point(self, tmp_path):
         result = subprocess.run(

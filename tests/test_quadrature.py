@@ -10,7 +10,6 @@ import pytest
 from mpmath import mp
 
 from ineqprove import quadrature
-from ineqprove.quadrature import gauss_legendre_nodes
 from ineqprove import (
     ConfigurationError,
     DomainError,
@@ -69,18 +68,26 @@ def test_rule_bits_pinned(n, prec):
     assert hashlib.sha256(data).hexdigest() == RULE_HASHES[n, prec]
 
 
+def _moment_error(xs, ws, degree):
+    # |rule - integral of x^degree over [-1, 1]|
+    exact = mp.mpf(2) / (degree + 1) if degree % 2 == 0 else 0
+    return abs(sum(w * x ** degree for x, w in zip(xs, ws)) - exact)
+
+
 class TestGaussLegendre:
+    # the Gauss half of the rule: nodes xs[1::2] with the Gauss weights
     def test_exactness_on_polynomials(self, p50):
         # n-node rule integrates degree 2n-1 exactly
         with working(p50):
-            xs, ws = gauss_legendre_nodes(6)
-            for degree, exact in ((0, 2), (2, mp.mpf(2) / 3), (10, mp.mpf(2) / 11)):
-                val = sum(w * x ** degree for x, w in zip(xs, ws))
-                assert abs(val - exact) < mp.mpf(10) ** -55
+            xs, _, ws = quadrature.gauss_kronrod_rule(6, mp.prec)
+            for degree in range(12):
+                assert _moment_error(xs[1::2], ws, degree) < mp.mpf(10) ** -55
 
     def test_symmetry(self, p50):
         with working(p50):
-            xs, ws = gauss_legendre_nodes(9)
+            xs, _, ws = quadrature.gauss_kronrod_rule(9, mp.prec)
+            xs = xs[1::2]
+            assert len(xs) == len(ws) == 9
             assert xs[4] == 0
             for i in range(4):
                 assert xs[i] == -xs[-1 - i]
@@ -95,9 +102,7 @@ class TestGaussKronrod:
         with working(p50):
             xs, ws, _ = quadrature.gauss_kronrod_rule(n, mp.prec)
             for degree in range(3 * n + 2):
-                exact = mp.mpf(2) / (degree + 1) if degree % 2 == 0 else 0
-                val = sum(w * x ** degree for x, w in zip(xs, ws))
-                assert abs(val - exact) < mp.mpf(10) ** -55
+                assert _moment_error(xs, ws, degree) < mp.mpf(10) ** -55
 
     @pytest.mark.parametrize("n", [6, 7, 25])
     def test_symmetry_and_nesting(self, n, p50):
@@ -109,7 +114,10 @@ class TestGaussKronrod:
                 assert xs[i] == -xs[-1 - i]
                 assert ws[i] == ws[-1 - i]
             assert all(lo < hi for lo, hi in zip(xs, xs[1:]))
-            assert (xs[1::2], gws) == gauss_legendre_nodes(n)
+            # the Gauss weights make xs[1::2] the n-node Gauss rule
+            assert len(gws) == n
+            for degree in range(2 * n):
+                assert _moment_error(xs[1::2], gws, degree) < mp.mpf(10) ** -55
 
     def test_matches_quadpack_qk15(self, p50):
         with working(p50):
@@ -195,6 +203,11 @@ class TestKurepaValues:
         taylor = h * mpmath.mpf(KP0) + h ** 2 * mpmath.mpf(KPP0) / 2
         # the dropped h^3 term and the 40-digit KP0 are each about 1e-60
         assert abs(r.value - taylor) <= r.error_bound + mpmath.mpf("1e-58")
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_non_finite_argument_refused(self, x, p35):
+        with pytest.raises(ConfigurationError, match="finite"):
+            kurepa(x, p35)
 
     def test_domain_and_order_validation(self, p35):
         with pytest.raises(DomainError):

@@ -7,7 +7,6 @@ from mpmath import mp
 from ineqprove import (
     ConfigurationError,
     DivergentLimitError,
-    LimitMethod,
     MultiplicityError,
     QuotientFunction,
     ZeroLimitError,
@@ -105,7 +104,7 @@ def test_taylor_numeric_agreement_on_planted_roots(p50):
 class TestQuotientFunction:
     def _parabola(self, p):
         f = parse("x*(1-x)")
-        return QuotientFunction(f, 0, 1, 1, 1, 1, 1, LimitMethod.TAYLOR, p)
+        return QuotientFunction(f, 0, 1, 1, 1, 1, 1, p)
 
     def test_endpoint_values_exact(self, p50):
         g = self._parabola(p50)
@@ -121,7 +120,7 @@ class TestQuotientFunction:
         # the algebraic arcsin difference at 1/2, against a direct
         # high-precision quotient
         f = parse(ARCSIN_DIFF_SOURCE)
-        g = QuotientFunction(f, 0, 1, 1, 1, 1, 1, LimitMethod.USER_SUPPLIED, p50)
+        g = QuotientFunction(f, 0, 1, 1, 1, 1, 1, p50)
         x = mpmath.mpf("0.5")
         direct = f.evaluate(x, p50) / (x * (1 - x))
         got = g.evaluate(x)
@@ -131,7 +130,7 @@ class TestQuotientFunction:
         f = parse("sin(x)*(1-x)")
         with working(p50):
             alpha, beta = endpoint_limits_taylor(f, 0, 1, 1, 1, p50)
-        g = QuotientFunction(f, 0, 1, 1, 1, alpha, beta, LimitMethod.TAYLOR, p50)
+        g = QuotientFunction(f, 0, 1, 1, 1, alpha, beta, p50)
         with working(p50):
             gaps = []
             for j in range(4, 13):
@@ -151,9 +150,9 @@ class TestQuotientFunction:
     def test_invalid_limits_rejected(self, p50):
         f = parse("x*(1-x)")
         with pytest.raises(ConfigurationError):
-            QuotientFunction(f, 0, 1, 1, 1, 0, 1, LimitMethod.TAYLOR, p50)
+            QuotientFunction(f, 0, 1, 1, 1, 0, 1, p50)
         with pytest.raises(ConfigurationError):
-            QuotientFunction(f, 1, 0, 1, 1, 1, 1, LimitMethod.TAYLOR, p50)
+            QuotientFunction(f, 1, 0, 1, 1, 1, 1, p50)
 
     def test_denominator_positive_inside(self, p50):
         g = self._parabola(p50)
