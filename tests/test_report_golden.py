@@ -15,7 +15,7 @@ import pytest
 from ineqprove import Precision, ProofSettings, prove_inequality, report_to_json
 from ineqprove.cli import main
 
-from helpers import requires_recorded_mpmath
+from helpers import ARCSIN_DIFF_SOURCE, requires_recorded_mpmath
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -42,6 +42,12 @@ CASES = {
                                     "inconclusive", "residual_check"),
     "inconclusive_positivity": ("x^2+1/100", 0, 1, 0, 0, 1, {}, "inconclusive",
                                 "positivity"),
+    # a real-exponent denominator, (1-x)^(1/2)
+    "proven_real_exponent": (ARCSIN_DIFF_SOURCE, 0, 1, 3, "1/2", 8, {}, "proven",
+                             "complete"),
+    # a kurepa node: the slope just below K'(0) makes alpha negative
+    "disproven_kurepa_near_miss": ("(1.432205)*x - kurepa(x)", 0, 1, 1, 0, 1, {},
+                                   "disproven", "precondition"),
 }
 
 # sha256 of report_to_json for each case, at 30 digits
@@ -61,6 +67,10 @@ REPORT_HASHES = {
         "21518139ec9e6019aaf8bd445cf22ee62cf84bc6c72cc7268376da33ae99197b",
     "inconclusive_positivity":
         "81462190a6794d44b4a9a5fc18010b3a60a07a4d9b0bf1703f0ba5bb2c0460a7",
+    "proven_real_exponent":
+        "9062d687bef4782eacbce71d72c234af60344fdc0aa28c4c2ea5bb5422c771b7",
+    "disproven_kurepa_near_miss":
+        "3bb2c48fc935ed8bebdab8efef6a4b2efaca21bf94af0cbc7b5003c1248b7ff1",
 }
 
 # sha256 of the report file `ineqprove prove --config demos/configs/<name>` writes
