@@ -47,7 +47,14 @@ from .errors import (
     ZeroLimitError,
 )
 from .expr import Expression, evaluate, parse
-from .precision import Precision, decimal_str, resolution_floor, to_mpf, working
+from .precision import (
+    Precision,
+    decimal_str,
+    finite_segment,
+    resolution_floor,
+    to_mpf,
+    working,
+)
 from .quotient import (
     LimitMethod,
     QuotientFunction,
@@ -619,11 +626,10 @@ def prove_inequality(f, a, b, n, m, k: int,
     if not isinstance(k, int) or k < 0:
         raise ConfigurationError(f"degree must be a nonnegative integer, got {k!r}")
     with working(p):
-        av, bv, nv, mv = (to_mpf(v) for v in (a, b, n, m))
-        if not all(mp.isfinite(v) for v in (av, bv, nv, mv)):
-            raise ConfigurationError("segment ends and orders n, m must be finite")
-        if not av < bv:
-            raise ConfigurationError("segment must satisfy a < b")
+        av, bv = finite_segment(a, b)
+        nv, mv = to_mpf(n), to_mpf(m)
+        if not (mp.isfinite(nv) and mp.isfinite(mv)):
+            raise ConfigurationError("orders n, m must be finite")
         if nv < 0 or mv < 0:
             raise ConfigurationError("orders n, m must be nonnegative")
 

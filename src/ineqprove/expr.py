@@ -11,6 +11,13 @@ Trees are immutable; ``parse`` applies constant folding and a handful of
 identity rewrites (0 + u, 1 * u, u^1, ...) so that derivative trees stay
 compact.  The canonical printer is fully parenthesized and round-trips:
 ``parse(str(e))`` is structurally identical to ``e``.
+
+Evaluation compiles a tree once into closures on raw ``mpmath.libmp``
+tuples at an explicit binary precision, round to nearest, and never reads
+``mp.dps``.  Constant subtrees are folded at compile time, unless their
+evaluation raises (``1/(1-1)``), and every result has the bits that mpmath
+arithmetic at that precision gives.  Compiled trees are memoized per
+(expression, precision) in a small bounded memo.
 """
 
 from __future__ import annotations
@@ -18,16 +25,24 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
+import mpmath
 from mpmath import mp
+from mpmath.libmp import (
+    fnone, fone, from_int, fzero, mpf_add, mpf_asin, mpf_atan, mpf_cos, mpf_div, mpf_e,
+    mpf_eq, mpf_exp, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_neg, mpf_pi, mpf_pow,
+    mpf_pow_int, mpf_sin, mpf_sqrt, mpf_sub, prec_to_dps, round_nearest, to_str,
+)
 
 from .errors import (
     ConfigurationError,
     DomainError,
     ExpressionSyntaxError,
+    IneqproveError,
     UnknownIdentifierError,
 )
-from .precision import Precision, to_mpf, working
+from .precision import Precision, to_mpf, working, working_prec
 
 UNARY_FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos", "arcsin", "arctan")
 NAMED_CONSTANTS = ("pi", "e", "sqrt2")
@@ -392,91 +407,169 @@ def parse(source: str) -> Expression:
     return Expression(root=root, source_text=source)
 
 
-def _eval(node: Node, x, p: Precision):
-    if isinstance(node, Constant):
-        return mp.mpf(node.value.numerator) / node.value.denominator
-    if isinstance(node, Variable):
-        return x
-    if isinstance(node, NamedConstant):
-        if node.name == "pi":
-            return +mp.pi
-        if node.name == "e":
-            return +mp.e
-        return mp.sqrt(2)
-    if isinstance(node, UnaryOp):
-        v = _eval(node.child, x, p)
-        op = node.op
-        if op == "neg":
-            return -v
-        if op == "sqrt":
-            if v < 0:
-                raise DomainError(f"sqrt of negative value {v}")
-            return mp.sqrt(v)
-        if op == "exp":
-            return mp.exp(v)
-        if op == "log":
-            if v <= 0:
-                raise DomainError(f"log of non-positive value {v}")
-            return mp.log(v)
-        if op == "sin":
-            return mp.sin(v)
-        if op == "cos":
-            return mp.cos(v)
-        if op == "arcsin":
-            if v < -1 or v > 1:
-                raise DomainError(f"arcsin argument {v} outside [-1, 1]")
-            return mp.asin(v)
-        if op == "arctan":
-            return mp.atan(v)
-        raise DomainError(f"unsupported unary operator {op!r}")
-    if isinstance(node, BinaryOp):
-        l = _eval(node.left, x, p)
-        op = node.op
-        if op == "pow":
-            q = node.right.value
-            if l > 0:
-                return mp.power(l, mp.mpf(q.numerator) / q.denominator)
-            if l == 0:
-                if q > 0:
-                    return mp.mpf(0)
-                raise DomainError("zero base with non-positive exponent")
-            if q.denominator == 1:
-                return mp.power(l, q.numerator)
-            raise DomainError(f"negative base {l} with non-integer exponent {q}")
-        r = _eval(node.right, x, p)
-        if op == "add":
-            return l + r
-        if op == "sub":
-            return l - r
-        if op == "mul":
-            return l * r
-        if op == "div":
-            if r == 0:
-                raise DomainError("division by zero")
-            return l / r
-        raise DomainError(f"unsupported binary operator {op!r}")
-    if isinstance(node, (KurepaNode, KurepaDerivNode)):
-        from . import quadrature  # deferred: quadrature has no expr dependency
+# ----------------------------------------------------------------------
+# Compiled evaluation on libmp tuples
+# ----------------------------------------------------------------------
 
-        v = _eval(node.child, x, p)
-        if v < 0:
-            raise DomainError(f"kurepa argument {v} is negative")
-        if isinstance(node, KurepaNode):
-            return quadrature.kurepa(v, p).value
-        if node.order > 3:
-            raise DomainError(
-                f"kurepa derivative of order {node.order} is not supported (max 3)"
-            )
-        return quadrature.kurepa_derivative(v, node.order, p).value
-    raise TypeError(f"not an expression node: {node!r}")
+_MEMO_LIMIT = 8  # compiled trees kept by the memo
+
+
+def _show(v, prec):
+    """v as ``str(mpf)`` prints it in a working context of binary precision prec."""
+    return to_str(v, prec_to_dps(prec))
+
+
+def _checked(f, outside, message):
+    """f(v, prec, rnd), raising DomainError(message) for v where outside(v)."""
+    def checked(v, prec, rnd):
+        if outside(v):
+            raise DomainError(message.format(_show(v, prec)))
+        return f(v, prec, rnd)
+
+    return checked
+
+
+def _div(l, r, prec, rnd):
+    if mpf_eq(r, fzero):
+        raise DomainError("division by zero")
+    return mpf_div(l, r, prec, rnd)
+
+
+_NAMED = {"pi": mpf_pi, "e": mpf_e,
+          "sqrt2": lambda prec, rnd: mpf_sqrt(from_int(2), prec, rnd)}
+_BINARY = {"add": mpf_add, "sub": mpf_sub, "mul": mpf_mul, "div": _div}
+_UNARY = {
+    "neg": mpf_neg, "exp": mpf_exp, "sin": mpf_sin, "cos": mpf_cos, "arctan": mpf_atan,
+    "sqrt": _checked(mpf_sqrt, lambda v: mpf_lt(v, fzero), "sqrt of negative value {}"),
+    "log": _checked(mpf_log, lambda v: mpf_le(v, fzero), "log of non-positive value {}"),
+    "arcsin": _checked(mpf_asin, lambda v: mpf_lt(v, fnone) or mpf_gt(v, fone),
+                       "arcsin argument {} outside [-1, 1]"),
+}
+
+
+def power(q: Fraction, prec, qt=None):
+    """(l, prec, rnd) -> l^q on libmp tuples, as ``mp.power`` rounds it.
+
+    With the domain checks of a real power: a negative l needs an integer q.
+    ``qt`` is q as the tuple the power is taken with; by default q rounded
+    to prec, as ``mp.mpf(numerator) / denominator`` gives it.
+    """
+    if qt is None:
+        qt = mpf_div(from_int(q.numerator, prec, round_nearest), from_int(q.denominator),
+                     prec, round_nearest)
+
+    def power_q(l, prec, rnd):
+        if mpf_gt(l, fzero):
+            return mpf_pow(l, qt, prec, rnd)
+        if mpf_eq(l, fzero):
+            if q > 0:
+                return fzero
+            raise DomainError("zero base with non-positive exponent")
+        if q.denominator == 1:
+            return mpf_pow_int(l, q.numerator, prec, rnd)
+        raise DomainError(f"negative base {_show(l, prec)} with non-integer exponent {q}")
+
+    return power_q
+
+
+def _kurepa(order, p: Precision):
+    """v -> K^(order)(v) by the quadrature module, at precision p."""
+    from . import quadrature  # deferred: quadrature has no expr dependency
+    if p is None:
+        raise ConfigurationError("kurepa needs an explicit precision")
+
+    def kurepa(v, prec, rnd):
+        if mpf_lt(v, fzero):
+            raise DomainError(f"kurepa argument {_show(v, prec)} is negative")
+        if order == 0:
+            return quadrature.kurepa(mp.make_mpf(v), p).value._mpf_
+        if order > 3:
+            raise DomainError(f"kurepa derivative of order {order} is not supported (max 3)")
+        return quadrature.kurepa_derivative(mp.make_mpf(v), order, p).value._mpf_
+
+    return kurepa
+
+
+@lru_cache(maxsize=_MEMO_LIMIT)
+def _compile(root: Node, prec: int, p):
+    """x -> root(x) on libmp tuples at binary precision prec, round to nearest.
+
+    Children are evaluated left before right.  A subtree shared by several
+    parents is compiled once.  A constant subtree is evaluated once, here,
+    unless that raises: then it is left unfolded, so that its error is raised
+    at evaluation, where a walk of the tree would meet it.
+    """
+    rn = round_nearest
+    done = {}  # id(node) -> (fn, whether node is constant)
+
+    def build(node):
+        if id(node) not in done:
+            fn, children = compile_node(node)
+            done[id(node)] = fn, False
+            if children is not None and all(done[id(c)][1] for c in children):
+                try:
+                    value = fn(None)
+                    done[id(node)] = (lambda x: value), True
+                except (IneqproveError, ArithmeticError):
+                    pass
+        return done[id(node)][0]
+
+    def compile_node(node):  # (fn, children); children is None for x
+        if isinstance(node, Variable):
+            return (lambda x: x), None
+        if isinstance(node, Constant):
+            q = node.value
+            return (lambda x: mpf_div(from_int(q.numerator, prec, rn),
+                                      from_int(q.denominator), prec, rn)), ()
+        if isinstance(node, NamedConstant):
+            return (lambda x: _NAMED[node.name](prec, rn)), ()
+        if isinstance(node, BinaryOp) and node.op != "pow":
+            f = _BINARY[node.op]
+            lf, rf = build(node.left), build(node.right)
+            return (lambda x: f(lf(x), rf(x), prec, rn)), (node.left, node.right)
+        if isinstance(node, UnaryOp):
+            f, child = _UNARY[node.op], node.child
+        elif isinstance(node, BinaryOp):
+            f, child = power(node.right.value, prec), node.left
+        elif isinstance(node, (KurepaNode, KurepaDerivNode)):
+            f, child = _kurepa(getattr(node, "order", 0), p), node.child
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        cf = build(child)
+        return (lambda x: f(cf(x), prec, rn)), (child,)
+
+    return build(root)
+
+
+def compiled(e, p: Precision):
+    """x -> e(x) on libmp tuples at the working precision of p.
+
+    Memoized per (tree, precision) in a bounded memo; ``mp.dps`` is never
+    read, so the result depends on the argument alone.
+    """
+    root = e.root if isinstance(e, Expression) else e
+    return _compile(root, working_prec(p), p)
 
 
 def evaluate(e: Expression, x, p: Precision = Precision()):
     """Evaluate at x with working precision p (plus guard digits)."""
-    root = e.root if isinstance(e, Expression) else e
-    with working(p):
-        xv = to_mpf(x)
-        return _eval(root, xv, p)
+    fn = compiled(e, p)
+    if not isinstance(x, mpmath.mpf):
+        with working(p):
+            x = to_mpf(x)
+    return mp.make_mpf(fn(x._mpf_))
+
+
+def constant_value(source: str):
+    """Value of a constant expression at the current working precision.
+
+    A source that mentions x is refused, even where parsing folds x away
+    (``x*0``, ``x^0``); so is a kurepa node, which needs a Precision.
+    """
+    e = parse(source)
+    if any(tok.kind == "ident" and tok.text == "x" for tok in _tokenize(source)):
+        raise ConfigurationError(f"{source!r} involves x")
+    return mp.make_mpf(_compile(e.root, mp.prec, None)(None))
 
 
 def _d(node: Node) -> Node:

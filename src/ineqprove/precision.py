@@ -13,8 +13,9 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import dps_to_prec
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, IneqproveError
 
 GUARD_DIGITS = 10
 
@@ -41,6 +42,11 @@ def working(p: Precision, extra: int = GUARD_DIGITS):
         yield mp
 
 
+def working_prec(p: Precision) -> int:
+    """The binary precision that ``working(p)`` sets."""
+    return dps_to_prec(p.decimal_digits + GUARD_DIGITS)
+
+
 def resolution_floor(p: Precision):
     """10^-(digits - 10), at the current working precision.
 
@@ -56,7 +62,7 @@ def to_mpf(value):
 
     Strings and Fractions convert without an intermediate float, so decimal
     inputs keep full precision.  Strings may also be constant expressions in
-    the package grammar ("pi/2", "2 - sqrt2"); anything involving x is
+    the package grammar ("pi/2", "2 - sqrt2"); any that mentions x is
     rejected.
     """
     if isinstance(value, mpmath.mpf):
@@ -68,17 +74,25 @@ def to_mpf(value):
     try:
         return mp.mpf(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
-        if isinstance(value, str):
-            # x evaluates to None, so an expression in x gives no mpf
-            try:
-                from .expr import _eval, parse
+        cause = exc
+    if isinstance(value, str):
+        from .expr import constant_value  # deferred: expr imports this module
+        try:
+            return constant_value(value)
+        except IneqproveError as exc:
+            cause = exc
+    raise ConfigurationError(f"cannot interpret {value!r} as a real number") from cause
 
-                result = _eval(parse(value).root, None, None)
-            except Exception:
-                result = None
-            if isinstance(result, mpmath.mpf):
-                return result
-        raise ConfigurationError(f"cannot interpret {value!r} as a real number") from exc
+
+def finite_segment(a, b):
+    """a and b as mpf at the current working precision, both finite, a < b."""
+    av, bv = to_mpf(a), to_mpf(b)
+    for name, v in (("a", av), ("b", bv)):
+        if not mpmath.isfinite(v):
+            raise ConfigurationError(f"segment end {name} must be finite, got {v}")
+    if not av < bv:
+        raise ConfigurationError("segment must satisfy a < b")
+    return av, bv
 
 
 def decimal_str(value, p: Precision) -> str:

@@ -14,15 +14,22 @@ Endpoint limits come from two routes:
 * ``endpoint_limits_numeric`` -- quotient samples along a + (b-a) 4^-j,
   j = 3..12 (mirrored at b), accelerated by iterated Aitken extrapolation;
   works for non-integer orders and doubles as a cross-check.
+
+The quotient is formed on raw ``mpmath.libmp`` tuples from the compiled f,
+at the working precision of the run, with the compiler's real power for
+the denominator: ``mpf_pow_int`` for an integer order, ``mpf_pow`` for a
+real one.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from fractions import Fraction
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import mpf_div, mpf_lt, mpf_mul, mpf_sub, round_nearest, to_rational
 
 from .errors import (
     ConfigurationError,
@@ -32,8 +39,8 @@ from .errors import (
     UnstableLimitError,
     ZeroLimitError,
 )
-from .expr import Expression, differentiate, evaluate
-from .precision import Precision, to_mpf, working
+from .expr import Expression, compiled, differentiate, evaluate, power
+from .precision import Precision, finite_segment, to_mpf, working, working_prec
 
 # width of the near-endpoint zone, relative to b - a, where the raw quotient
 # is replaced by a linear blend toward the limit value
@@ -46,17 +53,20 @@ class LimitMethod(str, Enum):
     USER_SUPPLIED = "user_supplied"
 
 
-def _pow(base, exponent):
-    if exponent == 0:
-        return mp.mpf(1)
-    if exponent == int(exponent):
-        return base ** int(exponent)
-    return mp.power(base, exponent)
+def _quotient(f, a, b, n, m, p):
+    """x -> f(x) / ((x-a)^n (b-x)^m) on libmp tuples, with no endpoint handling."""
+    prec, rn = working_prec(p), round_nearest
+    fx = compiled(f, p)
+    pa, pb = (power(Fraction(*to_rational(e._mpf_)), prec, e._mpf_) for e in (n, m))
+    a, b = a._mpf_, b._mpf_
 
+    def quotient(x):
+        num = fx(x)
+        den = mpf_mul(pa(mpf_sub(x, a, prec, rn), prec, rn),
+                      pb(mpf_sub(b, x, prec, rn), prec, rn), prec, rn)
+        return mpf_div(num, den, prec, rn)
 
-def _quotient(f, x, a, b, n, m, p):
-    """The raw quotient f(x) / ((x-a)^n (b-x)^m), with no endpoint handling."""
-    return evaluate(f, x, p) / (_pow(x - a, n) * _pow(b - x, m))
+    return quotient
 
 
 class QuotientFunction:
@@ -65,22 +75,23 @@ class QuotientFunction:
     Within (b-a)*1e-8 of an endpoint the raw quotient is 0/0-noisy, so
     evaluation switches to a linear blend between the endpoint limit and the
     quotient value at the zone boundary.  Instances are immutable once built.
+
+    ``f`` is compiled once.  At an mpf argument outside the endpoint zones
+    the quotient runs on libmp tuples at the working precision of
+    ``precision``, with no working context and no read of ``mp.dps``.
     """
 
     def __init__(self, f: Expression, a, b, n, m, alpha, beta,
                  precision: Precision = Precision()):
         self.precision = precision
         with working(precision):
-            self.a = to_mpf(a)
-            self.b = to_mpf(b)
+            self.a, self.b = finite_segment(a, b)
             self.n = to_mpf(n)
             self.m = to_mpf(m)
             self.alpha = to_mpf(alpha)
             self.beta = to_mpf(beta)
-            if not self.a < self.b:
-                raise ConfigurationError("segment must satisfy a < b")
-            if self.n < 0 or self.m < 0:
-                raise ConfigurationError("root orders n, m must be nonnegative")
+            if not all(v >= 0 and mpmath.isfinite(v) for v in (self.n, self.m)):
+                raise ConfigurationError("root orders n, m must be finite and nonnegative")
             for name, v in (("alpha", self.alpha), ("beta", self.beta)):
                 if not mpmath.isfinite(v) or v == 0:
                     raise ConfigurationError(
@@ -88,17 +99,25 @@ class QuotientFunction:
                     )
             self._edge = (self.b - self.a) * to_mpf(EDGE_FRACTION)
         self.f = f
+        self._prec = working_prec(precision)
+        self._quotient = _quotient(f, self.a, self.b, self.n, self.m, precision)
         self._edge_values = {}
 
     def _edge_value(self, which):
         v = self._edge_values.get(which)
         if v is None:
             x0 = self.a + self._edge if which == "a" else self.b - self._edge
-            v = _quotient(self.f, x0, self.a, self.b, self.n, self.m, self.precision)
-            self._edge_values[which] = v
+            v = self._edge_values[which] = mp.make_mpf(self._quotient(x0._mpf_))
         return v
 
     def evaluate(self, x):
+        if isinstance(x, mpmath.mpf):
+            t, prec, rn = x._mpf_, self._prec, round_nearest
+            a, b, edge = self.a._mpf_, self.b._mpf_, self._edge._mpf_
+            if (mpf_lt(a, t) and mpf_lt(t, b) and not mpf_lt(mpf_sub(t, a, prec, rn), edge)
+                    and not mpf_lt(mpf_sub(b, t, prec, rn), edge)):
+                return mp.make_mpf(self._quotient(t))
+        # an endpoint, the blend zone, or an argument still to convert
         with working(self.precision):
             xv = to_mpf(x)
             if xv == self.a:
@@ -113,14 +132,14 @@ class QuotientFunction:
             if self.b - xv < self._edge:
                 g0 = self._edge_value("b")
                 return self.beta + (g0 - self.beta) * (self.b - xv) / self._edge
-            return _quotient(self.f, xv, self.a, self.b, self.n, self.m, self.precision)
+            return mp.make_mpf(self._quotient(xv._mpf_))
 
     __call__ = evaluate
 
 
 def _as_order(value, name):
     v = to_mpf(value)
-    if v < 0 or v != int(v):
+    if not mpmath.isfinite(v) or v < 0 or v != int(v):
         raise ConfigurationError(f"{name} must be a nonnegative integer for the Taylor route, got {value}")
     return int(v)
 
@@ -135,10 +154,7 @@ def endpoint_limits_taylor(f: Expression, a, b, n, m, p: Precision = Precision()
     enough to reject a genuinely wrong multiplicity.
     """
     with working(p):
-        av = to_mpf(a)
-        bv = to_mpf(b)
-        if not av < bv:
-            raise ConfigurationError("segment must satisfy a < b")
+        av, bv = finite_segment(a, b)
         ni = _as_order(n, "n")
         mi = _as_order(m, "m")
         tol = to_mpf(vanish_tol)
@@ -155,8 +171,8 @@ def endpoint_limits_taylor(f: Expression, a, b, n, m, p: Precision = Precision()
                 raise MultiplicityError("b", i, v)
         fa = evaluate(derivs[ni], av, p)
         fb = evaluate(derivs[mi], bv, p)
-        alpha = fa / (math.factorial(ni) * _pow(bv - av, mi))
-        beta = (-1) ** mi * fb / (math.factorial(mi) * _pow(bv - av, ni))
+        alpha = fa / (math.factorial(ni) * (bv - av) ** mi)
+        beta = (-1) ** mi * fb / (math.factorial(mi) * (bv - av) ** ni)
         return +alpha, +beta
 
 
@@ -232,20 +248,16 @@ def endpoint_limits_numeric(f: Expression, a, b, n, m, p: Precision = Precision(
     relative tolerance (1e-8 by default).
     """
     with working(p):
-        av = to_mpf(a)
-        bv = to_mpf(b)
-        if not av < bv:
-            raise ConfigurationError("segment must satisfy a < b")
+        av, bv = finite_segment(a, b)
         nv = to_mpf(n)
         mv = to_mpf(m)
-        if nv < 0 or mv < 0:
-            raise ConfigurationError("orders must be nonnegative")
+        if not all(v >= 0 and mpmath.isfinite(v) for v in (nv, mv)):
+            raise ConfigurationError("orders must be finite and nonnegative")
         tol = to_mpf(stabilize_tol)
         span = bv - av
-        qa = [_quotient(f, av + span * mp.mpf(4) ** (-j), av, bv, nv, mv, p)
-              for j in range(3, 13)]
-        qb = [_quotient(f, bv - span * mp.mpf(4) ** (-j), av, bv, nv, mv, p)
-              for j in range(3, 13)]
+        q = _quotient(f, av, bv, nv, mv, p)
+        qa = [mp.make_mpf(q((av + span * mp.mpf(4) ** (-j))._mpf_)) for j in range(3, 13)]
+        qb = [mp.make_mpf(q((bv - span * mp.mpf(4) ** (-j))._mpf_)) for j in range(3, 13)]
         alpha = _extrapolate(qa, "a", p.decimal_digits, tol)
         beta = _extrapolate(qb, "b", p.decimal_digits, tol)
         return +alpha, +beta

@@ -26,6 +26,9 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import (
+    fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_pos, mpf_sub, round_nearest,
+)
 
 from .errors import (
     AlternationError,
@@ -33,7 +36,7 @@ from .errors import (
     ConvergenceError,
     SingularSystemError,
 )
-from .precision import Precision, resolution_floor, to_mpf, working
+from .precision import Precision, finite_segment, resolution_floor, to_mpf, working
 
 REFINE_WIDTH_FACTOR = "1e-12"
 
@@ -50,17 +53,21 @@ class Polynomial:
         return len(self.coefficients) - 1
 
     def evaluate(self, x):
-        """Clenshaw recurrence at the current working precision."""
-        a, b = self.segment
-        c = self.coefficients
+        """Clenshaw recurrence at the current working precision, on libmp tuples."""
+        prec, rn = mp.prec, round_nearest
+        a, b = (v._mpf_ for v in self.segment)
+        c = [v._mpf_ for v in self.coefficients]
         if len(c) == 1:
-            return +c[0]
-        u = (2 * x - a - b) / (b - a)
-        d = 2 * u
-        b1 = b2 = mp.mpf(0)
+            return mp.make_mpf(mpf_pos(c[0], prec, rn))
+        x = mp.convert(x)._mpf_
+        u = mpf_div(mpf_sub(mpf_sub(mpf_mul_int(x, 2, prec, rn), a, prec, rn), b, prec, rn),
+                    mpf_sub(b, a, prec, rn), prec, rn)
+        d = mpf_mul_int(u, 2, prec, rn)
+        b1 = b2 = fzero
         for cj in reversed(c[1:]):
-            b1, b2 = d * b1 - b2 + cj, b1
-        return u * b1 - b2 + c[0]
+            b1, b2 = mpf_add(mpf_sub(mpf_mul(d, b1, prec, rn), b2, prec, rn), cj, prec, rn), b1
+        return mp.make_mpf(mpf_add(mpf_sub(mpf_mul(u, b1, prec, rn), b2, prec, rn), c[0],
+                                   prec, rn))
 
     __call__ = evaluate
 
@@ -170,11 +177,7 @@ def initial_nodes(a, b, k: int):
     """The k+2 Chebyshev extremum abscissae of [a, b], endpoints included."""
     if not isinstance(k, int) or k < 0:
         raise ConfigurationError(f"degree must be a nonnegative integer, got {k!r}")
-    av = to_mpf(a)
-    bv = to_mpf(b)
-    if not av < bv:
-        raise ConfigurationError("segment must satisfy a < b")
-    return _chebyshev_grid(av, bv, k + 2)
+    return _chebyshev_grid(*finite_segment(a, b), k + 2)
 
 
 def _chebyshev_grid(a, b, count):
@@ -422,10 +425,7 @@ def minimax(g, a, b, k: int, tol="1e-12", p: Precision = Precision(),
     if not isinstance(k, int) or k < 0:
         raise ConfigurationError(f"degree must be a nonnegative integer, got {k!r}")
     with working(p):
-        av = to_mpf(a)
-        bv = to_mpf(b)
-        if not av < bv:
-            raise ConfigurationError("segment must satisfy a < b")
+        av, bv = finite_segment(a, b)
         tol_v = to_mpf(tol)
         if tol_v < resolution_floor(p):
             raise ConfigurationError(

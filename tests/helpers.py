@@ -4,6 +4,18 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath import mp
+
+from ineqprove import DomainError, quadrature, to_mpf, working
+from ineqprove.expr import (
+    BinaryOp,
+    Constant,
+    KurepaDerivNode,
+    KurepaNode,
+    NamedConstant,
+    UnaryOp,
+    Variable,
+)
 
 # Pinned hashes of reports and quadrature rules depend on the arithmetic
 # library; they hold for the mpmath version and backend they were recorded
@@ -79,3 +91,91 @@ def planted_endpoint_polynomial(rng):
 
 def as_mpf(text):
     return mpmath.mpf(text)
+
+
+def reference_evaluate(e, x, p):
+    """e at x by a walk of the mpf tree at working precision p.
+
+    The evaluator the package used before it compiled expressions, kept as
+    the oracle that the compiled evaluator must match bit for bit, errors
+    and their messages included.
+    """
+    with working(p):
+        return _walk(e.root, to_mpf(x), p)
+
+
+def _walk(node, x, p):
+    if isinstance(node, Constant):
+        return mp.mpf(node.value.numerator) / node.value.denominator
+    if isinstance(node, Variable):
+        return x
+    if isinstance(node, NamedConstant):
+        if node.name == "pi":
+            return +mp.pi
+        if node.name == "e":
+            return +mp.e
+        return mp.sqrt(2)
+    if isinstance(node, UnaryOp):
+        v = _walk(node.child, x, p)
+        op = node.op
+        if op == "neg":
+            return -v
+        if op == "sqrt":
+            if v < 0:
+                raise DomainError(f"sqrt of negative value {v}")
+            return mp.sqrt(v)
+        if op == "exp":
+            return mp.exp(v)
+        if op == "log":
+            if v <= 0:
+                raise DomainError(f"log of non-positive value {v}")
+            return mp.log(v)
+        if op == "sin":
+            return mp.sin(v)
+        if op == "cos":
+            return mp.cos(v)
+        if op == "arcsin":
+            if v < -1 or v > 1:
+                raise DomainError(f"arcsin argument {v} outside [-1, 1]")
+            return mp.asin(v)
+        if op == "arctan":
+            return mp.atan(v)
+        raise DomainError(f"unsupported unary operator {op!r}")
+    if isinstance(node, BinaryOp):
+        l = _walk(node.left, x, p)
+        op = node.op
+        if op == "pow":
+            q = node.right.value
+            if l > 0:
+                return mp.power(l, mp.mpf(q.numerator) / q.denominator)
+            if l == 0:
+                if q > 0:
+                    return mp.mpf(0)
+                raise DomainError("zero base with non-positive exponent")
+            if q.denominator == 1:
+                return mp.power(l, q.numerator)
+            raise DomainError(f"negative base {l} with non-integer exponent {q}")
+        r = _walk(node.right, x, p)
+        if op == "add":
+            return l + r
+        if op == "sub":
+            return l - r
+        if op == "mul":
+            return l * r
+        if op == "div":
+            if r == 0:
+                raise DomainError("division by zero")
+            return l / r
+        raise DomainError(f"unsupported binary operator {op!r}")
+    if isinstance(node, (KurepaNode, KurepaDerivNode)):
+        v = _walk(node.child, x, p)
+        if v < 0:
+            raise DomainError(f"kurepa argument {v} is negative")
+        if isinstance(node, KurepaNode):
+            return quadrature.kurepa(v, p).value
+        if node.order > 3:
+            raise DomainError(
+                f"kurepa derivative of order {node.order} is not supported (max 3)"
+            )
+        return quadrature.kurepa_derivative(v, node.order, p).value
+    raise TypeError(f"not an expression node: {node!r}")

@@ -14,8 +14,14 @@ from ineqprove import (
     Polynomial,
     Precision,
     ProofSettings,
+    QuotientFunction,
     ZeroLimitError,
     certify_positive,
+    endpoint_limits_numeric,
+    endpoint_limits_taylor,
+    initial_nodes,
+    minimax,
+    parse,
     precondition_check,
     prove_inequality,
     report_to_json,
@@ -452,10 +458,17 @@ class TestProvePipeline:
                 x = mp.mpf(rng.random())
                 assert f(x) >= floor
 
-    @pytest.mark.parametrize("text", ["1/0", "0/0", "pi/0", "2*x", "x", "-(-x)"])
+    @pytest.mark.parametrize("text", ["1/0", "0/0", "pi/0", "2*x", "x", "-(-x)",
+                                      "kurepa(1)"])
     def test_uninterpretable_number_refused(self, text):
         with pytest.raises(ConfigurationError, match="cannot interpret"):
             to_mpf(text)
+
+    @pytest.mark.parametrize("text", ["x*0", "0*x", "x^0"])
+    def test_x_refused_where_parsing_folds_it_away(self, text):
+        with pytest.raises(ConfigurationError, match="cannot interpret") as err:
+            to_mpf(text)
+        assert "involves x" in str(err.value.__cause__)
 
     def test_zero_division_in_bound_refused(self, p30):
         with pytest.raises(ConfigurationError, match="cannot interpret"):
@@ -468,6 +481,31 @@ class TestProvePipeline:
     def test_non_finite_input_refused(self, a, b, n, m, p30):
         with pytest.raises(ConfigurationError, match="finite"):
             prove_inequality("x*(1-x)", a, b, n, m, 1, ProofSettings(precision=p30))
+
+    @pytest.mark.parametrize("order", ["inf", "nan"])
+    @pytest.mark.parametrize("entry", [
+        lambda n, p: endpoint_limits_taylor(parse("x"), 0, 1, n, 0, p),
+        lambda n, p: endpoint_limits_numeric(parse("x"), 0, 1, n, 0, p),
+        lambda n, p: QuotientFunction(parse("x"), 0, 1, n, 0, 1, 1, p),
+    ], ids=["endpoint_limits_taylor", "endpoint_limits_numeric", "QuotientFunction"])
+    def test_non_finite_order_refused(self, entry, order, p30):
+        with pytest.raises(ConfigurationError, match="nonnegative"):
+            entry(order, p30)
+
+    @pytest.mark.parametrize("a, b, end", [(0, "inf", "b"), ("-inf", 1, "a")])
+    @pytest.mark.parametrize("entry", [
+        lambda a, b, p: prove_inequality("x", a, b, 1, 0, 1, ProofSettings(precision=p)),
+        lambda a, b, p: initial_nodes(a, b, 1),
+        lambda a, b, p: minimax(lambda x: x, a, b, 1, p=p),
+        lambda a, b, p: endpoint_limits_taylor(parse("x"), a, b, 1, 0, p),
+        lambda a, b, p: endpoint_limits_numeric(parse("x"), a, b, 1, 0, p),
+        lambda a, b, p: QuotientFunction(parse("x"), a, b, 1, 0, 1, 1, p),
+    ], ids=["prove_inequality", "initial_nodes", "minimax", "endpoint_limits_taylor",
+            "endpoint_limits_numeric", "QuotientFunction"])
+    def test_infinite_segment_end_refused(self, entry, a, b, end, p30):
+        with working(p30), pytest.raises(ConfigurationError,
+                                         match=f"segment end {end} must be finite"):
+            entry(a, b, p30)
 
     def test_g_evaluation_count(self, p50):
         # 706 with golden-section polishing, about 44 calls per extremum

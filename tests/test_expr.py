@@ -1,14 +1,18 @@
+import math
+import operator
 import random
+import re
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
 from ineqprove import (
     DomainError,
     ExpressionSyntaxError,
+    Precision,
     UnknownIdentifierError,
     differentiate,
     evaluate,
@@ -20,11 +24,13 @@ from ineqprove.expr import (
     Constant,
     KurepaDerivNode,
     KurepaNode,
+    NamedConstant,
     UnaryOp,
     Variable,
+    compiled,
 )
 
-from helpers import KP0
+from helpers import KP0, reference_evaluate
 
 
 class TestParse:
@@ -182,6 +188,103 @@ class TestEvaluate:
         finally:
             mp.dps = old
         assert low_ambient._mpf_ == reference._mpf_
+
+
+    @pytest.mark.parametrize("source, message", [
+        ("1/(1-1)", "division by zero"),
+        ("sqrt(0-1)", "sqrt of negative value -1.0"),
+    ])
+    def test_constant_domain_error_raised_at_evaluation(self, source, message, p50):
+        e = parse(source)
+        compiled(e, p50)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            evaluate(e, 0, p50)
+
+    def test_left_operand_evaluated_first(self, p50):
+        e = parse("log(x) + 1/(1-1)")
+        with pytest.raises(DomainError, match="log of non-positive"):
+            evaluate(e, 0, p50)
+        with pytest.raises(DomainError, match="division by zero"):
+            evaluate(e, 1, p50)
+
+
+def _outcome(evaluator, e, x, p):
+    """The bits of e at x, or the type and message of the error raised."""
+    try:
+        return evaluator(e, x, p)._mpf_
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_FLOAT_UNARY = {"neg": operator.neg, "sqrt": math.sqrt, "exp": math.exp, "log": math.log,
+                "sin": math.sin, "cos": math.cos, "arcsin": math.asin, "arctan": math.atan}
+_FLOAT_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+                 "div": operator.truediv, "pow": operator.pow}
+_FLOAT_CONSTANTS = {"pi": math.pi, "e": math.e, "sqrt2": math.sqrt(2)}
+
+
+def _float_walk(node, x):
+    if isinstance(node, Constant):
+        v = float(node.value)
+    elif isinstance(node, Variable):
+        v = x
+    elif isinstance(node, NamedConstant):
+        v = _FLOAT_CONSTANTS[node.name]
+    elif isinstance(node, UnaryOp):
+        v = _FLOAT_UNARY[node.op](_float_walk(node.child, x))
+    else:
+        v = _FLOAT_BINARY[node.op](_float_walk(node.left, x), _float_walk(node.right, x))
+    if abs(v) > 1e100:
+        raise OverflowError
+    return v
+
+
+def _moderate(node, x):
+    """Whether a float walk of node at x stays below 1e100 in magnitude.
+
+    mpmath's exp, sin and cos slow down without bound as the exponent of
+    their argument grows, so trees such as sin(exp(exp(7^27))) are left out.
+    A float domain error ends the walk, as it ends the mpmath one.
+    """
+    try:
+        _float_walk(node, x)
+    except OverflowError:
+        return False
+    except (ValueError, ZeroDivisionError, TypeError):
+        pass
+    return True
+
+
+@settings(max_examples=120, deadline=None)
+@given(_expr_text.filter(lambda source: "kurepa" not in source), st.integers(0, 2),
+       st.sampled_from([20, 50]))
+def test_compiled_matches_reference_walker(source, order, digits):
+    """Compiled evaluation equals the tree walk bit for bit, errors included."""
+    e = parse(source)
+    if order:
+        e = differentiate(e, order)
+    p = Precision(digits)
+    points = [x for x in ("-0.75", "0", "0.5", "1", "2.5") if _moderate(e.root, float(x))]
+    assume(points)
+    for x in points:
+        assert _outcome(evaluate, e, x, p) == _outcome(reference_evaluate, e, x, p), x
+
+
+@pytest.mark.parametrize("source", [
+    "kurepa(x/2) - kurepa_deriv(2, x)",
+    "kurepa_deriv(3, x^2)",
+    "kurepa(x - pi/8)",
+    # domain errors whose messages print a value in full
+    "sqrt(sin(x) - pi/4)",
+    "log(x - e)",
+    "arcsin(x*pi)",
+    "(x - sqrt2)^(1/3)",
+])
+def test_compiled_matches_reference_walker_on_fixed_trees(source, p30):
+    e = parse(source)
+    for tree in (e, differentiate(e)):
+        for x in ("0", "0.25", "1.25"):
+            assert _outcome(evaluate, tree, x, p30) == _outcome(reference_evaluate, tree, x, p30)
 
 
 class TestDifferentiate:

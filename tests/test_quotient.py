@@ -147,6 +147,17 @@ class TestQuotientFunction:
                 assert tight <= wide
             assert all(gap <= mp.mpf("1e-6") * abs(beta) for gap in gaps_b[6:])
 
+    def test_result_independent_of_ambient_context(self, p50):
+        g = QuotientFunction(parse(ARCSIN_DIFF_SOURCE), 0, 1, 3, "0.5", 1, 1, p50)
+        xs = [mpmath.mpf(v) for v in ("1e-9", "0.3", "0.7", "0.999999999")]
+        reference = [g.evaluate(x)._mpf_ for x in xs]
+        old = mp.dps
+        try:
+            mp.dps = 15
+            assert [g.evaluate(x)._mpf_ for x in xs] == reference
+        finally:
+            mp.dps = old
+
     def test_invalid_limits_rejected(self, p50):
         f = parse("x*(1-x)")
         with pytest.raises(ConfigurationError):
