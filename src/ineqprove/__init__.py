@@ -2,15 +2,14 @@
 
 The method: extend the quotient f(x)/((x-a)^n (b-x)^m) continuously to the
 segment, approximate it by a minimax polynomial P with error estimate delta
-(second Remez algorithm), and certify P(x) - delta > 0 rigorously by
-interval bisection.  Positive endpoint limits plus the certificate prove
-f >= 0 with roots admitted at the endpoints.
+(second Remez algorithm), and certify P(x) - delta > 0 rigorously by exact
+Bernstein subdivision on integers.  Positive endpoint limits plus the
+certificate prove f >= 0 with roots admitted at the endpoints.
 """
 
 from .certify import (
     CAVEAT,
     GridStatistics,
-    Outcome,
     PositivityCertificate,
     ProofReport,
     ProofSettings,
@@ -57,9 +56,7 @@ from .remez import (
     EquioscillationReport,
     MinimaxResult,
     Polynomial,
-    initial_nodes,
     minimax,
-    solve_levelled_system,
     verify_equioscillation,
 )
 
@@ -83,7 +80,6 @@ __all__ = [
     "LimitMethod",
     "MinimaxResult",
     "MultiplicityError",
-    "Outcome",
     "Polynomial",
     "PositivityCertificate",
     "Precision",
@@ -104,7 +100,6 @@ __all__ = [
     "endpoint_limits_taylor",
     "evaluate",
     "find_inflection",
-    "initial_nodes",
     "kurepa",
     "kurepa_derivative",
     "minimax",
@@ -113,7 +108,6 @@ __all__ = [
     "prove_inequality",
     "report_to_json",
     "residual_check",
-    "solve_levelled_system",
     "to_mpf",
     "verify_equioscillation",
     "working",

@@ -27,7 +27,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import NamedTuple
 
 import mpmath
@@ -50,6 +49,7 @@ from .expr import Expression, evaluate, parse
 from .precision import (
     Precision,
     decimal_str,
+    finite_orders,
     finite_segment,
     resolution_floor,
     to_mpf,
@@ -77,12 +77,6 @@ CAVEAT = (
 )
 
 CERTIFICATION_MIN_DIGITS = 30
-
-
-class Outcome(Enum):
-    PROCEED = "proceed"
-    DISPROVEN_ALPHA = "disproven_alpha"
-    DISPROVEN_BETA = "disproven_beta"
 
 
 @dataclass(frozen=True)
@@ -146,8 +140,11 @@ class ProofReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def precondition_check(alpha, beta, p: Precision = Precision()) -> Outcome:
-    """Both limits must be positive; a zero limit means misconfigured n, m."""
+def precondition_check(alpha, beta, p: Precision = Precision()):
+    """The endpoint whose limit is negative ("alpha", else "beta"), or None if both are positive.
+
+    A limit at zero means misconfigured n, m and raises ZeroLimitError.
+    """
     with working(p):
         av = to_mpf(alpha)
         bv = to_mpf(beta)
@@ -160,10 +157,10 @@ def precondition_check(alpha, beta, p: Precision = Precision()) -> Outcome:
                     endpoint=name,
                 )
         if av < 0:
-            return Outcome.DISPROVEN_ALPHA
+            return "alpha"
         if bv < 0:
-            return Outcome.DISPROVEN_BETA
-        return Outcome.PROCEED
+            return "beta"
+        return None
 
 
 def residual_check(g, polynomial: Polynomial, delta, grid_size: int,
@@ -498,9 +495,8 @@ def _endpoint_limits(run: _Run):
 
 def _precondition(run: _Run):
     alpha, beta = run.fields["alpha"], run.fields["beta"]
-    outcome = precondition_check(alpha, beta, run.p)
-    if outcome is not Outcome.PROCEED:
-        which = "alpha" if outcome is Outcome.DISPROVEN_ALPHA else "beta"
+    which = precondition_check(alpha, beta, run.p)
+    if which is not None:
         return _Stop(f"endpoint limit {which} is negative; the inequality fails "
                      f"near that endpoint", "disproven", (("negative_limit", which),))
     f, a, b, n, m, p = run.limit_inputs
@@ -627,11 +623,7 @@ def prove_inequality(f, a, b, n, m, k: int,
         raise ConfigurationError(f"degree must be a nonnegative integer, got {k!r}")
     with working(p):
         av, bv = finite_segment(a, b)
-        nv, mv = to_mpf(n), to_mpf(m)
-        if not (mp.isfinite(nv) and mp.isfinite(mv)):
-            raise ConfigurationError("orders n, m must be finite")
-        if nv < 0 or mv < 0:
-            raise ConfigurationError("orders n, m must be nonnegative")
+        nv, mv = finite_orders(n, m)
 
     residual_grid_size = s.residual_grid_size or 2 * s.grid_multiplier * (k + 2)
     echo = _settings_echo(f.source_text, av, bv, nv, mv, k, s, residual_grid_size)

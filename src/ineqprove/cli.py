@@ -97,9 +97,12 @@ def cmd_prove(args) -> int:
             raise IneqproveError(f"missing required setting {required!r}")
     a, b = _split_interval(merged["interval"])
     degree = int(merged.get("degree", 1))
-    settings = ProofSettings(**{name: convert(merged[key])
-                                for key, (name, convert) in _SETTING_KEYS.items()
-                                if key in merged})
+    try:
+        settings = ProofSettings(**{name: convert(merged[key])
+                                    for key, (name, convert) in _SETTING_KEYS.items()
+                                    if key in merged})
+    except ValueError as exc:
+        raise IneqproveError(f"invalid setting value: {exc}") from exc
     report = prove_inequality(merged["function"], a, b, merged["n"], merged["m"],
                               degree, settings)
     payload = report_to_json(report, settings.precision)
@@ -155,8 +158,9 @@ def cmd_kurepa(args) -> int:
     p = Precision(args.precision)
     with working(p):
         x = to_mpf(args.x)
-    extras = dict(node_factor=args.node_factor, tail_factor=args.tail_factor,
-                  max_evaluations=args.max_evaluations)
+    # quadrature holds the default of every option left out
+    extras = {key: getattr(args, key) for key in ("node_factor", "tail_factor", "max_evaluations")
+              if getattr(args, key) is not None}
     if args.order == 0:
         result = kurepa(x, p, **extras)
     else:
@@ -201,16 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     prove.add_argument("--n")
     prove.add_argument("--m")
     prove.add_argument("--degree", type=int)
-    prove.add_argument("--precision", type=int)
-    prove.add_argument("--tol")
-    prove.add_argument("--grid-multiplier", dest="grid_multiplier", type=int)
-    prove.add_argument("--residual-grid-size", dest="residual_grid_size", type=int)
-    prove.add_argument("--margin")
-    prove.add_argument("--max-iterations", dest="max_iterations", type=int)
-    prove.add_argument("--limit-method", dest="limit_method",
-                       choices=("auto", "taylor", "numeric", "user"))
-    prove.add_argument("--alpha-override", dest="alpha_override")
-    prove.add_argument("--beta-override", dest="beta_override")
+    for key in _SETTING_KEYS:  # converted as config values are
+        prove.add_argument("--" + key.replace("_", "-"))
     prove.add_argument("--out")
     prove.set_defaults(func=cmd_prove)
 
@@ -229,11 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     kur = sub.add_parser("kurepa", help="evaluate the Kurepa integral family")
     kur.add_argument("--x", required=True)
     kur.add_argument("--order", type=int, default=0, choices=(0, 1, 2, 3))
-    kur.add_argument("--precision", type=int, default=50)
-    kur.add_argument("--node-factor", dest="node_factor", type=int, default=1)
-    kur.add_argument("--tail-factor", dest="tail_factor", default="1")
-    kur.add_argument("--max-evaluations", dest="max_evaluations", type=int,
-                     default=500000)
+    kur.add_argument("--precision", type=int, default=defaults.precision.decimal_digits)
+    kur.add_argument("--node-factor", type=int)
+    kur.add_argument("--tail-factor")
+    kur.add_argument("--max-evaluations", type=int)
     kur.set_defaults(func=cmd_kurepa)
 
     lim = sub.add_parser("limits", help="endpoint limits of the quotient")
@@ -242,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     lim.add_argument("--n", required=True)
     lim.add_argument("--m", required=True)
     lim.add_argument("--method", choices=("taylor", "numeric", "both"), default="both")
-    lim.add_argument("--precision", type=int, default=50)
+    lim.add_argument("--precision", type=int, default=defaults.precision.decimal_digits)
     lim.set_defaults(func=cmd_limits)
 
     return parser

@@ -414,7 +414,7 @@ def parse(source: str) -> Expression:
 _MEMO_LIMIT = 8  # compiled trees kept by the memo
 
 
-def _show(v, prec):
+def show(v, prec):
     """v as ``str(mpf)`` prints it in a working context of binary precision prec."""
     return to_str(v, prec_to_dps(prec))
 
@@ -423,7 +423,7 @@ def _checked(f, outside, message):
     """f(v, prec, rnd), raising DomainError(message) for v where outside(v)."""
     def checked(v, prec, rnd):
         if outside(v):
-            raise DomainError(message.format(_show(v, prec)))
+            raise DomainError(message.format(show(v, prec)))
         return f(v, prec, rnd)
 
     return checked
@@ -467,7 +467,7 @@ def power(q: Fraction, prec, qt=None):
             raise DomainError("zero base with non-positive exponent")
         if q.denominator == 1:
             return mpf_pow_int(l, q.numerator, prec, rnd)
-        raise DomainError(f"negative base {_show(l, prec)} with non-integer exponent {q}")
+        raise DomainError(f"negative base {show(l, prec)} with non-integer exponent {q}")
 
     return power_q
 
@@ -480,7 +480,7 @@ def _kurepa(order, p: Precision):
 
     def kurepa(v, prec, rnd):
         if mpf_lt(v, fzero):
-            raise DomainError(f"kurepa argument {_show(v, prec)} is negative")
+            raise DomainError(f"kurepa argument {show(v, prec)} is negative")
         if order == 0:
             return quadrature.kurepa(mp.make_mpf(v), p).value._mpf_
         if order > 3:

@@ -85,14 +85,28 @@ def to_mpf(value):
 
 
 def finite_segment(a, b):
-    """a and b as mpf at the current working precision, both finite, a < b."""
-    av, bv = to_mpf(a), to_mpf(b)
+    """a and b rounded to the current working precision, both finite, a < b.
+
+    Rounding here, not in ``to_mpf``, keeps the bits of a caller's ambient
+    precision out of the proof while the certifier still sees exactly the
+    coefficients it is given.
+    """
+    av, bv = +to_mpf(a), +to_mpf(b)
     for name, v in (("a", av), ("b", bv)):
         if not mpmath.isfinite(v):
             raise ConfigurationError(f"segment end {name} must be finite, got {v}")
     if not av < bv:
         raise ConfigurationError("segment must satisfy a < b")
     return av, bv
+
+
+def finite_orders(n, m):
+    """Root orders n and m rounded to the current working precision, finite and nonnegative."""
+    nv, mv = +to_mpf(n), +to_mpf(m)
+    for name, v in (("n", nv), ("m", mv)):
+        if not (mpmath.isfinite(v) and v >= 0):
+            raise ConfigurationError(f"root order {name} must be finite and nonnegative, got {v}")
+    return nv, mv
 
 
 def decimal_str(value, p: Precision) -> str:

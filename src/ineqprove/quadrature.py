@@ -56,10 +56,13 @@ from .errors import (
     PrecisionUnreachableError,
     RootBracketError,
 )
-from .precision import Precision, resolution_floor, to_mpf, working
+from .precision import Precision, finite_segment, resolution_floor, to_mpf, working
 
 # entries kept by each memo: the Kronrod rules and the node tables
 _CACHE_LIMIT = 65536
+
+# default cap on integrand evaluations of one Kurepa integral
+MAX_EVALUATIONS = 500000
 
 
 @dataclass(frozen=True)
@@ -395,7 +398,7 @@ def _kurepa_integral(x, j, p, node_factor, tail_factor, max_evaluations):
 
 
 def kurepa(x, p: Precision = Precision(), *, node_factor: int = 1,
-           tail_factor=1, max_evaluations: int = 500000) -> QuadratureResult:
+           tail_factor=1, max_evaluations: int = MAX_EVALUATIONS) -> QuadratureResult:
     """K(x) for x >= 0 with error_bound at most 10^-(digits-10).
 
     ``node_factor`` scales the per-panel node count and ``tail_factor``
@@ -406,7 +409,7 @@ def kurepa(x, p: Precision = Precision(), *, node_factor: int = 1,
 
 def kurepa_derivative(x, order: int, p: Precision = Precision(), *,
                       node_factor: int = 1, tail_factor=1,
-                      max_evaluations: int = 500000) -> QuadratureResult:
+                      max_evaluations: int = MAX_EVALUATIONS) -> QuadratureResult:
     """j-th derivative of K at x (j in {1, 2, 3}), by the log-kernel integrals."""
     if order not in (1, 2, 3):
         raise ConfigurationError(f"derivative order must be 1, 2 or 3, got {order!r}")
@@ -421,11 +424,8 @@ def find_inflection(p: Precision = Precision(), bracket=(0, 1),
     adaptive quadrature, so sign robustness matters more than step count.
     """
     with working(p):
-        lo = to_mpf(bracket[0])
-        hi = to_mpf(bracket[1])
+        lo, hi = finite_segment(*bracket)
         wtol = to_mpf(width_tol)
-        if not lo < hi:
-            raise ConfigurationError("bracket must satisfy lo < hi")
         f_lo = kurepa_derivative(lo, 2, p).value
         f_hi = kurepa_derivative(hi, 2, p).value
         if not (f_lo < 0 < f_hi):

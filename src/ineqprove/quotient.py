@@ -29,7 +29,9 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import mpf_div, mpf_lt, mpf_mul, mpf_sub, round_nearest, to_rational
+from mpmath.libmp import (
+    mpf_add, mpf_div, mpf_eq, mpf_lt, mpf_mul, mpf_pos, mpf_sub, round_nearest, to_rational,
+)
 
 from .errors import (
     ConfigurationError,
@@ -39,8 +41,8 @@ from .errors import (
     UnstableLimitError,
     ZeroLimitError,
 )
-from .expr import Expression, compiled, differentiate, evaluate, power
-from .precision import Precision, finite_segment, to_mpf, working, working_prec
+from .expr import Expression, compiled, differentiate, evaluate, power, show
+from .precision import Precision, finite_orders, finite_segment, to_mpf, working, working_prec
 
 # width of the near-endpoint zone, relative to b - a, where the raw quotient
 # is replaced by a linear blend toward the limit value
@@ -76,9 +78,10 @@ class QuotientFunction:
     evaluation switches to a linear blend between the endpoint limit and the
     quotient value at the zone boundary.  Instances are immutable once built.
 
-    ``f`` is compiled once.  At an mpf argument outside the endpoint zones
-    the quotient runs on libmp tuples at the working precision of
-    ``precision``, with no working context and no read of ``mp.dps``.
+    ``f`` is compiled once.  Every value of g -- interior, blend zone or
+    endpoint -- and the message of an argument outside the segment are
+    formed on libmp tuples at the working precision of ``precision``; an mpf
+    argument enters no working context and reads no ``mp.dps``.
     """
 
     def __init__(self, f: Expression, a, b, n, m, alpha, beta,
@@ -86,62 +89,48 @@ class QuotientFunction:
         self.precision = precision
         with working(precision):
             self.a, self.b = finite_segment(a, b)
-            self.n = to_mpf(n)
-            self.m = to_mpf(m)
+            self.n, self.m = finite_orders(n, m)
             self.alpha = to_mpf(alpha)
             self.beta = to_mpf(beta)
-            if not all(v >= 0 and mpmath.isfinite(v) for v in (self.n, self.m)):
-                raise ConfigurationError("root orders n, m must be finite and nonnegative")
             for name, v in (("alpha", self.alpha), ("beta", self.beta)):
                 if not mpmath.isfinite(v) or v == 0:
                     raise ConfigurationError(
                         f"endpoint limit {name} must be finite and non-zero, got {v}"
                     )
-            self._edge = (self.b - self.a) * to_mpf(EDGE_FRACTION)
+            edge = (self.b - self.a) * to_mpf(EDGE_FRACTION)
+            # per end: its limit and the zone boundary where the blend meets g
+            self._zones = ((self.alpha._mpf_, (self.a + edge)._mpf_),
+                           (self.beta._mpf_, (self.b - edge)._mpf_))
         self.f = f
         self._prec = working_prec(precision)
+        self._edge = edge._mpf_
         self._quotient = _quotient(f, self.a, self.b, self.n, self.m, precision)
         self._edge_values = {}
 
-    def _edge_value(self, which):
-        v = self._edge_values.get(which)
-        if v is None:
-            x0 = self.a + self._edge if which == "a" else self.b - self._edge
-            v = self._edge_values[which] = mp.make_mpf(self._quotient(x0._mpf_))
-        return v
-
     def evaluate(self, x):
-        if isinstance(x, mpmath.mpf):
-            t, prec, rn = x._mpf_, self._prec, round_nearest
-            a, b, edge = self.a._mpf_, self.b._mpf_, self._edge._mpf_
-            if (mpf_lt(a, t) and mpf_lt(t, b) and not mpf_lt(mpf_sub(t, a, prec, rn), edge)
-                    and not mpf_lt(mpf_sub(b, t, prec, rn), edge)):
+        if not isinstance(x, mpmath.mpf):
+            with working(self.precision):
+                x = to_mpf(x)
+        t, prec, rn = x._mpf_, self._prec, round_nearest
+        a, b, edge = self.a._mpf_, self.b._mpf_, self._edge
+        if mpf_lt(a, t) and mpf_lt(t, b):
+            da, db = mpf_sub(t, a, prec, rn), mpf_sub(b, t, prec, rn)
+            if not (mpf_lt(da, edge) or mpf_lt(db, edge)):
                 return mp.make_mpf(self._quotient(t))
-        # an endpoint, the blend zone, or an argument still to convert
-        with working(self.precision):
-            xv = to_mpf(x)
-            if xv == self.a:
-                return +self.alpha
-            if xv == self.b:
-                return +self.beta
-            if not self.a < xv < self.b:
-                raise DomainError(f"{xv} outside segment [{self.a}, {self.b}]")
-            if xv - self.a < self._edge:
-                g0 = self._edge_value("a")
-                return self.alpha + (g0 - self.alpha) * (xv - self.a) / self._edge
-            if self.b - xv < self._edge:
-                g0 = self._edge_value("b")
-                return self.beta + (g0 - self.beta) * (self.b - xv) / self._edge
-            return mp.make_mpf(self._quotient(xv._mpf_))
+            # the blend lim + ((g0 - lim) * d) / edge toward the nearer end
+            side, d = (0, da) if mpf_lt(da, edge) else (1, db)
+            lim, x0 = self._zones[side]
+            g0 = self._edge_values.get(side)
+            if g0 is None:
+                g0 = self._edge_values[side] = self._quotient(x0)
+            step = mpf_div(mpf_mul(mpf_sub(g0, lim, prec, rn), d, prec, rn), edge, prec, rn)
+            return mp.make_mpf(mpf_add(lim, step, prec, rn))
+        for end, lim in ((a, self.alpha), (b, self.beta)):
+            if mpf_eq(t, end):
+                return mp.make_mpf(mpf_pos(lim._mpf_, prec, rn))
+        raise DomainError(f"{show(t, prec)} outside segment [{show(a, prec)}, {show(b, prec)}]")
 
     __call__ = evaluate
-
-
-def _as_order(value, name):
-    v = to_mpf(value)
-    if not mpmath.isfinite(v) or v < 0 or v != int(v):
-        raise ConfigurationError(f"{name} must be a nonnegative integer for the Taylor route, got {value}")
-    return int(v)
 
 
 def endpoint_limits_taylor(f: Expression, a, b, n, m, p: Precision = Precision(),
@@ -155,8 +144,10 @@ def endpoint_limits_taylor(f: Expression, a, b, n, m, p: Precision = Precision()
     """
     with working(p):
         av, bv = finite_segment(a, b)
-        ni = _as_order(n, "n")
-        mi = _as_order(m, "m")
+        nv, mv = finite_orders(n, m)
+        if nv != int(nv) or mv != int(mv):
+            raise ConfigurationError(f"the Taylor route needs integer orders, got n={nv}, m={mv}")
+        ni, mi = int(nv), int(mv)
         tol = to_mpf(vanish_tol)
         derivs = [f]
         for _ in range(max(ni, mi)):
@@ -249,10 +240,7 @@ def endpoint_limits_numeric(f: Expression, a, b, n, m, p: Precision = Precision(
     """
     with working(p):
         av, bv = finite_segment(a, b)
-        nv = to_mpf(n)
-        mv = to_mpf(m)
-        if not all(v >= 0 and mpmath.isfinite(v) for v in (nv, mv)):
-            raise ConfigurationError("orders must be finite and nonnegative")
+        nv, mv = finite_orders(n, m)
         tol = to_mpf(stabilize_tol)
         span = bv - av
         q = _quotient(f, av, bv, nv, mv, p)

@@ -110,8 +110,7 @@ class Polynomial:
     def from_monomial(coefficients, a, b, p: Precision = Precision()) -> "Polynomial":
         """Chebyshev form of a monomial-basis polynomial on [a, b]."""
         with working(p):
-            av = to_mpf(a)
-            bv = to_mpf(b)
+            av, bv = finite_segment(a, b)
             coeffs = [to_mpf(c) for c in coefficients]
             k = len(coeffs) - 1
             mid = (av + bv) / 2
@@ -173,13 +172,6 @@ class CachedFunction:
         return v
 
 
-def initial_nodes(a, b, k: int):
-    """The k+2 Chebyshev extremum abscissae of [a, b], endpoints included."""
-    if not isinstance(k, int) or k < 0:
-        raise ConfigurationError(f"degree must be a nonnegative integer, got {k!r}")
-    return _chebyshev_grid(*finite_segment(a, b), k + 2)
-
-
 def _chebyshev_grid(a, b, count):
     """The ``count`` Chebyshev extremum abscissae of [a, b], endpoints included."""
     mid = (a + b) / 2
@@ -191,38 +183,28 @@ def _chebyshev_grid(a, b, count):
     )
 
 
-def solve_levelled_system(g, nodes, a, b, p: Precision = Precision()):
+def _solve_levelled_system(g, nodes, a, b, p: Precision):
     """Solve g(t_i) = P(t_i) + (-1)^i h for the degree-k polynomial and h.
 
-    ``nodes`` must be k+2 strictly increasing points of [a, b]; the system is
-    solved by Gaussian elimination with full pivoting at working precision.
+    ``nodes`` are k+2 strictly increasing mpf points of the mpf segment
+    [a, b]; the system is solved by Gaussian elimination with full pivoting
+    in the caller's working context.
     """
-    with working(p):
-        av = to_mpf(a)
-        bv = to_mpf(b)
-        ts = [to_mpf(t) for t in nodes]
-        size = len(ts)
-        if size < 2:
-            raise ConfigurationError("need at least 2 nodes")
-        for l, r in zip(ts, ts[1:]):
-            if not l < r:
-                raise SingularSystemError("nodes must be strictly increasing")
-        k = size - 2
-        rows = []
-        rhs = []
-        for i, t in enumerate(ts):
-            u = (2 * t - av - bv) / (bv - av)
-            basis = [mp.mpf(1)]
-            if k >= 1:
-                basis.append(u)
-            for _ in range(2, k + 1):
-                basis.append(2 * u * basis[-1] - basis[-2])
-            rows.append(basis + [mp.mpf(-1) ** i])
-            rhs.append(to_mpf(g(t)))
-        sol = _solve_full_pivot(rows, rhs, p)
-        coeffs = tuple(+c for c in sol[: k + 1])
-        h = +sol[k + 1]
-        return Polynomial(coefficients=coeffs, segment=(av, bv)), h
+    k = len(nodes) - 2
+    rows = []
+    rhs = []
+    for i, t in enumerate(nodes):
+        u = (2 * t - a - b) / (b - a)
+        basis = [mp.mpf(1)]
+        if k >= 1:
+            basis.append(u)
+        for _ in range(2, k + 1):
+            basis.append(2 * u * basis[-1] - basis[-2])
+        rows.append(basis + [mp.mpf(-1) ** i])
+        rhs.append(g(t))
+    sol = _solve_full_pivot(rows, rhs, p)
+    coeffs = tuple(+c for c in sol[: k + 1])
+    return Polynomial(coefficients=coeffs, segment=(a, b)), +sol[k + 1]
 
 
 def _solve_full_pivot(rows, rhs, p: Precision):
@@ -433,10 +415,10 @@ def minimax(g, a, b, k: int, tol="1e-12", p: Precision = Precision(),
             )
         gc = g if isinstance(g, CachedFunction) else CachedFunction(g)
         grid = _chebyshev_grid(av, bv, grid_multiplier * (k + 2))
-        nodes = initial_nodes(av, bv, k)
+        nodes = _chebyshev_grid(av, bv, k + 2)
         history = []
         for iteration in range(1, max_iterations + 1):
-            poly, h = solve_levelled_system(gc, nodes, av, bv, p)
+            poly, h = _solve_levelled_system(gc, nodes, av, bv, p)
             history.append(abs(h))
             rvals = [gc(x) - poly.evaluate(x) for x in grid]
             grid_max = max(abs(r) for r in rvals)

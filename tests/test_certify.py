@@ -10,7 +10,6 @@ from mpmath import mp
 from ineqprove import (
     CertificationError,
     ConfigurationError,
-    Outcome,
     Polynomial,
     Precision,
     ProofSettings,
@@ -19,7 +18,7 @@ from ineqprove import (
     certify_positive,
     endpoint_limits_numeric,
     endpoint_limits_taylor,
-    initial_nodes,
+    find_inflection,
     minimax,
     parse,
     precondition_check,
@@ -39,13 +38,13 @@ def make_poly(monomial, a=0, b=1):
 
 class TestPrecondition:
     def test_both_positive(self, p50):
-        assert precondition_check(1, "0.5", p50) is Outcome.PROCEED
+        assert precondition_check(1, "0.5", p50) is None
 
     def test_negative_alpha(self, p50):
-        assert precondition_check(-1, "0.5", p50) is Outcome.DISPROVEN_ALPHA
+        assert precondition_check(-1, "0.5", p50) == "alpha"
 
     def test_negative_beta(self, p50):
-        assert precondition_check(1, "-0.5", p50) is Outcome.DISPROVEN_BETA
+        assert precondition_check(1, "-0.5", p50) == "beta"
 
     def test_zero_limit(self, p50):
         with pytest.raises(ZeroLimitError):
@@ -495,17 +494,32 @@ class TestProvePipeline:
     @pytest.mark.parametrize("a, b, end", [(0, "inf", "b"), ("-inf", 1, "a")])
     @pytest.mark.parametrize("entry", [
         lambda a, b, p: prove_inequality("x", a, b, 1, 0, 1, ProofSettings(precision=p)),
-        lambda a, b, p: initial_nodes(a, b, 1),
         lambda a, b, p: minimax(lambda x: x, a, b, 1, p=p),
         lambda a, b, p: endpoint_limits_taylor(parse("x"), a, b, 1, 0, p),
         lambda a, b, p: endpoint_limits_numeric(parse("x"), a, b, 1, 0, p),
         lambda a, b, p: QuotientFunction(parse("x"), a, b, 1, 0, 1, 1, p),
-    ], ids=["prove_inequality", "initial_nodes", "minimax", "endpoint_limits_taylor",
-            "endpoint_limits_numeric", "QuotientFunction"])
+        lambda a, b, p: Polynomial.from_monomial(["-1", "0", "1"], a, b, p),
+        lambda a, b, p: find_inflection(p, bracket=(a, b)),
+    ], ids=["prove_inequality", "minimax", "endpoint_limits_taylor",
+            "endpoint_limits_numeric", "QuotientFunction", "from_monomial", "find_inflection"])
     def test_infinite_segment_end_refused(self, entry, a, b, end, p30):
         with working(p30), pytest.raises(ConfigurationError,
                                          match=f"segment end {end} must be finite"):
             entry(a, b, p30)
+
+    def test_segment_end_rounded_to_working_precision(self, p30):
+        # an end carrying the bits of a higher ambient precision proves what
+        # that end rounded to the working precision proves
+        settings = ProofSettings(precision=p30)
+        with mp.workdps(80):
+            fine = mp.mpf(1) / 3
+        with working(p30):
+            rounded = +fine
+        assert fine != rounded
+        reports = [report_to_json(prove_inequality("exp(x)-1-x", 0, end, 2, 0, 1, settings), p30)
+                   for end in (fine, rounded)]
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["verdict"] == "proven"
 
     def test_g_evaluation_count(self, p50):
         # 706 with golden-section polishing, about 44 calls per extremum

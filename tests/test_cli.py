@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from ineqprove import ProofSettings, prove_inequality, report_to_json
-from ineqprove.cli import main
+from ineqprove.cli import _SETTING_KEYS, build_parser, main
 
 
 def write_config(path, **kwargs):
@@ -111,6 +111,17 @@ class TestProveCommand:
         assert json.loads(out.read_text())["settings"] == report.settings
         assert out.read_text() == report_to_json(report) + "\n"
 
+    def test_every_setting_key_has_a_flag(self, tmp_path):
+        parser = build_parser()
+        for key in _SETTING_KEYS:
+            args = parser.parse_args(["prove", "--" + key.replace("_", "-"), "7"])
+            assert getattr(args, key) == "7"
+        out = tmp_path / "report.json"
+        assert main(["prove", "--function", "x*(1-x)", "--interval", "0,1", "--n", "1",
+                     "--m", "1", "--precision", "30", "--equioscillation-rel-tol", "1e-5",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["settings"]["equioscillation_rel_tol"] == "1e-5"
+
     def test_byte_identical_reports(self, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
@@ -199,6 +210,8 @@ class TestExitContract:
 
     @pytest.mark.parametrize("argv", [
         ["prove", "--function", "x*(1-x)", "--interval", "x,1", "--n", "1", "--m", "1"],
+        ["prove", "--function", "x*(1-x)", "--interval", "0,1", "--n", "1", "--m", "1",
+         "--grid-multiplier", "many"],
         ["kurepa", "--x", "nan"],
     ])
     def test_bad_number_is_configuration_error(self, argv, capsys):

@@ -7,6 +7,7 @@ from mpmath import mp
 from ineqprove import (
     ConfigurationError,
     DivergentLimitError,
+    DomainError,
     MultiplicityError,
     QuotientFunction,
     ZeroLimitError,
@@ -148,15 +149,44 @@ class TestQuotientFunction:
             assert all(gap <= mp.mpf("1e-6") * abs(beta) for gap in gaps_b[6:])
 
     def test_result_independent_of_ambient_context(self, p50):
-        g = QuotientFunction(parse(ARCSIN_DIFF_SOURCE), 0, 1, 3, "0.5", 1, 1, p50)
-        xs = [mpmath.mpf(v) for v in ("1e-9", "0.3", "0.7", "0.999999999")]
-        reference = [g.evaluate(x)._mpf_ for x in xs]
+        g = QuotientFunction(parse(ARCSIN_DIFF_SOURCE), 0, 1, 3, "0.5", 1, "1/3", p50)
+        xs = [mpmath.mpf(v) for v in ("0", "1e-9", "0.3", "0.7", "0.999999999", "1")]
+        outside = mpmath.mpf(4) / 3
+
+        def outcomes():
+            with pytest.raises(DomainError) as err:
+                g.evaluate(outside)
+            return [g.evaluate(x)._mpf_ for x in xs], str(err.value)
+
+        reference = outcomes()
+        assert reference[1].endswith(" outside segment [0.0, 1.0]")
         old = mp.dps
         try:
-            mp.dps = 15
-            assert [g.evaluate(x)._mpf_ for x in xs] == reference
+            for dps in (15, 80):
+                mp.dps = dps
+                assert outcomes() == reference
         finally:
             mp.dps = old
+
+    def test_mpf_arguments_enter_no_working_context(self, p50, monkeypatch):
+        g = QuotientFunction(parse("sin(x)*(1-x)"), 0, 1, 1, 1, "0.9", "0.8", p50)
+        # both endpoints, both blend zones and the interior
+        points = ("0", "1e-10", "0.5", "0.9999999999", "1")
+        with working(p50):
+            xs = [mp.mpf(v) for v in points]
+
+        def refuse(p):
+            raise AssertionError("an mpf argument entered a working context")
+
+        monkeypatch.setattr("ineqprove.quotient.working", refuse)
+        values = [g.evaluate(x)._mpf_ for x in xs]
+        for x in (mpmath.mpf(-1), mpmath.mpf(2)):
+            with pytest.raises(DomainError):
+                g.evaluate(x)
+        monkeypatch.undo()
+        # a text argument is converted in a working context, to the same values
+        assert values == [g.evaluate(v)._mpf_ for v in points]
+        assert values[0] == g.alpha._mpf_ and values[-1] == g.beta._mpf_
 
     def test_invalid_limits_rejected(self, p50):
         f = parse("x*(1-x)")

@@ -8,64 +8,61 @@ from ineqprove import (
     ConfigurationError,
     Polynomial,
     Precision,
-    SingularSystemError,
-    initial_nodes,
     minimax,
-    solve_levelled_system,
     verify_equioscillation,
     working,
 )
 from ineqprove import remez
-from ineqprove.remez import MinimaxResult, _polish_max
+from ineqprove.remez import MinimaxResult, _chebyshev_grid, _polish_max, _solve_levelled_system
 
 
 class TestInitialNodes:
-    def test_symmetric_unit(self):
-        nodes = initial_nodes(-1, 1, 1)
+    """The k+2 Chebyshev extremum abscissae minimax starts from."""
+
+    def test_symmetric_unit(self, p50):
+        with working(p50):
+            nodes = _chebyshev_grid(mp.mpf(-1), mp.mpf(1), 3)
         assert nodes[0] == -1 and nodes[2] == 1
         assert abs(nodes[1]) < mpmath.mpf("1e-50")
 
-    def test_affine_map(self):
-        nodes = initial_nodes(0, 1, 1)
+    def test_affine_map(self, p50):
+        with working(p50):
+            nodes = _chebyshev_grid(mp.mpf(0), mp.mpf(1), 3)
         assert nodes[0] == 0 and nodes[2] == 1
         assert abs(nodes[1] - mpmath.mpf("0.5")) < mpmath.mpf("1e-50")
 
-    def test_degree_two(self):
-        nodes = initial_nodes(-1, 1, 2)
+    def test_degree_two(self, p50):
+        with working(p50):
+            nodes = _chebyshev_grid(mp.mpf(-1), mp.mpf(1), 4)
         expected = ["-1", "-0.5", "0.5", "1"]
         for node, want in zip(nodes, expected):
             assert abs(node - mpmath.mpf(want)) < mpmath.mpf("1e-50")
 
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            initial_nodes(1, 0, 1)
-        with pytest.raises(ConfigurationError):
-            initial_nodes(0, 1, -1)
+
+def _levelled(g, nodes, a, b, p):
+    with working(p):
+        return _solve_levelled_system(g, [mp.mpf(t) for t in nodes], mp.mpf(a), mp.mpf(b), p)
 
 
 class TestLevelledSystem:
     def test_parabola_three_nodes(self, p50):
         # 3x3 hand solve: 1 = P(-1)+h, 0 = P(0)-h, 1 = P(1)+h gives P = 1/2, h = 1/2
-        P, h = solve_levelled_system(lambda x: x * x, (-1, 0, 1), -1, 1, p50)
+        P, h = _levelled(lambda x: x * x, (-1, 0, 1), -1, 1, p50)
         assert abs(h - mpmath.mpf("0.5")) < mpmath.mpf("1e-50")
         assert abs(P.coefficients[0] - mpmath.mpf("0.5")) < mpmath.mpf("1e-50")
         assert abs(P.coefficients[1]) < mpmath.mpf("1e-50")
 
     def test_constant_exact(self, p50):
-        P, h = solve_levelled_system(lambda x: mpmath.mpf(7), ("0.2", "0.8"), 0, 1, p50)
+        P, h = _levelled(lambda x: mpmath.mpf(7), ("0.2", "0.8"), 0, 1, p50)
         assert abs(P.coefficients[0] - 7) < mpmath.mpf("1e-49")
         assert abs(h) < mpmath.mpf("1e-49")
 
     def test_linear_exact(self, p50):
-        P, h = solve_levelled_system(lambda x: x, (0, "0.5", 1), 0, 1, p50)
+        P, h = _levelled(lambda x: x, (0, "0.5", 1), 0, 1, p50)
         assert abs(h) < mpmath.mpf("1e-50")
         mono = P.to_monomial()
         assert abs(mono[0]) < mpmath.mpf("1e-49")
         assert abs(mono[1] - 1) < mpmath.mpf("1e-49")
-
-    def test_coincident_nodes_rejected(self, p50):
-        with pytest.raises(SingularSystemError):
-            solve_levelled_system(lambda x: x, (0, 0, 1), 0, 1, p50)
 
 
 class TestExchange:
