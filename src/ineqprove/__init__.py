@@ -38,7 +38,7 @@ from .errors import (
     ZeroLimitError,
 )
 from .expr import Expression, differentiate, evaluate, parse
-from .precision import Precision, decimal_str, to_mpf, working
+from .precision import Precision, decimal_str, to_mpf
 from .quadrature import (
     QuadratureResult,
     find_inflection,
@@ -110,5 +110,4 @@ __all__ = [
     "residual_check",
     "to_mpf",
     "verify_equioscillation",
-    "working",
 ]

@@ -22,6 +22,7 @@ claims disproof, only a concrete negative witness does.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import itertools
 import json
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import mpmath
-from mpmath import libmp, mp
+from mpmath import libmp
 
 from .errors import (
     AlternationError,
@@ -48,12 +49,12 @@ from .errors import (
 from .expr import Expression, evaluate, parse
 from .precision import (
     Precision,
+    context,
     decimal_str,
     finite_orders,
     finite_segment,
     resolution_floor,
     to_mpf,
-    working,
 )
 from .quotient import (
     LimitMethod,
@@ -145,22 +146,20 @@ def precondition_check(alpha, beta, p: Precision = Precision()):
 
     A limit at zero means misconfigured n, m and raises ZeroLimitError.
     """
-    with working(p):
-        av = to_mpf(alpha)
-        bv = to_mpf(beta)
-        floor = resolution_floor(p)
-        for name, v in (("alpha", av), ("beta", bv)):
-            if abs(v) <= floor:
-                raise ZeroLimitError(
-                    f"endpoint limit {name} is zero at working precision; "
-                    "n, m are misconfigured (limit premise violated)",
-                    endpoint=name,
-                )
-        if av < 0:
-            return "alpha"
-        if bv < 0:
-            return "beta"
-        return None
+    av, bv = to_mpf(alpha, p), to_mpf(beta, p)
+    floor = resolution_floor(p)
+    for name, v in (("alpha", av), ("beta", bv)):
+        if abs(v) <= floor:
+            raise ZeroLimitError(
+                f"endpoint limit {name} is zero at working precision; "
+                "n, m are misconfigured (limit premise violated)",
+                endpoint=name,
+            )
+    if av < 0:
+        return "alpha"
+    if bv < 0:
+        return "beta"
+    return None
 
 
 def residual_check(g, polynomial: Polynomial, delta, grid_size: int,
@@ -175,20 +174,20 @@ def residual_check(g, polynomial: Polynomial, delta, grid_size: int,
         raise ConfigurationError(
             f"grid_size must be at least 4*(degree+2) = {4 * (degree + 2)}"
         )
-    with working(p):
-        pts = _chebyshev_grid(*polynomial.segment, grid_size)
-        pts += tuple(to_mpf(x) for x in extra_points)
-        # the first point of largest residual
-        max_res, max_loc = max(((abs(g(x) - polynomial.evaluate(x)), x) for x in pts),
-                               key=lambda item: item[0])
-        threshold = to_mpf(delta) * (1 + mp.mpf(10) ** -6)
-        return GridStatistics(
-            passed=bool(max_res <= threshold),
-            max_residual=+max_res,
-            max_location=+max_loc,
-            threshold=+threshold,
-            sample_count=len(pts),
-        )
+    g = g if isinstance(g, CachedFunction) else CachedFunction(g)
+    pts = _chebyshev_grid(*(to_mpf(v, p) for v in polynomial.segment), grid_size)
+    pts += tuple(to_mpf(x, p) for x in extra_points)
+    # the first point of largest residual
+    max_res, max_loc = max(((abs(g(x) - polynomial.evaluate(x)), x) for x in pts),
+                           key=lambda item: item[0])
+    threshold = to_mpf(delta, p) * (1 + context(p).mpf(10) ** -6)
+    return GridStatistics(
+        passed=bool(max_res <= threshold),
+        max_residual=+max_res,
+        max_location=+max_loc,
+        threshold=+threshold,
+        sample_count=len(pts),
+    )
 
 
 def _dyadic(value):
@@ -263,138 +262,137 @@ def certify_positive(polynomial: Polynomial, delta, margin_factor,
             f"certification requires at least {CERTIFICATION_MIN_DIGITS} decimal digits, "
             f"got {p.decimal_digits}"
         )
-    with working(p):
-        dv = to_mpf(delta)
-        mv = to_mpf(margin_factor)
-        slack = to_mpf(rel_slack)
-        coefficients = [to_mpf(c) for c in polynomial.coefficients]
-        a, b = polynomial.segment
-        inputs = [("delta", dv), ("margin_factor", mv), ("rel_slack", slack),
-                  ("segment end", a), ("segment end", b)]
-        inputs += [("coefficient", c) for c in coefficients]
-        for name, value in inputs:
-            if not mpmath.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
-        if dv < 0:
-            raise ConfigurationError("delta must be nonnegative")
-        if not (1 < mv <= 2):
-            raise ConfigurationError("margin_factor must lie in (1, 2]")
+    ctx = context(p)
+    dv = to_mpf(delta, p)
+    mv = to_mpf(margin_factor, p)
+    slack = to_mpf(rel_slack, p)
+    coefficients = [to_mpf(c, p) for c in polynomial.coefficients]
+    a, b = (to_mpf(v, p) for v in polynomial.segment)
+    inputs = [("delta", dv), ("margin_factor", mv), ("rel_slack", slack),
+              ("segment end", a), ("segment end", b)]
+    inputs += [("coefficient", c) for c in coefficients]
+    for name, value in inputs:
+        if not mpmath.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
+    if dv < 0:
+        raise ConfigurationError("delta must be nonnegative")
+    if not (1 < mv <= 2):
+        raise ConfigurationError("margin_factor must lie in (1, 2]")
 
-        # every value is an integer times 2**low, and leaves at depth d
-        # scale their coefficients by 2**(n*d): compare at the deepest scale
-        n = len(coefficients) - 1
-        cheb = [_dyadic(c) for c in coefficients]
-        (dn, de), (mn, me) = _dyadic(dv), _dyadic(mv)
-        margin = (dn * mn, de + me)
-        low = min(e for _, e in cheb + [margin])
-        fact = math.factorial(n)
-        root = [v - (margin[0] << (margin[1] - low)) * fact
-                for v in _bernstein([c << (e - low) for c, e in cheb])]
-        slack_num, slack_den = libmp.to_rational(slack._mpf_)
+    # every value is an integer times 2**low, and leaves at depth d
+    # scale their coefficients by 2**(n*d): compare at the deepest scale
+    n = len(coefficients) - 1
+    cheb = [_dyadic(c) for c in coefficients]
+    (dn, de), (mn, me) = _dyadic(dv), _dyadic(mv)
+    margin = (dn * mn, de + me)
+    low = min(e for _, e in cheb + [margin])
+    fact = math.factorial(n)
+    root = [v - (margin[0] << (margin[1] - low)) * fact
+            for v in _bernstein([c << (e - low) for c, e in cheb])]
+    slack_num, slack_den = libmp.to_rational(slack._mpf_)
 
-        def key(value, depth):
-            return value << (n * (max_depth - depth))
+    def key(value, depth):
+        return value << (n * (max_depth - depth))
 
-        def floor_mpf(value, depth):
-            raw = libmp.from_rational(value, fact, mp.prec, libmp.round_floor)
-            return mp.make_mpf(libmp.mpf_shift(raw, low - n * depth))
+    def floor_mpf(value, depth):
+        raw = libmp.from_rational(value, fact, ctx.prec, libmp.round_floor)
+        return ctx.make_mpf(libmp.mpf_shift(raw, low - n * depth))
 
-        def point(value, depth, x):
-            # an exact value of P - delta*margin
-            if value <= 0:
-                bound = floor_mpf(value, depth)
-                raise CertificationError(
-                    f"positivity not certified: P - delta*margin = "
-                    f"{mpmath.nstr(bound, 8)} at x = {mpmath.nstr(x, 17)}; "
-                    "the error bound is too large for this degree",
-                    left=+x, right=+x, bound=bound,
-                )
-            return key(value, depth)
+    def point(value, depth, x):
+        # an exact value of P - delta*margin
+        if value <= 0:
+            bound = floor_mpf(value, depth)
+            raise CertificationError(
+                f"positivity not certified: P - delta*margin = "
+                f"{mpmath.nstr(bound, 8)} at x = {mpmath.nstr(x, 17)}; "
+                "the error bound is too large for this degree",
+                left=+x, right=+x, bound=bound,
+            )
+        return key(value, depth)
 
-        least = min(point(root[0], 0, a), point(root[-1], 0, b))
-        order = itertools.count()
-        # (scaled lower bound, creation order, depth, coefficients, lo, hi)
-        heap = [(key(min(root), 0), next(order), 0, root, a, b)]
-        while True:
-            bound, _, depth, coeffs, lo, hi = heap[0]
-            if bound > 0 and (depth >= max_depth
-                              or (least - bound) * slack_den <= slack_num * bound):
-                break
-            if depth >= max_depth:
-                lower = floor_mpf(min(coeffs), depth)
-                raise CertificationError(
-                    "positivity not certified: subinterval "
-                    f"[{mpmath.nstr(lo, 17)}, {mpmath.nstr(hi, 17)}] reached the "
-                    f"width floor with lower bound {mpmath.nstr(lower, 8)}; "
-                    "the error bound is too large for this degree",
-                    left=+lo, right=+hi, bound=lower,
-                )
-            if len(heap) >= max_subintervals:
-                raise CertificationError(
-                    f"positivity not certified within {max_subintervals} "
-                    "subintervals; the enclosure cannot separate P from "
-                    "delta at this degree",
-                    left=+lo, right=+hi, bound=floor_mpf(min(coeffs), depth),
-                )
-            heapq.heappop(heap)
-            left, right = _split(coeffs)
-            mid = (lo + hi) / 2
-            least = min(least, point(left[-1], depth + 1, mid))
-            for child, ends in ((left, (lo, mid)), (right, (mid, hi))):
-                heapq.heappush(heap, (key(min(child), depth + 1), next(order),
-                                      depth + 1, child, *ends))
-        # the leaves tile [a, b], so their left ends order them
-        heap.sort(key=lambda leaf: leaf[4])
-        leaves = tuple((lo, hi, floor_mpf(min(coeffs), depth))
-                       for _, _, depth, coeffs, lo, hi in heap)
-        return PositivityCertificate(
-            polynomial=polynomial,
-            delta=+dv,
-            margin_factor=+mv,
-            subintervals=leaves,
-            global_min_bound=min(bound for _, _, bound in leaves),
-        )
+    least = min(point(root[0], 0, a), point(root[-1], 0, b))
+    order = itertools.count()
+    # (scaled lower bound, creation order, depth, coefficients, lo, hi)
+    heap = [(key(min(root), 0), next(order), 0, root, a, b)]
+    while True:
+        bound, _, depth, coeffs, lo, hi = heap[0]
+        if bound > 0 and (depth >= max_depth
+                          or (least - bound) * slack_den <= slack_num * bound):
+            break
+        if depth >= max_depth:
+            lower = floor_mpf(min(coeffs), depth)
+            raise CertificationError(
+                "positivity not certified: subinterval "
+                f"[{mpmath.nstr(lo, 17)}, {mpmath.nstr(hi, 17)}] reached the "
+                f"width floor with lower bound {mpmath.nstr(lower, 8)}; "
+                "the error bound is too large for this degree",
+                left=+lo, right=+hi, bound=lower,
+            )
+        if len(heap) >= max_subintervals:
+            raise CertificationError(
+                f"positivity not certified within {max_subintervals} "
+                "subintervals; the enclosure cannot separate P from "
+                "delta at this degree",
+                left=+lo, right=+hi, bound=floor_mpf(min(coeffs), depth),
+            )
+        heapq.heappop(heap)
+        left, right = _split(coeffs)
+        mid = (lo + hi) / 2
+        least = min(least, point(left[-1], depth + 1, mid))
+        for child, ends in ((left, (lo, mid)), (right, (mid, hi))):
+            heapq.heappush(heap, (key(min(child), depth + 1), next(order),
+                                  depth + 1, child, *ends))
+    # the leaves tile [a, b], so their left ends order them
+    heap.sort(key=lambda leaf: leaf[4])
+    leaves = tuple((lo, hi, floor_mpf(min(coeffs), depth))
+                   for _, _, depth, coeffs, lo, hi in heap)
+    return PositivityCertificate(
+        polynomial=polynomial,
+        delta=+dv,
+        margin_factor=+mv,
+        subintervals=leaves,
+        global_min_bound=min(bound for _, _, bound in leaves),
+    )
+
+
+# settings that may be numbers: a number is rounded to the working precision
+# at entry, as segment ends are, and a string is read where it is used
+_NUMBER_SETTINGS = ("tol", "margin_factor", "equioscillation_rel_tol",
+                    "alpha_override", "beta_override")
 
 
 def _settings_echo(f_source, a, b, n, m, k, s: ProofSettings, residual_grid_size):
     p = s.precision
-    return {
-        "function": f_source,
-        "interval": [decimal_str(a, p), decimal_str(b, p)],
-        "n": decimal_str(n, p),
-        "m": decimal_str(m, p),
-        "degree": k,
-        "precision_digits": p.decimal_digits,
-        "tol": str(s.tol),
-        "grid_multiplier": s.grid_multiplier,
-        "residual_grid_size": residual_grid_size,
-        "margin_factor": str(s.margin_factor),
-        "equioscillation_rel_tol": str(s.equioscillation_rel_tol),
-        "max_iterations": s.max_iterations,
-        "limit_method": s.limit_method,
-        "alpha_override": None if s.alpha_override is None else str(s.alpha_override),
-        "beta_override": None if s.beta_override is None else str(s.beta_override),
-    }
+    echo = {"function": f_source, "interval": [decimal_str(a, p), decimal_str(b, p)],
+            "n": decimal_str(n, p), "m": decimal_str(m, p), "degree": k,
+            "precision_digits": p.decimal_digits}
+    # the other settings in field order: a number, an mpf since entry, at full
+    # working precision, anything else verbatim
+    for name in (f.name for f in dataclasses.fields(s)[1:]):
+        value = getattr(s, name)
+        echo[name] = decimal_str(value, p) if hasattr(value, "_mpf_") else value
+    echo["residual_grid_size"] = residual_grid_size
+    return echo
 
 
 def _disproof_witness(run):
     """Diagnostics entry of an interior sample with clearly negative f, if g's cache holds one."""
     p = run.p
-    with working(p):
-        scale = max(mp.mpf(1), abs(run.fields["alpha"]), abs(run.fields["beta"]))
-        floor = mp.mpf(10) ** (-(p.decimal_digits - 15)) * scale
-        # the first sample of smallest g
-        worst_x, worst_g = min(run.g.values.items(), key=lambda item: item[1],
-                               default=(None, 0))
-        if worst_g >= -floor:
-            return None
-        try:
-            fv = evaluate(run.f, worst_x, p)
-        except IneqproveError:
-            return None
-        if fv < -floor:
-            return {"x": decimal_str(worst_x, p), "f_value": decimal_str(fv, p)}
+    ctx = context(p)
+    scale = max(ctx.mpf(1), abs(run.fields["alpha"]), abs(run.fields["beta"]))
+    floor = ctx.mpf(10) ** (-(p.decimal_digits - 15)) * scale
+    # the first sample of smallest g
+    worst_x, worst_g = min(run.g.values.items(), key=lambda item: item[1],
+                           default=(None, 0))
+    if worst_g >= -floor:
         return None
+    try:
+        fv = evaluate(run.f, worst_x, p)
+    except IneqproveError:
+        return None
+    if fv < -floor:
+        return {"x": decimal_str(worst_x, p), "f_value": decimal_str(fv, p)}
+    return None
 
 
 # failures of an endpoint-limit route that make a proof inconclusive
@@ -414,14 +412,14 @@ def _numeric_cross_check(f, av, bv, nv, mv, p: Precision, alpha=None, beta=None)
         alpha_num, beta_num = endpoint_limits_numeric(f, av, bv, nv, mv, p)
     except IneqproveError as exc:
         return {"failed": f"{type(exc).__name__}: {exc}"}
-    with working(p):
-        entry = {"alpha_numeric": decimal_str(alpha_num, p),
-                 "beta_numeric": decimal_str(beta_num, p)}
-        if alpha is not None:
-            entry["alpha_relative_gap"] = decimal_str(
-                abs(alpha - alpha_num) / max(abs(alpha), mp.mpf(10) ** -30), p)
-            entry["beta_relative_gap"] = decimal_str(
-                abs(beta - beta_num) / max(abs(beta), mp.mpf(10) ** -30), p)
+    tiny = context(p).mpf(10) ** -30
+    entry = {"alpha_numeric": decimal_str(alpha_num, p),
+             "beta_numeric": decimal_str(beta_num, p)}
+    if alpha is not None:
+        entry["alpha_relative_gap"] = decimal_str(
+            abs(alpha - alpha_num) / max(abs(alpha), tiny), p)
+        entry["beta_relative_gap"] = decimal_str(
+            abs(beta - beta_num) / max(abs(beta), tiny), p)
     return entry
 
 
@@ -477,9 +475,8 @@ class _Stop(NamedTuple):
 def _endpoint_limits(run: _Run):
     s, args = run.settings, run.limit_inputs
     if run.method is LimitMethod.USER_SUPPLIED:
-        with working(run.p):
-            alpha = to_mpf(s.alpha_override)
-            beta = to_mpf(s.beta_override)
+        alpha = to_mpf(s.alpha_override, run.p)
+        beta = to_mpf(s.beta_override, run.p)
     elif run.method is LimitMethod.TAYLOR:
         try:
             alpha, beta = endpoint_limits_taylor(*args)
@@ -621,9 +618,11 @@ def prove_inequality(f, a, b, n, m, k: int,
         f = parse(f)
     if not isinstance(k, int) or k < 0:
         raise ConfigurationError(f"degree must be a nonnegative integer, got {k!r}")
-    with working(p):
-        av, bv = finite_segment(a, b)
-        nv, mv = finite_orders(n, m)
+    av, bv = finite_segment(a, b, p)
+    nv, mv = finite_orders(n, m, p)
+    given = {name: getattr(s, name) for name in _NUMBER_SETTINGS}
+    s = dataclasses.replace(s, **{name: +to_mpf(v, p) for name, v in given.items()
+                                  if v is not None and not isinstance(v, str)})
 
     residual_grid_size = s.residual_grid_size or 2 * s.grid_multiplier * (k + 2)
     echo = _settings_echo(f.source_text, av, bv, nv, mv, k, s, residual_grid_size)

@@ -26,7 +26,7 @@ import mpmath
 from .certify import ProofSettings, prove_inequality, report_to_json
 from .errors import IneqproveError
 from .expr import parse
-from .precision import Precision, decimal_str, to_mpf, working
+from .precision import Precision, decimal_str, to_mpf
 from .quadrature import kurepa, kurepa_derivative
 from .quotient import endpoint_limits_numeric, endpoint_limits_taylor
 from .remez import minimax
@@ -156,8 +156,7 @@ def cmd_minimax(args) -> int:
 
 def cmd_kurepa(args) -> int:
     p = Precision(args.precision)
-    with working(p):
-        x = to_mpf(args.x)
+    x = to_mpf(args.x, p)
     # quadrature holds the default of every option left out
     extras = {key: getattr(args, key) for key in ("node_factor", "tail_factor", "max_evaluations")
               if getattr(args, key) is not None}

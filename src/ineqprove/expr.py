@@ -13,8 +13,8 @@ compact.  The canonical printer is fully parenthesized and round-trips:
 ``parse(str(e))`` is structurally identical to ``e``.
 
 Evaluation compiles a tree once into closures on raw ``mpmath.libmp``
-tuples at an explicit binary precision, round to nearest, and never reads
-``mp.dps``.  Constant subtrees are folded at compile time, unless their
+tuples at an explicit binary precision, round to nearest, and reads no
+context.  Constant subtrees are folded at compile time, unless their
 evaluation raises (``1/(1-1)``), and every result has the bits that mpmath
 arithmetic at that precision gives.  Compiled trees are memoized per
 (expression, precision) in a small bounded memo.
@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
-from mpmath import mp
 from mpmath.libmp import (
     fnone, fone, from_int, fzero, mpf_add, mpf_asin, mpf_atan, mpf_cos, mpf_div, mpf_e,
     mpf_eq, mpf_exp, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_neg, mpf_pi, mpf_pow,
@@ -42,7 +40,7 @@ from .errors import (
     IneqproveError,
     UnknownIdentifierError,
 )
-from .precision import Precision, to_mpf, working, working_prec
+from .precision import Precision, context, to_mpf
 
 UNARY_FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos", "arcsin", "arctan")
 NAMED_CONSTANTS = ("pi", "e", "sqrt2")
@@ -448,11 +446,11 @@ _UNARY = {
 
 
 def power(q: Fraction, prec, qt=None):
-    """(l, prec, rnd) -> l^q on libmp tuples, as ``mp.power`` rounds it.
+    """(l, prec, rnd) -> l^q on libmp tuples, as mpmath's ``power`` rounds it.
 
     With the domain checks of a real power: a negative l needs an integer q.
     ``qt`` is q as the tuple the power is taken with; by default q rounded
-    to prec, as ``mp.mpf(numerator) / denominator`` gives it.
+    to prec, as ``mpf(numerator) / denominator`` gives it.
     """
     if qt is None:
         qt = mpf_div(from_int(q.numerator, prec, round_nearest), from_int(q.denominator),
@@ -477,15 +475,16 @@ def _kurepa(order, p: Precision):
     from . import quadrature  # deferred: quadrature has no expr dependency
     if p is None:
         raise ConfigurationError("kurepa needs an explicit precision")
+    make = context(p).make_mpf
 
     def kurepa(v, prec, rnd):
         if mpf_lt(v, fzero):
             raise DomainError(f"kurepa argument {show(v, prec)} is negative")
         if order == 0:
-            return quadrature.kurepa(mp.make_mpf(v), p).value._mpf_
+            return quadrature.kurepa(make(v), p).value._mpf_
         if order > 3:
             raise DomainError(f"kurepa derivative of order {order} is not supported (max 3)")
-        return quadrature.kurepa_derivative(mp.make_mpf(v), order, p).value._mpf_
+        return quadrature.kurepa_derivative(make(v), order, p).value._mpf_
 
     return kurepa
 
@@ -544,24 +543,23 @@ def _compile(root: Node, prec: int, p):
 def compiled(e, p: Precision):
     """x -> e(x) on libmp tuples at the working precision of p.
 
-    Memoized per (tree, precision) in a bounded memo; ``mp.dps`` is never
-    read, so the result depends on the argument alone.
+    Memoized per (tree, precision) in a bounded memo; the result depends on
+    the argument alone.
     """
     root = e.root if isinstance(e, Expression) else e
-    return _compile(root, working_prec(p), p)
+    return _compile(root, context(p).prec, p)
 
 
 def evaluate(e: Expression, x, p: Precision = Precision()):
-    """Evaluate at x with working precision p (plus guard digits)."""
-    fn = compiled(e, p)
-    if not isinstance(x, mpmath.mpf):
-        with working(p):
-            x = to_mpf(x)
-    return mp.make_mpf(fn(x._mpf_))
+    """Evaluate at x with working precision p (plus guard digits).
+
+    An mpf x keeps its bits; the value is an mpf of p's working context.
+    """
+    return context(p).make_mpf(compiled(e, p)(to_mpf(x, p)._mpf_))
 
 
-def constant_value(source: str):
-    """Value of a constant expression at the current working precision.
+def constant_value(source: str, prec):
+    """Value of a constant expression as an mpf of ``context(prec)``.
 
     A source that mentions x is refused, even where parsing folds x away
     (``x*0``, ``x^0``); so is a kurepa node, which needs a Precision.
@@ -569,7 +567,8 @@ def constant_value(source: str):
     e = parse(source)
     if any(tok.kind == "ident" and tok.text == "x" for tok in _tokenize(source)):
         raise ConfigurationError(f"{source!r} involves x")
-    return mp.make_mpf(_compile(e.root, mp.prec, None)(None))
+    ctx = context(prec)
+    return ctx.make_mpf(_compile(e.root, ctx.prec, None)(None))
 
 
 def _d(node: Node) -> Node:

@@ -1,18 +1,21 @@
 """Working-precision plumbing.
 
 Every numeric routine in this package receives a :class:`Precision` and does
-its arithmetic inside ``working(p)``, an mpmath context raised by a fixed
-number of guard digits.  Results are deterministic: same inputs, same bits.
+its arithmetic in ``context(p)``, a private mpmath context at p's digits plus
+guard digits, whose precision is set once and never changed.  No routine
+reads or sets the global ``mp``, so proofs in several threads cannot
+interfere, and results are deterministic: same inputs, same bits.  mpmath
+arithmetic takes the precision of its left operand, so a foreign value
+enters a routine's context through ``to_mpf`` before it meets another.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
-from mpmath import mp
 from mpmath.libmp import dps_to_prec
 
 from .errors import ConfigurationError, IneqproveError
@@ -35,63 +38,70 @@ class Precision:
             )
 
 
-@contextmanager
-def working(p: Precision, extra: int = GUARD_DIGITS):
-    """mpmath context at ``p`` plus guard digits."""
-    with mp.workdps(p.decimal_digits + extra):
-        yield mp
+@lru_cache(maxsize=64)
+def context(prec) -> mpmath.MPContext:
+    """The mpmath context of binary precision ``prec``, round to nearest.
+
+    A Precision ``prec`` stands for its working precision, its digits plus
+    GUARD_DIGITS.  The context's precision is set here, once, and never
+    changed, so one context serves every caller at that precision.
+    """
+    if isinstance(prec, Precision):
+        return context(dps_to_prec(prec.decimal_digits + GUARD_DIGITS))
+    ctx = mpmath.MPContext()
+    ctx.prec = prec
+    return ctx
 
 
-def working_prec(p: Precision) -> int:
-    """The binary precision that ``working(p)`` sets."""
-    return dps_to_prec(p.decimal_digits + GUARD_DIGITS)
-
-
-def resolution_floor(p: Precision):
-    """10^-(digits - 10), at the current working precision.
+def resolution_floor(p: Precision, prec=None):
+    """10^-(digits - 10), in ``context(prec)``, by default p's working context.
 
     The smallest quantity ``p``-digit arithmetic resolves: the Kurepa error
     target, the least Remez tol, and the zero level of endpoint limits and
     of minimax residuals.
     """
-    return mp.mpf(10) ** (-(p.decimal_digits - 10))
+    return context(prec or p).mpf(10) ** (-(p.decimal_digits - 10))
 
 
-def to_mpf(value):
-    """Convert a scalar to mpf at the current working precision.
+def to_mpf(value, prec=Precision()):
+    """A scalar as an mpf of ``context(prec)``, by default Precision()'s.
 
-    Strings and Fractions convert without an intermediate float, so decimal
-    inputs keep full precision.  Strings may also be constant expressions in
-    the package grammar ("pi/2", "2 - sqrt2"); any that mentions x is
-    rejected.
+    An mpf of any context keeps its bits, so a caller's coefficients are used
+    exactly as given; other values are rounded to the context.  Strings and
+    Fractions convert without an intermediate float, so decimal inputs keep
+    full precision.  Strings may also be constant expressions in the package
+    grammar ("pi/2", "2 - sqrt2"); any that mentions x is rejected.
     """
-    if isinstance(value, mpmath.mpf):
-        return value
+    ctx = context(prec)
+    if hasattr(value, "_mpf_"):
+        if hasattr(value, "func"):  # a constant such as mpmath.pi, evaluated here
+            return ctx.make_mpf(value.func(ctx.prec, "n"))
+        return value if type(value) is ctx.mpf else ctx.make_mpf(value._mpf_)
     if isinstance(value, Fraction):
-        return mp.mpf(value.numerator) / value.denominator
+        return ctx.mpf(value.numerator) / value.denominator
     if isinstance(value, str):
         value = value.strip()
     try:
-        return mp.mpf(value)
+        return ctx.mpf(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         cause = exc
     if isinstance(value, str):
         from .expr import constant_value  # deferred: expr imports this module
         try:
-            return constant_value(value)
+            return constant_value(value, ctx.prec)
         except IneqproveError as exc:
             cause = exc
     raise ConfigurationError(f"cannot interpret {value!r} as a real number") from cause
 
 
-def finite_segment(a, b):
-    """a and b rounded to the current working precision, both finite, a < b.
+def finite_segment(a, b, p: Precision):
+    """a and b rounded to the working context of p, both finite, a < b.
 
     Rounding here, not in ``to_mpf``, keeps the bits of a caller's ambient
     precision out of the proof while the certifier still sees exactly the
     coefficients it is given.
     """
-    av, bv = +to_mpf(a), +to_mpf(b)
+    av, bv = +to_mpf(a, p), +to_mpf(b, p)
     for name, v in (("a", av), ("b", bv)):
         if not mpmath.isfinite(v):
             raise ConfigurationError(f"segment end {name} must be finite, got {v}")
@@ -100,9 +110,9 @@ def finite_segment(a, b):
     return av, bv
 
 
-def finite_orders(n, m):
-    """Root orders n and m rounded to the current working precision, finite and nonnegative."""
-    nv, mv = +to_mpf(n), +to_mpf(m)
+def finite_orders(n, m, p: Precision):
+    """Root orders n and m rounded to the working context of p, finite and nonnegative."""
+    nv, mv = +to_mpf(n, p), +to_mpf(m, p)
     for name, v in (("n", nv), ("m", mv)):
         if not (mpmath.isfinite(v) and v >= 0):
             raise ConfigurationError(f"root order {name} must be finite and nonnegative, got {v}")
@@ -111,9 +121,5 @@ def finite_orders(n, m):
 
 def decimal_str(value, p: Precision) -> str:
     """Deterministic decimal rendering at full working precision."""
-    if value is None:
-        return None
-    with mp.workdps(p.decimal_digits + GUARD_DIGITS):
-        if not isinstance(value, mpmath.mpf):
-            value = to_mpf(value)
-        return mpmath.nstr(value, p.decimal_digits, strip_zeros=True)
+    return None if value is None else mpmath.nstr(to_mpf(value, p), p.decimal_digits,
+                                                  strip_zeros=True)

@@ -38,15 +38,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
-from mpmath import mp
 from mpmath.libmp import (
-    fone,
-    fzero,
-    mpf_add,
-    mpf_exp,
-    mpf_mul,
-    mpf_pow_int,
-    mpf_sub,
+    dps_to_prec, fone, fzero, mpf_add, mpf_exp, mpf_log, mpf_mul, mpf_pos, mpf_pow_int, mpf_sub,
     round_nearest,
 )
 
@@ -56,7 +49,7 @@ from .errors import (
     PrecisionUnreachableError,
     RootBracketError,
 )
-from .precision import Precision, finite_segment, resolution_floor, to_mpf, working
+from .precision import Precision, context, finite_segment, resolution_floor, to_mpf
 
 # entries kept by each memo: the Kronrod rules and the node tables
 _CACHE_LIMIT = 65536
@@ -75,8 +68,8 @@ class QuadratureResult:
     tail_cutoff: mpmath.mpf
 
 
-def _kronrod_betas(n):
-    """Recurrence coefficients b_0..b_2n of the Legendre Jacobi-Kronrod matrix.
+def _kronrod_betas(n, ctx):
+    """Recurrence coefficients b_0..b_2n of the Legendre Jacobi-Kronrod matrix, in ctx.
 
     Laurie's algorithm (D. Laurie, "Calculation of Gauss-Kronrod quadrature
     rules", Math. Comp. 1997), specialised to the Legendre weight, whose
@@ -84,21 +77,21 @@ def _kronrod_betas(n):
     are those of the Legendre polynomials; the rest are filled in from the
     mixed moments s and t.
     """
-    b = [mp.mpf(2)] + [mp.mpf(k * k) / (4 * k * k - 1)
-                       for k in range(1, (3 * n + 1) // 2 + 1)]
-    b += [mp.mpf(0)] * (2 * n + 1 - len(b))
-    s = [mp.mpf(0)] * (n // 2 + 3)
+    b = [ctx.mpf(2)] + [ctx.mpf(k * k) / (4 * k * k - 1)
+                        for k in range(1, (3 * n + 1) // 2 + 1)]
+    b += [ctx.mpf(0)] * (2 * n + 1 - len(b))
+    s = [ctx.mpf(0)] * (n // 2 + 3)
     t = s[:]
     t[1] = b[n + 1]
     for m in range(n - 1):
-        acc = mp.mpf(0)
+        acc = ctx.mpf(0)
         for k in range((m + 1) // 2, -1, -1):
             acc += b[k + n + 1] * s[k] - b[m - k] * s[k + 1]
             s[k + 1] = acc
         s, t = t, s
     s[1:] = s[:-1]
     for m in range(n - 1, 2 * n - 2):
-        acc = mp.mpf(0)
+        acc = ctx.mpf(0)
         for k in range(m + 1 - n, (m - 1) // 2 + 1):
             j = n - 1 - (m - k)
             acc += b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1]
@@ -113,104 +106,114 @@ def _kronrod_betas(n):
 def gauss_kronrod_rule(n: int, prec: int):
     """The n-node Gauss rule on [-1, 1] and its (2n+1)-node Kronrod extension.
 
-    Returns (nodes, Kronrod weights, Gauss weights) rounded to ``prec`` bits,
-    whatever the ambient precision, memoized on (n, prec).  Nodes ascend and
-    are exactly symmetric about 0; ``nodes[1::2]`` are the Gauss nodes and the
-    Gauss weights belong to them.  Both rules come from the recurrence of the
-    Jacobi-Kronrod matrix, whose first n+1 coefficients are Legendre's, and
-    one Newton iteration on monic p_top / p_divisor: the Gauss nodes are the
-    roots of p_n, and the other n+1 nodes, the roots of p_{2n+1} / p_n, are
-    each seeded between two neighbouring Gauss nodes.  Every weight follows
-    from the orthonormal recurrence (Golub and Welsch): 1 / sum_k q_k(z)^2
-    over k < n for the Gauss rule and k <= 2n for the Kronrod rule.
+    Returns (nodes, Kronrod weights, Gauss weights) as mpfs of
+    ``context(prec)``, computed in ``context(prec + 40)`` and memoized on
+    (n, prec).  Nodes ascend and are exactly symmetric about 0;
+    ``nodes[1::2]`` are the Gauss nodes and the Gauss weights belong to
+    them.  Both rules come from the recurrence of the Jacobi-Kronrod matrix,
+    whose first n+1 coefficients are Legendre's, and one Newton iteration on
+    monic p_top / p_divisor: the Gauss nodes are the roots of p_n, and the
+    other n+1 nodes, the roots of p_{2n+1} / p_n, are each seeded between two
+    neighbouring Gauss nodes.  Every weight follows from the orthonormal
+    recurrence (Golub and Welsch): 1 / sum_k q_k(z)^2 over k < n for the
+    Gauss rule and k <= 2n for the Kronrod rule.
     """
-    with mp.workprec(prec + 40):
-        b = _kronrod_betas(n)
-        root_b = [mp.sqrt(v) for v in b]
-        tol = mp.mpf(2) ** (-(mp.prec - 20))
+    ctx, rounded = context(prec + 40), context(prec)
+    b = _kronrod_betas(n, ctx)
+    root_b = [ctx.sqrt(v) for v in b]
+    tol = ctx.mpf(2) ** (-(ctx.prec - 20))
 
-        def newton_root(seed, top, divisor):
-            # f = p_top / p_divisor with monic p_k; p_0 = 1, so divisor 0 gives p_top
-            z = mp.mpf(seed)
-            for _ in range(100):
-                p0, p1, d0, d1 = mp.mpf(0), mp.mpf(1), mp.mpf(0), mp.mpf(0)
-                for k in range(top):
-                    if k == divisor:
-                        pn, dn = p1, d1
-                    p0, p1, d0, d1 = p1, z * p1 - b[k] * p0, d1, p1 + z * d1 - b[k] * d0
-                dz = p1 * pn / (d1 * pn - p1 * dn)
-                z -= dz
-                if abs(dz) <= tol:
-                    break
-            return z
+    def newton_root(seed, top, divisor):
+        # f = p_top / p_divisor with monic p_k; p_0 = 1, so divisor 0 gives p_top
+        z = ctx.mpf(seed)
+        for _ in range(100):
+            p0, p1, d0, d1 = ctx.mpf(0), ctx.mpf(1), ctx.mpf(0), ctx.mpf(0)
+            for k in range(top):
+                if k == divisor:
+                    pn, dn = p1, d1
+                p0, p1, d0, d1 = p1, z * p1 - b[k] * p0, d1, p1 + z * d1 - b[k] * d0
+            dz = p1 * pn / (d1 * pn - p1 * dn)
+            z -= dz
+            if abs(dz) <= tol:
+                break
+        return z
 
-        def weight(z, terms):
-            q0, q1 = mp.mpf(0), 1 / root_b[0]
-            acc = q1 * q1
-            for k in range(terms - 1):
-                q0, q1 = q1, (z * q1 - root_b[k] * q0) / root_b[k + 1]
-                acc += q1 * q1
-            return 1 / acc
+    def weight(z, terms):
+        q0, q1 = ctx.mpf(0), 1 / root_b[0]
+        acc = q1 * q1
+        for k in range(terms - 1):
+            q0, q1 = q1, (z * q1 - root_b[k] * q0) / root_b[k + 1]
+            acc += q1 * q1
+        return 1 / acc
 
-        # the positive Gauss nodes g_1 > g_2 > ..., weighed before they are
-        # rounded to prec bits, the form in which they join the Kronrod rule
-        gauss = [newton_root(math.cos(math.pi * (i - 0.25) / (n + 0.5)), n, 0)
-                 for i in range(1, n // 2 + 1)]
-        half_g = [weight(z, n) for z in gauss]
-        g_weights = half_g + [weight(mp.mpf(0), n)] * (n % 2) + half_g[::-1]
-        with mp.workprec(prec):
-            gauss = [+z for z in gauss]
+    # the positive Gauss nodes g_1 > g_2 > ..., weighed before they are
+    # rounded to prec bits, the form in which they join the Kronrod rule
+    gauss = [newton_root(math.cos(math.pi * (i - 0.25) / (n + 0.5)), n, 0)
+             for i in range(1, n // 2 + 1)]
+    half_g = [weight(z, n) for z in gauss]
+    g_weights = half_g + [weight(ctx.mpf(0), n)] * (n % 2) + half_g[::-1]
+    gauss = [ctx.convert(rounded.mpf(z)) for z in gauss]
 
-        # one new node in each gap of 1 > g_1 > g_2 > ... > 0, seeded at the
-        # gap's middle angle; 0 closes the last gap only when it is a Gauss
-        # node (odd n), else that gap is symmetric about 0 and its node is 0
-        edges = [0.0] + [math.acos(float(z)) for z in gauss]
-        if n % 2:
-            edges.append(math.pi / 2)
-        added = [newton_root(math.cos((lo + hi) / 2), 2 * n + 1, n)
-                 for lo, hi in zip(edges, edges[1:])]
-        half = sorted(gauss + added)
-        nodes = [-z for z in reversed(half)] + [mp.mpf(0)] + half
-        half_k = [weight(z, 2 * n + 1) for z in half]
-        k_weights = half_k[::-1] + [weight(mp.mpf(0), 2 * n + 1)] + half_k
-    with mp.workprec(prec):
-        return tuple(tuple(+v for v in part) for part in (nodes, k_weights, g_weights))
+    # one new node in each gap of 1 > g_1 > g_2 > ... > 0, seeded at the
+    # gap's middle angle; 0 closes the last gap only when it is a Gauss
+    # node (odd n), else that gap is symmetric about 0 and its node is 0
+    edges = [0.0] + [math.acos(float(z)) for z in gauss]
+    if n % 2:
+        edges.append(math.pi / 2)
+    added = [newton_root(math.cos((lo + hi) / 2), 2 * n + 1, n)
+             for lo, hi in zip(edges, edges[1:])]
+    half = sorted(gauss + added)
+    nodes = [-z for z in reversed(half)] + [ctx.mpf(0)] + half
+    half_k = [weight(z, 2 * n + 1) for z in half]
+    k_weights = half_k[::-1] + [weight(ctx.mpf(0), 2 * n + 1)] + half_k
+    return tuple(tuple(rounded.mpf(v) for v in part) for part in (nodes, k_weights, g_weights))
+
+
+def _log1p(u):
+    """mpmath's log1p(u), bit for bit, in u's context but setting no precision.
+
+    mpmath raises the precision by 10 bits while it runs; its series branch
+    for |u| < 2^-(prec+10) is left out, since no node comes that close to 1.
+    """
+    ctx, rn = u.context, round_nearest
+    wp = ctx.prec + 10
+    return ctx.make_mpf(mpf_pos(mpf_log(mpf_add(fone, u._mpf_, 2 * wp, rn), wp, rn), ctx.prec, rn))
 
 
 def _low_node(s):
     # t in (0, 7/8] via t = exp(-s); c carries the dt = -exp(-s) ds factor
-    w = mp.exp(-s)
-    return mp.exp(-w) * w / (w - 1), -s
+    w = s.context.exp(-s)
+    return s.context.exp(-w) * w / (w - 1), -s
 
 
 def _window_node(u):
     # u = t - 1; at u = 0 L is None and c = exp(-1), the quotient's limit
     # being x for j = 0, 1 for j = 1 and 0 for j >= 2
     if u == 0:
-        return mp.exp(-1), None
-    return mp.exp(-(1 + u)) / u, mpmath.log1p(u)
+        return u.context.exp(-1), None
+    return u.context.exp(-(1 + u)) / u, _log1p(u)
 
 
 def _high_node(t):
-    return mp.exp(-t) / (t - 1), mp.log(t)
+    return t.context.exp(-t) / (t - 1), t.context.log(t)
 
 
 @lru_cache(maxsize=_CACHE_LIMIT)
 def _node_table(node_map, lo, hi, n, prec):
     """(c, L) at the Kronrod nodes of [lo, hi], c scaled by the half-width.
 
-    Computed at ``prec`` bits and memoized on all five arguments.  Both are
-    kept as raw mpf tuples, the form the panel loop works on.
+    Computed in the context of lo and hi, of precision ``prec``, and memoized
+    on all five arguments.  Both are kept as raw mpf tuples, the form the
+    panel loop works on.
     """
-    with mp.workprec(prec):
-        half = (hi - lo) / 2
-        mid = (lo + hi) / 2
-        cs = []
-        ls = []
-        for z in gauss_kronrod_rule(n, prec)[0]:
-            c, ell = node_map(mid + half * z)
-            cs.append((half * c)._mpf_)
-            ls.append(None if ell is None else ell._mpf_)
+    half = (hi - lo) / 2
+    mid = (lo + hi) / 2
+    cs = []
+    ls = []
+    for z in gauss_kronrod_rule(n, prec)[0]:
+        c, ell = node_map(mid + half * z)
+        cs.append((half * c)._mpf_)
+        ls.append(None if ell is None else ell._mpf_)
     return tuple(cs), tuple(ls)
 
 
@@ -233,8 +236,8 @@ def _kronrod_panel(table, x, j, k_weights, g_weights):
     (the weights too) with the same precision and rounding as mpf arithmetic
     would use.
     """
-    prec = mp.prec
-    xr = x._mpf_
+    ctx = x.context
+    prec, xr = ctx.prec, x._mpf_
     gauss = kronrod = fzero
     for i, (c, ell) in enumerate(zip(*table)):
         if ell is None:
@@ -251,21 +254,21 @@ def _kronrod_panel(table, x, j, k_weights, g_weights):
         if i % 2:
             gauss = mpf_add(gauss, mpf_mul(g_weights[i // 2], v, prec, round_nearest),
                             prec, round_nearest)
-    return mp.make_mpf(gauss), mp.make_mpf(kronrod)
+    return ctx.make_mpf(gauss), ctx.make_mpf(kronrod)
 
 
 def _adaptive(node_map, panels, x, j, tol_abs, n, state):
-    """Adaptive bisection over an initial panel list, left to right."""
-    prec = mp.prec
-    _, k_weights, g_weights = gauss_kronrod_rule(n, prec)
+    """Adaptive bisection over an initial panel list, left to right, in x's context."""
+    ctx = x.context
+    _, k_weights, g_weights = gauss_kronrod_rule(n, ctx.prec)
     k_weights = [w._mpf_ for w in k_weights]
     g_weights = [w._mpf_ for w in g_weights]
-    span = mp.mpf(0)
+    span = ctx.mpf(0)
     for lo, hi in panels:
         span += hi - lo
-    min_width = span * mp.mpf("1e-30")
-    total = mp.mpf(0)
-    err = mp.mpf(0)
+    min_width = span * ctx.mpf("1e-30")
+    total = ctx.mpf(0)
+    err = ctx.mpf(0)
     stack = list(reversed(panels))
     while stack:
         lo, hi = stack.pop()
@@ -276,7 +279,7 @@ def _adaptive(node_map, panels, x, j, tol_abs, n, state):
                 f"quadrature budget of {state['budget']} evaluations exhausted "
                 "before the error target was met"
             )
-        v1, v2 = _kronrod_panel(_node_table(node_map, lo, hi, n, prec), x, j,
+        v1, v2 = _kronrod_panel(_node_table(node_map, lo, hi, n, ctx.prec), x, j,
                                 k_weights, g_weights)
         e = abs(v2 - v1)
         if e <= tol_abs * width / span or width <= min_width:
@@ -303,33 +306,34 @@ def _geometric_panels(lo, hi, first_width):
 
 def _low_tail_bound(x, j, s_max, eps):
     # integrand bound: exp(-(x+1)s) s^j / eps for s >= s_max
+    ctx = x.context
     c = x + 1
     if j == 0:
-        return mp.exp(-s_max) / eps
-    total = mp.mpf(0)
-    fall = mp.mpf(1)
+        return ctx.exp(-s_max) / eps
+    total = ctx.mpf(0)
+    fall = ctx.mpf(1)
     for i in range(j + 1):
         total += fall * s_max ** (j - i) / c ** (i + 1)
         fall *= j - i
-    return mp.exp(-c * s_max) * total / eps
+    return ctx.exp(-c * s_max) * total / eps
 
 
 def _high_tail_bound(x, j, T):
     # uses log(t) <= sqrt(t) for t >= 1 and int_T t^q e^-t dt <= e^-T T^q/(1-q/T)
+    ctx = x.context
     if j == 0:
-        gx = mp.exp(-T) * mp.power(T, x) / (1 - x / T) if x > 0 else mp.exp(-T)
-        return (gx + mp.exp(-T)) / (T - 1)
-    q = x + mp.mpf(j) / 2
-    return mp.exp(-T) * mp.power(T, q) / (1 - q / T) / (T - 1)
+        gx = ctx.exp(-T) * ctx.power(T, x) / (1 - x / T) if x > 0 else ctx.exp(-T)
+        return (gx + ctx.exp(-T)) / (T - 1)
+    q = x + ctx.mpf(j) / 2
+    return ctx.exp(-T) * ctx.power(T, q) / (1 - q / T) / (T - 1)
 
 
 def _kurepa_integral(x, j, p, node_factor, tail_factor, max_evaluations):
     digits = p.decimal_digits
-    with working(p):
-        xv = to_mpf(x)
-        if not mp.isfinite(xv):
-            raise ConfigurationError(f"kurepa argument must be finite, got {xv}")
-        x_probe = float(xv)
+    xv = to_mpf(x, p)
+    if not mpmath.isfinite(xv):
+        raise ConfigurationError(f"kurepa argument must be finite, got {xv}")
+    x_probe = float(xv)
     if x_probe > 1000:
         raise ConfigurationError(
             f"kurepa argument {x_probe} is too large: the integral has about "
@@ -342,59 +346,61 @@ def _kurepa_integral(x, j, p, node_factor, tail_factor, max_evaluations):
         # a multiple of 10 so that nearby x share a working precision, and
         # with it the memoized rules and node tables
         guard += -(-(int(x_probe * math.log10(x_probe)) + 5) // 10) * 10
-    with working(p, extra=guard):
-        xv = to_mpf(x)
-        if xv < 0:
-            raise DomainError(f"kurepa integrals require x >= 0, got {xv}")
-        tf = to_mpf(tail_factor)
-        target = resolution_floor(p)
-        share = target / 8
-        region_tol = target / 4
-        term_tol = mp.mpf(10) ** (-(digits + 10))
-        eps = mp.mpf(1) / 8
-        n_base = max(20, (digits + 15) // 2) * node_factor
-        state = {"evals": 0, "budget": max_evaluations}
+    ctx = context(dps_to_prec(digits + guard))
+    xv = to_mpf(x, ctx.prec)
+    if xv < 0:
+        raise DomainError(f"kurepa integrals require x >= 0, got {xv}")
+    tf = to_mpf(tail_factor, ctx.prec)
+    target = resolution_floor(p, ctx.prec)
+    share = target / 8
+    region_tol = target / 4
+    term_tol = ctx.mpf(10) ** (-(digits + 10))
+    eps = ctx.mpf(1) / 8
+    n_base = max(20, (digits + 15) // 2) * node_factor
+    state = {"evals": 0, "budget": max_evaluations}
 
-        # low region (0, 1-eps], substituted t = exp(-s)
-        s0 = -mpmath.log1p(-eps)
-        s_max = mp.mpf(max(20, int((digits + 14) * 2.303 / (float(xv) + 1)) + 1))
-        while _low_tail_bound(xv, j, s_max, eps) > share:
-            s_max *= mp.mpf(5) / 4
-        tail_low = _low_tail_bound(xv, j, s_max, eps)
-        v_low, e_low = _adaptive(
-            _low_node, _geometric_panels(s0, s_max, mp.mpf(1)),
-            xv, j, region_tol, n_base, state,
-        )
+    # low region (0, 1-eps], substituted t = exp(-s)
+    s0 = -_log1p(-eps)
+    s_max = ctx.mpf(max(20, int((digits + 14) * 2.303 / (float(xv) + 1)) + 1))
+    while _low_tail_bound(xv, j, s_max, eps) > share:
+        s_max *= ctx.mpf(5) / 4
+    tail_low = _low_tail_bound(xv, j, s_max, eps)
+    v_low, e_low = _adaptive(
+        _low_node, _geometric_panels(s0, s_max, ctx.mpf(1)),
+        xv, j, region_tol, n_base, state,
+    )
 
-        # window [1-eps, 1+eps] in u = t - 1
-        v_win, e_win = _adaptive(
-            _window_node, [(-eps, eps)], xv, j, region_tol, n_base, state,
-        )
+    # window [1-eps, 1+eps] in u = t - 1
+    v_win, e_win = _adaptive(
+        _window_node, [(-eps, eps)], xv, j, region_tol, n_base, state,
+    )
 
-        # high region [1+eps, T]; the closed tail bound needs T well above x+j
-        T = mp.mpf(max(40, digits, 2 * (int(xv) + j) + 40))
-        while (mp.exp(-T) * mp.power(T, xv + 1) > term_tol
-               or _high_tail_bound(xv, j, T) > share):
-            T *= mp.mpf(5) / 4
-        T *= tf
-        tail_high = _high_tail_bound(xv, j, T)
-        v_high, e_high = _adaptive(
-            _high_node, _geometric_panels(1 + eps, T, mp.mpf(1)),
-            xv, j, region_tol, n_base, state,
-        )
+    # high region [1+eps, T]; the closed tail bound needs T well above x+j
+    T = ctx.mpf(max(40, digits, 2 * (int(xv) + j) + 40))
+    while (ctx.exp(-T) * ctx.power(T, xv + 1) > term_tol
+           or _high_tail_bound(xv, j, T) > share):
+        T *= ctx.mpf(5) / 4
+    T *= tf
+    tail_high = _high_tail_bound(xv, j, T)
+    v_high, e_high = _adaptive(
+        _high_node, _geometric_panels(1 + eps, T, ctx.mpf(1)),
+        xv, j, region_tol, n_base, state,
+    )
 
-        value = v_low + v_win + v_high
-        err = e_low + e_win + e_high + tail_low + tail_high
-        if err > target:
-            raise PrecisionUnreachableError(
-                f"accumulated quadrature error {err} exceeds target {target}"
-            )
-        return QuadratureResult(
-            value=+value,
-            error_bound=+err,
-            nodes_used=state["evals"],
-            tail_cutoff=+T,
+    value = v_low + v_win + v_high
+    err = e_low + e_win + e_high + tail_low + tail_high
+    if err > target:
+        raise PrecisionUnreachableError(
+            f"accumulated quadrature error {err} exceeds target {target}"
         )
+    return QuadratureResult(
+        value=+value,
+        error_bound=+err,
+        nodes_used=state["evals"],
+        tail_cutoff=+T,
+    )
+
+
 
 
 def kurepa(x, p: Precision = Precision(), *, node_factor: int = 1,
@@ -423,23 +429,22 @@ def find_inflection(p: Precision = Precision(), bracket=(0, 1),
     Bisection is preferred over Newton here: each K'' evaluation is an
     adaptive quadrature, so sign robustness matters more than step count.
     """
-    with working(p):
-        lo, hi = finite_segment(*bracket)
-        wtol = to_mpf(width_tol)
-        f_lo = kurepa_derivative(lo, 2, p).value
-        f_hi = kurepa_derivative(hi, 2, p).value
-        if not (f_lo < 0 < f_hi):
-            raise RootBracketError(
-                "second derivative does not change sign over the bracket; "
-                "the quadrature is likely misconfigured"
-            )
-        while hi - lo > wtol:
-            mid = (lo + hi) / 2
-            fm = kurepa_derivative(mid, 2, p).value
-            if fm == 0:
-                return mid
-            if fm < 0:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
+    lo, hi = finite_segment(*bracket, p)
+    wtol = to_mpf(width_tol, p)
+    f_lo = kurepa_derivative(lo, 2, p).value
+    f_hi = kurepa_derivative(hi, 2, p).value
+    if not (f_lo < 0 < f_hi):
+        raise RootBracketError(
+            "second derivative does not change sign over the bracket; "
+            "the quadrature is likely misconfigured"
+        )
+    while hi - lo > wtol:
+        mid = (lo + hi) / 2
+        fm = kurepa_derivative(mid, 2, p).value
+        if fm == 0:
+            return mid
+        if fm < 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2

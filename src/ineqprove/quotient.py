@@ -28,7 +28,6 @@ from enum import Enum
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp
 from mpmath.libmp import (
     mpf_add, mpf_div, mpf_eq, mpf_lt, mpf_mul, mpf_pos, mpf_sub, round_nearest, to_rational,
 )
@@ -42,7 +41,7 @@ from .errors import (
     ZeroLimitError,
 )
 from .expr import Expression, compiled, differentiate, evaluate, power, show
-from .precision import Precision, finite_orders, finite_segment, to_mpf, working, working_prec
+from .precision import Precision, context, finite_orders, finite_segment, to_mpf
 
 # width of the near-endpoint zone, relative to b - a, where the raw quotient
 # is replaced by a linear blend toward the limit value
@@ -57,7 +56,7 @@ class LimitMethod(str, Enum):
 
 def _quotient(f, a, b, n, m, p):
     """x -> f(x) / ((x-a)^n (b-x)^m) on libmp tuples, with no endpoint handling."""
-    prec, rn = working_prec(p), round_nearest
+    prec, rn = context(p).prec, round_nearest
     fx = compiled(f, p)
     pa, pb = (power(Fraction(*to_rational(e._mpf_)), prec, e._mpf_) for e in (n, m))
     a, b = a._mpf_, b._mpf_
@@ -80,43 +79,39 @@ class QuotientFunction:
 
     ``f`` is compiled once.  Every value of g -- interior, blend zone or
     endpoint -- and the message of an argument outside the segment are
-    formed on libmp tuples at the working precision of ``precision``; an mpf
-    argument enters no working context and reads no ``mp.dps``.
+    formed on libmp tuples at the working precision of ``precision``, and
+    every value is an mpf of its working context.
     """
 
     def __init__(self, f: Expression, a, b, n, m, alpha, beta,
                  precision: Precision = Precision()):
         self.precision = precision
-        with working(precision):
-            self.a, self.b = finite_segment(a, b)
-            self.n, self.m = finite_orders(n, m)
-            self.alpha = to_mpf(alpha)
-            self.beta = to_mpf(beta)
-            for name, v in (("alpha", self.alpha), ("beta", self.beta)):
-                if not mpmath.isfinite(v) or v == 0:
-                    raise ConfigurationError(
-                        f"endpoint limit {name} must be finite and non-zero, got {v}"
-                    )
-            edge = (self.b - self.a) * to_mpf(EDGE_FRACTION)
-            # per end: its limit and the zone boundary where the blend meets g
-            self._zones = ((self.alpha._mpf_, (self.a + edge)._mpf_),
-                           (self.beta._mpf_, (self.b - edge)._mpf_))
+        self.a, self.b = finite_segment(a, b, precision)
+        self.n, self.m = finite_orders(n, m, precision)
+        self.alpha, self.beta = to_mpf(alpha, precision), to_mpf(beta, precision)
+        for name, v in (("alpha", self.alpha), ("beta", self.beta)):
+            if not mpmath.isfinite(v) or v == 0:
+                raise ConfigurationError(
+                    f"endpoint limit {name} must be finite and non-zero, got {v}"
+                )
+        edge = (self.b - self.a) * to_mpf(EDGE_FRACTION, precision)
+        # per end: its limit and the zone boundary where the blend meets g
+        self._zones = ((self.alpha._mpf_, (self.a + edge)._mpf_),
+                       (self.beta._mpf_, (self.b - edge)._mpf_))
         self.f = f
-        self._prec = working_prec(precision)
+        self._make = context(precision).make_mpf
+        self._prec = context(precision).prec
         self._edge = edge._mpf_
         self._quotient = _quotient(f, self.a, self.b, self.n, self.m, precision)
         self._edge_values = {}
 
     def evaluate(self, x):
-        if not isinstance(x, mpmath.mpf):
-            with working(self.precision):
-                x = to_mpf(x)
-        t, prec, rn = x._mpf_, self._prec, round_nearest
+        t, prec, rn = to_mpf(x, self._prec)._mpf_, self._prec, round_nearest
         a, b, edge = self.a._mpf_, self.b._mpf_, self._edge
         if mpf_lt(a, t) and mpf_lt(t, b):
             da, db = mpf_sub(t, a, prec, rn), mpf_sub(b, t, prec, rn)
             if not (mpf_lt(da, edge) or mpf_lt(db, edge)):
-                return mp.make_mpf(self._quotient(t))
+                return self._make(self._quotient(t))
             # the blend lim + ((g0 - lim) * d) / edge toward the nearer end
             side, d = (0, da) if mpf_lt(da, edge) else (1, db)
             lim, x0 = self._zones[side]
@@ -124,10 +119,10 @@ class QuotientFunction:
             if g0 is None:
                 g0 = self._edge_values[side] = self._quotient(x0)
             step = mpf_div(mpf_mul(mpf_sub(g0, lim, prec, rn), d, prec, rn), edge, prec, rn)
-            return mp.make_mpf(mpf_add(lim, step, prec, rn))
+            return self._make(mpf_add(lim, step, prec, rn))
         for end, lim in ((a, self.alpha), (b, self.beta)):
             if mpf_eq(t, end):
-                return mp.make_mpf(mpf_pos(lim._mpf_, prec, rn))
+                return self._make(mpf_pos(lim._mpf_, prec, rn))
         raise DomainError(f"{show(t, prec)} outside segment [{show(a, prec)}, {show(b, prec)}]")
 
     __call__ = evaluate
@@ -142,32 +137,32 @@ def endpoint_limits_taylor(f: Expression, a, b, n, m, p: Precision = Precision()
     absorb quadrature noise in expressions containing kurepa nodes but tight
     enough to reject a genuinely wrong multiplicity.
     """
-    with working(p):
-        av, bv = finite_segment(a, b)
-        nv, mv = finite_orders(n, m)
-        if nv != int(nv) or mv != int(mv):
-            raise ConfigurationError(f"the Taylor route needs integer orders, got n={nv}, m={mv}")
-        ni, mi = int(nv), int(mv)
-        tol = to_mpf(vanish_tol)
-        derivs = [f]
-        for _ in range(max(ni, mi)):
-            derivs.append(differentiate(derivs[-1]))
-        for i in range(ni):
-            v = evaluate(derivs[i], av, p)
-            if abs(v) > tol:
-                raise MultiplicityError("a", i, v)
-        for i in range(mi):
-            v = evaluate(derivs[i], bv, p)
-            if abs(v) > tol:
-                raise MultiplicityError("b", i, v)
-        fa = evaluate(derivs[ni], av, p)
-        fb = evaluate(derivs[mi], bv, p)
-        alpha = fa / (math.factorial(ni) * (bv - av) ** mi)
-        beta = (-1) ** mi * fb / (math.factorial(mi) * (bv - av) ** ni)
-        return +alpha, +beta
+    av, bv = finite_segment(a, b, p)
+    nv, mv = finite_orders(n, m, p)
+    if nv != int(nv) or mv != int(mv):
+        raise ConfigurationError(f"the Taylor route needs integer orders, got n={nv}, m={mv}")
+    ni, mi = int(nv), int(mv)
+    tol = to_mpf(vanish_tol, p)
+    derivs = [f]
+    for _ in range(max(ni, mi)):
+        derivs.append(differentiate(derivs[-1]))
+    for i in range(ni):
+        v = evaluate(derivs[i], av, p)
+        if abs(v) > tol:
+            raise MultiplicityError("a", i, v)
+    for i in range(mi):
+        v = evaluate(derivs[i], bv, p)
+        if abs(v) > tol:
+            raise MultiplicityError("b", i, v)
+    fa = evaluate(derivs[ni], av, p)
+    fb = evaluate(derivs[mi], bv, p)
+    alpha = fa / (math.factorial(ni) * (bv - av) ** mi)
+    beta = (-1) ** mi * fb / (math.factorial(mi) * (bv - av) ** ni)
+    return +alpha, +beta
 
 
-def _extrapolate(seq, endpoint, digits, stabilize_tol):
+def _extrapolate(seq, endpoint, p, stabilize_tol):
+    ctx, digits = context(p), p.decimal_digits
     scale = max(abs(v) for v in seq)
     if scale == 0:
         raise ZeroLimitError("quotient vanishes at every sample", endpoint=endpoint)
@@ -175,21 +170,21 @@ def _extrapolate(seq, endpoint, digits, stabilize_tol):
     for u, v in zip(seq[-4:], seq[-3:]):
         if u != 0:
             ratios.append(abs(v) / abs(u))
-    rho = mp.mpf(1)
+    rho = ctx.mpf(1)
     if ratios:
-        prod = mp.mpf(1)
+        prod = ctx.mpf(1)
         for r in ratios:
             prod *= r
-        rho = prod ** (mp.mpf(1) / len(ratios))
-    log4 = mp.log(4)
-    if rho >= mp.mpf("1.8"):
+        rho = prod ** (ctx.mpf(1) / len(ratios))
+    log4 = ctx.log(4)
+    if rho >= ctx.mpf("1.8"):
         raise DivergentLimitError(
             "quotient grows along the sample sequence; the supplied order is too large",
-            hint_exponent=-mp.log(rho) / log4, endpoint=endpoint,
+            hint_exponent=-ctx.log(rho) / log4, endpoint=endpoint,
         )
     # iterated Aitken acceleration; the zero-denominator guard carries values
     # through, so exactly constant sequences stabilize immediately
-    carry_tol = mp.mpf(10) ** (-(digits + 5)) * scale
+    carry_tol = ctx.mpf(10) ** (-(digits + 5)) * scale
     zero_floor = stabilize_tol * scale
     arr = list(seq)
     prev = arr[-1]
@@ -215,12 +210,12 @@ def _extrapolate(seq, endpoint, digits, stabilize_tol):
             "check the supplied orders or raise the precision",
             endpoint=endpoint,
         )
-    if abs(stab) <= mp.mpf("1e-6") * scale:
-        hint = mp.log(1 / rho) / log4 if rho > 0 else None
-        if rho > mp.mpf("1.05"):
+    if abs(stab) <= ctx.mpf("1e-6") * scale:
+        hint = ctx.log(1 / rho) / log4 if rho > 0 else None
+        if rho > ctx.mpf("1.05"):
             raise DivergentLimitError(
                 "quotient grows along the sample sequence; the supplied order is too large",
-                hint_exponent=-mp.log(rho) / log4, endpoint=endpoint,
+                hint_exponent=-ctx.log(rho) / log4, endpoint=endpoint,
             )
         raise ZeroLimitError(
             "quotient tends to zero; the supplied order is too small",
@@ -238,14 +233,14 @@ def endpoint_limits_numeric(f: Expression, a, b, n, m, p: Precision = Precision(
     off, and UnstableLimitError when no limit emerges at the requested
     relative tolerance (1e-8 by default).
     """
-    with working(p):
-        av, bv = finite_segment(a, b)
-        nv, mv = finite_orders(n, m)
-        tol = to_mpf(stabilize_tol)
-        span = bv - av
-        q = _quotient(f, av, bv, nv, mv, p)
-        qa = [mp.make_mpf(q((av + span * mp.mpf(4) ** (-j))._mpf_)) for j in range(3, 13)]
-        qb = [mp.make_mpf(q((bv - span * mp.mpf(4) ** (-j))._mpf_)) for j in range(3, 13)]
-        alpha = _extrapolate(qa, "a", p.decimal_digits, tol)
-        beta = _extrapolate(qb, "b", p.decimal_digits, tol)
-        return +alpha, +beta
+    ctx = context(p)
+    av, bv = finite_segment(a, b, p)
+    nv, mv = finite_orders(n, m, p)
+    tol = to_mpf(stabilize_tol, p)
+    span = bv - av
+    q = _quotient(f, av, bv, nv, mv, p)
+    qa = [ctx.make_mpf(q((av + span * ctx.mpf(4) ** (-j))._mpf_)) for j in range(3, 13)]
+    qb = [ctx.make_mpf(q((bv - span * ctx.mpf(4) ** (-j))._mpf_)) for j in range(3, 13)]
+    alpha = _extrapolate(qa, "a", p, tol)
+    beta = _extrapolate(qb, "b", p, tol)
+    return +alpha, +beta

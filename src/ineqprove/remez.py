@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import mpmath
-from mpmath import mp
 from mpmath.libmp import (
     fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_pos, mpf_sub, round_nearest,
 )
@@ -36,7 +35,7 @@ from .errors import (
     ConvergenceError,
     SingularSystemError,
 )
-from .precision import Precision, finite_segment, resolution_floor, to_mpf, working
+from .precision import Precision, context, finite_segment, resolution_floor, to_mpf
 
 REFINE_WIDTH_FACTOR = "1e-12"
 
@@ -53,85 +52,86 @@ class Polynomial:
         return len(self.coefficients) - 1
 
     def evaluate(self, x):
-        """Clenshaw recurrence at the current working precision, on libmp tuples."""
-        prec, rn = mp.prec, round_nearest
+        """Clenshaw recurrence in the context of the segment, on libmp tuples."""
+        ctx = self.segment[0].context
+        prec, rn = ctx.prec, round_nearest
         a, b = (v._mpf_ for v in self.segment)
         c = [v._mpf_ for v in self.coefficients]
         if len(c) == 1:
-            return mp.make_mpf(mpf_pos(c[0], prec, rn))
-        x = mp.convert(x)._mpf_
+            return ctx.make_mpf(mpf_pos(c[0], prec, rn))
+        x = ctx.convert(x)._mpf_
         u = mpf_div(mpf_sub(mpf_sub(mpf_mul_int(x, 2, prec, rn), a, prec, rn), b, prec, rn),
                     mpf_sub(b, a, prec, rn), prec, rn)
         d = mpf_mul_int(u, 2, prec, rn)
         b1 = b2 = fzero
         for cj in reversed(c[1:]):
             b1, b2 = mpf_add(mpf_sub(mpf_mul(d, b1, prec, rn), b2, prec, rn), cj, prec, rn), b1
-        return mp.make_mpf(mpf_add(mpf_sub(mpf_mul(u, b1, prec, rn), b2, prec, rn), c[0],
-                                   prec, rn))
+        return ctx.make_mpf(mpf_add(mpf_sub(mpf_mul(u, b1, prec, rn), b2, prec, rn), c[0],
+                                    prec, rn))
 
     __call__ = evaluate
 
     def to_monomial(self, p: Precision = Precision()):
         """Coefficients (low to high) of the same polynomial in powers of x."""
-        with working(p):
-            a, b = self.segment
-            k = self.degree
-            # Chebyshev-in-u coefficients -> monomial-in-u
-            acc = [mp.mpf(0)] * (k + 1)
-            t_prev = [mp.mpf(1)]
-            t_cur = [mp.mpf(0), mp.mpf(1)]
-            acc[0] += self.coefficients[0]
-            if k >= 1:
-                for i, v in enumerate(t_cur):
-                    acc[i] += self.coefficients[1] * v
-            for j in range(2, k + 1):
-                t_next = [mp.mpf(0)] * (len(t_cur) + 1)
-                for i, v in enumerate(t_cur):
-                    t_next[i + 1] += 2 * v
-                for i, v in enumerate(t_prev):
-                    t_next[i] -= v
-                for i, v in enumerate(t_next):
-                    acc[i] += self.coefficients[j] * v
-                t_prev, t_cur = t_cur, t_next
-            # compose with u = s*x + t
-            s = 2 / (b - a)
-            t = -(a + b) / (b - a)
-            result = [acc[k]]
-            for j in range(k - 1, -1, -1):
-                nxt = [mp.mpf(0)] * (len(result) + 1)
-                for i, v in enumerate(result):
-                    nxt[i] += v * t
-                    nxt[i + 1] += v * s
-                nxt[0] += acc[j]
-                result = nxt[: k + 1]
-            return tuple(result)
+        ctx = context(p)
+        a, b, *cheb = (to_mpf(v, p) for v in (*self.segment, *self.coefficients))
+        k = self.degree
+        # Chebyshev-in-u coefficients -> monomial-in-u
+        acc = [ctx.mpf(0)] * (k + 1)
+        t_prev = [ctx.mpf(1)]
+        t_cur = [ctx.mpf(0), ctx.mpf(1)]
+        acc[0] += cheb[0]
+        if k >= 1:
+            for i, v in enumerate(t_cur):
+                acc[i] += cheb[1] * v
+        for j in range(2, k + 1):
+            t_next = [ctx.mpf(0)] * (len(t_cur) + 1)
+            for i, v in enumerate(t_cur):
+                t_next[i + 1] += 2 * v
+            for i, v in enumerate(t_prev):
+                t_next[i] -= v
+            for i, v in enumerate(t_next):
+                acc[i] += cheb[j] * v
+            t_prev, t_cur = t_cur, t_next
+        # compose with u = s*x + t
+        s = 2 / (b - a)
+        t = -(a + b) / (b - a)
+        result = [acc[k]]
+        for j in range(k - 1, -1, -1):
+            nxt = [ctx.mpf(0)] * (len(result) + 1)
+            for i, v in enumerate(result):
+                nxt[i] += v * t
+                nxt[i + 1] += v * s
+            nxt[0] += acc[j]
+            result = nxt[: k + 1]
+        return tuple(result)
 
     @staticmethod
     def from_monomial(coefficients, a, b, p: Precision = Precision()) -> "Polynomial":
         """Chebyshev form of a monomial-basis polynomial on [a, b]."""
-        with working(p):
-            av, bv = finite_segment(a, b)
-            coeffs = [to_mpf(c) for c in coefficients]
-            k = len(coeffs) - 1
-            mid = (av + bv) / 2
-            hw = (bv - av) / 2
+        ctx = context(p)
+        av, bv = finite_segment(a, b, p)
+        coeffs = [to_mpf(c, p) for c in coefficients]
+        k = len(coeffs) - 1
+        mid = (av + bv) / 2
+        hw = (bv - av) / 2
 
-            def horner(x):
-                acc = mp.mpf(0)
-                for c in reversed(coeffs):
-                    acc = acc * x + c
-                return acc
+        def horner(x):
+            acc = ctx.mpf(0)
+            for c in reversed(coeffs):
+                acc = acc * x + c
+            return acc
 
-            npts = k + 1
-            thetas = [mp.pi * (2 * i + 1) / (2 * npts) for i in range(npts)]
-            vals = [horner(mid + hw * mp.cos(th)) for th in thetas]
-            cheb = []
-            for j in range(npts):
-                s = mp.mpf(0)
-                for i in range(npts):
-                    s += vals[i] * mp.cos(j * thetas[i])
-                cheb.append(s * (1 if j == 0 else 2) / npts)
-            return Polynomial(coefficients=tuple(cheb), segment=(av, bv))
+        npts = k + 1
+        thetas = [ctx.pi * (2 * i + 1) / (2 * npts) for i in range(npts)]
+        vals = [horner(mid + hw * ctx.cos(th)) for th in thetas]
+        cheb = []
+        for j in range(npts):
+            s = ctx.mpf(0)
+            for i in range(npts):
+                s += vals[i] * ctx.cos(j * thetas[i])
+            cheb.append(s * (1 if j == 0 else 2) / npts)
+        return Polynomial(coefficients=tuple(cheb), segment=(av, bv))
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,10 @@ class EquioscillationReport:
 
 
 class CachedFunction:
-    """Memoizing wrapper for the approximated function; counts fresh calls."""
+    """Memoizing wrapper for the approximated function; counts fresh calls.
+
+    A value of ``fn`` not in the context of its argument is rounded into it.
+    """
 
     def __init__(self, fn):
         self.fn = fn
@@ -167,17 +170,20 @@ class CachedFunction:
         v = self.values.get(x)
         if v is None:
             v = self.fn(x)
+            if type(v) is not type(x):
+                v = x.context.mpf(v)
             self.values[x] = v
             self.calls += 1
         return v
 
 
 def _chebyshev_grid(a, b, count):
-    """The ``count`` Chebyshev extremum abscissae of [a, b], endpoints included."""
+    """The ``count`` Chebyshev extremum abscissae of [a, b], endpoints included, in a's context."""
+    ctx = a.context
     mid = (a + b) / 2
     hw = (b - a) / 2
     return tuple(
-        mid - hw * mp.cos(mp.pi * i / (count - 1)) if 0 < i < count - 1
+        mid - hw * ctx.cos(ctx.pi * i / (count - 1)) if 0 < i < count - 1
         else (a if i == 0 else b)
         for i in range(count)
     )
@@ -188,19 +194,19 @@ def _solve_levelled_system(g, nodes, a, b, p: Precision):
 
     ``nodes`` are k+2 strictly increasing mpf points of the mpf segment
     [a, b]; the system is solved by Gaussian elimination with full pivoting
-    in the caller's working context.
+    in the working context of p.
     """
     k = len(nodes) - 2
     rows = []
     rhs = []
     for i, t in enumerate(nodes):
         u = (2 * t - a - b) / (b - a)
-        basis = [mp.mpf(1)]
+        basis = [a.context.mpf(1)]
         if k >= 1:
             basis.append(u)
         for _ in range(2, k + 1):
             basis.append(2 * u * basis[-1] - basis[-2])
-        rows.append(basis + [mp.mpf(-1) ** i])
+        rows.append(basis + [a.context.mpf(-1) ** i])
         rhs.append(g(t))
     sol = _solve_full_pivot(rows, rhs, p)
     coeffs = tuple(+c for c in sol[: k + 1])
@@ -208,12 +214,13 @@ def _solve_levelled_system(g, nodes, a, b, p: Precision):
 
 
 def _solve_full_pivot(rows, rhs, p: Precision):
+    ctx = context(p)
     n = len(rows)
     M = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
     scale = max(max(abs(v) for v in row[:-1]) for row in M)
     if scale == 0:
         raise SingularSystemError("zero system")
-    tiny = scale * mp.mpf(10) ** (-(p.decimal_digits + 5))
+    tiny = scale * ctx.mpf(10) ** (-(p.decimal_digits + 5))
     perm = list(range(n))
     for col in range(n):
         pi, pj, best = col, col, abs(M[col][col])
@@ -238,13 +245,13 @@ def _solve_full_pivot(rows, rhs, p: Precision):
             if factor != 0:
                 for j in range(col, n + 1):
                     M[i][j] -= factor * M[col][j]
-    x = [mp.mpf(0)] * n
+    x = [ctx.mpf(0)] * n
     for i in range(n - 1, -1, -1):
         acc = M[i][n]
         for j in range(i + 1, n):
             acc -= M[i][j] * x[j]
         x[i] = acc / M[i][i]
-    out = [mp.mpf(0)] * n
+    out = [ctx.mpf(0)] * n
     for idx, where in enumerate(perm):
         out[where] = x[idx]
     return out
@@ -274,7 +281,7 @@ def _polish_max(phi, lo, hi, width_tol, known):
         (v, fv), (w, fw), (x, fx) = (w, fw), (x, fx), (u, fu)
     else:
         v, fv = ranked[2]
-    golden = (3 - mp.sqrt(5)) / 2
+    golden = (3 - lo.context.sqrt(5)) / 2
     # least step; at a quarter of the width, every probe lands at least one
     # step inside a bracket wider than width_tol, so the bracket shrinks
     step_tol = width_tol / 4
@@ -328,7 +335,7 @@ def _exchange_core(g, poly, grid, rvals, grid_max, current_nodes=None):
     a, b = poly.segment
     k = poly.degree
     required = k + 2
-    width_tol = (b - a) * to_mpf(REFINE_WIDTH_FACTOR)
+    width_tol = (b - a) * a.context.mpf(REFINE_WIDTH_FACTOR)
     count = len(grid)
 
     candidates = []
@@ -403,50 +410,50 @@ def minimax(g, a, b, k: int, tol="1e-12", p: Precision = Precision(),
     Returns the polynomial, the error estimate ``delta_hat`` (maximum
     observed residual, an upper-bound-flavored estimate), the k+2
     equioscillation nodes, and the de la Vallee-Poussin bounds.
+
+    ``g`` receives mpfs of p's working context and should compute in it,
+    ``lambda x: x.context.exp(x)``: ``mpmath.exp`` uses the ambient precision.
     """
     if not isinstance(k, int) or k < 0:
         raise ConfigurationError(f"degree must be a nonnegative integer, got {k!r}")
-    with working(p):
-        av, bv = finite_segment(a, b)
-        tol_v = to_mpf(tol)
-        if tol_v < resolution_floor(p):
-            raise ConfigurationError(
-                f"tol={tol} is below what {p.decimal_digits}-digit arithmetic can resolve"
-            )
-        gc = g if isinstance(g, CachedFunction) else CachedFunction(g)
-        grid = _chebyshev_grid(av, bv, grid_multiplier * (k + 2))
-        nodes = _chebyshev_grid(av, bv, k + 2)
-        history = []
-        for iteration in range(1, max_iterations + 1):
-            poly, h = _solve_levelled_system(gc, nodes, av, bv, p)
-            history.append(abs(h))
-            rvals = [gc(x) - poly.evaluate(x) for x in grid]
-            grid_max = max(abs(r) for r in rvals)
-            scale = max(abs(gc(x)) for x in grid)
-            zero_floor = mp.mpf(10) ** (-p.decimal_digits) * max(1, scale)
-            if grid_max <= zero_floor:
-                # exact representation: grid_max is only rounding noise, and a
-                # denser grid finds more of it, so the floor is the estimate
-                lower = min(abs(h), grid_max)
-                return MinimaxResult(
-                    polynomial=poly, delta_hat=+zero_floor, nodes=tuple(nodes),
-                    iterations=iteration, levelled_error_history=tuple(history),
-                    lower_bound=+lower, upper_bound=+zero_floor,
-                )
-            nodes, residuals = _exchange_core(gc, poly, grid, rvals, grid_max,
-                                              current_nodes=nodes)
-            lower = min(abs(r) for r in residuals)
-            upper = max(max(abs(r) for r in residuals), grid_max)
-            if (upper - lower) / upper <= tol_v:
-                return MinimaxResult(
-                    polynomial=poly, delta_hat=+upper, nodes=tuple(nodes),
-                    iterations=iteration, levelled_error_history=tuple(history),
-                    lower_bound=+lower, upper_bound=+upper,
-                )
-        raise ConvergenceError(
-            f"no convergence to tol={tol} within {max_iterations} iterations",
-            history=history,
+    ctx = context(p)
+    av, bv = finite_segment(a, b, p)
+    tol_v = to_mpf(tol, p)
+    if tol_v < resolution_floor(p):
+        raise ConfigurationError(
+            f"tol={tol} is below what {p.decimal_digits}-digit arithmetic can resolve"
         )
+    gc = g if isinstance(g, CachedFunction) else CachedFunction(g)
+    grid = _chebyshev_grid(av, bv, grid_multiplier * (k + 2))
+    nodes = _chebyshev_grid(av, bv, k + 2)
+    history = []
+
+    def result(delta, lower):  # delta_hat is the upper bound
+        return MinimaxResult(polynomial=poly, delta_hat=+delta, nodes=tuple(nodes),
+                             iterations=iteration, levelled_error_history=tuple(history),
+                             lower_bound=+lower, upper_bound=+delta)
+
+    for iteration in range(1, max_iterations + 1):
+        poly, h = _solve_levelled_system(gc, nodes, av, bv, p)
+        history.append(abs(h))
+        rvals = [gc(x) - poly.evaluate(x) for x in grid]
+        grid_max = max(abs(r) for r in rvals)
+        scale = max(abs(gc(x)) for x in grid)
+        zero_floor = ctx.mpf(10) ** (-p.decimal_digits) * max(1, scale)
+        if grid_max <= zero_floor:
+            # exact representation: grid_max is only rounding noise, and a
+            # denser grid finds more of it, so the floor is the estimate
+            return result(zero_floor, min(abs(h), grid_max))
+        nodes, residuals = _exchange_core(gc, poly, grid, rvals, grid_max,
+                                          current_nodes=nodes)
+        lower = min(abs(r) for r in residuals)
+        upper = max(max(abs(r) for r in residuals), grid_max)
+        if (upper - lower) / upper <= tol_v:
+            return result(upper, lower)
+    raise ConvergenceError(
+        f"no convergence to tol={tol} within {max_iterations} iterations",
+        history=history,
+    )
 
 
 def verify_equioscillation(result: MinimaxResult, g, rel_tol="1e-6",
@@ -455,47 +462,36 @@ def verify_equioscillation(result: MinimaxResult, g, rel_tol="1e-6",
 
     Passing this check is the gate for trusting ``delta_hat`` downstream.
     A result with delta_hat at the arithmetic floor passes by the zero rule
-    (exactly representable g has no meaningful residual signs).
+    (exactly representable g has no meaningful residual signs).  ``g`` is
+    called as ``minimax`` calls it.
     """
-    with working(p):
-        poly = result.polynomial
-        nodes = result.nodes
-        gc = g if isinstance(g, CachedFunction) else CachedFunction(g)
-        residuals = [gc(t) - poly.evaluate(t) for t in nodes]
-        scale = max([abs(gc(t)) for t in nodes] + [mp.mpf(1)])
-        floor = resolution_floor(p) * scale
-        if result.delta_hat <= floor:
-            bad = [i for i, r in enumerate(residuals) if abs(r) > floor]
-            if not bad:
-                return EquioscillationReport(
-                    passed=True, residuals=tuple(residuals), spread=None,
-                    delta_hat=result.delta_hat, failure_index=None,
-                    message="exact representation: all residuals at the arithmetic floor",
-                )
-            return EquioscillationReport(
-                passed=False, residuals=tuple(residuals), spread=None,
-                delta_hat=result.delta_hat, failure_index=bad[0],
-                message=f"delta_hat at floor but residual {bad[0]} above it",
-            )
-        for i in range(1, len(residuals)):
-            if residuals[i] == 0 or residuals[i - 1] == 0 or \
-                    (residuals[i] > 0) == (residuals[i - 1] > 0):
-                return EquioscillationReport(
-                    passed=False, residuals=tuple(residuals), spread=None,
-                    delta_hat=result.delta_hat, failure_index=i,
-                    message=f"residual signs do not alternate at node {i}",
-                )
-        mags = [abs(r) for r in residuals]
-        spread = (max(mags) - min(mags)) / result.delta_hat
-        if spread > to_mpf(rel_tol):
-            worst = min(range(len(mags)), key=lambda i: mags[i])
-            return EquioscillationReport(
-                passed=False, residuals=tuple(residuals), spread=+spread,
-                delta_hat=result.delta_hat, failure_index=worst,
-                message=f"residual spread {mpmath.nstr(spread, 6)} exceeds tolerance",
-            )
-        return EquioscillationReport(
-            passed=True, residuals=tuple(residuals), spread=+spread,
-            delta_hat=result.delta_hat, failure_index=None,
-            message="equioscillation verified",
-        )
+    poly = result.polynomial
+    nodes = result.nodes
+    gc = g if isinstance(g, CachedFunction) else CachedFunction(g)
+    residuals = [gc(t) - poly.evaluate(t) for t in nodes]
+
+    def report(passed, message, spread=None, failure_index=None):
+        return EquioscillationReport(passed=passed, residuals=tuple(residuals), spread=spread,
+                                     delta_hat=result.delta_hat, failure_index=failure_index,
+                                     message=message)
+
+    scale = max([abs(gc(t)) for t in nodes] + [context(p).mpf(1)])
+    floor = resolution_floor(p) * scale
+    if result.delta_hat <= floor:
+        bad = [i for i, r in enumerate(residuals) if abs(r) > floor]
+        if not bad:
+            return report(True, "exact representation: all residuals at the arithmetic floor")
+        return report(False, f"delta_hat at floor but residual {bad[0]} above it",
+                      failure_index=bad[0])
+    for i in range(1, len(residuals)):
+        if residuals[i] == 0 or residuals[i - 1] == 0 or \
+                (residuals[i] > 0) == (residuals[i - 1] > 0):
+            return report(False, f"residual signs do not alternate at node {i}",
+                          failure_index=i)
+    mags = [abs(r) for r in residuals]
+    spread = (max(mags) - min(mags)) / result.delta_hat
+    if spread > to_mpf(rel_tol, p):
+        worst = min(range(len(mags)), key=lambda i: mags[i])
+        return report(False, f"residual spread {mpmath.nstr(spread, 6)} exceeds tolerance",
+                      +spread, worst)
+    return report(True, "equioscillation verified", +spread)

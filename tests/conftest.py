@@ -8,8 +8,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from ineqprove import Precision
 
-# Assertion arithmetic in the tests runs at a generous ambient precision;
-# the library itself manages its own working contexts.
+# Assertion arithmetic in the tests runs at a generous ambient precision.
+# The library never reads it: it computes in contexts of its own, one per
+# precision (ineqprove.precision.context).
 mpmath.mp.dps = 60
 
 

@@ -6,7 +6,8 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from ineqprove import DomainError, quadrature, to_mpf, working
+from ineqprove import DomainError, quadrature, to_mpf
+from ineqprove.precision import GUARD_DIGITS
 from ineqprove.expr import (
     BinaryOp,
     Constant,
@@ -93,15 +94,25 @@ def as_mpf(text):
     return mpmath.mpf(text)
 
 
+def ambient(p):
+    """The global mp at p's working precision, for a test's own arithmetic.
+
+    The package never reads it; a test that computes beside the package
+    sets it itself.
+    """
+    return mp.workdps(p.decimal_digits + GUARD_DIGITS)
+
+
 def reference_evaluate(e, x, p):
-    """e at x by a walk of the mpf tree at working precision p.
+    """e at x by a walk of the mp tree at working precision p.
 
     The evaluator the package used before it compiled expressions, kept as
     the oracle that the compiled evaluator must match bit for bit, errors
-    and their messages included.
+    and their messages included.  It computes in the global mp, raised to
+    p's working precision; values of the package enter it with their bits.
     """
-    with working(p):
-        return _walk(e.root, to_mpf(x), p)
+    with ambient(p):
+        return _walk(e.root, mp.convert(to_mpf(x, p)), p)
 
 
 def _walk(node, x, p):
@@ -172,10 +183,10 @@ def _walk(node, x, p):
         if v < 0:
             raise DomainError(f"kurepa argument {v} is negative")
         if isinstance(node, KurepaNode):
-            return quadrature.kurepa(v, p).value
+            return mp.convert(quadrature.kurepa(v, p).value)
         if node.order > 3:
             raise DomainError(
                 f"kurepa derivative of order {node.order} is not supported (max 3)"
             )
-        return quadrature.kurepa_derivative(v, node.order, p).value
+        return mp.convert(quadrature.kurepa_derivative(v, node.order, p).value)
     raise TypeError(f"not an expression node: {node!r}")

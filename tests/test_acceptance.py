@@ -35,11 +35,10 @@ from ineqprove import (
     parse,
     prove_inequality,
     verify_equioscillation,
-    working,
 )
 from ineqprove.cli import main as cli_main
 
-from helpers import ARCSIN_DIFF_SOURCE, planted_endpoint_polynomial
+from helpers import ARCSIN_DIFF_SOURCE, ambient, planted_endpoint_polynomial
 
 P50 = Precision(50)
 P35 = Precision(35)
@@ -88,7 +87,7 @@ def test_minimax_exponential_against_closed_form():
     with criterion("minimax exponential oracle", 1.0):
         result = minimax(mpmath.exp, 0, 1, 1, p=P50)
         mono = result.polynomial.to_monomial()
-        with working(P50):
+        with ambient(P50):
             slope = mp.e - 1
             node = mp.log(slope)
             intercept = (1 + slope - slope * mp.log(slope)) / 2

@@ -1,5 +1,6 @@
 import json
 import random
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb
 
@@ -10,12 +11,14 @@ from mpmath import mp
 from ineqprove import (
     CertificationError,
     ConfigurationError,
+    DomainError,
     Polynomial,
     Precision,
     ProofSettings,
     QuotientFunction,
     ZeroLimitError,
     certify_positive,
+    decimal_str,
     endpoint_limits_numeric,
     endpoint_limits_taylor,
     find_inflection,
@@ -26,10 +29,9 @@ from ineqprove import (
     report_to_json,
     residual_check,
     to_mpf,
-    working,
 )
 
-from helpers import TRIG_ARCSIN_SOURCE
+from helpers import ARCSIN_DIFF_SOURCE, KP0, TRIG_ARCSIN_SOURCE, ambient
 
 
 def make_poly(monomial, a=0, b=1):
@@ -155,7 +157,7 @@ class TestCertifyPositive:
     def test_subinterval_bounds_sound(self, p50):
         P = make_poly(["0.05", "-0.4", "1.2"], 0, 1)
         cert = certify_positive(P, "0.003", "1.000001", p50)
-        with working(p50):
+        with ambient(p50):
             margin = mp.mpf("1.000001") * mp.mpf("0.003")
             for left, right, bound in cert.subintervals:
                 for i in range(20):
@@ -451,7 +453,7 @@ class TestProvePipeline:
         assert report.verdict == "proven"
         rng = random.Random(11111)
         f = lambda x: x * (1 - x)
-        with working(p30):
+        with ambient(p30):
             floor = -mp.mpf(10) ** (-(30 - 15))
             for _ in range(10000):
                 x = mp.mpf(rng.random())
@@ -503,7 +505,7 @@ class TestProvePipeline:
     ], ids=["prove_inequality", "minimax", "endpoint_limits_taylor",
             "endpoint_limits_numeric", "QuotientFunction", "from_monomial", "find_inflection"])
     def test_infinite_segment_end_refused(self, entry, a, b, end, p30):
-        with working(p30), pytest.raises(ConfigurationError,
+        with ambient(p30), pytest.raises(ConfigurationError,
                                          match=f"segment end {end} must be finite"):
             entry(a, b, p30)
 
@@ -513,13 +515,40 @@ class TestProvePipeline:
         settings = ProofSettings(precision=p30)
         with mp.workdps(80):
             fine = mp.mpf(1) / 3
-        with working(p30):
+        with ambient(p30):
             rounded = +fine
         assert fine != rounded
         reports = [report_to_json(prove_inequality("exp(x)-1-x", 0, end, 2, 0, 1, settings), p30)
                    for end in (fine, rounded)]
         assert reports[0] == reports[1]
         assert json.loads(reports[0])["verdict"] == "proven"
+
+    def test_warm_proof_sets_no_precision(self, p30, monkeypatch):
+        # once its memos are warm, a proof sets no context's precision: not
+        # the global mp's, nor that of a context it computes in
+        settings = ProofSettings(precision=p30)
+        proofs = [("exp(x)-1-x", 0, 1, 2, 0, 1), (ARCSIN_DIFF_SOURCE, 0, 1, 3, "1/2", 8),
+                  ("(1.432205)*x - kurepa(x)", 0, 1, 1, 0, 1)]
+        g = QuotientFunction(parse("sin(x)*(1-x)"), 0, 1, 1, 1, "0.9", "0.8", p30)
+        # both endpoints, both blend zones, the interior and outside
+        xs = [mpmath.mpf(v) for v in ("0", "1e-10", "0.5", "0.9999999999", "1")]
+
+        def run():
+            for x in (mpmath.mpf(-1), mpmath.mpf(2)):
+                with pytest.raises(DomainError):
+                    g.evaluate(x)
+            return ([report_to_json(prove_inequality(*args, settings)) for args in proofs],
+                    [g.evaluate(x)._mpf_ for x in xs])
+
+        warm = run()
+
+        def refuse(ctx, value):
+            raise AssertionError("a precision was set during a warm proof")
+
+        for name in ("prec", "dps"):
+            getter = getattr(mpmath.MPContext, name).fget
+            monkeypatch.setattr(mpmath.MPContext, name, property(getter, refuse))
+        assert run() == warm
 
     def test_g_evaluation_count(self, p50):
         # 706 with golden-section polishing, about 44 calls per extremum
@@ -562,3 +591,36 @@ class TestReportJson:
         a = report_to_json(prove_inequality("x*(1-x)", 0, 1, 1, 1, 1, settings), p30)
         b = report_to_json(prove_inequality("x*(1-x)", 0, 1, 1, 1, 1, settings), p30)
         assert a.encode() == b.encode()
+
+    def test_number_settings_echo_apart_from_ambient_precision(self, p30):
+        # a setting given as a number is rounded at entry and echoed through
+        # decimal_str, so the caller's mp.dps cannot reach the report
+        settings = ProofSettings(precision=p30, tol=mpmath.mpf(3e-12),
+                                 margin_factor=Fraction(1000001, 1000000))
+        reports = []
+        for dps in (15, 40):
+            with mp.workdps(dps):
+                reports.append(report_to_json(
+                    prove_inequality("exp(x)-1-x", 0, 1, 2, 0, 1, settings)))
+        assert reports[0] == reports[1]
+        echo = json.loads(reports[0])["settings"]
+        assert echo["tol"] == decimal_str(mpmath.mpf(3e-12), p30)
+        assert echo["margin_factor"] == "1.000001"
+
+    def test_proofs_in_threads_give_their_solo_bytes(self):
+        # each proof computes in the context of its own precision, and no
+        # proof sets a precision that another one reads
+        proofs = [
+            (TRIG_ARCSIN_SOURCE, 0, "pi/2", 3, 1, 1, ProofSettings(precision=Precision(50))),
+            ("exp(x)-1-x", 0, 1, 2, 0, 1, ProofSettings(precision=Precision(30))),
+            (f"({KP0})*x - kurepa(x)", 0, 1, 2, 0, 1,
+             ProofSettings(precision=Precision(35), grid_multiplier=4)),
+        ]
+
+        def run(args):
+            return report_to_json(prove_inequality(*args))
+
+        solo = [run(args) for args in proofs]
+        for _ in range(3):
+            with ThreadPoolExecutor(len(proofs)) as pool:
+                assert list(pool.map(run, proofs)) == solo

@@ -12,12 +12,16 @@ from mpmath import mp
 from ineqprove import (
     DomainError,
     ExpressionSyntaxError,
+    Polynomial,
     Precision,
     UnknownIdentifierError,
+    decimal_str,
     differentiate,
     evaluate,
+    kurepa,
+    kurepa_derivative,
     parse,
-    working,
+    to_mpf,
 )
 from ineqprove.expr import (
     BinaryOp,
@@ -30,7 +34,7 @@ from ineqprove.expr import (
     compiled,
 )
 
-from helpers import KP0, reference_evaluate
+from helpers import KP0, ambient, reference_evaluate
 
 
 class TestParse:
@@ -144,7 +148,7 @@ class TestEvaluate:
 
     def test_arcsin_endpoint(self, p50):
         v = evaluate(parse("arcsin(x)"), 1, p50)
-        with working(p50):
+        with ambient(p50):
             assert abs(v - mp.pi / 2) < mp.mpf(10) ** -55
 
     def test_kurepa_at_one(self, p50):
@@ -177,17 +181,27 @@ class TestEvaluate:
         b = evaluate(e, x, p50)
         assert a._mpf_ == b._mpf_
 
-    def test_result_independent_of_ambient_context(self, p50):
+    def test_result_independent_of_ambient_context(self, p50, p35):
+        # evaluate and the scalar entry points beside it give the same bits
+        # under any ambient mp.dps
         e = parse("exp(sin(x)) - arctan(x/3)")
         x = mpmath.mpf("0.7381")
-        reference = evaluate(e, x, p50)
-        old = mp.dps
-        try:
-            mp.dps = 15
-            low_ambient = evaluate(e, x, p50)
-        finally:
-            mp.dps = old
-        assert low_ambient._mpf_ == reference._mpf_
+
+        def outcomes():
+            poly = Polynomial.from_monomial(["0.2", "-0.7", "pi/7"], 0, "pi/2", p50)
+            values = [evaluate(e, x, p50), evaluate(e, "0.7381", p50),
+                      evaluate(parse("kurepa(x)"), "0.5", p35),
+                      to_mpf("0.1", p50), to_mpf("pi/3", p50), to_mpf(Fraction(1, 3), p50),
+                      to_mpf(mpmath.pi, p50),
+                      kurepa("0.5", p35).value, kurepa_derivative("0.5", 2, p35).value,
+                      *poly.coefficients, *poly.to_monomial(p50)]
+            texts = [decimal_str(v, p50) for v in ("0.1", Fraction(1, 3), 7, x)]
+            return [v._mpf_ for v in values], texts
+
+        reference = outcomes()
+        for dps in (15, 200):
+            with mp.workdps(dps):
+                assert outcomes() == reference
 
 
     @pytest.mark.parametrize("source, message", [
@@ -314,7 +328,7 @@ class TestDifferentiate:
     def test_power_rule(self, p50):
         d = differentiate(parse("x^(3/2)"))
         v = evaluate(d, "0.25", p50)
-        with working(p50):
+        with ambient(p50):
             assert abs(v - mp.mpf(3) / 2 * mp.sqrt(mp.mpf("0.25"))) < mp.mpf(10) ** -55
 
 

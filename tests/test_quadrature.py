@@ -18,7 +18,6 @@ from ineqprove import (
     find_inflection,
     kurepa,
     kurepa_derivative,
-    working,
 )
 
 from helpers import (
@@ -28,6 +27,7 @@ from helpers import (
     KPP0,
     KPPP0,
     K_HALF,
+    ambient,
     requires_recorded_mpmath,
 )
 from reference_oracle import kurepa_ts
@@ -78,13 +78,13 @@ class TestGaussLegendre:
     # the Gauss half of the rule: nodes xs[1::2] with the Gauss weights
     def test_exactness_on_polynomials(self, p50):
         # n-node rule integrates degree 2n-1 exactly
-        with working(p50):
+        with ambient(p50):
             xs, _, ws = quadrature.gauss_kronrod_rule(6, mp.prec)
             for degree in range(12):
                 assert _moment_error(xs[1::2], ws, degree) < mp.mpf(10) ** -55
 
     def test_symmetry(self, p50):
-        with working(p50):
+        with ambient(p50):
             xs, _, ws = quadrature.gauss_kronrod_rule(9, mp.prec)
             xs = xs[1::2]
             assert len(xs) == len(ws) == 9
@@ -99,14 +99,14 @@ class TestGaussKronrod:
     @pytest.mark.parametrize("n", [6, 7])
     def test_exactness_on_polynomials(self, n, p50):
         # the 2n+1 rule integrates degree 3n+1 exactly
-        with working(p50):
+        with ambient(p50):
             xs, ws, _ = quadrature.gauss_kronrod_rule(n, mp.prec)
             for degree in range(3 * n + 2):
                 assert _moment_error(xs, ws, degree) < mp.mpf(10) ** -55
 
     @pytest.mark.parametrize("n", [6, 7, 25])
     def test_symmetry_and_nesting(self, n, p50):
-        with working(p50):
+        with ambient(p50):
             xs, ws, gws = quadrature.gauss_kronrod_rule(n, mp.prec)
             assert len(xs) == len(ws) == 2 * n + 1
             assert xs[n] == 0
@@ -120,7 +120,7 @@ class TestGaussKronrod:
                 assert _moment_error(xs[1::2], gws, degree) < mp.mpf(10) ** -55
 
     def test_matches_quadpack_qk15(self, p50):
-        with working(p50):
+        with ambient(p50):
             xs, ws, gws = quadrature.gauss_kronrod_rule(7, mp.prec)
             tol = mp.mpf(10) ** -18
             for x, w, x_ref, w_ref in zip(reversed(xs), reversed(ws), QK15_XGK, QK15_WGK):

@@ -9,15 +9,23 @@ from ineqprove import (
     DivergentLimitError,
     DomainError,
     MultiplicityError,
+    ProofSettings,
     QuotientFunction,
     ZeroLimitError,
+    certify_positive,
     endpoint_limits_numeric,
     endpoint_limits_taylor,
+    evaluate,
+    minimax,
     parse,
-    working,
+    prove_inequality,
+    report_to_json,
+    residual_check,
+    verify_equioscillation,
 )
+from ineqprove.cli import main
 
-from helpers import ARCSIN_DIFF_SOURCE, KP0, planted_endpoint_polynomial
+from helpers import ARCSIN_DIFF_SOURCE, KP0, ambient, planted_endpoint_polynomial
 
 
 class TestTaylorLimits:
@@ -81,7 +89,7 @@ class TestNumericLimits:
     def test_smooth_nonpolynomial(self, p50):
         alpha, beta = endpoint_limits_numeric(parse("sin(x)*(1-x)"), 0, 1, 1, 1, p50)
         assert abs(alpha - 1) < mpmath.mpf("1e-8")
-        with working(p50):
+        with ambient(p50):
             assert abs(beta - mp.sin(1)) < mp.mpf("1e-8")
 
 
@@ -129,10 +137,10 @@ class TestQuotientFunction:
 
     def test_blend_zone_continuity(self, p50):
         f = parse("sin(x)*(1-x)")
-        with working(p50):
+        with ambient(p50):
             alpha, beta = endpoint_limits_taylor(f, 0, 1, 1, 1, p50)
         g = QuotientFunction(f, 0, 1, 1, 1, alpha, beta, p50)
-        with working(p50):
+        with ambient(p50):
             gaps = []
             for j in range(4, 13):
                 x = mp.mpf(10) ** (-j)
@@ -148,45 +156,43 @@ class TestQuotientFunction:
                 assert tight <= wide
             assert all(gap <= mp.mpf("1e-6") * abs(beta) for gap in gaps_b[6:])
 
-    def test_result_independent_of_ambient_context(self, p50):
+    def test_result_independent_of_ambient_context(self, p50, p30, tmp_path):
+        # g, the limit routes, Remez, the residual sweep, the certifier and
+        # the report give the same bits and bytes under any ambient mp.dps
         g = QuotientFunction(parse(ARCSIN_DIFF_SOURCE), 0, 1, 3, "0.5", 1, "1/3", p50)
         xs = [mpmath.mpf(v) for v in ("0", "1e-9", "0.3", "0.7", "0.999999999", "1")]
         outside = mpmath.mpf(4) / 3
+        f = parse("exp(x)-1-x")
+        out = tmp_path / "report.json"
+
+        def h(x):
+            return evaluate(parse("exp(x)"), x, p30)
 
         def outcomes():
             with pytest.raises(DomainError) as err:
                 g.evaluate(outside)
-            return [g.evaluate(x)._mpf_ for x in xs], str(err.value)
+            values = [g.evaluate(x) for x in xs]
+            values += [*endpoint_limits_taylor(f, 0, 1, 2, 0, p30),
+                       *endpoint_limits_numeric(f, 0, 1, 2, 0, p30)]
+            mr = minimax(h, 0, 1, 2, p=p30)
+            eq = verify_equioscillation(mr, h, p=p30)
+            stats = residual_check(h, mr.polynomial, mr.delta_hat, 64, p30)
+            cert = certify_positive(mr.polynomial, "0.5", "1.000001", p30)
+            values += [mr.delta_hat, *mr.polynomial.coefficients, *mr.nodes, *eq.residuals,
+                       stats.max_residual, stats.threshold, cert.global_min_bound,
+                       *(v for leaf in cert.subintervals for v in leaf)]
+            report = report_to_json(prove_inequality(f, 0, 1, 2, 0, 1,
+                                                     ProofSettings(precision=p30)))
+            assert main(["prove", "--function", "exp(x)-1-x", "--interval", "0,1",
+                         "--n", "2", "--m", "0", "--precision", "30", "--out", str(out)]) == 0
+            return ([v._mpf_ for v in values], str(err.value), eq.passed, stats.passed,
+                    report, out.read_bytes())
 
         reference = outcomes()
         assert reference[1].endswith(" outside segment [0.0, 1.0]")
-        old = mp.dps
-        try:
-            for dps in (15, 80):
-                mp.dps = dps
+        for dps in (15, 200):
+            with mp.workdps(dps):
                 assert outcomes() == reference
-        finally:
-            mp.dps = old
-
-    def test_mpf_arguments_enter_no_working_context(self, p50, monkeypatch):
-        g = QuotientFunction(parse("sin(x)*(1-x)"), 0, 1, 1, 1, "0.9", "0.8", p50)
-        # both endpoints, both blend zones and the interior
-        points = ("0", "1e-10", "0.5", "0.9999999999", "1")
-        with working(p50):
-            xs = [mp.mpf(v) for v in points]
-
-        def refuse(p):
-            raise AssertionError("an mpf argument entered a working context")
-
-        monkeypatch.setattr("ineqprove.quotient.working", refuse)
-        values = [g.evaluate(x)._mpf_ for x in xs]
-        for x in (mpmath.mpf(-1), mpmath.mpf(2)):
-            with pytest.raises(DomainError):
-                g.evaluate(x)
-        monkeypatch.undo()
-        # a text argument is converted in a working context, to the same values
-        assert values == [g.evaluate(v)._mpf_ for v in points]
-        assert values[0] == g.alpha._mpf_ and values[-1] == g.beta._mpf_
 
     def test_invalid_limits_rejected(self, p50):
         f = parse("x*(1-x)")
@@ -197,7 +203,7 @@ class TestQuotientFunction:
 
     def test_denominator_positive_inside(self, p50):
         g = self._parabola(p50)
-        with working(p50):
+        with ambient(p50):
             for i in range(50):
                 x = mp.mpf(1) / 52 * (i + 1)
                 den = (x - g.a) ** 1 * (g.b - x) ** 1

@@ -10,29 +10,30 @@ from ineqprove import (
     Precision,
     minimax,
     verify_equioscillation,
-    working,
 )
 from ineqprove import remez
 from ineqprove.remez import MinimaxResult, _chebyshev_grid, _polish_max, _solve_levelled_system
+
+from helpers import ambient
 
 
 class TestInitialNodes:
     """The k+2 Chebyshev extremum abscissae minimax starts from."""
 
     def test_symmetric_unit(self, p50):
-        with working(p50):
+        with ambient(p50):
             nodes = _chebyshev_grid(mp.mpf(-1), mp.mpf(1), 3)
         assert nodes[0] == -1 and nodes[2] == 1
         assert abs(nodes[1]) < mpmath.mpf("1e-50")
 
     def test_affine_map(self, p50):
-        with working(p50):
+        with ambient(p50):
             nodes = _chebyshev_grid(mp.mpf(0), mp.mpf(1), 3)
         assert nodes[0] == 0 and nodes[2] == 1
         assert abs(nodes[1] - mpmath.mpf("0.5")) < mpmath.mpf("1e-50")
 
     def test_degree_two(self, p50):
-        with working(p50):
+        with ambient(p50):
             nodes = _chebyshev_grid(mp.mpf(-1), mp.mpf(1), 4)
         expected = ["-1", "-0.5", "0.5", "1"]
         for node, want in zip(nodes, expected):
@@ -40,7 +41,7 @@ class TestInitialNodes:
 
 
 def _levelled(g, nodes, a, b, p):
-    with working(p):
+    with ambient(p):
         return _solve_levelled_system(g, [mp.mpf(t) for t in nodes], mp.mpf(a), mp.mpf(b), p)
 
 
@@ -73,14 +74,14 @@ class TestExchange:
         assert len(result.nodes) == 3
         for node, want in zip(result.nodes, (-1, 0, 1)):
             assert abs(node - want) < mpmath.mpf("1e-10")
-        with working(p50):
+        with ambient(p50):
             residuals = [t * t - result.polynomial.evaluate(t) for t in result.nodes]
         assert [r > 0 for r in residuals] == [True, False, True]
 
     def test_exp_interior_node(self, p50):
         # the interior extremum of exp(x) - (c + (e-1) x) is at log(e-1)
         result = minimax(mpmath.exp, 0, 1, 1, p=p50)
-        with working(p50):
+        with ambient(p50):
             assert abs(result.nodes[1] - mp.log(mp.e - 1)) < mp.mpf("1e-12")
 
 
@@ -99,7 +100,7 @@ class TestPolishMax:
     """Brent polishing of one residual extremum, counted per call of phi."""
 
     def test_interior_bump_in_few_evaluations(self, p50):
-        with working(p50):
+        with ambient(p50):
             centre = mp.sqrt(2) / 3
             bump = lambda x: mp.exp(-20 * (x - centre) ** 2)
             lo, mid, hi = mp.mpf("0.4"), mp.mpf("0.45"), mp.mpf("0.5")
@@ -114,7 +115,7 @@ class TestPolishMax:
 
     @pytest.mark.parametrize("side", ["lo", "hi"])
     def test_falling_end_costs_one_probe(self, p50, side):
-        with working(p50):
+        with ambient(p50):
             lo, hi = mp.mpf(0), mp.mpf("0.01")
             end = lo if side == "lo" else hi
             falling = lambda x: mp.exp(-abs(x - end))
@@ -127,7 +128,7 @@ class TestPolishMax:
             assert calls == [lo + width if side == "lo" else hi - width]
 
     def test_bump_next_to_the_end_is_still_found(self, p50):
-        with working(p50):
+        with ambient(p50):
             lo, hi = mp.mpf(0), mp.mpf("0.01")
             centre = mp.sqrt(2) / 500
             bump = lambda x: -(x - centre) ** 2
@@ -140,7 +141,7 @@ class TestPolishMax:
 
     def test_never_below_the_best_known_value(self, p30):
         rng = random.Random(2718)
-        with working(p30):
+        with ambient(p30):
             for _ in range(200):
                 freq, shift = mp.mpf(rng.uniform(1, 300)), mp.mpf(rng.uniform(0, 6))
                 wave = lambda x: mp.sin(freq * x + shift)
@@ -187,7 +188,7 @@ class TestMinimax:
         g = lambda x: 3 * x * x - x + mpmath.mpf("0.25")
         r = minimax(g, 0, 1, 3, p=p50)
         assert r.delta_hat <= mpmath.mpf("1e-45")
-        with working(p50):
+        with ambient(p50):
             for _ in range(10):
                 x = mp.mpf(rng.random())
                 assert abs(r.polynomial.evaluate(x) - g(x)) < mp.mpf("1e-20")
@@ -195,7 +196,7 @@ class TestMinimax:
     def test_exp_slope(self, p50):
         r = minimax(mpmath.exp, 0, 1, 1, p=p50)
         mono = r.polynomial.to_monomial()
-        with working(p50):
+        with ambient(p50):
             assert abs(mono[1] - (mp.e - 1)) < mp.mpf("1e-10")
             assert abs(r.nodes[1] - mp.log(mp.e - 1)) < mp.mpf("1e-8")
 
@@ -209,7 +210,7 @@ class TestMinimax:
         c = mpmath.mpf("3.7")
         base = minimax(mpmath.sin, 0, 1, 3, p=p50)
         scaled = minimax(lambda x: c * mpmath.sin(x), 0, 1, 3, p=p50)
-        with working(p50):
+        with ambient(p50):
             assert abs(scaled.delta_hat - c * base.delta_hat) <= \
                 mp.mpf("1e-20") * scaled.delta_hat
             for sc, bc in zip(scaled.polynomial.coefficients, base.polynomial.coefficients):
@@ -218,7 +219,7 @@ class TestMinimax:
     def test_affine_domain_equivariance(self, p50):
         base = minimax(mpmath.exp, 1, 3, 3, p=p50)
         composed = minimax(lambda t: mpmath.exp(2 * t + 1), 0, 1, 3, p=p50)
-        with working(p50):
+        with ambient(p50):
             assert abs(base.delta_hat - composed.delta_hat) <= \
                 mp.mpf("1e-20") * base.delta_hat
 
@@ -277,7 +278,7 @@ class TestVerifyEquioscillation:
 
 class TestPolynomial:
     def test_constant_evaluation_exact(self, p50):
-        with working(p50):
+        with ambient(p50):
             c = mp.mpf("0.123456789")
             P = Polynomial(coefficients=(c,), segment=(mp.mpf(0), mp.mpf(1)))
             for x in ("0", "0.37", "1"):
@@ -285,7 +286,7 @@ class TestPolynomial:
 
     def test_monomial_round_trip(self, p50):
         rng = random.Random(1357)
-        with working(p50):
+        with ambient(p50):
             coeffs = tuple(mp.mpf(rng.uniform(-2, 2)) for _ in range(6))
             P = Polynomial(coefficients=coeffs, segment=(mp.mpf(-1), mp.mpf(2)))
             mono = P.to_monomial()
