@@ -53,8 +53,11 @@ from .precision import (
     decimal_str,
     finite_orders,
     finite_segment,
+    negligible_ratio,
     resolution_floor,
+    sampling_ratio,
     to_mpf,
+    witness_floor,
 )
 from .quotient import (
     LimitMethod,
@@ -62,10 +65,12 @@ from .quotient import (
     endpoint_limits_numeric,
     endpoint_limits_taylor,
 )
+from . import remez
 from .remez import (
     CachedFunction,
     Polynomial,
     _chebyshev_grid,
+    _chebyshev_to_power,
     minimax,
     verify_equioscillation,
 )
@@ -78,6 +83,8 @@ CAVEAT = (
 )
 
 CERTIFICATION_MIN_DIGITS = 30
+# the certifier's stopping rule (certify_positive)
+REL_SLACK, MAX_DEPTH = "0.01", 47
 
 
 @dataclass(frozen=True)
@@ -102,13 +109,13 @@ class PositivityCertificate:
 
 @dataclass(frozen=True)
 class ProofSettings:
-    precision: Precision = Precision(50)
-    tol: object = "1e-12"
-    grid_multiplier: int = 64
+    precision: Precision = Precision()
+    tol: object = remez.TOL
+    grid_multiplier: int = remez.GRID_MULTIPLIER
     residual_grid_size: object = None
     margin_factor: object = "1.000001"
-    equioscillation_rel_tol: object = "1e-6"
-    max_iterations: int = 50
+    equioscillation_rel_tol: object = remez.EQUIOSCILLATION_REL_TOL
+    max_iterations: int = remez.MAX_ITERATIONS
     limit_method: str = "auto"
     alpha_override: object = None
     beta_override: object = None
@@ -180,7 +187,7 @@ def residual_check(g, polynomial: Polynomial, delta, grid_size: int,
     # the first point of largest residual
     max_res, max_loc = max(((abs(g(x) - polynomial.evaluate(x)), x) for x in pts),
                            key=lambda item: item[0])
-    threshold = to_mpf(delta, p) * (1 + context(p).mpf(10) ** -6)
+    threshold = to_mpf(delta, p) * (1 + sampling_ratio(p))
     return GridStatistics(
         passed=bool(max_res <= threshold),
         max_residual=+max_res,
@@ -199,25 +206,12 @@ def _dyadic(value):
 def _bernstein(cheb):
     """Integers N_k with sum_j cheb[j] T_j(2t - 1) == sum_k N_k B_k(t) / n!.
 
-    The shifted Chebyshev polynomials T_j(2t - 1) have integer coefficients
-    in powers of t, and n! clears the denominators of the power-to-Bernstein
-    map b_k = sum_i C(k, i) / C(n, i) a_i.
+    The basis table gives the integer coefficients in powers of t, and n!
+    clears the denominators of the power-to-Bernstein map
+    b_k = sum_i C(k, i) / C(n, i) a_i.
     """
     n = len(cheb) - 1
-    basis = [[1], [-1, 2]]
-    while len(basis) <= n:
-        # T_{j+1} = (4t - 2) T_j - T_{j-1}
-        nxt = [0] * (len(basis[-1]) + 1)
-        for i, v in enumerate(basis[-1]):
-            nxt[i] -= 2 * v
-            nxt[i + 1] += 4 * v
-        for i, v in enumerate(basis[-2]):
-            nxt[i] -= v
-        basis.append(nxt)
-    power = [0] * (n + 1)
-    for c, poly in zip(cheb, basis):
-        for i, v in enumerate(poly):
-            power[i] += c * v
+    power = _chebyshev_to_power(cheb)
     fact = [math.factorial(i) for i in range(n + 1)]
     return [sum(power[i] * fact[k] * fact[n - i] // fact[k - i] for i in range(k + 1))
             for k in range(n + 1)]
@@ -237,8 +231,7 @@ def _split(coeffs):
 
 
 def certify_positive(polynomial: Polynomial, delta, margin_factor,
-                     p: Precision = Precision(), *, rel_slack="0.01",
-                     max_depth: int = 47,
+                     p: Precision = Precision(), *,
                      max_subintervals: int = 200000) -> PositivityCertificate:
     """Rigorous proof that P(x) - delta*margin_factor > 0 on the segment.
 
@@ -247,13 +240,13 @@ def certify_positive(polynomial: Polynomial, delta, margin_factor,
     Bernstein form in t = (x - a)/(b - a) on Python integers, and the leaf
     with the lowest lower bound (its minimum Bernstein coefficient) is split
     at its midpoint by de Casteljau, until that bound L is positive and
-    within ``rel_slack * L`` of the least exact value of P - delta*margin
-    seen so far (or the leaf is ``max_depth`` halvings deep).  Each leaf's
+    within REL_SLACK * L of the least exact value of P - delta*margin
+    seen so far (or the leaf is MAX_DEPTH halvings deep).  Each leaf's
     bound is rounded toward -inf, so ``global_min_bound`` is a true lower
     bound for P - delta*margin on [a, b], and close to its minimum.
 
     Raises CertificationError when a segment end or a split point has
-    P - delta*margin <= 0, when the lowest leaf reaches ``max_depth`` without
+    P - delta*margin <= 0, when the lowest leaf reaches MAX_DEPTH without
     a positive bound, or when the leaves would exceed ``max_subintervals``.
     That signals delta too large for this degree, not a disproof.
     """
@@ -265,11 +258,9 @@ def certify_positive(polynomial: Polynomial, delta, margin_factor,
     ctx = context(p)
     dv = to_mpf(delta, p)
     mv = to_mpf(margin_factor, p)
-    slack = to_mpf(rel_slack, p)
     coefficients = [to_mpf(c, p) for c in polynomial.coefficients]
     a, b = (to_mpf(v, p) for v in polynomial.segment)
-    inputs = [("delta", dv), ("margin_factor", mv), ("rel_slack", slack),
-              ("segment end", a), ("segment end", b)]
+    inputs = [("delta", dv), ("margin_factor", mv), ("segment end", a), ("segment end", b)]
     inputs += [("coefficient", c) for c in coefficients]
     for name, value in inputs:
         if not mpmath.isfinite(value):
@@ -289,10 +280,10 @@ def certify_positive(polynomial: Polynomial, delta, margin_factor,
     fact = math.factorial(n)
     root = [v - (margin[0] << (margin[1] - low)) * fact
             for v in _bernstein([c << (e - low) for c, e in cheb])]
-    slack_num, slack_den = libmp.to_rational(slack._mpf_)
+    slack_num, slack_den = libmp.to_rational(to_mpf(REL_SLACK, p)._mpf_)
 
     def key(value, depth):
-        return value << (n * (max_depth - depth))
+        return value << (n * (MAX_DEPTH - depth))
 
     def floor_mpf(value, depth):
         raw = libmp.from_rational(value, fact, ctx.prec, libmp.round_floor)
@@ -316,10 +307,10 @@ def certify_positive(polynomial: Polynomial, delta, margin_factor,
     heap = [(key(min(root), 0), next(order), 0, root, a, b)]
     while True:
         bound, _, depth, coeffs, lo, hi = heap[0]
-        if bound > 0 and (depth >= max_depth
+        if bound > 0 and (depth >= MAX_DEPTH
                           or (least - bound) * slack_den <= slack_num * bound):
             break
-        if depth >= max_depth:
+        if depth >= MAX_DEPTH:
             lower = floor_mpf(min(coeffs), depth)
             raise CertificationError(
                 "positivity not certified: subinterval "
@@ -378,9 +369,8 @@ def _settings_echo(f_source, a, b, n, m, k, s: ProofSettings, residual_grid_size
 def _disproof_witness(run):
     """Diagnostics entry of an interior sample with clearly negative f, if g's cache holds one."""
     p = run.p
-    ctx = context(p)
-    scale = max(ctx.mpf(1), abs(run.fields["alpha"]), abs(run.fields["beta"]))
-    floor = ctx.mpf(10) ** (-(p.decimal_digits - 15)) * scale
+    scale = max(context(p).mpf(1), abs(run.fields["alpha"]), abs(run.fields["beta"]))
+    floor = witness_floor(p) * scale
     # the first sample of smallest g
     worst_x, worst_g = min(run.g.values.items(), key=lambda item: item[1],
                            default=(None, 0))
@@ -412,7 +402,7 @@ def _numeric_cross_check(f, av, bv, nv, mv, p: Precision, alpha=None, beta=None)
         alpha_num, beta_num = endpoint_limits_numeric(f, av, bv, nv, mv, p)
     except IneqproveError as exc:
         return {"failed": f"{type(exc).__name__}: {exc}"}
-    tiny = context(p).mpf(10) ** -30
+    tiny = negligible_ratio(p)
     entry = {"alpha_numeric": decimal_str(alpha_num, p),
              "beta_numeric": decimal_str(beta_num, p)}
     if alpha is not None:
@@ -638,7 +628,7 @@ def report_to_json(report: ProofReport, p: Precision = None) -> str:
     byte-identical output.
     """
     if p is None:
-        p = Precision(report.settings.get("precision_digits", 50))
+        p = Precision(report.settings.get("precision_digits", Precision().decimal_digits))
     doc = {
         "verdict": report.verdict,
         "alpha": decimal_str(report.alpha, p),

@@ -53,14 +53,51 @@ def context(prec) -> mpmath.MPContext:
     return ctx
 
 
-def resolution_floor(p: Precision, prec=None):
-    """10^-(digits - 10), in ``context(prec)``, by default p's working context.
+# The named floors: each power of ten below which a quantity, relative to
+# its scale, counts as zero for one decision, in ``context(prec)``, by
+# default p's working context.  Most count their exponent from p's digits.
 
-    The smallest quantity ``p``-digit arithmetic resolves: the Kurepa error
-    target, the least Remez tol, and the zero level of endpoint limits and
-    of minimax residuals.
+def _ten_to(exponent, prec):
+    return context(prec).mpf(10) ** exponent
+
+
+def resolution_floor(p: Precision, prec=None):
+    """10^-(digits - 10): the smallest quantity ``p``-digit arithmetic resolves.
+
+    The Kurepa error target, the least Remez tol, and the zero level of
+    endpoint limits and of minimax residuals.
     """
-    return context(prec or p).mpf(10) ** (-(p.decimal_digits - 10))
+    return _ten_to(-(p.decimal_digits - 10), prec or p)
+
+
+def witness_floor(p: Precision):
+    """10^-(digits - 15): a sample of f or g below -floor * scale is a witness of disproof."""
+    return _ten_to(-(p.decimal_digits - 15), p)
+
+
+def rounding_floor(p: Precision):
+    """10^-digits: Remez residuals under floor * scale are the rounding noise of an exact fit."""
+    return _ten_to(-p.decimal_digits, p)
+
+
+def cancellation_floor(p: Precision):
+    """10^-(digits + 5): a pivot or an Aitken second difference under floor * scale is zero."""
+    return _ten_to(-(p.decimal_digits + 5), p)
+
+
+def series_floor(p: Precision, prec):
+    """10^-(digits + 10): the least Kurepa integrand term a truncated tail may drop."""
+    return _ten_to(-(p.decimal_digits + 10), prec)
+
+
+def negligible_ratio(prec):
+    """10^-30: the least quadrature panel, relative to its span, and divisor of a relative gap."""
+    return _ten_to(-30, prec)
+
+
+def sampling_ratio(p: Precision):
+    """10^-6: the slack of a sampled residual bound, and an endpoint limit that counts as zero."""
+    return _ten_to(-6, p)
 
 
 def to_mpf(value, prec=Precision()):

@@ -49,7 +49,9 @@ from .errors import (
     PrecisionUnreachableError,
     RootBracketError,
 )
-from .precision import Precision, context, finite_segment, resolution_floor, to_mpf
+from .precision import (
+    Precision, context, finite_segment, negligible_ratio, resolution_floor, series_floor, to_mpf,
+)
 
 # entries kept by each memo: the Kronrod rules and the node tables
 _CACHE_LIMIT = 65536
@@ -266,7 +268,7 @@ def _adaptive(node_map, panels, x, j, tol_abs, n, state):
     span = ctx.mpf(0)
     for lo, hi in panels:
         span += hi - lo
-    min_width = span * ctx.mpf("1e-30")
+    min_width = span * negligible_ratio(ctx.prec)
     total = ctx.mpf(0)
     err = ctx.mpf(0)
     stack = list(reversed(panels))
@@ -354,7 +356,7 @@ def _kurepa_integral(x, j, p, node_factor, tail_factor, max_evaluations):
     target = resolution_floor(p, ctx.prec)
     share = target / 8
     region_tol = target / 4
-    term_tol = ctx.mpf(10) ** (-(digits + 10))
+    term_tol = series_floor(p, ctx.prec)
     eps = ctx.mpf(1) / 8
     n_base = max(20, (digits + 15) // 2) * node_factor
     state = {"evals": 0, "budget": max_evaluations}

@@ -41,11 +41,15 @@ from .errors import (
     ZeroLimitError,
 )
 from .expr import Expression, compiled, differentiate, evaluate, power, show
-from .precision import Precision, context, finite_orders, finite_segment, to_mpf
+from .precision import (
+    Precision, cancellation_floor, context, finite_orders, finite_segment, sampling_ratio, to_mpf,
+)
 
 # width of the near-endpoint zone, relative to b - a, where the raw quotient
 # is replaced by a linear blend toward the limit value
 EDGE_FRACTION = "1e-8"
+# the zero level of the Taylor route and the settling level of the numeric route
+VANISH_TOL, STABILIZE_TOL = "1e-20", "1e-8"
 
 
 class LimitMethod(str, Enum):
@@ -128,12 +132,11 @@ class QuotientFunction:
     __call__ = evaluate
 
 
-def endpoint_limits_taylor(f: Expression, a, b, n, m, p: Precision = Precision(),
-                           vanish_tol="1e-20"):
+def endpoint_limits_taylor(f: Expression, a, b, n, m, p: Precision = Precision()):
     """Endpoint limits from exact derivative values at the endpoints.
 
     Requires integer orders; every derivative of order below n (resp. m) must
-    vanish at a (resp. b) to within ``vanish_tol``, which is loose enough to
+    vanish at a (resp. b) to within VANISH_TOL, which is loose enough to
     absorb quadrature noise in expressions containing kurepa nodes but tight
     enough to reject a genuinely wrong multiplicity.
     """
@@ -142,7 +145,7 @@ def endpoint_limits_taylor(f: Expression, a, b, n, m, p: Precision = Precision()
     if nv != int(nv) or mv != int(mv):
         raise ConfigurationError(f"the Taylor route needs integer orders, got n={nv}, m={mv}")
     ni, mi = int(nv), int(mv)
-    tol = to_mpf(vanish_tol, p)
+    tol = to_mpf(VANISH_TOL, p)
     derivs = [f]
     for _ in range(max(ni, mi)):
         derivs.append(differentiate(derivs[-1]))
@@ -161,8 +164,8 @@ def endpoint_limits_taylor(f: Expression, a, b, n, m, p: Precision = Precision()
     return +alpha, +beta
 
 
-def _extrapolate(seq, endpoint, p, stabilize_tol):
-    ctx, digits = context(p), p.decimal_digits
+def _extrapolate(seq, endpoint, p):
+    ctx = context(p)
     scale = max(abs(v) for v in seq)
     if scale == 0:
         raise ZeroLimitError("quotient vanishes at every sample", endpoint=endpoint)
@@ -184,8 +187,9 @@ def _extrapolate(seq, endpoint, p, stabilize_tol):
         )
     # iterated Aitken acceleration; the zero-denominator guard carries values
     # through, so exactly constant sequences stabilize immediately
-    carry_tol = ctx.mpf(10) ** (-(digits + 5)) * scale
-    zero_floor = stabilize_tol * scale
+    carry_tol = cancellation_floor(p) * scale
+    tol = to_mpf(STABILIZE_TOL, p)
+    zero_floor = tol * scale
     arr = list(seq)
     prev = arr[-1]
     stab = None
@@ -198,7 +202,7 @@ def _extrapolate(seq, endpoint, p, stabilize_tol):
             else:
                 new.append(arr[i + 2] - (arr[i + 2] - arr[i + 1]) ** 2 / d)
         val = new[-1]
-        if abs(val - prev) <= stabilize_tol * max(abs(val), abs(prev)) or \
+        if abs(val - prev) <= tol * max(abs(val), abs(prev)) or \
                 (abs(val) <= zero_floor and abs(prev) <= zero_floor):
             stab = val
             break
@@ -210,7 +214,7 @@ def _extrapolate(seq, endpoint, p, stabilize_tol):
             "check the supplied orders or raise the precision",
             endpoint=endpoint,
         )
-    if abs(stab) <= ctx.mpf("1e-6") * scale:
+    if abs(stab) <= sampling_ratio(p) * scale:
         hint = ctx.log(1 / rho) / log4 if rho > 0 else None
         if rho > ctx.mpf("1.05"):
             raise DivergentLimitError(
@@ -224,23 +228,22 @@ def _extrapolate(seq, endpoint, p, stabilize_tol):
     return stab
 
 
-def endpoint_limits_numeric(f: Expression, a, b, n, m, p: Precision = Precision(),
-                            stabilize_tol="1e-8"):
+def endpoint_limits_numeric(f: Expression, a, b, n, m, p: Precision = Precision()):
     """Endpoint limits by geometric sampling plus iterated Aitken acceleration.
 
     Handles real (non-integer) orders.  Raises DivergentLimitError or
     ZeroLimitError with an observed-exponent hint when the supplied order is
-    off, and UnstableLimitError when no limit emerges at the requested
-    relative tolerance (1e-8 by default).
+    off, and UnstableLimitError when no limit emerges: the accelerated
+    sequence settles when a step changes it by at most STABILIZE_TOL,
+    relative to its size.
     """
     ctx = context(p)
     av, bv = finite_segment(a, b, p)
     nv, mv = finite_orders(n, m, p)
-    tol = to_mpf(stabilize_tol, p)
     span = bv - av
     q = _quotient(f, av, bv, nv, mv, p)
     qa = [ctx.make_mpf(q((av + span * ctx.mpf(4) ** (-j))._mpf_)) for j in range(3, 13)]
     qb = [ctx.make_mpf(q((bv - span * ctx.mpf(4) ** (-j))._mpf_)) for j in range(3, 13)]
-    alpha = _extrapolate(qa, "a", p, tol)
-    beta = _extrapolate(qb, "b", p, tol)
+    alpha = _extrapolate(qa, "a", p)
+    beta = _extrapolate(qb, "b", p)
     return +alpha, +beta

@@ -1,7 +1,9 @@
 """Second Remez exchange algorithm for minimax polynomial approximation.
 
 Polynomials are kept in the Chebyshev basis of their segment for
-conditioning; a monomial-basis view is available for reporting.  Each
+conditioning; a monomial-basis view is available for reporting.  The
+change of basis, either way, is exact on rationals through one integer
+table of the shifted Chebyshev polynomials, and rounded once.  Each
 iteration solves the levelled interpolation system
 
     g(t_i) = P(t_i) + (-1)^i h,        i = 0..k+1
@@ -23,10 +25,12 @@ relative gap falls under ``tol``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 from mpmath.libmp import (
-    fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_pos, mpf_sub, round_nearest,
+    from_rational, fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_pos, mpf_sub,
+    round_nearest, to_rational,
 )
 
 from .errors import (
@@ -35,9 +39,14 @@ from .errors import (
     ConvergenceError,
     SingularSystemError,
 )
-from .precision import Precision, context, finite_segment, resolution_floor, to_mpf
+from .precision import (
+    Precision, cancellation_floor, context, finite_segment, resolution_floor, rounding_floor,
+    to_mpf,
+)
 
 REFINE_WIDTH_FACTOR = "1e-12"
+# the defaults of minimax and verify_equioscillation, which ProofSettings shares
+TOL, GRID_MULTIPLIER, MAX_ITERATIONS, EQUIOSCILLATION_REL_TOL = "1e-12", 64, 50, "1e-6"
 
 
 @dataclass(frozen=True)
@@ -72,66 +81,78 @@ class Polynomial:
     __call__ = evaluate
 
     def to_monomial(self, p: Precision = Precision()):
-        """Coefficients (low to high) of the same polynomial in powers of x."""
-        ctx = context(p)
-        a, b, *cheb = (to_mpf(v, p) for v in (*self.segment, *self.coefficients))
-        k = self.degree
-        # Chebyshev-in-u coefficients -> monomial-in-u
-        acc = [ctx.mpf(0)] * (k + 1)
-        t_prev = [ctx.mpf(1)]
-        t_cur = [ctx.mpf(0), ctx.mpf(1)]
-        acc[0] += cheb[0]
-        if k >= 1:
-            for i, v in enumerate(t_cur):
-                acc[i] += cheb[1] * v
-        for j in range(2, k + 1):
-            t_next = [ctx.mpf(0)] * (len(t_cur) + 1)
-            for i, v in enumerate(t_cur):
-                t_next[i + 1] += 2 * v
-            for i, v in enumerate(t_prev):
-                t_next[i] -= v
-            for i, v in enumerate(t_next):
-                acc[i] += cheb[j] * v
-            t_prev, t_cur = t_cur, t_next
-        # compose with u = s*x + t
-        s = 2 / (b - a)
-        t = -(a + b) / (b - a)
-        result = [acc[k]]
-        for j in range(k - 1, -1, -1):
-            nxt = [ctx.mpf(0)] * (len(result) + 1)
-            for i, v in enumerate(result):
-                nxt[i] += v * t
-                nxt[i + 1] += v * s
-            nxt[0] += acc[j]
-            result = nxt[: k + 1]
-        return tuple(result)
+        """Coefficients (low to high) of the same polynomial in powers of x.
+
+        Exact, then rounded once to p's working precision: the basis table
+        gives the powers of t = (x - a)/(b - a), an affine shift on
+        Fractions those of x.
+        """
+        a, b = (_fraction(v) for v in self.segment)
+        power = _chebyshev_to_power([_fraction(c) for c in self.coefficients])
+        return _rounded(_shift(power, -a / (b - a), 1 / (b - a)), p)
 
     @staticmethod
     def from_monomial(coefficients, a, b, p: Precision = Precision()) -> "Polynomial":
-        """Chebyshev form of a monomial-basis polynomial on [a, b]."""
-        ctx = context(p)
+        """Chebyshev form of a monomial-basis polynomial on [a, b].
+
+        Exact, then rounded once to p's working precision: an affine shift on
+        Fractions gives the powers of t = (x - a)/(b - a), back-substitution
+        on the triangular basis table the Chebyshev coefficients.
+        """
         av, bv = finite_segment(a, b, p)
-        coeffs = [to_mpf(c, p) for c in coefficients]
-        k = len(coeffs) - 1
-        mid = (av + bv) / 2
-        hw = (bv - av) / 2
-
-        def horner(x):
-            acc = ctx.mpf(0)
-            for c in reversed(coeffs):
-                acc = acc * x + c
-            return acc
-
-        npts = k + 1
-        thetas = [ctx.pi * (2 * i + 1) / (2 * npts) for i in range(npts)]
-        vals = [horner(mid + hw * ctx.cos(th)) for th in thetas]
+        a, b = _fraction(av), _fraction(bv)
+        power = _shift([_fraction(to_mpf(c, p)) for c in coefficients], a, b - a)
         cheb = []
-        for j in range(npts):
-            s = ctx.mpf(0)
-            for i in range(npts):
-                s += vals[i] * ctx.cos(j * thetas[i])
-            cheb.append(s * (1 if j == 0 else 2) / npts)
-        return Polynomial(coefficients=tuple(cheb), segment=(av, bv))
+        for row in reversed(_shifted_chebyshev(len(power) - 1)):
+            cheb.append(power[len(row) - 1] / row[-1])
+            # eliminate T_j, and with it the top power
+            power = [u - cheb[-1] * v for u, v in zip(power, row[:-1])]
+        return Polynomial(coefficients=_rounded(reversed(cheb), p), segment=(av, bv))
+
+
+def _shifted_chebyshev(n):
+    """The basis table: coefficients (low to high) in powers of t of T_j(2t - 1), j = 0..n.
+
+    The package's one coding of the Chebyshev basis, on integers; row j has
+    degree j.
+    """
+    table = [[1], [-1, 2]]
+    while len(table) <= n:
+        # T_{j+1} = (4t - 2) T_j - T_{j-1}
+        t1, t0 = table[-1], table[-2]
+        table.append([4 * u - 2 * v - w for u, v, w in zip([0] + t1, t1 + [0], t0 + [0, 0])])
+    return table[:n + 1]
+
+
+def _chebyshev_to_power(cheb):
+    """Coefficients in powers of t of sum_j cheb[j] T_j(2t - 1), exact for exact cheb."""
+    power = [0] * len(cheb)
+    for c, row in zip(cheb, _shifted_chebyshev(len(cheb) - 1)):
+        for i, v in enumerate(row):
+            power[i] += c * v
+    return power
+
+
+def _shift(coefficients, r, s):
+    """Coefficients in y of sum_i coefficients[i] (r + s*y)^i, by Horner's rule."""
+    out = []
+    for c in reversed(coefficients):
+        out = [r * u + s * v for u, v in zip(out + [0], [0] + out)]
+        out[0] += c
+    return out
+
+
+def _fraction(value):
+    if not mpmath.isfinite(value):
+        raise ConfigurationError(f"coefficients and segment ends must be finite, got {value}")
+    return Fraction(*to_rational(value._mpf_))
+
+
+def _rounded(values, p: Precision):
+    """Rationals rounded once to mpfs of p's working context."""
+    ctx = context(p)
+    return tuple(ctx.make_mpf(from_rational(v.numerator, v.denominator, ctx.prec, round_nearest))
+                 for v in values)
 
 
 @dataclass(frozen=True)
@@ -158,7 +179,9 @@ class EquioscillationReport:
 class CachedFunction:
     """Memoizing wrapper for the approximated function; counts fresh calls.
 
-    A value of ``fn`` not in the context of its argument is rounded into it.
+    A value of ``fn`` not in the context of its argument is rounded into it,
+    unless it is an mpf of a coarser context: its lost digits would stall
+    Remez, so it is refused.
     """
 
     def __init__(self, fn):
@@ -171,6 +194,10 @@ class CachedFunction:
         if v is None:
             v = self.fn(x)
             if type(v) is not type(x):
+                if hasattr(v, "_mpf_") and v.context.prec < x.context.prec:
+                    raise ConfigurationError(
+                        f"g returned a {v.context.prec}-bit value for a {x.context.prec}-bit x; "
+                        "compute in x.context, as lambda x: x.context.exp(x) does")
                 v = x.context.mpf(v)
             self.values[x] = v
             self.calls += 1
@@ -220,7 +247,7 @@ def _solve_full_pivot(rows, rhs, p: Precision):
     scale = max(max(abs(v) for v in row[:-1]) for row in M)
     if scale == 0:
         raise SingularSystemError("zero system")
-    tiny = scale * ctx.mpf(10) ** (-(p.decimal_digits + 5))
+    tiny = scale * cancellation_floor(p)
     perm = list(range(n))
     for col in range(n):
         pi, pj, best = col, col, abs(M[col][col])
@@ -403,8 +430,9 @@ def _exchange_core(g, poly, grid, rvals, grid_max, current_nodes=None):
     return tuple(+x for x, _, _ in merged), tuple(+r for _, r, _ in merged)
 
 
-def minimax(g, a, b, k: int, tol="1e-12", p: Precision = Precision(),
-            grid_multiplier: int = 64, max_iterations: int = 50) -> MinimaxResult:
+def minimax(g, a, b, k: int, tol=TOL, p: Precision = Precision(),
+            grid_multiplier: int = GRID_MULTIPLIER,
+            max_iterations: int = MAX_ITERATIONS) -> MinimaxResult:
     """Minimax degree-k polynomial approximation of g on [a, b].
 
     Returns the polynomial, the error estimate ``delta_hat`` (maximum
@@ -439,7 +467,7 @@ def minimax(g, a, b, k: int, tol="1e-12", p: Precision = Precision(),
         rvals = [gc(x) - poly.evaluate(x) for x in grid]
         grid_max = max(abs(r) for r in rvals)
         scale = max(abs(gc(x)) for x in grid)
-        zero_floor = ctx.mpf(10) ** (-p.decimal_digits) * max(1, scale)
+        zero_floor = rounding_floor(p) * max(1, scale)
         if grid_max <= zero_floor:
             # exact representation: grid_max is only rounding noise, and a
             # denser grid finds more of it, so the floor is the estimate
@@ -456,7 +484,7 @@ def minimax(g, a, b, k: int, tol="1e-12", p: Precision = Precision(),
     )
 
 
-def verify_equioscillation(result: MinimaxResult, g, rel_tol="1e-6",
+def verify_equioscillation(result: MinimaxResult, g, rel_tol=EQUIOSCILLATION_REL_TOL,
                            p: Precision = Precision()) -> EquioscillationReport:
     """Check the k+2 node residuals: alternating signs, magnitudes level.
 

@@ -190,3 +190,34 @@ def _walk(node, x, p):
             )
         return mp.convert(quadrature.kurepa_derivative(v, node.order, p).value)
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def fraction(value):
+    return Fraction(*mpmath.libmp.to_rational(mpmath.mpf(value)._mpf_))
+
+
+def exact_taylor(P, lo, hi):
+    """Exact coefficients of P(lo + (hi - lo)*s) in powers of s, by Clenshaw on polynomials."""
+    a, b = (fraction(v) for v in P.segment)
+    u = [(2 * lo - a - b) / (b - a), 2 * (hi - lo) / (b - a)]  # u as a polynomial in s
+
+    def add(*polys):
+        out = [Fraction(0)] * max(len(q) for q in polys)
+        for q in polys:
+            for i, v in enumerate(q):
+                out[i] += v
+        return out
+
+    def times_u(q, factor):
+        out = [Fraction(0)] * (len(q) + 1)
+        for i, v in enumerate(q):
+            out[i] += factor * u[0] * v
+            out[i + 1] += factor * u[1] * v
+        return out
+
+    b1, b2 = [Fraction(0)], [Fraction(0)]
+    coeffs = [fraction(c) for c in P.coefficients]
+    for cj in reversed(coeffs[1:]):
+        b1, b2 = add(times_u(b1, 2), [-v for v in b2], [cj]), b1
+    # each step multiplies by u, so the last entry is the zero of an empty b1
+    return add(times_u(b1, 1), [-v for v in b2], [coeffs[0]])[:len(coeffs)]

@@ -31,7 +31,7 @@ from ineqprove import (
     to_mpf,
 )
 
-from helpers import ARCSIN_DIFF_SOURCE, KP0, TRIG_ARCSIN_SOURCE, ambient
+from helpers import ARCSIN_DIFF_SOURCE, KP0, TRIG_ARCSIN_SOURCE, ambient, exact_taylor, fraction
 
 
 def make_poly(monomial, a=0, b=1):
@@ -175,39 +175,8 @@ class TestCertifyPositive:
                 certify_positive(P, args["delta"], args["margin_factor"], p50)
 
 
-def _fraction(value):
-    return Fraction(*mpmath.libmp.to_rational(mpmath.mpf(value)._mpf_))
-
-
-def _exact_taylor(P, lo, hi):
-    """Exact coefficients of P(lo + (hi - lo)*s) in powers of s, by Clenshaw on polynomials."""
-    a, b = (_fraction(v) for v in P.segment)
-    u = [(2 * lo - a - b) / (b - a), 2 * (hi - lo) / (b - a)]  # u as a polynomial in s
-
-    def add(*polys):
-        out = [Fraction(0)] * max(len(q) for q in polys)
-        for q in polys:
-            for i, v in enumerate(q):
-                out[i] += v
-        return out
-
-    def times_u(q, factor):
-        out = [Fraction(0)] * (len(q) + 1)
-        for i, v in enumerate(q):
-            out[i] += factor * u[0] * v
-            out[i + 1] += factor * u[1] * v
-        return out
-
-    b1, b2 = [Fraction(0)], [Fraction(0)]
-    coeffs = [_fraction(c) for c in P.coefficients]
-    for cj in reversed(coeffs[1:]):
-        b1, b2 = add(times_u(b1, 2), [-v for v in b2], [cj]), b1
-    # each step multiplies by u, so the last entry is the zero of an empty b1
-    return add(times_u(b1, 1), [-v for v in b2], [coeffs[0]])[:len(coeffs)]
-
-
 def _exact_value(P, x):
-    return _exact_taylor(P, x, x)[0]
+    return exact_taylor(P, x, x)[0]
 
 
 class TestExactReplay:
@@ -227,8 +196,8 @@ class TestExactReplay:
             except CertificationError:
                 continue
             replayed += 1
-            margin = _fraction(cert.delta) * _fraction(cert.margin_factor)
-            leaves = [tuple(_fraction(v) for v in leaf) for leaf in cert.subintervals]
+            margin = fraction(cert.delta) * fraction(cert.margin_factor)
+            leaves = [tuple(fraction(v) for v in leaf) for leaf in cert.subintervals]
             assert leaves[0][0] == 0 and leaves[-1][1] == 1
             ends = {}
             for lo, hi, bound in leaves:
@@ -236,12 +205,12 @@ class TestExactReplay:
                 for x in (lo, (lo + hi) / 2, hi):
                     ends[x] = _exact_value(P, x) - margin
                     assert ends[x] >= bound
-            # stopping rule: within rel_slack = 1 % of the least value at a leaf end
+            # stopping rule: within REL_SLACK = 1 % of the least value at a leaf end
             least = min(ends[x] for leaf in leaves for x in leaf[:2])
-            assert least - _fraction(cert.global_min_bound) <= least / 100
+            assert least - fraction(cert.global_min_bound) <= least / 100
             lowest = min(range(len(leaves)), key=lambda i: leaves[i][2])
             for lo, hi, bound in {leaves[0], leaves[lowest], leaves[-1]}:
-                power = _exact_taylor(P, lo, hi)
+                power = exact_taylor(P, lo, hi)
                 n = len(power) - 1
                 bernstein = [sum(comb(k, i) * power[i] / comb(n, i) for i in range(k + 1))
                              - margin for k in range(n + 1)]
@@ -277,9 +246,9 @@ class TestTinyMarginFuzz:
                     certify_positive(below, 0, "1.000001", p)
                 above = make_poly(_planted_tiny_margin(c, 1, e, wide))
                 cert = certify_positive(above, 0, "1.000001", p)
-                bound = _fraction(cert.global_min_bound)
+                bound = fraction(cert.global_min_bound)
                 assert Fraction(99, 100 * 10 ** e) <= bound <= Fraction(1, 10 ** e)
-                assert bound <= _exact_value(above, _fraction(mpmath.mpf(c.numerator) / c.denominator))
+                assert bound <= _exact_value(above, fraction(mpmath.mpf(c.numerator) / c.denominator))
 
 
 def _poly_min_oracle(monomial, a, b, samples=20000):

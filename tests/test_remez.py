@@ -12,9 +12,10 @@ from ineqprove import (
     verify_equioscillation,
 )
 from ineqprove import remez
+from ineqprove.precision import context
 from ineqprove.remez import MinimaxResult, _chebyshev_grid, _polish_max, _solve_levelled_system
 
-from helpers import ambient
+from helpers import ambient, exact_taylor
 
 
 class TestInitialNodes:
@@ -240,6 +241,15 @@ class TestMinimax:
             assert r.iterations <= 12
             assert len(r.levelled_error_history) == r.iterations
 
+    def test_coarse_g_values_refused(self, p50):
+        # mpmath.exp computes at the ambient precision; below the run's it
+        # would stall Remez, so the run refuses it and names the fix
+        with mp.workdps(15):
+            with pytest.raises(ConfigurationError, match=r"x\.context"):
+                minimax(mpmath.exp, 0, 1, 6, p=p50)
+        with mp.workdps(60):
+            assert minimax(mpmath.exp, 0, 1, 6, p=p50).delta_hat > 0
+
     def test_tol_validation(self, p50):
         with pytest.raises(ConfigurationError):
             minimax(mpmath.exp, 0, 1, 1, tol="1e-60", p=p50)
@@ -306,3 +316,41 @@ class TestPolynomial:
                 mono = P.to_monomial(p)
             bits.append([c._mpf_ for c in P.coefficients + P.segment + mono])
         assert bits[0] == bits[1]
+
+    @pytest.mark.parametrize("digits", [30, 50])
+    def test_to_monomial_is_correctly_rounded(self, digits):
+        # each coefficient is the exact one rounded once to the working precision
+        p = Precision(digits)
+        prec = context(p).prec
+        rng = random.Random(8642 + digits)
+        for _ in range(100):
+            a = mpmath.ldexp(rng.randint(-2 ** 20, 2 ** 20), -rng.randint(16, 40))
+            b = a + mpmath.ldexp(rng.randint(1, 2 ** 20), -rng.randint(16, 24))
+            coeffs = tuple(mpmath.ldexp(rng.randint(-2 ** 53, 2 ** 53), -rng.randint(53, 80))
+                           for _ in range(rng.randint(1, 8)))
+            P = Polynomial(coefficients=coeffs, segment=(a, b))
+            got = [c._mpf_ for c in P.to_monomial(p)]
+            want = [mpmath.libmp.from_rational(v.numerator, v.denominator, prec,
+                                               mpmath.libmp.round_nearest)
+                    for v in exact_taylor(P, 0, 1)]
+            assert got == want
+
+    @pytest.mark.parametrize("digits", [30, 50])
+    def test_double_monomials_survive_a_round_trip(self, digits):
+        # the exact Chebyshev coefficients of double-valued monomials on [0, 1]
+        # fit in the working precision, so the round trip loses no bit
+        p = Precision(digits)
+        rng = random.Random(9753 + digits)
+        for _ in range(100):
+            mono = [rng.uniform(-1, 1) for _ in range(rng.randint(1, 8))]
+            back = Polynomial.from_monomial(mono, 0, 1, p).to_monomial(p)
+            assert [c._mpf_ for c in back] == [mpmath.mpf(c)._mpf_ for c in mono]
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_non_finite_coefficients_refused(self, p50, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            Polynomial.from_monomial(["1", bad], 0, 1, p50)
+        P = Polynomial(coefficients=(mpmath.mpf(1), mpmath.mpf(bad)),
+                       segment=(mpmath.mpf(0), mpmath.mpf(1)))
+        with pytest.raises(ConfigurationError, match="finite"):
+            P.to_monomial(p50)
