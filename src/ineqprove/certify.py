@@ -171,15 +171,17 @@ def precondition_check(alpha, beta, p: Precision = Precision()):
 
 def residual_check(g, polynomial: Polynomial, delta, grid_size: int,
                    p: Precision = Precision(), extra_points=()) -> GridStatistics:
-    """Sampled verification of |g - P| <= delta on Chebyshev-distributed points.
+    """Sampled verification of |g - P| <= delta on ``grid_size`` Chebyshev extremum points.
 
     This is evidence, not proof; the pipeline records it and the caveat says
     so.  ``extra_points`` lets callers include the equioscillation nodes.
+    The pipeline's default grid holds the Remez grid at its even points, so
+    a cached ``g`` answers those samples without a fresh call.
     """
     degree = polynomial.degree
-    if grid_size < 4 * (degree + 2):
+    if not isinstance(grid_size, int) or grid_size < 4 * (degree + 2):
         raise ConfigurationError(
-            f"grid_size must be at least 4*(degree+2) = {4 * (degree + 2)}"
+            f"grid_size must be an integer of at least 4*(degree+2) = {4 * (degree + 2)}"
         )
     g = g if isinstance(g, CachedFunction) else CachedFunction(g)
     pts = _chebyshev_grid(*(to_mpf(v, p) for v in polynomial.segment), grid_size)
@@ -589,6 +591,25 @@ def _run_stages(run: _Run) -> ProofReport:
                        diagnostics=run.diagnostics, **run.fields)
 
 
+def _residual_grid_size(s: ProofSettings, k: int) -> int:
+    """The residual grid size the settings ask for, by default twice as dense as Remez's.
+
+    Refuses, before any stage runs, grid and iteration settings no stage could use.
+    """
+    for name in ("grid_multiplier", "max_iterations"):
+        value = getattr(s, name)
+        if not isinstance(value, int) or value < 1:
+            raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
+    size = s.residual_grid_size
+    if size is None:
+        size = 2 * s.grid_multiplier * (k + 2) + 1
+    if not isinstance(size, int) or size < 4 * (k + 2):
+        raise ConfigurationError(
+            f"residual_grid_size must be an integer of at least 4*(degree+2) = "
+            f"{4 * (k + 2)}, got {size!r}")
+    return size
+
+
 def prove_inequality(f, a, b, n, m, k: int,
                      settings: ProofSettings = None) -> ProofReport:
     """Run the full pipeline and return a ProofReport.
@@ -614,7 +635,7 @@ def prove_inequality(f, a, b, n, m, k: int,
     s = dataclasses.replace(s, **{name: +to_mpf(v, p) for name, v in given.items()
                                   if v is not None and not isinstance(v, str)})
 
-    residual_grid_size = s.residual_grid_size or 2 * s.grid_multiplier * (k + 2)
+    residual_grid_size = _residual_grid_size(s, k)
     echo = _settings_echo(f.source_text, av, bv, nv, mv, k, s, residual_grid_size)
     fields = dict(function_source=f.source_text, segment=(av, bv), n=nv, m=mv,
                   degree=k, settings=echo)

@@ -11,10 +11,16 @@ iteration solves the levelled interpolation system
 by full-pivot elimination, then replaces all k+2 reference points with
 refined local extrema of the residual (multi-point exchange, the variant
 with quadratic convergence for smooth g).  Extrema are located on a dense
-Chebyshev-distributed grid of ``grid_multiplier * (k+2)`` points and
+grid of ``grid_multiplier * (k+2) + 1`` Chebyshev extremum points and
 polished by Brent's parabolic-plus-golden search to a bracket of width
 (b-a)*1e-12; an extremum at a grid end costs one probe when the residual
 falls away from the end.
+
+Chebyshev grids nest: the grid with ``c`` times as many intervals holds a
+grid at every c-th point, bit for bit, because each angle pi*i/(count-1)
+is taken in lowest terms and its cosine comes from one memoized table per
+(count, binary precision).  The residual check's default grid, twice as
+dense as the Remez grid, thus finds half of its values of g cached.
 
 Convergence is judged by the de la Vallee-Poussin sandwich: the residual
 magnitudes at the exchanged points bound the true minimax error from below,
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 from mpmath.libmp import (
@@ -47,6 +54,8 @@ from .precision import (
 REFINE_WIDTH_FACTOR = "1e-12"
 # the defaults of minimax and verify_equioscillation, which ProofSettings shares
 TOL, GRID_MULTIPLIER, MAX_ITERATIONS, EQUIOSCILLATION_REL_TOL = "1e-12", 64, 50, "1e-6"
+# cosine tables kept: a proof uses three grid sizes at one precision
+_COSINE_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -204,16 +213,24 @@ class CachedFunction:
         return v
 
 
+@lru_cache(maxsize=_COSINE_LIMIT)
+def _chebyshev_cosines(count: int, prec: int):
+    """cos(pi*i/(count-1)) for i = 1..count-2, in ``context(prec)``.
+
+    Each angle is pi times i/(count-1) in lowest terms, so grids whose
+    interval counts are multiples of one another share these values bit
+    for bit.
+    """
+    ctx = context(prec)
+    angles = (Fraction(i, count - 1) for i in range(1, count - 1))
+    return tuple(ctx.cos(ctx.pi * t.numerator / t.denominator) for t in angles)
+
+
 def _chebyshev_grid(a, b, count):
     """The ``count`` Chebyshev extremum abscissae of [a, b], endpoints included, in a's context."""
-    ctx = a.context
     mid = (a + b) / 2
     hw = (b - a) / 2
-    return tuple(
-        mid - hw * ctx.cos(ctx.pi * i / (count - 1)) if 0 < i < count - 1
-        else (a if i == 0 else b)
-        for i in range(count)
-    )
+    return (a, *(mid - hw * c for c in _chebyshev_cosines(count, a.context.prec)), b)
 
 
 def _solve_levelled_system(g, nodes, a, b, p: Precision):
@@ -444,7 +461,9 @@ def minimax(g, a, b, k: int, tol=TOL, p: Precision = Precision(),
     """
     if not isinstance(k, int) or k < 0:
         raise ConfigurationError(f"degree must be a nonnegative integer, got {k!r}")
-    ctx = context(p)
+    if not isinstance(grid_multiplier, int) or grid_multiplier < 1:
+        raise ConfigurationError(
+            f"grid_multiplier must be a positive integer, got {grid_multiplier!r}")
     av, bv = finite_segment(a, b, p)
     tol_v = to_mpf(tol, p)
     if tol_v < resolution_floor(p):
@@ -452,8 +471,9 @@ def minimax(g, a, b, k: int, tol=TOL, p: Precision = Precision(),
             f"tol={tol} is below what {p.decimal_digits}-digit arithmetic can resolve"
         )
     gc = g if isinstance(g, CachedFunction) else CachedFunction(g)
-    grid = _chebyshev_grid(av, bv, grid_multiplier * (k + 2))
+    grid = _chebyshev_grid(av, bv, grid_multiplier * (k + 2) + 1)
     nodes = _chebyshev_grid(av, bv, k + 2)
+    zero_floor = rounding_floor(p) * max(1, max(abs(gc(x)) for x in grid))
     history = []
 
     def result(delta, lower):  # delta_hat is the upper bound
@@ -466,8 +486,6 @@ def minimax(g, a, b, k: int, tol=TOL, p: Precision = Precision(),
         history.append(abs(h))
         rvals = [gc(x) - poly.evaluate(x) for x in grid]
         grid_max = max(abs(r) for r in rvals)
-        scale = max(abs(gc(x)) for x in grid)
-        zero_floor = rounding_floor(p) * max(1, scale)
         if grid_max <= zero_floor:
             # exact representation: grid_max is only rounding noise, and a
             # denser grid finds more of it, so the floor is the estimate

@@ -136,6 +136,8 @@ def test_kurepa_linear_bound_proof():
         report = prove_inequality(source, 0, 1, 2, 0, 1,
                                   ProofSettings(precision=P35))
         assert report.verdict == "proven"
+        # each g call is a quadrature; the nested grids keep the proof near 400
+        assert report.timings["g_evaluations"] <= 420
         alpha_oracle, _ = endpoint_limits_numeric(parse(source), 0, 1, 2, 0, P35)
         assert abs(report.alpha - alpha_oracle) <= mpmath.mpf("1e-6") * abs(alpha_oracle)
         # alpha is half the negated curvature at the left endpoint

@@ -30,6 +30,7 @@ from ineqprove import (
     residual_check,
     to_mpf,
 )
+from ineqprove import certify, remez
 
 from helpers import ARCSIN_DIFF_SOURCE, KP0, TRIG_ARCSIN_SOURCE, ambient, exact_taylor, fraction
 
@@ -80,8 +81,9 @@ class TestResidualCheck:
 
     def test_grid_size_validation(self, p50):
         P = make_poly(["0.5", "1"])
-        with pytest.raises(ConfigurationError):
-            residual_check(lambda x: x, P, "0.1", 8, p50)
+        for grid_size in (8, 12.5):
+            with pytest.raises(ConfigurationError):
+                residual_check(lambda x: x, P, "0.1", grid_size, p50)
 
 
 class TestCertifyPositive:
@@ -520,11 +522,44 @@ class TestProvePipeline:
         assert run() == warm
 
     def test_g_evaluation_count(self, p50):
-        # 706 with golden-section polishing, about 44 calls per extremum
+        # 706 with golden-section polishing, about 44 calls per extremum;
+        # 583 while the residual grid shared only its ends with the Remez grid
         report = prove_inequality("exp(x)-1-x", 0, 1, 2, 0, 1,
                                   ProofSettings(precision=p50))
         assert report.verdict == "proven"
-        assert report.timings["g_evaluations"] == 583
+        assert report.timings["g_evaluations"] == 394
+
+    def test_residual_sweep_reuses_remez_grid(self, p50, monkeypatch):
+        # the even points of the 2N+1-point residual grid are the N+1 Remez
+        # grid points, so only the N odd points are fresh
+        fresh = []
+
+        def counted(g, *args, **kwargs):
+            before = g.calls
+            stats = residual_check(g, *args, **kwargs)
+            fresh.append(g.calls - before)
+            return stats
+
+        monkeypatch.setattr(certify, "residual_check", counted)
+        report = prove_inequality("exp(x)-1-x", 0, 1, 2, 0, 1, ProofSettings(precision=p50))
+        assert report.verdict == "proven"
+        assert report.settings["residual_grid_size"] == 2 * remez.GRID_MULTIPLIER * 3 + 1
+        assert fresh == [remez.GRID_MULTIPLIER * 3]
+
+    @pytest.mark.parametrize("setting", [
+        {"residual_grid_size": 0}, {"residual_grid_size": 5}, {"residual_grid_size": 12.5},
+        {"grid_multiplier": 0}, {"grid_multiplier": -2}, {"grid_multiplier": 1},
+        {"max_iterations": 0},
+    ], ids=str)
+    def test_grid_settings_refused_before_any_stage(self, setting, p30, monkeypatch):
+        def no_stage(*args):
+            raise AssertionError("a stage ran")
+
+        for name in ("endpoint_limits_taylor", "endpoint_limits_numeric"):
+            monkeypatch.setattr(certify, name, no_stage)
+        with pytest.raises(ConfigurationError):
+            prove_inequality("exp(x)-1-x", 0, 1, 2, 0, 1,
+                             ProofSettings(precision=p30, **setting))
 
     def test_precision_floor(self):
         with pytest.raises(ConfigurationError):

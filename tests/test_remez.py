@@ -12,7 +12,7 @@ from ineqprove import (
     verify_equioscillation,
 )
 from ineqprove import remez
-from ineqprove.precision import context
+from ineqprove.precision import context, finite_segment
 from ineqprove.remez import MinimaxResult, _chebyshev_grid, _polish_max, _solve_levelled_system
 
 from helpers import ambient, exact_taylor
@@ -39,6 +39,25 @@ class TestInitialNodes:
         expected = ["-1", "-0.5", "0.5", "1"]
         for node, want in zip(nodes, expected):
             assert abs(node - mpmath.mpf(want)) < mpmath.mpf("1e-50")
+
+
+class TestNestedGrids:
+    """A grid whose interval count is a multiple of another's holds it bit for bit."""
+
+    @pytest.mark.parametrize("ratio", [2, 3])
+    @pytest.mark.parametrize("digits", [30, 35, 50])
+    @pytest.mark.parametrize("a, b", [(0, 1), (0, "pi/2"), (-1, 1)])
+    def test_every_ratio_th_point_is_the_coarse_grid(self, a, b, digits, ratio):
+        av, bv = finite_segment(a, b, Precision(digits))
+        for intervals in (3, 12, 192):
+            coarse = _chebyshev_grid(av, bv, intervals + 1)
+            fine = _chebyshev_grid(av, bv, ratio * intervals + 1)
+            assert [x._mpf_ for x in fine[::ratio]] == [x._mpf_ for x in coarse]
+
+    def test_cosine_memo_is_bounded(self):
+        info = remez._chebyshev_cosines.cache_info()
+        assert info.maxsize == remez._COSINE_LIMIT
+        assert info.currsize <= info.maxsize
 
 
 def _levelled(g, nodes, a, b, p):
@@ -253,6 +272,11 @@ class TestMinimax:
     def test_tol_validation(self, p50):
         with pytest.raises(ConfigurationError):
             minimax(mpmath.exp, 0, 1, 1, tol="1e-60", p=p50)
+
+    @pytest.mark.parametrize("grid_multiplier", [0, -2])
+    def test_grid_multiplier_validation(self, grid_multiplier, p50):
+        with pytest.raises(ConfigurationError, match="grid_multiplier"):
+            minimax(lambda x: x.context.exp(x), 0, 1, 1, p=p50, grid_multiplier=grid_multiplier)
 
 
 class TestVerifyEquioscillation:

@@ -52,31 +52,31 @@ CASES = {
 
 # sha256 of report_to_json for each case, at 30 digits
 REPORT_HASHES = {
-    "proven": "f416f04bf3b19c23d7d7c0cffaade158403520450c4b9bfcf66a5599ae87a0ec",
-    "disproven_alpha": "dc78ac2c463c69139bdb8bc28ba7d31b93c88b4a5348aaf6bf96453e9fa4597b",
-    "disproven_beta": "030e3f593531b3aedef2be84398e08b359c091b4039f8082b92e1be0c46f4352",
-    "disproven_witness": "1a63c7f1261d1b1995ceeff13437ae13929748a4a429d133a117504b9e8168da",
+    "proven": "8cdde7a546d03dafdc15b364d301271c65f4274cf02bcbc8e4909ddd4ba331c9",
+    "disproven_alpha": "5f24c91e2bf87e6c6a42daca7ed7a6644481fd4fab2c13c829e3ba7c84ab9fc6",
+    "disproven_beta": "ca74573a0b5732a4ebb294b0e807cec8bd92eef9e9cceedddb05b779426754ee",
+    "disproven_witness": "fea31391dbe4e5d462c52cf2178c6c25dedd2b24e03751c5ac1b31ba6b3ae484",
     "inconclusive_endpoint_limits":
-        "6ac35d3f21a0d24dd9a8a50d9d0e7fb649364b8a88ac7f23e75ded7b9cfbc620",
+        "46d3403c673e367a23becea4a2ad1bc5845b116d89558aec44facb7845a5897e",
     "inconclusive_precondition":
-        "165c642ebea4c2d6712d17f0addf8ca3b4665a2b0e0dc1bb200071e228b6a807",
-    "inconclusive_minimax": "406f95c10c648c69560dfc53f542cd588318a2ae0e99d67bad12f42b438065e7",
+        "d09de09f9c0ebb3588cd7f5b3cd4758600dfbaaffa88f2351975683765546214",
+    "inconclusive_minimax": "0546bf449d57784f6aced3ad09b6dd042febcfc2507d5bbe2f9624286b185ea2",
     "inconclusive_equioscillation":
-        "d4b34d4d13e6b5589267bd94a646a1b3f63851800a7f181f0cb877fb2bff37b5",
+        "452385a0bf83562e595aa05104015a1779ecb528d4d8fc308686151b8be6cb31",
     "inconclusive_residual_check":
-        "21518139ec9e6019aaf8bd445cf22ee62cf84bc6c72cc7268376da33ae99197b",
+        "ec47dd480088e5f35d414c5dad94b6bf90431857faf5cb899ba9e518e6334dd8",
     "inconclusive_positivity":
-        "81462190a6794d44b4a9a5fc18010b3a60a07a4d9b0bf1703f0ba5bb2c0460a7",
+        "9580bfd5b61b38d6093dabc2567958ef03a220c426733b228721704979882500",
     "proven_real_exponent":
-        "9062d687bef4782eacbce71d72c234af60344fdc0aa28c4c2ea5bb5422c771b7",
+        "d5d52786618d4920386213ad95fb708ce1b1d04d3d251492bd693db1f08bdd4c",
     "disproven_kurepa_near_miss":
-        "3bb2c48fc935ed8bebdab8efef6a4b2efaca21bf94af0cbc7b5003c1248b7ff1",
+        "8d423c189a42dc7dfc57ec4adfea0772283b50b427a58424ccb0e25f51b86b2e",
 }
 
 # sha256 of the report file `ineqprove prove --config demos/configs/<name>` writes
 CONFIG_HASHES = {
-    "arcsin_trig.cfg": "62121c274877af38802b2cdc3d215d4f20e53e57ac80f6a073720fccd59f3805",
-    "parabola.cfg": "f586d6136876525d8da0bf7897135815215ecf3efb0442bae3c312cf9191c224",
+    "arcsin_trig.cfg": "fc7620a19f3d98d3cb17d5aa36e7f0803206aaf3ba78cd4d33798d26f0fd66cf",
+    "parabola.cfg": "311c58a0217ff4e5f3a5a8b33c24d6974e4842c00cc7a07f9470c9d50377ae5c",
 }
 
 
