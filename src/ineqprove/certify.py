@@ -71,6 +71,7 @@ from .remez import (
     Polynomial,
     _chebyshev_grid,
     _chebyshev_to_power,
+    _residuals,
     minimax,
     verify_equioscillation,
 )
@@ -170,13 +171,18 @@ def precondition_check(alpha, beta, p: Precision = Precision()):
 
 
 def residual_check(g, polynomial: Polynomial, delta, grid_size: int,
-                   p: Precision = Precision(), extra_points=()) -> GridStatistics:
+                   p: Precision = Precision(), extra_points=(),
+                   grid_residuals=()) -> GridStatistics:
     """Sampled verification of |g - P| <= delta on ``grid_size`` Chebyshev extremum points.
 
     This is evidence, not proof; the pipeline records it and the caveat says
     so.  ``extra_points`` lets callers include the equioscillation nodes.
-    The pipeline's default grid holds the Remez grid at its even points, so
-    a cached ``g`` answers those samples without a fresh call.
+    ``grid_residuals`` may hold g - P on the Chebyshev grid of that many
+    points, as ``MinimaxResult.grid_residuals`` does for its polynomial at
+    p's precision.  When the residual grid nests that grid (``grid_size - 1``
+    a multiple of its interval count, as for the pipeline's default grid,
+    which holds the Remez grid at its even points), those samples take
+    their residuals by index and only the others are computed.
     """
     degree = polynomial.degree
     if not isinstance(grid_size, int) or grid_size < 4 * (degree + 2):
@@ -186,9 +192,16 @@ def residual_check(g, polynomial: Polynomial, delta, grid_size: int,
     g = g if isinstance(g, CachedFunction) else CachedFunction(g)
     pts = _chebyshev_grid(*(to_mpf(v, p) for v in polynomial.segment), grid_size)
     pts += tuple(to_mpf(x, p) for x in extra_points)
+    # the indices of the samples on the grid of grid_residuals
+    known = range(0)
+    intervals = len(grid_residuals) - 1
+    if intervals > 0 and (grid_size - 1) % intervals == 0:
+        known = range(0, grid_size, (grid_size - 1) // intervals)
+    fresh = _residuals(g, polynomial, [x for i, x in enumerate(pts) if i not in known])
+    residuals = (grid_residuals[known.index(i)] if i in known else next(fresh)
+                 for i in range(len(pts)))
     # the first point of largest residual
-    max_res, max_loc = max(((abs(g(x) - polynomial.evaluate(x)), x) for x in pts),
-                           key=lambda item: item[0])
+    max_res, max_loc = max(zip(map(abs, residuals), pts), key=lambda item: item[0])
     threshold = to_mpf(delta, p) * (1 + sampling_ratio(p))
     return GridStatistics(
         passed=bool(max_res <= threshold),
@@ -443,6 +456,8 @@ class _Run:
         ("g_evaluations", "remez_iterations", "residual_samples",
          "certificate_subintervals"), 0))
     g: CachedFunction = None
+    # g - P on the Remez grid, from the minimax stage to the residual check
+    grid_residuals: tuple = ()
 
     @property
     def p(self) -> Precision:
@@ -497,6 +512,8 @@ def _minimax(run: _Run):
     mr = minimax(run.g, *run.fields["segment"], run.fields["degree"], tol=s.tol, p=run.p,
                  grid_multiplier=s.grid_multiplier, max_iterations=s.max_iterations)
     run.timings["remez_iterations"] = mr.iterations
+    run.grid_residuals = mr.grid_residuals
+    mr = dataclasses.replace(mr, grid_residuals=())
     run.fields.update(delta_hat=mr.delta_hat, lower_bound=mr.lower_bound,
                       upper_bound=mr.upper_bound, nodes=mr.nodes,
                       polynomial=mr.polynomial, minimax_result=mr)
@@ -518,7 +535,8 @@ def _equioscillation(run: _Run):
 def _residual_check(run: _Run):
     mr = run.fields["minimax_result"]
     stats = residual_check(run.g, mr.polynomial, mr.delta_hat, run.residual_grid_size,
-                           run.p, extra_points=mr.nodes)
+                           run.p, extra_points=mr.nodes, grid_residuals=run.grid_residuals)
+    run.grid_residuals = ()
     run.timings["residual_samples"] = stats.sample_count
     run.fields["residual"] = stats
     run.diagnostics["residual_check"] = {

@@ -96,8 +96,8 @@ def cmd_prove(args) -> int:
         if required not in merged:
             raise IneqproveError(f"missing required setting {required!r}")
     a, b = _split_interval(merged["interval"])
-    degree = int(merged.get("degree", 1))
     try:
+        degree = int(merged.get("degree", 1))
         settings = ProofSettings(**{name: convert(merged[key])
                                     for key, (name, convert) in _SETTING_KEYS.items()
                                     if key in merged})

@@ -19,8 +19,14 @@ falls away from the end.
 Chebyshev grids nest: the grid with ``c`` times as many intervals holds a
 grid at every c-th point, bit for bit, because each angle pi*i/(count-1)
 is taken in lowest terms and its cosine comes from one memoized table per
-(count, binary precision).  The residual check's default grid, twice as
-dense as the Remez grid, thus finds half of its values of g cached.
+(count, binary precision); a new table takes the cosines it shares from a
+memoized coarser one.  Residuals g - P are formed by one sweep on libmp
+tuples (``_residuals``), whose P values come from the one Clenshaw loop
+(``Polynomial._values``; ``evaluate`` is its one-point case), with u
+computed once per Remez grid.  ``minimax`` returns the residuals of its
+last iteration on the grid, and the residual check's default grid, twice
+as dense as the Remez grid, takes them at its even points instead of
+computing them again.
 
 Convergence is judged by the de la Vallee-Poussin sandwich: the residual
 magnitudes at the exchanged points bound the true minimax error from below,
@@ -30,13 +36,13 @@ relative gap falls under ``tol``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 from mpmath.libmp import (
-    from_rational, fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_pos, mpf_sub,
+    from_rational, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_pos, mpf_sub,
     round_nearest, to_rational,
 )
 
@@ -56,6 +62,9 @@ REFINE_WIDTH_FACTOR = "1e-12"
 TOL, GRID_MULTIPLIER, MAX_ITERATIONS, EQUIOSCILLATION_REL_TOL = "1e-12", 64, 50, "1e-6"
 # cosine tables kept: a proof uses three grid sizes at one precision
 _COSINE_LIMIT = 8
+# (count, binary precision) -> the cosines of that grid, least recently used first
+_cosine_tables = {}
+_cosine_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -70,22 +79,34 @@ class Polynomial:
         return len(self.coefficients) - 1
 
     def evaluate(self, x):
-        """Clenshaw recurrence in the context of the segment, on libmp tuples."""
-        ctx = self.segment[0].context
-        prec, rn = ctx.prec, round_nearest
-        a, b = (v._mpf_ for v in self.segment)
+        """P(x) in the context of the segment: the one-point case of ``_values``."""
+        return self.segment[0].context.make_mpf(next(self._values((x,))))
+
+    def _values(self, xs, units=None):
+        """P at each x of ``xs`` in turn, as libmp tuples: the Clenshaw recurrence on tuples.
+
+        ``units`` may hold u = (2x - a - b)/(b - a) of each x, as ``_units``
+        gives it, for points swept more than once.  Each step is rounded to
+        the segment's precision.  The recurrence starts from b1 = b2 = 0, so
+        its first step only rounds c_n, and a subtraction of b2 while it is
+        still 0 is exact; both are left out.
+        """
+        prec, rn = self.segment[0].context.prec, round_nearest
         c = [v._mpf_ for v in self.coefficients]
+        top = mpf_pos(c[-1], prec, rn)
         if len(c) == 1:
-            return ctx.make_mpf(mpf_pos(c[0], prec, rn))
-        x = ctx.convert(x)._mpf_
-        u = mpf_div(mpf_sub(mpf_sub(mpf_mul_int(x, 2, prec, rn), a, prec, rn), b, prec, rn),
-                    mpf_sub(b, a, prec, rn), prec, rn)
-        d = mpf_mul_int(u, 2, prec, rn)
-        b1 = b2 = fzero
-        for cj in reversed(c[1:]):
-            b1, b2 = mpf_add(mpf_sub(mpf_mul(d, b1, prec, rn), b2, prec, rn), cj, prec, rn), b1
-        return ctx.make_mpf(mpf_add(mpf_sub(mpf_mul(u, b1, prec, rn), b2, prec, rn), c[0],
-                                    prec, rn))
+            for _ in xs:
+                yield top
+            return
+        inner = c[-2:0:-1]
+        for u in _units(self.segment, xs) if units is None else units:
+            d = mpf_mul_int(u, 2, prec, rn) if inner else None
+            b1, b2 = top, None
+            for cj in inner:
+                v = mpf_mul(d, b1, prec, rn)
+                b1, b2 = mpf_add(v if b2 is None else mpf_sub(v, b2, prec, rn), cj, prec, rn), b1
+            v = mpf_mul(u, b1, prec, rn)
+            yield mpf_add(v if b2 is None else mpf_sub(v, b2, prec, rn), c[0], prec, rn)
 
     __call__ = evaluate
 
@@ -164,6 +185,29 @@ def _rounded(values, p: Precision):
                  for v in values)
 
 
+def _units(segment, xs):
+    """u = (2x - a - b)/(b - a) of each x in turn, as libmp tuples in the segment's context."""
+    ctx = segment[0].context
+    prec, rn = ctx.prec, round_nearest
+    a, b = (v._mpf_ for v in segment)
+    width = mpf_sub(b, a, prec, rn)
+    return (mpf_div(mpf_sub(mpf_sub(mpf_mul_int(ctx.convert(x)._mpf_, 2, prec, rn), a, prec, rn),
+                            b, prec, rn), width, prec, rn)
+            for x in xs)
+
+
+def _residuals(g, poly, xs, units=None):
+    """g(x) - P(x) at each x of ``xs`` in turn, bit for bit as ``g(x) - poly.evaluate(x)`` forms it.
+
+    One sweep: P's set-up runs once, and ``units`` (see ``Polynomial._values``)
+    spares recomputing u on a grid swept again.
+    """
+    for x, px in zip(xs, poly._values(xs, units)):
+        gx = g(x)
+        ctx = gx.context
+        yield ctx.make_mpf(mpf_sub(gx._mpf_, px, *ctx._prec_rounding))
+
+
 @dataclass(frozen=True)
 class MinimaxResult:
     polynomial: Polynomial
@@ -173,6 +217,8 @@ class MinimaxResult:
     levelled_error_history: tuple
     lower_bound: mpmath.mpf
     upper_bound: mpmath.mpf
+    # g - P of the returned polynomial on the Remez grid, for residual_check
+    grid_residuals: tuple = field(default=(), repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -213,24 +259,46 @@ class CachedFunction:
         return v
 
 
-@lru_cache(maxsize=_COSINE_LIMIT)
 def _chebyshev_cosines(count: int, prec: int):
     """cos(pi*i/(count-1)) for i = 1..count-2, in ``context(prec)``.
 
     Each angle is pi times i/(count-1) in lowest terms, so grids whose
     interval counts are multiples of one another share these values bit
-    for bit.
+    for bit.  The last ``_COSINE_LIMIT`` tables are kept, and a new table
+    takes every value it shares with the densest kept table of the same
+    precision whose interval count divides its own.
     """
-    ctx = context(prec)
-    angles = (Fraction(i, count - 1) for i in range(1, count - 1))
-    return tuple(ctx.cos(ctx.pi * t.numerator / t.denominator) for t in angles)
+    key = (count, prec)
+    with _cosine_lock:
+        table = _cosine_tables.pop(key, None)
+        if table is None:
+            table = [None] * (count - 2)
+            coarse = max((c for c, q in _cosine_tables
+                          if q == prec and c > 2 and (count - 1) % (c - 1) == 0), default=None)
+            if coarse is not None:
+                step = (count - 1) // (coarse - 1)
+                table[step - 1::step] = _cosine_tables[coarse, prec]
+            ctx = context(prec)
+            for i, c in enumerate(table, 1):
+                if c is None:
+                    t = Fraction(i, count - 1)
+                    table[i - 1] = ctx.cos(ctx.pi * t.numerator / t.denominator)
+            table = tuple(table)
+        # most recently used last
+        _cosine_tables[key] = table
+        while len(_cosine_tables) > _COSINE_LIMIT:
+            del _cosine_tables[next(iter(_cosine_tables))]
+    return table
 
 
 def _chebyshev_grid(a, b, count):
     """The ``count`` Chebyshev extremum abscissae of [a, b], endpoints included, in a's context."""
-    mid = (a + b) / 2
-    hw = (b - a) / 2
-    return (a, *(mid - hw * c for c in _chebyshev_cosines(count, a.context.prec)), b)
+    ctx = a.context
+    prec, rnd = ctx._prec_rounding
+    mid, hw = ((a + b) / 2)._mpf_, ((b - a) / 2)._mpf_
+    # mid - hw*c, on tuples
+    return (a, *(ctx.make_mpf(mpf_sub(mid, mpf_mul(hw, c._mpf_, prec, rnd), prec, rnd))
+                 for c in _chebyshev_cosines(count, prec)), b)
 
 
 def _solve_levelled_system(g, nodes, a, b, p: Precision):
@@ -374,23 +442,16 @@ def _polish_max(phi, lo, hi, width_tol, known):
     return x, fx
 
 
-def _exchange_core(g, poly, grid, rvals, grid_max, current_nodes=None):
-    """(nodes, residuals) of the next reference; grid_max only labels a failure."""
+def _exchange_core(g, poly, grid, rvals, mags, current_nodes=None):
+    """(nodes, residuals) of the next reference, from the grid residuals and their magnitudes."""
     a, b = poly.segment
     k = poly.degree
     required = k + 2
     width_tol = (b - a) * a.context.mpf(REFINE_WIDTH_FACTOR)
     count = len(grid)
 
-    candidates = []
-    for i in range(count):
-        r = rvals[i]
-        if r == 0:
-            continue
-        left_ok = i == 0 or abs(r) >= abs(rvals[i - 1])
-        right_ok = i == count - 1 or abs(r) >= abs(rvals[i + 1])
-        if left_ok and right_ok:
-            candidates.append(i)
+    candidates = [i for i, r in enumerate(mags)
+                  if r and (i == 0 or r >= mags[i - 1]) and (i == count - 1 or r >= mags[i + 1])]
 
     refined = []
     for i in candidates:
@@ -431,11 +492,10 @@ def _exchange_core(g, poly, grid, rvals, grid_max, current_nodes=None):
             nodes[nearest] = x_star
             nodes.sort()
             if all(l < r for l, r in zip(nodes, nodes[1:])):
-                residuals = tuple(g(t) - poly.evaluate(t) for t in nodes)
-                return tuple(nodes), residuals
+                return tuple(nodes), tuple(_residuals(g, poly, nodes))
         raise AlternationError(
             f"exchange found {len(merged)} alternating extrema, needs {required} "
-            f"(grid max residual {mpmath.nstr(grid_max, 8)})",
+            f"(grid max residual {mpmath.nstr(max(mags), 8)})",
             found=len(merged), required=required,
         )
     while len(merged) > required:
@@ -472,6 +532,7 @@ def minimax(g, a, b, k: int, tol=TOL, p: Precision = Precision(),
         )
     gc = g if isinstance(g, CachedFunction) else CachedFunction(g)
     grid = _chebyshev_grid(av, bv, grid_multiplier * (k + 2) + 1)
+    units = tuple(_units((av, bv), grid))
     nodes = _chebyshev_grid(av, bv, k + 2)
     zero_floor = rounding_floor(p) * max(1, max(abs(gc(x)) for x in grid))
     history = []
@@ -479,19 +540,20 @@ def minimax(g, a, b, k: int, tol=TOL, p: Precision = Precision(),
     def result(delta, lower):  # delta_hat is the upper bound
         return MinimaxResult(polynomial=poly, delta_hat=+delta, nodes=tuple(nodes),
                              iterations=iteration, levelled_error_history=tuple(history),
-                             lower_bound=+lower, upper_bound=+delta)
+                             lower_bound=+lower, upper_bound=+delta,
+                             grid_residuals=tuple(rvals))
 
     for iteration in range(1, max_iterations + 1):
         poly, h = _solve_levelled_system(gc, nodes, av, bv, p)
         history.append(abs(h))
-        rvals = [gc(x) - poly.evaluate(x) for x in grid]
-        grid_max = max(abs(r) for r in rvals)
+        rvals = list(_residuals(gc, poly, grid, units))
+        mags = [abs(r) for r in rvals]
+        grid_max = max(mags)
         if grid_max <= zero_floor:
             # exact representation: grid_max is only rounding noise, and a
             # denser grid finds more of it, so the floor is the estimate
             return result(zero_floor, min(abs(h), grid_max))
-        nodes, residuals = _exchange_core(gc, poly, grid, rvals, grid_max,
-                                          current_nodes=nodes)
+        nodes, residuals = _exchange_core(gc, poly, grid, rvals, mags, current_nodes=nodes)
         lower = min(abs(r) for r in residuals)
         upper = max(max(abs(r) for r in residuals), grid_max)
         if (upper - lower) / upper <= tol_v:
@@ -514,7 +576,7 @@ def verify_equioscillation(result: MinimaxResult, g, rel_tol=EQUIOSCILLATION_REL
     poly = result.polynomial
     nodes = result.nodes
     gc = g if isinstance(g, CachedFunction) else CachedFunction(g)
-    residuals = [gc(t) - poly.evaluate(t) for t in nodes]
+    residuals = list(_residuals(gc, poly, nodes))
 
     def report(passed, message, spread=None, failure_index=None):
         return EquioscillationReport(passed=passed, residuals=tuple(residuals), spread=spread,

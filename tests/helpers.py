@@ -221,3 +221,28 @@ def exact_taylor(P, lo, hi):
         b1, b2 = add(times_u(b1, 2), [-v for v in b2], [cj]), b1
     # each step multiplies by u, so the last entry is the zero of an empty b1
     return add(times_u(b1, 1), [-v for v in b2], [coeffs[0]])[:len(coeffs)]
+
+
+def clenshaw_reference(P, x):
+    """P(x) by the Clenshaw recurrence, one point at a time.
+
+    Every step is rounded to the segment's precision.  The test oracle for
+    ``Polynomial.evaluate`` and the residual sweep: the bits of the
+    package's one-point path before it became a sweep.
+    """
+    lm = mpmath.libmp
+    ctx = P.segment[0].context
+    prec, rn = ctx.prec, lm.round_nearest
+    a, b = (v._mpf_ for v in P.segment)
+    c = [v._mpf_ for v in P.coefficients]
+    if len(c) == 1:
+        return ctx.make_mpf(lm.mpf_pos(c[0], prec, rn))
+    x = ctx.convert(x)._mpf_
+    u = lm.mpf_div(lm.mpf_sub(lm.mpf_sub(lm.mpf_mul_int(x, 2, prec, rn), a, prec, rn), b, prec, rn),
+                   lm.mpf_sub(b, a, prec, rn), prec, rn)
+    d = lm.mpf_mul_int(u, 2, prec, rn)
+    b1 = b2 = lm.fzero
+    for cj in reversed(c[1:]):
+        b1, b2 = lm.mpf_add(lm.mpf_sub(lm.mpf_mul(d, b1, prec, rn), b2, prec, rn), cj, prec, rn), b1
+    return ctx.make_mpf(lm.mpf_add(lm.mpf_sub(lm.mpf_mul(u, b1, prec, rn), b2, prec, rn), c[0],
+                                   prec, rn))

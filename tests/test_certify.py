@@ -39,6 +39,16 @@ def make_poly(monomial, a=0, b=1):
     return Polynomial.from_monomial(monomial, a, b)
 
 
+class _CountingCache(remez.CachedFunction):
+    """A cached g that counts its lookups, cached or fresh."""
+
+    lookups = 0
+
+    def __call__(self, x):
+        self.lookups += 1
+        return super().__call__(x)
+
+
 class TestPrecondition:
     def test_both_positive(self, p50):
         assert precondition_check(1, "0.5", p50) is None
@@ -84,6 +94,27 @@ class TestResidualCheck:
         for grid_size in (8, 12.5):
             with pytest.raises(ConfigurationError):
                 residual_check(lambda x: x, P, "0.1", grid_size, p50)
+
+    # N = 4*(2+2) = 16 Remez intervals: 2N+1 and 3N+1 nest the Remez grid,
+    # 4000 (the golden inconclusive_residual_check case) does not
+    @pytest.mark.parametrize("size", [33, 49, 4000])
+    @pytest.mark.parametrize("source", ["exp(x)", "1+exp(-10^6*(x-3/10)^2)"])
+    def test_reused_grid_residuals_give_the_cold_statistics(self, source, size, p30):
+        f = parse(source)
+        mr = minimax(lambda x: f.evaluate(x, p30), 0, 1, 2, p=p30, grid_multiplier=4)
+        assert len(mr.grid_residuals) == 17
+        stats, lookups = [], []
+        for reused in ((), mr.grid_residuals):
+            g = _CountingCache(lambda x: f.evaluate(x, p30))
+            stats.append(residual_check(g, mr.polynomial, mr.delta_hat, size, p30,
+                                        extra_points=mr.nodes, grid_residuals=reused))
+            lookups.append(g.lookups)
+        cold, warm = stats
+        assert warm.passed == cold.passed
+        assert warm.sample_count == cold.sample_count == size + 4
+        for name in ("max_residual", "max_location", "threshold"):
+            assert getattr(warm, name)._mpf_ == getattr(cold, name)._mpf_
+        assert lookups == [size + 4, size + 4 - (17 if (size - 1) % 16 == 0 else 0)]
 
 
 class TestCertifyPositive:
@@ -531,20 +562,30 @@ class TestProvePipeline:
 
     def test_residual_sweep_reuses_remez_grid(self, p50, monkeypatch):
         # the even points of the 2N+1-point residual grid are the N+1 Remez
-        # grid points, so only the N odd points are fresh
-        fresh = []
+        # grid points, so only the N odd points are fresh, and their residuals
+        # come from minimax: g is looked up only at the N odd points and the
+        # k+2 nodes (388 lookups while every sample was recomputed)
+        fresh, lookups = [], []
+        call = remez.CachedFunction.__call__
+        monkeypatch.setattr(remez.CachedFunction, "__call__",
+                            lambda self, x: lookups.append(x) or call(self, x))
 
         def counted(g, *args, **kwargs):
-            before = g.calls
+            before = g.calls, len(lookups)
             stats = residual_check(g, *args, **kwargs)
-            fresh.append(g.calls - before)
+            fresh.append((g.calls - before[0], len(lookups) - before[1]))
             return stats
 
         monkeypatch.setattr(certify, "residual_check", counted)
         report = prove_inequality("exp(x)-1-x", 0, 1, 2, 0, 1, ProofSettings(precision=p50))
         assert report.verdict == "proven"
-        assert report.settings["residual_grid_size"] == 2 * remez.GRID_MULTIPLIER * 3 + 1
-        assert fresh == [remez.GRID_MULTIPLIER * 3]
+        n = remez.GRID_MULTIPLIER * 3
+        assert report.settings["residual_grid_size"] == 2 * n + 1
+        assert fresh == [(n, n + 3)] == [(192, 195)]
+        assert report.timings["g_evaluations"] == 394
+        assert report.timings["residual_samples"] == 388
+        # the reused residuals stay with the stages
+        assert report.minimax_result.grid_residuals == ()
 
     @pytest.mark.parametrize("setting", [
         {"residual_grid_size": 0}, {"residual_grid_size": 5}, {"residual_grid_size": 12.5},

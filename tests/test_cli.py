@@ -218,6 +218,13 @@ class TestExitContract:
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("degree", ["1.5", "one"])
+    def test_bad_degree_in_config_is_configuration_error(self, degree, tmp_path, capsys):
+        cfg = write_config(tmp_path / "degree.cfg", function="x*(1-x)", interval="0,1",
+                           n=1, m=1, degree=degree, precision=30)
+        assert main(["prove", "--config", cfg]) == 3
+        assert capsys.readouterr().err.startswith("error: invalid setting value: ")
+
     def test_installed_entry_point(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "ineqprove.cli", "kurepa", "--x", "1",

@@ -1,4 +1,6 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import pytest
@@ -13,9 +15,12 @@ from ineqprove import (
 )
 from ineqprove import remez
 from ineqprove.precision import context, finite_segment
-from ineqprove.remez import MinimaxResult, _chebyshev_grid, _polish_max, _solve_levelled_system
+from ineqprove.remez import (
+    CachedFunction, MinimaxResult, _chebyshev_grid, _polish_max, _residuals,
+    _solve_levelled_system, _units,
+)
 
-from helpers import ambient, exact_taylor
+from helpers import ambient, clenshaw_reference, exact_taylor
 
 
 class TestInitialNodes:
@@ -54,10 +59,101 @@ class TestNestedGrids:
             fine = _chebyshev_grid(av, bv, ratio * intervals + 1)
             assert [x._mpf_ for x in fine[::ratio]] == [x._mpf_ for x in coarse]
 
-    def test_cosine_memo_is_bounded(self):
-        info = remez._chebyshev_cosines.cache_info()
-        assert info.maxsize == remez._COSINE_LIMIT
-        assert info.currsize <= info.maxsize
+    def test_cosine_memo_is_bounded(self, monkeypatch):
+        # it keeps the _COSINE_LIMIT most recently used tables
+        monkeypatch.setattr(remez, "_cosine_tables", {})
+        p = Precision(30)
+        prec = context(p).prec
+        av, bv = finite_segment(0, 1, p)
+        counts = range(3, 3 + 2 * remez._COSINE_LIMIT)
+        for count in counts:
+            _chebyshev_grid(av, bv, count)
+        assert len(remez._cosine_tables) == remez._COSINE_LIMIT
+        assert list(remez._cosine_tables) == [(c, prec) for c in counts[-remez._COSINE_LIMIT:]]
+        _chebyshev_grid(av, bv, counts[-remez._COSINE_LIMIT])
+        assert list(remez._cosine_tables)[-1] == (counts[-remez._COSINE_LIMIT], prec)
+
+    @pytest.mark.parametrize("ratio", [2, 3])
+    @pytest.mark.parametrize("digits", [30, 50])
+    def test_table_from_a_coarser_one_equals_a_cold_build(self, digits, ratio, monkeypatch):
+        prec = context(Precision(digits)).prec
+        fine_count = ratio * 192 + 1
+        monkeypatch.setattr(remez, "_cosine_tables", {})
+        cold = remez._chebyshev_cosines(fine_count, prec)
+        remez._cosine_tables.clear()
+        coarse = remez._chebyshev_cosines(193, prec)
+        ctx = context(prec)
+        cos, cosines = ctx.cos, []
+        monkeypatch.setattr(ctx, "cos", lambda x: cosines.append(x) or cos(x))
+        warm = remez._chebyshev_cosines(fine_count, prec)
+        assert [c._mpf_ for c in warm] == [c._mpf_ for c in cold]
+        # the shared values are the coarse table's own objects
+        assert all(w is c for w, c in zip(warm[ratio - 1::ratio], coarse))
+        assert len(cosines) == len(warm) - len(coarse)
+
+    def test_threads_sharing_the_memo_get_the_solo_bits(self, monkeypatch):
+        # tables built, taken from coarser ones and evicted while other
+        # threads read the memo; without its lock, a thread meets the dict
+        # changing under its search for a coarser table
+        counts = range(3, 41)
+        precs = [context(Precision(d)).prec for d in (30, 50)]
+        solo = {(c, q): [v._mpf_ for v in remez._chebyshev_cosines(c, q)]
+                for c in counts for q in precs}
+        monkeypatch.setattr(remez, "_cosine_tables", {})
+
+        def work(seed):
+            rng = random.Random(seed)
+            for _ in range(600):
+                key = rng.choice(counts), rng.choice(precs)
+                if [v._mpf_ for v in remez._chebyshev_cosines(*key)] != solo[key]:
+                    return False
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(work, seed) for seed in range(4)]
+                assert all(future.result(timeout=120) for future in futures)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(remez._cosine_tables) == remez._COSINE_LIMIT
+
+
+class TestResidualSweep:
+    """One sweep of g - P keeps the bits of the one-point path g(x) - P.evaluate(x)."""
+
+    @pytest.mark.parametrize("digits", [30, 50])
+    @pytest.mark.parametrize("a, b", [(0, 1), (0, "pi/2"), (-1, 1)])
+    def test_bits_of_the_one_point_path(self, a, b, digits):
+        p = Precision(digits)
+        ctx = context(p)
+        av, bv = finite_segment(a, b, p)
+        rng = random.Random(f"{a},{b},{digits}")
+        xs = list(_chebyshev_grid(av, bv, 25))
+        xs += [av + (bv - av) * ctx.mpf(rng.random()) for _ in range(25)]
+        units = tuple(_units((av, bv), xs))
+        g = CachedFunction(lambda x: x.context.sin(3 * x) + x.context.exp(-x))
+        for degree in range(9):
+            for _ in range(3):
+                # some exact zeros, the rest with full mantissas
+                coeffs = tuple(ctx.mpf(0) if rng.random() < 0.2
+                               else ctx.mpf(rng.randint(-10 ** 6, 10 ** 6)) / rng.choice((3, 7))
+                               for _ in range(degree + 1))
+                P = Polynomial(coefficients=coeffs, segment=(av, bv))
+                want_p = [clenshaw_reference(P, x)._mpf_ for x in xs]
+                assert [P.evaluate(x)._mpf_ for x in xs] == want_p
+                want = [(g(x) - P.evaluate(x))._mpf_ for x in xs]
+                assert [r._mpf_ for r in _residuals(g, P, xs)] == want
+                assert [r._mpf_ for r in _residuals(g, P, xs, units)] == want
+
+    def test_minimax_hands_out_the_residuals_of_its_polynomial(self, p50):
+        g = CachedFunction(lambda x: x.context.exp(x))
+        r = minimax(g, 0, 1, 2, p=p50, grid_multiplier=4)
+        av, bv = finite_segment(0, 1, p50)
+        grid = _chebyshev_grid(av, bv, 4 * 4 + 1)
+        assert [v._mpf_ for v in r.grid_residuals] == \
+            [(g(x) - r.polynomial.evaluate(x))._mpf_ for x in grid]
 
 
 def _levelled(g, nodes, a, b, p):
