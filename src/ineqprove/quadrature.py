@@ -18,8 +18,9 @@ t = 0 for the derivative integrals.  The domain is therefore split:
 
 In every region the integrand at a node is c expm1(x L) for j = 0 and
 c L^j exp(x L) for j >= 1, where only the factors (c, L) depend on the region
-and the node, never on x.  They are kept in a node table per panel, so each
-x costs one exponential per node.
+and the node, never on x.  They are kept in a node table per panel, c exactly
+multiplied into the weights, so each x costs one exponential per node, and
+each estimate is an exact sum, formed on integers and rounded once.
 
 Each region is covered by adaptive panels whose error is estimated by
 comparing the n-node Gauss rule with its nested (2n+1)-node Kronrod extension.
@@ -39,8 +40,7 @@ from functools import lru_cache
 
 import mpmath
 from mpmath.libmp import (
-    dps_to_prec, fone, fzero, mpf_add, mpf_exp, mpf_log, mpf_mul, mpf_pos, mpf_pow_int, mpf_sub,
-    round_nearest,
+    dps_to_prec, fone, from_man_exp, mpf_add, mpf_exp, mpf_log, mpf_mul, mpf_pos, round_nearest,
 )
 
 from .errors import (
@@ -202,69 +202,69 @@ def _high_node(t):
 
 @lru_cache(maxsize=_CACHE_LIMIT)
 def _node_table(node_map, lo, hi, n, prec):
-    """(c, L) at the Kronrod nodes of [lo, hi], c scaled by the half-width.
+    """(L, k, k_exp, g, g_exp) per Kronrod node of [lo, hi]; L is None at u = 0.
 
-    Computed in the context of lo and hi, of precision ``prec``, and memoized
-    on all five arguments.  Both are kept as raw mpf tuples, the form the
-    panel loop works on.
+    L is a raw mpf tuple, and k 2^k_exp and g 2^g_exp, k and g integers, are
+    the exact products half c w_K and half c w_G; g is 0 where only the Kronrod
+    rule has a node.  Computed in the context of lo and hi, of precision
+    ``prec``, and memoized on all five arguments.
     """
     half = (hi - lo) / 2
     mid = (lo + hi) / 2
-    cs = []
-    ls = []
-    for z in gauss_kronrod_rule(n, prec)[0]:
+    nodes, k_weights, g_weights = gauss_kronrod_rule(n, prec)
+    table = []
+    for i, (z, w_k) in enumerate(zip(nodes, k_weights)):
         c, ell = node_map(mid + half * z)
-        cs.append((half * c)._mpf_)
-        ls.append(None if ell is None else ell._mpf_)
-    return tuple(cs), tuple(ls)
+        hc = mpf_mul(half._mpf_, c._mpf_)
+        table.append((None if ell is None else ell._mpf_, *_exact(hc, w_k),
+                      *(_exact(hc, g_weights[i // 2]) if i % 2 else (0, 0))))
+    return tuple(table)
 
 
-def _expm1(y, prec):
-    """exp(y) - 1 rounded to prec bits, for a raw mpf y.
-
-    exp(y) carries as many extra bits as exp(y) - 1 is smaller than 1, so the
-    subtraction cancels none of the result's bits.
-    """
-    if y == fzero:
-        return fzero
-    extra = 10 + max(0, -(y[2] + y[3]))
-    return mpf_sub(mpf_exp(y, prec + extra, round_nearest), fone, prec, round_nearest)
+def _exact(a, w):
+    # a w exactly, as a signed integer and an exponent
+    sign, man, exp, _ = mpf_mul(a, w._mpf_)
+    return -man if sign else man, exp
 
 
-def _kronrod_panel(table, x, j, k_weights, g_weights):
+def _round_sum(terms, prec):
+    """The exact sum of (integer, exponent) terms, rounded once to nearest."""
+    low = min(exp for _, exp in terms)
+    return from_man_exp(sum(man << (exp - low) for man, exp in terms), low, prec, round_nearest)
+
+
+def _kronrod_panel(table, x, j):
     """(Gauss estimate, Kronrod estimate) of one panel at argument x.
 
-    The loop runs once per node of every panel, so it works on raw mpf tuples
-    (the weights too) with the same precision and rounding as mpf arithmetic
-    would use.
+    Only x L and exp(x L) are rounded, the latter with as many extra bits for
+    j = 0 as exp(x L) - 1 is smaller than 1; every term is exact, and each
+    estimate is its terms' exact integer sum, rounded once to nearest.
     """
     ctx = x.context
     prec, xr = ctx.prec, x._mpf_
-    gauss = kronrod = fzero
-    for i, (c, ell) in enumerate(zip(*table)):
+    gauss, kronrod = [], []
+    for ell, km, ke, gm, ge in table:
         if ell is None:
-            f = xr if j == 0 else (fone if j == 1 else fzero)
+            # the quotient's limit at u = 0; x >= 0, so its sign bit is clear
+            fm, fe = (xr[1], xr[2]) if j == 0 else (int(j == 1), 0)
         elif j == 0:
-            f = _expm1(mpf_mul(xr, ell, prec, round_nearest), prec)
+            y = mpf_mul(xr, ell, prec, round_nearest)
+            _, man, exp, _ = mpf_exp(y, prec + 10 + max(0, -(y[2] + y[3])), round_nearest)
+            fe = min(exp, 0)
+            fm = (man << (exp - fe)) - (1 << -fe)
         else:
-            f = mpf_mul(mpf_pow_int(ell, j, prec, round_nearest),
-                        mpf_exp(mpf_mul(xr, ell, prec, round_nearest), prec, round_nearest),
-                        prec, round_nearest)
-        v = mpf_mul(c, f, prec, round_nearest)
-        kronrod = mpf_add(kronrod, mpf_mul(k_weights[i], v, prec, round_nearest),
-                          prec, round_nearest)
-        if i % 2:
-            gauss = mpf_add(gauss, mpf_mul(g_weights[i // 2], v, prec, round_nearest),
-                            prec, round_nearest)
-    return ctx.make_mpf(gauss), ctx.make_mpf(kronrod)
+            _, man, exp, _ = mpf_exp(mpf_mul(xr, ell, prec, round_nearest), prec, round_nearest)
+            sign, lm, le, _ = ell
+            fm, fe = man * (-lm if sign else lm) ** j, exp + le * j
+        kronrod.append((km * fm, ke + fe))
+        if gm:
+            gauss.append((gm * fm, ge + fe))
+    return ctx.make_mpf(_round_sum(gauss, prec)), ctx.make_mpf(_round_sum(kronrod, prec))
 
 
 def _adaptive(node_map, panels, x, j, tol_abs, n, state):
     """Adaptive bisection over an initial panel list, left to right, in x's context."""
     ctx = x.context
-    _, k_weights, g_weights = gauss_kronrod_rule(n, ctx.prec)
-    k_weights = [w._mpf_ for w in k_weights]
-    g_weights = [w._mpf_ for w in g_weights]
     span = ctx.mpf(0)
     for lo, hi in panels:
         span += hi - lo
@@ -281,8 +281,7 @@ def _adaptive(node_map, panels, x, j, tol_abs, n, state):
                 f"quadrature budget of {state['budget']} evaluations exhausted "
                 "before the error target was met"
             )
-        v1, v2 = _kronrod_panel(_node_table(node_map, lo, hi, n, ctx.prec), x, j,
-                                k_weights, g_weights)
+        v1, v2 = _kronrod_panel(_node_table(node_map, lo, hi, n, ctx.prec), x, j)
         e = abs(v2 - v1)
         if e <= tol_abs * width / span or width <= min_width:
             total += v2

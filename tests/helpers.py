@@ -1,6 +1,7 @@
 """Shared fixtures and frozen reference values for the test suite."""
 
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
@@ -246,3 +247,99 @@ def clenshaw_reference(P, x):
         b1, b2 = lm.mpf_add(lm.mpf_sub(lm.mpf_mul(d, b1, prec, rn), b2, prec, rn), cj, prec, rn), b1
     return ctx.make_mpf(lm.mpf_add(lm.mpf_sub(lm.mpf_mul(u, b1, prec, rn), b2, prec, rn), c[0],
                                    prec, rn))
+
+
+def _rational(v):
+    # an mpf's exact value, whatever its context
+    return Fraction(*mpmath.libmp.to_rational(v._mpf_))
+
+
+def exact_panel_reference(node_map, lo, hi, n, x, j):
+    """(Gauss, Kronrod) estimates of one panel: exact Fraction sums, each rounded once.
+
+    Built from the rounded factors the package uses, x L, exp(x L) (with its
+    extra bits for j = 0), L and the weights of ``gauss_kronrod_rule``, in
+    the context of lo, hi and x; the test oracle for the package's integer
+    sums.
+    """
+    lm = mpmath.libmp
+    ctx = x.context
+    prec, rn = ctx.prec, lm.round_nearest
+    nodes, k_weights, g_weights = quadrature.gauss_kronrod_rule(n, prec)
+    half, mid = (hi - lo) / 2, (lo + hi) / 2
+    gauss = kronrod = Fraction(0)
+    for i, (z, w_k) in enumerate(zip(nodes, k_weights)):
+        c, ell = node_map(mid + half * z)
+        if ell is None:
+            f = _rational(x) if j == 0 else Fraction(int(j == 1))
+        else:
+            y = lm.mpf_mul(x._mpf_, ell._mpf_, prec, rn)
+            extra = 10 + max(0, -(y[2] + y[3])) if j == 0 else 0
+            e = Fraction(*lm.to_rational(lm.mpf_exp(y, prec + extra, rn)))
+            f = e - 1 if j == 0 else _rational(ell) ** j * e
+        v = _rational(half) * _rational(c) * f
+        kronrod += _rational(w_k) * v
+        if i % 2:
+            gauss += _rational(g_weights[i // 2]) * v
+    return tuple(ctx.make_mpf(lm.from_rational(s.numerator, s.denominator, prec, rn))
+                 for s in (gauss, kronrod))
+
+
+def _sequential_table(node_map, lo, hi, n, prec):
+    half = (hi - lo) / 2
+    mid = (lo + hi) / 2
+    cs = []
+    ls = []
+    nodes, k_weights, g_weights = quadrature.gauss_kronrod_rule(n, prec)
+    for z in nodes:
+        c, ell = node_map(mid + half * z)
+        cs.append((half * c)._mpf_)
+        ls.append(None if ell is None else ell._mpf_)
+    return tuple(cs), tuple(ls), [w._mpf_ for w in k_weights], [w._mpf_ for w in g_weights]
+
+
+def _sequential_expm1(y, prec):
+    lm = mpmath.libmp
+    if y == lm.fzero:
+        return lm.fzero
+    extra = 10 + max(0, -(y[2] + y[3]))
+    return lm.mpf_sub(lm.mpf_exp(y, prec + extra, lm.round_nearest), lm.fone, prec,
+                      lm.round_nearest)
+
+
+def _sequential_panel(table, x, j):
+    lm = mpmath.libmp
+    mul, add, rn = lm.mpf_mul, lm.mpf_add, lm.round_nearest
+    ctx = x.context
+    prec, xr = ctx.prec, x._mpf_
+    cs, ls, k_weights, g_weights = table
+    gauss = kronrod = lm.fzero
+    for i, (c, ell) in enumerate(zip(cs, ls)):
+        if ell is None:
+            f = xr if j == 0 else (lm.fone if j == 1 else lm.fzero)
+        elif j == 0:
+            f = _sequential_expm1(mul(xr, ell, prec, rn), prec)
+        else:
+            f = mul(lm.mpf_pow_int(ell, j, prec, rn),
+                    lm.mpf_exp(mul(xr, ell, prec, rn), prec, rn), prec, rn)
+        v = mul(c, f, prec, rn)
+        kronrod = add(kronrod, mul(k_weights[i], v, prec, rn), prec, rn)
+        if i % 2:
+            gauss = add(gauss, mul(g_weights[i // 2], v, prec, rn), prec, rn)
+    return ctx.make_mpf(gauss), ctx.make_mpf(kronrod)
+
+
+def sequential_kurepa(x, j, p):
+    """K^(j)(x) with every product and partial sum of a panel rounded in turn.
+
+    The panel loop the package used before it summed each estimate exactly:
+    (half c) f, the weight times that and each running sum are rounded to
+    the working precision, and exp(x L) - 1 too.  Kept as the oracle that
+    the exact sums must stay close to, with the same panels, node count and
+    tail cutoff.
+    """
+    with mock.patch.object(quadrature, "_node_table", _sequential_table), \
+            mock.patch.object(quadrature, "_kronrod_panel", _sequential_panel):
+        if j == 0:
+            return quadrature.kurepa(x, p)
+        return quadrature.kurepa_derivative(x, j, p)

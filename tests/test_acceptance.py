@@ -9,6 +9,7 @@ the endpoint-limit agreement check.
 """
 
 import contextlib
+import hashlib
 import json
 import random
 import re
@@ -34,14 +35,18 @@ from ineqprove import (
     minimax,
     parse,
     prove_inequality,
+    report_to_json,
     verify_equioscillation,
 )
 from ineqprove.cli import main as cli_main
 
-from helpers import ARCSIN_DIFF_SOURCE, ambient, planted_endpoint_polynomial
+from helpers import ARCSIN_DIFF_SOURCE, RECORDED_WITH, ambient, planted_endpoint_polynomial
 
 P50 = Precision(50)
 P35 = Precision(35)
+
+# sha256 of report_to_json of the paper's full-size proof, K(x) <= K'(0) x
+KUREPA_REPORT_HASH = "dfd6022a885e57c61a391eac816d1e0a52b1e4e92a1c5034226977438fd3a436"
 
 
 @contextlib.contextmanager
@@ -143,6 +148,9 @@ def test_kurepa_linear_bound_proof():
         # alpha is half the negated curvature at the left endpoint
         kpp0 = kurepa_derivative(0, 2, P35).value
         assert abs(report.alpha - (-kpp0 / 2)) <= mpmath.mpf("1e-6") * abs(report.alpha)
+        if (mpmath.__version__, mpmath.libmp.BACKEND) == RECORDED_WITH:
+            digest = hashlib.sha256(report_to_json(report).encode("utf-8")).hexdigest()
+            assert digest == KUREPA_REPORT_HASH
 
 
 def test_arcsin_bound_reproduction():

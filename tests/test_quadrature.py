@@ -28,8 +28,11 @@ from helpers import (
     KPPP0,
     K_HALF,
     ambient,
+    exact_panel_reference,
     requires_recorded_mpmath,
+    sequential_kurepa,
 )
+from ineqprove.precision import context
 from reference_oracle import kurepa_ts
 
 # QUADPACK qk15: the G7-K15 pair, nodes and weights for x >= 0, outermost first
@@ -314,6 +317,46 @@ class TestNodeTables:
             r = kurepa(mpmath.mpf("2.25") + mpmath.mpf(i) / 2, p35)
             assert r.error_bound <= mpmath.mpf(10) ** -25
         assert quadrature.gauss_kronrod_rule.cache_info().misses - built <= 2
+
+
+class TestExactPanelSums:
+    # one panel per node map at the guard precision of P35 (169 bits, n = 25);
+    # the window panel is centred on its u = 0 node
+    PANELS = {
+        "low": (quadrature._low_node, "0.1335", "1.1335"),
+        "window": (quadrature._window_node, "-0.125", "0.125"),
+        "high": (quadrature._high_node, "1.125", "2.125"),
+    }
+
+    @pytest.mark.parametrize("region", sorted(PANELS))
+    @pytest.mark.parametrize("j", range(4))
+    @pytest.mark.parametrize("x", [4 ** -12, "0.37", "2.5"])
+    def test_estimates_are_exact_sums_rounded_once(self, region, j, x):
+        ctx = context(169)
+        node_map, lo, hi = self.PANELS[region]
+        lo, hi, x = ctx.mpf(lo), ctx.mpf(hi), ctx.mpf(x)
+        table = quadrature._node_table(node_map, lo, hi, 25, ctx.prec)
+        assert (None in [node[0] for node in table]) == (region == "window")
+        got = quadrature._kronrod_panel(table, x, j)
+        want = exact_panel_reference(node_map, lo, hi, 25, x, j)
+        assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+
+
+class TestSequentialRoundingReference:
+    # exact sums round once where the sequential oracle rounds each product
+    # and partial sum; the two agree to a few ulps and take the same panels
+    @pytest.mark.parametrize("x", ["0", 4 ** -12, "0.25", "0.5", "0.999999", "1", "2.5",
+                                   "7.3", "30"])
+    def test_close_to_sequential_rounding(self, x, p35):
+        for j in range(4):
+            r = kurepa(x, p35) if j == 0 else kurepa_derivative(x, j, p35)
+            ref = sequential_kurepa(x, j, p35)
+            prec = ref.value.context.prec
+            assert r.value.context.prec == prec
+            ulp = mpmath.mpf(2) ** (mpmath.mag(ref.value) - prec)
+            assert abs(r.value - ref.value) <= 16 * ulp, (x, j)
+            assert r.nodes_used == ref.nodes_used
+            assert r.tail_cutoff == ref.tail_cutoff
 
 
 class TestInflection:

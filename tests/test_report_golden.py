@@ -70,7 +70,7 @@ REPORT_HASHES = {
     "proven_real_exponent":
         "d5d52786618d4920386213ad95fb708ce1b1d04d3d251492bd693db1f08bdd4c",
     "disproven_kurepa_near_miss":
-        "8d423c189a42dc7dfc57ec4adfea0772283b50b427a58424ccb0e25f51b86b2e",
+        "65fac0aa97f0d3b47591665bef30383618de732f81bbb67df1082c20f3cbca0e",
 }
 
 # sha256 of the report file `ineqprove prove --config demos/configs/<name>` writes
