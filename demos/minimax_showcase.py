@@ -30,7 +30,7 @@ print("\n== sin on [0, 1]: error estimate by degree ==")
 print(f"  {'k':>2s} {'delta_hat':>14s} {'iterations':>10s} {'spread':>10s}")
 for k in range(1, 7):
     r = minimax(lambda x: x.context.sin(x), 0, 1, k, p=p)
-    report = verify_equioscillation(r, lambda x: x.context.sin(x), p=p)
+    report = verify_equioscillation(r, p=p)
     spread = mpmath.nstr(report.spread, 3) if report.spread is not None else "-"
     print(f"  {k:2d} {mpmath.nstr(r.delta_hat, 6):>14s} {r.iterations:10d} {spread:>10s}")
 print("  (the residual magnitudes at the k+2 nodes agree to the printed spread)")

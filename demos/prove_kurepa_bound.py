@@ -7,7 +7,8 @@ approximation of it separates from its own error bound, which certifies
 the inequality.  K'(0) is the best possible constant: any smaller slope
 makes the quotient's left limit negative.
 
-Took 2.2 s on a 2-vCPU machine (Python 3.11, mpmath 1.3.0 without gmpy2).
+Takes 4.7-5.2 s on a shared 2-vCPU machine (4 runs; Python 3.11.7, mpmath 1.3.0
+without gmpy2).
 Run:  python3 demos/prove_kurepa_bound.py
 """
 

@@ -171,12 +171,14 @@ def precondition_check(alpha, beta, p: Precision = Precision()):
 
 
 def residual_check(g, polynomial: Polynomial, delta, grid_size: int,
-                   p: Precision = Precision(), extra_points=(),
+                   p: Precision = Precision(), extra_points=(), extra_residuals=(),
                    grid_residuals=()) -> GridStatistics:
     """Sampled verification of |g - P| <= delta on ``grid_size`` Chebyshev extremum points.
 
     This is evidence, not proof; the pipeline records it and the caveat says
-    so.  ``extra_points`` lets callers include the equioscillation nodes.
+    so.  ``extra_points`` lets callers include the equioscillation nodes,
+    and ``extra_residuals`` may hold g - P at each of them, as
+    ``MinimaxResult.node_residuals`` does, so that they are not formed again.
     ``grid_residuals`` may hold g - P on the Chebyshev grid of that many
     points, as ``MinimaxResult.grid_residuals`` does for its polynomial at
     p's precision.  When the residual grid nests that grid (``grid_size - 1``
@@ -192,14 +194,15 @@ def residual_check(g, polynomial: Polynomial, delta, grid_size: int,
     g = g if isinstance(g, CachedFunction) else CachedFunction(g)
     pts = _chebyshev_grid(*(to_mpf(v, p) for v in polynomial.segment), grid_size)
     pts += tuple(to_mpf(x, p) for x in extra_points)
-    # the indices of the samples on the grid of grid_residuals
-    known = range(0)
+    # the residuals given, by sample index: those on the grid of
+    # grid_residuals, and those of the extra points that come with theirs
+    given = {}
     intervals = len(grid_residuals) - 1
     if intervals > 0 and (grid_size - 1) % intervals == 0:
-        known = range(0, grid_size, (grid_size - 1) // intervals)
-    fresh = _residuals(g, polynomial, [x for i, x in enumerate(pts) if i not in known])
-    residuals = (grid_residuals[known.index(i)] if i in known else next(fresh)
-                 for i in range(len(pts)))
+        given = dict(zip(range(0, grid_size, (grid_size - 1) // intervals), grid_residuals))
+    given.update(zip(range(grid_size, len(pts)), extra_residuals))
+    fresh = _residuals(g, polynomial, [x for i, x in enumerate(pts) if i not in given])
+    residuals = (given[i] if i in given else next(fresh) for i in range(len(pts)))
     # the first point of largest residual
     max_res, max_loc = max(zip(map(abs, residuals), pts), key=lambda item: item[0])
     threshold = to_mpf(delta, p) * (1 + sampling_ratio(p))
@@ -520,7 +523,7 @@ def _minimax(run: _Run):
 
 
 def _equioscillation(run: _Run):
-    eq = verify_equioscillation(run.fields["minimax_result"], run.g,
+    eq = verify_equioscillation(run.fields["minimax_result"],
                                 rel_tol=run.settings.equioscillation_rel_tol, p=run.p)
     run.fields["equioscillation"] = eq
     run.diagnostics["equioscillation"] = {
@@ -535,7 +538,8 @@ def _equioscillation(run: _Run):
 def _residual_check(run: _Run):
     mr = run.fields["minimax_result"]
     stats = residual_check(run.g, mr.polynomial, mr.delta_hat, run.residual_grid_size,
-                           run.p, extra_points=mr.nodes, grid_residuals=run.grid_residuals)
+                           run.p, extra_points=mr.nodes, extra_residuals=mr.node_residuals,
+                           grid_residuals=run.grid_residuals)
     run.grid_residuals = ()
     run.timings["residual_samples"] = stats.sample_count
     run.fields["residual"] = stats

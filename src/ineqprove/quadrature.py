@@ -18,15 +18,17 @@ t = 0 for the derivative integrals.  The domain is therefore split:
 
 In every region the integrand at a node is c expm1(x L) for j = 0 and
 c L^j exp(x L) for j >= 1, where only the factors (c, L) depend on the region
-and the node, never on x.  They are kept in a node table per panel, c exactly
-multiplied into the weights, so each x costs one exponential per node, and
-each estimate is an exact sum, formed on integers and rounded once.
+and the node, never on x.  They are kept in a node table per panel, built on
+raw mpf tuples, c exactly multiplied into the weights, so each x costs one
+exponential per node, and each estimate is an exact sum, formed on integers
+and rounded once.
 
 Each region is covered by adaptive panels whose error is estimated by
 comparing the n-node Gauss rule with its nested (2n+1)-node Kronrod extension.
 Both rules come from one recurrence, that of Laurie's Jacobi-Kronrod matrix,
-by one Newton iteration for the nodes and one formula for the weights.  The
-rules and the node tables are pure functions of their arguments, the
+by one Newton iteration for the nodes and one formula for the weights, all
+in fixed point on integers, rounded to the working precision at the end.
+The rules and the node tables are pure functions of their arguments, the
 binary precision among them, each memoized in a bounded LRU memo; as a
 memoized value depends only on its key, and everything is summed in a fixed
 order, results are bit-for-bit reproducible, with or without warm memos.
@@ -40,7 +42,8 @@ from functools import lru_cache
 
 import mpmath
 from mpmath.libmp import (
-    dps_to_prec, fone, from_man_exp, mpf_add, mpf_exp, mpf_log, mpf_mul, mpf_pos, round_nearest,
+    dps_to_prec, fone, from_man_exp, from_rational, fzero, mpf_add, mpf_div, mpf_exp, mpf_log,
+    mpf_mul, mpf_neg, mpf_pos, mpf_shift, mpf_sub, round_nearest as rn, to_fixed,
 )
 
 from .errors import (
@@ -56,6 +59,9 @@ from .precision import (
 # entries kept by each memo: the Kronrod rules and the node tables
 _CACHE_LIMIT = 65536
 
+# bits the Kronrod rule carries beyond its precision until it rounds
+_RULE_GUARD_BITS = 80
+
 # default cap on integrand evaluations of one Kurepa integral
 MAX_EVALUATIONS = 500000
 
@@ -70,38 +76,41 @@ class QuadratureResult:
     tail_cutoff: mpmath.mpf
 
 
-def _kronrod_betas(n, ctx):
-    """Recurrence coefficients b_0..b_2n of the Legendre Jacobi-Kronrod matrix, in ctx.
+def _kronrod_betas(n, frac):
+    """Recurrence coefficients b_0..b_2n of the Legendre Jacobi-Kronrod matrix.
 
     Laurie's algorithm (D. Laurie, "Calculation of Gauss-Kronrod quadrature
     rules", Math. Comp. 1997), specialised to the Legendre weight, whose
     diagonal coefficients all vanish.  The first ceil(3n/2)+1 coefficients
     are those of the Legendre polynomials; the rest are filled in from the
-    mixed moments s and t.
+    mixed moments s and t.  Each b_k is returned as the integer b_k 2^frac,
+    rounded down; the moments fall to about 2^-2n, so they carry 2n more
+    fraction bits.
     """
-    b = [ctx.mpf(2)] + [ctx.mpf(k * k) / (4 * k * k - 1)
-                        for k in range(1, (3 * n + 1) // 2 + 1)]
-    b += [ctx.mpf(0)] * (2 * n + 1 - len(b))
-    s = [ctx.mpf(0)] * (n // 2 + 3)
+    wide = frac + 2 * n
+    b = [2 << wide] + [(k * k << wide) // (4 * k * k - 1)
+                       for k in range(1, (3 * n + 1) // 2 + 1)]
+    b += [0] * (2 * n + 1 - len(b))
+    s = [0] * (n // 2 + 3)
     t = s[:]
     t[1] = b[n + 1]
     for m in range(n - 1):
-        acc = ctx.mpf(0)
+        acc = 0
         for k in range((m + 1) // 2, -1, -1):
-            acc += b[k + n + 1] * s[k] - b[m - k] * s[k + 1]
+            acc += (b[k + n + 1] * s[k] - b[m - k] * s[k + 1]) >> wide
             s[k + 1] = acc
         s, t = t, s
     s[1:] = s[:-1]
     for m in range(n - 1, 2 * n - 2):
-        acc = ctx.mpf(0)
+        acc = 0
         for k in range(m + 1 - n, (m - 1) // 2 + 1):
             j = n - 1 - (m - k)
-            acc += b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1]
+            acc += (b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1]) >> wide
             s[j + 1] = acc
         if m % 2:
-            b[(m + 1) // 2 + n + 1] = s[j + 1] / s[j + 2]
+            b[(m + 1) // 2 + n + 1] = (s[j + 1] << wide) // s[j + 2]
         s, t = t, s
-    return b[:2 * n + 1]
+    return [v >> 2 * n for v in b[:2 * n + 1]]
 
 
 @lru_cache(maxsize=_CACHE_LIMIT)
@@ -109,95 +118,134 @@ def gauss_kronrod_rule(n: int, prec: int):
     """The n-node Gauss rule on [-1, 1] and its (2n+1)-node Kronrod extension.
 
     Returns (nodes, Kronrod weights, Gauss weights) as mpfs of
-    ``context(prec)``, computed in ``context(prec + 40)`` and memoized on
-    (n, prec).  Nodes ascend and are exactly symmetric about 0;
-    ``nodes[1::2]`` are the Gauss nodes and the Gauss weights belong to
-    them.  Both rules come from the recurrence of the Jacobi-Kronrod matrix,
-    whose first n+1 coefficients are Legendre's, and one Newton iteration on
-    monic p_top / p_divisor: the Gauss nodes are the roots of p_n, and the
-    other n+1 nodes, the roots of p_{2n+1} / p_n, are each seeded between two
+    ``context(prec)``, memoized on (n, prec).  Nodes ascend and are exactly
+    symmetric about 0; ``nodes[1::2]`` are the Gauss nodes and the Gauss
+    weights belong to them.  Both rules come from the recurrence of the
+    Jacobi-Kronrod matrix, whose first n+1 coefficients are Legendre's, and
+    Newton's method on p_top / p_divisor, with p_k the monic polynomials of
+    the recurrence: the Gauss nodes are the roots of p_n, and the other n+1
+    nodes, the roots of p_{2n+1} / p_n, are each seeded between two
     neighbouring Gauss nodes.  Every weight follows from the orthonormal
-    recurrence (Golub and Welsch): 1 / sum_k q_k(z)^2 over k < n for the
+    polynomials q_k (Golub and Welsch): 1 / sum_k q_k(z)^2 over k < n for the
     Gauss rule and k <= 2n for the Kronrod rule.
+
+    All of it runs in fixed point, on integers v standing for v 2^-frac,
+    frac being ``prec`` plus ``_RULE_GUARD_BITS``; each value is rounded to
+    ``prec`` bits once, to nearest, at the end.  The recurrence is carried in
+    r_k = 2^k p_k, which stays of order 1 on [-1, 1] where p_k falls like
+    2^-k, and would fall out of the float range at n ~ 500.  Newton runs
+    first in floats, from the cosine of the node's angle, to the float
+    root, and then in fixed point, where each step doubles the correct
+    bits: 3 steps at ``prec`` up to about 300.
     """
-    ctx, rounded = context(prec + 40), context(prec)
-    b = _kronrod_betas(n, ctx)
-    root_b = [ctx.sqrt(v) for v in b]
-    tol = ctx.mpf(2) ** (-(ctx.prec - 20))
+    frac = prec + _RULE_GUARD_BITS
+    one = 1 << frac
+    b4 = [v << 2 for v in _kronrod_betas(n, frac)]
+    b4_float = [v / one for v in b4]
+    # a fixed-point Newton step under 2^-(frac/2) is the last one needed:
+    # the next error, about the step squared, is under 2^-frac
+    last_step = 1 << (frac + 1) // 2
 
     def newton_root(seed, top, divisor):
-        # f = p_top / p_divisor with monic p_k; p_0 = 1, so divisor 0 gives p_top
-        z = ctx.mpf(seed)
+        # f = p_top / p_divisor; p_0 = 1, so divisor 0 gives p_top
+        z = seed
         for _ in range(100):
-            p0, p1, d0, d1 = ctx.mpf(0), ctx.mpf(1), ctx.mpf(0), ctx.mpf(0)
+            r0, r1, d0, d1 = 0.0, 1.0, 0.0, 0.0
             for k in range(top):
                 if k == divisor:
-                    pn, dn = p1, d1
-                p0, p1, d0, d1 = p1, z * p1 - b[k] * p0, d1, p1 + z * d1 - b[k] * d0
-            dz = p1 * pn / (d1 * pn - p1 * dn)
+                    rd, dd = r1, d1
+                r0, r1, d0, d1 = r1, 2 * z * r1 - b4_float[k] * r0, d1, \
+                    2 * (r1 + z * d1) - b4_float[k] * d0
+            dz = r1 * rd / (d1 * rd - r1 * dd)
             z -= dz
-            if abs(dz) <= tol:
+            if abs(dz) <= 2.0 ** -50:
+                break
+        z = int(z * 2.0 ** 53) << (frac - 53)
+        for _ in range(100):
+            r0, r1, d0, d1 = 0, one, 0, 0
+            for k in range(top):
+                if k == divisor:
+                    rd, dd = r1, d1
+                r0, r1, d0, d1 = r1, (2 * z * r1 - b4[k] * r0) >> frac, d1, \
+                    (2 * ((r1 << frac) + z * d1) - b4[k] * d0) >> frac
+            dz = (r1 * rd << frac) // (d1 * rd - r1 * dd)
+            z -= dz
+            if abs(dz) <= last_step:
                 break
         return z
 
+    # q_k^2 = r_k^2 / (b_0 B_k), b_0 = 2 and B_k the product of 4 b_1 .. 4 b_k
+    inv_b = [one]
+    for v in b4[1:]:
+        inv_b.append((inv_b[-1] << frac) // v)
+
     def weight(z, terms):
-        q0, q1 = ctx.mpf(0), 1 / root_b[0]
-        acc = q1 * q1
-        for k in range(terms - 1):
-            q0, q1 = q1, (z * q1 - root_b[k] * q0) / root_b[k + 1]
-            acc += q1 * q1
-        return 1 / acc
+        r0, r1 = 0, one
+        acc = r1 * r1 * inv_b[0]
+        for k in range(1, terms):
+            r0, r1 = r1, (2 * z * r1 - b4[k - 1] * r0) >> frac
+            acc += r1 * r1 * inv_b[k]
+        return from_rational(2 << 3 * frac, acc, prec, rn)
+
+    def rounded(z):
+        return from_man_exp(z, -frac, prec, rn)
 
     # the positive Gauss nodes g_1 > g_2 > ..., weighed before they are
     # rounded to prec bits, the form in which they join the Kronrod rule
     gauss = [newton_root(math.cos(math.pi * (i - 0.25) / (n + 0.5)), n, 0)
              for i in range(1, n // 2 + 1)]
     half_g = [weight(z, n) for z in gauss]
-    g_weights = half_g + [weight(ctx.mpf(0), n)] * (n % 2) + half_g[::-1]
-    gauss = [ctx.convert(rounded.mpf(z)) for z in gauss]
+    g_weights = half_g + [weight(0, n)] * (n % 2) + half_g[::-1]
+    gauss = [to_fixed(rounded(z), frac) for z in gauss]
 
     # one new node in each gap of 1 > g_1 > g_2 > ... > 0, seeded at the
     # gap's middle angle; 0 closes the last gap only when it is a Gauss
     # node (odd n), else that gap is symmetric about 0 and its node is 0
-    edges = [0.0] + [math.acos(float(z)) for z in gauss]
+    edges = [0.0] + [math.acos(z / one) for z in gauss]
     if n % 2:
         edges.append(math.pi / 2)
     added = [newton_root(math.cos((lo + hi) / 2), 2 * n + 1, n)
              for lo, hi in zip(edges, edges[1:])]
     half = sorted(gauss + added)
-    nodes = [-z for z in reversed(half)] + [ctx.mpf(0)] + half
+    nodes = [mpf_neg(rounded(z)) for z in reversed(half)] + [fzero] + [rounded(z) for z in half]
     half_k = [weight(z, 2 * n + 1) for z in half]
-    k_weights = half_k[::-1] + [weight(ctx.mpf(0), 2 * n + 1)] + half_k
-    return tuple(tuple(rounded.mpf(v) for v in part) for part in (nodes, k_weights, g_weights))
+    k_weights = half_k[::-1] + [weight(0, 2 * n + 1)] + half_k
+    ctx = context(prec)
+    return tuple(tuple(ctx.make_mpf(v) for v in part) for part in (nodes, k_weights, g_weights))
 
 
-def _log1p(u):
-    """mpmath's log1p(u), bit for bit, in u's context but setting no precision.
+def _log1p(u, prec):
+    """mpmath's log1p(u) at ``prec`` bits, bit for bit, on raw mpf tuples.
 
     mpmath raises the precision by 10 bits while it runs; its series branch
     for |u| < 2^-(prec+10) is left out, since no node comes that close to 1.
     """
-    ctx, rn = u.context, round_nearest
-    wp = ctx.prec + 10
-    return ctx.make_mpf(mpf_pos(mpf_log(mpf_add(fone, u._mpf_, 2 * wp, rn), wp, rn), ctx.prec, rn))
+    wp = prec + 10
+    return mpf_pos(mpf_log(mpf_add(fone, u, 2 * wp, rn), wp, rn), prec, rn)
 
 
-def _low_node(s):
+# The node maps: the factors (c, L) at a node, as raw mpf tuples rounded to
+# nearest at ``prec`` bits in the order the integrand's formula reads.
+
+def _low_node(s, prec):
     # t in (0, 7/8] via t = exp(-s); c carries the dt = -exp(-s) ds factor
-    w = s.context.exp(-s)
-    return s.context.exp(-w) * w / (w - 1), -s
+    w = mpf_exp(mpf_neg(s), prec, rn)
+    c = mpf_mul(mpf_exp(mpf_neg(w), prec, rn), w, prec, rn)
+    return mpf_div(c, mpf_sub(w, fone, prec, rn), prec, rn), mpf_neg(s)
 
 
-def _window_node(u):
+def _window_node(u, prec):
     # u = t - 1; at u = 0 L is None and c = exp(-1), the quotient's limit
     # being x for j = 0, 1 for j = 1 and 0 for j >= 2
-    if u == 0:
-        return u.context.exp(-1), None
-    return u.context.exp(-(1 + u)) / u, _log1p(u)
+    if u == fzero:
+        return mpf_exp(mpf_neg(fone), prec, rn), None
+    return (mpf_div(mpf_exp(mpf_neg(mpf_add(u, fone, prec, rn)), prec, rn), u, prec, rn),
+            _log1p(u, prec))
 
 
-def _high_node(t):
-    return t.context.exp(-t) / (t - 1), t.context.log(t)
+def _high_node(t, prec):
+    return (mpf_div(mpf_exp(mpf_neg(t), prec, rn), mpf_sub(t, fone, prec, rn), prec, rn),
+            mpf_log(t, prec, rn))
 
 
 @lru_cache(maxsize=_CACHE_LIMIT)
@@ -206,18 +254,18 @@ def _node_table(node_map, lo, hi, n, prec):
 
     L is a raw mpf tuple, and k 2^k_exp and g 2^g_exp, k and g integers, are
     the exact products half c w_K and half c w_G; g is 0 where only the Kronrod
-    rule has a node.  Computed in the context of lo and hi, of precision
-    ``prec``, and memoized on all five arguments.
+    rule has a node.  Computed on the tuples of lo and hi, each step rounded
+    to nearest at ``prec`` bits, their precision, and memoized on all five
+    arguments.
     """
-    half = (hi - lo) / 2
-    mid = (lo + hi) / 2
+    half = mpf_shift(mpf_sub(hi._mpf_, lo._mpf_, prec, rn), -1)
+    mid = mpf_shift(mpf_add(lo._mpf_, hi._mpf_, prec, rn), -1)
     nodes, k_weights, g_weights = gauss_kronrod_rule(n, prec)
     table = []
     for i, (z, w_k) in enumerate(zip(nodes, k_weights)):
-        c, ell = node_map(mid + half * z)
-        hc = mpf_mul(half._mpf_, c._mpf_)
-        table.append((None if ell is None else ell._mpf_, *_exact(hc, w_k),
-                      *(_exact(hc, g_weights[i // 2]) if i % 2 else (0, 0))))
+        c, ell = node_map(mpf_add(mid, mpf_mul(half, z._mpf_, prec, rn), prec, rn), prec)
+        hc = mpf_mul(half, c)
+        table.append((ell, *_exact(hc, w_k), *(_exact(hc, g_weights[i // 2]) if i % 2 else (0, 0))))
     return tuple(table)
 
 
@@ -230,7 +278,7 @@ def _exact(a, w):
 def _round_sum(terms, prec):
     """The exact sum of (integer, exponent) terms, rounded once to nearest."""
     low = min(exp for _, exp in terms)
-    return from_man_exp(sum(man << (exp - low) for man, exp in terms), low, prec, round_nearest)
+    return from_man_exp(sum(man << (exp - low) for man, exp in terms), low, prec, rn)
 
 
 def _kronrod_panel(table, x, j):
@@ -248,12 +296,12 @@ def _kronrod_panel(table, x, j):
             # the quotient's limit at u = 0; x >= 0, so its sign bit is clear
             fm, fe = (xr[1], xr[2]) if j == 0 else (int(j == 1), 0)
         elif j == 0:
-            y = mpf_mul(xr, ell, prec, round_nearest)
-            _, man, exp, _ = mpf_exp(y, prec + 10 + max(0, -(y[2] + y[3])), round_nearest)
+            y = mpf_mul(xr, ell, prec, rn)
+            _, man, exp, _ = mpf_exp(y, prec + 10 + max(0, -(y[2] + y[3])), rn)
             fe = min(exp, 0)
             fm = (man << (exp - fe)) - (1 << -fe)
         else:
-            _, man, exp, _ = mpf_exp(mpf_mul(xr, ell, prec, round_nearest), prec, round_nearest)
+            _, man, exp, _ = mpf_exp(mpf_mul(xr, ell, prec, rn), prec, rn)
             sign, lm, le, _ = ell
             fm, fe = man * (-lm if sign else lm) ** j, exp + le * j
         kronrod.append((km * fm, ke + fe))
@@ -348,7 +396,8 @@ def _kurepa_integral(x, j, p, node_factor, tail_factor, max_evaluations):
         # with it the memoized rules and node tables
         guard += -(-(int(x_probe * math.log10(x_probe)) + 5) // 10) * 10
     ctx = context(dps_to_prec(digits + guard))
-    xv = to_mpf(x, ctx.prec)
+    # x is rounded once, to p's working context; ctx takes its bits as they are
+    xv = to_mpf(xv, ctx.prec)
     if xv < 0:
         raise DomainError(f"kurepa integrals require x >= 0, got {xv}")
     tf = to_mpf(tail_factor, ctx.prec)
@@ -361,7 +410,7 @@ def _kurepa_integral(x, j, p, node_factor, tail_factor, max_evaluations):
     state = {"evals": 0, "budget": max_evaluations}
 
     # low region (0, 1-eps], substituted t = exp(-s)
-    s0 = -_log1p(-eps)
+    s0 = ctx.make_mpf(mpf_neg(_log1p(mpf_neg(eps._mpf_), ctx.prec)))
     s_max = ctx.mpf(max(20, int((digits + 14) * 2.303 / (float(xv) + 1)) + 1))
     while _low_tail_bound(xv, j, s_max, eps) > share:
         s_max *= ctx.mpf(5) / 4
@@ -408,6 +457,8 @@ def kurepa(x, p: Precision = Precision(), *, node_factor: int = 1,
            tail_factor=1, max_evaluations: int = MAX_EVALUATIONS) -> QuadratureResult:
     """K(x) for x >= 0 with error_bound at most 10^-(digits-10).
 
+    x is rounded to p's working context, unless it is an mpf, whose bits are
+    kept; the integral is computed at that x, with guard digits of its own.
     ``node_factor`` scales the per-panel node count and ``tail_factor``
     scales the truncation point, for self-convergence checks.
     """

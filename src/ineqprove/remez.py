@@ -213,6 +213,9 @@ class MinimaxResult:
     polynomial: Polynomial
     delta_hat: mpmath.mpf
     nodes: tuple
+    # g - P and g at each node, as verify_equioscillation and residual_check read them
+    node_residuals: tuple
+    node_values: tuple
     iterations: int
     levelled_error_history: tuple
     lower_bound: mpmath.mpf
@@ -539,6 +542,8 @@ def minimax(g, a, b, k: int, tol=TOL, p: Precision = Precision(),
 
     def result(delta, lower):  # delta_hat is the upper bound
         return MinimaxResult(polynomial=poly, delta_hat=+delta, nodes=tuple(nodes),
+                             node_residuals=tuple(residuals),
+                             node_values=tuple(gc(t) for t in nodes),
                              iterations=iteration, levelled_error_history=tuple(history),
                              lower_bound=+lower, upper_bound=+delta,
                              grid_residuals=tuple(rvals))
@@ -552,6 +557,7 @@ def minimax(g, a, b, k: int, tol=TOL, p: Precision = Precision(),
         if grid_max <= zero_floor:
             # exact representation: grid_max is only rounding noise, and a
             # denser grid finds more of it, so the floor is the estimate
+            residuals = _residuals(gc, poly, nodes)
             return result(zero_floor, min(abs(h), grid_max))
         nodes, residuals = _exchange_core(gc, poly, grid, rvals, mags, current_nodes=nodes)
         lower = min(abs(r) for r in residuals)
@@ -564,26 +570,23 @@ def minimax(g, a, b, k: int, tol=TOL, p: Precision = Precision(),
     )
 
 
-def verify_equioscillation(result: MinimaxResult, g, rel_tol=EQUIOSCILLATION_REL_TOL,
+def verify_equioscillation(result: MinimaxResult, rel_tol=EQUIOSCILLATION_REL_TOL,
                            p: Precision = Precision()) -> EquioscillationReport:
     """Check the k+2 node residuals: alternating signs, magnitudes level.
 
     Passing this check is the gate for trusting ``delta_hat`` downstream.
     A result with delta_hat at the arithmetic floor passes by the zero rule
-    (exactly representable g has no meaningful residual signs).  ``g`` is
-    called as ``minimax`` calls it.
+    (exactly representable g has no meaningful residual signs).  The
+    residuals and g values are those ``minimax`` formed at the nodes.
     """
-    poly = result.polynomial
-    nodes = result.nodes
-    gc = g if isinstance(g, CachedFunction) else CachedFunction(g)
-    residuals = list(_residuals(gc, poly, nodes))
+    residuals = result.node_residuals
 
     def report(passed, message, spread=None, failure_index=None):
-        return EquioscillationReport(passed=passed, residuals=tuple(residuals), spread=spread,
+        return EquioscillationReport(passed=passed, residuals=residuals, spread=spread,
                                      delta_hat=result.delta_hat, failure_index=failure_index,
                                      message=message)
 
-    scale = max([abs(gc(t)) for t in nodes] + [context(p).mpf(1)])
+    scale = max([abs(v) for v in result.node_values] + [context(p).mpf(1)])
     floor = resolution_floor(p) * scale
     if result.delta_hat <= floor:
         bad = [i for i, r in enumerate(residuals) if abs(r) > floor]

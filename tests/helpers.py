@@ -1,5 +1,7 @@
 """Shared fixtures and frozen reference values for the test suite."""
 
+import functools
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -8,7 +10,7 @@ import pytest
 from mpmath import mp
 
 from ineqprove import DomainError, quadrature, to_mpf
-from ineqprove.precision import GUARD_DIGITS
+from ineqprove.precision import GUARD_DIGITS, context
 from ineqprove.expr import (
     BinaryOp,
     Constant,
@@ -249,6 +251,167 @@ def clenshaw_reference(P, x):
                                    prec, rn))
 
 
+# The Gauss-Kronrod rule and the node tables as the package built them on
+# mpf objects, before it computed them in fixed point and on tuples.
+
+def _reference_kronrod_betas(n, ctx):
+    """Recurrence coefficients b_0..b_2n of the Legendre Jacobi-Kronrod matrix, in ctx.
+
+    Laurie's algorithm (D. Laurie, "Calculation of Gauss-Kronrod quadrature
+    rules", Math. Comp. 1997), specialised to the Legendre weight, whose
+    diagonal coefficients all vanish.  The first ceil(3n/2)+1 coefficients
+    are those of the Legendre polynomials; the rest are filled in from the
+    mixed moments s and t.
+    """
+    b = [ctx.mpf(2)] + [ctx.mpf(k * k) / (4 * k * k - 1)
+                        for k in range(1, (3 * n + 1) // 2 + 1)]
+    b += [ctx.mpf(0)] * (2 * n + 1 - len(b))
+    s = [ctx.mpf(0)] * (n // 2 + 3)
+    t = s[:]
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        acc = ctx.mpf(0)
+        for k in range((m + 1) // 2, -1, -1):
+            acc += b[k + n + 1] * s[k] - b[m - k] * s[k + 1]
+            s[k + 1] = acc
+        s, t = t, s
+    s[1:] = s[:-1]
+    for m in range(n - 1, 2 * n - 2):
+        acc = ctx.mpf(0)
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            j = n - 1 - (m - k)
+            acc += b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1]
+            s[j + 1] = acc
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    return b[:2 * n + 1]
+
+
+@functools.lru_cache(maxsize=None)
+def reference_gauss_kronrod_rule(n: int, prec: int):
+    """The n-node Gauss rule on [-1, 1] and its (2n+1)-node Kronrod extension, on mpf objects.
+
+    The construction the package used before it built the rule in fixed
+    point: Newton from cosine seeds on the monic p_top / p_divisor, and the
+    Golub-Welsch weight sums, all in ``context(prec + 40)`` and rounded to
+    ``context(prec)``.  Kept as the oracle that
+    ``quadrature.gauss_kronrod_rule`` must match bit for bit, and memoized,
+    as it takes about 0.1 s at 169 bits.
+    """
+    ctx, rounded = context(prec + 40), context(prec)
+    b = _reference_kronrod_betas(n, ctx)
+    root_b = [ctx.sqrt(v) for v in b]
+    tol = ctx.mpf(2) ** (-(ctx.prec - 20))
+
+    def newton_root(seed, top, divisor):
+        # f = p_top / p_divisor with monic p_k; p_0 = 1, so divisor 0 gives p_top
+        z = ctx.mpf(seed)
+        for _ in range(100):
+            p0, p1, d0, d1 = ctx.mpf(0), ctx.mpf(1), ctx.mpf(0), ctx.mpf(0)
+            for k in range(top):
+                if k == divisor:
+                    pn, dn = p1, d1
+                p0, p1, d0, d1 = p1, z * p1 - b[k] * p0, d1, p1 + z * d1 - b[k] * d0
+            dz = p1 * pn / (d1 * pn - p1 * dn)
+            z -= dz
+            if abs(dz) <= tol:
+                break
+        return z
+
+    def weight(z, terms):
+        q0, q1 = ctx.mpf(0), 1 / root_b[0]
+        acc = q1 * q1
+        for k in range(terms - 1):
+            q0, q1 = q1, (z * q1 - root_b[k] * q0) / root_b[k + 1]
+            acc += q1 * q1
+        return 1 / acc
+
+    # the positive Gauss nodes g_1 > g_2 > ..., weighed before they are
+    # rounded to prec bits, the form in which they join the Kronrod rule
+    gauss = [newton_root(math.cos(math.pi * (i - 0.25) / (n + 0.5)), n, 0)
+             for i in range(1, n // 2 + 1)]
+    half_g = [weight(z, n) for z in gauss]
+    g_weights = half_g + [weight(ctx.mpf(0), n)] * (n % 2) + half_g[::-1]
+    gauss = [ctx.convert(rounded.mpf(z)) for z in gauss]
+
+    # one new node in each gap of 1 > g_1 > g_2 > ... > 0, seeded at the
+    # gap's middle angle; 0 closes the last gap only when it is a Gauss
+    # node (odd n), else that gap is symmetric about 0 and its node is 0
+    edges = [0.0] + [math.acos(float(z)) for z in gauss]
+    if n % 2:
+        edges.append(math.pi / 2)
+    added = [newton_root(math.cos((lo + hi) / 2), 2 * n + 1, n)
+             for lo, hi in zip(edges, edges[1:])]
+    half = sorted(gauss + added)
+    nodes = [-z for z in reversed(half)] + [ctx.mpf(0)] + half
+    half_k = [weight(z, 2 * n + 1) for z in half]
+    k_weights = half_k[::-1] + [weight(ctx.mpf(0), 2 * n + 1)] + half_k
+    return tuple(tuple(rounded.mpf(v) for v in part) for part in (nodes, k_weights, g_weights))
+
+
+def _reference_log1p(u):
+    """mpmath's log1p(u), bit for bit, in u's context but setting no precision.
+
+    mpmath raises the precision by 10 bits while it runs; its series branch
+    for |u| < 2^-(prec+10) is left out, since no node comes that close to 1.
+    """
+    lm = mpmath.libmp
+    ctx, rn = u.context, lm.round_nearest
+    wp = ctx.prec + 10
+    return ctx.make_mpf(lm.mpf_pos(lm.mpf_log(lm.mpf_add(lm.fone, u._mpf_, 2 * wp, rn), wp, rn),
+                                   ctx.prec, rn))
+
+
+# The node maps on mpf objects of the argument's context; each returns
+# (c, L), L None at u = 0.
+
+def reference_low_node(s):
+    # t in (0, 7/8] via t = exp(-s); c carries the dt = -exp(-s) ds factor
+    w = s.context.exp(-s)
+    return s.context.exp(-w) * w / (w - 1), -s
+
+
+def reference_window_node(u):
+    # u = t - 1; at u = 0 L is None and c = exp(-1), the quotient's limit
+    # being x for j = 0, 1 for j = 1 and 0 for j >= 2
+    if u == 0:
+        return u.context.exp(-1), None
+    return u.context.exp(-(1 + u)) / u, _reference_log1p(u)
+
+
+def reference_high_node(t):
+    return t.context.exp(-t) / (t - 1), t.context.log(t)
+
+
+# the oracle of each of the package's node maps
+REFERENCE_NODE_MAPS = {
+    quadrature._low_node: reference_low_node,
+    quadrature._window_node: reference_window_node,
+    quadrature._high_node: reference_high_node,
+}
+
+
+def reference_node_table(node_map, lo, hi, n, prec):
+    """``quadrature._node_table`` as it was built on mpf objects, the oracle of its bits."""
+    lm = mpmath.libmp
+    half = (hi - lo) / 2
+    mid = (lo + hi) / 2
+    nodes, k_weights, g_weights = reference_gauss_kronrod_rule(n, prec)
+    table = []
+    for i, (z, w_k) in enumerate(zip(nodes, k_weights)):
+        c, ell = REFERENCE_NODE_MAPS[node_map](mid + half * z)
+        hc = lm.mpf_mul(half._mpf_, c._mpf_)
+        table.append((None if ell is None else ell._mpf_, *_reference_exact(hc, w_k),
+                      *(_reference_exact(hc, g_weights[i // 2]) if i % 2 else (0, 0))))
+    return tuple(table)
+
+
+def _reference_exact(a, w):
+    sign, man, exp, _ = mpmath.libmp.mpf_mul(a, w._mpf_)
+    return -man if sign else man, exp
+
+
 def _rational(v):
     # an mpf's exact value, whatever its context
     return Fraction(*mpmath.libmp.to_rational(v._mpf_))
@@ -258,18 +421,18 @@ def exact_panel_reference(node_map, lo, hi, n, x, j):
     """(Gauss, Kronrod) estimates of one panel: exact Fraction sums, each rounded once.
 
     Built from the rounded factors the package uses, x L, exp(x L) (with its
-    extra bits for j = 0), L and the weights of ``gauss_kronrod_rule``, in
-    the context of lo, hi and x; the test oracle for the package's integer
-    sums.
+    extra bits for j = 0), L and the weights, in the context of lo, hi and
+    x, with the reference rule and node maps in place of the package's
+    ``node_map``; the test oracle for the package's integer sums.
     """
     lm = mpmath.libmp
     ctx = x.context
     prec, rn = ctx.prec, lm.round_nearest
-    nodes, k_weights, g_weights = quadrature.gauss_kronrod_rule(n, prec)
+    nodes, k_weights, g_weights = reference_gauss_kronrod_rule(n, prec)
     half, mid = (hi - lo) / 2, (lo + hi) / 2
     gauss = kronrod = Fraction(0)
     for i, (z, w_k) in enumerate(zip(nodes, k_weights)):
-        c, ell = node_map(mid + half * z)
+        c, ell = REFERENCE_NODE_MAPS[node_map](mid + half * z)
         if ell is None:
             f = _rational(x) if j == 0 else Fraction(int(j == 1))
         else:
@@ -290,9 +453,9 @@ def _sequential_table(node_map, lo, hi, n, prec):
     mid = (lo + hi) / 2
     cs = []
     ls = []
-    nodes, k_weights, g_weights = quadrature.gauss_kronrod_rule(n, prec)
+    nodes, k_weights, g_weights = reference_gauss_kronrod_rule(n, prec)
     for z in nodes:
-        c, ell = node_map(mid + half * z)
+        c, ell = REFERENCE_NODE_MAPS[node_map](mid + half * z)
         cs.append((half * c)._mpf_)
         ls.append(None if ell is None else ell._mpf_)
     return tuple(cs), tuple(ls), [w._mpf_ for w in k_weights], [w._mpf_ for w in g_weights]

@@ -104,17 +104,22 @@ class TestResidualCheck:
         mr = minimax(lambda x: f.evaluate(x, p30), 0, 1, 2, p=p30, grid_multiplier=4)
         assert len(mr.grid_residuals) == 17
         stats, lookups = [], []
-        for reused in ((), mr.grid_residuals):
+        # nothing reused, the Remez grid's residuals, and the nodes' too
+        for grid, nodes in (((), ()), (mr.grid_residuals, ()),
+                            (mr.grid_residuals, mr.node_residuals)):
             g = _CountingCache(lambda x: f.evaluate(x, p30))
             stats.append(residual_check(g, mr.polynomial, mr.delta_hat, size, p30,
-                                        extra_points=mr.nodes, grid_residuals=reused))
+                                        extra_points=mr.nodes, extra_residuals=nodes,
+                                        grid_residuals=grid))
             lookups.append(g.lookups)
-        cold, warm = stats
-        assert warm.passed == cold.passed
-        assert warm.sample_count == cold.sample_count == size + 4
-        for name in ("max_residual", "max_location", "threshold"):
-            assert getattr(warm, name)._mpf_ == getattr(cold, name)._mpf_
-        assert lookups == [size + 4, size + 4 - (17 if (size - 1) % 16 == 0 else 0)]
+        cold = stats[0]
+        for warm in stats[1:]:
+            assert warm.passed == cold.passed
+            assert warm.sample_count == cold.sample_count == size + 4
+            for name in ("max_residual", "max_location", "threshold"):
+                assert getattr(warm, name)._mpf_ == getattr(cold, name)._mpf_
+        nested = 17 if (size - 1) % 16 == 0 else 0
+        assert lookups == [size + 4, size + 4 - nested, size - nested]
 
 
 class TestCertifyPositive:
@@ -563,8 +568,9 @@ class TestProvePipeline:
     def test_residual_sweep_reuses_remez_grid(self, p50, monkeypatch):
         # the even points of the 2N+1-point residual grid are the N+1 Remez
         # grid points, so only the N odd points are fresh, and their residuals
-        # come from minimax: g is looked up only at the N odd points and the
-        # k+2 nodes (388 lookups while every sample was recomputed)
+        # come from minimax, as do those of the k+2 nodes: g is looked up only
+        # at the N odd points (388 lookups while every sample was recomputed,
+        # N + 3 while the nodes' residuals were)
         fresh, lookups = [], []
         call = remez.CachedFunction.__call__
         monkeypatch.setattr(remez.CachedFunction, "__call__",
@@ -581,7 +587,7 @@ class TestProvePipeline:
         assert report.verdict == "proven"
         n = remez.GRID_MULTIPLIER * 3
         assert report.settings["residual_grid_size"] == 2 * n + 1
-        assert fresh == [(n, n + 3)] == [(192, 195)]
+        assert fresh == [(n, n)] == [(192, 192)]
         assert report.timings["g_evaluations"] == 394
         assert report.timings["residual_samples"] == 388
         # the reused residuals stay with the stages

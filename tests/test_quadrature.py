@@ -29,10 +29,12 @@ from helpers import (
     K_HALF,
     ambient,
     exact_panel_reference,
+    reference_gauss_kronrod_rule,
+    reference_node_table,
     requires_recorded_mpmath,
     sequential_kurepa,
 )
-from ineqprove.precision import context
+from ineqprove.precision import context, to_mpf
 from reference_oracle import kurepa_ts
 
 # QUADPACK qk15: the G7-K15 pair, nodes and weights for x >= 0, outermost first
@@ -69,6 +71,37 @@ def test_rule_bits_pinned(n, prec):
     rule = quadrature.gauss_kronrod_rule(n, prec)
     data = repr(tuple(tuple(v._mpf_ for v in part) for part in rule)).encode("ascii")
     assert hashlib.sha256(data).hexdigest() == RULE_HASHES[n, prec]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 9, 15, 22, 25, 32])
+def test_rule_bits_match_the_mpf_construction(n):
+    # the fixed-point rule against the mpf-object construction it replaced
+    for prec in (53, 116, 153, 169, 219):
+        got = quadrature.gauss_kronrod_rule(n, prec)
+        want = reference_gauss_kronrod_rule(n, prec)
+        assert [[v._mpf_ for v in part] for part in got] == \
+            [[v._mpf_ for v in part] for part in want], prec
+        assert all(type(v) is context(prec).mpf for part in got for v in part)
+
+
+def test_float_seeds_hold_for_the_largest_rule():
+    # P1000 builds n = 507, where the monic p_k fall below 2^-1000; the
+    # seeds do not depend on the precision, so 53 bits test them cheaply
+    n = 507
+    xs, ws, gws = quadrature.gauss_kronrod_rule(n, 53)
+    assert len(xs) == len(ws) == 2 * n + 1 and len(gws) == n
+    assert all(lo < hi for lo, hi in zip(xs, xs[1:]))
+    assert all(x == -y for x, y in zip(xs, reversed(xs)))
+    assert min(ws) > 0 and min(gws) > 0
+    ctx = context(120)
+    for degree in (0, 2, 10, 3 * n + 1):
+        exact = ctx.mpf(2) / (degree + 1)
+        kronrod = ctx.fsum(ctx.convert(w) * ctx.convert(x) ** degree for x, w in zip(xs, ws))
+        assert abs(kronrod - exact) < 1e-15
+        if degree < 2 * n:
+            gauss = ctx.fsum(ctx.convert(w) * ctx.convert(x) ** degree
+                             for x, w in zip(xs[1::2], gws))
+            assert abs(gauss - exact) < 1e-15
 
 
 def _moment_error(xs, ws, degree):
@@ -212,6 +245,17 @@ class TestKurepaValues:
         with pytest.raises(ConfigurationError, match="finite"):
             kurepa(x, p35)
 
+    @pytest.mark.parametrize("x", ["0.37", "2.5", "30.1", "pi/4"])
+    def test_argument_is_rounded_once(self, x, p35):
+        # a string x gives the integrals of its mpf in the working context,
+        # beyond 2 too, where the working precision grows with x
+        xv = to_mpf(x, p35)
+        for j in range(2):
+            got, want = ((kurepa(v, p35) if j == 0 else kurepa_derivative(v, j, p35))
+                         for v in (x, xv))
+            assert (got.value._mpf_, got.error_bound._mpf_, got.nodes_used) == \
+                (want.value._mpf_, want.error_bound._mpf_, want.nodes_used)
+
     def test_domain_and_order_validation(self, p35):
         with pytest.raises(DomainError):
             kurepa(-1, p35)
@@ -327,6 +371,20 @@ class TestExactPanelSums:
         "window": (quadrature._window_node, "-0.125", "0.125"),
         "high": (quadrature._high_node, "1.125", "2.125"),
     }
+
+    @pytest.mark.parametrize("region", sorted(PANELS) + ["last low"])
+    def test_tables_match_the_mpf_construction(self, region):
+        ctx = context(169)
+        if region == "last low":
+            # the last of the geometric low panels, clipped at s_max
+            node_map = quadrature._low_node
+            lo, hi = quadrature._geometric_panels(ctx.mpf("0.1335"), ctx.mpf(83), ctx.mpf(1))[-1]
+            assert hi - lo < 64
+        else:
+            node_map, lo, hi = self.PANELS[region]
+            lo, hi = ctx.mpf(lo), ctx.mpf(hi)
+        assert quadrature._node_table(node_map, lo, hi, 25, ctx.prec) == \
+            reference_node_table(node_map, lo, hi, 25, ctx.prec)
 
     @pytest.mark.parametrize("region", sorted(PANELS))
     @pytest.mark.parametrize("j", range(4))

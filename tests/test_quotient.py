@@ -175,7 +175,7 @@ class TestQuotientFunction:
             values += [*endpoint_limits_taylor(f, 0, 1, 2, 0, p30),
                        *endpoint_limits_numeric(f, 0, 1, 2, 0, p30)]
             mr = minimax(h, 0, 1, 2, p=p30)
-            eq = verify_equioscillation(mr, h, p=p30)
+            eq = verify_equioscillation(mr, p=p30)
             stats = residual_check(h, mr.polynomial, mr.delta_hat, 64, p30)
             cert = certify_positive(mr.polynomial, "0.5", "1.000001", p30)
             values += [mr.delta_hat, *mr.polynomial.coefficients, *mr.nodes, *eq.residuals,

@@ -155,6 +155,18 @@ class TestResidualSweep:
         assert [v._mpf_ for v in r.grid_residuals] == \
             [(g(x) - r.polynomial.evaluate(x))._mpf_ for x in grid]
 
+    @pytest.mark.parametrize("fn, a, k", [
+        (lambda x: x.context.exp(x), 0, 2),  # converged by an exchange
+        (lambda x: x * x, 0, 2),  # exact: the zero floor
+        (lambda x: x * x, -1, 0),  # h = 0: a single-point exchange
+    ])
+    def test_minimax_hands_out_its_node_residuals(self, fn, a, k, p50):
+        g = CachedFunction(fn)
+        r = minimax(g, a, 1, k, p=p50)
+        assert [v._mpf_ for v in r.node_residuals] == \
+            [(g(t) - r.polynomial.evaluate(t))._mpf_ for t in r.nodes]
+        assert [v._mpf_ for v in r.node_values] == [g(t)._mpf_ for t in r.nodes]
+
 
 def _levelled(g, nodes, a, b, p):
     with ambient(p):
@@ -378,7 +390,7 @@ class TestMinimax:
 class TestVerifyEquioscillation:
     def test_parabola_passes(self, p50):
         r = minimax(lambda x: x * x, -1, 1, 1, p=p50)
-        report = verify_equioscillation(r, lambda x: x * x, p=p50)
+        report = verify_equioscillation(r, p=p50)
         assert report.passed
         signs = [res > 0 for res in report.residuals]
         assert signs == [True, False, True]
@@ -388,7 +400,7 @@ class TestVerifyEquioscillation:
     def test_exact_polynomial_zero_rule(self, p50):
         g = lambda x: x * x
         r = minimax(g, 0, 1, 2, p=p50)
-        report = verify_equioscillation(r, g, p=p50)
+        report = verify_equioscillation(r, p=p50)
         assert report.passed
         assert "floor" in report.message or "exact" in report.message
 
@@ -396,12 +408,15 @@ class TestVerifyEquioscillation:
         r = minimax(mpmath.exp, 0, 1, 2, p=p50)
         bad_nodes = list(r.nodes)
         bad_nodes[1] = bad_nodes[1] + mpmath.mpf("0.05")
+        g = CachedFunction(mpmath.exp)
         bad = MinimaxResult(
             polynomial=r.polynomial, delta_hat=r.delta_hat, nodes=tuple(bad_nodes),
+            node_residuals=tuple(_residuals(g, r.polynomial, bad_nodes)),
+            node_values=tuple(g(t) for t in bad_nodes),
             iterations=r.iterations, levelled_error_history=r.levelled_error_history,
             lower_bound=r.lower_bound, upper_bound=r.upper_bound,
         )
-        report = verify_equioscillation(bad, mpmath.exp, p=p50)
+        report = verify_equioscillation(bad, p=p50)
         assert not report.passed
         assert report.failure_index is not None
 
