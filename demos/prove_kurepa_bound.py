@@ -5,9 +5,11 @@ both vanish) and a simple positive value at 1, so the quotient against
 x^2 is continuous with positive endpoint limits; a degree-1 minimax
 approximation of it separates from its own error bound, which certifies
 the inequality.  K'(0) is the best possible constant: any smaller slope
-makes the quotient's left limit negative.
+makes the quotient's left limit negative.  The proof states it exactly,
+as ``kurepa_deriv(1, 0)``, so the slopes of K'(0) x and K(x) cancel at 0
+bit for bit; a decimal slope, however long, lies above or below K'(0).
 
-Takes 4.7-5.2 s on a shared 2-vCPU machine (4 runs; Python 3.11.7, mpmath 1.3.0
+Takes 4.8-5.9 s on a shared 2-vCPU machine (12 runs; Python 3.11.7, mpmath 1.3.0
 without gmpy2).
 Run:  python3 demos/prove_kurepa_bound.py
 """
@@ -27,10 +29,9 @@ from ineqprove import (
 
 p40 = Precision(40)
 slope = kurepa_derivative(0, 1, p40).value
-slope_text = decimal_str(slope, p40)
-print(f"best slope K'(0) = {slope_text}")
+print(f"best slope K'(0) = {decimal_str(slope, p40)}")
 
-source = f"({slope_text})*x - kurepa(x)"
+source = "kurepa_deriv(1, 0)*x - kurepa(x)"
 settings = ProofSettings(precision=Precision(35))
 
 start = time.perf_counter()

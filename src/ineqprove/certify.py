@@ -171,20 +171,14 @@ def precondition_check(alpha, beta, p: Precision = Precision()):
 
 
 def residual_check(g, polynomial: Polynomial, delta, grid_size: int,
-                   p: Precision = Precision(), extra_points=(), extra_residuals=(),
-                   grid_residuals=()) -> GridStatistics:
+                   p: Precision = Precision(), extra_points=(), known=None) -> GridStatistics:
     """Sampled verification of |g - P| <= delta on ``grid_size`` Chebyshev extremum points.
 
     This is evidence, not proof; the pipeline records it and the caveat says
-    so.  ``extra_points`` lets callers include the equioscillation nodes,
-    and ``extra_residuals`` may hold g - P at each of them, as
-    ``MinimaxResult.node_residuals`` does, so that they are not formed again.
-    ``grid_residuals`` may hold g - P on the Chebyshev grid of that many
-    points, as ``MinimaxResult.grid_residuals`` does for its polynomial at
-    p's precision.  When the residual grid nests that grid (``grid_size - 1``
-    a multiple of its interval count, as for the pipeline's default grid,
-    which holds the Remez grid at its even points), those samples take
-    their residuals by index and only the others are computed.
+    so.  ``extra_points`` lets callers include the equioscillation nodes.
+    ``known`` may map x._mpf_ to g(x) - P(x) at p's precision, as
+    ``MinimaxResult.residuals`` does for its polynomial; every sample found
+    there takes that residual, and only the others are computed.
     """
     degree = polynomial.degree
     if not isinstance(grid_size, int) or grid_size < 4 * (degree + 2):
@@ -194,15 +188,9 @@ def residual_check(g, polynomial: Polynomial, delta, grid_size: int,
     g = g if isinstance(g, CachedFunction) else CachedFunction(g)
     pts = _chebyshev_grid(*(to_mpf(v, p) for v in polynomial.segment), grid_size)
     pts += tuple(to_mpf(x, p) for x in extra_points)
-    # the residuals given, by sample index: those on the grid of
-    # grid_residuals, and those of the extra points that come with theirs
-    given = {}
-    intervals = len(grid_residuals) - 1
-    if intervals > 0 and (grid_size - 1) % intervals == 0:
-        given = dict(zip(range(0, grid_size, (grid_size - 1) // intervals), grid_residuals))
-    given.update(zip(range(grid_size, len(pts)), extra_residuals))
-    fresh = _residuals(g, polynomial, [x for i, x in enumerate(pts) if i not in given])
-    residuals = (given[i] if i in given else next(fresh) for i in range(len(pts)))
+    known = known or {}
+    fresh = _residuals(g, polynomial, [x for x in pts if x._mpf_ not in known])
+    residuals = (known[x._mpf_] if x._mpf_ in known else next(fresh) for x in pts)
     # the first point of largest residual
     max_res, max_loc = max(zip(map(abs, residuals), pts), key=lambda item: item[0])
     threshold = to_mpf(delta, p) * (1 + sampling_ratio(p))
@@ -459,8 +447,6 @@ class _Run:
         ("g_evaluations", "remez_iterations", "residual_samples",
          "certificate_subintervals"), 0))
     g: CachedFunction = None
-    # g - P on the Remez grid, from the minimax stage to the residual check
-    grid_residuals: tuple = ()
 
     @property
     def p(self) -> Precision:
@@ -515,8 +501,6 @@ def _minimax(run: _Run):
     mr = minimax(run.g, *run.fields["segment"], run.fields["degree"], tol=s.tol, p=run.p,
                  grid_multiplier=s.grid_multiplier, max_iterations=s.max_iterations)
     run.timings["remez_iterations"] = mr.iterations
-    run.grid_residuals = mr.grid_residuals
-    mr = dataclasses.replace(mr, grid_residuals=())
     run.fields.update(delta_hat=mr.delta_hat, lower_bound=mr.lower_bound,
                       upper_bound=mr.upper_bound, nodes=mr.nodes,
                       polynomial=mr.polynomial, minimax_result=mr)
@@ -538,9 +522,7 @@ def _equioscillation(run: _Run):
 def _residual_check(run: _Run):
     mr = run.fields["minimax_result"]
     stats = residual_check(run.g, mr.polynomial, mr.delta_hat, run.residual_grid_size,
-                           run.p, extra_points=mr.nodes, extra_residuals=mr.node_residuals,
-                           grid_residuals=run.grid_residuals)
-    run.grid_residuals = ()
+                           run.p, extra_points=mr.nodes, known=mr.residuals)
     run.timings["residual_samples"] = stats.sample_count
     run.fields["residual"] = stats
     run.diagnostics["residual_check"] = {

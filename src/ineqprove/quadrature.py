@@ -26,8 +26,9 @@ and rounded once.
 Each region is covered by adaptive panels whose error is estimated by
 comparing the n-node Gauss rule with its nested (2n+1)-node Kronrod extension.
 Both rules come from one recurrence, that of Laurie's Jacobi-Kronrod matrix,
-by one Newton iteration for the nodes and one formula for the weights, all
-in fixed point on integers, rounded to the working precision at the end.
+by one Newton iteration for the nodes, at a width that doubles as the root
+sharpens, and one formula for the weights, all in fixed point on integers,
+rounded to the working precision at the end.
 The rules and the node tables are pure functions of their arguments, the
 binary precision among them, each memoized in a bounded LRU memo; as a
 memoized value depends only on its key, and everything is summed in a fixed
@@ -133,45 +134,42 @@ def gauss_kronrod_rule(n: int, prec: int):
     frac being ``prec`` plus ``_RULE_GUARD_BITS``; each value is rounded to
     ``prec`` bits once, to nearest, at the end.  The recurrence is carried in
     r_k = 2^k p_k, which stays of order 1 on [-1, 1] where p_k falls like
-    2^-k, and would fall out of the float range at n ~ 500.  Newton runs
-    first in floats, from the cosine of the node's angle, to the float
-    root, and then in fixed point, where each step doubles the correct
-    bits: 3 steps at ``prec`` up to about 300.
+    2^-k and would need k more fraction bits.  Newton starts from the cosine
+    of the node's angle at the first of a chain of widths of at least 53
+    bits, each twice the last, up to frac; as each step doubles the correct
+    bits, one or two steps at each width take the root to the next, and
+    about one runs at full width.
     """
     frac = prec + _RULE_GUARD_BITS
     one = 1 << frac
     b4 = [v << 2 for v in _kronrod_betas(n, frac)]
-    b4_float = [v / one for v in b4]
-    # a fixed-point Newton step under 2^-(frac/2) is the last one needed:
-    # the next error, about the step squared, is under 2^-frac
-    last_step = 1 << (frac + 1) // 2
+    # Newton's working widths, doubling up to frac from the first one of at
+    # least 53 bits, and the recurrence coefficients cut to each
+    widths = [frac]
+    while widths[0] > 106:
+        widths.insert(0, (widths[0] + 1) // 2)
+    cut = [[v >> (frac - w) for v in b4] for w in widths]
 
     def newton_root(seed, top, divisor):
-        # f = p_top / p_divisor; p_0 = 1, so divisor 0 gives p_top
-        z = seed
+        # f = p_top / p_divisor; p_0 = 1, so divisor 0 gives p_top.  A step
+        # under 2^-(w/2) at width w leaves an error of about its square,
+        # 2^-w: the last step that width needs
+        level, z = 0, int(seed * 2.0 ** widths[0])
         for _ in range(100):
-            r0, r1, d0, d1 = 0.0, 1.0, 0.0, 0.0
+            w, b = widths[level], cut[level]
+            r0, r1, d0, d1 = 0, 1 << w, 0, 0
             for k in range(top):
                 if k == divisor:
                     rd, dd = r1, d1
-                r0, r1, d0, d1 = r1, 2 * z * r1 - b4_float[k] * r0, d1, \
-                    2 * (r1 + z * d1) - b4_float[k] * d0
-            dz = r1 * rd / (d1 * rd - r1 * dd)
+                r0, r1, d0, d1 = r1, (2 * z * r1 - b[k] * r0) >> w, d1, \
+                    (2 * ((r1 << w) + z * d1) - b[k] * d0) >> w
+            dz = (r1 * rd << w) // (d1 * rd - r1 * dd)
             z -= dz
-            if abs(dz) <= 2.0 ** -50:
-                break
-        z = int(z * 2.0 ** 53) << (frac - 53)
-        for _ in range(100):
-            r0, r1, d0, d1 = 0, one, 0, 0
-            for k in range(top):
-                if k == divisor:
-                    rd, dd = r1, d1
-                r0, r1, d0, d1 = r1, (2 * z * r1 - b4[k] * r0) >> frac, d1, \
-                    (2 * ((r1 << frac) + z * d1) - b4[k] * d0) >> frac
-            dz = (r1 * rd << frac) // (d1 * rd - r1 * dd)
-            z -= dz
-            if abs(dz) <= last_step:
-                break
+            if abs(dz) <= 1 << (w + 1) // 2:
+                if w == frac:
+                    break
+                level += 1
+                z <<= widths[level] - w
         return z
 
     # q_k^2 = r_k^2 / (b_0 B_k), b_0 = 2 and B_k the product of 4 b_1 .. 4 b_k

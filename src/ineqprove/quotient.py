@@ -10,7 +10,8 @@ Endpoint limits come from two routes:
 
 * ``endpoint_limits_taylor`` -- exact Taylor coefficients for integer
   orders: alpha = f^(n)(a) / (n! (b-a)^m), beta = (-1)^m f^(m)(b) / (m! (b-a)^n),
-  after checking that all lower-order derivatives vanish;
+  after checking that all lower-order derivatives vanish: each must lie
+  within ``resolution_floor(p)``, the zero level of the endpoint limits;
 * ``endpoint_limits_numeric`` -- quotient samples along a + (b-a) 4^-j,
   j = 3..12 (mirrored at b), accelerated by iterated Aitken extrapolation;
   works for non-integer orders and doubles as a cross-check.
@@ -42,14 +43,15 @@ from .errors import (
 )
 from .expr import Expression, compiled, differentiate, evaluate, power, show
 from .precision import (
-    Precision, cancellation_floor, context, finite_orders, finite_segment, sampling_ratio, to_mpf,
+    Precision, cancellation_floor, context, finite_orders, finite_segment, resolution_floor,
+    sampling_ratio, to_mpf,
 )
 
 # width of the near-endpoint zone, relative to b - a, where the raw quotient
 # is replaced by a linear blend toward the limit value
 EDGE_FRACTION = "1e-8"
-# the zero level of the Taylor route and the settling level of the numeric route
-VANISH_TOL, STABILIZE_TOL = "1e-20", "1e-8"
+# the settling level of the numeric route
+STABILIZE_TOL = "1e-8"
 
 
 class LimitMethod(str, Enum):
@@ -136,16 +138,15 @@ def endpoint_limits_taylor(f: Expression, a, b, n, m, p: Precision = Precision()
     """Endpoint limits from exact derivative values at the endpoints.
 
     Requires integer orders; every derivative of order below n (resp. m) must
-    vanish at a (resp. b) to within VANISH_TOL, which is loose enough to
-    absorb quadrature noise in expressions containing kurepa nodes but tight
-    enough to reject a genuinely wrong multiplicity.
+    vanish at a (resp. b) to within ``resolution_floor(p)``, the zero level
+    of the endpoint limits: anything larger is a wrong multiplicity.
     """
     av, bv = finite_segment(a, b, p)
     nv, mv = finite_orders(n, m, p)
     if nv != int(nv) or mv != int(mv):
         raise ConfigurationError(f"the Taylor route needs integer orders, got n={nv}, m={mv}")
     ni, mi = int(nv), int(mv)
-    tol = to_mpf(VANISH_TOL, p)
+    tol = resolution_floor(p)
     derivs = [f]
     for _ in range(max(ni, mi)):
         derivs.append(differentiate(derivs[-1]))

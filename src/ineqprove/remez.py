@@ -19,14 +19,15 @@ falls away from the end.
 Chebyshev grids nest: the grid with ``c`` times as many intervals holds a
 grid at every c-th point, bit for bit, because each angle pi*i/(count-1)
 is taken in lowest terms and its cosine comes from one memoized table per
-(count, binary precision); a new table takes the cosines it shares from a
-memoized coarser one.  Residuals g - P are formed by one sweep on libmp
-tuples (``_residuals``), whose P values come from the one Clenshaw loop
-(``Polynomial._values``; ``evaluate`` is its one-point case), with u
-computed once per Remez grid.  ``minimax`` returns the residuals of its
-last iteration on the grid, and the residual check's default grid, twice
-as dense as the Remez grid, takes them at its even points instead of
-computing them again.
+(count, binary precision); a table of an even interval count takes every
+other cosine from the table of half as many.  Residuals g - P are formed
+by one sweep on libmp tuples (``_residuals``), whose P values come from the
+one Clenshaw loop (``Polynomial._values``; ``evaluate`` is its one-point
+case), with u computed once per Remez grid.  ``minimax`` returns a map of
+the residuals of its last iteration, on the grid and at the nodes, and the
+residual check takes every sample it finds there instead of computing it
+again: on its default grid, twice as dense as the Remez grid, the even
+points and the nodes.
 
 Convergence is judged by the de la Vallee-Poussin sandwich: the residual
 magnitudes at the exchanged points bound the true minimax error from below,
@@ -36,9 +37,9 @@ relative gap falls under ``tol``.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 from mpmath.libmp import (
@@ -60,11 +61,8 @@ from .precision import (
 REFINE_WIDTH_FACTOR = "1e-12"
 # the defaults of minimax and verify_equioscillation, which ProofSettings shares
 TOL, GRID_MULTIPLIER, MAX_ITERATIONS, EQUIOSCILLATION_REL_TOL = "1e-12", 64, 50, "1e-6"
-# cosine tables kept: a proof uses three grid sizes at one precision
-_COSINE_LIMIT = 8
-# (count, binary precision) -> the cosines of that grid, least recently used first
-_cosine_tables = {}
-_cosine_lock = threading.Lock()
+# cosine tables kept: a proof's grids and the halves they are built from
+_COSINE_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -213,15 +211,15 @@ class MinimaxResult:
     polynomial: Polynomial
     delta_hat: mpmath.mpf
     nodes: tuple
-    # g - P and g at each node, as verify_equioscillation and residual_check read them
-    node_residuals: tuple
+    # g at each node, as verify_equioscillation reads it
     node_values: tuple
     iterations: int
     levelled_error_history: tuple
     lower_bound: mpmath.mpf
     upper_bound: mpmath.mpf
-    # g - P of the returned polynomial on the Remez grid, for residual_check
-    grid_residuals: tuple = field(default=(), repr=False, compare=False)
+    # x._mpf_ -> g(x) - P(x) on the last Remez grid and at the nodes, for
+    # verify_equioscillation and residual_check
+    residuals: dict = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -262,36 +260,25 @@ class CachedFunction:
         return v
 
 
+@lru_cache(maxsize=_COSINE_LIMIT)
 def _chebyshev_cosines(count: int, prec: int):
     """cos(pi*i/(count-1)) for i = 1..count-2, in ``context(prec)``.
 
     Each angle is pi times i/(count-1) in lowest terms, so grids whose
     interval counts are multiples of one another share these values bit
-    for bit.  The last ``_COSINE_LIMIT`` tables are kept, and a new table
-    takes every value it shares with the densest kept table of the same
-    precision whose interval count divides its own.
+    for bit.  An even interval count takes its even-indexed values from the
+    table of half as many intervals.
     """
-    key = (count, prec)
-    with _cosine_lock:
-        table = _cosine_tables.pop(key, None)
-        if table is None:
-            table = [None] * (count - 2)
-            coarse = max((c for c, q in _cosine_tables
-                          if q == prec and c > 2 and (count - 1) % (c - 1) == 0), default=None)
-            if coarse is not None:
-                step = (count - 1) // (coarse - 1)
-                table[step - 1::step] = _cosine_tables[coarse, prec]
-            ctx = context(prec)
-            for i, c in enumerate(table, 1):
-                if c is None:
-                    t = Fraction(i, count - 1)
-                    table[i - 1] = ctx.cos(ctx.pi * t.numerator / t.denominator)
-            table = tuple(table)
-        # most recently used last
-        _cosine_tables[key] = table
-        while len(_cosine_tables) > _COSINE_LIMIT:
-            del _cosine_tables[next(iter(_cosine_tables))]
-    return table
+    intervals = count - 1
+    table = [None] * (intervals - 1)
+    if intervals > 2 and intervals % 2 == 0:
+        table[1::2] = _chebyshev_cosines(intervals // 2 + 1, prec)
+    ctx = context(prec)
+    for i, c in enumerate(table, 1):
+        if c is None:
+            t = Fraction(i, intervals)
+            table[i - 1] = ctx.cos(ctx.pi * t.numerator / t.denominator)
+    return tuple(table)
 
 
 def _chebyshev_grid(a, b, count):
@@ -541,12 +528,12 @@ def minimax(g, a, b, k: int, tol=TOL, p: Precision = Precision(),
     history = []
 
     def result(delta, lower):  # delta_hat is the upper bound
+        known = {x._mpf_: r for x, r in zip(grid, rvals)}
+        known.update((t._mpf_, r) for t, r in zip(nodes, residuals))
         return MinimaxResult(polynomial=poly, delta_hat=+delta, nodes=tuple(nodes),
-                             node_residuals=tuple(residuals),
                              node_values=tuple(gc(t) for t in nodes),
                              iterations=iteration, levelled_error_history=tuple(history),
-                             lower_bound=+lower, upper_bound=+delta,
-                             grid_residuals=tuple(rvals))
+                             lower_bound=+lower, upper_bound=+delta, residuals=known)
 
     for iteration in range(1, max_iterations + 1):
         poly, h = _solve_levelled_system(gc, nodes, av, bv, p)
@@ -579,7 +566,7 @@ def verify_equioscillation(result: MinimaxResult, rel_tol=EQUIOSCILLATION_REL_TO
     (exactly representable g has no meaningful residual signs).  The
     residuals and g values are those ``minimax`` formed at the nodes.
     """
-    residuals = result.node_residuals
+    residuals = tuple(result.residuals[t._mpf_] for t in result.nodes)
 
     def report(passed, message, spread=None, failure_index=None):
         return EquioscillationReport(passed=passed, residuals=residuals, spread=spread,

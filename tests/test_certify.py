@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -31,6 +32,8 @@ from ineqprove import (
     to_mpf,
 )
 from ineqprove import certify, remez
+from ineqprove.precision import finite_segment
+from ineqprove.remez import _chebyshev_grid
 
 from helpers import ARCSIN_DIFF_SOURCE, KP0, TRIG_ARCSIN_SOURCE, ambient, exact_taylor, fraction
 
@@ -96,30 +99,33 @@ class TestResidualCheck:
                 residual_check(lambda x: x, P, "0.1", grid_size, p50)
 
     # N = 4*(2+2) = 16 Remez intervals: 2N+1 and 3N+1 nest the Remez grid,
-    # 4000 (the golden inconclusive_residual_check case) does not
+    # 4000 (the golden inconclusive_residual_check case) shares only its ends
     @pytest.mark.parametrize("size", [33, 49, 4000])
     @pytest.mark.parametrize("source", ["exp(x)", "1+exp(-10^6*(x-3/10)^2)"])
     def test_reused_grid_residuals_give_the_cold_statistics(self, source, size, p30):
         f = parse(source)
         mr = minimax(lambda x: f.evaluate(x, p30), 0, 1, 2, p=p30, grid_multiplier=4)
-        assert len(mr.grid_residuals) == 17
-        stats, lookups = [], []
+        av, bv = finite_segment(0, 1, p30)
+        remez_grid = {x._mpf_ for x in _chebyshev_grid(av, bv, 17)}
+        grid = [x._mpf_ for x in _chebyshev_grid(av, bv, size)]
+        assert len(remez_grid.intersection(grid)) == (17 if (size - 1) % 16 == 0 else 2)
+        samples = grid + [t._mpf_ for t in mr.nodes]
+        stats, lookups, expected = [], [], []
         # nothing reused, the Remez grid's residuals, and the nodes' too
-        for grid, nodes in (((), ()), (mr.grid_residuals, ()),
-                            (mr.grid_residuals, mr.node_residuals)):
+        for known in ({}, {x: mr.residuals[x] for x in remez_grid}, mr.residuals):
             g = _CountingCache(lambda x: f.evaluate(x, p30))
             stats.append(residual_check(g, mr.polynomial, mr.delta_hat, size, p30,
-                                        extra_points=mr.nodes, extra_residuals=nodes,
-                                        grid_residuals=grid))
+                                        extra_points=mr.nodes, known=known))
             lookups.append(g.lookups)
+            expected.append(sum(x not in known for x in samples))
         cold = stats[0]
         for warm in stats[1:]:
             assert warm.passed == cold.passed
             assert warm.sample_count == cold.sample_count == size + 4
             for name in ("max_residual", "max_location", "threshold"):
                 assert getattr(warm, name)._mpf_ == getattr(cold, name)._mpf_
-        nested = 17 if (size - 1) % 16 == 0 else 0
-        assert lookups == [size + 4, size + 4 - nested, size - nested]
+        assert lookups == expected
+        assert lookups[0] == size + 4 and lookups[2] < lookups[1] < lookups[0]
 
 
 class TestCertifyPositive:
@@ -353,6 +359,26 @@ class TestCertifierFuzz:
 
 
 class TestProvePipeline:
+    # bases with a root of order n at a, in u = x - a
+    PLANTED_BASES = [("exp(u)-1-u", "0", "1", 2), ("exp(u)-1-u-u^2/2", "1/2", "2", 3),
+                     ("1-cos(u)", "0", "1", 2), ("u-sin(u)", "1/2", "3/2", 3),
+                     ("u^2*(4+3*u)", "0", "1", 2), ("u^3*(2-u)", "0", "1", 3)]
+
+    @pytest.mark.parametrize("digits", [35, 50])
+    def test_planted_nonvanishing_derivative_never_proven(self, digits):
+        # f - eps*(x-a)^i, i < n, is negative or of order i at a, for every
+        # eps above the zero level 10^-(digits-10) of the endpoint limits
+        p = Precision(digits)
+        rng = random.Random(digits)
+        for base, a, b, n in self.PLANTED_BASES:
+            u = f"(x-{a})"
+            for i in range(n):
+                for e in {8, digits - 11, rng.randint(9, digits - 12)}:
+                    source = f"{base.replace('u', u)} - 10^(-{e})*{u}^{i}"
+                    report = prove_inequality(source, a, b, n, 0, 2, ProofSettings(
+                        precision=p, grid_multiplier=4))
+                    assert report.verdict != "proven", source
+
     def test_trivial_parabola(self, p30):
         report = prove_inequality("x*(1-x)", 0, 1, 1, 1, 1,
                                   ProofSettings(precision=p30))
@@ -590,8 +616,10 @@ class TestProvePipeline:
         assert fresh == [(n, n)] == [(192, 192)]
         assert report.timings["g_evaluations"] == 394
         assert report.timings["residual_samples"] == 388
-        # the reused residuals stay with the stages
-        assert report.minimax_result.grid_residuals == ()
+        # the map of residuals is left out of the result's repr and equality
+        mr = report.minimax_result
+        assert len(mr.residuals) >= n + 1 and "residuals" not in repr(mr)
+        assert mr == dataclasses.replace(mr, residuals={})
 
     @pytest.mark.parametrize("setting", [
         {"residual_grid_size": 0}, {"residual_grid_size": 5}, {"residual_grid_size": 12.5},

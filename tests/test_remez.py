@@ -1,6 +1,7 @@
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -59,47 +60,53 @@ class TestNestedGrids:
             fine = _chebyshev_grid(av, bv, ratio * intervals + 1)
             assert [x._mpf_ for x in fine[::ratio]] == [x._mpf_ for x in coarse]
 
-    def test_cosine_memo_is_bounded(self, monkeypatch):
-        # it keeps the _COSINE_LIMIT most recently used tables
-        monkeypatch.setattr(remez, "_cosine_tables", {})
-        p = Precision(30)
-        prec = context(p).prec
-        av, bv = finite_segment(0, 1, p)
-        counts = range(3, 3 + 2 * remez._COSINE_LIMIT)
+    def test_cosine_memo_is_bounded(self):
+        # it keeps the most recently used tables, as many as its maxsize
+        cosines = remez._chebyshev_cosines
+        cosines.cache_clear()
+        limit = cosines.cache_info().maxsize
+        av, bv = finite_segment(0, 1, Precision(30))
+        # odd interval counts: each table is built on its own
+        counts = range(4, 4 + 4 * limit, 2)
         for count in counts:
             _chebyshev_grid(av, bv, count)
-        assert len(remez._cosine_tables) == remez._COSINE_LIMIT
-        assert list(remez._cosine_tables) == [(c, prec) for c in counts[-remez._COSINE_LIMIT:]]
-        _chebyshev_grid(av, bv, counts[-remez._COSINE_LIMIT])
-        assert list(remez._cosine_tables)[-1] == (counts[-remez._COSINE_LIMIT], prec)
+        assert cosines.cache_info().currsize == limit
+        hits = cosines.cache_info().hits
+        for count in counts[-limit:]:
+            _chebyshev_grid(av, bv, count)
+        assert cosines.cache_info().hits == hits + limit
+        _chebyshev_grid(av, bv, counts[0])
+        assert cosines.cache_info().hits == hits + limit
 
     @pytest.mark.parametrize("ratio", [2, 3])
     @pytest.mark.parametrize("digits", [30, 50])
     def test_table_from_a_coarser_one_equals_a_cold_build(self, digits, ratio, monkeypatch):
+        # an even interval count takes every other cosine from its half
         prec = context(Precision(digits)).prec
-        fine_count = ratio * 192 + 1
-        monkeypatch.setattr(remez, "_cosine_tables", {})
-        cold = remez._chebyshev_cosines(fine_count, prec)
-        remez._cosine_tables.clear()
-        coarse = remez._chebyshev_cosines(193, prec)
+        intervals = ratio * 192
         ctx = context(prec)
+        cold = []
+        for i in range(1, intervals):
+            t = Fraction(i, intervals)
+            cold.append(ctx.cos(ctx.pi * t.numerator / t.denominator))
+        remez._chebyshev_cosines.cache_clear()
+        half = remez._chebyshev_cosines(intervals // 2 + 1, prec)
         cos, cosines = ctx.cos, []
         monkeypatch.setattr(ctx, "cos", lambda x: cosines.append(x) or cos(x))
-        warm = remez._chebyshev_cosines(fine_count, prec)
+        warm = remez._chebyshev_cosines(intervals + 1, prec)
         assert [c._mpf_ for c in warm] == [c._mpf_ for c in cold]
-        # the shared values are the coarse table's own objects
-        assert all(w is c for w, c in zip(warm[ratio - 1::ratio], coarse))
-        assert len(cosines) == len(warm) - len(coarse)
+        # the shared values are the half table's own objects
+        assert all(w is c for w, c in zip(warm[1::2], half))
+        assert len(cosines) == len(warm) - len(half)
 
-    def test_threads_sharing_the_memo_get_the_solo_bits(self, monkeypatch):
-        # tables built, taken from coarser ones and evicted while other
-        # threads read the memo; without its lock, a thread meets the dict
-        # changing under its search for a coarser table
+    def test_threads_sharing_the_memo_get_the_solo_bits(self):
+        # tables built, built from their halves and evicted while other
+        # threads read the memo
         counts = range(3, 41)
         precs = [context(Precision(d)).prec for d in (30, 50)]
         solo = {(c, q): [v._mpf_ for v in remez._chebyshev_cosines(c, q)]
                 for c in counts for q in precs}
-        monkeypatch.setattr(remez, "_cosine_tables", {})
+        remez._chebyshev_cosines.cache_clear()
 
         def work(seed):
             rng = random.Random(seed)
@@ -117,7 +124,8 @@ class TestNestedGrids:
                 assert all(future.result(timeout=120) for future in futures)
         finally:
             sys.setswitchinterval(interval)
-        assert len(remez._cosine_tables) == remez._COSINE_LIMIT
+        info = remez._chebyshev_cosines.cache_info()
+        assert info.currsize == info.maxsize
 
 
 class TestResidualSweep:
@@ -152,7 +160,8 @@ class TestResidualSweep:
         r = minimax(g, 0, 1, 2, p=p50, grid_multiplier=4)
         av, bv = finite_segment(0, 1, p50)
         grid = _chebyshev_grid(av, bv, 4 * 4 + 1)
-        assert [v._mpf_ for v in r.grid_residuals] == \
+        assert set(r.residuals) == {x._mpf_ for x in grid + r.nodes}
+        assert [r.residuals[x._mpf_]._mpf_ for x in grid] == \
             [(g(x) - r.polynomial.evaluate(x))._mpf_ for x in grid]
 
     @pytest.mark.parametrize("fn, a, k", [
@@ -163,7 +172,7 @@ class TestResidualSweep:
     def test_minimax_hands_out_its_node_residuals(self, fn, a, k, p50):
         g = CachedFunction(fn)
         r = minimax(g, a, 1, k, p=p50)
-        assert [v._mpf_ for v in r.node_residuals] == \
+        assert [r.residuals[t._mpf_]._mpf_ for t in r.nodes] == \
             [(g(t) - r.polynomial.evaluate(t))._mpf_ for t in r.nodes]
         assert [v._mpf_ for v in r.node_values] == [g(t)._mpf_ for t in r.nodes]
 
@@ -411,10 +420,11 @@ class TestVerifyEquioscillation:
         g = CachedFunction(mpmath.exp)
         bad = MinimaxResult(
             polynomial=r.polynomial, delta_hat=r.delta_hat, nodes=tuple(bad_nodes),
-            node_residuals=tuple(_residuals(g, r.polynomial, bad_nodes)),
             node_values=tuple(g(t) for t in bad_nodes),
             iterations=r.iterations, levelled_error_history=r.levelled_error_history,
             lower_bound=r.lower_bound, upper_bound=r.upper_bound,
+            residuals={t._mpf_: v
+                       for t, v in zip(bad_nodes, _residuals(g, r.polynomial, bad_nodes))},
         )
         report = verify_equioscillation(bad, p=p50)
         assert not report.passed
