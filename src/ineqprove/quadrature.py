@@ -6,33 +6,34 @@ The Kurepa function is the improper integral
 
 and its derivatives replace (t^x - 1) by t^x log(t)^j.  The integrand has a
 removable singularity at t = 1 and an endpoint singularity of log type at
-t = 0 for the derivative integrals.  The domain is therefore split:
+t = 0 for the derivative integrals.  Every integral is taken in s = -log t,
+which turns t -> 0 into a smooth exponential tail and t = 1 into s = 0, over
+the window [-1/8, 1/8], whose centre node takes the quotient's limit, and
+panels that double in width outward from it: out past s_max for s > 0, and
+up to width 1, as exp(-t) falls doubly exponentially in s, out past -log T
+for s < 0.  s_max and T are chosen so the dropped tails are provably below
+the error target, and both bounds are added to ``error_bound``.  Every
+half-width is a power of two, and no panel depends on x.
 
-* (0, 7/8]   -- substituted t = exp(-s), which turns the t -> 0 endpoint
-               into a smooth exponential tail in s;
-* [7/8, 9/8] -- integrated in u = t - 1, with the quotient at u = 0 replaced
-               by its limit;
-* [9/8, T]  -- integrated directly; T is chosen so the dropped tail is
-               provably below the error target and its bound is added to
-               ``error_bound``.
+At a node s = mid + 2^level z, exact, the integrand is c expm1(x L) for
+j = 0 and c L^j exp(x L) for j >= 1, L = -s; c is kept in a node table per
+panel, built on raw mpf tuples and exactly multiplied into the weights.
+exp(x L) = exp(-x mid) (1 + B): one exponential per panel, and B =
+expm1(-x 2^level z) in fixed point, computed once per call at the first
+level and squared up the others (``_ExpFactors``).  Each estimate is an exact
+sum, formed on integers and rounded once.
 
-In every region the integrand at a node is c expm1(x L) for j = 0 and
-c L^j exp(x L) for j >= 1, where only the factors (c, L) depend on the region
-and the node, never on x.  They are kept in a node table per panel, built on
-raw mpf tuples, c exactly multiplied into the weights, so each x costs one
-exponential per node, and each estimate is an exact sum, formed on integers
-and rounded once.
-
-Each region is covered by adaptive panels whose error is estimated by
-comparing the n-node Gauss rule with its nested (2n+1)-node Kronrod extension.
-Both rules come from one recurrence, that of Laurie's Jacobi-Kronrod matrix,
-by one Newton iteration for the nodes, at a width that doubles as the root
-sharpens, and one formula for the weights, all in fixed point on integers,
-rounded to the working precision at the end.
-The rules and the node tables are pure functions of their arguments, the
-binary precision among them, each memoized in a bounded LRU memo; as a
-memoized value depends only on its key, and everything is summed in a fixed
-order, results are bit-for-bit reproducible, with or without warm memos.
+Each panel's error is estimated by comparing the n-node Gauss rule with its
+nested (2n+1)-node Kronrod extension, and a panel whose estimate exceeds its
+share of the error target is bisected.  Both rules come from one recurrence,
+that of Laurie's Jacobi-Kronrod matrix, by one Newton iteration for the
+nodes, at a width that doubles as the root sharpens, and one formula for the
+weights, all in fixed point on integers, rounded to the working precision at
+the end.  The rules and the node tables are pure functions of their
+arguments, the binary precision among them, each memoized in a bounded LRU
+memo; as a memoized value depends only on its key, the factors of a call
+live in the call, and everything is summed in a fixed order, results are
+bit-for-bit reproducible, with or without warm memos.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from functools import lru_cache
 
 import mpmath
 from mpmath.libmp import (
-    dps_to_prec, fone, from_man_exp, from_rational, fzero, mpf_add, mpf_div, mpf_exp, mpf_log,
+    dps_to_prec, fone, from_man_exp, from_rational, fzero, mpf_add, mpf_div, mpf_exp,
     mpf_mul, mpf_neg, mpf_pos, mpf_shift, mpf_sub, round_nearest as rn, to_fixed,
 )
 
@@ -212,57 +213,41 @@ def gauss_kronrod_rule(n: int, prec: int):
     return tuple(tuple(ctx.make_mpf(v) for v in part) for part in (nodes, k_weights, g_weights))
 
 
-def _log1p(u, prec):
-    """mpmath's log1p(u) at ``prec`` bits, bit for bit, on raw mpf tuples.
+# a panel's half-width is 2^level: _BASE_LEVEL for the window and its two
+# neighbours, at most _HIGH_LEVEL for s < 0
+_BASE_LEVEL = -3
+_HIGH_LEVEL = -1
 
-    mpmath raises the precision by 10 bits while it runs; its series branch
-    for |u| < 2^-(prec+10) is left out, since no node comes that close to 1.
-    """
-    wp = prec + 10
-    return mpf_pos(mpf_log(mpf_add(fone, u, 2 * wp, rn), wp, rn), prec, rn)
-
-
-# The node maps: the factors (c, L) at a node, as raw mpf tuples rounded to
-# nearest at ``prec`` bits in the order the integrand's formula reads.
-
-def _low_node(s, prec):
-    # t in (0, 7/8] via t = exp(-s); c carries the dt = -exp(-s) ds factor
-    w = mpf_exp(mpf_neg(s), prec, rn)
-    c = mpf_mul(mpf_exp(mpf_neg(w), prec, rn), w, prec, rn)
-    return mpf_div(c, mpf_sub(w, fone, prec, rn), prec, rn), mpf_neg(s)
-
-
-def _window_node(u, prec):
-    # u = t - 1; at u = 0 L is None and c = exp(-1), the quotient's limit
-    # being x for j = 0, 1 for j = 1 and 0 for j >= 2
-    if u == fzero:
-        return mpf_exp(mpf_neg(fone), prec, rn), None
-    return (mpf_div(mpf_exp(mpf_neg(mpf_add(u, fone, prec, rn)), prec, rn), u, prec, rn),
-            _log1p(u, prec))
-
-
-def _high_node(t, prec):
-    return (mpf_div(mpf_exp(mpf_neg(t), prec, rn), mpf_sub(t, fone, prec, rn), prec, rn),
-            mpf_log(t, prec, rn))
+# fraction bits the exponential factors of a call carry beyond the working
+# precision; a factor's error grows by a bit per level it is doubled
+_FACTOR_GUARD_BITS = 40
 
 
 @lru_cache(maxsize=_CACHE_LIMIT)
-def _node_table(node_map, lo, hi, n, prec):
-    """(L, k, k_exp, g, g_exp) per Kronrod node of [lo, hi]; L is None at u = 0.
+def _node_table(mid, level, n, prec):
+    """(L, k, k_exp, g, g_exp) per Kronrod node of the panel mid +- 2^level in s.
 
-    L is a raw mpf tuple, and k 2^k_exp and g 2^g_exp, k and g integers, are
-    the exact products half c w_K and half c w_G; g is 0 where only the Kronrod
-    rule has a node.  Computed on the tuples of lo and hi, each step rounded
-    to nearest at ``prec`` bits, their precision, and memoized on all five
-    arguments.
+    L = -s, s = mid + 2^level z exactly; at s = 0 L is None and c = exp(-1),
+    the quotient's limit being x for j = 0, 1 for j = 1 and 0 for j >= 2.
+    Elsewhere c = exp(-w) w / (w - 1), w = exp(-s) = t carrying dt = -w ds,
+    each step rounded to nearest at ``prec`` bits, w - 1 from an exp(-s) with
+    as many more bits as s is below 1.  k 2^k_exp and g 2^g_exp are the exact
+    products 2^level c w_K and 2^level c w_G; g is 0 where only the Kronrod
+    rule has a node.  Memoized on all four arguments, mid a raw mpf tuple.
     """
-    half = mpf_shift(mpf_sub(hi._mpf_, lo._mpf_, prec, rn), -1)
-    mid = mpf_shift(mpf_add(lo._mpf_, hi._mpf_, prec, rn), -1)
     nodes, k_weights, g_weights = gauss_kronrod_rule(n, prec)
     table = []
     for i, (z, w_k) in enumerate(zip(nodes, k_weights)):
-        c, ell = node_map(mpf_add(mid, mpf_mul(half, z._mpf_, prec, rn), prec, rn), prec)
-        hc = mpf_mul(half, c)
+        s = mpf_add(mid, mpf_shift(z._mpf_, level))
+        if s == fzero:
+            c, ell = mpf_exp(mpf_neg(fone), prec, rn), None
+        else:
+            wide = mpf_exp(mpf_neg(s), prec + 10 + max(0, -(s[2] + s[3])), rn)
+            w = mpf_pos(wide, prec, rn)
+            c = mpf_div(mpf_mul(mpf_exp(mpf_neg(w), prec, rn), w, prec, rn),
+                        mpf_sub(wide, fone, prec, rn), prec, rn)
+            ell = mpf_neg(s)
+        hc = mpf_shift(c, level)
         table.append((ell, *_exact(hc, w_k), *(_exact(hc, g_weights[i // 2]) if i % 2 else (0, 0))))
     return tuple(table)
 
@@ -279,75 +264,114 @@ def _round_sum(terms, prec):
     return from_man_exp(sum(man << (exp - low) for man, exp in terms), low, prec, rn)
 
 
-def _kronrod_panel(table, x, j):
-    """(Gauss estimate, Kronrod estimate) of one panel at argument x.
+class _ExpFactors:
+    """B = expm1(-x 2^level z) at the Kronrod nodes z, per level, for one call.
 
-    Only x L and exp(x L) are rounded, the latter with as many extra bits for
-    j = 0 as exp(x L) - 1 is smaller than 1; every term is exact, and each
-    estimate is its terms' exact integer sum, rounded once to nearest.
+    Each B is an integer standing for B 2^-frac.  frac is x's precision plus
+    ``_FACTOR_GUARD_BITS``, plus as many bits as x is below 1, so that B
+    keeps its relative accuracy, and as exp(-x s) grows across a panel of
+    level ``_HIGH_LEVEL``, where exp(-x mid) > 1 scales B's absolute error.
+    A level at or below ``_BASE_LEVEL`` takes one exponential to frac + 2
+    bits per node, truncated to frac bits, so within 1 + (1 + B) / 2 units;
+    each level above it squares the one below, as 1 + B' = (1 + B)^2, that
+    is B' = 2B + B^2, with B^2 truncated to frac bits.  A level k squarings
+    above the base is then within 2^(k+2) max(1, 1 + B) units of 2^-frac of
+    the exact value.  The tables live in the object, so calls share none.
+    """
+
+    def __init__(self, x, n, prec):
+        xr = x._mpf_
+        self.neg_x = mpf_neg(xr)
+        self.nodes = gauss_kronrod_rule(n, prec)[0]
+        self.frac = (prec + _FACTOR_GUARD_BITS + max(0, -(xr[2] + xr[3]))
+                     + math.ceil(float(x) * 2.0 ** _HIGH_LEVEL / math.log(2)))
+        self.levels = {}
+
+    def __call__(self, level):
+        table = self.levels.get(level)
+        if table is None:
+            if level <= _BASE_LEVEL:
+                table = [to_fixed(mpf_exp(mpf_shift(mpf_mul(self.neg_x, z._mpf_), level),
+                                          self.frac + 2, rn), self.frac) - (1 << self.frac)
+                         for z in self.nodes]
+            else:
+                table = [2 * b + (b * b >> self.frac) for b in self(level - 1)]
+            self.levels[level] = table
+        return table
+
+
+def _kronrod_panel(mid, level, n, x, j, factors):
+    """(Gauss estimate, Kronrod estimate) of the panel mid +- 2^level at argument x.
+
+    exp(x L) = exp(-x mid) (1 + B), the first factor one exponential to
+    frac + 2 bits, B the node's entry in ``factors``; their product, less 1
+    for j = 0 and times L^j for j >= 1, is exact on integers, so is every
+    term, and each estimate is its terms' exact sum, rounded once to nearest.
     """
     ctx = x.context
-    prec, xr = ctx.prec, x._mpf_
+    prec, xr, frac = ctx.prec, x._mpf_, factors.frac
+    one = 1 << frac
+    _, am, ae, _ = mpf_exp(mpf_mul(factors.neg_x, mid), frac + 2, rn)
+    # exp(-x s) - 1 is (am (one + b) << shift) - unit in units of 2^low
+    low = min(ae - frac, 0)
+    shift, unit = ae - frac - low, 1 << -low
     gauss, kronrod = [], []
-    for ell, km, ke, gm, ge in table:
+    for (ell, km, ke, gm, ge), b in zip(_node_table(mid, level, n, prec), factors(level)):
         if ell is None:
-            # the quotient's limit at u = 0; x >= 0, so its sign bit is clear
+            # the quotient's limit at s = 0; x >= 0, so its sign bit is clear
             fm, fe = (xr[1], xr[2]) if j == 0 else (int(j == 1), 0)
         elif j == 0:
-            y = mpf_mul(xr, ell, prec, rn)
-            _, man, exp, _ = mpf_exp(y, prec + 10 + max(0, -(y[2] + y[3])), rn)
-            fe = min(exp, 0)
-            fm = (man << (exp - fe)) - (1 << -fe)
+            fm, fe = (am * (one + b) << shift) - unit, low
         else:
-            _, man, exp, _ = mpf_exp(mpf_mul(xr, ell, prec, rn), prec, rn)
             sign, lm, le, _ = ell
-            fm, fe = man * (-lm if sign else lm) ** j, exp + le * j
+            fm, fe = am * (one + b) * (-lm if sign else lm) ** j, ae - frac + le * j
         kronrod.append((km * fm, ke + fe))
         if gm:
             gauss.append((gm * fm, ge + fe))
     return ctx.make_mpf(_round_sum(gauss, prec)), ctx.make_mpf(_round_sum(kronrod, prec))
 
 
-def _adaptive(node_map, panels, x, j, tol_abs, n, state):
-    """Adaptive bisection over an initial panel list, left to right, in x's context."""
+def _adaptive(panels, x, j, tol_abs, n, state, factors):
+    """Adaptive bisection over (mid, level) panels, left to right, in x's context."""
     ctx = x.context
     span = ctx.mpf(0)
-    for lo, hi in panels:
-        span += hi - lo
+    for _, level in panels:
+        span += ctx.ldexp(1, level + 1)
     min_width = span * negligible_ratio(ctx.prec)
     total = ctx.mpf(0)
     err = ctx.mpf(0)
     stack = list(reversed(panels))
     while stack:
-        lo, hi = stack.pop()
-        width = hi - lo
+        mid, level = stack.pop()
+        width = ctx.ldexp(1, level + 1)
         state["evals"] += 2 * n + 1
         if state["evals"] > state["budget"]:
             raise PrecisionUnreachableError(
                 f"quadrature budget of {state['budget']} evaluations exhausted "
                 "before the error target was met"
             )
-        v1, v2 = _kronrod_panel(_node_table(node_map, lo, hi, n, ctx.prec), x, j)
+        v1, v2 = _kronrod_panel(mid, level, n, x, j, factors)
         e = abs(v2 - v1)
         if e <= tol_abs * width / span or width <= min_width:
             total += v2
             err += e
         else:
-            mid = (lo + hi) / 2
-            stack.append((mid, hi))
-            stack.append((lo, mid))
+            quarter = mpf_shift(fone, level - 1)
+            stack.append((mpf_add(mid, quarter), level - 1))
+            stack.append((mpf_sub(mid, quarter), level - 1))
     return total, err
 
 
-def _geometric_panels(lo, hi, first_width):
+def _dyadic_panels(stop, top, ctx):
+    """(mid, level) from the window's edge out past stop, levels rising up to top."""
     panels = []
-    cur = lo
-    width = first_width
-    while cur < hi:
-        nxt = min(cur + width, hi)
-        panels.append((cur, nxt))
-        cur = nxt
-        width *= 2
+    edge = ctx.ldexp(1, _BASE_LEVEL)
+    level = _BASE_LEVEL
+    while edge < stop:
+        half = ctx.ldexp(1, level)
+        panels.append(((edge + half)._mpf_, level))
+        edge += 2 * half
+        level = min(level + 1, top)
     return panels
 
 
@@ -407,33 +431,28 @@ def _kurepa_integral(x, j, p, node_factor, tail_factor, max_evaluations):
     n_base = max(20, (digits + 15) // 2) * node_factor
     state = {"evals": 0, "budget": max_evaluations}
 
-    # low region (0, 1-eps], substituted t = exp(-s)
-    s0 = ctx.make_mpf(mpf_neg(_log1p(mpf_neg(eps._mpf_), ctx.prec)))
+    # the low side s > 0 of t = exp(-s), out past s_max
     s_max = ctx.mpf(max(20, int((digits + 14) * 2.303 / (float(xv) + 1)) + 1))
     while _low_tail_bound(xv, j, s_max, eps) > share:
         s_max *= ctx.mpf(5) / 4
     tail_low = _low_tail_bound(xv, j, s_max, eps)
-    v_low, e_low = _adaptive(
-        _low_node, _geometric_panels(s0, s_max, ctx.mpf(1)),
-        xv, j, region_tol, n_base, state,
-    )
+    low = _dyadic_panels(s_max, math.inf, ctx)
 
-    # window [1-eps, 1+eps] in u = t - 1
-    v_win, e_win = _adaptive(
-        _window_node, [(-eps, eps)], xv, j, region_tol, n_base, state,
-    )
-
-    # high region [1+eps, T]; the closed tail bound needs T well above x+j
+    # the high side s < 0, out past -log T; the closed tail bound needs T
+    # well above x+j
     T = ctx.mpf(max(40, digits, 2 * (int(xv) + j) + 40))
     while (ctx.exp(-T) * ctx.power(T, xv + 1) > term_tol
            or _high_tail_bound(xv, j, T) > share):
         T *= ctx.mpf(5) / 4
     T *= tf
     tail_high = _high_tail_bound(xv, j, T)
-    v_high, e_high = _adaptive(
-        _high_node, _geometric_panels(1 + eps, T, ctx.mpf(1)),
-        xv, j, region_tol, n_base, state,
-    )
+    high = [(mpf_neg(mid), level)
+            for mid, level in reversed(_dyadic_panels(ctx.ln(T), _HIGH_LEVEL, ctx))]
+
+    factors = _ExpFactors(xv, n_base, ctx.prec)
+    v_low, e_low = _adaptive(low, xv, j, region_tol, n_base, state, factors)
+    v_win, e_win = _adaptive([(fzero, _BASE_LEVEL)], xv, j, region_tol, n_base, state, factors)
+    v_high, e_high = _adaptive(high, xv, j, region_tol, n_base, state, factors)
 
     value = v_low + v_win + v_high
     err = e_low + e_win + e_high + tail_low + tail_high
@@ -457,6 +476,13 @@ def kurepa(x, p: Precision = Precision(), *, node_factor: int = 1,
 
     x is rounded to p's working context, unless it is an mpf, whose bits are
     kept; the integral is computed at that x, with guard digits of its own.
+    It is taken in s = -log t over the window [-1/8, 1/8] and dyadic panels
+    either side of it; at a node s = mid + 2^level z the integrand is
+    c expm1(-x s), with exp(-x s) = exp(-x mid) (1 + B): one exponential per
+    panel, and B in fixed point, within 2^(k+2) max(1, 1 + B) units of
+    2^-(prec + 40) or finer, k the level's doublings above 1/8.
+    ``error_bound`` sums the panels' Kronrod-minus-Gauss estimates and the
+    two tail bounds.
     ``node_factor`` scales the per-panel node count and ``tail_factor``
     scales the truncation point, for self-convergence checks.
     """
@@ -466,7 +492,11 @@ def kurepa(x, p: Precision = Precision(), *, node_factor: int = 1,
 def kurepa_derivative(x, order: int, p: Precision = Precision(), *,
                       node_factor: int = 1, tail_factor=1,
                       max_evaluations: int = MAX_EVALUATIONS) -> QuadratureResult:
-    """j-th derivative of K at x (j in {1, 2, 3}), by the log-kernel integrals."""
+    """j-th derivative of K at x (j in {1, 2, 3}), by the log-kernel integrals.
+
+    Panels and factors are ``kurepa``'s; the integrand is c L^j exp(x L),
+    L = -s, with L^j exact, and c for j = 1 and 0 for j >= 2 at s = 0.
+    """
     if order not in (1, 2, 3):
         raise ConfigurationError(f"derivative order must be 1, 2 or 3, got {order!r}")
     return _kurepa_integral(x, order, p, node_factor, tail_factor, max_evaluations)

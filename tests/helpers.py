@@ -350,59 +350,40 @@ def reference_gauss_kronrod_rule(n: int, prec: int):
     return tuple(tuple(rounded.mpf(v) for v in part) for part in (nodes, k_weights, g_weights))
 
 
-def _reference_log1p(u):
-    """mpmath's log1p(u), bit for bit, in u's context but setting no precision.
+# The node tables as the package built them on mpf objects, and the panel
+# sums with every node's exponential evaluated directly.
 
-    mpmath raises the precision by 10 bits while it runs; its series branch
-    for |u| < 2^-(prec+10) is left out, since no node comes that close to 1.
+def reference_nodes(mid, level, n, prec):
+    """(s, c) at each Kronrod node of the panel mid +- 2^level in s = -log t, on mpf objects.
+
+    s = mid + 2^level z exactly, with the reference rule's z, and
+    c = exp(-w) w / (w - 1), w = exp(-s) = t, each step rounded to nearest
+    in ``context(prec)``; w - 1 is taken from an exp(-s) with as many extra
+    bits as s is below 1.  At s = 0, c is exp(-1), the integrand's limit
+    there being c x for j = 0, c for j = 1 and 0 for j >= 2.
     """
-    lm = mpmath.libmp
-    ctx, rn = u.context, lm.round_nearest
-    wp = ctx.prec + 10
-    return ctx.make_mpf(lm.mpf_pos(lm.mpf_log(lm.mpf_add(lm.fone, u._mpf_, 2 * wp, rn), wp, rn),
-                                   ctx.prec, rn))
+    ctx = context(prec)
+    mid = ctx.make_mpf(mid)
+    nodes = []
+    for z in reference_gauss_kronrod_rule(n, prec)[0]:
+        s = ctx.fadd(mid, ctx.ldexp(z, level), exact=True)
+        if s == 0:
+            nodes.append((s, ctx.exp(-1)))
+            continue
+        wide = context(prec + 10 + max(0, -ctx.mag(s))).exp(ctx.fneg(s, exact=True))
+        w = ctx.mpf(wide)
+        nodes.append((s, ctx.exp(-w) * w / ctx.fsub(wide, 1)))
+    return nodes
 
 
-# The node maps on mpf objects of the argument's context; each returns
-# (c, L), L None at u = 0.
-
-def reference_low_node(s):
-    # t in (0, 7/8] via t = exp(-s); c carries the dt = -exp(-s) ds factor
-    w = s.context.exp(-s)
-    return s.context.exp(-w) * w / (w - 1), -s
-
-
-def reference_window_node(u):
-    # u = t - 1; at u = 0 L is None and c = exp(-1), the quotient's limit
-    # being x for j = 0, 1 for j = 1 and 0 for j >= 2
-    if u == 0:
-        return u.context.exp(-1), None
-    return u.context.exp(-(1 + u)) / u, _reference_log1p(u)
-
-
-def reference_high_node(t):
-    return t.context.exp(-t) / (t - 1), t.context.log(t)
-
-
-# the oracle of each of the package's node maps
-REFERENCE_NODE_MAPS = {
-    quadrature._low_node: reference_low_node,
-    quadrature._window_node: reference_window_node,
-    quadrature._high_node: reference_high_node,
-}
-
-
-def reference_node_table(node_map, lo, hi, n, prec):
-    """``quadrature._node_table`` as it was built on mpf objects, the oracle of its bits."""
-    lm = mpmath.libmp
-    half = (hi - lo) / 2
-    mid = (lo + hi) / 2
-    nodes, k_weights, g_weights = reference_gauss_kronrod_rule(n, prec)
+def reference_node_table(mid, level, n, prec):
+    """``quadrature._node_table`` as built on mpf objects, the oracle of its bits."""
+    _, k_weights, g_weights = reference_gauss_kronrod_rule(n, prec)
     table = []
-    for i, (z, w_k) in enumerate(zip(nodes, k_weights)):
-        c, ell = REFERENCE_NODE_MAPS[node_map](mid + half * z)
-        hc = lm.mpf_mul(half._mpf_, c._mpf_)
-        table.append((None if ell is None else ell._mpf_, *_reference_exact(hc, w_k),
+    for i, ((s, c), w_k) in enumerate(zip(reference_nodes(mid, level, n, prec), k_weights)):
+        hc = mpmath.libmp.mpf_shift(c._mpf_, level)
+        table.append((None if s == 0 else s.context.fneg(s, exact=True)._mpf_,
+                      *_reference_exact(hc, w_k),
                       *(_reference_exact(hc, g_weights[i // 2]) if i % 2 else (0, 0))))
     return tuple(table)
 
@@ -417,92 +398,77 @@ def _rational(v):
     return Fraction(*mpmath.libmp.to_rational(v._mpf_))
 
 
-def exact_panel_reference(node_map, lo, hi, n, x, j):
+def reference_exp(y, prec):
+    """exp(y) at twice ``prec`` bits, and as many more as y is below 1, so exp(y) - 1 keeps them."""
+    lm = mpmath.libmp
+    return lm.mpf_exp(y, 2 * prec + max(0, -(y[2] + y[3])), lm.round_nearest)
+
+
+def _reference_factor(ell, x, j, prec):
+    # the integrand's factor exp(x L) - 1 (j = 0) or exp(x L) L^j at a node
+    # L = -s other than 0, as a Fraction, from one exponential
+    lm = mpmath.libmp
+    e = Fraction(*lm.to_rational(reference_exp(lm.mpf_mul(x._mpf_, ell), prec)))
+    return e - 1 if j == 0 else e * Fraction(*lm.to_rational(ell)) ** j
+
+
+def exact_panel_reference(mid, level, n, x, j):
     """(Gauss, Kronrod) estimates of one panel: exact Fraction sums, each rounded once.
 
-    Built from the rounded factors the package uses, x L, exp(x L) (with its
-    extra bits for j = 0), L and the weights, in the context of lo, hi and
-    x, with the reference rule and node maps in place of the package's
-    ``node_map``; the test oracle for the package's integer sums.
+    Built from the reference node table and, at each node s, exp(-x s)
+    evaluated directly by ``reference_exp`` at twice x's precision; the test
+    oracle for the package's integer sums, whose factors come from one
+    exponential per panel and a doubled table per level.
     """
     lm = mpmath.libmp
     ctx = x.context
-    prec, rn = ctx.prec, lm.round_nearest
-    nodes, k_weights, g_weights = reference_gauss_kronrod_rule(n, prec)
-    half, mid = (hi - lo) / 2, (lo + hi) / 2
+    prec = ctx.prec
     gauss = kronrod = Fraction(0)
-    for i, (z, w_k) in enumerate(zip(nodes, k_weights)):
-        c, ell = REFERENCE_NODE_MAPS[node_map](mid + half * z)
+    for ell, km, ke, gm, ge in reference_node_table(mid, level, n, prec):
         if ell is None:
             f = _rational(x) if j == 0 else Fraction(int(j == 1))
         else:
-            y = lm.mpf_mul(x._mpf_, ell._mpf_, prec, rn)
-            extra = 10 + max(0, -(y[2] + y[3])) if j == 0 else 0
-            e = Fraction(*lm.to_rational(lm.mpf_exp(y, prec + extra, rn)))
-            f = e - 1 if j == 0 else _rational(ell) ** j * e
-        v = _rational(half) * _rational(c) * f
-        kronrod += _rational(w_k) * v
-        if i % 2:
-            gauss += _rational(g_weights[i // 2]) * v
-    return tuple(ctx.make_mpf(lm.from_rational(s.numerator, s.denominator, prec, rn))
-                 for s in (gauss, kronrod))
+            f = _reference_factor(ell, x, j, prec)
+        kronrod += km * Fraction(2) ** ke * f
+        gauss += gm * Fraction(2) ** ge * f
+    return tuple(ctx.make_mpf(lm.from_rational(v.numerator, v.denominator, prec, lm.round_nearest))
+                 for v in (gauss, kronrod))
 
 
-def _sequential_table(node_map, lo, hi, n, prec):
-    half = (hi - lo) / 2
-    mid = (lo + hi) / 2
-    cs = []
-    ls = []
-    nodes, k_weights, g_weights = reference_gauss_kronrod_rule(n, prec)
-    for z in nodes:
-        c, ell = REFERENCE_NODE_MAPS[node_map](mid + half * z)
-        cs.append((half * c)._mpf_)
-        ls.append(None if ell is None else ell._mpf_)
-    return tuple(cs), tuple(ls), [w._mpf_ for w in k_weights], [w._mpf_ for w in g_weights]
-
-
-def _sequential_expm1(y, prec):
-    lm = mpmath.libmp
-    if y == lm.fzero:
-        return lm.fzero
-    extra = 10 + max(0, -(y[2] + y[3]))
-    return lm.mpf_sub(lm.mpf_exp(y, prec + extra, lm.round_nearest), lm.fone, prec,
-                      lm.round_nearest)
-
-
-def _sequential_panel(table, x, j):
+def _sequential_panel(mid, level, n, x, j, factors):
+    # the package's _kronrod_panel with each step rounded in turn; factors unused
     lm = mpmath.libmp
     mul, add, rn = lm.mpf_mul, lm.mpf_add, lm.round_nearest
     ctx = x.context
     prec, xr = ctx.prec, x._mpf_
-    cs, ls, k_weights, g_weights = table
+    _, k_weights, g_weights = reference_gauss_kronrod_rule(n, prec)
     gauss = kronrod = lm.fzero
-    for i, (c, ell) in enumerate(zip(cs, ls)):
-        if ell is None:
+    for i, (s, c) in enumerate(reference_nodes(mid, level, n, prec)):
+        if s == 0:
             f = xr if j == 0 else (lm.fone if j == 1 else lm.fzero)
-        elif j == 0:
-            f = _sequential_expm1(mul(xr, ell, prec, rn), prec)
         else:
-            f = mul(lm.mpf_pow_int(ell, j, prec, rn),
-                    lm.mpf_exp(mul(xr, ell, prec, rn), prec, rn), prec, rn)
-        v = mul(c, f, prec, rn)
-        kronrod = add(kronrod, mul(k_weights[i], v, prec, rn), prec, rn)
+            ell = ctx.fneg(s, exact=True)._mpf_
+            e = reference_exp(mul(xr, ell), prec)
+            f = (lm.mpf_sub(e, lm.fone, prec, rn) if j == 0
+                 else mul(lm.mpf_pow_int(ell, j, prec, rn), e, prec, rn))
+        v = mul(lm.mpf_shift(c._mpf_, level), f, prec, rn)
+        kronrod = add(kronrod, mul(k_weights[i]._mpf_, v, prec, rn), prec, rn)
         if i % 2:
-            gauss = add(gauss, mul(g_weights[i // 2], v, prec, rn), prec, rn)
+            gauss = add(gauss, mul(g_weights[i // 2]._mpf_, v, prec, rn), prec, rn)
     return ctx.make_mpf(gauss), ctx.make_mpf(kronrod)
 
 
 def sequential_kurepa(x, j, p):
     """K^(j)(x) with every product and partial sum of a panel rounded in turn.
 
-    The panel loop the package used before it summed each estimate exactly:
-    (half c) f, the weight times that and each running sum are rounded to
-    the working precision, and exp(x L) - 1 too.  Kept as the oracle that
-    the exact sums must stay close to, with the same panels, node count and
-    tail cutoff.
+    The panel loop the package used before it summed each estimate exactly
+    and before it built exp(-x s) from one exponential per panel: at each
+    node exp(-x s) comes from ``reference_exp``, and the factor, (half c)
+    times it, the weight times that and each running sum are rounded to
+    the working precision.  Kept as the oracle that the package must stay
+    close to, with the same panels, node count and tail cutoff.
     """
-    with mock.patch.object(quadrature, "_node_table", _sequential_table), \
-            mock.patch.object(quadrature, "_kronrod_panel", _sequential_panel):
+    with mock.patch.object(quadrature, "_kronrod_panel", _sequential_panel):
         if j == 0:
             return quadrature.kurepa(x, p)
         return quadrature.kurepa_derivative(x, j, p)

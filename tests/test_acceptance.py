@@ -18,6 +18,7 @@ import time
 
 import mpmath
 import numpy as np
+import pytest
 from mpmath import mp
 
 from ineqprove import (
@@ -40,18 +41,21 @@ from ineqprove import (
 )
 from ineqprove.cli import main as cli_main
 
-from helpers import ARCSIN_DIFF_SOURCE, RECORDED_WITH, ambient, planted_endpoint_polynomial
+from helpers import (
+    ARCSIN_DIFF_SOURCE, ambient, planted_endpoint_polynomial, requires_recorded_mpmath,
+)
 
 P50 = Precision(50)
 P35 = Precision(35)
 
 # sha256 of report_to_json of the paper's full-size proof, K(x) <= K'(0) x
-KUREPA_REPORT_HASH = "dfd6022a885e57c61a391eac816d1e0a52b1e4e92a1c5034226977438fd3a436"
+KUREPA_REPORT_HASH = "ebc4cb6c9bc2c2534ffdd0b2f0d02303eeaf34a18c0773a24bed95e447c86275"
 
 
 @contextlib.contextmanager
-def criterion(name, budget_seconds):
-    start = time.perf_counter()
+def criterion(name, budget_seconds, spent=0.0):
+    # spent: seconds the criterion took before the block, in a shared fixture
+    start = time.perf_counter() - spent
     try:
         yield
     except BaseException:
@@ -133,13 +137,20 @@ def test_kurepa_reference_constants():
         assert abs(rkp.value * c - mpmath.mpf("1.331773289")) < mpmath.mpf("1e-8")
 
 
-def test_kurepa_linear_bound_proof():
-    with criterion("kurepa linear bound proof", 120.0):
-        p40 = Precision(40)
-        slope = kurepa_derivative(0, 1, p40).value
-        source = f"({decimal_str(slope, p40)})*x - kurepa(x)"
-        report = prove_inequality(source, 0, 1, 2, 0, 1,
-                                  ProofSettings(precision=P35))
+@pytest.fixture(scope="module")
+def kurepa_proof():
+    """The paper's full-size proof, K(x) <= K'(0) x, run once: (source, report, seconds)."""
+    start = time.perf_counter()
+    p40 = Precision(40)
+    slope = kurepa_derivative(0, 1, p40).value
+    source = f"({decimal_str(slope, p40)})*x - kurepa(x)"
+    report = prove_inequality(source, 0, 1, 2, 0, 1, ProofSettings(precision=P35))
+    return source, report, time.perf_counter() - start
+
+
+def test_kurepa_linear_bound_proof(kurepa_proof):
+    source, report, seconds = kurepa_proof
+    with criterion("kurepa linear bound proof", 120.0, spent=seconds):
         assert report.verdict == "proven"
         # each g call is a quadrature; the nested grids keep the proof near 400
         assert report.timings["g_evaluations"] <= 420
@@ -148,9 +159,13 @@ def test_kurepa_linear_bound_proof():
         # alpha is half the negated curvature at the left endpoint
         kpp0 = kurepa_derivative(0, 2, P35).value
         assert abs(report.alpha - (-kpp0 / 2)) <= mpmath.mpf("1e-6") * abs(report.alpha)
-        if (mpmath.__version__, mpmath.libmp.BACKEND) == RECORDED_WITH:
-            digest = hashlib.sha256(report_to_json(report).encode("utf-8")).hexdigest()
-            assert digest == KUREPA_REPORT_HASH
+
+
+@requires_recorded_mpmath
+def test_kurepa_report_bytes(kurepa_proof):
+    _, report, _ = kurepa_proof
+    digest = hashlib.sha256(report_to_json(report).encode("utf-8")).hexdigest()
+    assert digest == KUREPA_REPORT_HASH
 
 
 def test_arcsin_bound_reproduction():

@@ -3,6 +3,8 @@ import hashlib
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -29,6 +31,7 @@ from helpers import (
     K_HALF,
     ambient,
     exact_panel_reference,
+    reference_exp,
     reference_gauss_kronrod_rule,
     reference_node_table,
     requires_recorded_mpmath,
@@ -364,40 +367,132 @@ class TestNodeTables:
 
 
 class TestExactPanelSums:
-    # one panel per node map at the guard precision of P35 (169 bits, n = 25);
-    # the window panel is centred on its u = 0 node
+    # panels of the s = -log t layout at the guard precision of P35 (169 bits,
+    # n = 25), as (mid, level): the window, centred on its s = 0 node, the
+    # first panel of each side, the last low panel for x near 0, the widest
+    # high panel, and a half of the window, a level below the base
     PANELS = {
-        "low": (quadrature._low_node, "0.1335", "1.1335"),
-        "window": (quadrature._window_node, "-0.125", "0.125"),
-        "high": (quadrature._high_node, "1.125", "2.125"),
+        "window": ("0", -3),
+        "low": ("0.25", -3),
+        "high": ("-0.25", -3),
+        "last low": ("95.875", 5),
+        "wide high": ("-3.375", -1),
+        "bisected": ("-0.0625", -4),
     }
 
-    @pytest.mark.parametrize("region", sorted(PANELS) + ["last low"])
+    @pytest.mark.parametrize("region", sorted(PANELS))
     def test_tables_match_the_mpf_construction(self, region):
-        ctx = context(169)
-        if region == "last low":
-            # the last of the geometric low panels, clipped at s_max
-            node_map = quadrature._low_node
-            lo, hi = quadrature._geometric_panels(ctx.mpf("0.1335"), ctx.mpf(83), ctx.mpf(1))[-1]
-            assert hi - lo < 64
-        else:
-            node_map, lo, hi = self.PANELS[region]
-            lo, hi = ctx.mpf(lo), ctx.mpf(hi)
-        assert quadrature._node_table(node_map, lo, hi, 25, ctx.prec) == \
-            reference_node_table(node_map, lo, hi, 25, ctx.prec)
+        mid, level = self.PANELS[region]
+        mid = context(169).mpf(mid)._mpf_
+        assert quadrature._node_table(mid, level, 25, 169) == \
+            reference_node_table(mid, level, 25, 169)
 
     @pytest.mark.parametrize("region", sorted(PANELS))
     @pytest.mark.parametrize("j", range(4))
     @pytest.mark.parametrize("x", [4 ** -12, "0.37", "2.5"])
     def test_estimates_are_exact_sums_rounded_once(self, region, j, x):
+        # the package's factors against exp(-x s) evaluated at each node
         ctx = context(169)
-        node_map, lo, hi = self.PANELS[region]
-        lo, hi, x = ctx.mpf(lo), ctx.mpf(hi), ctx.mpf(x)
-        table = quadrature._node_table(node_map, lo, hi, 25, ctx.prec)
+        mid, level = self.PANELS[region]
+        mid, x = ctx.mpf(mid)._mpf_, ctx.mpf(x)
+        table = quadrature._node_table(mid, level, 25, ctx.prec)
         assert (None in [node[0] for node in table]) == (region == "window")
-        got = quadrature._kronrod_panel(table, x, j)
-        want = exact_panel_reference(node_map, lo, hi, 25, x, j)
+        got = quadrature._kronrod_panel(mid, level, 25, x, j,
+                                        quadrature._ExpFactors(x, 25, ctx.prec))
+        want = exact_panel_reference(mid, level, 25, x, j)
         assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+
+
+class TestExpFactors:
+    @pytest.mark.parametrize("x", [0, 4 ** -12, "0.37", 1, "2.5", 30])
+    def test_every_level_stays_within_its_bound(self, x, p35, monkeypatch):
+        # each factor of every level the four integrals reach, and of two
+        # levels below the base, against expm1 evaluated directly at twice
+        # frac bits: within 2^(k+2) max(1, 1 + B) units of 2^-frac, k the
+        # level's squarings above the base
+        made = []
+
+        class Recorded(quadrature._ExpFactors):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(quadrature, "_ExpFactors", Recorded)
+        for j in range(4):
+            kurepa(x, p35) if j == 0 else kurepa_derivative(x, j, p35)
+        assert len(made) == 4
+        for factors in made:
+            factors(quadrature._BASE_LEVEL - 1)
+            factors(quadrature._BASE_LEVEL - 2)
+        lm = mpmath.libmp
+        levels = set()
+        for factors in made:
+            frac = factors.frac
+            for level, table in factors.levels.items():
+                levels.add(level)
+                bound = 2 ** (max(0, level - quadrature._BASE_LEVEL) + 2)
+                for z, b in zip(factors.nodes, table):
+                    y = lm.mpf_shift(lm.mpf_mul(factors.neg_x, z._mpf_), level)
+                    e = Fraction(*lm.to_rational(reference_exp(y, frac)))
+                    assert abs(b - (e - 1) * 2 ** frac) <= bound * max(1, e), (level, z)
+        assert set(range(quadrature._BASE_LEVEL - 2, 4)) <= levels
+
+    def test_a_warm_call_makes_one_exponential_per_panel(self, p35, monkeypatch):
+        # with the node tables warm, a call's exponentials are its base
+        # level's, one per node, and one per panel; it made one per node
+        # (765-816) when each node took exp(x L) on its own
+        calls = 0
+        exp = quadrature.mpf_exp
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return exp(*args)
+
+        for x in ("0", "0.05", "0.37", "0.5", "0.85", "1"):
+            for j in range(3):
+                def call():
+                    return kurepa(x, p35) if j == 0 else kurepa_derivative(x, j, p35)
+
+                call()
+                monkeypatch.setattr(quadrature, "mpf_exp", counted)
+                calls = 0
+                call()
+                monkeypatch.setattr(quadrature, "mpf_exp", exp)
+                assert 50 < calls <= 100, (x, j, calls)
+
+    def test_a_sweep_of_arguments_builds_no_table(self, p35):
+        # no node table depends on x: after x = 1/2, twenty more x in (0, 1]
+        # find every table of every panel they take in the memo
+        for j in range(3):
+            kurepa("0.5", p35) if j == 0 else kurepa_derivative("0.5", j, p35)
+        built = quadrature._node_table.cache_info().misses
+        for i in range(1, 21):
+            x = mpmath.mpf(i) / 20
+            for j in range(3):
+                kurepa(x, p35) if j == 0 else kurepa_derivative(x, j, p35)
+        assert quadrature._node_table.cache_info().misses == built
+
+    def test_threads_get_the_solo_bits(self, p35):
+        # each call keeps its factor tables to itself; the threads share
+        # only the memoized rules and node tables, cleared to be rebuilt
+        # while they run
+        work = [("0.1", 0), ("0.37", 1), ("0.77", 2), ("0.93", 0), ("0.5", 3), ("1", 1)]
+
+        def bits(x, j):
+            r = kurepa(x, p35) if j == 0 else kurepa_derivative(x, j, p35)
+            return r.value._mpf_, r.error_bound._mpf_, r.nodes_used
+
+        solo = [bits(x, j) for x, j in work]
+        quadrature._node_table.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(bits, x, j) for x, j in work * 2]
+                assert [future.result(timeout=120) for future in futures] == solo * 2
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSequentialRoundingReference:

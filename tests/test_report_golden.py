@@ -70,7 +70,7 @@ REPORT_HASHES = {
     "proven_real_exponent":
         "d5d52786618d4920386213ad95fb708ce1b1d04d3d251492bd693db1f08bdd4c",
     "disproven_kurepa_near_miss":
-        "65fac0aa97f0d3b47591665bef30383618de732f81bbb67df1082c20f3cbca0e",
+        "8e28bd8dc99bf034f106ffa4744f07fa987843db7dbf68ceb54dfd137ee1e14e",
 }
 
 # sha256 of the report file `ineqprove prove --config demos/configs/<name>` writes
