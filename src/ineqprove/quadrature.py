@@ -12,8 +12,10 @@ the window [-1/8, 1/8], whose centre node takes the quotient's limit, and
 panels that double in width outward from it: out past s_max for s > 0, and
 up to width 1, as exp(-t) falls doubly exponentially in s, out past -log T
 for s < 0.  s_max and T are chosen so the dropped tails are provably below
-the error target, and both bounds are added to ``error_bound``.  Every
-half-width is a power of two, and no panel depends on x.
+the error target; each side's panels run on to the first panel edge past
+its cut-off, and both tail bounds, taken at those edges (the high side's is
+``tail_cutoff``), are added to ``error_bound``.  Every half-width is a power
+of two, and no panel depends on x.
 
 At a node s = mid + 2^level z, exact, the integrand is c expm1(x L) for
 j = 0 and c L^j exp(x L) for j >= 1, L = -s; c is kept in a node table per
@@ -363,7 +365,7 @@ def _adaptive(panels, x, j, tol_abs, n, state, factors):
 
 
 def _dyadic_panels(stop, top, ctx):
-    """(mid, level) from the window's edge out past stop, levels rising up to top."""
+    """(mid, level) from the window's edge out past stop, levels rising up to top; and the end."""
     panels = []
     edge = ctx.ldexp(1, _BASE_LEVEL)
     level = _BASE_LEVEL
@@ -372,7 +374,7 @@ def _dyadic_panels(stop, top, ctx):
         panels.append(((edge + half)._mpf_, level))
         edge += 2 * half
         level = min(level + 1, top)
-    return panels
+    return panels, edge
 
 
 def _low_tail_bound(x, j, s_max, eps):
@@ -435,8 +437,8 @@ def _kurepa_integral(x, j, p, node_factor, tail_factor, max_evaluations):
     s_max = ctx.mpf(max(20, int((digits + 14) * 2.303 / (float(xv) + 1)) + 1))
     while _low_tail_bound(xv, j, s_max, eps) > share:
         s_max *= ctx.mpf(5) / 4
-    tail_low = _low_tail_bound(xv, j, s_max, eps)
-    low = _dyadic_panels(s_max, math.inf, ctx)
+    low, s_edge = _dyadic_panels(s_max, math.inf, ctx)
+    tail_low = _low_tail_bound(xv, j, s_edge, eps)
 
     # the high side s < 0, out past -log T; the closed tail bound needs T
     # well above x+j
@@ -444,10 +446,10 @@ def _kurepa_integral(x, j, p, node_factor, tail_factor, max_evaluations):
     while (ctx.exp(-T) * ctx.power(T, xv + 1) > term_tol
            or _high_tail_bound(xv, j, T) > share):
         T *= ctx.mpf(5) / 4
-    T *= tf
+    high, t_edge = _dyadic_panels(ctx.ln(T * tf), _HIGH_LEVEL, ctx)
+    high = [(mpf_neg(mid), level) for mid, level in reversed(high)]
+    T = ctx.exp(t_edge)
     tail_high = _high_tail_bound(xv, j, T)
-    high = [(mpf_neg(mid), level)
-            for mid, level in reversed(_dyadic_panels(ctx.ln(T), _HIGH_LEVEL, ctx))]
 
     factors = _ExpFactors(xv, n_base, ctx.prec)
     v_low, e_low = _adaptive(low, xv, j, region_tol, n_base, state, factors)

@@ -23,7 +23,10 @@ is taken in lowest terms and its cosine comes from one memoized table per
 other cosine from the table of half as many.  Residuals g - P are formed
 by one sweep on libmp tuples (``_residuals``), whose P values come from the
 one Clenshaw loop (``Polynomial._values``; ``evaluate`` is its one-point
-case), with u computed once per Remez grid.  ``minimax`` returns a map of
+case), with u computed once per Remez grid.  P(x) is the exact sum of
+c_j T_j(u), u as ``_units`` rounds it, rounded once to nearest; the loop
+runs on integers, which grow by about the precision per degree plus the
+spread of the coefficients' exponents.  ``minimax`` returns a map of
 the residuals of its last iteration, on the grid and at the nodes, and the
 residual check takes every sample it finds there instead of computing it
 again: on its default grid, twice as dense as the Remez grid, the even
@@ -43,7 +46,7 @@ from functools import lru_cache
 
 import mpmath
 from mpmath.libmp import (
-    from_rational, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_pos, mpf_sub,
+    finf, fnan, fninf, from_man_exp, from_rational, mpf_div, mpf_mul, mpf_mul_int, mpf_sub,
     round_nearest, to_rational,
 )
 
@@ -81,30 +84,31 @@ class Polynomial:
         return self.segment[0].context.make_mpf(next(self._values((x,))))
 
     def _values(self, xs, units=None):
-        """P at each x of ``xs`` in turn, as libmp tuples: the Clenshaw recurrence on tuples.
+        """P at each x of ``xs`` in turn, as libmp tuples: sum c_j T_j(u), exact, rounded once.
 
-        ``units`` may hold u = (2x - a - b)/(b - a) of each x, as ``_units``
-        gives it, for points swept more than once.  Each step is rounded to
-        the segment's precision.  The recurrence starts from b1 = b2 = 0, so
-        its first step only rounds c_n, and a subtraction of b2 while it is
-        still 0 is exact; both are left out.
+        u = (2x - a - b)/(b - a) is rounded as ``_units`` rounds it (``units``
+        may hold it, for points swept more than once), and the sum at that u
+        is rounded to nearest at the segment's precision.  Clenshaw's
+        b_k = 2u b_(k+1) - b_(k+2) + c_k runs exactly on the integers
+        D^(n-k) b_k, u = U/D with D = 2^s and the c_j on their lowest exponent;
+        they grow by about the precision per degree, plus the c_j's exponent spread.
         """
         prec, rn = self.segment[0].context.prec, round_nearest
         c = [v._mpf_ for v in self.coefficients]
-        top = mpf_pos(c[-1], prec, rn)
-        if len(c) == 1:
-            for _ in xs:
-                yield top
-            return
-        inner = c[-2:0:-1]
-        for u in _units(self.segment, xs) if units is None else units:
-            d = mpf_mul_int(u, 2, prec, rn) if inner else None
-            b1, b2 = top, None
-            for cj in inner:
-                v = mpf_mul(d, b1, prec, rn)
-                b1, b2 = mpf_add(v if b2 is None else mpf_sub(v, b2, prec, rn), cj, prec, rn), b1
-            v = mpf_mul(u, b1, prec, rn)
-            yield mpf_add(v if b2 is None else mpf_sub(v, b2, prec, rn), c[0], prec, rn)
+        if finf in c or fninf in c or fnan in c:
+            raise ConfigurationError(f"coefficients must be finite, got {self.coefficients}")
+        low = min([e for _, m, e, _ in c if m], default=0)
+        c = [((-m if sign else m) << (e - low)) if m else 0 for sign, m, e, _ in c]
+        c0, rest = c[0], c[:0:-1]
+        for sign, m, e, bc in _units(self.segment, xs) if units is None else units:
+            if bc < 0:
+                raise ConfigurationError("P is evaluated at finite points only")
+            u, s = ((-m if sign else m) << e, 0) if e >= 0 else (-m if sign else m, -e)
+            d, s2, b1, b2, shift = u << 1, 2 * s, 0, 0, 0
+            for ck in rest:
+                b1, b2 = d * b1 - (b2 << s2) + (ck << shift), b1
+                shift += s
+            yield from_man_exp(u * b1 - (b2 << s2) + (c0 << shift), low - shift, prec, rn)
 
     __call__ = evaluate
 

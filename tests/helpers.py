@@ -227,28 +227,27 @@ def exact_taylor(P, lo, hi):
 
 
 def clenshaw_reference(P, x):
-    """P(x) by the Clenshaw recurrence, one point at a time.
+    """P(x) = sum c_j T_j(u), exact on Fractions and rounded once to nearest.
 
-    Every step is rounded to the segment's precision.  The test oracle for
-    ``Polynomial.evaluate`` and the residual sweep: the bits of the
-    package's one-point path before it became a sweep.
+    u = (2x - a - b)/(b - a) is formed as the package forms it, each step
+    rounded to the segment's precision; T_j(u) comes from the three-term
+    recurrence on Fractions, and the sum is rounded to the segment's
+    precision.  The test oracle for ``Polynomial.evaluate`` and the residual
+    sweep.
     """
     lm = mpmath.libmp
     ctx = P.segment[0].context
     prec, rn = ctx.prec, lm.round_nearest
     a, b = (v._mpf_ for v in P.segment)
-    c = [v._mpf_ for v in P.coefficients]
-    if len(c) == 1:
-        return ctx.make_mpf(lm.mpf_pos(c[0], prec, rn))
     x = ctx.convert(x)._mpf_
-    u = lm.mpf_div(lm.mpf_sub(lm.mpf_sub(lm.mpf_mul_int(x, 2, prec, rn), a, prec, rn), b, prec, rn),
-                   lm.mpf_sub(b, a, prec, rn), prec, rn)
-    d = lm.mpf_mul_int(u, 2, prec, rn)
-    b1 = b2 = lm.fzero
-    for cj in reversed(c[1:]):
-        b1, b2 = lm.mpf_add(lm.mpf_sub(lm.mpf_mul(d, b1, prec, rn), b2, prec, rn), cj, prec, rn), b1
-    return ctx.make_mpf(lm.mpf_add(lm.mpf_sub(lm.mpf_mul(u, b1, prec, rn), b2, prec, rn), c[0],
-                                   prec, rn))
+    u = Fraction(*lm.to_rational(lm.mpf_div(
+        lm.mpf_sub(lm.mpf_sub(lm.mpf_mul_int(x, 2, prec, rn), a, prec, rn), b, prec, rn),
+        lm.mpf_sub(b, a, prec, rn), prec, rn)))
+    total, t0, t1 = Fraction(0), Fraction(1), u
+    for c in P.coefficients:
+        total += _rational(c) * t0
+        t0, t1 = t1, 2 * u * t1 - t0
+    return ctx.make_mpf(lm.from_rational(total.numerator, total.denominator, prec, rn))
 
 
 # The Gauss-Kronrod rule and the node tables as the package built them on

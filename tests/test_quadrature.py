@@ -235,6 +235,16 @@ class TestKurepaValues:
                 ref = kurepa_ts(mpmath.mpf(x), j)
             assert abs(r.value - ref) <= 2 * r.error_bound
 
+    @pytest.mark.parametrize("x", ["0.77", "2.5"])
+    def test_tails_bounded_where_the_panels_stop(self, x, p35):
+        # both tail bounds are taken at the last panel edges, up to twice as
+        # far out as the cut-offs that choose them
+        r = kurepa(x, p35)
+        assert r.error_bound <= mpmath.mpf("1e-35")
+        with mp.workdps(50):
+            ref = kurepa_ts(mpmath.mpf(to_mpf(x, p35)))
+        assert abs(r.value - ref) <= r.error_bound
+
     def test_tiny_argument_matches_taylor(self, p35):
         # x L is tiny at every node, where exp(x L) - 1 cancels
         r = kurepa("1e-20", p35)

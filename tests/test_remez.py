@@ -155,6 +155,36 @@ class TestResidualSweep:
                 assert [r._mpf_ for r in _residuals(g, P, xs)] == want
                 assert [r._mpf_ for r in _residuals(g, P, xs, units)] == want
 
+    @pytest.mark.parametrize("case", ["degree 0", "zero", "zero degree 3", "exact zeros",
+                                      "400-bit spread", "degree 16", "away from 0"])
+    def test_edge_cases_are_correctly_rounded(self, case, p50):
+        ctx = context(p50)
+        rng = random.Random(case)
+        third = ctx.mpf(1) / 3
+        coefficients = {
+            "degree 0": [third],
+            "zero": [0],
+            "zero degree 3": [0] * 4,
+            "exact zeros": [0, third, 0, 0, ctx.mpf(-5) / 7, 0],
+            "400-bit spread": [ctx.ldexp(third, 200), ctx.mpf(-5) / 7,
+                               ctx.ldexp(ctx.mpf(1) / 7, -200), ctx.ldexp(third, -100)],
+            "degree 16": [ctx.mpf(rng.randint(-10 ** 6, 10 ** 6)) / 3 for _ in range(17)],
+            "away from 0": [ctx.mpf(2) / 3, ctx.mpf(-1) / 7, ctx.mpf(3) / 11, third],
+        }[case]
+        a, b = (2, 5) if case == "away from 0" else (-1, 1)
+        av, bv = finite_segment(a, b, p50)
+        P = Polynomial(coefficients=tuple(ctx.mpf(c) for c in coefficients), segment=(av, bv))
+        # on [-1, 1], u is x: -1, 0, +1 and +-2^-200 among them
+        tiny = ctx.ldexp(1, -200)
+        xs = [av, (av + bv) / 2, bv, tiny, -tiny]
+        xs += [av + (bv - av) * ctx.mpf(rng.random()) for _ in range(10)]
+        units = tuple(_units((av, bv), xs))
+        if (a, b) == (-1, 1):
+            assert list(units[:5]) == [x._mpf_ for x in xs[:5]]
+        want = [clenshaw_reference(P, x)._mpf_ for x in xs]
+        assert [P.evaluate(x)._mpf_ for x in xs] == want
+        assert list(P._values(xs, units)) == want
+
     def test_minimax_hands_out_the_residuals_of_its_polynomial(self, p50):
         g = CachedFunction(lambda x: x.context.exp(x))
         r = minimax(g, 0, 1, 2, p=p50, grid_multiplier=4)
@@ -499,3 +529,9 @@ class TestPolynomial:
                        segment=(mpmath.mpf(0), mpmath.mpf(1)))
         with pytest.raises(ConfigurationError, match="finite"):
             P.to_monomial(p50)
+        with pytest.raises(ConfigurationError, match="finite"):
+            P.evaluate(mpmath.mpf("0.5"))
+        P = Polynomial(coefficients=(mpmath.mpf(1), mpmath.mpf(1)),
+                       segment=(mpmath.mpf(0), mpmath.mpf(1)))
+        with pytest.raises(ConfigurationError, match="finite"):
+            P.evaluate(mpmath.mpf(bad))

@@ -62,20 +62,20 @@ REPORT_HASHES = {
         "d09de09f9c0ebb3588cd7f5b3cd4758600dfbaaffa88f2351975683765546214",
     "inconclusive_minimax": "0546bf449d57784f6aced3ad09b6dd042febcfc2507d5bbe2f9624286b185ea2",
     "inconclusive_equioscillation":
-        "452385a0bf83562e595aa05104015a1779ecb528d4d8fc308686151b8be6cb31",
+        "da0b426466bfc1369ef655675995f9d65d17e02c18e2c3d7bf7f6cf2412f7bde",
     "inconclusive_residual_check":
         "ec47dd480088e5f35d414c5dad94b6bf90431857faf5cb899ba9e518e6334dd8",
     "inconclusive_positivity":
         "9580bfd5b61b38d6093dabc2567958ef03a220c426733b228721704979882500",
     "proven_real_exponent":
-        "d5d52786618d4920386213ad95fb708ce1b1d04d3d251492bd693db1f08bdd4c",
+        "2d5c86e8c1a3bf6d9c44dc52edb5335c396de58f41f703158c1cd673d0e1c63c",
     "disproven_kurepa_near_miss":
         "8e28bd8dc99bf034f106ffa4744f07fa987843db7dbf68ceb54dfd137ee1e14e",
 }
 
 # sha256 of the report file `ineqprove prove --config demos/configs/<name>` writes
 CONFIG_HASHES = {
-    "arcsin_trig.cfg": "fc7620a19f3d98d3cb17d5aa36e7f0803206aaf3ba78cd4d33798d26f0fd66cf",
+    "arcsin_trig.cfg": "1b9526a0c85c9e48ab0394b4b0c7a39cf92061b4dc674804a00b49a0e95b961e",
     "parabola.cfg": "311c58a0217ff4e5f3a5a8b33c24d6974e4842c00cc7a07f9470c9d50377ae5c",
 }
 
