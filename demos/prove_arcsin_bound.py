@@ -71,5 +71,6 @@ print(f"  verdict: {report.verdict}")
 print(f"  alpha = {mpmath.nstr(report.alpha, 12)}, beta = {mpmath.nstr(report.beta, 12)}")
 print(f"  delta_hat = {mpmath.nstr(report.delta_hat, 6)}, "
       f"certified min of P - delta = {mpmath.nstr(report.global_min_bound, 6)}")
-cross = report.diagnostics["limit_cross_check"]
-print(f"  Taylor vs numeric limits agree to {cross['alpha_relative_gap']} (alpha)")
+alpha_numeric, _ = endpoint_limits_numeric(parse(TRIG_FORM), 0, "pi/2", 3, 1, p)
+gap = abs(report.alpha - alpha_numeric) / abs(report.alpha)
+print(f"  Taylor vs numeric limits agree to {mpmath.nstr(gap, 3)} (alpha)")

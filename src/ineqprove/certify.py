@@ -53,7 +53,6 @@ from .precision import (
     decimal_str,
     finite_orders,
     finite_segment,
-    negligible_ratio,
     resolution_floor,
     sampling_ratio,
     to_mpf,
@@ -68,6 +67,7 @@ from .quotient import (
 from . import remez
 from .remez import (
     CachedFunction,
+    MinimaxResult,
     Polynomial,
     _chebyshev_grid,
     _chebyshev_to_power,
@@ -139,10 +139,6 @@ class ProofReport:
     nodes: object = None
     polynomial: object = None
     global_min_bound: object = None
-    certificate: object = None
-    residual: object = None
-    equioscillation: object = None
-    minimax_result: object = None
     caveat: str = CAVEAT
     settings: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
@@ -396,29 +392,6 @@ _LIMIT_FAILURES = (LimitError, MultiplicityError, DomainError,
                    PrecisionUnreachableError, ZeroDivisionError)
 
 
-def _numeric_cross_check(f, av, bv, nv, mv, p: Precision, alpha=None, beta=None):
-    """Diagnostics entry of the numeric limit route run beside the Taylor one.
-
-    With the Taylor limits given it records the numeric limits and their
-    relative gaps; when the Taylor route failed (no limits given) it records
-    the numeric limits alone.  A numeric failure is recorded by its class and
-    message, which carries the observed-exponent hint and the endpoint.
-    """
-    try:
-        alpha_num, beta_num = endpoint_limits_numeric(f, av, bv, nv, mv, p)
-    except IneqproveError as exc:
-        return {"failed": f"{type(exc).__name__}: {exc}"}
-    tiny = negligible_ratio(p)
-    entry = {"alpha_numeric": decimal_str(alpha_num, p),
-             "beta_numeric": decimal_str(beta_num, p)}
-    if alpha is not None:
-        entry["alpha_relative_gap"] = decimal_str(
-            abs(alpha - alpha_num) / max(abs(alpha), tiny), p)
-        entry["beta_relative_gap"] = decimal_str(
-            abs(beta - beta_num) / max(abs(beta), tiny), p)
-    return entry
-
-
 def _limit_method(s: ProofSettings, nv, mv) -> LimitMethod:
     """The endpoint-limit route the settings ask for; "auto" picks by the orders."""
     if s.limit_method not in ("auto", "taylor", "numeric", "user"):
@@ -435,7 +408,7 @@ def _limit_method(s: ProofSettings, nv, mv) -> LimitMethod:
 
 @dataclass
 class _Run:
-    """One proof: its inputs, the report fields filled in so far, and g once it exists."""
+    """One proof: its inputs, the report fields so far, and g and minimax once they exist."""
 
     f: Expression
     settings: ProofSettings
@@ -447,6 +420,7 @@ class _Run:
         ("g_evaluations", "remez_iterations", "residual_samples",
          "certificate_subintervals"), 0))
     g: CachedFunction = None
+    minimax: MinimaxResult = None
 
     @property
     def p(self) -> Precision:
@@ -474,13 +448,7 @@ def _endpoint_limits(run: _Run):
         alpha = to_mpf(s.alpha_override, run.p)
         beta = to_mpf(s.beta_override, run.p)
     elif run.method is LimitMethod.TAYLOR:
-        try:
-            alpha, beta = endpoint_limits_taylor(*args)
-        except _LIMIT_FAILURES:
-            # the numeric route's exponent hint says which order is off
-            run.diagnostics["limit_cross_check"] = _numeric_cross_check(*args)
-            raise
-        run.diagnostics["limit_cross_check"] = _numeric_cross_check(*args, alpha, beta)
+        alpha, beta = endpoint_limits_taylor(*args)
     else:
         alpha, beta = endpoint_limits_numeric(*args)
     run.fields.update(alpha=alpha, beta=beta, limit_method=run.method.value)
@@ -500,16 +468,15 @@ def _minimax(run: _Run):
     s = run.settings
     mr = minimax(run.g, *run.fields["segment"], run.fields["degree"], tol=s.tol, p=run.p,
                  grid_multiplier=s.grid_multiplier, max_iterations=s.max_iterations)
+    run.minimax = mr
     run.timings["remez_iterations"] = mr.iterations
     run.fields.update(delta_hat=mr.delta_hat, lower_bound=mr.lower_bound,
-                      upper_bound=mr.upper_bound, nodes=mr.nodes,
-                      polynomial=mr.polynomial, minimax_result=mr)
+                      upper_bound=mr.upper_bound, nodes=mr.nodes, polynomial=mr.polynomial)
 
 
 def _equioscillation(run: _Run):
-    eq = verify_equioscillation(run.fields["minimax_result"],
-                                rel_tol=run.settings.equioscillation_rel_tol, p=run.p)
-    run.fields["equioscillation"] = eq
+    eq = verify_equioscillation(run.minimax, rel_tol=run.settings.equioscillation_rel_tol,
+                                p=run.p)
     run.diagnostics["equioscillation"] = {
         "passed": eq.passed,
         "spread": decimal_str(eq.spread, run.p),
@@ -520,11 +487,10 @@ def _equioscillation(run: _Run):
 
 
 def _residual_check(run: _Run):
-    mr = run.fields["minimax_result"]
+    mr = run.minimax
     stats = residual_check(run.g, mr.polynomial, mr.delta_hat, run.residual_grid_size,
                            run.p, extra_points=mr.nodes, known=mr.residuals)
     run.timings["residual_samples"] = stats.sample_count
-    run.fields["residual"] = stats
     run.diagnostics["residual_check"] = {
         "passed": stats.passed,
         "max_residual": decimal_str(stats.max_residual, run.p),
@@ -537,22 +503,42 @@ def _residual_check(run: _Run):
 
 
 def _positivity(run: _Run):
-    mr = run.fields["minimax_result"]
+    mr = run.minimax
     cert = certify_positive(mr.polynomial, mr.delta_hat, run.settings.margin_factor, run.p)
     run.timings["certificate_subintervals"] = len(cert.subintervals)
-    run.fields.update(global_min_bound=cert.global_min_bound, certificate=cert)
+    run.fields["global_min_bound"] = cert.global_min_bound
 
 
-def _failing_subinterval(exc: CertificationError, p: Precision):
-    return (("failing_subinterval", {key: decimal_str(getattr(exc, key), p)
+def _numeric_cross_check(exc, run: _Run):
+    """Diagnostics entry of the numeric limit route where a Taylor-route run ends.
+
+    The Taylor route ends a run on a wrong order, at endpoint_limits or as a
+    zero limit at precondition; the numeric route then records its limits,
+    or its failure by class and message, which carries the observed-exponent
+    hint and the endpoint.  Other routes add nothing.
+    """
+    if run.method is not LimitMethod.TAYLOR:
+        return ()
+    try:
+        alpha, beta = endpoint_limits_numeric(*run.limit_inputs)
+    except IneqproveError as failure:
+        entry = {"failed": f"{type(failure).__name__}: {failure}"}
+    else:
+        entry = {"alpha_numeric": decimal_str(alpha, run.p),
+                 "beta_numeric": decimal_str(beta, run.p)}
+    return (("limit_cross_check", entry),)
+
+
+def _failing_subinterval(exc: CertificationError, run: _Run):
+    return (("failing_subinterval", {key: decimal_str(getattr(exc, key), run.p)
                                      for key in ("left", "right", "bound")}),)
 
 
 # (report stage name, stage, exceptions that end the run at that stage,
 #  the diagnostics entries such an exception adds to an inconclusive report)
 _STAGES = (
-    ("endpoint_limits", _endpoint_limits, _LIMIT_FAILURES, None),
-    ("precondition", _precondition, (ZeroLimitError,), None),
+    ("endpoint_limits", _endpoint_limits, _LIMIT_FAILURES, _numeric_cross_check),
+    ("precondition", _precondition, (ZeroLimitError,), _numeric_cross_check),
     ("minimax", _minimax, (ConvergenceError, AlternationError, SingularSystemError,
                            DomainError, PrecisionUnreachableError), None),
     ("equioscillation", _equioscillation, (), None),
@@ -577,7 +563,7 @@ def _run_stages(run: _Run) -> ProofReport:
             stop = step(run)
         except failures as exc:
             witness_message = f"{type(exc).__name__}: {exc}"
-            stop = _Stop(witness_message, extra=details(exc, run.p) if details else ())
+            stop = _Stop(witness_message, extra=details(exc, run) if details else ())
         if stop is None:
             continue
         stage = name

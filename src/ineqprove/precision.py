@@ -91,7 +91,7 @@ def series_floor(p: Precision, prec):
 
 
 def negligible_ratio(prec):
-    """10^-30: the least quadrature panel, relative to its span, and divisor of a relative gap."""
+    """10^-30: the least quadrature panel, relative to its span."""
     return _ten_to(-30, prec)
 
 

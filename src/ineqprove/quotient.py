@@ -14,7 +14,8 @@ Endpoint limits come from two routes:
   within ``resolution_floor(p)``, the zero level of the endpoint limits;
 * ``endpoint_limits_numeric`` -- quotient samples along a + (b-a) 4^-j,
   j = 3..12 (mirrored at b), accelerated by iterated Aitken extrapolation;
-  works for non-integer orders and doubles as a cross-check.
+  works for non-integer orders, and its observed exponent says which
+  supplied order is off.
 
 The quotient is formed on raw ``mpmath.libmp`` tuples from the compiled f,
 at the working precision of the run, with the compiler's real power for

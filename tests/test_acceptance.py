@@ -49,7 +49,7 @@ P50 = Precision(50)
 P35 = Precision(35)
 
 # sha256 of report_to_json of the paper's full-size proof, K(x) <= K'(0) x
-KUREPA_REPORT_HASH = "ebc4cb6c9bc2c2534ffdd0b2f0d02303eeaf34a18c0773a24bed95e447c86275"
+KUREPA_REPORT_HASH = "5706e1dfac1b86641a9e572827a900ca8ebf0d6e1f896ef0f7a70975d429d93f"
 
 
 @contextlib.contextmanager

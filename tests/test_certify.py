@@ -468,6 +468,58 @@ class TestProvePipeline:
         assert report.verdict == "inconclusive"
         assert report.diagnostics["stage"] in ("endpoint_limits", "precondition")
 
+    @pytest.mark.parametrize("f, n, stage, hint", [
+        # n = 2 is one too many at a: the Taylor route fails
+        ("x", 2, "endpoint_limits", "DivergentLimitError"),
+        # n = 1 is one too few at a: the Taylor route gives alpha = 0
+        ("x^2", 1, "precondition", "ZeroLimitError"),
+    ])
+    def test_wrong_order_hint_follows_the_message(self, f, n, stage, hint, p30):
+        report = prove_inequality(f, 0, 1, n, 0, 1, ProofSettings(precision=p30))
+        assert (report.verdict, report.diagnostics["stage"]) == ("inconclusive", stage)
+        assert list(report.diagnostics) == ["stage", "message", "limit_cross_check"]
+        failed = report.diagnostics["limit_cross_check"]["failed"]
+        assert failed.startswith(hint) and failed.endswith("[endpoint a]")
+        assert "observed exponent hint" in failed
+
+    def test_zero_user_limit_carries_no_hint(self, p30):
+        # only the Taylor route's wrong order gets the numeric route's hint
+        report = prove_inequality("x^2", 0, 1, 1, 0, 1, ProofSettings(
+            precision=p30, limit_method="user", alpha_override="0", beta_override="1"))
+        assert report.diagnostics["stage"] == "precondition"
+        assert report.diagnostics["message"].startswith("ZeroLimitError")
+        assert "limit_cross_check" not in report.diagnostics
+
+    def test_taylor_proof_runs_no_numeric_route(self, p30, monkeypatch):
+        settings = ProofSettings(precision=p30)
+        want = report_to_json(prove_inequality("exp(x)-1-x", 0, 1, 2, 0, 1, settings))
+
+        def no_numeric(*args):
+            raise AssertionError("the numeric limit route ran")
+
+        monkeypatch.setattr(certify, "endpoint_limits_numeric", no_numeric)
+        report = prove_inequality("exp(x)-1-x", 0, 1, 2, 0, 1, settings)
+        assert (report.verdict, report.limit_method) == ("proven", "taylor")
+        assert "limit_cross_check" not in report.diagnostics
+        assert report_to_json(report) == want
+
+    def test_forced_numeric_route_on_integer_orders(self, p30):
+        report = prove_inequality("exp(x)-1-x", 0, 1, 2, 0, 1,
+                                  ProofSettings(precision=p30, limit_method="numeric"))
+        assert (report.verdict, report.limit_method) == ("proven", "numeric")
+        taylor = prove_inequality("exp(x)-1-x", 0, 1, 2, 0, 1, ProofSettings(precision=p30))
+        assert abs(report.alpha - taylor.alpha) < mpmath.mpf("1e-6") * taylor.alpha
+
+    def test_unknown_limit_method_refused(self, p30):
+        with pytest.raises(ConfigurationError, match="unknown limit method 'series'"):
+            prove_inequality("exp(x)-1-x", 0, 1, 2, 0, 1,
+                             ProofSettings(precision=p30, limit_method="series"))
+
+    @pytest.mark.parametrize("degree", [-1, 1.5])
+    def test_bad_degree_refused(self, degree, p30):
+        with pytest.raises(ConfigurationError, match="degree must be a nonnegative integer"):
+            prove_inequality("exp(x)-1-x", 0, 1, 2, 0, degree, ProofSettings(precision=p30))
+
     def test_trig_arcsin_bound_proven(self, p50):
         report = prove_inequality(TRIG_ARCSIN_SOURCE, 0, "pi/2", 3, 1, 1,
                                   ProofSettings(precision=p50))
@@ -476,9 +528,10 @@ class TestProvePipeline:
             < mpmath.mpf("1e-30")
         assert abs(report.beta - mpmath.mpf("0.0063641124631959481522281528307286568745")) \
             < mpmath.mpf("1e-30")
-        cross = report.diagnostics["limit_cross_check"]
-        assert mpmath.mpf(cross["alpha_relative_gap"]) < mpmath.mpf("1e-6")
-        assert mpmath.mpf(cross["beta_relative_gap"]) < mpmath.mpf("1e-6")
+        # the numeric route agrees with the Taylor one
+        alpha, beta = endpoint_limits_numeric(parse(TRIG_ARCSIN_SOURCE), 0, "pi/2", 3, 1, p50)
+        assert abs(report.alpha - alpha) < mpmath.mpf("1e-6") * abs(report.alpha)
+        assert abs(report.beta - beta) < mpmath.mpf("1e-6") * abs(report.beta)
 
     def test_verdict_soundness_sampling(self, p30):
         report = prove_inequality("x*(1-x)", 0, 1, 1, 1, 1,
@@ -608,7 +661,14 @@ class TestProvePipeline:
             fresh.append((g.calls - before[0], len(lookups) - before[1]))
             return stats
 
+        results = []
+
+        def recorded(*args, **kwargs):
+            results.append(minimax(*args, **kwargs))
+            return results[-1]
+
         monkeypatch.setattr(certify, "residual_check", counted)
+        monkeypatch.setattr(certify, "minimax", recorded)
         report = prove_inequality("exp(x)-1-x", 0, 1, 2, 0, 1, ProofSettings(precision=p50))
         assert report.verdict == "proven"
         n = remez.GRID_MULTIPLIER * 3
@@ -617,7 +677,7 @@ class TestProvePipeline:
         assert report.timings["g_evaluations"] == 394
         assert report.timings["residual_samples"] == 388
         # the map of residuals is left out of the result's repr and equality
-        mr = report.minimax_result
+        [mr] = results
         assert len(mr.residuals) >= n + 1 and "residuals" not in repr(mr)
         assert mr == dataclasses.replace(mr, residuals={})
 

@@ -65,6 +65,12 @@ class TestProveCommand:
         path.write_text("function = x\nwibble = 3\n", encoding="utf-8")
         assert main(["prove", "--config", str(path)]) == 3
 
+    def test_line_without_equals_rejected(self, tmp_path, capsys):
+        path = tmp_path / "noeq.cfg"
+        path.write_text("function = x\ninterval 0,1\n", encoding="utf-8")
+        assert main(["prove", "--config", str(path)]) == 3
+        assert "noeq.cfg:2: expected 'key = value', got 'interval 0,1'" in capsys.readouterr().err
+
     def test_flag_overrides_config(self, tmp_path):
         cfg = write_config(
             tmp_path / "base.cfg",

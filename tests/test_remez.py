@@ -8,6 +8,7 @@ import pytest
 from mpmath import mp
 
 from ineqprove import (
+    AlternationError,
     ConfigurationError,
     Polynomial,
     Precision,
@@ -17,7 +18,7 @@ from ineqprove import (
 from ineqprove import remez
 from ineqprove.precision import context, finite_segment
 from ineqprove.remez import (
-    CachedFunction, MinimaxResult, _chebyshev_grid, _polish_max, _residuals,
+    CachedFunction, MinimaxResult, _chebyshev_grid, _exchange_core, _polish_max, _residuals,
     _solve_levelled_system, _units,
 )
 
@@ -233,8 +234,18 @@ class TestLevelledSystem:
         assert abs(mono[1] - 1) < mpmath.mpf("1e-49")
 
 
+def _exchange(fn, p):
+    """_exchange_core on g = fn against P = 0 (degree 0), on 33 Chebyshev points of [0, 1]."""
+    a, b = finite_segment(0, 1, p)
+    poly = Polynomial(coefficients=(context(p).zero,), segment=(a, b))
+    g = CachedFunction(fn)
+    grid = _chebyshev_grid(a, b, 33)
+    rvals = list(_residuals(g, poly, grid))
+    return _exchange_core(g, poly, grid, rvals, [abs(r) for r in rvals])
+
+
 class TestExchange:
-    """The reference the exchange settles on, seen through minimax."""
+    """The reference the exchange settles on, seen through minimax and directly."""
 
     def test_parabola_fixed_point(self, p50):
         result = minimax(lambda x: x * x, -1, 1, 1, p=p50)
@@ -250,6 +261,32 @@ class TestExchange:
         result = minimax(mpmath.exp, 0, 1, 1, p=p50)
         with ambient(p50):
             assert abs(result.nodes[1] - mp.log(mp.e - 1)) < mp.mpf("1e-12")
+
+    def test_same_sign_extrema_keep_the_larger(self, p50):
+        # residual bumps +7/6 near 1/6 and +3/2 near 1/2, then -1 near 5/6:
+        # the two positive bumps merge into the larger one
+        def fn(x):
+            ctx = x.context
+            bump = abs(ctx.sin(3 * ctx.pi * x))
+            return (1 + x) * bump if 3 * x <= 2 else -bump
+
+        nodes, residuals = _exchange(fn, p50)
+        assert 1 < 3 * nodes[0] < 2 < 3 * nodes[1] < 3
+        assert residuals[0] > mpmath.mpf("1.4") and residuals[1] < 0
+
+    def test_surplus_extremum_trimmed_at_the_smaller_end(self, p50):
+        # (2 - x) cos(2 pi x) has extrema +2 at 0, about -3/2 near 1/2 and
+        # about +1 near 1: of the three, the one at the right end goes
+        nodes, residuals = _exchange(lambda x: (2 - x) * x.context.cospi(2 * x), p50)
+        assert nodes[0] == 0 and residuals[0] == 2
+        assert abs(nodes[1] - mpmath.mpf("0.5")) < mpmath.mpf("0.05") and residuals[1] < -1
+
+    def test_too_few_alternations_raise(self, p50):
+        # 1 + x has a single extremum, at the right end; degree 0 needs two
+        with pytest.raises(AlternationError, match="found 1 alternating extrema, needs 2") \
+                as info:
+            _exchange(lambda x: 1 + x, p50)
+        assert (info.value.found, info.value.required) == (1, 2)
 
 
 def _counted(fn):
@@ -459,6 +496,37 @@ class TestVerifyEquioscillation:
         report = verify_equioscillation(bad, p=p50)
         assert not report.passed
         assert report.failure_index is not None
+
+    @staticmethod
+    def _result(residuals, delta_hat, p):
+        """A degree-0 MinimaxResult on [0, 1] with the given node residuals."""
+        ctx = context(p)
+        a, b = finite_segment(0, 1, p)
+        nodes = (a, ctx.mpf("0.5"), b)
+        values = [ctx.mpf(r) for r in residuals]
+        return MinimaxResult(
+            polynomial=Polynomial(coefficients=(ctx.one,), segment=(a, b)),
+            delta_hat=ctx.mpf(delta_hat), nodes=nodes, node_values=(ctx.one,) * 3,
+            iterations=1, levelled_error_history=(), lower_bound=min(map(abs, values)),
+            upper_bound=max(map(abs, values)),
+            residuals={t._mpf_: r for t, r in zip(nodes, values)},
+        )
+
+    @pytest.mark.parametrize("residuals", [("0.5", "0.5", "-0.5"), ("0.5", "0", "-0.5")])
+    def test_signs_that_do_not_alternate_fail(self, residuals, p50):
+        report = verify_equioscillation(self._result(residuals, "0.5", p50), p=p50)
+        assert not report.passed
+        assert report.failure_index == 1
+        assert report.message == "residual signs do not alternate at node 1"
+
+    def test_floor_rule_fails_on_a_residual_above_the_floor(self, p50):
+        # delta_hat is at the arithmetic floor (1e-40 at 50 digits), the
+        # middle residual far above it
+        result = self._result(("-1e-42", "1e-20", "-1e-42"), "1e-45", p50)
+        report = verify_equioscillation(result, p=p50)
+        assert not report.passed
+        assert report.failure_index == 1
+        assert report.message == "delta_hat at floor but residual 1 above it"
 
 
 class TestPolynomial:

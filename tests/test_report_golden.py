@@ -52,31 +52,31 @@ CASES = {
 
 # sha256 of report_to_json for each case, at 30 digits
 REPORT_HASHES = {
-    "proven": "8cdde7a546d03dafdc15b364d301271c65f4274cf02bcbc8e4909ddd4ba331c9",
-    "disproven_alpha": "5f24c91e2bf87e6c6a42daca7ed7a6644481fd4fab2c13c829e3ba7c84ab9fc6",
-    "disproven_beta": "ca74573a0b5732a4ebb294b0e807cec8bd92eef9e9cceedddb05b779426754ee",
-    "disproven_witness": "fea31391dbe4e5d462c52cf2178c6c25dedd2b24e03751c5ac1b31ba6b3ae484",
+    "proven": "af5dff677f826bef3b9c07fc2be5671b53b3b924e978df62666921cbf710f5b5",
+    "disproven_alpha": "951b78f37ca9af11b998d32ae77540b6ee6d2b0cbf63609f54a2754f3ca26d4e",
+    "disproven_beta": "eef60fea6141d27ac8652b43743245962cd04ec71ab41d78bd015991b66368fe",
+    "disproven_witness": "44a60ea44c699d7755c765bd49d40598bd1d3873b7c0c340b59c52e3832b5d29",
     "inconclusive_endpoint_limits":
-        "46d3403c673e367a23becea4a2ad1bc5845b116d89558aec44facb7845a5897e",
+        "40ccaa80213431306e1d2ad2e2cdee9e16be7511395f86ead9013ebb08d7bad3",
     "inconclusive_precondition":
-        "d09de09f9c0ebb3588cd7f5b3cd4758600dfbaaffa88f2351975683765546214",
-    "inconclusive_minimax": "0546bf449d57784f6aced3ad09b6dd042febcfc2507d5bbe2f9624286b185ea2",
+        "60aec91c8a89bc3cf132646cdac1debd961b8153457a14dc8f09f0700a3997b9",
+    "inconclusive_minimax": "74c69d313ce5e800f4d08790b9cce1ed8fab5c66f5e38556b72d18da97472694",
     "inconclusive_equioscillation":
-        "da0b426466bfc1369ef655675995f9d65d17e02c18e2c3d7bf7f6cf2412f7bde",
+        "c152903ebf9ae7c4407afa0adb0957d7cdc7b5f715a10ff952c0b818c211be8e",
     "inconclusive_residual_check":
-        "ec47dd480088e5f35d414c5dad94b6bf90431857faf5cb899ba9e518e6334dd8",
+        "9683220e0bdf89534e34f3b568ee3c5ef3ccb22d2f52f849c5a8b723d9789224",
     "inconclusive_positivity":
-        "9580bfd5b61b38d6093dabc2567958ef03a220c426733b228721704979882500",
+        "dc3c37522c041aeb69384fb4a4d5d2234a29b02c037b76e74d09b4f688255c8c",
     "proven_real_exponent":
         "2d5c86e8c1a3bf6d9c44dc52edb5335c396de58f41f703158c1cd673d0e1c63c",
     "disproven_kurepa_near_miss":
-        "8e28bd8dc99bf034f106ffa4744f07fa987843db7dbf68ceb54dfd137ee1e14e",
+        "98e94da05cdf994b79c0a77a8ea13c0bc750f8348d809a2c58a0ccb80ee5dde5",
 }
 
 # sha256 of the report file `ineqprove prove --config demos/configs/<name>` writes
 CONFIG_HASHES = {
-    "arcsin_trig.cfg": "1b9526a0c85c9e48ab0394b4b0c7a39cf92061b4dc674804a00b49a0e95b961e",
-    "parabola.cfg": "311c58a0217ff4e5f3a5a8b33c24d6974e4842c00cc7a07f9470c9d50377ae5c",
+    "arcsin_trig.cfg": "40cf80a562f65193ea5d203c8eb04c26ee96fef5d52beb2d56e78dbdc777ca5f",
+    "parabola.cfg": "955facefc69d56ad9afb04b69e3f3d324b972150f1903431a965e264648190c6",
 }
 
 
