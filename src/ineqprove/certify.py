@@ -117,9 +117,6 @@ class ProofSettings:
     margin_factor: object = "1.000001"
     equioscillation_rel_tol: object = remez.EQUIOSCILLATION_REL_TOL
     max_iterations: int = remez.MAX_ITERATIONS
-    limit_method: str = "auto"
-    alpha_override: object = None
-    beta_override: object = None
 
 
 @dataclass(frozen=True)
@@ -148,16 +145,17 @@ class ProofReport:
 def precondition_check(alpha, beta, p: Precision = Precision()):
     """The endpoint whose limit is negative ("alpha", else "beta"), or None if both are positive.
 
-    A limit at zero means misconfigured n, m and raises ZeroLimitError.
+    A limit at zero means misconfigured n, m and raises ZeroLimitError,
+    naming its end "a" or "b" as the limit routes do.
     """
     av, bv = to_mpf(alpha, p), to_mpf(beta, p)
     floor = resolution_floor(p)
-    for name, v in (("alpha", av), ("beta", bv)):
+    for name, end, v in (("alpha", "a", av), ("beta", "b", bv)):
         if abs(v) <= floor:
             raise ZeroLimitError(
                 f"endpoint limit {name} is zero at working precision; "
                 "n, m are misconfigured (limit premise violated)",
-                endpoint=name,
+                endpoint=end,
             )
     if av < 0:
         return "alpha"
@@ -350,8 +348,7 @@ def certify_positive(polynomial: Polynomial, delta, margin_factor,
 
 # settings that may be numbers: a number is rounded to the working precision
 # at entry, as segment ends are, and a string is read where it is used
-_NUMBER_SETTINGS = ("tol", "margin_factor", "equioscillation_rel_tol",
-                    "alpha_override", "beta_override")
+_NUMBER_SETTINGS = ("tol", "margin_factor", "equioscillation_rel_tol")
 
 
 def _settings_echo(f_source, a, b, n, m, k, s: ProofSettings, residual_grid_size):
@@ -392,20 +389,6 @@ _LIMIT_FAILURES = (LimitError, MultiplicityError, DomainError,
                    PrecisionUnreachableError, ZeroDivisionError)
 
 
-def _limit_method(s: ProofSettings, nv, mv) -> LimitMethod:
-    """The endpoint-limit route the settings ask for; "auto" picks by the orders."""
-    if s.limit_method not in ("auto", "taylor", "numeric", "user"):
-        raise ConfigurationError(f"unknown limit method {s.limit_method!r}")
-    has_override = s.alpha_override is not None or s.beta_override is not None
-    if s.limit_method == "user" or (s.limit_method == "auto" and has_override):
-        if s.alpha_override is None or s.beta_override is None:
-            raise ConfigurationError("user-supplied limits need both alpha and beta")
-        return LimitMethod.USER_SUPPLIED
-    if s.limit_method != "auto":
-        return LimitMethod(s.limit_method)
-    return LimitMethod.TAYLOR if nv == int(nv) and mv == int(mv) else LimitMethod.NUMERIC
-
-
 @dataclass
 class _Run:
     """One proof: its inputs, the report fields so far, and g and minimax once they exist."""
@@ -443,14 +426,9 @@ class _Stop(NamedTuple):
 # module globals at call time, so a wrapper bound to those names sees them.
 
 def _endpoint_limits(run: _Run):
-    s, args = run.settings, run.limit_inputs
-    if run.method is LimitMethod.USER_SUPPLIED:
-        alpha = to_mpf(s.alpha_override, run.p)
-        beta = to_mpf(s.beta_override, run.p)
-    elif run.method is LimitMethod.TAYLOR:
-        alpha, beta = endpoint_limits_taylor(*args)
-    else:
-        alpha, beta = endpoint_limits_numeric(*args)
+    route = (endpoint_limits_taylor if run.method is LimitMethod.TAYLOR
+             else endpoint_limits_numeric)
+    alpha, beta = route(*run.limit_inputs)
     run.fields.update(alpha=alpha, beta=beta, limit_method=run.method.value)
 
 
@@ -515,7 +493,7 @@ def _numeric_cross_check(exc, run: _Run):
     The Taylor route ends a run on a wrong order, at endpoint_limits or as a
     zero limit at precondition; the numeric route then records its limits,
     or its failure by class and message, which carries the observed-exponent
-    hint and the endpoint.  Other routes add nothing.
+    hint and the endpoint.  A numeric-route run adds nothing.
     """
     if run.method is not LimitMethod.TAYLOR:
         return ()
@@ -629,7 +607,9 @@ def prove_inequality(f, a, b, n, m, k: int,
     echo = _settings_echo(f.source_text, av, bv, nv, mv, k, s, residual_grid_size)
     fields = dict(function_source=f.source_text, segment=(av, bv), n=nv, m=mv,
                   degree=k, settings=echo)
-    return _run_stages(_Run(f, s, _limit_method(s, nv, mv), residual_grid_size, fields))
+    # the Taylor route needs integer orders
+    method = LimitMethod.TAYLOR if nv == int(nv) and mv == int(mv) else LimitMethod.NUMERIC
+    return _run_stages(_Run(f, s, method, residual_grid_size, fields))
 
 
 def report_to_json(report: ProofReport, p: Precision = None) -> str:
@@ -647,6 +627,7 @@ def report_to_json(report: ProofReport, p: Precision = None) -> str:
         "n": decimal_str(report.n, p),
         "m": decimal_str(report.m, p),
         "degree": report.degree,
+        "limit_method": report.limit_method,
         "delta_hat": decimal_str(report.delta_hat, p),
         "lower_bound": decimal_str(report.lower_bound, p),
         "upper_bound": decimal_str(report.upper_bound, p),

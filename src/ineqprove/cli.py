@@ -46,9 +46,6 @@ _SETTING_KEYS = {
     "margin": ("margin_factor", str),
     "equioscillation_rel_tol": ("equioscillation_rel_tol", str),
     "max_iterations": ("max_iterations", int),
-    "limit_method": ("limit_method", str),
-    "alpha_override": ("alpha_override", str),
-    "beta_override": ("beta_override", str),
 }
 _CONFIG_KEYS = ("function", "interval", "n", "m", "degree", *_SETTING_KEYS, "out")
 
@@ -157,13 +154,7 @@ def cmd_minimax(args) -> int:
 def cmd_kurepa(args) -> int:
     p = Precision(args.precision)
     x = to_mpf(args.x, p)
-    # quadrature holds the default of every option left out
-    extras = {key: getattr(args, key) for key in ("node_factor", "tail_factor", "max_evaluations")
-              if getattr(args, key) is not None}
-    if args.order == 0:
-        result = kurepa(x, p, **extras)
-    else:
-        result = kurepa_derivative(x, args.order, p, **extras)
+    result = kurepa(x, p) if args.order == 0 else kurepa_derivative(x, args.order, p)
     print(f"value {decimal_str(result.value, p)}")
     print(f"error_bound {mpmath.nstr(result.error_bound, 5)}")
     print(f"nodes_used {result.nodes_used}")
@@ -222,9 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     kur.add_argument("--x", required=True)
     kur.add_argument("--order", type=int, default=0, choices=(0, 1, 2, 3))
     kur.add_argument("--precision", type=int, default=defaults.precision.decimal_digits)
-    kur.add_argument("--node-factor", type=int)
-    kur.add_argument("--tail-factor")
-    kur.add_argument("--max-evaluations", type=int)
     kur.set_defaults(func=cmd_kurepa)
 
     lim = sub.add_parser("limits", help="endpoint limits of the quotient")

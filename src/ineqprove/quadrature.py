@@ -66,7 +66,7 @@ _CACHE_LIMIT = 65536
 # bits the Kronrod rule carries beyond its precision until it rounds
 _RULE_GUARD_BITS = 80
 
-# default cap on integrand evaluations of one Kurepa integral
+# cap on integrand evaluations of one Kurepa integral
 MAX_EVALUATIONS = 500000
 
 
@@ -347,9 +347,9 @@ def _adaptive(panels, x, j, tol_abs, n, state, factors):
         mid, level = stack.pop()
         width = ctx.ldexp(1, level + 1)
         state["evals"] += 2 * n + 1
-        if state["evals"] > state["budget"]:
+        if state["evals"] > MAX_EVALUATIONS:
             raise PrecisionUnreachableError(
-                f"quadrature budget of {state['budget']} evaluations exhausted "
+                f"quadrature budget of {MAX_EVALUATIONS} evaluations exhausted "
                 "before the error target was met"
             )
         v1, v2 = _kronrod_panel(mid, level, n, x, j, factors)
@@ -401,7 +401,7 @@ def _high_tail_bound(x, j, T):
     return ctx.exp(-T) * ctx.power(T, q) / (1 - q / T) / (T - 1)
 
 
-def _kurepa_integral(x, j, p, node_factor, tail_factor, max_evaluations):
+def _kurepa_integral(x, j, p):
     digits = p.decimal_digits
     xv = to_mpf(x, p)
     if not mpmath.isfinite(xv):
@@ -424,14 +424,13 @@ def _kurepa_integral(x, j, p, node_factor, tail_factor, max_evaluations):
     xv = to_mpf(xv, ctx.prec)
     if xv < 0:
         raise DomainError(f"kurepa integrals require x >= 0, got {xv}")
-    tf = to_mpf(tail_factor, ctx.prec)
     target = resolution_floor(p, ctx.prec)
     share = target / 8
     region_tol = target / 4
     term_tol = series_floor(p, ctx.prec)
     eps = ctx.mpf(1) / 8
-    n_base = max(20, (digits + 15) // 2) * node_factor
-    state = {"evals": 0, "budget": max_evaluations}
+    n_base = max(20, (digits + 15) // 2)
+    state = {"evals": 0}
 
     # the low side s > 0 of t = exp(-s), out past s_max
     s_max = ctx.mpf(max(20, int((digits + 14) * 2.303 / (float(xv) + 1)) + 1))
@@ -446,7 +445,7 @@ def _kurepa_integral(x, j, p, node_factor, tail_factor, max_evaluations):
     while (ctx.exp(-T) * ctx.power(T, xv + 1) > term_tol
            or _high_tail_bound(xv, j, T) > share):
         T *= ctx.mpf(5) / 4
-    high, t_edge = _dyadic_panels(ctx.ln(T * tf), _HIGH_LEVEL, ctx)
+    high, t_edge = _dyadic_panels(ctx.ln(T), _HIGH_LEVEL, ctx)
     high = [(mpf_neg(mid), level) for mid, level in reversed(high)]
     T = ctx.exp(t_edge)
     tail_high = _high_tail_bound(xv, j, T)
@@ -470,10 +469,7 @@ def _kurepa_integral(x, j, p, node_factor, tail_factor, max_evaluations):
     )
 
 
-
-
-def kurepa(x, p: Precision = Precision(), *, node_factor: int = 1,
-           tail_factor=1, max_evaluations: int = MAX_EVALUATIONS) -> QuadratureResult:
+def kurepa(x, p: Precision = Precision()) -> QuadratureResult:
     """K(x) for x >= 0 with error_bound at most 10^-(digits-10).
 
     x is rounded to p's working context, unless it is an mpf, whose bits are
@@ -485,15 +481,11 @@ def kurepa(x, p: Precision = Precision(), *, node_factor: int = 1,
     2^-(prec + 40) or finer, k the level's doublings above 1/8.
     ``error_bound`` sums the panels' Kronrod-minus-Gauss estimates and the
     two tail bounds.
-    ``node_factor`` scales the per-panel node count and ``tail_factor``
-    scales the truncation point, for self-convergence checks.
     """
-    return _kurepa_integral(x, 0, p, node_factor, tail_factor, max_evaluations)
+    return _kurepa_integral(x, 0, p)
 
 
-def kurepa_derivative(x, order: int, p: Precision = Precision(), *,
-                      node_factor: int = 1, tail_factor=1,
-                      max_evaluations: int = MAX_EVALUATIONS) -> QuadratureResult:
+def kurepa_derivative(x, order: int, p: Precision = Precision()) -> QuadratureResult:
     """j-th derivative of K at x (j in {1, 2, 3}), by the log-kernel integrals.
 
     Panels and factors are ``kurepa``'s; the integrand is c L^j exp(x L),
@@ -501,7 +493,7 @@ def kurepa_derivative(x, order: int, p: Precision = Precision(), *,
     """
     if order not in (1, 2, 3):
         raise ConfigurationError(f"derivative order must be 1, 2 or 3, got {order!r}")
-    return _kurepa_integral(x, order, p, node_factor, tail_factor, max_evaluations)
+    return _kurepa_integral(x, order, p)
 
 
 def find_inflection(p: Precision = Precision(), bracket=(0, 1),

@@ -58,7 +58,6 @@ STABILIZE_TOL = "1e-8"
 class LimitMethod(str, Enum):
     TAYLOR = "taylor"
     NUMERIC = "numeric"
-    USER_SUPPLIED = "user_supplied"
 
 
 def _quotient(f, a, b, n, m, p):

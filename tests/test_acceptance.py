@@ -49,7 +49,7 @@ P50 = Precision(50)
 P35 = Precision(35)
 
 # sha256 of report_to_json of the paper's full-size proof, K(x) <= K'(0) x
-KUREPA_REPORT_HASH = "5706e1dfac1b86641a9e572827a900ca8ebf0d6e1f896ef0f7a70975d429d93f"
+KUREPA_REPORT_HASH = "05d5551c883a328e255e783c2c665665759fb3e35e230ef354a6fd8ea89097d8"
 
 
 @contextlib.contextmanager

@@ -63,12 +63,15 @@ class TestPrecondition:
         assert precondition_check(1, "-0.5", p50) == "beta"
 
     def test_zero_limit(self, p50):
-        with pytest.raises(ZeroLimitError):
+        # the end is spelled as the limit routes spell it
+        with pytest.raises(ZeroLimitError, match=r"beta is zero .*\[endpoint b\]$") as err:
             precondition_check(1, 0, p50)
+        assert err.value.endpoint == "b"
 
     def test_tiny_limit_counts_as_zero(self, p50):
-        with pytest.raises(ZeroLimitError):
+        with pytest.raises(ZeroLimitError, match=r"\[endpoint a\]$") as err:
             precondition_check("1e-45", 1, p50)
+        assert err.value.endpoint == "a"
 
 
 class TestResidualCheck:
@@ -437,19 +440,6 @@ class TestProvePipeline:
                                   ProofSettings(precision=p30))
         assert report.verdict == "proven"
 
-    def test_user_supplied_limits(self, p30):
-        settings = ProofSettings(precision=p30, limit_method="user",
-                                 alpha_override="1", beta_override="1")
-        report = prove_inequality("x*(1-x)", 0, 1, 1, 1, 1, settings)
-        assert report.verdict == "proven"
-        assert report.limit_method == "user_supplied"
-
-    def test_user_method_requires_both_overrides(self, p30):
-        with pytest.raises(ConfigurationError):
-            prove_inequality("x*(1-x)", 0, 1, 1, 1, 1,
-                             ProofSettings(precision=p30, limit_method="user",
-                                           alpha_override="1"))
-
     def test_taylor_failure_records_numeric_hint(self, p30):
         # n = 2 is one too many at a: Taylor finds f'(0) = 1 != 0, and the
         # numeric route sees the quotient grow like x^-1 there
@@ -468,27 +458,24 @@ class TestProvePipeline:
         assert report.verdict == "inconclusive"
         assert report.diagnostics["stage"] in ("endpoint_limits", "precondition")
 
-    @pytest.mark.parametrize("f, n, stage, hint", [
+    @pytest.mark.parametrize("f, n, stage, hint, method", [
         # n = 2 is one too many at a: the Taylor route fails
-        ("x", 2, "endpoint_limits", "DivergentLimitError"),
+        ("x", 2, "endpoint_limits", "DivergentLimitError", None),
         # n = 1 is one too few at a: the Taylor route gives alpha = 0
-        ("x^2", 1, "precondition", "ZeroLimitError"),
+        ("x^2", 1, "precondition", "ZeroLimitError", "taylor"),
     ])
-    def test_wrong_order_hint_follows_the_message(self, f, n, stage, hint, p30):
+    def test_wrong_order_hint_follows_the_message(self, f, n, stage, hint, method, p30):
         report = prove_inequality(f, 0, 1, n, 0, 1, ProofSettings(precision=p30))
         assert (report.verdict, report.diagnostics["stage"]) == ("inconclusive", stage)
+        # the report names the route that gave limits, and none where it failed
+        assert json.loads(report_to_json(report))["limit_method"] == method
         assert list(report.diagnostics) == ["stage", "message", "limit_cross_check"]
+        if stage == "precondition":
+            # precondition_check names the end as the limit routes do
+            assert report.diagnostics["message"].endswith("[endpoint a]")
         failed = report.diagnostics["limit_cross_check"]["failed"]
         assert failed.startswith(hint) and failed.endswith("[endpoint a]")
         assert "observed exponent hint" in failed
-
-    def test_zero_user_limit_carries_no_hint(self, p30):
-        # only the Taylor route's wrong order gets the numeric route's hint
-        report = prove_inequality("x^2", 0, 1, 1, 0, 1, ProofSettings(
-            precision=p30, limit_method="user", alpha_override="0", beta_override="1"))
-        assert report.diagnostics["stage"] == "precondition"
-        assert report.diagnostics["message"].startswith("ZeroLimitError")
-        assert "limit_cross_check" not in report.diagnostics
 
     def test_taylor_proof_runs_no_numeric_route(self, p30, monkeypatch):
         settings = ProofSettings(precision=p30)
@@ -502,18 +489,6 @@ class TestProvePipeline:
         assert (report.verdict, report.limit_method) == ("proven", "taylor")
         assert "limit_cross_check" not in report.diagnostics
         assert report_to_json(report) == want
-
-    def test_forced_numeric_route_on_integer_orders(self, p30):
-        report = prove_inequality("exp(x)-1-x", 0, 1, 2, 0, 1,
-                                  ProofSettings(precision=p30, limit_method="numeric"))
-        assert (report.verdict, report.limit_method) == ("proven", "numeric")
-        taylor = prove_inequality("exp(x)-1-x", 0, 1, 2, 0, 1, ProofSettings(precision=p30))
-        assert abs(report.alpha - taylor.alpha) < mpmath.mpf("1e-6") * taylor.alpha
-
-    def test_unknown_limit_method_refused(self, p30):
-        with pytest.raises(ConfigurationError, match="unknown limit method 'series'"):
-            prove_inequality("exp(x)-1-x", 0, 1, 2, 0, 1,
-                             ProofSettings(precision=p30, limit_method="series"))
 
     @pytest.mark.parametrize("degree", [-1, 1.5])
     def test_bad_degree_refused(self, degree, p30):
@@ -717,11 +692,11 @@ class TestReportJson:
         payload = report_to_json(report, p30)
         doc = json.loads(payload)
         assert list(doc.keys()) == [
-            "verdict", "alpha", "beta", "n", "m", "degree", "delta_hat",
+            "verdict", "alpha", "beta", "n", "m", "degree", "limit_method", "delta_hat",
             "lower_bound", "upper_bound", "nodes", "polynomial_coefficients",
             "global_min_bound", "caveat", "settings", "timings", "diagnostics",
         ]
-        assert doc["verdict"] == "proven"
+        assert (doc["verdict"], doc["limit_method"]) == ("proven", "taylor")
         assert doc["settings"]["precision_digits"] == 30
         assert isinstance(doc["timings"]["g_evaluations"], int)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -60,10 +61,22 @@ class TestProveCommand:
         cfg = write_config(tmp_path / "missing.cfg", function="x", degree=1)
         assert main(["prove", "--config", cfg]) == 3
 
-    def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "unknown.cfg"
-        path.write_text("function = x\nwibble = 3\n", encoding="utf-8")
-        assert main(["prove", "--config", str(path)]) == 3
+    # the limits are computed from f, never given: the route and the
+    # user-supplied limits are no settings
+    @pytest.mark.parametrize("key", ["wibble", "limit_method", "alpha_override",
+                                     "beta_override"])
+    def test_unknown_key_rejected(self, key, tmp_path, capsys):
+        cfg = write_config(tmp_path / "unknown.cfg", function="x*(1-x)", interval="0,1",
+                           n=1, m=1, precision=30, **{key: 1})
+        assert main(["prove", "--config", cfg]) == 3
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert main(["prove", "--function", "x*(1-x)", "--interval", "0,1", "--n", "1",
+                     "--m", "1", "--precision", "30", "--" + key.replace("_", "-"), "1"]) == 3
+
+    def test_setting_keys_are_the_settings_fields(self):
+        # every ProofSettings field has one config key, and every key a field
+        assert sorted(name for name, _ in _SETTING_KEYS.values()) == \
+            sorted(f.name for f in dataclasses.fields(ProofSettings))
 
     def test_line_without_equals_rejected(self, tmp_path, capsys):
         path = tmp_path / "noeq.cfg"
@@ -88,24 +101,6 @@ class TestProveCommand:
                      "--n", "1", "--m", "1", "--degree", "1",
                      "--precision", "30", "--out", str(out)])
         assert code == 0
-
-    def test_user_supplied_limit_overrides(self, tmp_path):
-        out = tmp_path / "r.json"
-        code = main(["prove", "--function", "x*(1-x)", "--interval", "0,1",
-                     "--n", "1", "--m", "1", "--degree", "1",
-                     "--precision", "30", "--limit-method", "user",
-                     "--alpha-override", "1", "--beta-override", "1",
-                     "--out", str(out)])
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert doc["settings"]["limit_method"] == "user"
-        assert doc["settings"]["alpha_override"] == "1"
-
-    def test_user_method_without_overrides_is_config_error(self, tmp_path, capsys):
-        code = main(["prove", "--function", "x*(1-x)", "--interval", "0,1",
-                     "--n", "1", "--m", "1", "--degree", "1",
-                     "--precision", "30", "--limit-method", "user"])
-        assert code == 3
 
     def test_required_keys_only_use_api_defaults(self, tmp_path):
         # every setting left out of the config takes its ProofSettings default
@@ -188,6 +183,10 @@ class TestKurepaCommand:
         assert main(["kurepa", "--x", "0", "--order", "0", "--precision", "30"]) == 0
         value = mpmath.mpf(capsys.readouterr().out.splitlines()[0].split()[1])
         assert value == 0
+
+    @pytest.mark.parametrize("flag", ["--node-factor", "--tail-factor", "--max-evaluations"])
+    def test_quadrature_takes_no_options(self, flag):
+        assert main(["kurepa", "--x", "1", "--precision", "30", flag, "2"]) == 3
 
 
 class TestLimitsCommand:

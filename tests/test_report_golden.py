@@ -52,31 +52,31 @@ CASES = {
 
 # sha256 of report_to_json for each case, at 30 digits
 REPORT_HASHES = {
-    "proven": "af5dff677f826bef3b9c07fc2be5671b53b3b924e978df62666921cbf710f5b5",
-    "disproven_alpha": "951b78f37ca9af11b998d32ae77540b6ee6d2b0cbf63609f54a2754f3ca26d4e",
-    "disproven_beta": "eef60fea6141d27ac8652b43743245962cd04ec71ab41d78bd015991b66368fe",
-    "disproven_witness": "44a60ea44c699d7755c765bd49d40598bd1d3873b7c0c340b59c52e3832b5d29",
+    "proven": "df5e4876c4a576f038d22bd1fd68a70180a5092ebd11b08523321cbfb590ac12",
+    "disproven_alpha": "2232f7bcde1547bb6e9eba159b1ca0fc04a379656acfe4cafde9f37207ee7912",
+    "disproven_beta": "4d36c5a2229763e2d0b1a0432b10e3bf8c843ec2e039b3bb2b50810b22fe98c4",
+    "disproven_witness": "349595e6ab4831a056d2ba135b4d4bbd8fb69dd28bfa0942352b72c15c32bdec",
     "inconclusive_endpoint_limits":
-        "40ccaa80213431306e1d2ad2e2cdee9e16be7511395f86ead9013ebb08d7bad3",
+        "d4d53c4a7e1278e994445cce468120b28c3ed4b57c9736a016042d4a0324c640",
     "inconclusive_precondition":
-        "60aec91c8a89bc3cf132646cdac1debd961b8153457a14dc8f09f0700a3997b9",
-    "inconclusive_minimax": "74c69d313ce5e800f4d08790b9cce1ed8fab5c66f5e38556b72d18da97472694",
+        "972fb233d507d690d791024711db4dfc658c2352e86a4a4c2d824b52c0c9f0f9",
+    "inconclusive_minimax": "d52cb94f6c8cbf6b42a38e00bc1d02d421f56a8f15bff72cecc485ca559439f0",
     "inconclusive_equioscillation":
-        "c152903ebf9ae7c4407afa0adb0957d7cdc7b5f715a10ff952c0b818c211be8e",
+        "5649f7fe095874135a9ecfc1ff4368ea81c73161521b83ee8189ec52f2a21071",
     "inconclusive_residual_check":
-        "9683220e0bdf89534e34f3b568ee3c5ef3ccb22d2f52f849c5a8b723d9789224",
+        "1aef386a259292058d8d68cc0d901b76d23f4423a6998c78d642510602528d0f",
     "inconclusive_positivity":
-        "dc3c37522c041aeb69384fb4a4d5d2234a29b02c037b76e74d09b4f688255c8c",
+        "d298150a6f0593a10643d79b12d27f61d41bd01035481749b69abff5ec444097",
     "proven_real_exponent":
-        "2d5c86e8c1a3bf6d9c44dc52edb5335c396de58f41f703158c1cd673d0e1c63c",
+        "d82ceda8ef132aac730f3259540888934c99ef18189c919edbc3329bbc708f35",
     "disproven_kurepa_near_miss":
-        "98e94da05cdf994b79c0a77a8ea13c0bc750f8348d809a2c58a0ccb80ee5dde5",
+        "01a0aea85e5c4565ec2743e6cf4162b6ba93714e085d0cbdc8cf766e60524d98",
 }
 
 # sha256 of the report file `ineqprove prove --config demos/configs/<name>` writes
 CONFIG_HASHES = {
-    "arcsin_trig.cfg": "40cf80a562f65193ea5d203c8eb04c26ee96fef5d52beb2d56e78dbdc777ca5f",
-    "parabola.cfg": "955facefc69d56ad9afb04b69e3f3d324b972150f1903431a965e264648190c6",
+    "arcsin_trig.cfg": "e51b867a75843d3f1a14fb258a9a7aa07fc832fe68dd188c29a7adf688f84d0c",
+    "parabola.cfg": "365b31cbf6f6629d159f36ffbdfdd6afc93f4ffdec5869964f7d4f0dfa6a1092",
 }
 
 
