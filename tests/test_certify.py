@@ -477,6 +477,23 @@ class TestProvePipeline:
         assert failed.startswith(hint) and failed.endswith("[endpoint a]")
         assert "observed exponent hint" in failed
 
+    @pytest.mark.parametrize("f, n, hint", [
+        # non-integer orders take the numeric route, which fails on its own
+        ("x^2", "1.5", "ZeroLimitError"),
+        ("x", "2.5", "DivergentLimitError"),
+    ])
+    def test_numeric_route_failure_carries_no_cross_check(self, f, n, hint, p30):
+        # only the Taylor route's wrong order gets the numeric route's hint;
+        # the numeric route's own message already carries it
+        report = prove_inequality(f, 0, 1, n, 0, 1, ProofSettings(precision=p30))
+        assert (report.verdict, report.diagnostics["stage"]) == \
+            ("inconclusive", "endpoint_limits")
+        assert list(report.diagnostics) == ["stage", "message"]
+        message = report.diagnostics["message"]
+        assert message.startswith(hint) and message.endswith("[endpoint a]")
+        assert "observed exponent hint" in message
+        assert json.loads(report_to_json(report))["limit_method"] is None
+
     def test_taylor_proof_runs_no_numeric_route(self, p30, monkeypatch):
         settings = ProofSettings(precision=p30)
         want = report_to_json(prove_inequality("exp(x)-1-x", 0, 1, 2, 0, 1, settings))

@@ -16,6 +16,7 @@ from ineqprove import (
     ConfigurationError,
     DomainError,
     Precision,
+    PrecisionUnreachableError,
     RootBracketError,
     find_inflection,
     kurepa,
@@ -279,6 +280,22 @@ class TestKurepaValues:
                          for v in (x, xv))
             assert (got.value._mpf_, got.error_bound._mpf_, got.nodes_used) == \
                 (want.value._mpf_, want.error_bound._mpf_, want.nodes_used)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_evaluation_budget_is_exact(self, order, p35, monkeypatch):
+        # MAX_EVALUATIONS counts every node: a budget of nodes_used suffices,
+        # one fewer stops the run
+        def run():
+            return kurepa("0.5", p35) if order == 0 else kurepa_derivative("0.5", order, p35)
+        want = run()
+        monkeypatch.setattr(quadrature, "MAX_EVALUATIONS", want.nodes_used)
+        got = run()
+        assert (got.value._mpf_, got.error_bound._mpf_) == \
+            (want.value._mpf_, want.error_bound._mpf_)
+        monkeypatch.setattr(quadrature, "MAX_EVALUATIONS", want.nodes_used - 1)
+        with pytest.raises(PrecisionUnreachableError,
+                           match=f"budget of {want.nodes_used - 1} evaluations exhausted"):
+            run()
 
     def test_domain_and_order_validation(self, p35):
         with pytest.raises(DomainError):
