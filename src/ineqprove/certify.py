@@ -69,10 +69,11 @@ from .remez import (
     CachedFunction,
     MinimaxResult,
     Polynomial,
-    _chebyshev_grid,
-    _chebyshev_to_power,
-    _residuals,
+    chebyshev_grid,
+    chebyshev_to_power,
+    largest_magnitude,
     minimax,
+    residual_sweep,
     verify_equioscillation,
 )
 
@@ -170,7 +171,8 @@ def residual_check(g, polynomial: Polynomial, delta, grid_size: int,
 
     This is evidence, not proof; the pipeline records it and the caveat says
     so.  ``extra_points`` lets callers include the equioscillation nodes.
-    ``known`` may map x._mpf_ to g(x) - P(x) at p's precision, as
+    Residuals are libmp tuples at the precision of P's segment, p's for the
+    P that ``minimax`` returns.  ``known`` may map x._mpf_ to g(x) - P(x), as
     ``MinimaxResult.residuals`` does for its polynomial; every sample found
     there takes that residual, and only the others are computed.
     """
@@ -180,18 +182,20 @@ def residual_check(g, polynomial: Polynomial, delta, grid_size: int,
             f"grid_size must be an integer of at least 4*(degree+2) = {4 * (degree + 2)}"
         )
     g = g if isinstance(g, CachedFunction) else CachedFunction(g)
-    pts = _chebyshev_grid(*(to_mpf(v, p) for v in polynomial.segment), grid_size)
+    pts = chebyshev_grid(*(to_mpf(v, p) for v in polynomial.segment), grid_size)
     pts += tuple(to_mpf(x, p) for x in extra_points)
     known = known or {}
-    fresh = _residuals(g, polynomial, [x for x in pts if x._mpf_ not in known])
-    residuals = (known[x._mpf_] if x._mpf_ in known else next(fresh) for x in pts)
+    fresh_pts = [x for x in pts if x._mpf_ not in known]
+    fresh = residual_sweep((g(x)._mpf_ for x in fresh_pts), polynomial, fresh_pts)
+    residuals = (known.get(x._mpf_) or next(fresh) for x in pts)
     # the first point of largest residual
-    max_res, max_loc = max(zip(map(abs, residuals), pts), key=lambda item: item[0])
+    top, max_res = largest_magnitude(residuals, polynomial.segment[0].context.prec)
+    max_res = context(p).make_mpf(max_res)
     threshold = to_mpf(delta, p) * (1 + sampling_ratio(p))
     return GridStatistics(
         passed=bool(max_res <= threshold),
         max_residual=+max_res,
-        max_location=+max_loc,
+        max_location=+pts[top],
         threshold=+threshold,
         sample_count=len(pts),
     )
@@ -211,7 +215,7 @@ def _bernstein(cheb):
     b_k = sum_i C(k, i) / C(n, i) a_i.
     """
     n = len(cheb) - 1
-    power = _chebyshev_to_power(cheb)
+    power = chebyshev_to_power(cheb)
     fact = [math.factorial(i) for i in range(n + 1)]
     return [sum(power[i] * fact[k] * fact[n - i] // fact[k - i] for i in range(k + 1))
             for k in range(n + 1)]

@@ -71,8 +71,8 @@ class MultiplicityError(IneqproveError):
 
     def __init__(self, endpoint, order, value):
         super().__init__(
-            f"derivative of order {order} does not vanish at {endpoint} "
-            f"(value {value}); supplied root multiplicity is inconsistent"
+            f"derivative of order {order} does not vanish (value {value}); "
+            f"supplied root multiplicity is inconsistent [endpoint {endpoint}]"
         )
         self.endpoint = endpoint
         self.order = order

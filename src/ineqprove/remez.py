@@ -20,17 +20,22 @@ Chebyshev grids nest: the grid with ``c`` times as many intervals holds a
 grid at every c-th point, bit for bit, because each angle pi*i/(count-1)
 is taken in lowest terms and its cosine comes from one memoized table per
 (count, binary precision); a table of an even interval count takes every
-other cosine from the table of half as many.  Residuals g - P are formed
-by one sweep on libmp tuples (``_residuals``), whose P values come from the
-one Clenshaw loop (``Polynomial._values``; ``evaluate`` is its one-point
-case), with u computed once per Remez grid.  P(x) is the exact sum of
-c_j T_j(u), u as ``_units`` rounds it, rounded once to nearest; the loop
-runs on integers, which grow by about the precision per degree plus the
-spread of the coefficients' exponents.  ``minimax`` returns a map of
-the residuals of its last iteration, on the grid and at the nodes, and the
-residual check takes every sample it finds there instead of computing it
-again: on its default grid, twice as dense as the Remez grid, the even
-points and the nodes.
+other cosine from the table of half as many.
+
+The sweep stays on libmp tuples.  ``minimax`` fetches g on its grid once,
+in grid order, and each iteration forms every g - P by ``residual_sweep``,
+whose P values come from the one Clenshaw loop (``Polynomial._values``;
+``evaluate`` is its one-point case), with u computed once per grid.  P(x)
+is the exact sum of c_j T_j(u), u as ``_units`` rounds it, rounded once to
+nearest; the loop runs on integers, which grow by about the precision per
+degree plus the spread of the coefficients' exponents.  Magnitudes are
+compared as integer keys (``magnitude_keys``); the exchange and its Brent
+polisher step on tuples, rounding to nearest as mpf arithmetic of the same
+precision does, and make mpfs only where g is called and for the extrema.
+``minimax`` returns a map of the residuals of its last iteration, on the
+grid and at the nodes, and the residual check takes every sample it finds
+there instead of computing it again: on its default grid, twice as dense as
+the Remez grid, the even points and the nodes.
 
 Convergence is judged by the de la Vallee-Poussin sandwich: the residual
 magnitudes at the exchanged points bound the true minimax error from below,
@@ -42,12 +47,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
+from operator import itemgetter
 
 import mpmath
 from mpmath.libmp import (
-    finf, fnan, fninf, from_man_exp, from_rational, mpf_div, mpf_mul, mpf_mul_int, mpf_sub,
-    round_nearest, to_rational,
+    finf, fnan, fninf, from_int, from_man_exp, from_rational, fzero, mpf_abs, mpf_add, mpf_cmp,
+    mpf_div, mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_shift, mpf_sqrt,
+    mpf_sub, round_nearest, to_rational,
 )
 
 from .errors import (
@@ -120,7 +127,7 @@ class Polynomial:
         Fractions those of x.
         """
         a, b = (_fraction(v) for v in self.segment)
-        power = _chebyshev_to_power([_fraction(c) for c in self.coefficients])
+        power = chebyshev_to_power([_fraction(c) for c in self.coefficients])
         return _rounded(_shift(power, -a / (b - a), 1 / (b - a)), p)
 
     @staticmethod
@@ -156,7 +163,7 @@ def _shifted_chebyshev(n):
     return table[:n + 1]
 
 
-def _chebyshev_to_power(cheb):
+def chebyshev_to_power(cheb):
     """Coefficients in powers of t of sum_j cheb[j] T_j(2t - 1), exact for exact cheb."""
     power = [0] * len(cheb)
     for c, row in zip(cheb, _shifted_chebyshev(len(cheb) - 1)):
@@ -198,16 +205,36 @@ def _units(segment, xs):
             for x in xs)
 
 
-def _residuals(g, poly, xs, units=None):
-    """g(x) - P(x) at each x of ``xs`` in turn, bit for bit as ``g(x) - poly.evaluate(x)`` forms it.
+def residual_sweep(g_values, poly, xs, units=None):
+    """g(x) - P(x) at each x of ``xs`` in turn, as libmp tuples.
 
-    One sweep: P's set-up runs once, and ``units`` (see ``Polynomial._values``)
-    spares recomputing u on a grid swept again.
+    ``g_values`` yields each g(x) as a tuple, in order.  One sweep: P's
+    set-up runs once, and ``units`` (see ``Polynomial._values``) spares
+    recomputing u on a grid swept again.  For x and g(x) in the context of
+    P's segment, each residual has the bits of ``g(x) - poly.evaluate(x)``.
     """
-    for x, px in zip(xs, poly._values(xs, units)):
-        gx = g(x)
-        ctx = gx.context
-        yield ctx.make_mpf(mpf_sub(gx._mpf_, px, *ctx._prec_rounding))
+    prec, rn = poly.segment[0].context.prec, round_nearest
+    return (mpf_sub(gx, px, prec, rn) for gx, px in zip(g_values, poly._values(xs, units)))
+
+
+def magnitude_keys(values, prec):
+    """Keys that order |v| of libmp tuples as ``mpf_cmp`` orders them; zero's key, (), is lowest.
+
+    The values must be finite and normalized to at most ``prec`` bits.  The
+    key is the binary order of magnitude, then the mantissa aligned to
+    ``prec`` bits.
+    """
+    return ((e + bc, m << (prec - bc)) if m else () for _, m, e, bc in values)
+
+
+def largest_magnitude(values, prec):
+    """(index, |v|) of the first of the ``values`` of largest magnitude, |v| as a tuple.
+
+    The values are as ``magnitude_keys`` takes them.
+    """
+    i, key = max(enumerate(magnitude_keys(values, prec)), key=itemgetter(1))
+    # the key holds |v| exactly
+    return i, from_man_exp(key[1], key[0] - prec) if key else fzero
 
 
 @dataclass(frozen=True)
@@ -221,8 +248,8 @@ class MinimaxResult:
     levelled_error_history: tuple
     lower_bound: mpmath.mpf
     upper_bound: mpmath.mpf
-    # x._mpf_ -> g(x) - P(x) on the last Remez grid and at the nodes, for
-    # verify_equioscillation and residual_check
+    # x._mpf_ -> g(x) - P(x), as a tuple, on the last Remez grid and at the
+    # nodes, for verify_equioscillation and residual_check
     residuals: dict = field(repr=False, compare=False)
 
 
@@ -285,7 +312,7 @@ def _chebyshev_cosines(count: int, prec: int):
     return tuple(table)
 
 
-def _chebyshev_grid(a, b, count):
+def chebyshev_grid(a, b, count):
     """The ``count`` Chebyshev extremum abscissae of [a, b], endpoints included, in a's context."""
     ctx = a.context
     prec, rnd = ctx._prec_rounding
@@ -363,8 +390,12 @@ def _solve_full_pivot(rows, rhs, p: Precision):
     return out
 
 
-def _polish_max(phi, lo, hi, width_tol, known):
-    """Brent's parabolic-plus-golden maximization of phi on [lo, hi].
+# sorts (x, phi(x)) pairs of tuples by phi(x)
+_BY_VALUE = cmp_to_key(lambda s, t: mpf_cmp(s[1], t[1]))
+
+
+def _polish_max(phi, lo, hi, width_tol, known, prec):
+    """Brent's parabolic-plus-golden maximization of phi on [lo, hi], on libmp tuples.
 
     ``known`` holds (x, phi(x)) at the bracket ends and, for an interior
     extremum, first at the grid point between them, whose parabola is the
@@ -373,97 +404,116 @@ def _polish_max(phi, lo, hi, width_tol, known):
     included.  When the best known point is an end of the bracket, one probe
     ``width_tol`` inside it decides: if phi is no higher there, then under
     unimodality the maximizer lies within ``width_tol`` of that end, which
-    is returned.
+    is returned.  Every step rounds to nearest at ``prec``, as mpf arithmetic
+    of that precision does; doubling, halving and quartering are exact shifts.
     """
-    ranked = sorted(known, key=lambda item: item[1], reverse=True)
+    rn = round_nearest
+    ranked = sorted(known, key=_BY_VALUE, reverse=True)
     (x, fx), (w, fw) = ranked[0], ranked[1]
-    if hi - lo <= width_tol:
+    if mpf_le(mpf_sub(hi, lo, prec, rn), width_tol):
         return x, fx
     if x == lo or x == hi:
-        u = lo + width_tol if x == lo else hi - width_tol
+        u = mpf_add(lo, width_tol, prec, rn) if x == lo else mpf_sub(hi, width_tol, prec, rn)
         fu = phi(u)
-        if fu <= fx:
+        if mpf_le(fu, fx):
             return x, fx
         (v, fv), (w, fw), (x, fx) = (w, fw), (x, fx), (u, fu)
     else:
         v, fv = ranked[2]
-    golden = (3 - lo.context.sqrt(5)) / 2
+    golden = mpf_shift(mpf_sub(from_int(3), mpf_sqrt(from_int(5), prec, rn), prec, rn), -1)
     # least step; at a quarter of the width, every probe lands at least one
     # step inside a bracket wider than width_tol, so the bracket shrinks
-    step_tol = width_tol / 4
+    step_tol = mpf_shift(width_tol, -2)
+    two_steps = mpf_shift(step_tol, 1)
     a, b = lo, hi
     # as if the last two steps had spanned the bracket, so that the first
     # two steps may be parabolic
-    d = e = b - a
-    while b - a > width_tol:
-        m = (a + b) / 2
+    d = e = mpf_sub(b, a, prec, rn)
+    while mpf_gt(mpf_sub(b, a, prec, rn), width_tol):
+        # x below the midpoint
+        below = mpf_lt(x, mpf_shift(mpf_add(a, b, prec, rn), -1))
         parabolic = False
-        if abs(e) > step_tol:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            s = (x - v) * q - (x - w) * r
-            q = 2 * (q - r)
-            if q > 0:
-                s = -s
+        if mpf_gt(mpf_abs(e), step_tol):
+            xw, xv = mpf_sub(x, w, prec, rn), mpf_sub(x, v, prec, rn)
+            r = mpf_mul(xw, mpf_sub(fx, fv, prec, rn), prec, rn)
+            q = mpf_mul(xv, mpf_sub(fx, fw, prec, rn), prec, rn)
+            s = mpf_sub(mpf_mul(xv, q, prec, rn), mpf_mul(xw, r, prec, rn), prec, rn)
+            q = mpf_shift(mpf_sub(q, r, prec, rn), 1)
+            if mpf_gt(q, fzero):
+                s = mpf_neg(s)
             else:
-                q = -q
+                q = mpf_neg(q)
             r, e = e, d
-            if abs(s) < abs(q * r / 2) and q * (a - x) < s < q * (b - x):
+            if mpf_lt(mpf_abs(s), mpf_abs(mpf_shift(mpf_mul(q, r, prec, rn), -1))) and \
+                    mpf_lt(mpf_mul(q, mpf_sub(a, x, prec, rn), prec, rn), s) and \
+                    mpf_lt(s, mpf_mul(q, mpf_sub(b, x, prec, rn), prec, rn)):
                 parabolic = True
-                d = s / q
-                if x + d - a < 2 * step_tol or b - x - d < 2 * step_tol:
-                    d = step_tol if x < m else -step_tol
+                d = mpf_div(s, q, prec, rn)
+                if mpf_lt(mpf_sub(mpf_add(x, d, prec, rn), a, prec, rn), two_steps) or \
+                        mpf_lt(mpf_sub(mpf_sub(b, x, prec, rn), d, prec, rn), two_steps):
+                    d = step_tol if below else mpf_neg(step_tol)
         if not parabolic:
-            e = (b - x) if x < m else (a - x)
-            d = golden * e
-        u = x + d if abs(d) >= step_tol else x + (step_tol if d > 0 else -step_tol)
+            e = mpf_sub(b, x, prec, rn) if below else mpf_sub(a, x, prec, rn)
+            d = mpf_mul(golden, e, prec, rn)
+        if mpf_lt(mpf_abs(d), step_tol):
+            u = mpf_add(x, step_tol if mpf_gt(d, fzero) else mpf_neg(step_tol), prec, rn)
+        else:
+            u = mpf_add(x, d, prec, rn)
         fu = phi(u)
-        if fu >= fx:
-            if u < x:
+        if mpf_ge(fu, fx):
+            if mpf_lt(u, x):
                 b = x
             else:
                 a = x
             (v, fv), (w, fw), (x, fx) = (w, fw), (x, fx), (u, fu)
         else:
-            if u < x:
+            if mpf_lt(u, x):
                 a = u
             else:
                 b = u
-            if fu >= fw:
+            if mpf_ge(fu, fw):
                 (v, fv), (w, fw) = (w, fw), (u, fu)
-            elif fu >= fv:
+            elif mpf_ge(fu, fv):
                 v, fv = u, fu
     return x, fx
 
 
-def _exchange_core(g, poly, grid, rvals, mags, current_nodes=None):
-    """(nodes, residuals) of the next reference, from the grid residuals and their magnitudes."""
+def _exchange_core(g, poly, grid, rs, current_nodes=None):
+    """(nodes, residuals) of the next reference, from the residuals ``rs`` at the grid points.
+
+    ``rs`` are libmp tuples.  The candidates are the grid points whose
+    magnitude is at least their neighbours'; mpfs are made only where g is
+    called and for the extrema polishing finds.
+    """
     a, b = poly.segment
+    ctx = a.context
+    prec, rn, make = ctx.prec, round_nearest, ctx.make_mpf
     k = poly.degree
     required = k + 2
-    width_tol = (b - a) * a.context.mpf(REFINE_WIDTH_FACTOR)
+    width_tol = ((b - a) * ctx.mpf(REFINE_WIDTH_FACTOR))._mpf_
     count = len(grid)
+    keys = list(magnitude_keys(rs, prec))
 
-    candidates = [i for i, r in enumerate(mags)
-                  if r and (i == 0 or r >= mags[i - 1]) and (i == count - 1 or r >= mags[i + 1])]
+    # () is the lowest key: the grid ends have one neighbour each
+    candidates = [i for i, (left, r, right) in enumerate(zip([()] + keys, keys, keys[1:] + [()]))
+                  if r and r >= left and r >= right]
 
     refined = []
     for i in candidates:
-        sign = 1 if rvals[i] > 0 else -1
+        negative = rs[i][0] == 1
 
-        def phi(x, _s=sign):
-            return _s * (g(x) - poly.evaluate(x))
+        def phi(t, _negative=negative):
+            x = make(t)
+            r = mpf_sub(g(x)._mpf_, next(poly._values((x,))), prec, rn)
+            return mpf_neg(r) if _negative else r
 
-        lo = grid[i - 1] if i > 0 else grid[0]
-        hi = grid[i + 1] if i < count - 1 else grid[count - 1]
-        known = [(grid[i], sign * rvals[i])]
-        if i > 0:
-            known.append((grid[i - 1], sign * rvals[i - 1]))
-        if i < count - 1:
-            known.append((grid[i + 1], sign * rvals[i + 1]))
-        x_best, v_best = _polish_max(phi, lo, hi, width_tol, known)
-        if v_best > 0:
-            refined.append((x_best, sign * v_best, sign))
+        known = [(grid[j]._mpf_, mpf_neg(rs[j]) if negative else rs[j])
+                 for j in (i, i - 1, i + 1) if 0 <= j < count]
+        lo, hi = grid[max(i - 1, 0)]._mpf_, grid[min(i + 1, count - 1)]._mpf_
+        x_best, v_best = _polish_max(phi, lo, hi, width_tol, known, prec)
+        if mpf_gt(v_best, fzero):
+            sign = -1 if negative else 1
+            refined.append((make(x_best), make(mpf_neg(v_best) if negative else v_best), sign))
 
     refined.sort(key=lambda item: item[0])
     merged = []
@@ -486,10 +536,12 @@ def _exchange_core(g, poly, grid, rvals, mags, current_nodes=None):
             nodes[nearest] = x_star
             nodes.sort()
             if all(l < r for l, r in zip(nodes, nodes[1:])):
-                return tuple(nodes), tuple(_residuals(g, poly, nodes))
+                return tuple(nodes), tuple(map(make, residual_sweep(
+                    (g(t)._mpf_ for t in nodes), poly, nodes)))
+        grid_max = make(largest_magnitude(rs, prec)[1])
         raise AlternationError(
             f"exchange found {len(merged)} alternating extrema, needs {required} "
-            f"(grid max residual {mpmath.nstr(max(mags), 8)})",
+            f"(grid max residual {mpmath.nstr(grid_max, 8)})",
             found=len(merged), required=required,
         )
     while len(merged) > required:
@@ -525,15 +577,21 @@ def minimax(g, a, b, k: int, tol=TOL, p: Precision = Precision(),
             f"tol={tol} is below what {p.decimal_digits}-digit arithmetic can resolve"
         )
     gc = g if isinstance(g, CachedFunction) else CachedFunction(g)
-    grid = _chebyshev_grid(av, bv, grid_multiplier * (k + 2) + 1)
+    ctx = av.context
+    prec, make = ctx.prec, ctx.make_mpf
+    grid = chebyshev_grid(av, bv, grid_multiplier * (k + 2) + 1)
     units = tuple(_units((av, bv), grid))
-    nodes = _chebyshev_grid(av, bv, k + 2)
-    zero_floor = rounding_floor(p) * max(1, max(abs(gc(x)) for x in grid))
+    nodes = chebyshev_grid(av, bv, k + 2)
+    # g on the grid, fetched once, in grid order
+    g_grid = [gc(x)._mpf_ for x in grid]
+    # |g| as abs() rounds it
+    g_max = largest_magnitude((mpf_abs(v, prec, round_nearest) for v in g_grid), prec)[1]
+    zero_floor = rounding_floor(p) * max(1, make(g_max))
     history = []
 
     def result(delta, lower):  # delta_hat is the upper bound
-        known = {x._mpf_: r for x, r in zip(grid, rvals)}
-        known.update((t._mpf_, r) for t, r in zip(nodes, residuals))
+        known = {x._mpf_: r for x, r in zip(grid, rs)}
+        known.update((t._mpf_, r._mpf_) for t, r in zip(nodes, residuals))
         return MinimaxResult(polynomial=poly, delta_hat=+delta, nodes=tuple(nodes),
                              node_values=tuple(gc(t) for t in nodes),
                              iterations=iteration, levelled_error_history=tuple(history),
@@ -542,15 +600,15 @@ def minimax(g, a, b, k: int, tol=TOL, p: Precision = Precision(),
     for iteration in range(1, max_iterations + 1):
         poly, h = _solve_levelled_system(gc, nodes, av, bv, p)
         history.append(abs(h))
-        rvals = list(_residuals(gc, poly, grid, units))
-        mags = [abs(r) for r in rvals]
-        grid_max = max(mags)
+        rs = list(residual_sweep(g_grid, poly, grid, units))
+        grid_max = make(largest_magnitude(rs, prec)[1])
         if grid_max <= zero_floor:
             # exact representation: grid_max is only rounding noise, and a
             # denser grid finds more of it, so the floor is the estimate
-            residuals = _residuals(gc, poly, nodes)
+            residuals = [make(r) for r in residual_sweep((gc(t)._mpf_ for t in nodes),
+                                                         poly, nodes)]
             return result(zero_floor, min(abs(h), grid_max))
-        nodes, residuals = _exchange_core(gc, poly, grid, rvals, mags, current_nodes=nodes)
+        nodes, residuals = _exchange_core(gc, poly, grid, rs, current_nodes=nodes)
         lower = min(abs(r) for r in residuals)
         upper = max(max(abs(r) for r in residuals), grid_max)
         if (upper - lower) / upper <= tol_v:
@@ -570,7 +628,8 @@ def verify_equioscillation(result: MinimaxResult, rel_tol=EQUIOSCILLATION_REL_TO
     (exactly representable g has no meaningful residual signs).  The
     residuals and g values are those ``minimax`` formed at the nodes.
     """
-    residuals = tuple(result.residuals[t._mpf_] for t in result.nodes)
+    make = result.nodes[0].context.make_mpf
+    residuals = tuple(make(result.residuals[t._mpf_]) for t in result.nodes)
 
     def report(passed, message, spread=None, failure_index=None):
         return EquioscillationReport(passed=passed, residuals=residuals, spread=spread,

@@ -33,7 +33,7 @@ from ineqprove import (
 )
 from ineqprove import certify, remez
 from ineqprove.precision import finite_segment
-from ineqprove.remez import _chebyshev_grid
+from ineqprove.remez import chebyshev_grid
 
 from helpers import ARCSIN_DIFF_SOURCE, KP0, TRIG_ARCSIN_SOURCE, ambient, exact_taylor, fraction
 
@@ -95,6 +95,21 @@ class TestResidualCheck:
         assert stats.max_location > mpmath.mpf("0.9")
         assert abs(stats.max_residual - 1) < mpmath.mpf("1e-30")
 
+    # |g - 0| is 1 at both ends of [-1, 1], with opposite signs for x and the
+    # same sign for x^2; the grid starts at -1, fresh or known
+    @pytest.mark.parametrize("source", ["x", "x^2"])
+    @pytest.mark.parametrize("first_known", [False, True])
+    def test_first_of_equal_residuals_is_reported(self, source, first_known, p50):
+        P = make_poly(["0"], -1, 1)
+        f = parse(source)
+        g = lambda x: f.evaluate(x, p50)
+        start = P.segment[0]
+        known = {start._mpf_: g(start)._mpf_} if first_known else None
+        stats = residual_check(g, P, "0.1", 64, p50, known=known)
+        assert stats.max_location == -1
+        assert stats.max_residual == 1
+        assert not stats.passed
+
     def test_grid_size_validation(self, p50):
         P = make_poly(["0.5", "1"])
         for grid_size in (8, 12.5):
@@ -109,8 +124,8 @@ class TestResidualCheck:
         f = parse(source)
         mr = minimax(lambda x: f.evaluate(x, p30), 0, 1, 2, p=p30, grid_multiplier=4)
         av, bv = finite_segment(0, 1, p30)
-        remez_grid = {x._mpf_ for x in _chebyshev_grid(av, bv, 17)}
-        grid = [x._mpf_ for x in _chebyshev_grid(av, bv, size)]
+        remez_grid = {x._mpf_ for x in chebyshev_grid(av, bv, 17)}
+        grid = [x._mpf_ for x in chebyshev_grid(av, bv, size)]
         assert len(remez_grid.intersection(grid)) == (17 if (size - 1) % 16 == 0 else 2)
         samples = grid + [t._mpf_ for t in mr.nodes]
         stats, lookups, expected = [], [], []

@@ -51,6 +51,13 @@ class TestTaylorLimits:
         assert err.value.endpoint == "a"
         assert err.value.order == 1
 
+    # each end is named as every LimitError names it
+    @pytest.mark.parametrize("n, m, end", [(2, 0, "a"), (0, 2, "b")])
+    def test_wrong_multiplicity_names_its_end(self, n, m, end, p50):
+        with pytest.raises(MultiplicityError, match=rf"\[endpoint {end}\]$") as err:
+            endpoint_limits_taylor(parse("1 - x^2/2"), 0, 1, n, m, p50)
+        assert err.value.endpoint == end
+
     def test_non_integer_order_rejected(self, p50):
         with pytest.raises(ConfigurationError):
             endpoint_limits_taylor(parse("x"), 0, 1, "1.5", 0, p50)

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
+from mpmath.libmp import from_man_exp, fzero, mpf_abs, mpf_cmp, mpf_neg
 
 from ineqprove import (
     AlternationError,
@@ -18,8 +20,8 @@ from ineqprove import (
 from ineqprove import remez
 from ineqprove.precision import context, finite_segment
 from ineqprove.remez import (
-    CachedFunction, MinimaxResult, _chebyshev_grid, _exchange_core, _polish_max, _residuals,
-    _solve_levelled_system, _units,
+    CachedFunction, MinimaxResult, _exchange_core, _polish_max, _solve_levelled_system, _units,
+    chebyshev_grid, largest_magnitude, magnitude_keys, residual_sweep,
 )
 
 from helpers import ambient, clenshaw_reference, exact_taylor
@@ -30,19 +32,19 @@ class TestInitialNodes:
 
     def test_symmetric_unit(self, p50):
         with ambient(p50):
-            nodes = _chebyshev_grid(mp.mpf(-1), mp.mpf(1), 3)
+            nodes = chebyshev_grid(mp.mpf(-1), mp.mpf(1), 3)
         assert nodes[0] == -1 and nodes[2] == 1
         assert abs(nodes[1]) < mpmath.mpf("1e-50")
 
     def test_affine_map(self, p50):
         with ambient(p50):
-            nodes = _chebyshev_grid(mp.mpf(0), mp.mpf(1), 3)
+            nodes = chebyshev_grid(mp.mpf(0), mp.mpf(1), 3)
         assert nodes[0] == 0 and nodes[2] == 1
         assert abs(nodes[1] - mpmath.mpf("0.5")) < mpmath.mpf("1e-50")
 
     def test_degree_two(self, p50):
         with ambient(p50):
-            nodes = _chebyshev_grid(mp.mpf(-1), mp.mpf(1), 4)
+            nodes = chebyshev_grid(mp.mpf(-1), mp.mpf(1), 4)
         expected = ["-1", "-0.5", "0.5", "1"]
         for node, want in zip(nodes, expected):
             assert abs(node - mpmath.mpf(want)) < mpmath.mpf("1e-50")
@@ -57,8 +59,8 @@ class TestNestedGrids:
     def test_every_ratio_th_point_is_the_coarse_grid(self, a, b, digits, ratio):
         av, bv = finite_segment(a, b, Precision(digits))
         for intervals in (3, 12, 192):
-            coarse = _chebyshev_grid(av, bv, intervals + 1)
-            fine = _chebyshev_grid(av, bv, ratio * intervals + 1)
+            coarse = chebyshev_grid(av, bv, intervals + 1)
+            fine = chebyshev_grid(av, bv, ratio * intervals + 1)
             assert [x._mpf_ for x in fine[::ratio]] == [x._mpf_ for x in coarse]
 
     def test_cosine_memo_is_bounded(self):
@@ -70,13 +72,13 @@ class TestNestedGrids:
         # odd interval counts: each table is built on its own
         counts = range(4, 4 + 4 * limit, 2)
         for count in counts:
-            _chebyshev_grid(av, bv, count)
+            chebyshev_grid(av, bv, count)
         assert cosines.cache_info().currsize == limit
         hits = cosines.cache_info().hits
         for count in counts[-limit:]:
-            _chebyshev_grid(av, bv, count)
+            chebyshev_grid(av, bv, count)
         assert cosines.cache_info().hits == hits + limit
-        _chebyshev_grid(av, bv, counts[0])
+        chebyshev_grid(av, bv, counts[0])
         assert cosines.cache_info().hits == hits + limit
 
     @pytest.mark.parametrize("ratio", [2, 3])
@@ -139,7 +141,7 @@ class TestResidualSweep:
         ctx = context(p)
         av, bv = finite_segment(a, b, p)
         rng = random.Random(f"{a},{b},{digits}")
-        xs = list(_chebyshev_grid(av, bv, 25))
+        xs = list(chebyshev_grid(av, bv, 25))
         xs += [av + (bv - av) * ctx.mpf(rng.random()) for _ in range(25)]
         units = tuple(_units((av, bv), xs))
         g = CachedFunction(lambda x: x.context.sin(3 * x) + x.context.exp(-x))
@@ -153,8 +155,9 @@ class TestResidualSweep:
                 want_p = [clenshaw_reference(P, x)._mpf_ for x in xs]
                 assert [P.evaluate(x)._mpf_ for x in xs] == want_p
                 want = [(g(x) - P.evaluate(x))._mpf_ for x in xs]
-                assert [r._mpf_ for r in _residuals(g, P, xs)] == want
-                assert [r._mpf_ for r in _residuals(g, P, xs, units)] == want
+                g_values = [g(x)._mpf_ for x in xs]
+                assert list(residual_sweep(g_values, P, xs)) == want
+                assert list(residual_sweep(g_values, P, xs, units)) == want
 
     @pytest.mark.parametrize("case", ["degree 0", "zero", "zero degree 3", "exact zeros",
                                       "400-bit spread", "degree 16", "away from 0"])
@@ -190,9 +193,9 @@ class TestResidualSweep:
         g = CachedFunction(lambda x: x.context.exp(x))
         r = minimax(g, 0, 1, 2, p=p50, grid_multiplier=4)
         av, bv = finite_segment(0, 1, p50)
-        grid = _chebyshev_grid(av, bv, 4 * 4 + 1)
+        grid = chebyshev_grid(av, bv, 4 * 4 + 1)
         assert set(r.residuals) == {x._mpf_ for x in grid + r.nodes}
-        assert [r.residuals[x._mpf_]._mpf_ for x in grid] == \
+        assert [r.residuals[x._mpf_] for x in grid] == \
             [(g(x) - r.polynomial.evaluate(x))._mpf_ for x in grid]
 
     @pytest.mark.parametrize("fn, a, k", [
@@ -203,9 +206,42 @@ class TestResidualSweep:
     def test_minimax_hands_out_its_node_residuals(self, fn, a, k, p50):
         g = CachedFunction(fn)
         r = minimax(g, a, 1, k, p=p50)
-        assert [r.residuals[t._mpf_]._mpf_ for t in r.nodes] == \
+        assert [r.residuals[t._mpf_] for t in r.nodes] == \
             [(g(t) - r.polynomial.evaluate(t))._mpf_ for t in r.nodes]
         assert [v._mpf_ for v in r.node_values] == [g(t)._mpf_ for t in r.nodes]
+
+
+# at most this many bits in the tuples of the magnitude-key property
+_KEY_PREC = 80
+
+
+@st.composite
+def _libmp_values(draw):
+    """Normalized libmp tuples of at most _KEY_PREC bits: zero, either sign, any bit count."""
+    bits = draw(st.integers(0, _KEY_PREC))
+    if bits == 0:
+        return fzero
+    man = draw(st.integers(2 ** (bits - 1), 2 ** bits - 1))
+    # near exponents make orders of magnitude tie, so the mantissas decide
+    exp = draw(st.integers(-4, 4) | st.integers(-300, 300))
+    return from_man_exp(-man if draw(st.booleans()) else man, exp)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_libmp_values(), _libmp_values(), st.booleans())
+@example(fzero, fzero, False)
+@example(fzero, from_man_exp(1, -10 ** 6), False)
+@example(from_man_exp(3, 0), from_man_exp(1, 2), False)
+@example(from_man_exp(-5, 3), fzero, True)
+def test_magnitude_keys_order_as_mpf_cmp(a, b, mirror):
+    if mirror:
+        # equal magnitudes of opposite sign
+        b = mpf_neg(a)
+    ka, kb = magnitude_keys([a, b], _KEY_PREC)
+    assert (ka > kb) - (ka < kb) == mpf_cmp(mpf_abs(a), mpf_abs(b))
+    # the first of equal magnitudes, its magnitude decoded from its key
+    first = 0 if ka >= kb else 1
+    assert largest_magnitude([a, b], _KEY_PREC) == (first, mpf_abs((a, b)[first]))
 
 
 def _levelled(g, nodes, a, b, p):
@@ -239,9 +275,9 @@ def _exchange(fn, p):
     a, b = finite_segment(0, 1, p)
     poly = Polynomial(coefficients=(context(p).zero,), segment=(a, b))
     g = CachedFunction(fn)
-    grid = _chebyshev_grid(a, b, 33)
-    rvals = list(_residuals(g, poly, grid))
-    return _exchange_core(g, poly, grid, rvals, [abs(r) for r in rvals])
+    grid = chebyshev_grid(a, b, 33)
+    rs = list(residual_sweep([g(x)._mpf_ for x in grid], poly, grid))
+    return _exchange_core(g, poly, grid, rs)
 
 
 class TestExchange:
@@ -288,6 +324,24 @@ class TestExchange:
             _exchange(lambda x: 1 + x, p50)
         assert (info.value.found, info.value.required) == (1, 2)
 
+    def test_equal_neighbours_are_both_candidates(self, p50, monkeypatch):
+        # g is 1 from grid point 6 to grid point 7 and falls at slope 2 on
+        # either side, to about -0.78 at 1: each plateau point has a
+        # neighbour of equal magnitude and is still polished
+        a, b = finite_segment(0, 1, p50)
+        grid = chebyshev_grid(a, b, 33)
+        lo, hi = grid[6], grid[7]
+        polish, candidates = remez._polish_max, []
+
+        def recording(phi, lo, hi, width_tol, known, prec):
+            candidates.append(known[0][0])
+            return polish(phi, lo, hi, width_tol, known, prec)
+
+        monkeypatch.setattr(remez, "_polish_max", recording)
+        nodes, residuals = _exchange(lambda x: 1 - 2 * (max(lo - x, 0) + max(x - hi, 0)), p50)
+        assert candidates == [grid[6]._mpf_, grid[7]._mpf_, grid[32]._mpf_]
+        assert residuals[0] == 1 and residuals[1] < 0
+
 
 def _counted(fn):
     """fn and the list of the points it was called at."""
@@ -300,8 +354,19 @@ def _counted(fn):
     return phi, calls
 
 
+def _polish(fn, lo, hi, width, points):
+    """_polish_max of the mpf function fn on [lo, hi], known at ``points``, in the ambient mp.
+
+    Returns (x, fn(x), the points phi was called at), as mpfs.
+    """
+    phi, calls = _counted(lambda t: fn(mp.make_mpf(t))._mpf_)
+    known = [(t._mpf_, fn(t)._mpf_) for t in points]
+    x, v = _polish_max(phi, lo._mpf_, hi._mpf_, width._mpf_, known, mp.prec)
+    return mp.make_mpf(x), mp.make_mpf(v), [mp.make_mpf(t) for t in calls]
+
+
 class TestPolishMax:
-    """Brent polishing of one residual extremum, counted per call of phi."""
+    """Brent polishing of one residual extremum on tuples, counted per call of phi."""
 
     def test_interior_bump_in_few_evaluations(self, p50):
         with ambient(p50):
@@ -309,9 +374,7 @@ class TestPolishMax:
             bump = lambda x: mp.exp(-20 * (x - centre) ** 2)
             lo, mid, hi = mp.mpf("0.4"), mp.mpf("0.45"), mp.mpf("0.5")
             width = mp.mpf("1e-12")
-            phi, calls = _counted(bump)
-            x, v = _polish_max(phi, lo, hi, width,
-                               [(mid, bump(mid)), (lo, bump(lo)), (hi, bump(hi))])
+            x, v, calls = _polish(bump, lo, hi, width, [mid, lo, hi])
             assert abs(x - centre) <= width
             assert v == bump(x)
             # golden-section search needs about 44
@@ -324,10 +387,8 @@ class TestPolishMax:
             end = lo if side == "lo" else hi
             falling = lambda x: mp.exp(-abs(x - end))
             width = mp.mpf("1e-12")
-            phi, calls = _counted(falling)
             other = hi if side == "lo" else lo
-            x, v = _polish_max(phi, lo, hi, width,
-                               [(end, falling(end)), (other, falling(other))])
+            x, v, calls = _polish(falling, lo, hi, width, [end, other])
             assert (x, v) == (end, falling(end))
             assert calls == [lo + width if side == "lo" else hi - width]
 
@@ -338,8 +399,7 @@ class TestPolishMax:
             bump = lambda x: -(x - centre) ** 2
             assert bump(lo) > bump(hi)
             width = mp.mpf("1e-12")
-            phi, calls = _counted(bump)
-            x, v = _polish_max(phi, lo, hi, width, [(lo, bump(lo)), (hi, bump(hi))])
+            x, v, calls = _polish(bump, lo, hi, width, [lo, hi])
             assert len(calls) > 1
             assert abs(x - centre) <= width
 
@@ -353,22 +413,21 @@ class TestPolishMax:
                 hi = lo + mp.mpf(10) ** rng.uniform(-3, 0)
                 inside = max((lo + (hi - lo) * mp.mpf(rng.random()) for _ in range(5)),
                              key=wave)
-                points = [inside, lo, hi]
-                known = [(t, wave(t)) for t in points[rng.choice((0, 1)):]]
-                x, v = _polish_max(wave, lo, hi, (hi - lo) * mp.mpf("1e-12"), known)
+                points = [inside, lo, hi][rng.choice((0, 1)):]
+                x, v, _ = _polish(wave, lo, hi, (hi - lo) * mp.mpf("1e-12"), points)
                 assert lo <= x <= hi
                 assert v == wave(x)
-                assert v >= max(value for _, value in known)
+                assert v >= max(wave(t) for t in points)
 
     @pytest.mark.parametrize("k", [1, 8])
     def test_polishing_calls_per_extremum(self, p50, k, monkeypatch):
         polish = remez._polish_max
         searches = []
 
-        def counted_polish(phi, lo, hi, width_tol, known):
+        def counted_polish(phi, lo, hi, width_tol, known, prec):
             phi, calls = _counted(phi)
-            result = polish(phi, lo, hi, width_tol, known)
-            best = max(known, key=lambda item: item[1])[0]
+            result = polish(phi, lo, hi, width_tol, known, prec)
+            best = max(known, key=lambda item: mp.make_mpf(item[1]))[0]
             searches.append((best in (lo, hi), len(calls)))
             return result
 
@@ -490,8 +549,8 @@ class TestVerifyEquioscillation:
             node_values=tuple(g(t) for t in bad_nodes),
             iterations=r.iterations, levelled_error_history=r.levelled_error_history,
             lower_bound=r.lower_bound, upper_bound=r.upper_bound,
-            residuals={t._mpf_: v
-                       for t, v in zip(bad_nodes, _residuals(g, r.polynomial, bad_nodes))},
+            residuals=dict(zip((t._mpf_ for t in bad_nodes), residual_sweep(
+                [g(t)._mpf_ for t in bad_nodes], r.polynomial, bad_nodes))),
         )
         report = verify_equioscillation(bad, p=p50)
         assert not report.passed
@@ -509,7 +568,7 @@ class TestVerifyEquioscillation:
             delta_hat=ctx.mpf(delta_hat), nodes=nodes, node_values=(ctx.one,) * 3,
             iterations=1, levelled_error_history=(), lower_bound=min(map(abs, values)),
             upper_bound=max(map(abs, values)),
-            residuals={t._mpf_: r for t, r in zip(nodes, values)},
+            residuals={t._mpf_: r._mpf_ for t, r in zip(nodes, values)},
         )
 
     @pytest.mark.parametrize("residuals", [("0.5", "0.5", "-0.5"), ("0.5", "0", "-0.5")])

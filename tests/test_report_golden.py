@@ -57,7 +57,7 @@ REPORT_HASHES = {
     "disproven_beta": "4d36c5a2229763e2d0b1a0432b10e3bf8c843ec2e039b3bb2b50810b22fe98c4",
     "disproven_witness": "349595e6ab4831a056d2ba135b4d4bbd8fb69dd28bfa0942352b72c15c32bdec",
     "inconclusive_endpoint_limits":
-        "d4d53c4a7e1278e994445cce468120b28c3ed4b57c9736a016042d4a0324c640",
+        "23d2e1f745408aa6a927d4e8a2b575e442829a95e0209a96e3b78b3f1d86c160",
     "inconclusive_precondition":
         "972fb233d507d690d791024711db4dfc658c2352e86a4a4c2d824b52c0c9f0f9",
     "inconclusive_minimax": "d52cb94f6c8cbf6b42a38e00bc1d02d421f56a8f15bff72cecc485ca559439f0",
