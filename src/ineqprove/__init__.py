@@ -45,12 +45,7 @@ from .quadrature import (
     kurepa,
     kurepa_derivative,
 )
-from .quotient import (
-    LimitMethod,
-    QuotientFunction,
-    endpoint_limits_numeric,
-    endpoint_limits_taylor,
-)
+from .quotient import QuotientFunction, endpoint_limits_numeric, endpoint_limits_taylor
 from .remez import (
     CachedFunction,
     EquioscillationReport,
@@ -77,7 +72,6 @@ __all__ = [
     "GridStatistics",
     "IneqproveError",
     "LimitError",
-    "LimitMethod",
     "MinimaxResult",
     "MultiplicityError",
     "Polynomial",

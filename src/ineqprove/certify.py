@@ -58,12 +58,7 @@ from .precision import (
     to_mpf,
     witness_floor,
 )
-from .quotient import (
-    LimitMethod,
-    QuotientFunction,
-    endpoint_limits_numeric,
-    endpoint_limits_taylor,
-)
+from .quotient import QuotientFunction, endpoint_limits_numeric, endpoint_limits_taylor
 from . import remez
 from .remez import (
     CachedFunction,
@@ -86,7 +81,7 @@ CAVEAT = (
 
 CERTIFICATION_MIN_DIGITS = 30
 # the certifier's stopping rule (certify_positive)
-REL_SLACK, MAX_DEPTH = "0.01", 47
+REL_SLACK, MAX_DEPTH, MAX_SUBINTERVALS = "0.01", 47, 200000
 
 
 @dataclass(frozen=True)
@@ -235,8 +230,7 @@ def _split(coeffs):
 
 
 def certify_positive(polynomial: Polynomial, delta, margin_factor,
-                     p: Precision = Precision(), *,
-                     max_subintervals: int = 200000) -> PositivityCertificate:
+                     p: Precision = Precision()) -> PositivityCertificate:
     """Rigorous proof that P(x) - delta*margin_factor > 0 on the segment.
 
     Exact Bernstein branch and bound.  The Chebyshev coefficients, delta and
@@ -251,7 +245,7 @@ def certify_positive(polynomial: Polynomial, delta, margin_factor,
 
     Raises CertificationError when a segment end or a split point has
     P - delta*margin <= 0, when the lowest leaf reaches MAX_DEPTH without
-    a positive bound, or when the leaves would exceed ``max_subintervals``.
+    a positive bound, or when the leaves would exceed MAX_SUBINTERVALS.
     That signals delta too large for this degree, not a disproof.
     """
     if p.decimal_digits < CERTIFICATION_MIN_DIGITS:
@@ -323,9 +317,9 @@ def certify_positive(polynomial: Polynomial, delta, margin_factor,
                 "the error bound is too large for this degree",
                 left=+lo, right=+hi, bound=lower,
             )
-        if len(heap) >= max_subintervals:
+        if len(heap) >= MAX_SUBINTERVALS:
             raise CertificationError(
-                f"positivity not certified within {max_subintervals} "
+                f"positivity not certified within {MAX_SUBINTERVALS} "
                 "subintervals; the enclosure cannot separate P from "
                 "delta at this degree",
                 left=+lo, right=+hi, bound=floor_mpf(min(coeffs), depth),
@@ -399,7 +393,7 @@ class _Run:
 
     f: Expression
     settings: ProofSettings
-    method: LimitMethod
+    method: str  # the limit route, "taylor" or "numeric"
     residual_grid_size: int
     fields: dict
     diagnostics: dict = field(default_factory=dict)
@@ -430,10 +424,9 @@ class _Stop(NamedTuple):
 # module globals at call time, so a wrapper bound to those names sees them.
 
 def _endpoint_limits(run: _Run):
-    route = (endpoint_limits_taylor if run.method is LimitMethod.TAYLOR
-             else endpoint_limits_numeric)
+    route = endpoint_limits_taylor if run.method == "taylor" else endpoint_limits_numeric
     alpha, beta = route(*run.limit_inputs)
-    run.fields.update(alpha=alpha, beta=beta, limit_method=run.method.value)
+    run.fields.update(alpha=alpha, beta=beta, limit_method=run.method)
 
 
 def _precondition(run: _Run):
@@ -499,7 +492,7 @@ def _numeric_cross_check(exc, run: _Run):
     or its failure by class and message, which carries the observed-exponent
     hint and the endpoint.  A numeric-route run adds nothing.
     """
-    if run.method is not LimitMethod.TAYLOR:
+    if run.method != "taylor":
         return ()
     try:
         alpha, beta = endpoint_limits_numeric(*run.limit_inputs)
@@ -612,7 +605,7 @@ def prove_inequality(f, a, b, n, m, k: int,
     fields = dict(function_source=f.source_text, segment=(av, bv), n=nv, m=mv,
                   degree=k, settings=echo)
     # the Taylor route needs integer orders
-    method = LimitMethod.TAYLOR if nv == int(nv) and mv == int(mv) else LimitMethod.NUMERIC
+    method = "taylor" if nv == int(nv) and mv == int(mv) else "numeric"
     return _run_stages(_Run(f, s, method, residual_grid_size, fields))
 
 

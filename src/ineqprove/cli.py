@@ -27,7 +27,7 @@ from .certify import ProofSettings, prove_inequality, report_to_json
 from .errors import IneqproveError
 from .expr import parse
 from .precision import Precision, decimal_str, to_mpf
-from .quadrature import kurepa, kurepa_derivative
+from .quadrature import MAX_ORDER, kurepa, kurepa_derivative
 from .quotient import endpoint_limits_numeric, endpoint_limits_taylor
 from .remez import minimax
 
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     kur = sub.add_parser("kurepa", help="evaluate the Kurepa integral family")
     kur.add_argument("--x", required=True)
-    kur.add_argument("--order", type=int, default=0, choices=(0, 1, 2, 3))
+    kur.add_argument("--order", type=int, default=0, help=f"0 for K, at most {MAX_ORDER}")
     kur.add_argument("--precision", type=int, default=defaults.precision.decimal_digits)
     kur.set_defaults(func=cmd_kurepa)
 

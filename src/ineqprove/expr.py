@@ -3,9 +3,9 @@
 The grammar (documented in the README) covers the usual arithmetic operators
 with standard precedence, function-call syntax for sqrt/exp/log/sin/cos/
 arcsin/arctan, the literals pi, e and sqrt2, and the special ``kurepa`` /
-``kurepa_deriv(order, ...)`` functions whose evaluation delegates to the
-quadrature module.  Powers are restricted to rational constant exponents so
-differentiation stays closed-form.
+``kurepa_deriv(order, ...)`` functions whose evaluation, domain check
+included, delegates to the quadrature module.  Powers are restricted to
+rational constant exponents so differentiation stays closed-form.
 
 Trees are immutable; ``parse`` applies constant folding and a handful of
 identity rewrites (0 + u, 1 * u, u^1, ...) so that derivative trees stay
@@ -471,19 +471,15 @@ def power(q: Fraction, prec, qt=None):
 
 
 def _kurepa(order, p: Precision):
-    """v -> K^(order)(v) by the quadrature module, at precision p."""
+    """v -> K^(order)(v) by the quadrature module, at precision p, which checks v and order."""
     from . import quadrature  # deferred: quadrature has no expr dependency
     if p is None:
         raise ConfigurationError("kurepa needs an explicit precision")
     make = context(p).make_mpf
 
     def kurepa(v, prec, rnd):
-        if mpf_lt(v, fzero):
-            raise DomainError(f"kurepa argument {show(v, prec)} is negative")
         if order == 0:
             return quadrature.kurepa(make(v), p).value._mpf_
-        if order > 3:
-            raise DomainError(f"kurepa derivative of order {order} is not supported (max 3)")
         return quadrature.kurepa_derivative(make(v), order, p).value._mpf_
 
     return kurepa

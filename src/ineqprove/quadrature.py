@@ -2,9 +2,11 @@
 
 The Kurepa function is the improper integral
 
-    K(x) = integral_0^inf exp(-t) (t^x - 1)/(t - 1) dt        (x >= 0)
+    K(x) = integral_0^inf exp(-t) (t^x - 1)/(t - 1) dt
 
-and its derivatives replace (t^x - 1) by t^x log(t)^j.  The integrand has a
+and its derivatives replace (t^x - 1) by t^x log(t)^j.  The supported
+domain is 0 <= x <= MAX_ARGUMENT and j <= MAX_ORDER, and every integral is
+computed at p's digits plus 15 guard digits.  The integrand has a
 removable singularity at t = 1 and an endpoint singularity of log type at
 t = 0 for the derivative integrals.  Every integral is taken in s = -log t,
 which turns t -> 0 into a smooth exponential tail and t = 1 into s = 0, over
@@ -68,6 +70,11 @@ _RULE_GUARD_BITS = 80
 
 # cap on integrand evaluations of one Kurepa integral
 MAX_EVALUATIONS = 500000
+
+# the supported domain: 0 <= x <= MAX_ARGUMENT, derivative orders up to
+# MAX_ORDER; the fixed 15 guard digits meet every error target there, but
+# not at x = 25, nor at order 25 at x = 0
+MAX_ARGUMENT, MAX_ORDER = 16, 3
 
 
 @dataclass(frozen=True)
@@ -406,24 +413,14 @@ def _kurepa_integral(x, j, p):
     xv = to_mpf(x, p)
     if not mpmath.isfinite(xv):
         raise ConfigurationError(f"kurepa argument must be finite, got {xv}")
-    x_probe = float(xv)
-    if x_probe > 1000:
-        raise ConfigurationError(
-            f"kurepa argument {x_probe} is too large: the integral has about "
-            "Gamma(x) magnitude and an absolute error target is meaningless there"
-        )
-    guard = 15
-    if x_probe > 2:
-        # the integrals grow like Gamma(x); carry enough digits that the
-        # absolute error target stays above the rounding floor, rounded up to
-        # a multiple of 10 so that nearby x share a working precision, and
-        # with it the memoized rules and node tables
-        guard += -(-(int(x_probe * math.log10(x_probe)) + 5) // 10) * 10
-    ctx = context(dps_to_prec(digits + guard))
-    # x is rounded once, to p's working context; ctx takes its bits as they are
+    if not 0 <= xv <= MAX_ARGUMENT:
+        raise DomainError(f"kurepa argument {xv} lies outside [0, {MAX_ARGUMENT}]")
+    if j > MAX_ORDER:
+        raise DomainError(f"kurepa derivative of order {j} is not supported (max {MAX_ORDER})")
+    # x is rounded once, to p's working context; ctx, at p's digits and 15
+    # guard digits, takes its bits as they are
+    ctx = context(dps_to_prec(digits + 15))
     xv = to_mpf(xv, ctx.prec)
-    if xv < 0:
-        raise DomainError(f"kurepa integrals require x >= 0, got {xv}")
     target = resolution_floor(p, ctx.prec)
     share = target / 8
     region_tol = target / 4
@@ -470,10 +467,11 @@ def _kurepa_integral(x, j, p):
 
 
 def kurepa(x, p: Precision = Precision()) -> QuadratureResult:
-    """K(x) for x >= 0 with error_bound at most 10^-(digits-10).
+    """K(x) for 0 <= x <= MAX_ARGUMENT with error_bound at most 10^-(digits-10).
 
     x is rounded to p's working context, unless it is an mpf, whose bits are
-    kept; the integral is computed at that x, with guard digits of its own.
+    kept; the integral is computed at that x, at p's digits and 15 guard
+    digits, and an x outside the domain raises DomainError.
     It is taken in s = -log t over the window [-1/8, 1/8] and dyadic panels
     either side of it; at a node s = mid + 2^level z the integrand is
     c expm1(-x s), with exp(-x s) = exp(-x mid) (1 + B): one exponential per
@@ -486,25 +484,28 @@ def kurepa(x, p: Precision = Precision()) -> QuadratureResult:
 
 
 def kurepa_derivative(x, order: int, p: Precision = Precision()) -> QuadratureResult:
-    """j-th derivative of K at x (j in {1, 2, 3}), by the log-kernel integrals.
+    """j-th derivative of K at x, 1 <= j <= MAX_ORDER, by the log-kernel integrals.
 
-    Panels and factors are ``kurepa``'s; the integrand is c L^j exp(x L),
-    L = -s, with L^j exact, and c for j = 1 and 0 for j >= 2 at s = 0.
+    Panels, factors and domain are ``kurepa``'s; the integrand is
+    c L^j exp(x L), L = -s, with L^j exact, and c for j = 1 and 0 for j >= 2
+    at s = 0.  An order above MAX_ORDER raises DomainError.
     """
-    if order not in (1, 2, 3):
-        raise ConfigurationError(f"derivative order must be 1, 2 or 3, got {order!r}")
+    if not isinstance(order, int) or order < 1:
+        raise ConfigurationError(f"derivative order must be a positive integer, got {order!r}")
     return _kurepa_integral(x, order, p)
 
 
-def find_inflection(p: Precision = Precision(), bracket=(0, 1),
-                    width_tol="1e-9") -> mpmath.mpf:
-    """Bisection root of K'' on ``bracket``; K is concave left of the root.
+INFLECTION_WIDTH = "1e-9"
+
+
+def find_inflection(p: Precision = Precision(), bracket=(0, 1)) -> mpmath.mpf:
+    """Bisection root of K'' on ``bracket``, to INFLECTION_WIDTH; K is concave left of the root.
 
     Bisection is preferred over Newton here: each K'' evaluation is an
     adaptive quadrature, so sign robustness matters more than step count.
     """
     lo, hi = finite_segment(*bracket, p)
-    wtol = to_mpf(width_tol, p)
+    wtol = to_mpf(INFLECTION_WIDTH, p)
     f_lo = kurepa_derivative(lo, 2, p).value
     f_hi = kurepa_derivative(hi, 2, p).value
     if not (f_lo < 0 < f_hi):

@@ -26,7 +26,6 @@ real one.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from fractions import Fraction
 
 import mpmath
@@ -53,11 +52,6 @@ from .precision import (
 EDGE_FRACTION = "1e-8"
 # the settling level of the numeric route
 STABILIZE_TOL = "1e-8"
-
-
-class LimitMethod(str, Enum):
-    TAYLOR = "taylor"
-    NUMERIC = "numeric"
 
 
 def _quotient(f, a, b, n, m, p):
@@ -150,14 +144,11 @@ def endpoint_limits_taylor(f: Expression, a, b, n, m, p: Precision = Precision()
     derivs = [f]
     for _ in range(max(ni, mi)):
         derivs.append(differentiate(derivs[-1]))
-    for i in range(ni):
-        v = evaluate(derivs[i], av, p)
-        if abs(v) > tol:
-            raise MultiplicityError("a", i, v)
-    for i in range(mi):
-        v = evaluate(derivs[i], bv, p)
-        if abs(v) > tol:
-            raise MultiplicityError("b", i, v)
+    for end, point, order in (("a", av, ni), ("b", bv, mi)):
+        for i in range(order):
+            v = evaluate(derivs[i], point, p)
+            if abs(v) > tol:
+                raise MultiplicityError(end, i, v)
     fa = evaluate(derivs[ni], av, p)
     fb = evaluate(derivs[mi], bv, p)
     alpha = fa / (math.factorial(ni) * (bv - av) ** mi)

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache
 from operator import itemgetter
 
 import mpmath
@@ -101,12 +101,7 @@ class Polynomial:
         they grow by about the precision per degree, plus the c_j's exponent spread.
         """
         prec, rn = self.segment[0].context.prec, round_nearest
-        c = [v._mpf_ for v in self.coefficients]
-        if finf in c or fninf in c or fnan in c:
-            raise ConfigurationError(f"coefficients must be finite, got {self.coefficients}")
-        low = min([e for _, m, e, _ in c if m], default=0)
-        c = [((-m if sign else m) << (e - low)) if m else 0 for sign, m, e, _ in c]
-        c0, rest = c[0], c[:0:-1]
+        c0, rest, low = self._integers
         for sign, m, e, bc in _units(self.segment, xs) if units is None else units:
             if bc < 0:
                 raise ConfigurationError("P is evaluated at finite points only")
@@ -118,6 +113,16 @@ class Polynomial:
             yield from_man_exp(u * b1 - (b2 << s2) + (c0 << shift), low - shift, prec, rn)
 
     __call__ = evaluate
+
+    @cached_property
+    def _integers(self):
+        """(c_0, c_n .. c_1, low): the c_j as integers on their lowest exponent 2^low, once."""
+        c = [v._mpf_ for v in self.coefficients]
+        if finf in c or fninf in c or fnan in c:
+            raise ConfigurationError(f"coefficients must be finite, got {self.coefficients}")
+        low = min([e for _, m, e, _ in c if m], default=0)
+        c = [((-m if sign else m) << (e - low)) if m else 0 for sign, m, e, _ in c]
+        return c[0], c[:0:-1], low
 
     def to_monomial(self, p: Precision = Precision()):
         """Coefficients (low to high) of the same polynomial in powers of x.
@@ -208,9 +213,8 @@ def _units(segment, xs):
 def residual_sweep(g_values, poly, xs, units=None):
     """g(x) - P(x) at each x of ``xs`` in turn, as libmp tuples.
 
-    ``g_values`` yields each g(x) as a tuple, in order.  One sweep: P's
-    set-up runs once, and ``units`` (see ``Polynomial._values``) spares
-    recomputing u on a grid swept again.  For x and g(x) in the context of
+    ``g_values`` yields each g(x) as a tuple, in order.  ``units`` (see
+    ``Polynomial._values``) spares recomputing u on a grid swept again.  For x and g(x) in the context of
     P's segment, each residual has the bits of ``g(x) - poly.evaluate(x)``.
     """
     prec, rn = poly.segment[0].context.prec, round_nearest

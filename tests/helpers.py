@@ -182,15 +182,10 @@ def _walk(node, x, p):
             return l / r
         raise DomainError(f"unsupported binary operator {op!r}")
     if isinstance(node, (KurepaNode, KurepaDerivNode)):
+        # the quadrature checks the argument and the order
         v = _walk(node.child, x, p)
-        if v < 0:
-            raise DomainError(f"kurepa argument {v} is negative")
         if isinstance(node, KurepaNode):
             return mp.convert(quadrature.kurepa(v, p).value)
-        if node.order > 3:
-            raise DomainError(
-                f"kurepa derivative of order {node.order} is not supported (max 3)"
-            )
         return mp.convert(quadrature.kurepa_derivative(v, node.order, p).value)
     raise TypeError(f"not an expression node: {node!r}")
 

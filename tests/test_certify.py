@@ -183,13 +183,14 @@ class TestCertifyPositive:
         assert err.value.right - err.value.left == mpmath.mpf(2) ** -47
         assert err.value.bound <= 0
 
-    def test_leaf_budget_exhausted(self, p50):
+    def test_leaf_budget_exhausted(self, p50, monkeypatch):
         # (x - 1/3)^2 + 1e-12 needs about twenty leaves to be certified
         third = mpmath.mpf(1) / 3
         P = make_poly([third ** 2 + mpmath.mpf("1e-12"), -2 * third, 1])
         assert len(certify_positive(P, 0, "1.000001", p50).subintervals) > 3
+        monkeypatch.setattr(certify, "MAX_SUBINTERVALS", 3)
         with pytest.raises(CertificationError, match="within 3 subintervals"):
-            certify_positive(P, 0, "1.000001", p50, max_subintervals=3)
+            certify_positive(P, 0, "1.000001", p50)
 
     def test_low_precision_refused(self):
         P = make_poly(["1"])
@@ -466,6 +467,23 @@ class TestProvePipeline:
         failed = report.diagnostics["limit_cross_check"]["failed"]
         assert failed.startswith("DivergentLimitError")
         assert failed.endswith("[endpoint a]")
+
+    @pytest.mark.parametrize("source, stage, argument", [
+        # K(20) at b = 1
+        ("1 + kurepa(20*x)", "endpoint_limits", "20.0"),
+        # within the domain at both ends, past it on the Remez grid
+        ("1 + kurepa(2000*x*(1-x))", "minimax", None),
+    ])
+    def test_kurepa_argument_outside_the_domain_is_inconclusive(self, source, stage, argument,
+                                                               p30):
+        report = prove_inequality(source, 0, 1, 0, 0, 1,
+                                  ProofSettings(precision=p30, grid_multiplier=4))
+        assert (report.verdict, report.diagnostics["stage"]) == ("inconclusive", stage)
+        message = report.diagnostics["message"]
+        assert message.startswith("DomainError: kurepa argument ")
+        assert message.endswith("lies outside [0, 16]")
+        if argument is not None:
+            assert f" {argument} " in message
 
     def test_zero_limit_inconclusive(self, p30):
         report = prove_inequality("x^2*(1-x)", 0, 1, 1, 1, 1,

@@ -184,6 +184,17 @@ class TestKurepaCommand:
         value = mpmath.mpf(capsys.readouterr().out.splitlines()[0].split()[1])
         assert value == 0
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--x", "17"], "kurepa argument 17.0 lies outside [0, 16]"),
+        (["--x", "-1"], "kurepa argument -1.0 lies outside [0, 16]"),
+        (["--x", "0", "--order", "4"], "kurepa derivative of order 4 is not supported (max 3)"),
+        (["--x", "0", "--order", "-1"], "derivative order must be a positive integer"),
+    ])
+    def test_outside_the_domain_exits_3(self, argv, message, capsys):
+        assert main(["kurepa", "--precision", "30", *argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     @pytest.mark.parametrize("flag", ["--node-factor", "--tail-factor", "--max-evaluations"])
     def test_quadrature_takes_no_options(self, flag):
         assert main(["kurepa", "--x", "1", "--precision", "30", flag, "2"]) == 3

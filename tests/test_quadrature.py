@@ -1,8 +1,10 @@
 import functools
 import hashlib
 import os
+import re
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -70,12 +72,30 @@ RULE_HASHES = {
 }
 
 
+# sha256 of (value, error_bound, nodes_used) of K^(j)(x), j = 0..3, at each
+# x below, at P30, P35 and P50, in that order
+KUREPA_HASH = "5d1377844dc0de02648e5675f5044c4b2f7bbb345645b3700cd9b59e049cca55"
+KUREPA_HASH_ARGUMENTS = (0, 4 ** -12, "0.37", "0.5", 1, 2)
+
+
 @requires_recorded_mpmath
 @pytest.mark.parametrize("n, prec", sorted(RULE_HASHES))
 def test_rule_bits_pinned(n, prec):
     rule = quadrature.gauss_kronrod_rule(n, prec)
     data = repr(tuple(tuple(v._mpf_ for v in part) for part in rule)).encode("ascii")
     assert hashlib.sha256(data).hexdigest() == RULE_HASHES[n, prec]
+
+
+@requires_recorded_mpmath
+def test_kurepa_bits_pinned():
+    data = []
+    for digits in (30, 35, 50):
+        p = Precision(digits)
+        for x in KUREPA_HASH_ARGUMENTS:
+            for j in range(4):
+                r = kurepa(x, p) if j == 0 else kurepa_derivative(x, j, p)
+                data.append((r.value._mpf_, r.error_bound._mpf_, r.nodes_used))
+    assert hashlib.sha256(repr(data).encode("ascii")).hexdigest() == KUREPA_HASH
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 9, 15, 22, 25, 32])
@@ -221,13 +241,13 @@ class TestKurepaValues:
         # for integer n the integrand telescopes: K(n) = 0! + 1! + ... + (n-1)!
         import math
 
-        for n in (2, 5, 12, 25):
+        for n in (2, 5, 12, 16):
             exact = sum(math.factorial(k) for k in range(n))
             r = kurepa(n, p30)
             assert abs(r.value - exact) <= r.error_bound * 2
             assert r.error_bound <= mpmath.mpf(10) ** (-20)
 
-    @pytest.mark.parametrize("x", ["0.1", "0.7", "2.5"])
+    @pytest.mark.parametrize("x", ["0.1", "0.7", "2.5", "7.3"])
     def test_independent_oracle(self, x, p30):
         # tanh-sinh quadrature with no package code; a sign slip in the odd
         # powers of L would show in j = 1 and 3
@@ -236,6 +256,17 @@ class TestKurepaValues:
             with mp.workdps(45):
                 ref = kurepa_ts(mpmath.mpf(x), j)
             assert abs(r.value - ref) <= 2 * r.error_bound
+
+    @pytest.mark.parametrize("digits", [30, 35, 50])
+    def test_independent_oracle_at_the_end_of_the_domain(self, digits):
+        # K(16) is near 1.4e12: the oracle carries 45 digits more than p, so
+        # that its own rounding stays far below each error bound
+        p = Precision(digits)
+        for j in range(4):
+            r = kurepa(16, p) if j == 0 else kurepa_derivative(16, j, p)
+            with mp.workdps(digits + 45):
+                ref = kurepa_ts(mpmath.mpf(16), j)
+            assert abs(r.value - ref) <= r.error_bound, j
 
     @pytest.mark.parametrize("x", ["0.3", "0.4", "0.5"])
     def test_independent_oracle_at_p35(self, x, p35):
@@ -270,10 +301,9 @@ class TestKurepaValues:
         with pytest.raises(ConfigurationError, match="finite"):
             kurepa(x, p35)
 
-    @pytest.mark.parametrize("x", ["0.37", "2.5", "30.1", "pi/4"])
+    @pytest.mark.parametrize("x", ["0.37", "2.5", "15.1", "pi/4"])
     def test_argument_is_rounded_once(self, x, p35):
-        # a string x gives the integrals of its mpf in the working context,
-        # beyond 2 too, where the working precision grows with x
+        # a string x gives the integrals of its mpf in the working context
         xv = to_mpf(x, p35)
         for j in range(2):
             got, want = ((kurepa(v, p35) if j == 0 else kurepa_derivative(v, j, p35))
@@ -298,12 +328,29 @@ class TestKurepaValues:
             run()
 
     def test_domain_and_order_validation(self, p35):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"outside \[0, 16\]"):
             kurepa(-1, p35)
-        with pytest.raises(ConfigurationError):
+        # an order above 3 is refused before any work
+        start = time.perf_counter()
+        with pytest.raises(DomainError,
+                           match=re.escape("kurepa derivative of order 4 is not supported (max 3)")):
             kurepa_derivative(0, 4, p35)
+        assert time.perf_counter() - start < 0.05
         with pytest.raises(ConfigurationError):
             kurepa_derivative(0, 0, p35)
+
+    @pytest.mark.parametrize("j", range(4))
+    def test_the_domain_ends_at_16(self, j, p35):
+        # 16 is computed, the next mpf above it is refused before any work
+        def call(x):
+            return kurepa(x, p35) if j == 0 else kurepa_derivative(x, j, p35)
+
+        assert call(16).error_bound <= mpmath.mpf(10) ** -25
+        above = mpmath.mpf(16) + mpmath.mpf(2) ** -100
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=r"outside \[0, 16\]"):
+            call(above)
+        assert time.perf_counter() - start < 0.05
 
 
 class TestConvergenceInvariants:
@@ -343,8 +390,8 @@ class TestNodeTables:
         assert out[0] and out[0] == out[1]
 
     def test_memo_stays_within_its_limit(self, monkeypatch):
-        # the guard digits, and so the working precision, grow with x past 2;
-        # both memos are rebuilt small enough to evict along the way
+        # each number of digits has its own working precision; both memos
+        # are rebuilt small enough to evict along the way
         for memo in (quadrature.gauss_kronrod_rule, quadrature._node_table):
             assert memo.cache_info().maxsize == quadrature._CACHE_LIMIT
         limits = {"gauss_kronrod_rule": 2, "_node_table": 64}
@@ -359,21 +406,23 @@ class TestNodeTables:
 
             memos[name] = functools.lru_cache(maxsize=limit)(recorded)
             monkeypatch.setattr(quadrature, name, memos[name])
-        for x in ("0", "0.5", "2.5", "7", "15", "30", "60"):
-            r = kurepa(x, Precision(20))
-            assert r.error_bound <= mpmath.mpf(10) ** -10
+        for digits in (20, 21, 25, 30, 31, 36):
+            r = kurepa("0.5", Precision(digits))
+            assert r.error_bound <= mpmath.mpf(10) ** -(digits - 10)
             for name, limit in limits.items():
                 assert memos[name].cache_info().currsize <= limit
         assert len(precisions) >= 4
 
-    def test_nearby_large_arguments_share_rules(self, p35):
-        # x > 2 carries guard digits in steps of 10, so this sweep needs the
-        # rules of two working precisions, not one per x
-        built = quadrature.gauss_kronrod_rule.cache_info().misses
+    def test_a_sweep_of_the_domain_builds_one_rule(self, p35, monkeypatch):
+        # every x takes the one working precision of p: a cold sweep over
+        # [0, 16] builds a single Kronrod rule
+        for name in ("gauss_kronrod_rule", "_node_table"):
+            build = getattr(quadrature, name).__wrapped__
+            monkeypatch.setattr(quadrature, name, functools.lru_cache(maxsize=None)(build))
         for i in range(17):
-            r = kurepa(mpmath.mpf("2.25") + mpmath.mpf(i) / 2, p35)
+            r = kurepa(mpmath.mpf(i) + mpmath.mpf(i % 4) / 4, p35)
             assert r.error_bound <= mpmath.mpf(10) ** -25
-        assert quadrature.gauss_kronrod_rule.cache_info().misses - built <= 2
+        assert quadrature.gauss_kronrod_rule.cache_info().misses == 1
 
 
 class TestExactPanelSums:
@@ -414,7 +463,7 @@ class TestExactPanelSums:
 
 
 class TestExpFactors:
-    @pytest.mark.parametrize("x", [0, 4 ** -12, "0.37", 1, "2.5", 30])
+    @pytest.mark.parametrize("x", [0, 4 ** -12, "0.37", 1, "2.5", 16])
     def test_every_level_stays_within_its_bound(self, x, p35, monkeypatch):
         # each factor of every level the four integrals reach, and of two
         # levels below the base, against expm1 evaluated directly at twice
@@ -509,7 +558,7 @@ class TestSequentialRoundingReference:
     # exact sums round once where the sequential oracle rounds each product
     # and partial sum; the two agree to a few ulps and take the same panels
     @pytest.mark.parametrize("x", ["0", 4 ** -12, "0.25", "0.5", "0.999999", "1", "2.5",
-                                   "7.3", "30"])
+                                   "7.3", "16"])
     def test_close_to_sequential_rounding(self, x, p35):
         for j in range(4):
             r = kurepa(x, p35) if j == 0 else kurepa_derivative(x, j, p35)
