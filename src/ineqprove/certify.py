@@ -22,7 +22,6 @@ claims disproof, only a concrete negative witness does.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import itertools
 import json
@@ -80,6 +79,8 @@ CAVEAT = (
 )
 
 CERTIFICATION_MIN_DIGITS = 30
+# the proof's margin on delta: P(x) - delta_hat * MARGIN_FACTOR > 0
+MARGIN_FACTOR = "1.000001"
 # the certifier's stopping rule (certify_positive)
 REL_SLACK, MAX_DEPTH, MAX_SUBINTERVALS = "0.01", 47, 200000
 
@@ -107,12 +108,7 @@ class PositivityCertificate:
 @dataclass(frozen=True)
 class ProofSettings:
     precision: Precision = Precision()
-    tol: object = remez.TOL
     grid_multiplier: int = remez.GRID_MULTIPLIER
-    residual_grid_size: object = None
-    margin_factor: object = "1.000001"
-    equioscillation_rel_tol: object = remez.EQUIOSCILLATION_REL_TOL
-    max_iterations: int = remez.MAX_ITERATIONS
 
 
 @dataclass(frozen=True)
@@ -344,23 +340,16 @@ def certify_positive(polynomial: Polynomial, delta, margin_factor,
     )
 
 
-# settings that may be numbers: a number is rounded to the working precision
-# at entry, as segment ends are, and a string is read where it is used
-_NUMBER_SETTINGS = ("tol", "margin_factor", "equioscillation_rel_tol")
-
-
 def _settings_echo(f_source, a, b, n, m, k, s: ProofSettings, residual_grid_size):
+    """The report's settings: the inputs, the settings and the constants the stages read."""
     p = s.precision
-    echo = {"function": f_source, "interval": [decimal_str(a, p), decimal_str(b, p)],
+    return {"function": f_source, "interval": [decimal_str(a, p), decimal_str(b, p)],
             "n": decimal_str(n, p), "m": decimal_str(m, p), "degree": k,
-            "precision_digits": p.decimal_digits}
-    # the other settings in field order: a number, an mpf since entry, at full
-    # working precision, anything else verbatim
-    for name in (f.name for f in dataclasses.fields(s)[1:]):
-        value = getattr(s, name)
-        echo[name] = decimal_str(value, p) if hasattr(value, "_mpf_") else value
-    echo["residual_grid_size"] = residual_grid_size
-    return echo
+            "precision_digits": p.decimal_digits, "tol": remez.TOL,
+            "grid_multiplier": s.grid_multiplier, "residual_grid_size": residual_grid_size,
+            "margin_factor": MARGIN_FACTOR,
+            "equioscillation_rel_tol": remez.EQUIOSCILLATION_REL_TOL,
+            "max_iterations": remez.MAX_ITERATIONS}
 
 
 def _disproof_witness(run):
@@ -440,9 +429,8 @@ def _precondition(run: _Run):
 
 
 def _minimax(run: _Run):
-    s = run.settings
-    mr = minimax(run.g, *run.fields["segment"], run.fields["degree"], tol=s.tol, p=run.p,
-                 grid_multiplier=s.grid_multiplier, max_iterations=s.max_iterations)
+    mr = minimax(run.g, *run.fields["segment"], run.fields["degree"], tol=remez.TOL, p=run.p,
+                 grid_multiplier=run.settings.grid_multiplier)
     run.minimax = mr
     run.timings["remez_iterations"] = mr.iterations
     run.fields.update(delta_hat=mr.delta_hat, lower_bound=mr.lower_bound,
@@ -450,8 +438,7 @@ def _minimax(run: _Run):
 
 
 def _equioscillation(run: _Run):
-    eq = verify_equioscillation(run.minimax, rel_tol=run.settings.equioscillation_rel_tol,
-                                p=run.p)
+    eq = verify_equioscillation(run.minimax, p=run.p)
     run.diagnostics["equioscillation"] = {
         "passed": eq.passed,
         "spread": decimal_str(eq.spread, run.p),
@@ -479,7 +466,7 @@ def _residual_check(run: _Run):
 
 def _positivity(run: _Run):
     mr = run.minimax
-    cert = certify_positive(mr.polynomial, mr.delta_hat, run.settings.margin_factor, run.p)
+    cert = certify_positive(mr.polynomial, mr.delta_hat, MARGIN_FACTOR, run.p)
     run.timings["certificate_subintervals"] = len(cert.subintervals)
     run.fields["global_min_bound"] = cert.global_min_bound
 
@@ -556,25 +543,6 @@ def _run_stages(run: _Run) -> ProofReport:
                        diagnostics=run.diagnostics, **run.fields)
 
 
-def _residual_grid_size(s: ProofSettings, k: int) -> int:
-    """The residual grid size the settings ask for, by default twice as dense as Remez's.
-
-    Refuses, before any stage runs, grid and iteration settings no stage could use.
-    """
-    for name in ("grid_multiplier", "max_iterations"):
-        value = getattr(s, name)
-        if not isinstance(value, int) or value < 1:
-            raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
-    size = s.residual_grid_size
-    if size is None:
-        size = 2 * s.grid_multiplier * (k + 2) + 1
-    if not isinstance(size, int) or size < 4 * (k + 2):
-        raise ConfigurationError(
-            f"residual_grid_size must be an integer of at least 4*(degree+2) = "
-            f"{4 * (k + 2)}, got {size!r}")
-    return size
-
-
 def prove_inequality(f, a, b, n, m, k: int,
                      settings: ProofSettings = None) -> ProofReport:
     """Run the full pipeline and return a ProofReport.
@@ -594,13 +562,14 @@ def prove_inequality(f, a, b, n, m, k: int,
         f = parse(f)
     if not isinstance(k, int) or k < 0:
         raise ConfigurationError(f"degree must be a nonnegative integer, got {k!r}")
+    # from 2 on, the residual grid, twice as dense as Remez's, has the
+    # 4*(k+2) points that residual_check asks for
+    if not isinstance(s.grid_multiplier, int) or s.grid_multiplier < 2:
+        raise ConfigurationError(
+            f"grid_multiplier must be an integer of at least 2, got {s.grid_multiplier!r}")
     av, bv = finite_segment(a, b, p)
     nv, mv = finite_orders(n, m, p)
-    given = {name: getattr(s, name) for name in _NUMBER_SETTINGS}
-    s = dataclasses.replace(s, **{name: +to_mpf(v, p) for name, v in given.items()
-                                  if v is not None and not isinstance(v, str)})
-
-    residual_grid_size = _residual_grid_size(s, k)
+    residual_grid_size = 2 * s.grid_multiplier * (k + 2) + 1
     echo = _settings_echo(f.source_text, av, bv, nv, mv, k, s, residual_grid_size)
     fields = dict(function_source=f.source_text, segment=(av, bv), n=nv, m=mv,
                   degree=k, settings=echo)

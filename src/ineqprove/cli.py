@@ -29,24 +29,16 @@ from .expr import parse
 from .precision import Precision, decimal_str, to_mpf
 from .quadrature import MAX_ORDER, kurepa, kurepa_derivative
 from .quotient import endpoint_limits_numeric, endpoint_limits_taylor
-from .remez import minimax
+from .remez import TOL, minimax
 
 EXIT_PROVEN = 0
 EXIT_DISPROVEN = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_ERROR = 3
 
-# config keys that set a ProofSettings field: key -> (field, conversion);
+# config keys that set the ProofSettings field of their name: key -> conversion;
 # ProofSettings holds the default of every key left out
-_SETTING_KEYS = {
-    "precision": ("precision", lambda value: Precision(int(value))),
-    "tol": ("tol", str),
-    "grid_multiplier": ("grid_multiplier", int),
-    "residual_grid_size": ("residual_grid_size", int),
-    "margin": ("margin_factor", str),
-    "equioscillation_rel_tol": ("equioscillation_rel_tol", str),
-    "max_iterations": ("max_iterations", int),
-}
+_SETTING_KEYS = {"precision": lambda value: Precision(int(value)), "grid_multiplier": int}
 _CONFIG_KEYS = ("function", "interval", "n", "m", "degree", *_SETTING_KEYS, "out")
 
 
@@ -95,9 +87,8 @@ def cmd_prove(args) -> int:
     a, b = _split_interval(merged["interval"])
     try:
         degree = int(merged.get("degree", 1))
-        settings = ProofSettings(**{name: convert(merged[key])
-                                    for key, (name, convert) in _SETTING_KEYS.items()
-                                    if key in merged})
+        settings = ProofSettings(**{key: convert(merged[key])
+                                    for key, convert in _SETTING_KEYS.items() if key in merged})
     except ValueError as exc:
         raise IneqproveError(f"invalid setting value: {exc}") from exc
     report = prove_inequality(merged["function"], a, b, merged["n"], merged["m"],
@@ -202,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     mmx.add_argument("--function", required=True)
     mmx.add_argument("--interval", metavar="A,B", required=True)
     mmx.add_argument("--degree", type=int, required=True)
-    mmx.add_argument("--tol", default=defaults.tol)
+    mmx.add_argument("--tol", default=TOL)
     mmx.add_argument("--precision", type=int, default=defaults.precision.decimal_digits)
     mmx.add_argument("--grid-multiplier", dest="grid_multiplier", type=int,
                      default=defaults.grid_multiplier)

@@ -34,8 +34,8 @@ polisher step on tuples, rounding to nearest as mpf arithmetic of the same
 precision does, and make mpfs only where g is called and for the extrema.
 ``minimax`` returns a map of the residuals of its last iteration, on the
 grid and at the nodes, and the residual check takes every sample it finds
-there instead of computing it again: on its default grid, twice as dense as
-the Remez grid, the even points and the nodes.
+there instead of computing it again: on the proof's residual grid, twice as
+dense as the Remez grid, the even points and the nodes.
 
 Convergence is judged by the de la Vallee-Poussin sandwich: the residual
 magnitudes at the exchanged points bound the true minimax error from below,
@@ -69,7 +69,8 @@ from .precision import (
 )
 
 REFINE_WIDTH_FACTOR = "1e-12"
-# the defaults of minimax and verify_equioscillation, which ProofSettings shares
+# minimax's defaults, the proof pipeline's too, and the iteration cap and
+# spread tolerance that minimax and verify_equioscillation read at call time
 TOL, GRID_MULTIPLIER, MAX_ITERATIONS, EQUIOSCILLATION_REL_TOL = "1e-12", 64, 50, "1e-6"
 # cosine tables kept: a proof's grids and the halves they are built from
 _COSINE_LIMIT = 16
@@ -558,8 +559,7 @@ def _exchange_core(g, poly, grid, rs, current_nodes=None):
 
 
 def minimax(g, a, b, k: int, tol=TOL, p: Precision = Precision(),
-            grid_multiplier: int = GRID_MULTIPLIER,
-            max_iterations: int = MAX_ITERATIONS) -> MinimaxResult:
+            grid_multiplier: int = GRID_MULTIPLIER) -> MinimaxResult:
     """Minimax degree-k polynomial approximation of g on [a, b].
 
     Returns the polynomial, the error estimate ``delta_hat`` (maximum
@@ -601,7 +601,7 @@ def minimax(g, a, b, k: int, tol=TOL, p: Precision = Precision(),
                              iterations=iteration, levelled_error_history=tuple(history),
                              lower_bound=+lower, upper_bound=+delta, residuals=known)
 
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         poly, h = _solve_levelled_system(gc, nodes, av, bv, p)
         history.append(abs(h))
         rs = list(residual_sweep(g_grid, poly, grid, units))
@@ -618,16 +618,18 @@ def minimax(g, a, b, k: int, tol=TOL, p: Precision = Precision(),
         if (upper - lower) / upper <= tol_v:
             return result(upper, lower)
     raise ConvergenceError(
-        f"no convergence to tol={tol} within {max_iterations} iterations",
+        f"no convergence to tol={tol} within {MAX_ITERATIONS} iterations",
         history=history,
     )
 
 
-def verify_equioscillation(result: MinimaxResult, rel_tol=EQUIOSCILLATION_REL_TOL,
+def verify_equioscillation(result: MinimaxResult,
                            p: Precision = Precision()) -> EquioscillationReport:
     """Check the k+2 node residuals: alternating signs, magnitudes level.
 
-    Passing this check is the gate for trusting ``delta_hat`` downstream.
+    Level means a spread (max - min)/delta_hat of at most
+    ``EQUIOSCILLATION_REL_TOL``.  Passing this check is the gate for
+    trusting ``delta_hat`` downstream.
     A result with delta_hat at the arithmetic floor passes by the zero rule
     (exactly representable g has no meaningful residual signs).  The
     residuals and g values are those ``minimax`` formed at the nodes.
@@ -655,7 +657,7 @@ def verify_equioscillation(result: MinimaxResult, rel_tol=EQUIOSCILLATION_REL_TO
                           failure_index=i)
     mags = [abs(r) for r in residuals]
     spread = (max(mags) - min(mags)) / result.delta_hat
-    if spread > to_mpf(rel_tol, p):
+    if spread > to_mpf(EQUIOSCILLATION_REL_TOL, p):
         worst = min(range(len(mags)), key=lambda i: mags[i])
         return report(False, f"residual spread {mpmath.nstr(spread, 6)} exceeds tolerance",
                       +spread, worst)

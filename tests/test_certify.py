@@ -19,7 +19,6 @@ from ineqprove import (
     QuotientFunction,
     ZeroLimitError,
     certify_positive,
-    decimal_str,
     endpoint_limits_numeric,
     endpoint_limits_taylor,
     find_inflection,
@@ -706,20 +705,24 @@ class TestProvePipeline:
         assert len(mr.residuals) >= n + 1 and "residuals" not in repr(mr)
         assert mr == dataclasses.replace(mr, residuals={})
 
-    @pytest.mark.parametrize("setting", [
-        {"residual_grid_size": 0}, {"residual_grid_size": 5}, {"residual_grid_size": 12.5},
-        {"grid_multiplier": 0}, {"grid_multiplier": -2}, {"grid_multiplier": 1},
-        {"max_iterations": 0},
-    ], ids=str)
-    def test_grid_settings_refused_before_any_stage(self, setting, p30, monkeypatch):
+    # the residual grid, 2*grid_multiplier*(k+2)+1 points, needs 4*(k+2)
+    @pytest.mark.parametrize("grid_multiplier", [0, -2, 1, 2.5, "4"], ids=repr)
+    def test_grid_settings_refused_before_any_stage(self, grid_multiplier, p30, monkeypatch):
         def no_stage(*args):
             raise AssertionError("a stage ran")
 
         for name in ("endpoint_limits_taylor", "endpoint_limits_numeric"):
             monkeypatch.setattr(certify, name, no_stage)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError,
+                           match=r"grid_multiplier must be an integer of at least 2, got "):
             prove_inequality("exp(x)-1-x", 0, 1, 2, 0, 1,
-                             ProofSettings(precision=p30, **setting))
+                             ProofSettings(precision=p30, grid_multiplier=grid_multiplier))
+
+    def test_least_grid_multiplier_proves(self, p30):
+        report = prove_inequality("exp(x)-1-x", 0, 1, 2, 0, 1,
+                                  ProofSettings(precision=p30, grid_multiplier=2))
+        assert report.verdict == "proven"
+        assert report.settings["residual_grid_size"] == 13 == 4 * 3 + 1
 
     def test_precision_floor(self):
         with pytest.raises(ConfigurationError):
@@ -755,21 +758,6 @@ class TestReportJson:
         a = report_to_json(prove_inequality("x*(1-x)", 0, 1, 1, 1, 1, settings), p30)
         b = report_to_json(prove_inequality("x*(1-x)", 0, 1, 1, 1, 1, settings), p30)
         assert a.encode() == b.encode()
-
-    def test_number_settings_echo_apart_from_ambient_precision(self, p30):
-        # a setting given as a number is rounded at entry and echoed through
-        # decimal_str, so the caller's mp.dps cannot reach the report
-        settings = ProofSettings(precision=p30, tol=mpmath.mpf(3e-12),
-                                 margin_factor=Fraction(1000001, 1000000))
-        reports = []
-        for dps in (15, 40):
-            with mp.workdps(dps):
-                reports.append(report_to_json(
-                    prove_inequality("exp(x)-1-x", 0, 1, 2, 0, 1, settings)))
-        assert reports[0] == reports[1]
-        echo = json.loads(reports[0])["settings"]
-        assert echo["tol"] == decimal_str(mpmath.mpf(3e-12), p30)
-        assert echo["margin_factor"] == "1.000001"
 
     def test_proofs_in_threads_give_their_solo_bytes(self):
         # each proof computes in the context of its own precision, and no

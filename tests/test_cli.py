@@ -62,9 +62,11 @@ class TestProveCommand:
         assert main(["prove", "--config", cfg]) == 3
 
     # the limits are computed from f, never given: the route and the
-    # user-supplied limits are no settings
+    # user-supplied limits are no settings, and the pipeline's tolerances,
+    # margin, iteration cap and residual grid size are constants
     @pytest.mark.parametrize("key", ["wibble", "limit_method", "alpha_override",
-                                     "beta_override"])
+                                     "beta_override", "tol", "residual_grid_size", "margin",
+                                     "equioscillation_rel_tol", "max_iterations"])
     def test_unknown_key_rejected(self, key, tmp_path, capsys):
         cfg = write_config(tmp_path / "unknown.cfg", function="x*(1-x)", interval="0,1",
                            n=1, m=1, precision=30, **{key: 1})
@@ -74,9 +76,9 @@ class TestProveCommand:
                      "--m", "1", "--precision", "30", "--" + key.replace("_", "-"), "1"]) == 3
 
     def test_setting_keys_are_the_settings_fields(self):
-        # every ProofSettings field has one config key, and every key a field
-        assert sorted(name for name, _ in _SETTING_KEYS.values()) == \
-            sorted(f.name for f in dataclasses.fields(ProofSettings))
+        # every ProofSettings field has the config key of its name, and every key a field
+        assert list(_SETTING_KEYS) == [f.name for f in dataclasses.fields(ProofSettings)] == \
+            ["precision", "grid_multiplier"]
 
     def test_line_without_equals_rejected(self, tmp_path, capsys):
         path = tmp_path / "noeq.cfg"
@@ -119,9 +121,10 @@ class TestProveCommand:
             assert getattr(args, key) == "7"
         out = tmp_path / "report.json"
         assert main(["prove", "--function", "x*(1-x)", "--interval", "0,1", "--n", "1",
-                     "--m", "1", "--precision", "30", "--equioscillation-rel-tol", "1e-5",
+                     "--m", "1", "--precision", "30", "--grid-multiplier", "4",
                      "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["settings"]["equioscillation_rel_tol"] == "1e-5"
+        settings = json.loads(out.read_text())["settings"]
+        assert (settings["grid_multiplier"], settings["residual_grid_size"]) == (4, 25)
 
     def test_byte_identical_reports(self, tmp_path):
         out1 = tmp_path / "a.json"

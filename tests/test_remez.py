@@ -12,6 +12,7 @@ from mpmath.libmp import from_man_exp, fzero, mpf_abs, mpf_cmp, mpf_neg
 from ineqprove import (
     AlternationError,
     ConfigurationError,
+    ConvergenceError,
     Polynomial,
     Precision,
     minimax,
@@ -503,6 +504,13 @@ class TestMinimax:
             assert r.iterations <= 12
             assert len(r.levelled_error_history) == r.iterations
 
+    def test_iteration_cap(self, p50, monkeypatch):
+        monkeypatch.setattr(remez, "MAX_ITERATIONS", 1)
+        with pytest.raises(ConvergenceError,
+                           match=r"^no convergence to tol=1e-12 within 1 iterations$") as info:
+            minimax(lambda x: x.context.exp(x), 0, 1, 3, p=p50)
+        assert len(info.value.history) == 1
+
     def test_coarse_g_values_refused(self, p50):
         # mpmath.exp computes at the ambient precision; below the run's it
         # would stall Remez, so the run refuses it and names the fix
@@ -577,6 +585,17 @@ class TestVerifyEquioscillation:
         assert not report.passed
         assert report.failure_index == 1
         assert report.message == "residual signs do not alternate at node 1"
+
+    def test_spread_beyond_the_tolerance_fails(self, p50, monkeypatch):
+        # magnitudes 0.5, 0.4, 0.5: a spread of (0.5 - 0.4)/0.5 = 0.2
+        result = self._result(("0.5", "-0.4", "0.5"), "0.5", p50)
+        report = verify_equioscillation(result, p=p50)
+        assert not report.passed
+        assert report.failure_index == 1
+        assert report.message == "residual spread 0.2 exceeds tolerance"
+        # the tolerance is read at call time
+        monkeypatch.setattr(remez, "EQUIOSCILLATION_REL_TOL", "0.25")
+        assert verify_equioscillation(result, p=p50).passed
 
     def test_floor_rule_fails_on_a_residual_above_the_floor(self, p50):
         # delta_hat is at the arithmetic floor (1e-40 at 50 digits), the

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ineqprove import Precision, ProofSettings, prove_inequality, report_to_json
+from ineqprove import Precision, ProofSettings, prove_inequality, remez, report_to_json
 from ineqprove.cli import main
 
 from helpers import ARCSIN_DIFF_SOURCE, requires_recorded_mpmath
@@ -32,14 +32,13 @@ CASES = {
                                      "endpoint_limits"),
     "inconclusive_precondition": ("x^2", 0, 1, 1, 0, 1, {}, "inconclusive",
                                   "precondition"),
-    "inconclusive_minimax": ("exp(x)", 0, 1, 0, 0, 3, {"max_iterations": 1},
-                             "inconclusive", "minimax"),
-    "inconclusive_equioscillation": ("exp(x)", 0, 1, 0, 0, 3,
-                                     {"equioscillation_rel_tol": "1e-40"},
-                                     "inconclusive", "equioscillation"),
-    "inconclusive_residual_check": ("1+exp(-10^6*(x-3/10)^2)", 0, 1, 0, 0, 2,
-                                    {"grid_multiplier": 4, "residual_grid_size": 4000},
-                                    "inconclusive", "residual_check"),
+    "inconclusive_minimax": ("exp(x)", 0, 1, 0, 0, 3, {}, "inconclusive", "minimax"),
+    "inconclusive_equioscillation": ("exp(x)", 0, 1, 0, 0, 3, {}, "inconclusive",
+                                     "equioscillation"),
+    # a bump on a point of the 33-point residual grid that the 17-point
+    # Remez grid lacks
+    "inconclusive_residual_check": ("1+exp(-10^8*(x-0.450991429835)^2)", 0, 1, 0, 0, 2,
+                                    {"grid_multiplier": 4}, "inconclusive", "residual_check"),
     "inconclusive_positivity": ("x^2+1/100", 0, 1, 0, 0, 1, {}, "inconclusive",
                                 "positivity"),
     # a real-exponent denominator, (1-x)^(1/2)
@@ -48,6 +47,12 @@ CASES = {
     # a kurepa node: the slope just below K'(0) makes alpha negative
     "disproven_kurepa_near_miss": ("(1.432205)*x - kurepa(x)", 0, 1, 1, 0, 1, {},
                                    "disproven", "precondition"),
+}
+
+# remez constants a case sets: name -> (constant, value)
+PATCHES = {
+    "inconclusive_minimax": ("MAX_ITERATIONS", 1),
+    "inconclusive_equioscillation": ("EQUIOSCILLATION_REL_TOL", "1e-40"),
 }
 
 # sha256 of report_to_json for each case, at 30 digits
@@ -64,7 +69,7 @@ REPORT_HASHES = {
     "inconclusive_equioscillation":
         "5649f7fe095874135a9ecfc1ff4368ea81c73161521b83ee8189ec52f2a21071",
     "inconclusive_residual_check":
-        "1aef386a259292058d8d68cc0d901b76d23f4423a6998c78d642510602528d0f",
+        "debf0bbe017c6ace1dd7eff023304e75934823c76ccbea6341e75038690e9743",
     "inconclusive_positivity":
         "d298150a6f0593a10643d79b12d27f61d41bd01035481749b69abff5ec444097",
     "proven_real_exponent":
@@ -85,8 +90,10 @@ def _sha256(data: bytes) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_bytes(name):
+def test_report_bytes(name, monkeypatch):
     f, a, b, n, m, k, extra, verdict, stage = CASES[name]
+    if name in PATCHES:
+        monkeypatch.setattr(remez, *PATCHES[name])
     report = prove_inequality(f, a, b, n, m, k,
                               ProofSettings(precision=Precision(30), **extra))
     assert (report.verdict, report.diagnostics["stage"]) == (verdict, stage)
