@@ -24,8 +24,9 @@ j = 0 and c L^j exp(x L) for j >= 1, L = -s; c is kept in a node table per
 panel, built on raw mpf tuples and exactly multiplied into the weights.
 exp(x L) = exp(-x mid) (1 + B): one exponential per panel, and B =
 expm1(-x 2^level z) in fixed point, computed once per call at the first
-level and squared up the others (``_ExpFactors``).  Each estimate is an exact
-sum, formed on integers and rounded once.
+level and squared up the others (``_ExpFactors``).  Per panel and order j,
+each rule's weights times L^j are folded once onto one exponent, so each
+estimate is one exact integer dot product with the Bs, rounded once.
 
 Each panel's error is estimated by comparing the n-node Gauss rule with its
 nested (2n+1)-node Kronrod extension, and a panel whose estimate exceeds its
@@ -33,11 +34,11 @@ share of the error target is bisected.  Both rules come from one recurrence,
 that of Laurie's Jacobi-Kronrod matrix, by one Newton iteration for the
 nodes, at a width that doubles as the root sharpens, and one formula for the
 weights, all in fixed point on integers, rounded to the working precision at
-the end.  The rules and the node tables are pure functions of their
-arguments, the binary precision among them, each memoized in a bounded LRU
-memo; as a memoized value depends only on its key, the factors of a call
-live in the call, and everything is summed in a fixed order, results are
-bit-for-bit reproducible, with or without warm memos.
+the end.  The rules, node tables and folded weights are pure functions of
+their arguments, the binary precision among them, each memoized in a
+bounded LRU memo; as a memoized value depends only on its key, the factors
+of a call live in the call, and everything is summed in a fixed order,
+results are bit-for-bit reproducible, with or without warm memos.
 """
 
 from __future__ import annotations
@@ -45,11 +46,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 import mpmath
 from mpmath.libmp import (
-    dps_to_prec, fone, from_man_exp, from_rational, fzero, mpf_add, mpf_div, mpf_exp,
-    mpf_mul, mpf_neg, mpf_pos, mpf_shift, mpf_sub, round_nearest as rn, to_fixed,
+    dps_to_prec, fone, from_man_exp, from_rational, fzero, mpf_abs, mpf_add, mpf_div,
+    mpf_exp, mpf_le, mpf_mul, mpf_neg, mpf_pos, mpf_shift, mpf_sub, round_nearest as rn,
+    to_fixed,
 )
 
 from .errors import (
@@ -62,7 +65,7 @@ from .precision import (
     Precision, context, finite_segment, negligible_ratio, resolution_floor, series_floor, to_mpf,
 )
 
-# entries kept by each memo: the Kronrod rules and the node tables
+# entries kept by each memo: the Kronrod rules, node tables and folded weights
 _CACHE_LIMIT = 65536
 
 # bits the Kronrod rule carries beyond its precision until it rounds
@@ -267,6 +270,31 @@ def _exact(a, w):
     return -man if sign else man, exp
 
 
+@lru_cache(maxsize=_CACHE_LIMIT)
+def _panel_weights(mid, level, n, prec, j):
+    """The node table's weights folded with L^j: (low, Kronrod rule, Gauss rule).
+
+    Each rule is (weights, their sum, centre): weights[i] 2^low is the exact
+    2^level c w L^j at the rule's i-th node (2^level c w for j = 0), and 0 at
+    s = 0, whose 2^level c w is ``centre`` as (integer, exponent), or (0, 0)
+    where the rule has no node there.  Memoized on all five arguments.
+    """
+    kronrod, gauss, centre = [], [], ((0, 0), (0, 0))
+    for i, (ell, km, ke, gm, ge) in enumerate(_node_table(mid, level, n, prec)):
+        if ell is None:
+            centre, km, gm = ((km, ke), (gm, ge)), 0, 0
+        elif j:
+            sign, lm, le, _ = ell
+            power = (-lm if sign else lm) ** j
+            km, ke, gm, ge = km * power, ke + le * j, gm * power, ge + le * j
+        kronrod.append((km, ke))
+        if i % 2:
+            gauss.append((gm, ge))
+    low = min(e for m, e in kronrod + gauss if m)
+    rules = [tuple(m << e - low if m else 0 for m, e in terms) for terms in (kronrod, gauss)]
+    return low, *((weights, sum(weights), c) for weights, c in zip(rules, centre))
+
+
 def _round_sum(terms, prec):
     """The exact sum of (integer, exponent) terms, rounded once to nearest."""
     low = min(exp for _, exp in terms)
@@ -313,62 +341,62 @@ def _kronrod_panel(mid, level, n, x, j, factors):
     """(Gauss estimate, Kronrod estimate) of the panel mid +- 2^level at argument x.
 
     exp(x L) = exp(-x mid) (1 + B), the first factor one exponential to
-    frac + 2 bits, B the node's entry in ``factors``; their product, less 1
-    for j = 0 and times L^j for j >= 1, is exact on integers, so is every
-    term, and each estimate is its terms' exact sum, rounded once to nearest.
+    frac + 2 bits, B the node's entry in ``factors``.  With the weights W of
+    ``_panel_weights``, a rule's estimate is exp(-x mid) sum W (1 + B), less
+    sum W for j = 0, plus the s = 0 node's term: one dot product of W and the
+    Bs, exact on integers, and the sum rounded once to nearest.
     """
     ctx = x.context
     prec, xr, frac = ctx.prec, x._mpf_, factors.frac
-    one = 1 << frac
     _, am, ae, _ = mpf_exp(mpf_mul(factors.neg_x, mid), frac + 2, rn)
-    # exp(-x s) - 1 is (am (one + b) << shift) - unit in units of 2^low
-    low = min(ae - frac, 0)
-    shift, unit = ae - frac - low, 1 << -low
-    gauss, kronrod = [], []
-    for (ell, km, ke, gm, ge), b in zip(_node_table(mid, level, n, prec), factors(level)):
-        if ell is None:
-            # the quotient's limit at s = 0; x >= 0, so its sign bit is clear
-            fm, fe = (xr[1], xr[2]) if j == 0 else (int(j == 1), 0)
-        elif j == 0:
-            fm, fe = (am * (one + b) << shift) - unit, low
-        else:
-            sign, lm, le, _ = ell
-            fm, fe = am * (one + b) * (-lm if sign else lm) ** j, ae - frac + le * j
-        kronrod.append((km * fm, ke + fe))
-        if gm:
-            gauss.append((gm * fm, ge + fe))
-    return ctx.make_mpf(_round_sum(gauss, prec)), ctx.make_mpf(_round_sum(kronrod, prec))
+    low, kronrod, gauss = _panel_weights(mid, level, n, prec, j)
+    if j == 0:
+        # exp(-x s) - 1 is (am (one + B) << shift) - unit in units of 2^base;
+        # the quotient's limit at s = 0 is x, whose sign bit is clear
+        base = min(ae - frac, 0)
+        shift, unit, fm, fe = ae - frac - base, 1 << -base, xr[1], xr[2]
+    else:
+        base, shift, unit, fm, fe = ae - frac, 0, 0, int(j == 1), 0
+    b = factors(level)
+    estimates = []
+    for (weights, total, (cm, ce)), nodes in ((gauss, b[1::2]), (kronrod, b)):
+        dot = am * ((total << frac) + sum(map(mul, weights, nodes)))
+        terms = [((dot << shift) - unit * total, base + low), (cm * fm, ce + fe)]
+        estimates.append(ctx.make_mpf(_round_sum(terms, prec)))
+    return tuple(estimates)
 
 
 def _adaptive(panels, x, j, tol_abs, n, state, factors):
-    """Adaptive bisection over (mid, level) panels, left to right, in x's context."""
+    """Adaptive bisection over (mid, level) panels, left to right, on tuples at x's precision."""
     ctx = x.context
-    span = ctx.mpf(0)
+    prec = ctx.prec
+    span = fzero
     for _, level in panels:
-        span += ctx.ldexp(1, level + 1)
-    min_width = span * negligible_ratio(ctx.prec)
-    total = ctx.mpf(0)
-    err = ctx.mpf(0)
+        span = mpf_add(span, mpf_shift(fone, level + 1), prec, rn)
+    min_width = mpf_mul(span, negligible_ratio(prec)._mpf_, prec, rn)
+    # a panel of width 2^(level+1) may err by tol 2^(level+1) / span; the
+    # power of two leaves the rounded quotient exact
+    share = mpf_div(tol_abs._mpf_, span, prec, rn)
+    total = err = fzero
     stack = list(reversed(panels))
     while stack:
         mid, level = stack.pop()
-        width = ctx.ldexp(1, level + 1)
         state["evals"] += 2 * n + 1
         if state["evals"] > MAX_EVALUATIONS:
             raise PrecisionUnreachableError(
                 f"quadrature budget of {MAX_EVALUATIONS} evaluations exhausted "
                 "before the error target was met"
             )
-        v1, v2 = _kronrod_panel(mid, level, n, x, j, factors)
-        e = abs(v2 - v1)
-        if e <= tol_abs * width / span or width <= min_width:
-            total += v2
-            err += e
+        v1, v2 = (v._mpf_ for v in _kronrod_panel(mid, level, n, x, j, factors))
+        e = mpf_abs(mpf_sub(v2, v1, prec, rn))
+        if mpf_le(e, mpf_shift(share, level + 1)) or mpf_le(mpf_shift(fone, level + 1), min_width):
+            total = mpf_add(total, v2, prec, rn)
+            err = mpf_add(err, e, prec, rn)
         else:
             quarter = mpf_shift(fone, level - 1)
             stack.append((mpf_add(mid, quarter), level - 1))
             stack.append((mpf_sub(mid, quarter), level - 1))
-    return total, err
+    return ctx.make_mpf(total), ctx.make_mpf(err)
 
 
 def _dyadic_panels(stop, top, ctx):
@@ -476,9 +504,10 @@ def kurepa(x, p: Precision = Precision()) -> QuadratureResult:
     either side of it; at a node s = mid + 2^level z the integrand is
     c expm1(-x s), with exp(-x s) = exp(-x mid) (1 + B): one exponential per
     panel, and B in fixed point, within 2^(k+2) max(1, 1 + B) units of
-    2^-(prec + 40) or finer, k the level's doublings above 1/8.
-    ``error_bound`` sums the panels' Kronrod-minus-Gauss estimates and the
-    two tail bounds.
+    2^-(prec + 40) or finer, k the level's doublings above 1/8; a panel's
+    estimate is one integer dot product of its Bs with weights folded once
+    per panel and order.  ``error_bound`` sums the panels' Kronrod-minus-Gauss
+    estimates and the two tail bounds.
     """
     return _kurepa_integral(x, 0, p)
 

@@ -77,6 +77,11 @@ RULE_HASHES = {
 KUREPA_HASH = "5d1377844dc0de02648e5675f5044c4b2f7bbb345645b3700cd9b59e049cca55"
 KUREPA_HASH_ARGUMENTS = (0, 4 ** -12, "0.37", "0.5", 1, 2)
 
+# the same at x far out in the domain, whose low panels are wide and whose
+# high-side factors exceed 1
+KUREPA_FAR_HASH = "bbb7b5741fe2ce6508d5b1b2ffb0cea783e6055a358afd41eb83850efdedc755"
+KUREPA_FAR_HASH_ARGUMENTS = ("7.3", "15.9", 16)
+
 
 @requires_recorded_mpmath
 @pytest.mark.parametrize("n, prec", sorted(RULE_HASHES))
@@ -96,6 +101,18 @@ def test_kurepa_bits_pinned():
                 r = kurepa(x, p) if j == 0 else kurepa_derivative(x, j, p)
                 data.append((r.value._mpf_, r.error_bound._mpf_, r.nodes_used))
     assert hashlib.sha256(repr(data).encode("ascii")).hexdigest() == KUREPA_HASH
+
+
+@requires_recorded_mpmath
+def test_kurepa_far_bits_pinned():
+    data = []
+    for digits in (30, 35, 50):
+        p = Precision(digits)
+        for x in KUREPA_FAR_HASH_ARGUMENTS:
+            for j in range(4):
+                r = kurepa(x, p) if j == 0 else kurepa_derivative(x, j, p)
+                data.append((r.value._mpf_, r.error_bound._mpf_, r.nodes_used))
+    assert hashlib.sha256(repr(data).encode("ascii")).hexdigest() == KUREPA_FAR_HASH
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 9, 15, 22, 25, 32])
@@ -390,18 +407,21 @@ class TestNodeTables:
         assert out[0] and out[0] == out[1]
 
     def test_memo_stays_within_its_limit(self, monkeypatch):
-        # each number of digits has its own working precision; both memos
-        # are rebuilt small enough to evict along the way
-        for memo in (quadrature.gauss_kronrod_rule, quadrature._node_table):
+        # each number of digits has its own working precision; the three
+        # memos are rebuilt small enough to evict along the way
+        for memo in (quadrature.gauss_kronrod_rule, quadrature._node_table,
+                     quadrature._panel_weights):
             assert memo.cache_info().maxsize == quadrature._CACHE_LIMIT
-        limits = {"gauss_kronrod_rule": 2, "_node_table": 64}
+        # each memo's limit, and the position of prec among its arguments
+        limits = {"gauss_kronrod_rule": (2, 1), "_node_table": (64, 3),
+                  "_panel_weights": (64, 3)}
         precisions = set()
         memos = {}
-        for name, limit in limits.items():
+        for name, (limit, at) in limits.items():
             build = getattr(quadrature, name).__wrapped__
 
-            def recorded(*args, build=build):
-                precisions.add(args[-1])
+            def recorded(*args, build=build, at=at):
+                precisions.add(args[at])
                 return build(*args)
 
             memos[name] = functools.lru_cache(maxsize=limit)(recorded)
@@ -409,14 +429,15 @@ class TestNodeTables:
         for digits in (20, 21, 25, 30, 31, 36):
             r = kurepa("0.5", Precision(digits))
             assert r.error_bound <= mpmath.mpf(10) ** -(digits - 10)
-            for name, limit in limits.items():
+            for name, (limit, _) in limits.items():
                 assert memos[name].cache_info().currsize <= limit
         assert len(precisions) >= 4
+        assert memos["_panel_weights"].cache_info().misses > 64
 
     def test_a_sweep_of_the_domain_builds_one_rule(self, p35, monkeypatch):
         # every x takes the one working precision of p: a cold sweep over
         # [0, 16] builds a single Kronrod rule
-        for name in ("gauss_kronrod_rule", "_node_table"):
+        for name in ("gauss_kronrod_rule", "_node_table", "_panel_weights"):
             build = getattr(quadrature, name).__wrapped__
             monkeypatch.setattr(quadrature, name, functools.lru_cache(maxsize=None)(build))
         for i in range(17):
@@ -445,6 +466,31 @@ class TestExactPanelSums:
         mid = context(169).mpf(mid)._mpf_
         assert quadrature._node_table(mid, level, 25, 169) == \
             reference_node_table(mid, level, 25, 169)
+
+    @pytest.mark.parametrize("region", sorted(PANELS))
+    @pytest.mark.parametrize("j", range(4))
+    def test_folded_weights_are_exact(self, region, j):
+        # each folded weight times 2^low is the weight times L^j at its
+        # node, as Fractions, and the s = 0 node's weight is kept apart
+        mid, level = self.PANELS[region]
+        mid = context(169).mpf(mid)._mpf_
+        low, kronrod, gauss = quadrature._panel_weights(mid, level, 25, 169, j)
+        table = reference_node_table(mid, level, 25, 169)
+        for (weights, total, centre), column, rows in ((kronrod, 1, table),
+                                                       (gauss, 3, table[1::2])):
+            want, want_centre = [], (0, 0)
+            for row in rows:
+                m, e = row[column:column + 2]
+                if row[0] is None:
+                    want.append(0)
+                    want_centre = (m, e)
+                else:
+                    power = Fraction(*mpmath.libmp.to_rational(row[0])) ** j
+                    want.append(m * Fraction(2) ** e * power)
+            assert [w * Fraction(2) ** low for w in weights] == want
+            assert total == sum(weights)
+            assert centre == want_centre
+        assert (kronrod[2] != (0, 0)) == (region == "window")
 
     @pytest.mark.parametrize("region", sorted(PANELS))
     @pytest.mark.parametrize("j", range(4))
