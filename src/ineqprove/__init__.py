@@ -14,7 +14,6 @@ from .certify import (
     ProofReport,
     ProofSettings,
     certify_positive,
-    precondition_check,
     prove_inequality,
     report_to_json,
     residual_check,
@@ -98,7 +97,6 @@ __all__ = [
     "kurepa_derivative",
     "minimax",
     "parse",
-    "precondition_check",
     "prove_inequality",
     "report_to_json",
     "residual_check",

@@ -80,7 +80,7 @@ class MultiplicityError(IneqproveError):
 
 
 class SingularSystemError(IneqproveError):
-    """The levelled interpolation system is singular (coincident nodes)."""
+    """The levelled system is exactly singular: three coincident nodes make it so, two do not."""
 
 
 class AlternationError(IneqproveError):

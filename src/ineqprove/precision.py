@@ -81,7 +81,7 @@ def rounding_floor(p: Precision):
 
 
 def cancellation_floor(p: Precision):
-    """10^-(digits + 5): a pivot or an Aitken second difference under floor * scale is zero."""
+    """10^-(digits + 5): an Aitken second difference under floor * scale is zero."""
     return _ten_to(-(p.decimal_digits + 5), p)
 
 

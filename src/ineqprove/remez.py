@@ -8,9 +8,11 @@ iteration solves the levelled interpolation system
 
     g(t_i) = P(t_i) + (-1)^i h,        i = 0..k+1
 
-by full-pivot elimination, then replaces all k+2 reference points with
-refined local extrema of the residual (multi-point exchange, the variant
-with quadratic convergence for smooth g).  Extrema are located on a dense
+exactly: each row goes on integers by a power of two, fraction-free
+(Bareiss) elimination solves them, and each unknown is rounded once.  It
+then replaces all k+2 reference points with refined local extrema of the
+residual (multi-point exchange, the variant with quadratic convergence for
+smooth g).  Extrema are located on a dense
 grid of ``grid_multiplier * (k+2) + 1`` Chebyshev extremum points and
 polished by Brent's parabolic-plus-golden search to a bracket of width
 (b-a)*1e-12; an extremum at a grid end costs one probe when the residual
@@ -48,13 +50,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache
-from operator import itemgetter
+from operator import itemgetter, mul
 
 import mpmath
 from mpmath.libmp import (
-    finf, fnan, fninf, from_int, from_man_exp, from_rational, fzero, mpf_abs, mpf_add, mpf_cmp,
-    mpf_div, mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_shift, mpf_sqrt,
-    mpf_sub, round_nearest, to_rational,
+    from_int, from_man_exp, from_rational, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_ge,
+    mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_shift, mpf_sqrt, mpf_sub,
+    round_nearest, to_rational,
 )
 
 from .errors import (
@@ -64,8 +66,7 @@ from .errors import (
     SingularSystemError,
 )
 from .precision import (
-    Precision, cancellation_floor, context, finite_segment, resolution_floor, rounding_floor,
-    to_mpf,
+    Precision, context, finite_segment, resolution_floor, rounding_floor, to_mpf,
 )
 
 REFINE_WIDTH_FACTOR = "1e-12"
@@ -82,6 +83,10 @@ class Polynomial:
 
     coefficients: tuple
     segment: tuple
+
+    def __post_init__(self):
+        if not self.coefficients:
+            raise ConfigurationError("a polynomial needs at least one coefficient, got none")
 
     @property
     def degree(self) -> int:
@@ -118,11 +123,7 @@ class Polynomial:
     @cached_property
     def _integers(self):
         """(c_0, c_n .. c_1, low): the c_j as integers on their lowest exponent 2^low, once."""
-        c = [v._mpf_ for v in self.coefficients]
-        if finf in c or fninf in c or fnan in c:
-            raise ConfigurationError(f"coefficients must be finite, got {self.coefficients}")
-        low = min([e for _, m, e, _ in c if m], default=0)
-        c = [((-m if sign else m) << (e - low)) if m else 0 for sign, m, e, _ in c]
+        c, low = _on_one_exponent(self.coefficients, "coefficients")
         return c[0], c[:0:-1], low
 
     def to_monomial(self, p: Precision = Precision()):
@@ -153,6 +154,18 @@ class Polynomial:
             # eliminate T_j, and with it the top power
             power = [u - cheb[-1] * v for u, v in zip(power, row[:-1])]
         return Polynomial(coefficients=_rounded(reversed(cheb), p), segment=(av, bv))
+
+
+def _on_one_exponent(values, what):
+    """(integers, low): the finite mpfs ``values`` as integers times 2^low, exactly.
+
+    low is the least exponent of the values, 0 if all are zero.
+    """
+    t = [v._mpf_ for v in values]
+    if any(bc < 0 for *_, bc in t):
+        raise ConfigurationError(f"{what} must be finite, got {tuple(values)}")
+    low = min([e for _, m, e, _ in t if m], default=0)
+    return [((-m if sign else m) << (e - low)) if m else 0 for sign, m, e, _ in t], low
 
 
 def _shifted_chebyshev(n):
@@ -331,68 +344,41 @@ def _solve_levelled_system(g, nodes, a, b, p: Precision):
     """Solve g(t_i) = P(t_i) + (-1)^i h for the degree-k polynomial and h.
 
     ``nodes`` are k+2 strictly increasing mpf points of the mpf segment
-    [a, b]; the system is solved by Gaussian elimination with full pivoting
-    in the working context of p.
+    [a, b].  Row i holds T_j(u_i) by the recurrence in a's context, u_i as
+    ``_units`` rounds it, then (-1)^i and g(t_i); a power of two puts it
+    exactly on integers.  Bareiss' fraction-free elimination, a row swap at
+    each zero pivot, solves that system exactly, and each unknown is rounded
+    once to nearest in p's working context.  Only an exactly singular
+    system, as three coincident nodes make, raises ``SingularSystemError``.
     """
-    k = len(nodes) - 2
+    k, ctx = len(nodes) - 2, a.context
     rows = []
-    rhs = []
-    for i, t in enumerate(nodes):
-        u = (2 * t - a - b) / (b - a)
-        basis = [a.context.mpf(1)]
-        if k >= 1:
-            basis.append(u)
+    for i, (t, u) in enumerate(zip(nodes, map(ctx.make_mpf, _units((a, b), nodes)))):
+        basis = [ctx.one, u][:k + 1]
         for _ in range(2, k + 1):
             basis.append(2 * u * basis[-1] - basis[-2])
-        rows.append(basis + [a.context.mpf(-1) ** i])
-        rhs.append(g(t))
-    sol = _solve_full_pivot(rows, rhs, p)
-    coeffs = tuple(+c for c in sol[: k + 1])
-    return Polynomial(coefficients=coeffs, segment=(a, b)), +sol[k + 1]
-
-
-def _solve_full_pivot(rows, rhs, p: Precision):
-    ctx = context(p)
-    n = len(rows)
-    M = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    scale = max(max(abs(v) for v in row[:-1]) for row in M)
-    if scale == 0:
-        raise SingularSystemError("zero system")
-    tiny = scale * cancellation_floor(p)
-    perm = list(range(n))
-    for col in range(n):
-        pi, pj, best = col, col, abs(M[col][col])
-        for i in range(col, n):
-            for j in range(col, n):
-                v = abs(M[i][j])
-                if v > best:
-                    pi, pj, best = i, j, v
-        if best <= tiny:
-            raise SingularSystemError(
-                "levelled system is numerically singular (coincident nodes?)"
-            )
-        if pi != col:
-            M[col], M[pi] = M[pi], M[col]
-        if pj != col:
-            for row in M:
-                row[col], row[pj] = row[pj], row[col]
-            perm[col], perm[pj] = perm[pj], perm[col]
-        pivot = M[col][col]
-        for i in range(col + 1, n):
-            factor = M[i][col] / pivot
-            if factor != 0:
-                for j in range(col, n + 1):
-                    M[i][j] -= factor * M[col][j]
-    x = [ctx.mpf(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = M[i][n]
-        for j in range(i + 1, n):
-            acc -= M[i][j] * x[j]
-        x[i] = acc / M[i][i]
-    out = [ctx.mpf(0)] * n
-    for idx, where in enumerate(perm):
-        out[where] = x[idx]
-    return out
+        rows.append(_on_one_exponent(basis + [ctx.mpf((-1) ** i), ctx.convert(g(t))],
+                                     "a row of the levelled system")[0])
+    n, last = k + 2, 1
+    for c in range(n):
+        r = next((r for r in range(c, n) if rows[r][c]), None)
+        if r is None:
+            raise SingularSystemError("levelled system is singular (coincident nodes?)")
+        rows[c], rows[r] = rows[r], rows[c]
+        pivot = rows[c]
+        for i in range(c + 1, n):
+            row = rows[i]
+            # each division is exact: the entries are minors of the system
+            rows[i] = row[:c + 1] + [(pivot[c] * v - row[c] * w) // last
+                                     for v, w in zip(row[c + 1:], pivot[c + 1:])]
+        last = pivot[c]
+    # last is the determinant, and by Cramer's rule each last * x_i an integer
+    xs = [0] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        xs[i] = (last * row[n] - sum(map(mul, row[i + 1:n], xs[i + 1:]))) // row[i]
+    solution = _rounded((Fraction(x, last) for x in xs), p)
+    return Polynomial(coefficients=solution[:-1], segment=(a, b)), solution[-1]
 
 
 # sorts (x, phi(x)) pairs of tuples by phi(x)

@@ -245,6 +245,24 @@ def clenshaw_reference(P, x):
     return ctx.make_mpf(lm.from_rational(total.numerator, total.denominator, prec, rn))
 
 
+def gauss_jordan(rows):
+    """The solution of the square system whose augmented rows are ``rows``, on Fractions.
+
+    Plain Gauss-Jordan elimination, the first nonzero entry of each column
+    its pivot; raises ``ZeroDivisionError`` if the system is singular.  The
+    test oracle for the Remez levelled solve.
+    """
+    m = [[Fraction(v) for v in row] for row in rows]
+    for c in range(len(m)):
+        r = next((r for r in range(c, len(m)) if m[r][c]), c)
+        m[c], m[r] = m[r], m[c]
+        m[c] = [v / m[c][c] for v in m[c]]
+        for i, row in enumerate(m):
+            if i != c:
+                m[i] = [v - row[c] * w for v, w in zip(row, m[c])]
+    return [row[-1] for row in m]
+
+
 # The Gauss-Kronrod rule and the node tables as the package built them on
 # mpf objects, before it computed them in fixed point and on tuples.
 

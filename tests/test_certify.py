@@ -24,13 +24,13 @@ from ineqprove import (
     find_inflection,
     minimax,
     parse,
-    precondition_check,
     prove_inequality,
     report_to_json,
     residual_check,
     to_mpf,
 )
 from ineqprove import certify, remez
+from ineqprove.certify import precondition_check
 from ineqprove.precision import finite_segment
 from ineqprove.remez import chebyshev_grid
 

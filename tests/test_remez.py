@@ -7,7 +7,9 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
-from mpmath.libmp import from_man_exp, fzero, mpf_abs, mpf_cmp, mpf_neg
+from mpmath.libmp import (
+    from_man_exp, from_rational, fzero, mpf_abs, mpf_cmp, mpf_neg, round_nearest, to_rational,
+)
 
 from ineqprove import (
     AlternationError,
@@ -15,6 +17,7 @@ from ineqprove import (
     ConvergenceError,
     Polynomial,
     Precision,
+    SingularSystemError,
     minimax,
     verify_equioscillation,
 )
@@ -25,7 +28,7 @@ from ineqprove.remez import (
     chebyshev_grid, largest_magnitude, magnitude_keys, residual_sweep,
 )
 
-from helpers import ambient, clenshaw_reference, exact_taylor
+from helpers import ambient, clenshaw_reference, exact_taylor, gauss_jordan
 
 
 class TestInitialNodes:
@@ -250,7 +253,81 @@ def _levelled(g, nodes, a, b, p):
         return _solve_levelled_system(g, [mp.mpf(t) for t in nodes], mp.mpf(a), mp.mpf(b), p)
 
 
+# nodes of the exact-solve property are multiples of 2^-_NODE_BITS in [0, 1]
+_NODE_BITS = 10
+
+
+@st.composite
+def _levelled_cases(draw):
+    """(k, nodes as integers n standing for n 2^-_NODE_BITS, strictly increasing, g at each)."""
+    k = draw(st.integers(0, 8))
+    ticks = draw(st.lists(st.integers(0, 2 ** _NODE_BITS), min_size=k + 2, max_size=k + 2,
+                          unique=True))
+    return k, sorted(ticks), draw(st.lists(_libmp_values(), min_size=k + 2, max_size=k + 2))
+
+
+def _exact_levelled_solution(nodes, g_values, k, p):
+    """The oracle: the levelled system on [0, 1], solved exactly, each unknown rounded once.
+
+    Each T_j(u) comes from the three-term recurrence on Fractions, so the
+    rows equal the package's only where its rounded recurrence is exact.
+    """
+    rows = []
+    for i, (t, g) in enumerate(zip(nodes, g_values)):
+        u = 2 * Fraction(*to_rational(t._mpf_)) - 1
+        basis = [Fraction(1), u]
+        while len(basis) <= k:
+            basis.append(2 * u * basis[-1] - basis[-2])
+        rows.append(basis[:k + 1] + [(-1) ** i, Fraction(*to_rational(g._mpf_))])
+    prec = context(p).prec
+    return [from_rational(x.numerator, x.denominator, prec, round_nearest)
+            for x in gauss_jordan(rows)]
+
+
+def _solve_on_unit(nodes, g_values, p):
+    """``_solve_levelled_system`` on [0, 1], g by its node values: the c_j, then h, as tuples."""
+    a, b = finite_segment(0, 1, p)
+    P, h = _solve_levelled_system(dict(zip(nodes, g_values)).__getitem__, nodes, a, b, p)
+    return [c._mpf_ for c in P.coefficients + (h,)]
+
+
 class TestLevelledSystem:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_levelled_cases())
+    @example(case=(8, list(range(0, 2 ** _NODE_BITS, 2 ** _NODE_BITS // 9)), [fzero] * 10))
+    @example(case=(0, [0, 2 ** _NODE_BITS], [from_man_exp(3, 300), from_man_exp(-1, -300)]))
+    def test_exact_solution_rounded_once(self, case, p30):
+        # at most 11 bits in u make every T_j(u), j <= 8, exact at 30 digits,
+        # so the package's rows are the oracle's, and the solution its bits
+        k, ticks, g_tuples = case
+        ctx = context(p30)
+        nodes = [ctx.ldexp(t, -_NODE_BITS) for t in ticks]
+        g_values = [ctx.make_mpf(v) for v in g_tuples]
+        assert _solve_on_unit(nodes, g_values, p30) == \
+            _exact_levelled_solution(nodes, g_values, k, p30)
+
+    def test_zero_pivot_takes_a_row_swap(self, p50):
+        # u = 0 at both nodes 0.5, so the second pivot is exactly 0 once the
+        # first column is eliminated; the third row's pivot takes its place
+        ctx = context(p50)
+        nodes = [ctx.mpf("0.5"), ctx.mpf("0.5"), ctx.mpf("0.9")]
+        g_values = [ctx.mpf(1) / 3, ctx.mpf(1) / 3, ctx.exp(ctx.mpf("0.9"))]
+        got = _solve_on_unit(nodes, g_values, p50)
+        assert got == _exact_levelled_solution(nodes, g_values, 1, p50)
+        assert got[-1] == fzero
+
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_g_refused(self, bad, p50):
+        ctx = context(p50)
+        with pytest.raises(ConfigurationError, match="finite"):
+            _solve_on_unit([ctx.mpf(0), ctx.mpf(1)], [ctx.mpf(1), ctx.mpf(bad)], p50)
+
+    def test_three_coincident_nodes_are_singular(self, p50):
+        ctx = context(p50)
+        nodes = [ctx.mpf("0.5")] * 3
+        with pytest.raises(SingularSystemError, match="singular"):
+            _solve_on_unit(nodes, [ctx.mpf(1), ctx.mpf(2), ctx.mpf(3)], p50)
+
     def test_parabola_three_nodes(self, p50):
         # 3x3 hand solve: 1 = P(-1)+h, 0 = P(0)-h, 1 = P(1)+h gives P = 1/2, h = 1/2
         P, h = _levelled(lambda x: x * x, (-1, 0, 1), -1, 1, p50)
@@ -666,6 +743,13 @@ class TestPolynomial:
             mono = [rng.uniform(-1, 1) for _ in range(rng.randint(1, 8))]
             back = Polynomial.from_monomial(mono, 0, 1, p).to_monomial(p)
             assert [c._mpf_ for c in back] == [mpmath.mpf(c)._mpf_ for c in mono]
+
+    def test_no_coefficients_refused(self, p50):
+        # a degree -1 polynomial would fail later with errors outside IneqproveError
+        with pytest.raises(ConfigurationError, match="at least one coefficient"):
+            Polynomial.from_monomial([], 0, 1, p50)
+        with pytest.raises(ConfigurationError, match="at least one coefficient"):
+            Polynomial(coefficients=(), segment=finite_segment(0, 1, p50))
 
     @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
     def test_non_finite_coefficients_refused(self, p50, bad):

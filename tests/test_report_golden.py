@@ -57,7 +57,7 @@ PATCHES = {
 
 # sha256 of report_to_json for each case, at 30 digits
 REPORT_HASHES = {
-    "proven": "df5e4876c4a576f038d22bd1fd68a70180a5092ebd11b08523321cbfb590ac12",
+    "proven": "eb63d754cf66dc007aad9115e05e95f4e6eb1acddb8a4888cfeb0207db886b2a",
     "disproven_alpha": "2232f7bcde1547bb6e9eba159b1ca0fc04a379656acfe4cafde9f37207ee7912",
     "disproven_beta": "4d36c5a2229763e2d0b1a0432b10e3bf8c843ec2e039b3bb2b50810b22fe98c4",
     "disproven_witness": "349595e6ab4831a056d2ba135b4d4bbd8fb69dd28bfa0942352b72c15c32bdec",
@@ -73,7 +73,7 @@ REPORT_HASHES = {
     "inconclusive_positivity":
         "d298150a6f0593a10643d79b12d27f61d41bd01035481749b69abff5ec444097",
     "proven_real_exponent":
-        "d82ceda8ef132aac730f3259540888934c99ef18189c919edbc3329bbc708f35",
+        "5861a4af6391e77432e17abf2c18018a0b718c77a52c431b85468340bad14a97",
     "disproven_kurepa_near_miss":
         "01a0aea85e5c4565ec2743e6cf4162b6ba93714e085d0cbdc8cf766e60524d98",
 }
