@@ -14,19 +14,27 @@ the window [-1/8, 1/8], whose centre node takes the quotient's limit, and
 panels that double in width outward from it: out past s_max for s > 0, and
 up to width 1, as exp(-t) falls doubly exponentially in s, out past -log T
 for s < 0.  s_max and T are chosen so the dropped tails are provably below
-the error target; each side's panels run on to the first panel edge past
+the error target, each the first of a sequence of steps by 5/4 to pass a
+test made in logs; each side's panels run on to the first panel edge past
 its cut-off, and both tail bounds, taken at those edges (the high side's is
 ``tail_cutoff``), are added to ``error_bound``.  Every half-width is a power
-of two, and no panel depends on x.
+of two, and no panel depends on x.  The plan is memoized: each of T's
+steps with the x above which the search passes it, the high side's panels
+and T per step, and the low side's panels per count; only the searches and
+the two tail bounds are computed per x.
 
 At a node s = mid + 2^level z, exact, the integrand is c expm1(x L) for
 j = 0 and c L^j exp(x L) for j >= 1, L = -s; c is kept in a node table per
-panel, built on raw mpf tuples and exactly multiplied into the weights.
-exp(x L) = exp(-x mid) (1 + B): one exponential per panel, and B =
-expm1(-x 2^level z) in fixed point, computed once per call at the first
-level and squared up the others (``_ExpFactors``).  Per panel and order j,
-each rule's weights times L^j are folded once onto one exponent, so each
-estimate is one exact integer dot product with the Bs, rounded once.
+panel, built on raw mpf tuples and exactly multiplied into the weights,
+with one exponential per node and one per panel: exp(-s) = exp(-mid)
+exp(-2^level z), the second factor from a memoized table per level.  exp(x L) = exp(-x mid)
+(1 + B): exp(-x mid) by a chain along each side's panels, from five
+exponentials, and B = expm1(-x 2^level z) in fixed point, computed once per
+call at the first level, by one exponential per node of the negative half
+and integer reciprocals for the positive half, and squared up the others
+(``_ExpFactors``).  Per panel and order j, each rule's weights times L^j are
+folded once onto one exponent, so each estimate is one exact integer dot
+product with the Bs, rounded once.
 
 Each panel's error is estimated by comparing the n-node Gauss rule with its
 nested (2n+1)-node Kronrod extension, and a panel whose estimate exceeds its
@@ -34,11 +42,12 @@ share of the error target is bisected.  Both rules come from one recurrence,
 that of Laurie's Jacobi-Kronrod matrix, by one Newton iteration for the
 nodes, at a width that doubles as the root sharpens, and one formula for the
 weights, all in fixed point on integers, rounded to the working precision at
-the end.  The rules, node tables and folded weights are pure functions of
-their arguments, the binary precision among them, each memoized in a
-bounded LRU memo; as a memoized value depends only on its key, the factors
-of a call live in the call, and everything is summed in a fixed order,
-results are bit-for-bit reproducible, with or without warm memos.
+the end.  The rules, level tables, node tables, folded weights and the
+plan are pure functions of their arguments, the binary precision among
+them, each memoized in a bounded LRU memo and none built at import; as a
+memoized value depends only on its key, the factors of a call live in the
+call, and everything is summed in a fixed order, results are bit-for-bit
+reproducible, with or without warm memos.
 """
 
 from __future__ import annotations
@@ -51,7 +60,7 @@ from operator import mul
 import mpmath
 from mpmath.libmp import (
     dps_to_prec, fone, from_man_exp, from_rational, fzero, mpf_abs, mpf_add, mpf_div,
-    mpf_exp, mpf_le, mpf_mul, mpf_neg, mpf_pos, mpf_shift, mpf_sub, round_nearest as rn,
+    mpf_exp, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_pos, mpf_shift, mpf_sub, round_nearest as rn,
     to_fixed,
 )
 
@@ -234,6 +243,42 @@ _HIGH_LEVEL = -1
 # precision; a factor's error grows by a bit per level it is doubled
 _FACTOR_GUARD_BITS = 40
 
+# bits the chain of exp(-x mid) along a side's panels carries beyond its
+# frac + 2; its error grows by a bit per squaring
+_CHAIN_GUARD_BITS = 24
+
+# bits the memoized exp(-2^level z) carry beyond the working precision, and
+# one more per level below the base, where s may come closer to 0
+_TABLE_GUARD_BITS = 64
+
+
+def _table_bits(level, prec):
+    return prec + _TABLE_GUARD_BITS + max(0, _BASE_LEVEL - level)
+
+
+@lru_cache(maxsize=_CACHE_LIMIT)
+def _level_exps(level, n, prec):
+    """exp(-2^level z) at the Kronrod nodes z, each as (m, e) standing for m 2^e.
+
+    m has at most ``_table_bits(level, prec)`` bits.  A level at or below
+    ``_BASE_LEVEL`` takes one exponential per node, rounded to nearest; each
+    level above it squares the one below, the square truncated to as many
+    bits, so a level k squarings above the base is within 2^(k+2) units of
+    m's last bit.  Memoized on all three arguments.
+    """
+    bits = _table_bits(level, prec)
+    if level <= _BASE_LEVEL:
+        return tuple(mpf_exp(mpf_neg(mpf_shift(z._mpf_, level)), bits, rn)[1:3]
+                     for z in gauss_kronrod_rule(n, prec)[0])
+    return tuple(_times(v, v, bits) for v in _level_exps(level - 1, n, prec))
+
+
+def _times(a, b, bits):
+    # the product of two positive (m, e) = m 2^e, truncated to bits bits
+    m = a[0] * b[0]
+    cut = max(0, m.bit_length() - bits)
+    return m >> cut, a[1] + b[1] + cut
+
 
 @lru_cache(maxsize=_CACHE_LIMIT)
 def _node_table(mid, level, n, prec):
@@ -242,19 +287,26 @@ def _node_table(mid, level, n, prec):
     L = -s, s = mid + 2^level z exactly; at s = 0 L is None and c = exp(-1),
     the quotient's limit being x for j = 0, 1 for j = 1 and 0 for j >= 2.
     Elsewhere c = exp(-w) w / (w - 1), w = exp(-s) = t carrying dt = -w ds,
-    each step rounded to nearest at ``prec`` bits, w - 1 from an exp(-s) with
-    as many more bits as s is below 1.  k 2^k_exp and g 2^g_exp are the exact
+    each step rounded to nearest at ``prec`` bits, w - 1 from an exp(-s)
+    rounded to nearest with 10 more bits, and as many more as s is below 1.
+    That exp(-s) is exp(-mid) exp(-2^level z), the first one exponential per
+    panel to as many bits as the second, the entry for z of ``_level_exps``;
+    their product is good to about prec + 60 - k bits, k the level's
+    squarings above the base, so it rounds as exp(-s) does unless exp(-s)
+    lies that close to a rounding boundary.  So a node takes one
+    exponential, exp(-w).  k 2^k_exp and g 2^g_exp are the exact
     products 2^level c w_K and 2^level c w_G; g is 0 where only the Kronrod
     rule has a node.  Memoized on all four arguments, mid a raw mpf tuple.
     """
     nodes, k_weights, g_weights = gauss_kronrod_rule(n, prec)
+    _, mm, me, _ = mpf_exp(mpf_neg(mid), _table_bits(level, prec), rn)
     table = []
-    for i, (z, w_k) in enumerate(zip(nodes, k_weights)):
+    for i, (z, w_k, (m, e)) in enumerate(zip(nodes, k_weights, _level_exps(level, n, prec))):
         s = mpf_add(mid, mpf_shift(z._mpf_, level))
         if s == fzero:
             c, ell = mpf_exp(mpf_neg(fone), prec, rn), None
         else:
-            wide = mpf_exp(mpf_neg(s), prec + 10 + max(0, -(s[2] + s[3])), rn)
+            wide = from_man_exp(mm * m, me + e, prec + 10 + max(0, -(s[2] + s[3])), rn)
             w = mpf_pos(wide, prec, rn)
             c = mpf_div(mpf_mul(mpf_exp(mpf_neg(w), prec, rn), w, prec, rn),
                         mpf_sub(wide, fone, prec, rn), prec, rn)
@@ -308,12 +360,16 @@ class _ExpFactors:
     ``_FACTOR_GUARD_BITS``, plus as many bits as x is below 1, so that B
     keeps its relative accuracy, and as exp(-x s) grows across a panel of
     level ``_HIGH_LEVEL``, where exp(-x mid) > 1 scales B's absolute error.
-    A level at or below ``_BASE_LEVEL`` takes one exponential to frac + 2
-    bits per node, truncated to frac bits, so within 1 + (1 + B) / 2 units;
-    each level above it squares the one below, as 1 + B' = (1 + B)^2, that
-    is B' = 2B + B^2, with B^2 truncated to frac bits.  A level k squarings
-    above the base is then within 2^(k+2) max(1, 1 + B) units of 2^-frac of
-    the exact value.  The tables live in the object, so calls share none.
+    A level at or below ``_BASE_LEVEL`` takes one exponential per node of
+    the negative half, where exp(-x 2^level z) >= 1, to frac + 18 bits,
+    truncated to frac + 16; the nodes are exactly symmetric, so at z > 0 the
+    factor is that value's integer reciprocal, and each B is truncated to
+    frac bits, so within 1 + (1 + B) / 2 units.  Each level above the base
+    squares the one below, as 1 + B' = (1 + B)^2, that is B' = 2B + B^2,
+    with B^2 truncated to frac bits.  A level k squarings above the base is
+    then within 2^(k+2) max(1, 1 + B) units of 2^-frac of the exact value.
+    The object also holds exp(-x mid) per panel (``scale`` and ``chain``).
+    The tables live in the object, so calls share none.
     """
 
     def __init__(self, x, n, prec):
@@ -323,16 +379,60 @@ class _ExpFactors:
         self.frac = (prec + _FACTOR_GUARD_BITS + max(0, -(xr[2] + xr[3]))
                      + math.ceil(float(x) * 2.0 ** _HIGH_LEVEL / math.log(2)))
         self.levels = {}
+        self.scales = {}
+
+    def scale(self, mid):
+        """exp(-x mid) as (m, e) = m 2^e, m of at most frac + 2 bits.
+
+        As ``chain`` left it for a panel of the layout, else one
+        exponential to frac + 2 bits.
+        """
+        value = self.scales.get(mid)
+        if value is None:
+            value = mpf_exp(mpf_mul(self.neg_x, mid), self.frac + 2, rn)[1:3]
+        return value
+
+    def chain(self, panels):
+        """exp(-x mid) for ``panels``, consecutive outward from the window, into ``scales``.
+
+        exp(-x mid') = exp(-x mid) exp(-x d), d = mid' - mid exact, at
+        frac + 2 + ``_CHAIN_GUARD_BITS`` bits: the first mid and the first d
+        take one exponential each, and a d twice the last takes its factor's
+        square, one equal to it the same factor, any other d an exponential.
+        Each product and square is truncated to as many bits, so after i
+        steps and k squarings of a factor a value is within i + 2^(k+2)
+        units of 2^-(frac + 1 + _CHAIN_GUARD_BITS), relative, before it is
+        cut to frac + 2 bits.
+        """
+        bits = self.frac + 2 + _CHAIN_GUARD_BITS
+        last = step = factor = value = None
+        for mid, _ in panels:
+            if last is None:
+                value = mpf_exp(mpf_mul(self.neg_x, mid), bits, rn)[1:3]
+            else:
+                d = mpf_sub(mid, last)
+                if step is not None and d == mpf_shift(step, 1):
+                    factor = _times(factor, factor, bits)
+                elif d != step:
+                    factor = mpf_exp(mpf_mul(self.neg_x, d), bits, rn)[1:3]
+                step = d
+                value = _times(value, factor, bits)
+            self.scales[mid] = _times(value, (1, 0), self.frac + 2)
+            last = mid
 
     def __call__(self, level):
         table = self.levels.get(level)
         if table is None:
+            frac = self.frac
             if level <= _BASE_LEVEL:
-                table = [to_fixed(mpf_exp(mpf_shift(mpf_mul(self.neg_x, z._mpf_), level),
-                                          self.frac + 2, rn), self.frac) - (1 << self.frac)
-                         for z in self.nodes]
+                one, wide = 1 << frac, frac + 16
+                up = [to_fixed(mpf_exp(mpf_shift(mpf_mul(self.neg_x, z._mpf_), level),
+                                       wide + 2, rn), wide)
+                      for z in self.nodes[:len(self.nodes) // 2]]
+                table = ([(e >> 16) - one for e in up] + [0]
+                         + [(1 << frac + wide) // e - one for e in reversed(up)])
             else:
-                table = [2 * b + (b * b >> self.frac) for b in self(level - 1)]
+                table = [2 * b + (b * b >> frac) for b in self(level - 1)]
             self.levels[level] = table
         return table
 
@@ -340,15 +440,15 @@ class _ExpFactors:
 def _kronrod_panel(mid, level, n, x, j, factors):
     """(Gauss estimate, Kronrod estimate) of the panel mid +- 2^level at argument x.
 
-    exp(x L) = exp(-x mid) (1 + B), the first factor one exponential to
-    frac + 2 bits, B the node's entry in ``factors``.  With the weights W of
+    exp(x L) = exp(-x mid) (1 + B), the first factor from ``factors.scale``,
+    B the node's entry in ``factors``.  With the weights W of
     ``_panel_weights``, a rule's estimate is exp(-x mid) sum W (1 + B), less
     sum W for j = 0, plus the s = 0 node's term: one dot product of W and the
     Bs, exact on integers, and the sum rounded once to nearest.
     """
     ctx = x.context
     prec, xr, frac = ctx.prec, x._mpf_, factors.frac
-    _, am, ae, _ = mpf_exp(mpf_mul(factors.neg_x, mid), frac + 2, rn)
+    am, ae = factors.scale(mid)
     low, kronrod, gauss = _panel_weights(mid, level, n, prec, j)
     if j == 0:
         # exp(-x s) - 1 is (am (one + B) << shift) - unit in units of 2^base;
@@ -399,41 +499,102 @@ def _adaptive(panels, x, j, tol_abs, n, state, factors):
     return ctx.make_mpf(total), ctx.make_mpf(err)
 
 
-def _dyadic_panels(stop, top, ctx):
-    """(mid, level) from the window's edge out past stop, levels rising up to top; and the end."""
+def _dyadic_panels(stop, top):
+    """(mid, level) from the window's edge out past stop, levels rising up to top; and the end.
+
+    On raw mpf tuples, exactly: every edge and mid is dyadic.
+    """
     panels = []
-    edge = ctx.ldexp(1, _BASE_LEVEL)
     level = _BASE_LEVEL
-    while edge < stop:
-        half = ctx.ldexp(1, level)
-        panels.append(((edge + half)._mpf_, level))
-        edge += 2 * half
+    edge = mpf_shift(fone, level)
+    while mpf_lt(edge, stop):
+        half = mpf_shift(fone, level)
+        panels.append((mpf_add(edge, half), level))
+        edge = mpf_add(edge, mpf_shift(half, 1))
         level = min(level + 1, top)
     return panels, edge
 
 
-def _low_tail_bound(x, j, s_max, eps):
-    # integrand bound: exp(-(x+1)s) s^j / eps for s >= s_max
+def _working_context(p):
+    # every Kurepa integral runs at p's digits and 15 guard digits
+    return context(dps_to_prec(p.decimal_digits + 15))
+
+
+@lru_cache(maxsize=_CACHE_LIMIT)
+def _low_side(count, p):
+    """The low side's first ``count`` panels, their end s = (2^(count+1) - 1) / 8, and exp(-s).
+
+    At p's working precision; memoized on both arguments.
+    """
+    ctx = _working_context(p)
+    panels, edge = _dyadic_panels(from_man_exp((1 << count + 1) - 1, _BASE_LEVEL), math.inf)
+    edge = ctx.make_mpf(edge)
+    return tuple(panels), edge, ctx.exp(-edge)
+
+
+@lru_cache(maxsize=_CACHE_LIMIT)
+def _cutoff_logs(p):
+    """ln of ``series_floor`` and of 64 / ``resolution_floor`` at p's working precision.
+
+    The targets of the two cut-off searches, each a comparison of logs:
+    the high side's exp(-T) T^(x+1) against the floor, and the low side's
+    tail bound against share = target / 8, with eps = 1/8.
+    """
+    ctx = _working_context(p)
+    return (ctx.ln(series_floor(p, ctx.prec)),
+            ctx.ln(64 / resolution_floor(p, ctx.prec)))
+
+
+@lru_cache(maxsize=_CACHE_LIMIT)
+def _high_cutoff(start, k, p):
+    """(x_T, ln T) of the search's k-th T, T = start (5/4)^k rounded at each step.
+
+    The search passes T while exp(-T) T^(x+1) exceeds the series floor,
+    that is while x > x_T = (T + ln floor) / ln T - 1.  Memoized on all
+    three arguments.
+    """
+    ctx = _working_context(p)
+    T = ctx.mpf(start)
+    for _ in range(k):
+        T *= ctx.mpf(5) / 4
+    log_t = ctx.ln(T)
+    return (T + _cutoff_logs(p)[0]) / log_t - 1, log_t
+
+
+@lru_cache(maxsize=_CACHE_LIMIT)
+def _high_side(start, k, p):
+    """The high side's panels out past -ln T, T of ``_high_cutoff(start, k, p)``; T = exp(edge) and exp(-T).
+
+    Memoized on all three arguments.
+    """
+    ctx = _working_context(p)
+    panels, edge = _dyadic_panels(_high_cutoff(start, k, p)[1]._mpf_, _HIGH_LEVEL)
+    panels = tuple((mpf_neg(mid), level) for mid, level in reversed(panels))
+    T = ctx.exp(ctx.make_mpf(edge))
+    return panels, T, ctx.exp(-T)
+
+
+def _low_tail_sum(x, j, s_max):
+    # the sum over i <= j of j!/(j-i)! s_max^(j-i) / c^(i+1), c = x + 1
     ctx = x.context
     c = x + 1
-    if j == 0:
-        return ctx.exp(-s_max) / eps
     total = ctx.mpf(0)
     fall = ctx.mpf(1)
     for i in range(j + 1):
         total += fall * s_max ** (j - i) / c ** (i + 1)
         fall *= j - i
-    return ctx.exp(-c * s_max) * total / eps
+    return total
 
 
-def _high_tail_bound(x, j, T):
-    # uses log(t) <= sqrt(t) for t >= 1 and int_T t^q e^-t dt <= e^-T T^q/(1-q/T)
+def _high_tail_bound(x, j, T, decay):
+    # decay = exp(-T); uses log(t) <= sqrt(t) for t >= 1 and
+    # int_T t^q e^-t dt <= e^-T T^q/(1-q/T)
     ctx = x.context
     if j == 0:
-        gx = ctx.exp(-T) * ctx.power(T, x) / (1 - x / T) if x > 0 else ctx.exp(-T)
-        return (gx + ctx.exp(-T)) / (T - 1)
+        gx = decay * ctx.power(T, x) / (1 - x / T) if x > 0 else decay
+        return (gx + decay) / (T - 1)
     q = x + ctx.mpf(j) / 2
-    return ctx.exp(-T) * ctx.power(T, q) / (1 - q / T) / (T - 1)
+    return decay * ctx.power(T, q) / (1 - q / T) / (T - 1)
 
 
 def _kurepa_integral(x, j, p):
@@ -447,35 +608,45 @@ def _kurepa_integral(x, j, p):
         raise DomainError(f"kurepa derivative of order {j} is not supported (max {MAX_ORDER})")
     # x is rounded once, to p's working context; ctx, at p's digits and 15
     # guard digits, takes its bits as they are
-    ctx = context(dps_to_prec(digits + 15))
+    ctx = _working_context(p)
     xv = to_mpf(xv, ctx.prec)
     target = resolution_floor(p, ctx.prec)
-    share = target / 8
     region_tol = target / 4
-    term_tol = series_floor(p, ctx.prec)
     eps = ctx.mpf(1) / 8
     n_base = max(20, (digits + 15) // 2)
     state = {"evals": 0}
 
-    # the low side s > 0 of t = exp(-s), out past s_max
+    # the low side s > 0 of t = exp(-s), out past s_max: the first of
+    # s_0 (5/4)^k whose tail bound exp(-c s) total / eps is at most
+    # share = target / 8, c = x + 1 and total from _low_tail_sum (c = 1 and
+    # total = 1 for j = 0), compared in logs.  The panels run to the first edge at or past
+    # it, the count-th, (2^(count+1) - 1) / 8: 2^(count+1) is the least
+    # power of two at or above 8 s_max + 1
+    log_share = _cutoff_logs(p)[1]
     s_max = ctx.mpf(max(20, int((digits + 14) * 2.303 / (float(xv) + 1)) + 1))
-    while _low_tail_bound(xv, j, s_max, eps) > share:
+    while (s_max if j == 0
+           else (xv + 1) * s_max - ctx.ln(_low_tail_sum(xv, j, s_max))) < log_share:
         s_max *= ctx.mpf(5) / 4
-    low, s_edge = _dyadic_panels(s_max, math.inf, ctx)
-    tail_low = _low_tail_bound(xv, j, s_edge, eps)
+    _, man, e, bc = mpf_add(mpf_shift(s_max._mpf_, -_BASE_LEVEL), fone)
+    low, s_edge, decay = _low_side(e + bc - (man == 1) - 1, p)
+    # the integrand is at most exp(-(x+1)s) s^j / eps for s >= s_edge
+    if j:
+        decay = ctx.exp(-(xv + 1) * s_edge) * _low_tail_sum(xv, j, s_edge)
+    tail_low = decay / eps
 
-    # the high side s < 0, out past -log T; the closed tail bound needs T
-    # well above x+j
-    T = ctx.mpf(max(40, digits, 2 * (int(xv) + j) + 40))
-    while (ctx.exp(-T) * ctx.power(T, xv + 1) > term_tol
-           or _high_tail_bound(xv, j, T) > share):
-        T *= ctx.mpf(5) / 4
-    high, t_edge = _dyadic_panels(ctx.ln(T), _HIGH_LEVEL, ctx)
-    high = [(mpf_neg(mid), level) for mid, level in reversed(high)]
-    T = ctx.exp(t_edge)
-    tail_high = _high_tail_bound(xv, j, T)
+    # the high side s < 0, out past -log T, the first of T_0 (5/4)^k with
+    # exp(-T) T^(x+1) at most the series floor.  The closed tail bound
+    # needs T well above x+j; there, with x + j / 2 < T / 2, it is below
+    # that floor, and so never above share
+    start, k = max(40, digits, 2 * (int(xv) + j) + 40), 0
+    while xv > _high_cutoff(start, k, p)[0]:
+        k += 1
+    high, T, decay = _high_side(start, k, p)
+    tail_high = _high_tail_bound(xv, j, T, decay)
 
     factors = _ExpFactors(xv, n_base, ctx.prec)
+    factors.chain(low)
+    factors.chain(reversed(high))
     v_low, e_low = _adaptive(low, xv, j, region_tol, n_base, state, factors)
     v_win, e_win = _adaptive([(fzero, _BASE_LEVEL)], xv, j, region_tol, n_base, state, factors)
     v_high, e_high = _adaptive(high, xv, j, region_tol, n_base, state, factors)
@@ -501,10 +672,14 @@ def kurepa(x, p: Precision = Precision()) -> QuadratureResult:
     kept; the integral is computed at that x, at p's digits and 15 guard
     digits, and an x outside the domain raises DomainError.
     It is taken in s = -log t over the window [-1/8, 1/8] and dyadic panels
-    either side of it; at a node s = mid + 2^level z the integrand is
-    c expm1(-x s), with exp(-x s) = exp(-x mid) (1 + B): one exponential per
-    panel, and B in fixed point, within 2^(k+2) max(1, 1 + B) units of
-    2^-(prec + 40) or finer, k the level's doublings above 1/8; a panel's
+    either side of it, laid out by a plan memoized per precision; at a node
+    s = mid + 2^level z the integrand is c expm1(-x s), c from the panel's
+    memoized node table, with exp(-x s) = exp(-x mid) (1 + B): exp(-x mid)
+    by a chain along the panels, within 2^-(prec + 40) or finer, relative,
+    and B in fixed point, within 2^(k+2) max(1, 1 + B) units of
+    2^-(prec + 40) or finer, k the level's doublings above 1/8.  A warm call
+    that bisects no panel takes n + 6 exponentials, n of them for the Bs of
+    its first level, n the Gauss rule's size (25 at P35); a panel's
     estimate is one integer dot product of its Bs with weights folded once
     per panel and order.  ``error_bound`` sums the panels' Kronrod-minus-Gauss
     estimates and the two tail bounds.

@@ -53,6 +53,7 @@ from functools import cached_property, cmp_to_key, lru_cache
 from operator import itemgetter, mul
 
 import mpmath
+from mpmath.ctx_mp_python import _mpf
 from mpmath.libmp import (
     from_int, from_man_exp, from_rational, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_ge,
     mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_shift, mpf_sqrt, mpf_sub,
@@ -87,6 +88,11 @@ class Polynomial:
     def __post_init__(self):
         if not self.coefficients:
             raise ConfigurationError("a polynomial needs at least one coefficient, got none")
+        # every method reads the fields' bits and the segment's context
+        for what, values in (("coefficient", self.coefficients), ("segment end", self.segment)):
+            for v in values:
+                if not isinstance(v, _mpf):
+                    raise ConfigurationError(f"a polynomial's {what} must be an mpf, got {v!r}")
 
     @property
     def degree(self) -> int:

@@ -10,7 +10,7 @@ import pytest
 from mpmath import mp
 
 from ineqprove import DomainError, quadrature, to_mpf
-from ineqprove.precision import GUARD_DIGITS, context
+from ineqprove.precision import GUARD_DIGITS, context, resolution_floor, series_floor
 from ineqprove.expr import (
     BinaryOp,
     Constant,
@@ -484,3 +484,85 @@ def sequential_kurepa(x, j, p):
         if j == 0:
             return quadrature.kurepa(x, p)
         return quadrature.kurepa_derivative(x, j, p)
+
+
+# The quadrature's memos, and the panel layout as the package chose it
+# before it memoized its plan, when both cut-off searches evaluated the tail
+# bounds at every step.
+
+def quadrature_memos():
+    """Every memoized function of ``ineqprove.quadrature``, by name."""
+    return {name: f for name, f in vars(quadrature).items()
+            if hasattr(f, "cache_clear") and f.__module__ == quadrature.__name__}
+
+
+def clear_quadrature_memos():
+    """Empty every quadrature memo, so that the next call builds all it uses."""
+    for memo in quadrature_memos().values():
+        memo.cache_clear()
+
+
+def _reference_dyadic_panels(stop, top, ctx):
+    # (mid, level) from the window's edge out past stop, levels rising up
+    # to top; and the end
+    panels = []
+    edge = ctx.ldexp(1, -3)
+    level = -3
+    while edge < stop:
+        half = ctx.ldexp(1, level)
+        panels.append(((edge + half)._mpf_, level))
+        edge += 2 * half
+        level = min(level + 1, top)
+    return panels, edge
+
+
+def _reference_low_tail_bound(x, j, s_max, eps):
+    # integrand bound: exp(-(x+1)s) s^j / eps for s >= s_max
+    ctx = x.context
+    c = x + 1
+    if j == 0:
+        return ctx.exp(-s_max) / eps
+    total = ctx.mpf(0)
+    fall = ctx.mpf(1)
+    for i in range(j + 1):
+        total += fall * s_max ** (j - i) / c ** (i + 1)
+        fall *= j - i
+    return ctx.exp(-c * s_max) * total / eps
+
+
+def _reference_high_tail_bound(x, j, T):
+    # uses log(t) <= sqrt(t) for t >= 1 and int_T t^q e^-t dt <= e^-T T^q/(1-q/T)
+    ctx = x.context
+    if j == 0:
+        gx = ctx.exp(-T) * ctx.power(T, x) / (1 - x / T) if x > 0 else ctx.exp(-T)
+        return (gx + ctx.exp(-T)) / (T - 1)
+    q = x + ctx.mpf(j) / 2
+    return ctx.exp(-T) * ctx.power(T, q) / (1 - q / T) / (T - 1)
+
+
+def reference_layout(x, j, p):
+    """(low panels, high panels, T) of K^(j)(x) by the cut-off loops the package used to run.
+
+    s_max grows by 5/4 while the low tail bound at it exceeds share, and T
+    while exp(-T) T^(x+1) exceeds the series floor or the high tail bound
+    at T exceeds share; each side's panels run on to its first dyadic edge
+    past the cut-off, and T is exp of the high side's last edge.  The
+    oracle of the memoized plan.
+    """
+    digits = p.decimal_digits
+    ctx = context(mpmath.libmp.dps_to_prec(digits + 15))
+    xv = to_mpf(to_mpf(x, p), ctx.prec)
+    share = resolution_floor(p, ctx.prec) / 8
+    term_tol = series_floor(p, ctx.prec)
+    eps = ctx.mpf(1) / 8
+    s_max = ctx.mpf(max(20, int((digits + 14) * 2.303 / (float(xv) + 1)) + 1))
+    while _reference_low_tail_bound(xv, j, s_max, eps) > share:
+        s_max *= ctx.mpf(5) / 4
+    low, _ = _reference_dyadic_panels(s_max, math.inf, ctx)
+    T = ctx.mpf(max(40, digits, 2 * (int(xv) + j) + 40))
+    while (ctx.exp(-T) * ctx.power(T, xv + 1) > term_tol
+           or _reference_high_tail_bound(xv, j, T) > share):
+        T *= ctx.mpf(5) / 4
+    high, t_edge = _reference_dyadic_panels(ctx.ln(T), -1, ctx)
+    high = [(mpmath.libmp.mpf_neg(mid), level) for mid, level in reversed(high)]
+    return low, high, ctx.exp(t_edge)

@@ -33,9 +33,12 @@ from helpers import (
     KPPP0,
     K_HALF,
     ambient,
+    clear_quadrature_memos,
     exact_panel_reference,
+    quadrature_memos,
     reference_exp,
     reference_gauss_kronrod_rule,
+    reference_layout,
     reference_node_table,
     requires_recorded_mpmath,
     sequential_kurepa,
@@ -542,10 +545,35 @@ class TestExpFactors:
                     assert abs(b - (e - 1) * 2 ** frac) <= bound * max(1, e), (level, z)
         assert set(range(quadrature._BASE_LEVEL - 2, 4)) <= levels
 
+    @pytest.mark.parametrize("x", [0, 4 ** -12, "0.37", 1, "2.5", 16])
+    def test_every_chain_stays_within_its_bound(self, x, p35, monkeypatch):
+        # exp(-x mid) along both sides' panels, from the chains, against
+        # mpf_exp at twice frac bits: within 2^-frac, relative
+        made = []
+
+        class Recorded(quadrature._ExpFactors):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(quadrature, "_ExpFactors", Recorded)
+        kurepa(x, p35)
+        lm = mpmath.libmp
+        (factors,) = made
+        assert len(factors.scales) >= 15
+        for mid, (m, e) in factors.scales.items():
+            assert m.bit_length() <= factors.frac + 2
+            y = lm.mpf_mul(factors.neg_x, mid)
+            want = Fraction(*lm.to_rational(reference_exp(y, factors.frac)))
+            assert abs(m * Fraction(2) ** e - want) <= want / 2 ** factors.frac, mid
+
     def test_a_warm_call_makes_one_exponential_per_panel(self, p35, monkeypatch):
         # with the node tables warm, a call's exponentials are its base
-        # level's, one per node, and one per panel; it made one per node
-        # (765-816) when each node took exp(x L) on its own
+        # level's, one per node of its negative half (25), the window's, and
+        # five for exp(-x mid) along the panels: two for the low side's chain
+        # and three for the high side's.  It made one per node (765-816)
+        # when each node took exp(x L) on its own, and 66-68 with one per
+        # node at the base level and one per panel
         calls = 0
         exp = quadrature.mpf_exp
 
@@ -564,7 +592,7 @@ class TestExpFactors:
                 calls = 0
                 call()
                 monkeypatch.setattr(quadrature, "mpf_exp", exp)
-                assert 50 < calls <= 100, (x, j, calls)
+                assert calls == 31, (x, j, calls)
 
     def test_a_sweep_of_arguments_builds_no_table(self, p35):
         # no node table depends on x: after x = 1/2, twenty more x in (0, 1]
@@ -598,6 +626,74 @@ class TestExpFactors:
                 assert [future.result(timeout=120) for future in futures] == solo * 2
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestMemos:
+    # every memo of the quadrature: the rule, the level factors of the node
+    # tables, the node tables, the folded weights and the plan's four
+    MEMOS = {"gauss_kronrod_rule", "_level_exps", "_node_table", "_panel_weights",
+             "_low_side", "_cutoff_logs", "_high_cutoff", "_high_side"}
+
+    def test_cold_and_warm_calls_give_the_same_bits(self):
+        # each call from emptied memos against the same call with every memo
+        # warm: a memoized value depends only on its key
+        assert set(quadrature_memos()) == self.MEMOS
+
+        def bits(x, j, p):
+            r = kurepa(x, p) if j == 0 else kurepa_derivative(x, j, p)
+            return r.value._mpf_, r.error_bound._mpf_, r.nodes_used, r.tail_cutoff._mpf_
+
+        cases = [(x, j, Precision(digits)) for digits in (30, 35, 50)
+                 for x in (0, 4 ** -12, "0.37", 1, "7.3", 16) for j in range(4)]
+        for case in cases:
+            bits(*case)
+        warm = [bits(*case) for case in cases]
+        cold = []
+        for case in cases:
+            clear_quadrature_memos()
+            cold.append(bits(*case))
+        assert cold == warm
+
+    @pytest.mark.parametrize("digits", [30, 35, 50])
+    def test_plan_matches_the_cut_off_loops(self, digits, monkeypatch):
+        # the memoized plan against the loops that evaluated the tail bounds
+        # at every step: the same panels either side, the same T
+        p = Precision(digits)
+        taken = []
+
+        def adaptive(panels, x, j, tol_abs, n, state, factors):
+            taken.append(tuple(panels))
+            return x.context.zero, x.context.zero
+
+        monkeypatch.setattr(quadrature, "_adaptive", adaptive)
+        xs = [mpmath.mpf(i) / 8 for i in range(129)] + [4 ** -12, "1e-20", "0.37", "0.999999",
+                                                        "7.3", "15.9"]
+        for x in xs:
+            for j in range(4):
+                taken.clear()
+                r = kurepa(x, p) if j == 0 else kurepa_derivative(x, j, p)
+                low, high, T = reference_layout(x, j, p)
+                assert (taken[0], taken[2]) == (tuple(low), tuple(high)), (x, j)
+                assert r.tail_cutoff._mpf_ == T._mpf_, (x, j)
+
+    @pytest.mark.parametrize("n, prec", [(22, 153), (25, 169), (32, 219)])
+    def test_level_exps_stay_within_their_bound(self, n, prec):
+        # exp(-2^level z) at each node against mpf_exp at twice the bits:
+        # within 2^(k+2) units in the last of the entry's bits, k the
+        # level's squarings above the base
+        lm = mpmath.libmp
+        nodes = quadrature.gauss_kronrod_rule(n, prec)[0]
+        for level in range(quadrature._BASE_LEVEL - 2, 7):
+            bits = quadrature._table_bits(level, prec)
+            k = max(0, level - quadrature._BASE_LEVEL)
+            table = quadrature._level_exps(level, n, prec)
+            assert len(table) == len(nodes)
+            for z, (m, e) in zip(nodes, table):
+                assert m.bit_length() <= bits
+                y = lm.mpf_neg(lm.mpf_shift(z._mpf_, level))
+                want = Fraction(*lm.to_rational(reference_exp(y, bits)))
+                unit = Fraction(2) ** (e + m.bit_length() - bits)
+                assert abs(m * Fraction(2) ** e - want) <= 2 ** (k + 2) * unit, (level, z)
 
 
 class TestSequentialRoundingReference:

@@ -751,6 +751,16 @@ class TestPolynomial:
         with pytest.raises(ConfigurationError, match="at least one coefficient"):
             Polynomial(coefficients=(), segment=finite_segment(0, 1, p50))
 
+    @pytest.mark.parametrize("coefficients, segment", [
+        ((1.0, mpmath.mpf("0.5")), (mpmath.mpf(0), mpmath.mpf(1))),
+        ((mpmath.mpf(1), mpmath.mpf("0.5")), (0, mpmath.mpf(1))),
+    ], ids=["float coefficient", "int segment end"])
+    def test_non_mpf_fields_refused(self, coefficients, segment):
+        # evaluate and to_monomial read each field's bits and the segment's
+        # context, so a float or an int is refused where it enters
+        with pytest.raises(ConfigurationError, match="must be an mpf"):
+            Polynomial(coefficients=coefficients, segment=segment)
+
     @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
     def test_non_finite_coefficients_refused(self, p50, bad):
         with pytest.raises(ConfigurationError, match="finite"):
