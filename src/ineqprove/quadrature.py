@@ -25,24 +25,29 @@ the two tail bounds are computed per x.
 
 At a node s = mid + 2^level z, exact, the integrand is c expm1(x L) for
 j = 0 and c L^j exp(x L) for j >= 1, L = -s; c is kept in a node table per
-panel, built on raw mpf tuples and exactly multiplied into the weights,
-with one exponential per node and one per panel: exp(-s) = exp(-mid)
-exp(-2^level z), the second factor from a memoized table per level.  exp(x L) = exp(-x mid)
+panel, built on integer (mantissa, exponent) pairs, each step rounded once
+as the mpf arithmetic would round it, and exactly multiplied into the
+weights, with one exponential per node and one per panel: exp(-s) =
+exp(-mid) exp(-2^level z), the second factor from a memoized table per
+level, whose base level takes one exponential per node of the negative half
+and integer reciprocals for the positive half.  exp(x L) = exp(-x mid)
 (1 + B): exp(-x mid) by a chain along each side's panels, from five
 exponentials, and B = expm1(-x 2^level z) in fixed point, computed once per
-call at the first level, by one exponential per node of the negative half
-and integer reciprocals for the positive half, and squared up the others
-(``_ExpFactors``).  Per panel and order j, each rule's weights times L^j are
-folded once onto one exponent, so each estimate is one exact integer dot
-product with the Bs, rounded once.
+call at the first level, likewise from the negative half's exponentials,
+and squared up the others (``_ExpFactors``).  Per panel, each rule's
+weights are folded once onto one exponent, and per order j >= 1 those
+integers are multiplied by the L^j, every L put on one exponent, so each
+estimate is one exact integer dot product with the Bs, rounded once.
 
 Each panel's error is estimated by comparing the n-node Gauss rule with its
 nested (2n+1)-node Kronrod extension, and a panel whose estimate exceeds its
 share of the error target is bisected.  Both rules come from one recurrence,
 that of Laurie's Jacobi-Kronrod matrix, by one Newton iteration for the
 nodes, at a width that doubles as the root sharpens, and one formula for the
-weights, all in fixed point on integers, rounded to the working precision at
-the end.  The rules, level tables, node tables, folded weights and the
+weights, whose sum for a node that Newton finds comes from its last pass,
+all in fixed point on integers, rounded to the working precision at the
+end; the plan takes each step's ln T from the last step's.  The rules,
+level tables, node tables, folded weights and the
 plan are pure functions of their arguments, the binary precision among
 them, each memoized in a bounded LRU memo and none built at import; as a
 memoized value depends only on its key, the factors of a call live in the
@@ -60,8 +65,8 @@ from operator import mul
 import mpmath
 from mpmath.libmp import (
     dps_to_prec, fone, from_man_exp, from_rational, fzero, mpf_abs, mpf_add, mpf_div,
-    mpf_exp, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_pos, mpf_shift, mpf_sub, round_nearest as rn,
-    to_fixed,
+    mpf_exp, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_shift, mpf_sub, normalize,
+    round_nearest as rn, to_fixed,
 )
 
 from .errors import (
@@ -157,10 +162,16 @@ def gauss_kronrod_rule(n: int, prec: int):
     ``prec`` bits once, to nearest, at the end.  The recurrence is carried in
     r_k = 2^k p_k, which stays of order 1 on [-1, 1] where p_k falls like
     2^-k and would need k more fraction bits.  Newton starts from the cosine
-    of the node's angle at the first of a chain of widths of at least 53
+    of the node's angle (shrunk by Tricomi's first correction at a Gauss
+    node) at the first of a chain of widths of at least 53
     bits, each twice the last, up to frac; as each step doubles the correct
     bits, one or two steps at each width take the root to the next, and
-    about one runs at full width.
+    about one runs at full width.  That pass also sums r_k^2 / B_k and
+    r_k r_k' / B_k, so the Gauss weights and the Kronrod weights at the n+1
+    added nodes come from its sum moved by the last step dz to first order:
+    an error of order dz^2, and dz is at most about 2^-(frac/2), so the sum
+    keeps all but a few of the guard bits.  Only the Kronrod weights at the
+    rounded Gauss nodes and at 0 take a pass of their own.
     """
     frac = prec + _RULE_GUARD_BITS
     one = 1 << frac
@@ -172,32 +183,41 @@ def gauss_kronrod_rule(n: int, prec: int):
         widths.insert(0, (widths[0] + 1) // 2)
     cut = [[v >> (frac - w) for v in b4] for w in widths]
 
+    # q_k^2 = r_k^2 / (b_0 B_k), b_0 = 2 and B_k the product of 4 b_1 .. 4 b_k
+    inv_b = [one]
+    for v in b4[1:]:
+        inv_b.append((inv_b[-1] << frac) // v)
+
     def newton_root(seed, top, divisor):
         # f = p_top / p_divisor; p_0 = 1, so divisor 0 gives p_top.  A step
         # under 2^-(w/2) at width w leaves an error of about its square,
-        # 2^-w: the last step that width needs
+        # 2^-w: the last step that width needs.  Each pass at full width
+        # also sums r_k^2 inv_b[k] and r_k r_k' inv_b[k] over k < top at z;
+        # the root comes with its weight, from the first sum moved by the
+        # last step dz to first order
         level, z = 0, int(seed * 2.0 ** widths[0])
         for _ in range(100):
             w, b = widths[level], cut[level]
             r0, r1, d0, d1 = 0, 1 << w, 0, 0
+            full = w == frac
+            total = slope = 0
             for k in range(top):
                 if k == divisor:
                     rd, dd = r1, d1
+                if full:
+                    t = r1 * inv_b[k] >> w
+                    total += t * r1
+                    slope += t * d1
                 r0, r1, d0, d1 = r1, (2 * z * r1 - b[k] * r0) >> w, d1, \
                     (2 * ((r1 << w) + z * d1) - b[k] * d0) >> w
             dz = (r1 * rd << w) // (d1 * rd - r1 * dd)
             z -= dz
             if abs(dz) <= 1 << (w + 1) // 2:
-                if w == frac:
+                if full:
                     break
                 level += 1
                 z <<= widths[level] - w
-        return z
-
-    # q_k^2 = r_k^2 / (b_0 B_k), b_0 = 2 and B_k the product of 4 b_1 .. 4 b_k
-    inv_b = [one]
-    for v in b4[1:]:
-        inv_b.append((inv_b[-1] << frac) // v)
+        return z, from_rational(2 << 3 * frac, (total << frac) - 2 * slope * dz, prec, rn)
 
     def weight(z, terms):
         r0, r1 = 0, one
@@ -211,12 +231,15 @@ def gauss_kronrod_rule(n: int, prec: int):
         return from_man_exp(z, -frac, prec, rn)
 
     # the positive Gauss nodes g_1 > g_2 > ..., weighed before they are
-    # rounded to prec bits, the form in which they join the Kronrod rule
-    gauss = [newton_root(math.cos(math.pi * (i - 0.25) / (n + 0.5)), n, 0)
+    # rounded to prec bits, the form in which they join the Kronrod rule;
+    # Tricomi's seed (1 - (n - 1) / (8 n^3)) cos(angle) saves Newton about
+    # one step per node at its first width over the cosine alone
+    shrink = 1 - (n - 1) / (8 * n ** 3)
+    gauss = [newton_root(shrink * math.cos(math.pi * (i - 0.25) / (n + 0.5)), n, 0)
              for i in range(1, n // 2 + 1)]
-    half_g = [weight(z, n) for z in gauss]
+    half_g = [w for _, w in gauss]
     g_weights = half_g + [weight(0, n)] * (n % 2) + half_g[::-1]
-    gauss = [to_fixed(rounded(z), frac) for z in gauss]
+    gauss = [to_fixed(rounded(z), frac) for z, _ in gauss]
 
     # one new node in each gap of 1 > g_1 > g_2 > ... > 0, seeded at the
     # gap's middle angle; 0 closes the last gap only when it is a Gauss
@@ -226,10 +249,9 @@ def gauss_kronrod_rule(n: int, prec: int):
         edges.append(math.pi / 2)
     added = [newton_root(math.cos((lo + hi) / 2), 2 * n + 1, n)
              for lo, hi in zip(edges, edges[1:])]
-    half = sorted(gauss + added)
+    half, half_k = zip(*sorted([(z, weight(z, 2 * n + 1)) for z in gauss] + added))
     nodes = [mpf_neg(rounded(z)) for z in reversed(half)] + [fzero] + [rounded(z) for z in half]
-    half_k = [weight(z, 2 * n + 1) for z in half]
-    k_weights = half_k[::-1] + [weight(0, 2 * n + 1)] + half_k
+    k_weights = half_k[::-1] + (weight(0, 2 * n + 1),) + half_k
     ctx = context(prec)
     return tuple(tuple(ctx.make_mpf(v) for v in part) for part in (nodes, k_weights, g_weights))
 
@@ -261,15 +283,23 @@ def _level_exps(level, n, prec):
     """exp(-2^level z) at the Kronrod nodes z, each as (m, e) standing for m 2^e.
 
     m has at most ``_table_bits(level, prec)`` bits.  A level at or below
-    ``_BASE_LEVEL`` takes one exponential per node, rounded to nearest; each
-    level above it squares the one below, the square truncated to as many
-    bits, so a level k squarings above the base is within 2^(k+2) units of
-    m's last bit.  Memoized on all three arguments.
+    ``_BASE_LEVEL`` takes one exponential per node of the negative half,
+    where the entry exceeds 1, to 4 more bits; the nodes are exactly
+    symmetric, so at z > 0 the entry is that value's integer reciprocal, and
+    every entry is rounded to nearest from there, within 3/4 of a unit of
+    m's last bit.  Each level above the base squares the one below, the
+    square truncated to as many bits, so a level k squarings above the base
+    is within 2^(k+2) units.  Memoized on all three arguments.
     """
     bits = _table_bits(level, prec)
     if level <= _BASE_LEVEL:
-        return tuple(mpf_exp(mpf_neg(mpf_shift(z._mpf_, level)), bits, rn)[1:3]
-                     for z in gauss_kronrod_rule(n, prec)[0])
+        # the entries lie within exp(+-1/8) of 1: bits - 1 fraction bits
+        # above 1, bits below
+        nodes = gauss_kronrod_rule(n, prec)[0]
+        up = [to_fixed(mpf_exp(mpf_neg(mpf_shift(z._mpf_, level)), bits + 4, rn), bits + 3)
+              for z in nodes[:len(nodes) // 2]]
+        return tuple([((u + 8) >> 4, 1 - bits) for u in up] + [(1, 0)]
+                     + [(((1 << 2 * bits + 4) // u + 1) >> 1, -bits) for u in reversed(up)])
     return tuple(_times(v, v, bits) for v in _level_exps(level - 1, n, prec))
 
 
@@ -294,32 +324,61 @@ def _node_table(mid, level, n, prec):
     their product is good to about prec + 60 - k bits, k the level's
     squarings above the base, so it rounds as exp(-s) does unless exp(-s)
     lies that close to a rounding boundary.  So a node takes one
-    exponential, exp(-w).  k 2^k_exp and g 2^g_exp are the exact
+    exponential, exp(-w).  The chain runs on integer (mantissa, exponent)
+    pairs: s and w - 1 exact, each of the five rounded steps (exp(-s), w,
+    exp(-w) w, w - 1 and the quotient, from a sticky bit as ``mpf_div``
+    keeps it) one ``normalize``, so every step has the bits of the mpf
+    arithmetic it stands for.  k 2^k_exp and g 2^g_exp are the exact
     products 2^level c w_K and 2^level c w_G; g is 0 where only the Kronrod
     rule has a node.  Memoized on all four arguments, mid a raw mpf tuple.
     """
     nodes, k_weights, g_weights = gauss_kronrod_rule(n, prec)
     _, mm, me, _ = mpf_exp(mpf_neg(mid), _table_bits(level, prec), rn)
+    msign, mman, mexp, _ = mid
+    mid_int = -mman if msign else mman
     table = []
     for i, (z, w_k, (m, e)) in enumerate(zip(nodes, k_weights, _level_exps(level, n, prec))):
-        s = mpf_add(mid, mpf_shift(z._mpf_, level))
-        if s == fzero:
-            c, ell = mpf_exp(mpf_neg(fone), prec, rn), None
+        # s = mid + 2^level z exactly, as the integer s times 2^low
+        zsign, zman, low, _ = z._mpf_
+        low += level
+        s = -zman if zsign else zman
+        if mman:
+            if mexp < low:
+                s, low = mid_int + (s << low - mexp), mexp
+            else:
+                s = (mid_int << mexp - low) + s
+        if s:
+            # L < 0 on the low side s > 0, where w - 1 < 0 and so c < 0
+            negative = 1
+            if s < 0:
+                negative, s = 0, -s
+            size = s.bit_length()
+            ell = normalize(negative, s, low, size, size, rn)
+            # exp(-s) to prec + 10 bits and as many more as s is below 1
+            wm, mag = mm * m, low + size
+            _, wm, we, wbc = normalize(0, wm, me + e, wm.bit_length(),
+                                       prec + 10 - mag if mag < 0 else prec + 10, rn)
+            _, vm, ve, vbc = normalize(0, wm, we, wbc, prec, rn)
+            _, pm, pe, _ = mpf_exp((1, vm, ve, vbc), prec, rn)
+            pm *= vm
+            _, pm, pe, pbc = normalize(0, pm, pe + ve, pm.bit_length(), prec, rn)
+            d = abs((wm << we) - 1 if we >= 0 else wm - (1 << -we))
+            _, dm, de, dbc = normalize(0, d, min(we, 0), d.bit_length(), prec, rn)
+            extra = max(5, prec - pbc + dbc + 5)
+            cm, rem = divmod(pm << extra, dm)
+            if rem:
+                cm, extra = cm << 1 | 1, extra + 1
+            _, cm, ce, _ = normalize(0, cm, pe - de - extra, cm.bit_length(), prec, rn)
+            if negative:
+                cm = -cm
         else:
-            wide = from_man_exp(mm * m, me + e, prec + 10 + max(0, -(s[2] + s[3])), rn)
-            w = mpf_pos(wide, prec, rn)
-            c = mpf_div(mpf_mul(mpf_exp(mpf_neg(w), prec, rn), w, prec, rn),
-                        mpf_sub(wide, fone, prec, rn), prec, rn)
-            ell = mpf_neg(s)
-        hc = mpf_shift(c, level)
-        table.append((ell, *_exact(hc, w_k), *(_exact(hc, g_weights[i // 2]) if i % 2 else (0, 0))))
+            _, cm, ce, _ = mpf_exp(mpf_neg(fone), prec, rn)
+            ell = None
+        ce += level
+        _, km, ke, _ = w_k._mpf_
+        _, gm, ge, _ = g_weights[i // 2]._mpf_ if i % 2 else fzero
+        table.append((ell, cm * km, ce + ke, cm * gm, ce + ge if gm else 0))
     return tuple(table)
-
-
-def _exact(a, w):
-    # a w exactly, as a signed integer and an exponent
-    sign, man, exp, _ = mpf_mul(a, w._mpf_)
-    return -man if sign else man, exp
 
 
 @lru_cache(maxsize=_CACHE_LIMIT)
@@ -329,16 +388,24 @@ def _panel_weights(mid, level, n, prec, j):
     Each rule is (weights, their sum, centre): weights[i] 2^low is the exact
     2^level c w L^j at the rule's i-th node (2^level c w for j = 0), and 0 at
     s = 0, whose 2^level c w is ``centre`` as (integer, exponent), or (0, 0)
-    where the rule has no node there.  Memoized on all five arguments.
+    where the rule has no node there.  For j >= 1 the j = 0 fold's integers
+    are multiplied by L^j, with every L of the node table put on one
+    exponent.  Memoized on all five arguments.
     """
+    table = _node_table(mid, level, n, prec)
+    if j:
+        low, (kronrod, _, k_centre), (gauss, _, g_centre) = _panel_weights(mid, level, n, prec, 0)
+        ells = [row[0] or fzero for row in table]
+        ell_low = min(e for _, m, e, _ in ells if m)
+        powers = [(-m if sign else m) << e - ell_low if m else 0 for sign, m, e, _ in ells]
+        if j > 1:
+            powers = [v ** j for v in powers]
+        rules = (tuple(map(mul, kronrod, powers)), tuple(map(mul, gauss, powers[1::2])))
+        return low + j * ell_low, *((w, sum(w), c) for w, c in zip(rules, (k_centre, g_centre)))
     kronrod, gauss, centre = [], [], ((0, 0), (0, 0))
-    for i, (ell, km, ke, gm, ge) in enumerate(_node_table(mid, level, n, prec)):
+    for i, (ell, km, ke, gm, ge) in enumerate(table):
         if ell is None:
             centre, km, gm = ((km, ke), (gm, ge)), 0, 0
-        elif j:
-            sign, lm, le, _ = ell
-            power = (-lm if sign else lm) ** j
-            km, ke, gm, ge = km * power, ke + le * j, gm * power, ge + le * j
         kronrod.append((km, ke))
         if i % 2:
             gauss.append((gm, ge))
@@ -534,15 +601,17 @@ def _low_side(count, p):
 
 @lru_cache(maxsize=_CACHE_LIMIT)
 def _cutoff_logs(p):
-    """ln of ``series_floor`` and of 64 / ``resolution_floor`` at p's working precision.
+    """ln of ``series_floor``, of 64 / ``resolution_floor`` and of 5/4 at p's working precision.
 
     The targets of the two cut-off searches, each a comparison of logs:
     the high side's exp(-T) T^(x+1) against the floor, and the low side's
-    tail bound against share = target / 8, with eps = 1/8.
+    tail bound against share = target / 8, with eps = 1/8; and the step of
+    ln T between two of the high side's T.
     """
     ctx = _working_context(p)
     return (ctx.ln(series_floor(p, ctx.prec)),
-            ctx.ln(64 / resolution_floor(p, ctx.prec)))
+            ctx.ln(64 / resolution_floor(p, ctx.prec)),
+            ctx.ln(ctx.mpf(5) / 4))
 
 
 @lru_cache(maxsize=_CACHE_LIMIT)
@@ -550,14 +619,17 @@ def _high_cutoff(start, k, p):
     """(x_T, ln T) of the search's k-th T, T = start (5/4)^k rounded at each step.
 
     The search passes T while exp(-T) T^(x+1) exceeds the series floor,
-    that is while x > x_T = (T + ln floor) / ln T - 1.  Memoized on all
+    that is while x > x_T = (T + ln floor) / ln T - 1.  ln T is ln start
+    for k = 0, else the (k-1)-th entry's ln T plus ln(5/4), rounded: within
+    k + 1 units in its last place of ln T, as T is exact while
+    start 5^k has at most the working precision's bits.  Memoized on all
     three arguments.
     """
     ctx = _working_context(p)
     T = ctx.mpf(start)
     for _ in range(k):
         T *= ctx.mpf(5) / 4
-    log_t = ctx.ln(T)
+    log_t = _high_cutoff(start, k - 1, p)[1] + _cutoff_logs(p)[2] if k else ctx.ln(T)
     return (T + _cutoff_logs(p)[0]) / log_t - 1, log_t
 
 

@@ -409,11 +409,37 @@ class TestNodeTables:
         ]
         assert out[0] and out[0] == out[1]
 
+    def test_tables_of_a_sweep_match_the_mpf_construction(self, monkeypatch):
+        # every panel the integrals reach for six x and j = 0..3 at five
+        # precisions, and the panels below the base level that end at s = 0,
+        # against the tables built on mpf objects, bit for bit: the integer
+        # chain meets w - 1 < 0 on the low side, s next to 0, and the extra
+        # bits of the levels below the base
+        panels = set()
+        build = quadrature._kronrod_panel
+
+        def recorded(mid, level, n, x, j, factors):
+            panels.add((mid, level, n, x.context.prec))
+            return build(mid, level, n, x, j, factors)
+
+        monkeypatch.setattr(quadrature, "_kronrod_panel", recorded)
+        for digits in (15, 30, 35, 50, 100):
+            p = Precision(digits)
+            for x in (0, 4 ** -12, "0.37", 1, "7.3", 16):
+                for j in range(4):
+                    kurepa(x, p) if j == 0 else kurepa_derivative(x, j, p)
+        assert len(panels) >= 135
+        for n, prec in {(n, prec) for _, _, n, prec in panels}:
+            for level in range(quadrature._BASE_LEVEL - 6, quadrature._BASE_LEVEL):
+                # mid = +-2^level, whose panel ends at s = 0
+                panels |= {((sign, 1, level, 1), level, n, prec) for sign in (0, 1)}
+        for key in sorted(panels, key=repr):
+            assert quadrature._node_table(*key) == reference_node_table(*key), key
+
     def test_memo_stays_within_its_limit(self, monkeypatch):
-        # each number of digits has its own working precision; the three
+        # each number of digits has its own working precision; three of the
         # memos are rebuilt small enough to evict along the way
-        for memo in (quadrature.gauss_kronrod_rule, quadrature._node_table,
-                     quadrature._panel_weights):
+        for memo in quadrature_memos().values():
             assert memo.cache_info().maxsize == quadrature._CACHE_LIMIT
         # each memo's limit, and the position of prec among its arguments
         limits = {"gauss_kronrod_rule": (2, 1), "_node_table": (64, 3),
@@ -653,6 +679,31 @@ class TestMemos:
             clear_quadrature_memos()
             cold.append(bits(*case))
         assert cold == warm
+
+    def test_cold_calls_take_pinned_exponentials_and_logs(self, p35, monkeypatch):
+        # the near miss's three calls from emptied memos.  The rule, tables
+        # and plan they build and the calls' own factors take 950
+        # exponentials; there were 976 with one per node of the base level's
+        # table, not per node of its negative half.  The plan takes 6 logs:
+        # 3 for its targets and the step of ln T, 1 for the first T of each
+        # of the two starts, and 1 for the order-1 call's s_max test, which
+        # passes at once; there were 15 with one per step of T
+        clear_quadrature_memos()
+        counts = {"mpf_exp": 0, "ln": 0}
+
+        def counted(f, name):
+            def call(*args):
+                counts[name] += 1
+                return f(*args)
+            return call
+
+        ctx = quadrature._working_context(p35)
+        monkeypatch.setattr(quadrature, "mpf_exp", counted(quadrature.mpf_exp, "mpf_exp"))
+        monkeypatch.setattr(ctx, "ln", counted(ctx.ln, "ln"))
+        kurepa(0, p35)
+        kurepa_derivative(0, 1, p35)
+        kurepa(1, p35)
+        assert counts == {"mpf_exp": 950, "ln": 6}
 
     @pytest.mark.parametrize("digits", [30, 35, 50])
     def test_plan_matches_the_cut_off_loops(self, digits, monkeypatch):
