@@ -560,7 +560,7 @@ def prove_inequality(f, a, b, n, m, k: int,
         )
     if isinstance(f, str):
         f = parse(f)
-    if not isinstance(k, int) or k < 0:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise ConfigurationError(f"degree must be a nonnegative integer, got {k!r}")
     # from 2 on, the residual grid, twice as dense as Remez's, has the
     # 4*(k+2) points that residual_check asks for

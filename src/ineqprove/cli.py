@@ -78,6 +78,15 @@ def _merged(config: dict, args, keys):
     return merged
 
 
+def _emit(payload: str, out) -> None:
+    """Write the JSON payload and a newline to the file out, or print it if out is unset."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(payload + "\n")
+    else:
+        print(payload)
+
+
 def cmd_prove(args) -> int:
     config = read_config(args.config) if args.config else {}
     merged = _merged(config, args, _CONFIG_KEYS)
@@ -93,14 +102,7 @@ def cmd_prove(args) -> int:
         raise IneqproveError(f"invalid setting value: {exc}") from exc
     report = prove_inequality(merged["function"], a, b, merged["n"], merged["m"],
                               degree, settings)
-    payload = report_to_json(report, settings.precision)
-    out = merged.get("out")
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-            fh.write("\n")
-    else:
-        print(payload)
+    _emit(report_to_json(report, settings.precision), merged.get("out"))
     return {
         "proven": EXIT_PROVEN,
         "disproven": EXIT_DISPROVEN,
@@ -132,13 +134,7 @@ def cmd_minimax(args) -> int:
         "monomial_coefficients": [decimal_str(c, p) for c in mono],
         "levelled_error_history": [decimal_str(h, p) for h in result.levelled_error_history],
     }
-    payload = json.dumps(doc, indent=2, ensure_ascii=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-            fh.write("\n")
-    else:
-        print(payload)
+    _emit(json.dumps(doc, indent=2, ensure_ascii=True), args.out)
     return EXIT_PROVEN
 
 

@@ -5,7 +5,10 @@ with standard precedence, function-call syntax for sqrt/exp/log/sin/cos/
 arcsin/arctan, the literals pi, e and sqrt2, and the special ``kurepa`` /
 ``kurepa_deriv(order, ...)`` functions whose evaluation, domain check
 included, delegates to the quadrature module.  Powers are restricted to
-rational constant exponents so differentiation stays closed-form.
+rational constant exponents so differentiation stays closed-form.  Each
+operator is one entry of an operator table, holding its evaluation, its
+derivative rule and, for a binary one, its printed sign; ``kurepa(u)`` is
+order 0 of the one Kurepa node.
 
 Trees are immutable; ``parse`` applies constant folding and a handful of
 identity rewrites (0 + u, 1 * u, u^1, ...) so that derivative trees stay
@@ -41,10 +44,6 @@ from .errors import (
     UnknownIdentifierError,
 )
 from .precision import Precision, context, to_mpf
-
-UNARY_FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos", "arcsin", "arctan")
-NAMED_CONSTANTS = ("pi", "e", "sqrt2")
-BINARY_OPS = ("add", "sub", "mul", "div", "pow")
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -86,11 +85,8 @@ class BinaryOp(Node):
 
 @dataclass(frozen=True)
 class KurepaNode(Node):
-    child: Node
+    """K^(order)(child); order 0 is K itself."""
 
-
-@dataclass(frozen=True)
-class KurepaDerivNode(Node):
     order: int
     child: Node
 
@@ -164,9 +160,7 @@ def div(l: Node, r: Node) -> Node:
     return BinaryOp("div", l, r)
 
 
-def pow_(base: Node, exponent: Node) -> Node:
-    if not isinstance(exponent, Constant):
-        raise ExpressionSyntaxError("exponent must fold to a rational constant", -1)
+def pow_(base: Node, exponent: Constant) -> Node:
     q = exponent.value
     if q == 0:
         return Constant(_ONE)
@@ -312,32 +306,29 @@ class _Parser:
             name = tok.text
             if name == "x":
                 return X
-            if name in NAMED_CONSTANTS:
+            if name in _NAMED:
                 return NamedConstant(name)
-            if name in UNARY_FUNCTIONS or name == "kurepa":
+            if name in UNARY_FUNCTIONS or name in ("kurepa", "kurepa_deriv"):
                 self.expect("(")
+                order = 0
+                if name == "kurepa_deriv":
+                    order_tok = self.peek()
+                    if order_tok.kind != "number" or not order_tok.text.isdigit():
+                        raise ExpressionSyntaxError(
+                            "kurepa_deriv expects a positive integer order", order_tok.pos
+                        )
+                    self.advance()
+                    order = int(order_tok.text)
+                    if order < 1:
+                        raise ExpressionSyntaxError(
+                            "kurepa_deriv order must be >= 1", order_tok.pos
+                        )
+                    self.expect(",")
                 arg = self.expression()
                 self.expect(")")
-                if name == "kurepa":
-                    return KurepaNode(arg)
-                return UnaryOp(name, arg)
-            if name == "kurepa_deriv":
-                self.expect("(")
-                order_tok = self.peek()
-                if order_tok.kind != "number" or not order_tok.text.isdigit():
-                    raise ExpressionSyntaxError(
-                        "kurepa_deriv expects a positive integer order", order_tok.pos
-                    )
-                self.advance()
-                order = int(order_tok.text)
-                if order < 1:
-                    raise ExpressionSyntaxError(
-                        "kurepa_deriv order must be >= 1", order_tok.pos
-                    )
-                self.expect(",")
-                arg = self.expression()
-                self.expect(")")
-                return KurepaDerivNode(order, arg)
+                if name in UNARY_FUNCTIONS:
+                    return UnaryOp(name, arg)
+                return KurepaNode(order, arg)
             raise UnknownIdentifierError(name, tok.pos)
         raise ExpressionSyntaxError(f"unexpected token {tok.text or 'end of input'!r}", tok.pos)
 
@@ -364,13 +355,12 @@ def to_source(node: Node) -> str:
         return f"{node.op}({to_source(node.child)})"
     if isinstance(node, BinaryOp):
         l, r = to_source(node.left), to_source(node.right)
-        sign = {"add": "+", "sub": "-", "mul": "*", "div": "/"}.get(node.op)
-        if sign is not None:
-            return f"({l} {sign} {r})"
-        return f"({l}^{r})"
+        if node.op == "pow":
+            return f"({l}^{r})"
+        return f"({l} {_BINARY[node.op][1]} {r})"
     if isinstance(node, KurepaNode):
-        return f"kurepa({to_source(node.child)})"
-    if isinstance(node, KurepaDerivNode):
+        if node.order == 0:
+            return f"kurepa({to_source(node.child)})"
         return f"kurepa_deriv({node.order}, {to_source(node.child)})"
     raise TypeError(f"not an expression node: {node!r}")
 
@@ -433,16 +423,36 @@ def _div(l, r, prec, rnd):
     return mpf_div(l, r, prec, rnd)
 
 
+# The operator tables, one entry per operator, which the parser, the printer,
+# the compiler and the differentiator all read.  An evaluation takes libmp
+# tuples (v, prec, rnd), or (l, r, prec, rnd), and checks its own domain.
 _NAMED = {"pi": mpf_pi, "e": mpf_e,
           "sqrt2": lambda prec, rnd: mpf_sqrt(from_int(2), prec, rnd)}
-_BINARY = {"add": mpf_add, "sub": mpf_sub, "mul": mpf_mul, "div": _div}
-_UNARY = {
-    "neg": mpf_neg, "exp": mpf_exp, "sin": mpf_sin, "cos": mpf_cos, "arctan": mpf_atan,
-    "sqrt": _checked(mpf_sqrt, lambda v: mpf_lt(v, fzero), "sqrt of negative value {}"),
-    "log": _checked(mpf_log, lambda v: mpf_le(v, fzero), "log of non-positive value {}"),
-    "arcsin": _checked(mpf_asin, lambda v: mpf_lt(v, fnone) or mpf_gt(v, fone),
-                       "arcsin argument {} outside [-1, 1]"),
+# name -> (evaluation, printed sign, (l, r, dl, dr) -> derivative tree);
+# pow, whose exponent is a rational constant, is the one binary operator outside
+_BINARY = {
+    "add": (mpf_add, "+", lambda l, r, dl, dr: add(dl, dr)),
+    "sub": (mpf_sub, "-", lambda l, r, dl, dr: sub(dl, dr)),
+    "mul": (mpf_mul, "*", lambda l, r, dl, dr: add(mul(dl, r), mul(l, dr))),
+    "div": (_div, "/",
+            lambda l, r, dl, dr: div(sub(mul(dl, r), mul(l, dr)), pow_(r, constant(2)))),
 }
+# name -> (evaluation, (u, du) -> derivative tree)
+_UNARY = {
+    "neg": (mpf_neg, lambda u, du: neg(du)),
+    "sqrt": (_checked(mpf_sqrt, lambda v: mpf_lt(v, fzero), "sqrt of negative value {}"),
+             lambda u, du: div(du, mul(constant(2), UnaryOp("sqrt", u)))),
+    "exp": (mpf_exp, lambda u, du: mul(UnaryOp("exp", u), du)),
+    "log": (_checked(mpf_log, lambda v: mpf_le(v, fzero), "log of non-positive value {}"),
+            lambda u, du: div(du, u)),
+    "sin": (mpf_sin, lambda u, du: mul(UnaryOp("cos", u), du)),
+    "cos": (mpf_cos, lambda u, du: neg(mul(UnaryOp("sin", u), du))),
+    "arcsin": (_checked(mpf_asin, lambda v: mpf_lt(v, fnone) or mpf_gt(v, fone),
+                        "arcsin argument {} outside [-1, 1]"),
+               lambda u, du: div(du, UnaryOp("sqrt", sub(constant(1), pow_(u, constant(2)))))),
+    "arctan": (mpf_atan, lambda u, du: div(du, add(constant(1), pow_(u, constant(2))))),
+}
+UNARY_FUNCTIONS = tuple(name for name in _UNARY if name != "neg")  # the parser's names
 
 
 def power(q: Fraction, prec, qt=None):
@@ -519,15 +529,15 @@ def _compile(root: Node, prec: int, p):
         if isinstance(node, NamedConstant):
             return (lambda x: _NAMED[node.name](prec, rn)), ()
         if isinstance(node, BinaryOp) and node.op != "pow":
-            f = _BINARY[node.op]
+            f = _BINARY[node.op][0]
             lf, rf = build(node.left), build(node.right)
             return (lambda x: f(lf(x), rf(x), prec, rn)), (node.left, node.right)
         if isinstance(node, UnaryOp):
-            f, child = _UNARY[node.op], node.child
+            f, child = _UNARY[node.op][0], node.child
         elif isinstance(node, BinaryOp):
             f, child = power(node.right.value, prec), node.left
-        elif isinstance(node, (KurepaNode, KurepaDerivNode)):
-            f, child = _kurepa(getattr(node, "order", 0), p), node.child
+        elif isinstance(node, KurepaNode):
+            f, child = _kurepa(node.order, p), node.child
         else:
             raise TypeError(f"not an expression node: {node!r}")
         cf = build(child)
@@ -573,44 +583,15 @@ def _d(node: Node) -> Node:
     if isinstance(node, Variable):
         return Constant(_ONE)
     if isinstance(node, UnaryOp):
-        u, du = node.child, _d(node.child)
-        op = node.op
-        if op == "neg":
-            return neg(du)
-        if op == "sqrt":
-            return div(du, mul(constant(2), UnaryOp("sqrt", u)))
-        if op == "exp":
-            return mul(UnaryOp("exp", u), du)
-        if op == "log":
-            return div(du, u)
-        if op == "sin":
-            return mul(UnaryOp("cos", u), du)
-        if op == "cos":
-            return neg(mul(UnaryOp("sin", u), du))
-        if op == "arcsin":
-            return div(du, UnaryOp("sqrt", sub(constant(1), pow_(u, constant(2)))))
-        if op == "arctan":
-            return div(du, add(constant(1), pow_(u, constant(2))))
-        raise DomainError(f"cannot differentiate operator {op!r}")
+        return _UNARY[node.op][1](node.child, _d(node.child))
+    if isinstance(node, BinaryOp) and node.op == "pow":
+        l, q, dl = node.left, node.right.value, _d(node.left)
+        return mul(mul(Constant(q), pow_(l, Constant(q - 1))), dl)
     if isinstance(node, BinaryOp):
         l, r = node.left, node.right
-        dl, dr = _d(l), _d(r)
-        op = node.op
-        if op == "add":
-            return add(dl, dr)
-        if op == "sub":
-            return sub(dl, dr)
-        if op == "mul":
-            return add(mul(dl, r), mul(l, dr))
-        if op == "div":
-            return div(sub(mul(dl, r), mul(l, dr)), pow_(r, constant(2)))
-        # pow with rational constant exponent
-        q = r.value
-        return mul(mul(Constant(q), pow_(l, Constant(q - 1))), dl)
+        return _BINARY[node.op][2](l, r, _d(l), _d(r))
     if isinstance(node, KurepaNode):
-        return mul(KurepaDerivNode(1, node.child), _d(node.child))
-    if isinstance(node, KurepaDerivNode):
-        return mul(KurepaDerivNode(node.order + 1, node.child), _d(node.child))
+        return mul(KurepaNode(node.order + 1, node.child), _d(node.child))
     raise TypeError(f"not an expression node: {node!r}")
 
 

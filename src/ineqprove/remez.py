@@ -561,7 +561,7 @@ def minimax(g, a, b, k: int, tol=TOL, p: Precision = Precision(),
     ``g`` receives mpfs of p's working context and should compute in it,
     ``lambda x: x.context.exp(x)``: ``mpmath.exp`` uses the ambient precision.
     """
-    if not isinstance(k, int) or k < 0:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise ConfigurationError(f"degree must be a nonnegative integer, got {k!r}")
     if not isinstance(grid_multiplier, int) or grid_multiplier < 1:
         raise ConfigurationError(

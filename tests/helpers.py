@@ -14,7 +14,6 @@ from ineqprove.precision import GUARD_DIGITS, context, resolution_floor, series_
 from ineqprove.expr import (
     BinaryOp,
     Constant,
-    KurepaDerivNode,
     KurepaNode,
     NamedConstant,
     UnaryOp,
@@ -181,10 +180,10 @@ def _walk(node, x, p):
                 raise DomainError("division by zero")
             return l / r
         raise DomainError(f"unsupported binary operator {op!r}")
-    if isinstance(node, (KurepaNode, KurepaDerivNode)):
+    if isinstance(node, KurepaNode):
         # the quadrature checks the argument and the order
         v = _walk(node.child, x, p)
-        if isinstance(node, KurepaNode):
+        if node.order == 0:
             return mp.convert(quadrature.kurepa(v, p).value)
         return mp.convert(quadrature.kurepa_derivative(v, node.order, p).value)
     raise TypeError(f"not an expression node: {node!r}")

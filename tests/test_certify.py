@@ -539,7 +539,7 @@ class TestProvePipeline:
         assert "limit_cross_check" not in report.diagnostics
         assert report_to_json(report) == want
 
-    @pytest.mark.parametrize("degree", [-1, 1.5])
+    @pytest.mark.parametrize("degree", [-1, 1.5, True])
     def test_bad_degree_refused(self, degree, p30):
         with pytest.raises(ConfigurationError, match="degree must be a nonnegative integer"):
             prove_inequality("exp(x)-1-x", 0, 1, 2, 0, degree, ProofSettings(precision=p30))
@@ -723,6 +723,11 @@ class TestProvePipeline:
                                   ProofSettings(precision=p30, grid_multiplier=2))
         assert report.verdict == "proven"
         assert report.settings["residual_grid_size"] == 13 == 4 * 3 + 1
+
+    @pytest.mark.parametrize("digits", [14, "35", 35.0])
+    def test_bad_precision_refused(self, digits):
+        with pytest.raises(ConfigurationError):
+            Precision(digits)
 
     def test_precision_floor(self):
         with pytest.raises(ConfigurationError):

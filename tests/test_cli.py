@@ -244,6 +244,22 @@ class TestExitContract:
         assert main(["prove", "--config", cfg]) == 3
         assert capsys.readouterr().err.startswith("error: invalid setting value: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["prove", "--function", "x*(1-x)", "--interval", "0,1", "--n", "1", "--m", "1",
+         "--precision", "30"],
+        ["minimax", "--function", "x*x", "--interval=-1,1", "--degree", "1"],
+    ], ids=["prove", "minimax"])
+    def test_json_to_stdout_or_out_file(self, argv, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert printed == out.read_text(encoding="utf-8")
+        assert json.loads(printed)
+        assert main(argv + ["--out", str(tmp_path / "missing" / "r.json")]) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
+
     def test_installed_entry_point(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "ineqprove.cli", "kurepa", "--x", "1",

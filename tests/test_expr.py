@@ -1,3 +1,4 @@
+import hashlib
 import math
 import operator
 import random
@@ -26,7 +27,6 @@ from ineqprove import (
 from ineqprove.expr import (
     BinaryOp,
     Constant,
-    KurepaDerivNode,
     KurepaNode,
     NamedConstant,
     UnaryOp,
@@ -86,9 +86,20 @@ class TestParse:
         assert parse("0*sin(x)").root == Constant(0)
         assert parse("1e-3").root == Constant(Fraction(1, 1000))
 
+    def test_unary_plus(self):
+        assert parse("+x").root == Variable()
+
+    @pytest.mark.parametrize("source, position", [
+        ("x $ 1", 2), ("x 1", 2), ("kurepa_deriv(0, x)", 13),
+    ])
+    def test_error_position(self, source, position):
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse(source)
+        assert err.value.position == position
+
     def test_kurepa_nodes(self):
-        assert parse("kurepa(x)").root == KurepaNode(Variable())
-        assert parse("kurepa_deriv(2, x)").root == KurepaDerivNode(2, Variable())
+        assert parse("kurepa(x)").root == KurepaNode(0, Variable())
+        assert parse("kurepa_deriv(2, x)").root == KurepaNode(2, Variable())
         with pytest.raises(ExpressionSyntaxError):
             parse("kurepa_deriv(x, x)")
 
@@ -301,7 +312,28 @@ def test_compiled_matches_reference_walker_on_fixed_trees(source, p30):
             assert _outcome(evaluate, tree, x, p30) == _outcome(reference_evaluate, tree, x, p30)
 
 
+# every operator's derivative rule and the Kurepa node's, each taken 1 to 4 times
+DERIVATIVE_CORPUS = [
+    "exp(sin(x))*arctan(x) - x - x^2",
+    "sqrt(1+x) - sqrt(1-x)",
+    "log(1+x)/(1+x^2)",
+    "arcsin(x/2)*cos(x)",
+    "x^(3/2) - pi*x + sqrt2",
+    "kurepa(x^2) - kurepa_deriv(1, x)*x",
+    "-x/(e+x)",
+]
+# sha256 of the printed trees for k = 1..4 in turn, over the corpus in order
+DERIVATIVE_HASH = "2c24ca58cfbb4c135440a6605407c0fdaa25403d278235a15ebbcc0dffbfdc7e"
+
+
 class TestDifferentiate:
+    def test_derivative_trees_pinned(self):
+        digest = hashlib.sha256()
+        for source in DERIVATIVE_CORPUS:
+            for k in range(1, 5):
+                digest.update(str(differentiate(parse(source), k)).encode())
+        assert digest.hexdigest() == DERIVATIVE_HASH
+
     def test_arcsin_derivative(self, p50):
         d = differentiate(parse("arcsin(x)"))
         assert str(d) == "(1 / sqrt((1 - (x^2))))"
@@ -312,14 +344,14 @@ class TestDifferentiate:
 
     def test_kurepa_chain(self, p50):
         d = differentiate(parse("kurepa(x)"))
-        assert d.root == KurepaDerivNode(1, Variable())
+        assert d.root == KurepaNode(1, Variable())
         v = evaluate(d, 0, p50)
         assert abs(v - mpmath.mpf("1.432205735")) < mpmath.mpf("5e-9")
         assert abs(v - mpmath.mpf(KP0)) < mpmath.mpf("1e-30")
 
     def test_kurepa_deriv_order_increments(self):
         d = differentiate(parse("kurepa_deriv(1, x)"))
-        assert d.root == KurepaDerivNode(2, Variable())
+        assert d.root == KurepaNode(2, Variable())
 
     def test_order_validation(self):
         with pytest.raises(Exception):

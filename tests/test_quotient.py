@@ -93,6 +93,18 @@ class TestNumericLimits:
         assert err.value.endpoint == "a"
         assert abs(err.value.hint_exponent - 2) < mpmath.mpf("0.3")
 
+    def test_vanishing_quotient_refused(self, p30):
+        with pytest.raises(ZeroLimitError, match="quotient vanishes at every sample"):
+            endpoint_limits_numeric(parse("0*x"), 0, 1, 1, 0, p30)
+
+    def test_slow_divergence_refused_after_acceleration(self, p30):
+        # the samples grow by about 4^0.13 a step, too slowly to be refused
+        # before the acceleration, whose limit is then too small to be trusted
+        with pytest.raises(DivergentLimitError) as err:
+            endpoint_limits_numeric(parse("x^(87/100)"), 0, 1, 1, 0, p30)
+        assert err.value.endpoint == "a"
+        assert abs(err.value.hint_exponent - mpmath.mpf("-0.13")) < mpmath.mpf("0.005")
+
     def test_smooth_nonpolynomial(self, p50):
         alpha, beta = endpoint_limits_numeric(parse("sin(x)*(1-x)"), 0, 1, 1, 1, p50)
         assert abs(alpha - 1) < mpmath.mpf("1e-8")

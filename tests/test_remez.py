@@ -601,6 +601,11 @@ class TestMinimax:
         with pytest.raises(ConfigurationError):
             minimax(mpmath.exp, 0, 1, 1, tol="1e-60", p=p50)
 
+    @pytest.mark.parametrize("degree", [-1, 1.5, True])
+    def test_bad_degree_refused(self, degree):
+        with pytest.raises(ConfigurationError, match="degree must be a nonnegative integer"):
+            minimax(lambda x: x, 0, 1, degree)
+
     @pytest.mark.parametrize("grid_multiplier", [0, -2])
     def test_grid_multiplier_validation(self, grid_multiplier, p50):
         with pytest.raises(ConfigurationError, match="grid_multiplier"):
