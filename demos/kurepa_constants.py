@@ -1,8 +1,10 @@
-"""The Kurepa function by adaptive Gauss-Kronrod quadrature.
+"""The Kurepa function by one trapezoidal sum in s = log t, with proven error bounds.
 
 K(x) = integral_0^inf exp(-t) (t^x - 1)/(t - 1) dt is increasing on [0, 1],
 concave up to its single inflection point, convex after.  This script
-reproduces the classical constants with per-call error bounds.
+reproduces the classical constants; each value comes with its proven
+error_bound, the number of terms summed (nodes and series terms) and t at
+the last node on the right.
 
 Run:  python3 demos/kurepa_constants.py
 """
@@ -18,8 +20,8 @@ values = {}
 for x in ("0", "0.5", "1"):
     r = values[x] = kurepa(x, p)
     print(f"  K({x})   = {mpmath.nstr(r.value, 30):35s}"
-          f" +/- {mpmath.nstr(r.error_bound, 3)}  ({r.nodes_used} evaluations,"
-          f" tail cut at t = {mpmath.nstr(r.tail_cutoff, 5)})")
+          f" +/- {mpmath.nstr(r.error_bound, 3)}  ({r.nodes_used} terms,"
+          f" last node at t = {mpmath.nstr(r.tail_cutoff, 5)})")
 
 print("\n== derivatives at 0 ==")
 for order in (1, 2, 3):

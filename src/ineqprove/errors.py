@@ -30,7 +30,7 @@ class DomainError(IneqproveError):
 
 
 class PrecisionUnreachableError(IneqproveError):
-    """Quadrature node budget exhausted before the error target was met."""
+    """A Kurepa integral whose proven error bound misses its target."""
 
 
 class RootBracketError(IneqproveError):

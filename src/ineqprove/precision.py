@@ -64,8 +64,8 @@ def _ten_to(exponent, prec):
 def resolution_floor(p: Precision, prec=None):
     """10^-(digits - 10): the smallest quantity ``p``-digit arithmetic resolves.
 
-    The Kurepa error target, the least Remez tol, and the zero level of
-    endpoint limits and of minimax residuals.
+    The least Remez tol, and the zero level of endpoint limits and of
+    minimax residuals.
     """
     return _ten_to(-(p.decimal_digits - 10), prec or p)
 
@@ -85,14 +85,9 @@ def cancellation_floor(p: Precision):
     return _ten_to(-(p.decimal_digits + 5), p)
 
 
-def series_floor(p: Precision, prec):
-    """10^-(digits + 10): the least Kurepa integrand term a truncated tail may drop."""
-    return _ten_to(-(p.decimal_digits + 10), prec)
-
-
-def negligible_ratio(prec):
-    """10^-30: the least quadrature panel, relative to its span."""
-    return _ten_to(-30, prec)
+def kurepa_floor(p: Precision, prec):
+    """10^-(digits + 3): the Kurepa error target, relative to max(1, |K|)."""
+    return _ten_to(-(p.decimal_digits + 3), prec)
 
 
 def sampling_ratio(p: Precision):

@@ -1,97 +1,53 @@
-"""Adaptive Gauss-Kronrod quadrature for the Kurepa function family.
+"""The Kurepa function family by one trapezoidal sum in s = log t, with a proven error bound.
 
-The Kurepa function is the improper integral
-
-    K(x) = integral_0^inf exp(-t) (t^x - 1)/(t - 1) dt
-
-and its derivatives replace (t^x - 1) by t^x log(t)^j.  The supported
-domain is 0 <= x <= MAX_ARGUMENT and j <= MAX_ORDER, and every integral is
-computed at p's digits plus 15 guard digits.  The integrand has a
-removable singularity at t = 1 and an endpoint singularity of log type at
-t = 0 for the derivative integrals.  Every integral is taken in s = -log t,
-which turns t -> 0 into a smooth exponential tail and t = 1 into s = 0, over
-the window [-1/8, 1/8], whose centre node takes the quotient's limit, and
-panels that double in width outward from it: out past s_max for s > 0, and
-up to width 1, as exp(-t) falls doubly exponentially in s, out past -log T
-for s < 0.  s_max and T are chosen so the dropped tails are provably below
-the error target, each the first of a sequence of steps by 5/4 to pass a
-test made in logs; each side's panels run on to the first panel edge past
-its cut-off, and both tail bounds, taken at those edges (the high side's is
-``tail_cutoff``), are added to ``error_bound``.  Every half-width is a power
-of two, and no panel depends on x.  The plan is memoized: each of T's
-steps with the x above which the search passes it, the high side's panels
-and T per step, and the low side's panels per count; only the searches and
-the two tail bounds are computed per x.
-
-At a node s = mid + 2^level z, exact, the integrand is c expm1(x L) for
-j = 0 and c L^j exp(x L) for j >= 1, L = -s; c is kept in a node table per
-panel, built on integer (mantissa, exponent) pairs, each step rounded once
-as the mpf arithmetic would round it, and exactly multiplied into the
-weights, with one exponential per node and one per panel: exp(-s) =
-exp(-mid) exp(-2^level z), the second factor from a memoized table per
-level, whose base level takes one exponential per node of the negative half
-and integer reciprocals for the positive half.  exp(x L) = exp(-x mid)
-(1 + B): exp(-x mid) by a chain along each side's panels, from five
-exponentials, and B = expm1(-x 2^level z) in fixed point, computed once per
-call at the first level, likewise from the negative half's exponentials,
-and squared up the others (``_ExpFactors``).  Per panel, each rule's
-weights are folded once onto one exponent, and per order j >= 1 those
-integers are multiplied by the L^j, every L put on one exponent, so each
-estimate is one exact integer dot product with the Bs, rounded once.
-
-Each panel's error is estimated by comparing the n-node Gauss rule with its
-nested (2n+1)-node Kronrod extension, and a panel whose estimate exceeds its
-share of the error target is bisected.  Both rules come from one recurrence,
-that of Laurie's Jacobi-Kronrod matrix, by one Newton iteration for the
-nodes, at a width that doubles as the root sharpens, and one formula for the
-weights, whose sum for a node that Newton finds comes from its last pass,
-all in fixed point on integers, rounded to the working precision at the
-end; the plan takes each step's ln T from the last step's.  The rules,
-level tables, node tables, folded weights and the
-plan are pure functions of their arguments, the binary precision among
-them, each memoized in a bounded LRU memo and none built at import; as a
-memoized value depends only on its key, the factors of a call live in the
-call, and everything is summed in a fixed order, results are bit-for-bit
-reproducible, with or without warm memos.
+K^(j)(x) = integral_0^inf exp(-t) (t^x log(t)^j - [j = 0]) / (t - 1) dt, for
+0 <= x <= MAX_ARGUMENT and j <= MAX_ORDER, is in s = log t the integral of
+F_j(s) = w(s) (s^j e^(xs) - [j = 0]), w(s) = e^s exp(-e^s) / (e^s - 1), over
+the real line.  F_j is analytic in |Im s| < pi/2, so with h = 1/q the sum
+h sum_k F_j(k/q) over all integers k is within 2M/(e^(2 pi a q) - 1) of it,
+for a < pi/2 and M >= integral |F_j(sigma + ib)| dsigma, |b| <= a
+(Trefethen and Weideman, SIAM Review 2014, Thm 5.1).  With W_k = h w(k/q)
+and E = e^(x/q) the sum is sum_k W_k (k/q)^j E^k, less sum_k W_k for j = 0,
+the s = 0 node taking the limit (x h/e, h/e, then 0).  The nodes run from
+k = -4q to a right cut-off that grows with x; left of them
+w(s) = -sum_n a_n e^((n+1)s), a_n = sum_(i<=n) (-1)^i / i!, |a_n| <= 1, so
+that side is summed exactly as geometric series, up to a bounded remainder.
+All is summed in fixed point, on integers v standing for v 2^-frac: the
+weights and series coefficients are one table per precision, and E one
+exponential, raised along the nodes.  ``error_bound`` sums the
+discretization bound, the right tail, the series' remainder and the
+rounding, each bound rounded outward.  q is the least step count whose
+discretization bound meets 10^-(digits+3) max(1, K) on every band of the
+domain.  Memos are pure functions of their keys, and nothing is built at
+import, so results are the same bits cold or warm, in any thread.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, count, repeat
 from operator import mul
 
 import mpmath
 from mpmath.libmp import (
-    dps_to_prec, fone, from_man_exp, from_rational, fzero, mpf_abs, mpf_add, mpf_div,
-    mpf_exp, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_shift, mpf_sub, normalize,
-    round_nearest as rn, to_fixed,
+    dps_to_prec, fone, from_int, from_man_exp, from_rational, mpf_abs, mpf_add, mpf_cos,
+    mpf_div, mpf_exp, mpf_gt, mpf_mul, mpf_neg, mpf_pi, mpf_pow_int, mpf_shift, mpf_sin,
+    mpf_sub, to_fixed, to_int, round_ceiling as up, round_floor as down, round_nearest as rn,
 )
 
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    PrecisionUnreachableError,
-    RootBracketError,
-)
-from .precision import (
-    Precision, context, finite_segment, negligible_ratio, resolution_floor, series_floor, to_mpf,
-)
+from .errors import ConfigurationError, DomainError, PrecisionUnreachableError, RootBracketError
+from .precision import Precision, context, finite_segment, kurepa_floor, to_mpf
 
-# entries kept by each memo: the Kronrod rules, node tables and folded weights
-_CACHE_LIMIT = 65536
-
-# bits the Kronrod rule carries beyond its precision until it rounds
-_RULE_GUARD_BITS = 80
-
-# cap on integrand evaluations of one Kurepa integral
-MAX_EVALUATIONS = 500000
-
-# the supported domain: 0 <= x <= MAX_ARGUMENT, derivative orders up to
-# MAX_ORDER; the fixed 15 guard digits meet every error target there, but
-# not at x = 25, nor at order 25 at x = 0
+# the supported domain: 0 <= x <= MAX_ARGUMENT, derivative orders up to MAX_ORDER
 MAX_ARGUMENT, MAX_ORDER = 16, 3
+
+# entries kept by each memo; fraction bits of the sums past the working
+# precision; bits of every bound, each step rounded outward; and the span of
+# s < 0 the nodes cover, the series summing what lies left of it
+_CACHE_LIMIT, _GUARD_BITS, _BOUND_BITS, _LEFT_SPAN = 256, 64, 64, 4
 
 
 @dataclass(frozen=True)
@@ -104,573 +60,198 @@ class QuadratureResult:
     tail_cutoff: mpmath.mpf
 
 
-def _kronrod_betas(n, frac):
-    """Recurrence coefficients b_0..b_2n of the Legendre Jacobi-Kronrod matrix.
+def _b(f, *args, rnd=up):
+    # a libmp function of mpf tuples at the bounds' precision, rounded rnd
+    return f(*args, _BOUND_BITS, rnd)
 
-    Laurie's algorithm (D. Laurie, "Calculation of Gauss-Kronrod quadrature
-    rules", Math. Comp. 1997), specialised to the Legendre weight, whose
-    diagonal coefficients all vanish.  The first ceil(3n/2)+1 coefficients
-    are those of the Legendre polynomials; the rest are filled in from the
-    mixed moments s and t.  Each b_k is returned as the integer b_k 2^frac,
-    rounded down; the moments fall to about 2^-2n, so they carry 2n more
-    fraction bits.
+
+def _majorant(j, low, high, a):
+    """M >= integral |F_j(sigma + ib)| dsigma for |b| <= a 2^-6 and low <= x <= high, rounded up.
+
+    With delta = 1/2 and c = cos a, three pieces.  For |sigma| <= delta, the
+    maximum of |F_j| on the rectangle's boundary, by the maximum principle:
+    there |e^s - 1| >= |e^sigma - 1| on the sides, >= 2 e^(sigma/2) sin(a/2)
+    on the top and bottom, and |s^j e^(xs)| <= (delta + a)^j e^(high delta).
+    For sigma >= delta, e^s / |e^s - 1| <= 1/(1 - e^-delta),
+    |exp(-e^s)| <= exp(-c e^sigma) and log t + a <= (1 + a) t, which leaves
+    (1 + a)^j Gamma(high + j) / c^(high + j).  For sigma <= -delta,
+    |e^s| = e^sigma and |exp(-e^s)| <= 1, which leaves
+    e^((1 + low) a) j! / (1 + low)^(j + 1).  For j = 0,
+    |e^(xs) - 1| <= x |s| e^(x max(sigma, 0)): high times j = 1's M at low = 0.
     """
-    wide = frac + 2 * n
-    b = [2 << wide] + [(k * k << wide) // (4 * k * k - 1)
-                       for k in range(1, (3 * n + 1) // 2 + 1)]
-    b += [0] * (2 * n + 1 - len(b))
-    s = [0] * (n // 2 + 3)
-    t = s[:]
-    t[1] = b[n + 1]
-    for m in range(n - 1):
-        acc = 0
-        for k in range((m + 1) // 2, -1, -1):
-            acc += (b[k + n + 1] * s[k] - b[m - k] * s[k + 1]) >> wide
-            s[k + 1] = acc
-        s, t = t, s
-    s[1:] = s[:-1]
-    for m in range(n - 1, 2 * n - 2):
-        acc = 0
-        for k in range(m + 1 - n, (m - 1) // 2 + 1):
-            j = n - 1 - (m - k)
-            acc += (b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1]) >> wide
-            s[j + 1] = acc
-        if m % 2:
-            b[(m + 1) // 2 + n + 1] = (s[j + 1] << wide) // s[j + 2]
-        s, t = t, s
-    return [v >> 2 * n for v in b[:2 * n + 1]]
+    if j == 0:
+        return _b(mpf_mul, from_int(high), _majorant(1, 0, high, a))
+    angle, half = from_man_exp(a, -6), from_man_exp(1, -1)
+    inv = _b(mpf_div, fone, _b(mpf_sub, fone, _b(mpf_exp, mpf_neg(half)), rnd=down))
+    top = _b(mpf_div, _b(mpf_exp, mpf_shift(half, -1)),
+             mpf_shift(_b(mpf_sin, mpf_shift(angle, -1), rnd=down), 1))
+    box = _b(mpf_mul, _b(mpf_pow_int, _b(mpf_add, half, angle), j),
+             _b(mpf_exp, from_man_exp(high, -1)))
+    box = _b(mpf_mul, box, inv if mpf_gt(inv, top) else top)
+    right = _b(mpf_div, _b(mpf_mul, _b(mpf_pow_int, _b(mpf_add, fone, angle), j),
+                           from_int(math.factorial(high + j - 1))),
+               _b(mpf_pow_int, _b(mpf_cos, angle, rnd=down), high + j, rnd=down))
+    left = _b(mpf_mul, _b(mpf_exp, _b(mpf_mul, from_int(1 + low), angle)),
+              _b(from_rational, math.factorial(j), (1 + low) ** (j + 1)))
+    return _b(mpf_add, box, _b(mpf_mul, inv, _b(mpf_add, right, left)))
 
 
 @lru_cache(maxsize=_CACHE_LIMIT)
-def gauss_kronrod_rule(n: int, prec: int):
-    """The n-node Gauss rule on [-1, 1] and its (2n+1)-node Kronrod extension.
+def _discretization(j, band, q):
+    """2M / (e^(2 pi a q) - 1) on band <= x <= band + 1, rounded up; memoized.
 
-    Returns (nodes, Kronrod weights, Gauss weights) as mpfs of
-    ``context(prec)``, memoized on (n, prec).  Nodes ascend and are exactly
-    symmetric about 0; ``nodes[1::2]`` are the Gauss nodes and the Gauss
-    weights belong to them.  Both rules come from the recurrence of the
-    Jacobi-Kronrod matrix, whose first n+1 coefficients are Legendre's, and
-    Newton's method on p_top / p_divisor, with p_k the monic polynomials of
-    the recurrence: the Gauss nodes are the roots of p_n, and the other n+1
-    nodes, the roots of p_{2n+1} / p_n, are each seeded between two
-    neighbouring Gauss nodes.  Every weight follows from the orthonormal
-    polynomials q_k (Golub and Welsch): 1 / sum_k q_k(z)^2 over k < n for the
-    Gauss rule and k <= 2n for the Kronrod rule.
-
-    All of it runs in fixed point, on integers v standing for v 2^-frac,
-    frac being ``prec`` plus ``_RULE_GUARD_BITS``; each value is rounded to
-    ``prec`` bits once, to nearest, at the end.  The recurrence is carried in
-    r_k = 2^k p_k, which stays of order 1 on [-1, 1] where p_k falls like
-    2^-k and would need k more fraction bits.  Newton starts from the cosine
-    of the node's angle (shrunk by Tricomi's first correction at a Gauss
-    node) at the first of a chain of widths of at least 53
-    bits, each twice the last, up to frac; as each step doubles the correct
-    bits, one or two steps at each width take the root to the next, and
-    about one runs at full width.  That pass also sums r_k^2 / B_k and
-    r_k r_k' / B_k, so the Gauss weights and the Kronrod weights at the n+1
-    added nodes come from its sum moved by the last step dz to first order:
-    an error of order dz^2, and dz is at most about 2^-(frac/2), so the sum
-    keeps all but a few of the guard bits.  Only the Kronrod weights at the
-    rounded Gauss nodes and at 0 take a pass of their own.
+    a = arctan(2 pi q / (band + j + 2)), about where the bound is least,
+    cut to 6 fraction bits, so a < pi/2.
     """
-    frac = prec + _RULE_GUARD_BITS
+    a = int(64 * math.atan(2 * math.pi * q / (band + j + 2)))
+    growth = _b(mpf_mul, _b(mpf_pi, rnd=down), from_man_exp(a * q, -5), rnd=down)
+    return _b(mpf_div, mpf_shift(_majorant(j, band, band + 1, a), 1),
+              _b(mpf_sub, _b(mpf_exp, growth, rnd=down), fone, rnd=down))
+
+
+def _share(digits, scale=1):
+    # a quarter of the error target 10^-(digits+3), times scale
+    return mpf_shift(_b(mpf_mul, kurepa_floor(Precision(digits), _BOUND_BITS)._mpf_,
+                        from_int(scale)), -2)
+
+
+@lru_cache(maxsize=_CACHE_LIMIT)
+def _steps(digits):
+    """q: the least count of nodes per unit of s that meets the target on every band.
+
+    On the band n <= x <= n + 1 the discretization bound of every order
+    must be at most a quarter of 10^-(digits+3) max(1, K(n)), K(n) the sum
+    of i! over i < n, K's least value on the band.  Memoized per digits.
+    """
+    bands = [(j, n, _share(digits, max(1, sum(map(math.factorial, range(n))))))
+             for n in reversed(range(MAX_ARGUMENT)) for j in reversed(range(MAX_ORDER + 1))]
+    return next(q for q in count(1)
+                if not any(mpf_gt(_discretization(j, n, q), share) for j, n, share in bands))
+
+
+@lru_cache(maxsize=_CACHE_LIMIT)
+def _right(j, band, digits):
+    """(R, bound, t at R): the right cut-off on band <= x <= band + 1; memoized.
+
+    R starts where T = e^(R/q) >= x + j + 3, past which the terms' majorant
+    w(s) s^j e^(xs) falls, so their sum is at most its integral from log T,
+    at most exp(-T) T^x log(T)^j / ((T - 1)(1 - x/T - j/(T log T))), as
+    (log t^x log(t)^j)' is at most x/T + j/(T log T) past T.  R is the
+    first whose bound at x = band + 1 is a quarter of 10^-(digits+3) or less.
+    """
+    q, x, share = _steps(digits), band + 1, _share(digits)
+    R = math.ceil(q * math.log(max(x + j + 3, 2 * (digits + 3))))
+    while True:
+        s_lo, s_hi = _b(from_rational, R, q, rnd=down), _b(from_rational, R, q)
+        T = _b(mpf_exp, s_lo, rnd=down)
+        slope = _b(mpf_add, _b(mpf_div, from_int(x), T),
+                   _b(mpf_div, from_int(j), _b(mpf_mul, T, s_lo, rnd=down)))
+        rise = _b(mpf_exp, _b(mpf_sub, _b(mpf_mul, from_int(x), s_hi), T))
+        bound = _b(mpf_div, _b(mpf_mul, rise, _b(mpf_pow_int, s_hi, j)),
+                   _b(mpf_mul, _b(mpf_sub, T, fone, rnd=down), _b(mpf_sub, fone, slope, rnd=down),
+                      rnd=down))
+        if not mpf_gt(bound, share):
+            prec = _working_prec(digits)
+            return R, bound, mpf_exp(from_rational(R, q, prec, rn), prec, rn)
+        R += 1
+
+
+def _remainder(j, n, q, left):
+    """The left series' remainder past n terms, rounded up.
+
+    With |a_i| <= 1 and E^-m <= 1 it is at most h q^-j sum over m > K = left
+    of m^j e^(-(n+1)m/q) / (1 - e^(-m/q)), a geometric series once
+    m^j <= (K+1)^j e^(j(m-K-1)/(K+1)).
+    """
+    k = left + 1
+    lead = _b(mpf_mul, _b(from_rational, k ** j, q ** (j + 1)),
+              _b(mpf_exp, _b(from_rational, -(n + 1) * k, q)))
+    gaps = [_b(mpf_sub, fone, _b(mpf_exp, _b(from_rational, num, den)), rnd=down)
+            for num, den in ((j * q - (n + 1) * k, k * q), (-k, q))]
+    return _b(mpf_div, lead, _b(mpf_mul, *gaps, rnd=down))
+
+
+def _series(terms, betas, q, left, frac, e1, ek):
+    """The left series' sum on integers, and its rounding in units of 2^-2frac.
+
+    Term n is c_n S_n E^-(K+1), c_n = h a_n e^(-(n+1)(K+1)/q), and by Horner
+    S_n = sum_(l>=0) (K+1+l)^j r^l = sum_i beta_i v^(i+1), v = 1/(1 - r),
+    r = e^(-(n+1)/q) E^-1; e1 and ek are E^-1 and E^-(K+1) from the chain.
+    r is within 4 units and 1 - r >= h/2, so v is within (8q + 1) units
+    relative; each beta_i >= 0 and beta_j = j!, so each of j + 1 steps adds
+    as much; c_n is within a unit and E^-(K+1) within 4(K + 1).
+    """
     one = 1 << frac
-    b4 = [v << 2 for v in _kronrod_betas(n, frac)]
-    # Newton's working widths, doubling up to frac from the first one of at
-    # least 53 bits, and the recurrence coefficients cut to each
-    widths = [frac]
-    while widths[0] > 106:
-        widths.insert(0, (widths[0] + 1) // 2)
-    cut = [[v >> (frac - w) for v in b4] for w in widths]
-
-    # q_k^2 = r_k^2 / (b_0 B_k), b_0 = 2 and B_k the product of 4 b_1 .. 4 b_k
-    inv_b = [one]
-    for v in b4[1:]:
-        inv_b.append((inv_b[-1] << frac) // v)
-
-    def newton_root(seed, top, divisor):
-        # f = p_top / p_divisor; p_0 = 1, so divisor 0 gives p_top.  A step
-        # under 2^-(w/2) at width w leaves an error of about its square,
-        # 2^-w: the last step that width needs.  Each pass at full width
-        # also sums r_k^2 inv_b[k] and r_k r_k' inv_b[k] over k < top at z;
-        # the root comes with its weight, from the first sum moved by the
-        # last step dz to first order
-        level, z = 0, int(seed * 2.0 ** widths[0])
-        for _ in range(100):
-            w, b = widths[level], cut[level]
-            r0, r1, d0, d1 = 0, 1 << w, 0, 0
-            full = w == frac
-            total = slope = 0
-            for k in range(top):
-                if k == divisor:
-                    rd, dd = r1, d1
-                if full:
-                    t = r1 * inv_b[k] >> w
-                    total += t * r1
-                    slope += t * d1
-                r0, r1, d0, d1 = r1, (2 * z * r1 - b[k] * r0) >> w, d1, \
-                    (2 * ((r1 << w) + z * d1) - b[k] * d0) >> w
-            dz = (r1 * rd << w) // (d1 * rd - r1 * dd)
-            z -= dz
-            if abs(dz) <= 1 << (w + 1) // 2:
-                if full:
-                    break
-                level += 1
-                z <<= widths[level] - w
-        return z, from_rational(2 << 3 * frac, (total << frac) - 2 * slope * dz, prec, rn)
-
-    def weight(z, terms):
-        r0, r1 = 0, one
-        acc = r1 * r1 * inv_b[0]
-        for k in range(1, terms):
-            r0, r1 = r1, (2 * z * r1 - b4[k - 1] * r0) >> frac
-            acc += r1 * r1 * inv_b[k]
-        return from_rational(2 << 3 * frac, acc, prec, rn)
-
-    def rounded(z):
-        return from_man_exp(z, -frac, prec, rn)
-
-    # the positive Gauss nodes g_1 > g_2 > ..., weighed before they are
-    # rounded to prec bits, the form in which they join the Kronrod rule;
-    # Tricomi's seed (1 - (n - 1) / (8 n^3)) cos(angle) saves Newton about
-    # one step per node at its first width over the cosine alone
-    shrink = 1 - (n - 1) / (8 * n ** 3)
-    gauss = [newton_root(shrink * math.cos(math.pi * (i - 0.25) / (n + 0.5)), n, 0)
-             for i in range(1, n // 2 + 1)]
-    half_g = [w for _, w in gauss]
-    g_weights = half_g + [weight(0, n)] * (n % 2) + half_g[::-1]
-    gauss = [to_fixed(rounded(z), frac) for z, _ in gauss]
-
-    # one new node in each gap of 1 > g_1 > g_2 > ... > 0, seeded at the
-    # gap's middle angle; 0 closes the last gap only when it is a Gauss
-    # node (odd n), else that gap is symmetric about 0 and its node is 0
-    edges = [0.0] + [math.acos(z / one) for z in gauss]
-    if n % 2:
-        edges.append(math.pi / 2)
-    added = [newton_root(math.cos((lo + hi) / 2), 2 * n + 1, n)
-             for lo, hi in zip(edges, edges[1:])]
-    half, half_k = zip(*sorted([(z, weight(z, 2 * n + 1)) for z in gauss] + added))
-    nodes = [mpf_neg(rounded(z)) for z in reversed(half)] + [fzero] + [rounded(z) for z in half]
-    k_weights = half_k[::-1] + (weight(0, 2 * n + 1),) + half_k
-    ctx = context(prec)
-    return tuple(tuple(ctx.make_mpf(v) for v in part) for part in (nodes, k_weights, g_weights))
+    total = spread = 0
+    for g, c in terms:
+        v = (one << frac) // (one - (g * e1 >> frac))
+        acc = 0
+        for b in betas:
+            acc = (acc + (b << frac)) * v >> frac
+        total += c * acc
+        spread += acc
+    return total * ek >> frac, 2 * spread + ((40 * q + 4 * left + 16) * total >> frac) + 1
 
 
-# a panel's half-width is 2^level: _BASE_LEVEL for the window and its two
-# neighbours, at most _HIGH_LEVEL for s < 0
-_BASE_LEVEL = -3
-_HIGH_LEVEL = -1
-
-# fraction bits the exponential factors of a call carry beyond the working
-# precision; a factor's error grows by a bit per level it is doubled
-_FACTOR_GUARD_BITS = 40
-
-# bits the chain of exp(-x mid) along a side's panels carries beyond its
-# frac + 2; its error grows by a bit per squaring
-_CHAIN_GUARD_BITS = 24
-
-# bits the memoized exp(-2^level z) carry beyond the working precision, and
-# one more per level below the base, where s may come closer to 0
-_TABLE_GUARD_BITS = 64
-
-
-def _table_bits(level, prec):
-    return prec + _TABLE_GUARD_BITS + max(0, _BASE_LEVEL - level)
+_Table = namedtuple("_Table", "q frac left high orders terms betas nought remainder")
 
 
 @lru_cache(maxsize=_CACHE_LIMIT)
-def _level_exps(level, n, prec):
-    """exp(-2^level z) at the Kronrod nodes z, each as (m, e) standing for m 2^e.
+def _table(digits):
+    """The weights and series of one precision's sum; memoized per digits.
 
-    m has at most ``_table_bits(level, prec)`` bits.  A level at or below
-    ``_BASE_LEVEL`` takes one exponential per node of the negative half,
-    where the entry exceeds 1, to 4 more bits; the nodes are exactly
-    symmetric, so at z > 0 the entry is that value's integer reciprocal, and
-    every entry is rounded to nearest from there, within 3/4 of a unit of
-    m's last bit.  Each level above the base squares the one below, the
-    square truncated to as many bits, so a level k squarings above the base
-    is within 2^(k+2) units.  Memoized on all three arguments.
+    ``orders[j]`` holds T_k k^j for k = -left .. high, T_k within a unit of
+    W_k 2^frac and T_0 of h/e; ``terms`` (e^(-(n+1)/q), c_n) per series term;
+    ``betas[j]`` the beta_i, highest first, of (K+1+l)^j = sum_i beta_i
+    C(l+i, i); and ``nought`` the j = 0 series at x = 0, with its rounding.
     """
-    bits = _table_bits(level, prec)
-    if level <= _BASE_LEVEL:
-        # the entries lie within exp(+-1/8) of 1: bits - 1 fraction bits
-        # above 1, bits below
-        nodes = gauss_kronrod_rule(n, prec)[0]
-        up = [to_fixed(mpf_exp(mpf_neg(mpf_shift(z._mpf_, level)), bits + 4, rn), bits + 3)
-              for z in nodes[:len(nodes) // 2]]
-        return tuple([((u + 8) >> 4, 1 - bits) for u in up] + [(1, 0)]
-                     + [(((1 << 2 * bits + 4) // u + 1) >> 1, -bits) for u in reversed(up)])
-    return tuple(_times(v, v, bits) for v in _level_exps(level - 1, n, prec))
+    q = _steps(digits)
+    frac = _working_prec(digits) + _GUARD_BITS
+    wide, left = frac + 20, _LEFT_SPAN * q
+    high = _right(MAX_ORDER, MAX_ARGUMENT - 1, digits)[0]
+
+    def fixed(v, scale=q):
+        return (to_fixed(mpf_div(v, from_int(scale), wide, rn), frac + 1) + 1) >> 1
+
+    def exp_ratio(num, den):
+        return mpf_exp(from_rational(num, den, wide, rn), wide, rn)
+
+    weights = []
+    for k in range(-left, high + 1):
+        t = exp_ratio(k, q)
+        weights.append(fixed(mpf_div(mpf_mul(t, mpf_exp(mpf_neg(t), wide, rn), wide, rn),
+                                     mpf_sub(t, fone, wide, rn), wide, rn) if k
+                             else exp_ratio(-1, 1)))
+    orders = tuple(tuple(w * k ** j for k, w in zip(range(-left, high + 1), weights))
+                   for j in range(MAX_ORDER + 1))
+    share = _share(digits)
+    size = next(n for n in count() if not mpf_gt(_remainder(MAX_ORDER, n, q, left), share))
+    terms, derangements = [], 1
+    for n in range(size):
+        derangements = n * derangements + (-1) ** n if n else 1
+        a = from_rational(derangements, math.factorial(n), wide, rn)
+        terms.append((fixed(exp_ratio(-(n + 1), q), 1),
+                      fixed(mpf_mul(a, exp_ratio(-(n + 1) * (left + 1), q), wide, rn))))
+    betas = tuple(tuple(sum((-1) ** m * math.comb(i, m) * (left - m) ** j for m in range(i + 1))
+                        for i in reversed(range(j + 1))) for j in range(MAX_ORDER + 1))
+    return _Table(q, frac, left, high, orders, tuple(terms), betas,
+                  _series(terms, betas[0], q, left, frac, 1 << frac, 1 << frac),
+                  tuple(_remainder(j, size, q, left) for j in range(MAX_ORDER + 1)))
 
 
-def _times(a, b, bits):
-    # the product of two positive (m, e) = m 2^e, truncated to bits bits
-    m = a[0] * b[0]
-    cut = max(0, m.bit_length() - bits)
-    return m >> cut, a[1] + b[1] + cut
-
-
-@lru_cache(maxsize=_CACHE_LIMIT)
-def _node_table(mid, level, n, prec):
-    """(L, k, k_exp, g, g_exp) per Kronrod node of the panel mid +- 2^level in s.
-
-    L = -s, s = mid + 2^level z exactly; at s = 0 L is None and c = exp(-1),
-    the quotient's limit being x for j = 0, 1 for j = 1 and 0 for j >= 2.
-    Elsewhere c = exp(-w) w / (w - 1), w = exp(-s) = t carrying dt = -w ds,
-    each step rounded to nearest at ``prec`` bits, w - 1 from an exp(-s)
-    rounded to nearest with 10 more bits, and as many more as s is below 1.
-    That exp(-s) is exp(-mid) exp(-2^level z), the first one exponential per
-    panel to as many bits as the second, the entry for z of ``_level_exps``;
-    their product is good to about prec + 60 - k bits, k the level's
-    squarings above the base, so it rounds as exp(-s) does unless exp(-s)
-    lies that close to a rounding boundary.  So a node takes one
-    exponential, exp(-w).  The chain runs on integer (mantissa, exponent)
-    pairs: s and w - 1 exact, each of the five rounded steps (exp(-s), w,
-    exp(-w) w, w - 1 and the quotient, from a sticky bit as ``mpf_div``
-    keeps it) one ``normalize``, so every step has the bits of the mpf
-    arithmetic it stands for.  k 2^k_exp and g 2^g_exp are the exact
-    products 2^level c w_K and 2^level c w_G; g is 0 where only the Kronrod
-    rule has a node.  Memoized on all four arguments, mid a raw mpf tuple.
-    """
-    nodes, k_weights, g_weights = gauss_kronrod_rule(n, prec)
-    _, mm, me, _ = mpf_exp(mpf_neg(mid), _table_bits(level, prec), rn)
-    msign, mman, mexp, _ = mid
-    mid_int = -mman if msign else mman
-    table = []
-    for i, (z, w_k, (m, e)) in enumerate(zip(nodes, k_weights, _level_exps(level, n, prec))):
-        # s = mid + 2^level z exactly, as the integer s times 2^low
-        zsign, zman, low, _ = z._mpf_
-        low += level
-        s = -zman if zsign else zman
-        if mman:
-            if mexp < low:
-                s, low = mid_int + (s << low - mexp), mexp
-            else:
-                s = (mid_int << mexp - low) + s
-        if s:
-            # L < 0 on the low side s > 0, where w - 1 < 0 and so c < 0
-            negative = 1
-            if s < 0:
-                negative, s = 0, -s
-            size = s.bit_length()
-            ell = normalize(negative, s, low, size, size, rn)
-            # exp(-s) to prec + 10 bits and as many more as s is below 1
-            wm, mag = mm * m, low + size
-            _, wm, we, wbc = normalize(0, wm, me + e, wm.bit_length(),
-                                       prec + 10 - mag if mag < 0 else prec + 10, rn)
-            _, vm, ve, vbc = normalize(0, wm, we, wbc, prec, rn)
-            _, pm, pe, _ = mpf_exp((1, vm, ve, vbc), prec, rn)
-            pm *= vm
-            _, pm, pe, pbc = normalize(0, pm, pe + ve, pm.bit_length(), prec, rn)
-            d = abs((wm << we) - 1 if we >= 0 else wm - (1 << -we))
-            _, dm, de, dbc = normalize(0, d, min(we, 0), d.bit_length(), prec, rn)
-            extra = max(5, prec - pbc + dbc + 5)
-            cm, rem = divmod(pm << extra, dm)
-            if rem:
-                cm, extra = cm << 1 | 1, extra + 1
-            _, cm, ce, _ = normalize(0, cm, pe - de - extra, cm.bit_length(), prec, rn)
-            if negative:
-                cm = -cm
-        else:
-            _, cm, ce, _ = mpf_exp(mpf_neg(fone), prec, rn)
-            ell = None
-        ce += level
-        _, km, ke, _ = w_k._mpf_
-        _, gm, ge, _ = g_weights[i // 2]._mpf_ if i % 2 else fzero
-        table.append((ell, cm * km, ce + ke, cm * gm, ce + ge if gm else 0))
-    return tuple(table)
-
-
-@lru_cache(maxsize=_CACHE_LIMIT)
-def _panel_weights(mid, level, n, prec, j):
-    """The node table's weights folded with L^j: (low, Kronrod rule, Gauss rule).
-
-    Each rule is (weights, their sum, centre): weights[i] 2^low is the exact
-    2^level c w L^j at the rule's i-th node (2^level c w for j = 0), and 0 at
-    s = 0, whose 2^level c w is ``centre`` as (integer, exponent), or (0, 0)
-    where the rule has no node there.  For j >= 1 the j = 0 fold's integers
-    are multiplied by L^j, with every L of the node table put on one
-    exponent.  Memoized on all five arguments.
-    """
-    table = _node_table(mid, level, n, prec)
-    if j:
-        low, (kronrod, _, k_centre), (gauss, _, g_centre) = _panel_weights(mid, level, n, prec, 0)
-        ells = [row[0] or fzero for row in table]
-        ell_low = min(e for _, m, e, _ in ells if m)
-        powers = [(-m if sign else m) << e - ell_low if m else 0 for sign, m, e, _ in ells]
-        if j > 1:
-            powers = [v ** j for v in powers]
-        rules = (tuple(map(mul, kronrod, powers)), tuple(map(mul, gauss, powers[1::2])))
-        return low + j * ell_low, *((w, sum(w), c) for w, c in zip(rules, (k_centre, g_centre)))
-    kronrod, gauss, centre = [], [], ((0, 0), (0, 0))
-    for i, (ell, km, ke, gm, ge) in enumerate(table):
-        if ell is None:
-            centre, km, gm = ((km, ke), (gm, ge)), 0, 0
-        kronrod.append((km, ke))
-        if i % 2:
-            gauss.append((gm, ge))
-    low = min(e for m, e in kronrod + gauss if m)
-    rules = [tuple(m << e - low if m else 0 for m, e in terms) for terms in (kronrod, gauss)]
-    return low, *((weights, sum(weights), c) for weights, c in zip(rules, centre))
-
-
-def _round_sum(terms, prec):
-    """The exact sum of (integer, exponent) terms, rounded once to nearest."""
-    low = min(exp for _, exp in terms)
-    return from_man_exp(sum(man << (exp - low) for man, exp in terms), low, prec, rn)
-
-
-class _ExpFactors:
-    """B = expm1(-x 2^level z) at the Kronrod nodes z, per level, for one call.
-
-    Each B is an integer standing for B 2^-frac.  frac is x's precision plus
-    ``_FACTOR_GUARD_BITS``, plus as many bits as x is below 1, so that B
-    keeps its relative accuracy, and as exp(-x s) grows across a panel of
-    level ``_HIGH_LEVEL``, where exp(-x mid) > 1 scales B's absolute error.
-    A level at or below ``_BASE_LEVEL`` takes one exponential per node of
-    the negative half, where exp(-x 2^level z) >= 1, to frac + 18 bits,
-    truncated to frac + 16; the nodes are exactly symmetric, so at z > 0 the
-    factor is that value's integer reciprocal, and each B is truncated to
-    frac bits, so within 1 + (1 + B) / 2 units.  Each level above the base
-    squares the one below, as 1 + B' = (1 + B)^2, that is B' = 2B + B^2,
-    with B^2 truncated to frac bits.  A level k squarings above the base is
-    then within 2^(k+2) max(1, 1 + B) units of 2^-frac of the exact value.
-    The object also holds exp(-x mid) per panel (``scale`` and ``chain``).
-    The tables live in the object, so calls share none.
-    """
-
-    def __init__(self, x, n, prec):
-        xr = x._mpf_
-        self.neg_x = mpf_neg(xr)
-        self.nodes = gauss_kronrod_rule(n, prec)[0]
-        self.frac = (prec + _FACTOR_GUARD_BITS + max(0, -(xr[2] + xr[3]))
-                     + math.ceil(float(x) * 2.0 ** _HIGH_LEVEL / math.log(2)))
-        self.levels = {}
-        self.scales = {}
-
-    def scale(self, mid):
-        """exp(-x mid) as (m, e) = m 2^e, m of at most frac + 2 bits.
-
-        As ``chain`` left it for a panel of the layout, else one
-        exponential to frac + 2 bits.
-        """
-        value = self.scales.get(mid)
-        if value is None:
-            value = mpf_exp(mpf_mul(self.neg_x, mid), self.frac + 2, rn)[1:3]
-        return value
-
-    def chain(self, panels):
-        """exp(-x mid) for ``panels``, consecutive outward from the window, into ``scales``.
-
-        exp(-x mid') = exp(-x mid) exp(-x d), d = mid' - mid exact, at
-        frac + 2 + ``_CHAIN_GUARD_BITS`` bits: the first mid and the first d
-        take one exponential each, and a d twice the last takes its factor's
-        square, one equal to it the same factor, any other d an exponential.
-        Each product and square is truncated to as many bits, so after i
-        steps and k squarings of a factor a value is within i + 2^(k+2)
-        units of 2^-(frac + 1 + _CHAIN_GUARD_BITS), relative, before it is
-        cut to frac + 2 bits.
-        """
-        bits = self.frac + 2 + _CHAIN_GUARD_BITS
-        last = step = factor = value = None
-        for mid, _ in panels:
-            if last is None:
-                value = mpf_exp(mpf_mul(self.neg_x, mid), bits, rn)[1:3]
-            else:
-                d = mpf_sub(mid, last)
-                if step is not None and d == mpf_shift(step, 1):
-                    factor = _times(factor, factor, bits)
-                elif d != step:
-                    factor = mpf_exp(mpf_mul(self.neg_x, d), bits, rn)[1:3]
-                step = d
-                value = _times(value, factor, bits)
-            self.scales[mid] = _times(value, (1, 0), self.frac + 2)
-            last = mid
-
-    def __call__(self, level):
-        table = self.levels.get(level)
-        if table is None:
-            frac = self.frac
-            if level <= _BASE_LEVEL:
-                one, wide = 1 << frac, frac + 16
-                up = [to_fixed(mpf_exp(mpf_shift(mpf_mul(self.neg_x, z._mpf_), level),
-                                       wide + 2, rn), wide)
-                      for z in self.nodes[:len(self.nodes) // 2]]
-                table = ([(e >> 16) - one for e in up] + [0]
-                         + [(1 << frac + wide) // e - one for e in reversed(up)])
-            else:
-                table = [2 * b + (b * b >> frac) for b in self(level - 1)]
-            self.levels[level] = table
-        return table
-
-
-def _kronrod_panel(mid, level, n, x, j, factors):
-    """(Gauss estimate, Kronrod estimate) of the panel mid +- 2^level at argument x.
-
-    exp(x L) = exp(-x mid) (1 + B), the first factor from ``factors.scale``,
-    B the node's entry in ``factors``.  With the weights W of
-    ``_panel_weights``, a rule's estimate is exp(-x mid) sum W (1 + B), less
-    sum W for j = 0, plus the s = 0 node's term: one dot product of W and the
-    Bs, exact on integers, and the sum rounded once to nearest.
-    """
-    ctx = x.context
-    prec, xr, frac = ctx.prec, x._mpf_, factors.frac
-    am, ae = factors.scale(mid)
-    low, kronrod, gauss = _panel_weights(mid, level, n, prec, j)
-    if j == 0:
-        # exp(-x s) - 1 is (am (one + B) << shift) - unit in units of 2^base;
-        # the quotient's limit at s = 0 is x, whose sign bit is clear
-        base = min(ae - frac, 0)
-        shift, unit, fm, fe = ae - frac - base, 1 << -base, xr[1], xr[2]
-    else:
-        base, shift, unit, fm, fe = ae - frac, 0, 0, int(j == 1), 0
-    b = factors(level)
-    estimates = []
-    for (weights, total, (cm, ce)), nodes in ((gauss, b[1::2]), (kronrod, b)):
-        dot = am * ((total << frac) + sum(map(mul, weights, nodes)))
-        terms = [((dot << shift) - unit * total, base + low), (cm * fm, ce + fe)]
-        estimates.append(ctx.make_mpf(_round_sum(terms, prec)))
-    return tuple(estimates)
-
-
-def _adaptive(panels, x, j, tol_abs, n, state, factors):
-    """Adaptive bisection over (mid, level) panels, left to right, on tuples at x's precision."""
-    ctx = x.context
-    prec = ctx.prec
-    span = fzero
-    for _, level in panels:
-        span = mpf_add(span, mpf_shift(fone, level + 1), prec, rn)
-    min_width = mpf_mul(span, negligible_ratio(prec)._mpf_, prec, rn)
-    # a panel of width 2^(level+1) may err by tol 2^(level+1) / span; the
-    # power of two leaves the rounded quotient exact
-    share = mpf_div(tol_abs._mpf_, span, prec, rn)
-    total = err = fzero
-    stack = list(reversed(panels))
-    while stack:
-        mid, level = stack.pop()
-        state["evals"] += 2 * n + 1
-        if state["evals"] > MAX_EVALUATIONS:
-            raise PrecisionUnreachableError(
-                f"quadrature budget of {MAX_EVALUATIONS} evaluations exhausted "
-                "before the error target was met"
-            )
-        v1, v2 = (v._mpf_ for v in _kronrod_panel(mid, level, n, x, j, factors))
-        e = mpf_abs(mpf_sub(v2, v1, prec, rn))
-        if mpf_le(e, mpf_shift(share, level + 1)) or mpf_le(mpf_shift(fone, level + 1), min_width):
-            total = mpf_add(total, v2, prec, rn)
-            err = mpf_add(err, e, prec, rn)
-        else:
-            quarter = mpf_shift(fone, level - 1)
-            stack.append((mpf_add(mid, quarter), level - 1))
-            stack.append((mpf_sub(mid, quarter), level - 1))
-    return ctx.make_mpf(total), ctx.make_mpf(err)
-
-
-def _dyadic_panels(stop, top):
-    """(mid, level) from the window's edge out past stop, levels rising up to top; and the end.
-
-    On raw mpf tuples, exactly: every edge and mid is dyadic.
-    """
-    panels = []
-    level = _BASE_LEVEL
-    edge = mpf_shift(fone, level)
-    while mpf_lt(edge, stop):
-        half = mpf_shift(fone, level)
-        panels.append((mpf_add(edge, half), level))
-        edge = mpf_add(edge, mpf_shift(half, 1))
-        level = min(level + 1, top)
-    return panels, edge
-
-
-def _working_context(p):
+def _working_prec(digits):
     # every Kurepa integral runs at p's digits and 15 guard digits
-    return context(dps_to_prec(p.decimal_digits + 15))
+    return dps_to_prec(digits + 15)
 
 
-@lru_cache(maxsize=_CACHE_LIMIT)
-def _low_side(count, p):
-    """The low side's first ``count`` panels, their end s = (2^(count+1) - 1) / 8, and exp(-s).
-
-    At p's working precision; memoized on both arguments.
-    """
-    ctx = _working_context(p)
-    panels, edge = _dyadic_panels(from_man_exp((1 << count + 1) - 1, _BASE_LEVEL), math.inf)
-    edge = ctx.make_mpf(edge)
-    return tuple(panels), edge, ctx.exp(-edge)
-
-
-@lru_cache(maxsize=_CACHE_LIMIT)
-def _cutoff_logs(p):
-    """ln of ``series_floor``, of 64 / ``resolution_floor`` and of 5/4 at p's working precision.
-
-    The targets of the two cut-off searches, each a comparison of logs:
-    the high side's exp(-T) T^(x+1) against the floor, and the low side's
-    tail bound against share = target / 8, with eps = 1/8; and the step of
-    ln T between two of the high side's T.
-    """
-    ctx = _working_context(p)
-    return (ctx.ln(series_floor(p, ctx.prec)),
-            ctx.ln(64 / resolution_floor(p, ctx.prec)),
-            ctx.ln(ctx.mpf(5) / 4))
-
-
-@lru_cache(maxsize=_CACHE_LIMIT)
-def _high_cutoff(start, k, p):
-    """(x_T, ln T) of the search's k-th T, T = start (5/4)^k rounded at each step.
-
-    The search passes T while exp(-T) T^(x+1) exceeds the series floor,
-    that is while x > x_T = (T + ln floor) / ln T - 1.  ln T is ln start
-    for k = 0, else the (k-1)-th entry's ln T plus ln(5/4), rounded: within
-    k + 1 units in its last place of ln T, as T is exact while
-    start 5^k has at most the working precision's bits.  Memoized on all
-    three arguments.
-    """
-    ctx = _working_context(p)
-    T = ctx.mpf(start)
-    for _ in range(k):
-        T *= ctx.mpf(5) / 4
-    log_t = _high_cutoff(start, k - 1, p)[1] + _cutoff_logs(p)[2] if k else ctx.ln(T)
-    return (T + _cutoff_logs(p)[0]) / log_t - 1, log_t
-
-
-@lru_cache(maxsize=_CACHE_LIMIT)
-def _high_side(start, k, p):
-    """The high side's panels out past -ln T, T of ``_high_cutoff(start, k, p)``; T = exp(edge) and exp(-T).
-
-    Memoized on all three arguments.
-    """
-    ctx = _working_context(p)
-    panels, edge = _dyadic_panels(_high_cutoff(start, k, p)[1]._mpf_, _HIGH_LEVEL)
-    panels = tuple((mpf_neg(mid), level) for mid, level in reversed(panels))
-    T = ctx.exp(ctx.make_mpf(edge))
-    return panels, T, ctx.exp(-T)
-
-
-def _low_tail_sum(x, j, s_max):
-    # the sum over i <= j of j!/(j-i)! s_max^(j-i) / c^(i+1), c = x + 1
-    ctx = x.context
-    c = x + 1
-    total = ctx.mpf(0)
-    fall = ctx.mpf(1)
-    for i in range(j + 1):
-        total += fall * s_max ** (j - i) / c ** (i + 1)
-        fall *= j - i
-    return total
-
-
-def _high_tail_bound(x, j, T, decay):
-    # decay = exp(-T); uses log(t) <= sqrt(t) for t >= 1 and
-    # int_T t^q e^-t dt <= e^-T T^q/(1-q/T)
-    ctx = x.context
-    if j == 0:
-        gx = decay * ctx.power(T, x) / (1 - x / T) if x > 0 else decay
-        return (gx + decay) / (T - 1)
-    q = x + ctx.mpf(j) / 2
-    return decay * ctx.power(T, q) / (1 - q / T) / (T - 1)
+def _round(terms, divisor, prec, rnd=rn):
+    """The exact sum of (integer, exponent) terms over divisor, rounded once."""
+    low = min(exp for _, exp in terms)
+    num = sum(man << (exp - low) for man, exp in terms)
+    return from_rational(num << max(low, 0), divisor << max(-low, 0), prec, rnd)
 
 
 def _kurepa_integral(x, j, p):
-    digits = p.decimal_digits
     xv = to_mpf(x, p)
     if not mpmath.isfinite(xv):
         raise ConfigurationError(f"kurepa argument must be finite, got {xv}")
@@ -678,95 +259,69 @@ def _kurepa_integral(x, j, p):
         raise DomainError(f"kurepa argument {xv} lies outside [0, {MAX_ARGUMENT}]")
     if j > MAX_ORDER:
         raise DomainError(f"kurepa derivative of order {j} is not supported (max {MAX_ORDER})")
-    # x is rounded once, to p's working context; ctx, at p's digits and 15
-    # guard digits, takes its bits as they are
-    ctx = _working_context(p)
-    xv = to_mpf(xv, ctx.prec)
-    target = resolution_floor(p, ctx.prec)
-    region_tol = target / 4
-    eps = ctx.mpf(1) / 8
-    n_base = max(20, (digits + 15) // 2)
-    state = {"evals": 0}
+    # x is rounded once, to p's working context, which takes its bits as they are
+    digits, ctx = p.decimal_digits, context(_working_prec(p.decimal_digits))
+    prec, xr, tab = ctx.prec, to_mpf(xv, ctx.prec)._mpf_, _table(digits)
+    q, frac, left = tab.q, tab.frac, tab.left
+    band = min(to_int(xr), MAX_ARGUMENT - 1)
+    high, tail, cutoff = _right(j, band, digits)
+    one = 1 << frac
 
-    # the low side s > 0 of t = exp(-s), out past s_max: the first of
-    # s_0 (5/4)^k whose tail bound exp(-c s) total / eps is at most
-    # share = target / 8, c = x + 1 and total from _low_tail_sum (c = 1 and
-    # total = 1 for j = 0), compared in logs.  The panels run to the first edge at or past
-    # it, the count-th, (2^(count+1) - 1) / 8: 2^(count+1) is the least
-    # power of two at or above 8 s_max + 1
-    log_share = _cutoff_logs(p)[1]
-    s_max = ctx.mpf(max(20, int((digits + 14) * 2.303 / (float(xv) + 1)) + 1))
-    while (s_max if j == 0
-           else (xv + 1) * s_max - ctx.ln(_low_tail_sum(xv, j, s_max))) < log_share:
-        s_max *= ctx.mpf(5) / 4
-    _, man, e, bc = mpf_add(mpf_shift(s_max._mpf_, -_BASE_LEVEL), fone)
-    low, s_edge, decay = _low_side(e + bc - (man == 1) - 1, p)
-    # the integrand is at most exp(-(x+1)s) s^j / eps for s >= s_edge
-    if j:
-        decay = ctx.exp(-(xv + 1) * s_edge) * _low_tail_sum(xv, j, s_edge)
-    tail_low = decay / eps
+    def chain(factor, count):
+        # E^k for k = 0..count: within 4k units of 2^-frac times max(1, E^k)
+        return list(accumulate(repeat(factor, count), lambda v, f: v * f >> frac, initial=one))
 
-    # the high side s < 0, out past -log T, the first of T_0 (5/4)^k with
-    # exp(-T) T^(x+1) at most the series floor.  The closed tail bound
-    # needs T well above x+j; there, with x + j / 2 < T / 2, it is below
-    # that floor, and so never above share
-    start, k = max(40, digits, 2 * (int(xv) + j) + 40), 0
-    while xv > _high_cutoff(start, k, p)[0]:
-        k += 1
-    high, T, decay = _high_side(start, k, p)
-    tail_high = _high_tail_bound(xv, j, T, decay)
-
-    factors = _ExpFactors(xv, n_base, ctx.prec)
-    factors.chain(low)
-    factors.chain(reversed(high))
-    v_low, e_low = _adaptive(low, xv, j, region_tol, n_base, state, factors)
-    v_win, e_win = _adaptive([(fzero, _BASE_LEVEL)], xv, j, region_tol, n_base, state, factors)
-    v_high, e_high = _adaptive(high, xv, j, region_tol, n_base, state, factors)
-
-    value = v_low + v_win + v_high
-    err = e_low + e_win + e_high + tail_low + tail_high
-    if err > target:
+    e = (to_fixed(mpf_exp(mpf_div(xr, from_int(q), frac + 20, rn), frac + 20, rn),
+                  frac + 1) + 1) >> 1
+    ups, downs = chain(e, high), chain((one << frac) // e, left + 1)
+    weights = tab.orders[j]
+    right = sum(map(mul, weights[left:left + high + 1], ups))
+    num = right + sum(map(mul, weights[left - 1::-1], downs[1:left + 1]))
+    series, series_units = _series(tab.terms, tab.betas[j], q, left, frac, downs[1], downs[-1])
+    # the rounding in units of 2^-2frac q^-j: a unit of each T_k times
+    # |k|^j E^k, and E^k's error, 5k E^k / 2^frac units right of 0 and 4|k|
+    # left of it, times |T_k| + 1 <= 2^(frac+1)
+    upper = high ** j * sum(ups)
+    units = (upper + left ** j * sum(downs[1:-1]) + 8 * left ** (j + 2) * one + 4
+             + 5 * high * (right + upper) // one + series_units)
+    if j == 0:
+        # less sum W_k and the series at x = 0; |E^k - 1| <= E^k + 1
+        num += tab.nought[0] - (sum(weights[:left + high + 1]) << frac)
+        units += tab.nought[1] + (high + left) * one
+    terms, zero = [(num + (-1) ** (j + 1) * series, -2 * frac)], tab.orders[0][left]
+    if j < 2:
+        # the s = 0 node, x h/e for j = 0 and h/e for j = 1, T_0 within a unit
+        terms.append((xr[1] * zero, xr[2] - frac) if j == 0 else (zero * q, -frac))
+        units += (to_int(xr) + 1 if j == 0 else q) * one
+    value = _round(terms, q ** j, prec)
+    size = mpf_abs(value)
+    err = mpf_add(_round([(units, -2 * frac)], q ** j, prec, up), mpf_shift(size, -prec), prec, up)
+    for term in (_discretization(j, band, q), tail, tab.remainder[j]):
+        err = mpf_add(err, term, prec, up)
+    if mpf_gt(err, mpf_mul(kurepa_floor(p, prec)._mpf_, size if mpf_gt(size, fone) else fone)):
         raise PrecisionUnreachableError(
-            f"accumulated quadrature error {err} exceeds target {target}"
-        )
-    return QuadratureResult(
-        value=+value,
-        error_bound=+err,
-        nodes_used=state["evals"],
-        tail_cutoff=+T,
-    )
+            f"Kurepa error bound {mpmath.nstr(ctx.make_mpf(err), 5)} exceeds its target")
+    return QuadratureResult(ctx.make_mpf(value), ctx.make_mpf(err),
+                            left + high + 1 + len(tab.terms), ctx.make_mpf(cutoff))
 
 
 def kurepa(x, p: Precision = Precision()) -> QuadratureResult:
-    """K(x) for 0 <= x <= MAX_ARGUMENT with error_bound at most 10^-(digits-10).
+    """K(x) for 0 <= x <= MAX_ARGUMENT, with error_bound at most 10^-(digits+3) max(1, |value|).
 
-    x is rounded to p's working context, unless it is an mpf, whose bits are
-    kept; the integral is computed at that x, at p's digits and 15 guard
-    digits, and an x outside the domain raises DomainError.
-    It is taken in s = -log t over the window [-1/8, 1/8] and dyadic panels
-    either side of it, laid out by a plan memoized per precision; at a node
-    s = mid + 2^level z the integrand is c expm1(-x s), c from the panel's
-    memoized node table, with exp(-x s) = exp(-x mid) (1 + B): exp(-x mid)
-    by a chain along the panels, within 2^-(prec + 40) or finer, relative,
-    and B in fixed point, within 2^(k+2) max(1, 1 + B) units of
-    2^-(prec + 40) or finer, k the level's doublings above 1/8.  A warm call
-    that bisects no panel takes n + 6 exponentials, n of them for the Bs of
-    its first level, n the Gauss rule's size (25 at P35); a panel's
-    estimate is one integer dot product of its Bs with weights folded once
-    per panel and order.  ``error_bound`` sums the panels' Kronrod-minus-Gauss
-    estimates and the two tail bounds.
+    x is rounded to p's working context, p's digits and 15 guard digits, unless
+    it is an mpf, whose bits are kept; an x outside the domain raises
+    DomainError.  ``error_bound`` is proven, or PrecisionUnreachableError raised.
     """
     return _kurepa_integral(x, 0, p)
 
 
 def kurepa_derivative(x, order: int, p: Precision = Precision()) -> QuadratureResult:
-    """j-th derivative of K at x, 1 <= j <= MAX_ORDER, by the log-kernel integrals.
+    """K^(j)(x), 1 <= j <= MAX_ORDER, as ``kurepa`` computes K, each weight times (k/q)^j.
 
-    Panels, factors and domain are ``kurepa``'s; the integrand is
-    c L^j exp(x L), L = -s, with L^j exact, and c for j = 1 and 0 for j >= 2
-    at s = 0.  An order above MAX_ORDER raises DomainError.
+    An order above MAX_ORDER raises DomainError, and one that is not a
+    positive integer (a bool included) ConfigurationError.
     """
-    if not isinstance(order, int) or order < 1:
+    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
         raise ConfigurationError(f"derivative order must be a positive integer, got {order!r}")
     return _kurepa_integral(x, order, p)
 
@@ -777,25 +332,19 @@ INFLECTION_WIDTH = "1e-9"
 def find_inflection(p: Precision = Precision(), bracket=(0, 1)) -> mpmath.mpf:
     """Bisection root of K'' on ``bracket``, to INFLECTION_WIDTH; K is concave left of the root.
 
-    Bisection is preferred over Newton here: each K'' evaluation is an
-    adaptive quadrature, so sign robustness matters more than step count.
+    Bisection is preferred over Newton here: sign robustness matters more
+    than step count.
     """
     lo, hi = finite_segment(*bracket, p)
     wtol = to_mpf(INFLECTION_WIDTH, p)
-    f_lo = kurepa_derivative(lo, 2, p).value
-    f_hi = kurepa_derivative(hi, 2, p).value
-    if not (f_lo < 0 < f_hi):
-        raise RootBracketError(
-            "second derivative does not change sign over the bracket; "
-            "the quadrature is likely misconfigured"
-        )
+    f_lo, f_hi = (kurepa_derivative(v, 2, p).value for v in (lo, hi))
+    if not f_lo < 0 < f_hi:
+        raise RootBracketError("second derivative does not change sign over the bracket; "
+                               "the quadrature is likely misconfigured")
     while hi - lo > wtol:
         mid = (lo + hi) / 2
         fm = kurepa_derivative(mid, 2, p).value
         if fm == 0:
             return mid
-        if fm < 0:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if fm < 0 else (lo, mid)
     return (lo + hi) / 2

@@ -563,7 +563,8 @@ def minimax(g, a, b, k: int, tol=TOL, p: Precision = Precision(),
     """
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise ConfigurationError(f"degree must be a nonnegative integer, got {k!r}")
-    if not isinstance(grid_multiplier, int) or grid_multiplier < 1:
+    if (isinstance(grid_multiplier, bool) or not isinstance(grid_multiplier, int)
+            or grid_multiplier < 1):
         raise ConfigurationError(
             f"grid_multiplier must be a positive integer, got {grid_multiplier!r}")
     av, bv = finite_segment(a, b, p)

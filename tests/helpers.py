@@ -1,16 +1,13 @@
 """Shared fixtures and frozen reference values for the test suite."""
 
-import functools
-import math
 from fractions import Fraction
-from unittest import mock
 
 import mpmath
 import pytest
 from mpmath import mp
 
 from ineqprove import DomainError, quadrature, to_mpf
-from ineqprove.precision import GUARD_DIGITS, context, resolution_floor, series_floor
+from ineqprove.precision import GUARD_DIGITS, context
 from ineqprove.expr import (
     BinaryOp,
     Constant,
@@ -20,7 +17,7 @@ from ineqprove.expr import (
     Variable,
 )
 
-# Pinned hashes of reports and quadrature rules depend on the arithmetic
+# Pinned hashes of reports and quadrature tables depend on the arithmetic
 # library; they hold for the mpmath version and backend they were recorded
 # with, and tests that compare them are skipped under another one.
 RECORDED_WITH = ("1.3.0", "python")
@@ -262,232 +259,10 @@ def gauss_jordan(rows):
     return [row[-1] for row in m]
 
 
-# The Gauss-Kronrod rule and the node tables as the package built them on
-# mpf objects, before it computed them in fixed point and on tuples.
-
-def _reference_kronrod_betas(n, ctx):
-    """Recurrence coefficients b_0..b_2n of the Legendre Jacobi-Kronrod matrix, in ctx.
-
-    Laurie's algorithm (D. Laurie, "Calculation of Gauss-Kronrod quadrature
-    rules", Math. Comp. 1997), specialised to the Legendre weight, whose
-    diagonal coefficients all vanish.  The first ceil(3n/2)+1 coefficients
-    are those of the Legendre polynomials; the rest are filled in from the
-    mixed moments s and t.
-    """
-    b = [ctx.mpf(2)] + [ctx.mpf(k * k) / (4 * k * k - 1)
-                        for k in range(1, (3 * n + 1) // 2 + 1)]
-    b += [ctx.mpf(0)] * (2 * n + 1 - len(b))
-    s = [ctx.mpf(0)] * (n // 2 + 3)
-    t = s[:]
-    t[1] = b[n + 1]
-    for m in range(n - 1):
-        acc = ctx.mpf(0)
-        for k in range((m + 1) // 2, -1, -1):
-            acc += b[k + n + 1] * s[k] - b[m - k] * s[k + 1]
-            s[k + 1] = acc
-        s, t = t, s
-    s[1:] = s[:-1]
-    for m in range(n - 1, 2 * n - 2):
-        acc = ctx.mpf(0)
-        for k in range(m + 1 - n, (m - 1) // 2 + 1):
-            j = n - 1 - (m - k)
-            acc += b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1]
-            s[j + 1] = acc
-        if m % 2:
-            b[(m + 1) // 2 + n + 1] = s[j + 1] / s[j + 2]
-        s, t = t, s
-    return b[:2 * n + 1]
-
-
-@functools.lru_cache(maxsize=None)
-def reference_gauss_kronrod_rule(n: int, prec: int):
-    """The n-node Gauss rule on [-1, 1] and its (2n+1)-node Kronrod extension, on mpf objects.
-
-    The construction the package used before it built the rule in fixed
-    point: Newton from cosine seeds on the monic p_top / p_divisor, and the
-    Golub-Welsch weight sums, all in ``context(prec + 40)`` and rounded to
-    ``context(prec)``.  Kept as the oracle that
-    ``quadrature.gauss_kronrod_rule`` must match bit for bit, and memoized,
-    as it takes about 0.1 s at 169 bits.
-    """
-    ctx, rounded = context(prec + 40), context(prec)
-    b = _reference_kronrod_betas(n, ctx)
-    root_b = [ctx.sqrt(v) for v in b]
-    tol = ctx.mpf(2) ** (-(ctx.prec - 20))
-
-    def newton_root(seed, top, divisor):
-        # f = p_top / p_divisor with monic p_k; p_0 = 1, so divisor 0 gives p_top
-        z = ctx.mpf(seed)
-        for _ in range(100):
-            p0, p1, d0, d1 = ctx.mpf(0), ctx.mpf(1), ctx.mpf(0), ctx.mpf(0)
-            for k in range(top):
-                if k == divisor:
-                    pn, dn = p1, d1
-                p0, p1, d0, d1 = p1, z * p1 - b[k] * p0, d1, p1 + z * d1 - b[k] * d0
-            dz = p1 * pn / (d1 * pn - p1 * dn)
-            z -= dz
-            if abs(dz) <= tol:
-                break
-        return z
-
-    def weight(z, terms):
-        q0, q1 = ctx.mpf(0), 1 / root_b[0]
-        acc = q1 * q1
-        for k in range(terms - 1):
-            q0, q1 = q1, (z * q1 - root_b[k] * q0) / root_b[k + 1]
-            acc += q1 * q1
-        return 1 / acc
-
-    # the positive Gauss nodes g_1 > g_2 > ..., weighed before they are
-    # rounded to prec bits, the form in which they join the Kronrod rule
-    gauss = [newton_root(math.cos(math.pi * (i - 0.25) / (n + 0.5)), n, 0)
-             for i in range(1, n // 2 + 1)]
-    half_g = [weight(z, n) for z in gauss]
-    g_weights = half_g + [weight(ctx.mpf(0), n)] * (n % 2) + half_g[::-1]
-    gauss = [ctx.convert(rounded.mpf(z)) for z in gauss]
-
-    # one new node in each gap of 1 > g_1 > g_2 > ... > 0, seeded at the
-    # gap's middle angle; 0 closes the last gap only when it is a Gauss
-    # node (odd n), else that gap is symmetric about 0 and its node is 0
-    edges = [0.0] + [math.acos(float(z)) for z in gauss]
-    if n % 2:
-        edges.append(math.pi / 2)
-    added = [newton_root(math.cos((lo + hi) / 2), 2 * n + 1, n)
-             for lo, hi in zip(edges, edges[1:])]
-    half = sorted(gauss + added)
-    nodes = [-z for z in reversed(half)] + [ctx.mpf(0)] + half
-    half_k = [weight(z, 2 * n + 1) for z in half]
-    k_weights = half_k[::-1] + [weight(ctx.mpf(0), 2 * n + 1)] + half_k
-    return tuple(tuple(rounded.mpf(v) for v in part) for part in (nodes, k_weights, g_weights))
-
-
-# The node tables as the package built them on mpf objects, and the panel
-# sums with every node's exponential evaluated directly.
-
-def reference_nodes(mid, level, n, prec):
-    """(s, c) at each Kronrod node of the panel mid +- 2^level in s = -log t, on mpf objects.
-
-    s = mid + 2^level z exactly, with the reference rule's z, and
-    c = exp(-w) w / (w - 1), w = exp(-s) = t, each step rounded to nearest
-    in ``context(prec)``; w - 1 is taken from an exp(-s) with as many extra
-    bits as s is below 1.  At s = 0, c is exp(-1), the integrand's limit
-    there being c x for j = 0, c for j = 1 and 0 for j >= 2.
-    """
-    ctx = context(prec)
-    mid = ctx.make_mpf(mid)
-    nodes = []
-    for z in reference_gauss_kronrod_rule(n, prec)[0]:
-        s = ctx.fadd(mid, ctx.ldexp(z, level), exact=True)
-        if s == 0:
-            nodes.append((s, ctx.exp(-1)))
-            continue
-        wide = context(prec + 10 + max(0, -ctx.mag(s))).exp(ctx.fneg(s, exact=True))
-        w = ctx.mpf(wide)
-        nodes.append((s, ctx.exp(-w) * w / ctx.fsub(wide, 1)))
-    return nodes
-
-
-def reference_node_table(mid, level, n, prec):
-    """``quadrature._node_table`` as built on mpf objects, the oracle of its bits."""
-    _, k_weights, g_weights = reference_gauss_kronrod_rule(n, prec)
-    table = []
-    for i, ((s, c), w_k) in enumerate(zip(reference_nodes(mid, level, n, prec), k_weights)):
-        hc = mpmath.libmp.mpf_shift(c._mpf_, level)
-        table.append((None if s == 0 else s.context.fneg(s, exact=True)._mpf_,
-                      *_reference_exact(hc, w_k),
-                      *(_reference_exact(hc, g_weights[i // 2]) if i % 2 else (0, 0))))
-    return tuple(table)
-
-
-def _reference_exact(a, w):
-    sign, man, exp, _ = mpmath.libmp.mpf_mul(a, w._mpf_)
-    return -man if sign else man, exp
-
-
 def _rational(v):
     # an mpf's exact value, whatever its context
     return Fraction(*mpmath.libmp.to_rational(v._mpf_))
 
-
-def reference_exp(y, prec):
-    """exp(y) at twice ``prec`` bits, and as many more as y is below 1, so exp(y) - 1 keeps them."""
-    lm = mpmath.libmp
-    return lm.mpf_exp(y, 2 * prec + max(0, -(y[2] + y[3])), lm.round_nearest)
-
-
-def _reference_factor(ell, x, j, prec):
-    # the integrand's factor exp(x L) - 1 (j = 0) or exp(x L) L^j at a node
-    # L = -s other than 0, as a Fraction, from one exponential
-    lm = mpmath.libmp
-    e = Fraction(*lm.to_rational(reference_exp(lm.mpf_mul(x._mpf_, ell), prec)))
-    return e - 1 if j == 0 else e * Fraction(*lm.to_rational(ell)) ** j
-
-
-def exact_panel_reference(mid, level, n, x, j):
-    """(Gauss, Kronrod) estimates of one panel: exact Fraction sums, each rounded once.
-
-    Built from the reference node table and, at each node s, exp(-x s)
-    evaluated directly by ``reference_exp`` at twice x's precision; the test
-    oracle for the package's integer sums, whose factors come from one
-    exponential per panel and a doubled table per level.
-    """
-    lm = mpmath.libmp
-    ctx = x.context
-    prec = ctx.prec
-    gauss = kronrod = Fraction(0)
-    for ell, km, ke, gm, ge in reference_node_table(mid, level, n, prec):
-        if ell is None:
-            f = _rational(x) if j == 0 else Fraction(int(j == 1))
-        else:
-            f = _reference_factor(ell, x, j, prec)
-        kronrod += km * Fraction(2) ** ke * f
-        gauss += gm * Fraction(2) ** ge * f
-    return tuple(ctx.make_mpf(lm.from_rational(v.numerator, v.denominator, prec, lm.round_nearest))
-                 for v in (gauss, kronrod))
-
-
-def _sequential_panel(mid, level, n, x, j, factors):
-    # the package's _kronrod_panel with each step rounded in turn; factors unused
-    lm = mpmath.libmp
-    mul, add, rn = lm.mpf_mul, lm.mpf_add, lm.round_nearest
-    ctx = x.context
-    prec, xr = ctx.prec, x._mpf_
-    _, k_weights, g_weights = reference_gauss_kronrod_rule(n, prec)
-    gauss = kronrod = lm.fzero
-    for i, (s, c) in enumerate(reference_nodes(mid, level, n, prec)):
-        if s == 0:
-            f = xr if j == 0 else (lm.fone if j == 1 else lm.fzero)
-        else:
-            ell = ctx.fneg(s, exact=True)._mpf_
-            e = reference_exp(mul(xr, ell), prec)
-            f = (lm.mpf_sub(e, lm.fone, prec, rn) if j == 0
-                 else mul(lm.mpf_pow_int(ell, j, prec, rn), e, prec, rn))
-        v = mul(lm.mpf_shift(c._mpf_, level), f, prec, rn)
-        kronrod = add(kronrod, mul(k_weights[i]._mpf_, v, prec, rn), prec, rn)
-        if i % 2:
-            gauss = add(gauss, mul(g_weights[i // 2]._mpf_, v, prec, rn), prec, rn)
-    return ctx.make_mpf(gauss), ctx.make_mpf(kronrod)
-
-
-def sequential_kurepa(x, j, p):
-    """K^(j)(x) with every product and partial sum of a panel rounded in turn.
-
-    The panel loop the package used before it summed each estimate exactly
-    and before it built exp(-x s) from one exponential per panel: at each
-    node exp(-x s) comes from ``reference_exp``, and the factor, (half c)
-    times it, the weight times that and each running sum are rounded to
-    the working precision.  Kept as the oracle that the package must stay
-    close to, with the same panels, node count and tail cutoff.
-    """
-    with mock.patch.object(quadrature, "_kronrod_panel", _sequential_panel):
-        if j == 0:
-            return quadrature.kurepa(x, p)
-        return quadrature.kurepa_derivative(x, j, p)
-
-
-# The quadrature's memos, and the panel layout as the package chose it
-# before it memoized its plan, when both cut-off searches evaluated the tail
-# bounds at every step.
 
 def quadrature_memos():
     """Every memoized function of ``ineqprove.quadrature``, by name."""
@@ -501,67 +276,48 @@ def clear_quadrature_memos():
         memo.cache_clear()
 
 
-def _reference_dyadic_panels(stop, top, ctx):
-    # (mid, level) from the window's edge out past stop, levels rising up
-    # to top; and the end
-    panels = []
-    edge = ctx.ldexp(1, -3)
-    level = -3
-    while edge < stop:
-        half = ctx.ldexp(1, level)
-        panels.append(((edge + half)._mpf_, level))
-        edge += 2 * half
-        level = min(level + 1, top)
-    return panels, edge
+# The trapezoidal sum of the Kurepa integrals as the package lays it out,
+# each term evaluated directly on mpf objects at twice the package's bits.
+
+def _li(r, j):
+    # sum over m >= 1 of m^j r^m, the polylogarithm of order -j
+    numer = (1, 1, 1 + r, 1 + 4 * r + r * r)[j]
+    return r * numer / (1 - r) ** (j + 1)
 
 
-def _reference_low_tail_bound(x, j, s_max, eps):
-    # integrand bound: exp(-(x+1)s) s^j / eps for s >= s_max
-    ctx = x.context
-    c = x + 1
-    if j == 0:
-        return ctx.exp(-s_max) / eps
-    total = ctx.mpf(0)
-    fall = ctx.mpf(1)
-    for i in range(j + 1):
-        total += fall * s_max ** (j - i) / c ** (i + 1)
-        fall *= j - i
-    return ctx.exp(-c * s_max) * total / eps
+def reference_trapezoid(x, j, p):
+    """K^(j)(x) by the package's trapezoidal sum, with its q and cut-offs, at twice its bits.
 
-
-def _reference_high_tail_bound(x, j, T):
-    # uses log(t) <= sqrt(t) for t >= 1 and int_T t^q e^-t dt <= e^-T T^q/(1-q/T)
-    ctx = x.context
-    if j == 0:
-        gx = ctx.exp(-T) * ctx.power(T, x) / (1 - x / T) if x > 0 else ctx.exp(-T)
-        return (gx + ctx.exp(-T)) / (T - 1)
-    q = x + ctx.mpf(j) / 2
-    return ctx.exp(-T) * ctx.power(T, q) / (1 - q / T) / (T - 1)
-
-
-def reference_layout(x, j, p):
-    """(low panels, high panels, T) of K^(j)(x) by the cut-off loops the package used to run.
-
-    s_max grows by 5/4 while the low tail bound at it exceeds share, and T
-    while exp(-T) T^(x+1) exceeds the series floor or the high tail bound
-    at T exceeds share; each side's panels run on to its first dyadic edge
-    past the cut-off, and T is exp of the high side's last edge.  The
-    oracle of the memoized plan.
+    Every weight h w(k/q) and every e^(xk/q) is evaluated directly, and the
+    series left of the nodes takes each geometric sum from the closed form
+    of the polylogarithm of order -j, all at twice the package's fraction
+    bits, and the sum is returned with all of them, as an mpf of the working
+    context.  The oracle of the package's integer table, chain and series.
     """
     digits = p.decimal_digits
-    ctx = context(mpmath.libmp.dps_to_prec(digits + 15))
-    xv = to_mpf(to_mpf(x, p), ctx.prec)
-    share = resolution_floor(p, ctx.prec) / 8
-    term_tol = series_floor(p, ctx.prec)
-    eps = ctx.mpf(1) / 8
-    s_max = ctx.mpf(max(20, int((digits + 14) * 2.303 / (float(xv) + 1)) + 1))
-    while _reference_low_tail_bound(xv, j, s_max, eps) > share:
-        s_max *= ctx.mpf(5) / 4
-    low, _ = _reference_dyadic_panels(s_max, math.inf, ctx)
-    T = ctx.mpf(max(40, digits, 2 * (int(xv) + j) + 40))
-    while (ctx.exp(-T) * ctx.power(T, xv + 1) > term_tol
-           or _reference_high_tail_bound(xv, j, T) > share):
-        T *= ctx.mpf(5) / 4
-    high, t_edge = _reference_dyadic_panels(ctx.ln(T), -1, ctx)
-    high = [(mpmath.libmp.mpf_neg(mid), level) for mid, level in reversed(high)]
-    return low, high, ctx.exp(t_edge)
+    table = quadrature._table(digits)
+    prec = quadrature._working_prec(digits)
+    xr = to_mpf(to_mpf(x, p), prec)._mpf_
+    high = quadrature._right(j, min(int(mpmath.mpf(xr)), quadrature.MAX_ARGUMENT - 1),
+                             digits)[0]
+    ctx = mpmath.MPContext()
+    ctx.prec = 2 * table.frac
+    q, left, x = table.q, table.left, ctx.make_mpf(xr)
+    total = ctx.mpf(0)
+    for k in range(-left, high + 1):
+        s = ctx.mpf(k) / q
+        if k == 0:
+            total += (x if j == 0 else int(j == 1)) / (q * ctx.e)
+            continue
+        t = ctx.exp(s)
+        total += t * ctx.exp(-t) / (t - 1) / q * (s ** j * ctx.exp(x * s) - (j == 0))
+    a = ctx.mpf(0)
+    for n in range(len(table.terms)):
+        a += ctx.mpf(-1) ** n / ctx.factorial(n)
+        tails = []
+        for y in (x, ctx.zero) if j == 0 else (x,):
+            r = ctx.exp(-(n + 1 + y) / q)
+            tails.append(_li(r, j) - sum(ctx.mpf(m) ** j * r ** m for m in range(1, left + 1)))
+        tail = tails[0] - tails[1] if j == 0 else tails[0]
+        total -= a / q * (-ctx.mpf(1) / q) ** j * tail
+    return context(prec).make_mpf(total._mpf_)

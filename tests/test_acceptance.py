@@ -49,7 +49,7 @@ P50 = Precision(50)
 P35 = Precision(35)
 
 # sha256 of report_to_json of the paper's full-size proof, K(x) <= K'(0) x
-KUREPA_REPORT_HASH = "05d5551c883a328e255e783c2c665665759fb3e35e230ef354a6fd8ea89097d8"
+KUREPA_REPORT_HASH = "f2f3298962c7747882cf7ad4079968278e33afba69f11ca911078fd4712a8a4b"
 
 
 @contextlib.contextmanager

@@ -606,7 +606,7 @@ class TestMinimax:
         with pytest.raises(ConfigurationError, match="degree must be a nonnegative integer"):
             minimax(lambda x: x, 0, 1, degree)
 
-    @pytest.mark.parametrize("grid_multiplier", [0, -2])
+    @pytest.mark.parametrize("grid_multiplier", [0, -2, True])
     def test_grid_multiplier_validation(self, grid_multiplier, p50):
         with pytest.raises(ConfigurationError, match="grid_multiplier"):
             minimax(lambda x: x.context.exp(x), 0, 1, 1, p=p50, grid_multiplier=grid_multiplier)

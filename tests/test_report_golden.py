@@ -75,7 +75,7 @@ REPORT_HASHES = {
     "proven_real_exponent":
         "5861a4af6391e77432e17abf2c18018a0b718c77a52c431b85468340bad14a97",
     "disproven_kurepa_near_miss":
-        "01a0aea85e5c4565ec2743e6cf4162b6ba93714e085d0cbdc8cf766e60524d98",
+        "0cff4d7dab03a103079d24bfad10118df73481823588642a402aa8b13833850d",
 }
 
 # sha256 of the report file `ineqprove prove --config demos/configs/<name>` writes
