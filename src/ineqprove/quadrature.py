@@ -13,13 +13,16 @@ k = -4q to a right cut-off that grows with x; left of them
 w(s) = -sum_n a_n e^((n+1)s), a_n = sum_(i<=n) (-1)^i / i!, |a_n| <= 1, so
 that side is summed exactly as geometric series, up to a bounded remainder.
 All is summed in fixed point, on integers v standing for v 2^-frac: the
-weights and series coefficients are one table per precision, and E one
-exponential, raised along the nodes.  ``error_bound`` sums the
-discretization bound, the right tail, the series' remainder and the
-rounding, each bound rounded outward.  q is the least step count whose
-discretization bound meets 10^-(digits+3) max(1, K) on every band of the
-domain.  Memos are pure functions of their keys, and nothing is built at
-import, so results are the same bits cold or warm, in any thread.
+weights and series coefficients are one table per precision, its e^(k/q)
+raised along the nodes from e^(1/q) and e^(-1/q), and E one exponential,
+raised the same way.  ``error_bound`` sums the discretization bound of the
+call's own band, the right tail, the series' remainder and the rounding,
+each bound rounded outward.  q is the least step count whose
+discretization bound meets 10^-(digits+3) K on the band that binds it,
+order MAX_ORDER on the last; the tests check, from 15 to 160 digits, that
+every other band then meets its own, and a call that missed its target
+would raise.  Memos are pure functions of their keys, and nothing is built
+at import, so results are the same bits cold or warm, in any thread.
 """
 
 from __future__ import annotations
@@ -117,16 +120,19 @@ def _share(digits, scale=1):
 
 @lru_cache(maxsize=_CACHE_LIMIT)
 def _steps(digits):
-    """q: the least count of nodes per unit of s that meets the target on every band.
+    """q: the least count of nodes per unit of s that meets the target on the binding band.
 
-    On the band n <= x <= n + 1 the discretization bound of every order
-    must be at most a quarter of 10^-(digits+3) max(1, K(n)), K(n) the sum
-    of i! over i < n, K's least value on the band.  Memoized per digits.
+    That band is the last, n = MAX_ARGUMENT - 1 <= x <= n + 1, at order
+    MAX_ORDER: its discretization bound must be at most a quarter of
+    10^-(digits+3) K(n), K(n) the sum of i! over i < n, K's least value on
+    the band.  At that q every other (order, band) meets its own share too,
+    which the tests check at 15 to 160 digits; each call still adds its own
+    band's bound into ``error_bound`` and raises if the total misses the
+    target.  Memoized per digits.
     """
-    bands = [(j, n, _share(digits, max(1, sum(map(math.factorial, range(n))))))
-             for n in reversed(range(MAX_ARGUMENT)) for j in reversed(range(MAX_ORDER + 1))]
-    return next(q for q in count(1)
-                if not any(mpf_gt(_discretization(j, n, q), share) for j, n, share in bands))
+    band = MAX_ARGUMENT - 1
+    share = _share(digits, sum(map(math.factorial, range(band))))
+    return next(q for q in count(1) if not mpf_gt(_discretization(MAX_ORDER, band, q), share))
 
 
 @lru_cache(maxsize=_CACHE_LIMIT)
@@ -193,6 +199,11 @@ def _series(terms, betas, q, left, frac, e1, ek):
     return total * ek >> frac, 2 * spread + ((40 * q + 4 * left + 16) * total >> frac) + 1
 
 
+def _chain(factor, count, bits):
+    # v_k = floor(v_(k-1) factor 2^-bits) for k = 1..count, from v_0 = 2^bits
+    return list(accumulate(repeat(factor, count), lambda v, f: v * f >> bits, initial=1 << bits))
+
+
 _Table = namedtuple("_Table", "q frac left high orders terms betas nought remainder")
 
 
@@ -216,12 +227,20 @@ def _table(digits):
     def exp_ratio(num, den):
         return mpf_exp(from_rational(num, den, wide, rn), wide, rn)
 
-    weights = []
-    for k in range(-left, high + 1):
-        t = exp_ratio(k, q)
-        weights.append(fixed(mpf_div(mpf_mul(t, mpf_exp(mpf_neg(t), wide, rn), wide, rn),
-                                     mpf_sub(t, fone, wide, rn), wide, rn) if k
-                             else exp_ratio(-1, 1)))
+    # t = e^(k/q), k = -left .. high, by one chain on integers at wide + 40
+    # bits from e^(-1/q) and e^(1/q), each within 3 units of 2^-(wide+40):
+    # as each step floors, e^(k/q) is within 4|k| max(1, e^(k/q)) units,
+    # at most 16 q e^4 units relative, then rounded once to wide; the 20
+    # guard bits between wide and frac absorb that, as they do mpf_exp's error;
+    # the series' e^(-(n+1)/q) are entries too, its length staying below left
+    bits = wide + 40
+    down, up = ((to_fixed(mpf_exp(from_rational(sign, q, bits, rn), bits, rn), bits + 1) + 1) >> 1
+                for sign in (-1, 1))
+    ts = [from_man_exp(v, -bits, wide, rn) for v in _chain(down, left, bits)[:0:-1]
+          + _chain(up, high, bits)]
+    weights = [fixed(mpf_div(mpf_mul(t, mpf_exp(mpf_neg(t), wide, rn), wide, rn),
+                             mpf_sub(t, fone, wide, rn), wide, rn) if k else exp_ratio(-1, 1))
+               for k, t in zip(range(-left, high + 1), ts)]
     orders = tuple(tuple(w * k ** j for k, w in zip(range(-left, high + 1), weights))
                    for j in range(MAX_ORDER + 1))
     share = _share(digits)
@@ -230,7 +249,7 @@ def _table(digits):
     for n in range(size):
         derangements = n * derangements + (-1) ** n if n else 1
         a = from_rational(derangements, math.factorial(n), wide, rn)
-        terms.append((fixed(exp_ratio(-(n + 1), q), 1),
+        terms.append((fixed(ts[left - n - 1], 1),
                       fixed(mpf_mul(a, exp_ratio(-(n + 1) * (left + 1), q), wide, rn))))
     betas = tuple(tuple(sum((-1) ** m * math.comb(i, m) * (left - m) ** j for m in range(i + 1))
                         for i in reversed(range(j + 1))) for j in range(MAX_ORDER + 1))
@@ -267,13 +286,10 @@ def _kurepa_integral(x, j, p):
     high, tail, cutoff = _right(j, band, digits)
     one = 1 << frac
 
-    def chain(factor, count):
-        # E^k for k = 0..count: within 4k units of 2^-frac times max(1, E^k)
-        return list(accumulate(repeat(factor, count), lambda v, f: v * f >> frac, initial=one))
-
+    # E^k for k = -(left + 1) .. high: within 4|k| units of 2^-frac times max(1, E^k)
     e = (to_fixed(mpf_exp(mpf_div(xr, from_int(q), frac + 20, rn), frac + 20, rn),
                   frac + 1) + 1) >> 1
-    ups, downs = chain(e, high), chain((one << frac) // e, left + 1)
+    ups, downs = _chain(e, high, frac), _chain((one << frac) // e, left + 1, frac)
     weights = tab.orders[j]
     right = sum(map(mul, weights[left:left + high + 1], ups))
     num = right + sum(map(mul, weights[left - 1::-1], downs[1:left + 1]))

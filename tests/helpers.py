@@ -1,13 +1,23 @@
 """Shared fixtures and frozen reference values for the test suite."""
 
+import math
 from fractions import Fraction
+from itertools import count
 
 import mpmath
 import pytest
 from mpmath import mp
+from mpmath.libmp import (
+    fone, from_int, from_rational, mpf_div, mpf_exp, mpf_gt, mpf_mul, mpf_neg, mpf_sub,
+    round_nearest as rn, to_fixed,
+)
 
 from ineqprove import DomainError, quadrature, to_mpf
 from ineqprove.precision import GUARD_DIGITS, context
+from ineqprove.quadrature import (
+    MAX_ARGUMENT, MAX_ORDER, _GUARD_BITS, _LEFT_SPAN, _Table, _discretization, _remainder,
+    _right, _series, _share, _working_prec,
+)
 from ineqprove.expr import (
     BinaryOp,
     Constant,
@@ -274,6 +284,67 @@ def clear_quadrature_memos():
     """Empty every quadrature memo, so that the next call builds all it uses."""
     for memo in quadrature_memos().values():
         memo.cache_clear()
+
+
+# q and the weight and series table as the package derived them before it
+# took q from the one binding (order, band) and e^(k/q) from a chain: the
+# search over all 64 pairs and one direct exponential per node.  The
+# oracles of ``quadrature._steps`` and ``quadrature._table``, which must
+# give the same q and the same table.
+
+def reference_steps(digits):
+    """q: the least count of nodes per unit of s that meets the target on every band.
+
+    On the band n <= x <= n + 1 the discretization bound of every order
+    must be at most a quarter of 10^-(digits+3) max(1, K(n)), K(n) the sum
+    of i! over i < n, K's least value on the band.
+    """
+    bands = [(j, n, _share(digits, max(1, sum(map(math.factorial, range(n))))))
+             for n in reversed(range(MAX_ARGUMENT)) for j in reversed(range(MAX_ORDER + 1))]
+    return next(q for q in count(1)
+                if not any(mpf_gt(_discretization(j, n, q), share) for j, n, share in bands))
+
+
+def reference_table(digits):
+    """The weights and series of one precision's sum, each e^(k/q) a direct exponential.
+
+    ``orders[j]`` holds T_k k^j for k = -left .. high, T_k within a unit of
+    W_k 2^frac and T_0 of h/e; ``terms`` (e^(-(n+1)/q), c_n) per series term;
+    ``betas[j]`` the beta_i, highest first, of (K+1+l)^j = sum_i beta_i
+    C(l+i, i); and ``nought`` the j = 0 series at x = 0, with its rounding.
+    """
+    q = reference_steps(digits)
+    frac = _working_prec(digits) + _GUARD_BITS
+    wide, left = frac + 20, _LEFT_SPAN * q
+    high = _right(MAX_ORDER, MAX_ARGUMENT - 1, digits)[0]
+
+    def fixed(v, scale=q):
+        return (to_fixed(mpf_div(v, from_int(scale), wide, rn), frac + 1) + 1) >> 1
+
+    def exp_ratio(num, den):
+        return mpf_exp(from_rational(num, den, wide, rn), wide, rn)
+
+    weights = []
+    for k in range(-left, high + 1):
+        t = exp_ratio(k, q)
+        weights.append(fixed(mpf_div(mpf_mul(t, mpf_exp(mpf_neg(t), wide, rn), wide, rn),
+                                     mpf_sub(t, fone, wide, rn), wide, rn) if k
+                             else exp_ratio(-1, 1)))
+    orders = tuple(tuple(w * k ** j for k, w in zip(range(-left, high + 1), weights))
+                   for j in range(MAX_ORDER + 1))
+    share = _share(digits)
+    size = next(n for n in count() if not mpf_gt(_remainder(MAX_ORDER, n, q, left), share))
+    terms, derangements = [], 1
+    for n in range(size):
+        derangements = n * derangements + (-1) ** n if n else 1
+        a = from_rational(derangements, math.factorial(n), wide, rn)
+        terms.append((fixed(exp_ratio(-(n + 1), q), 1),
+                      fixed(mpf_mul(a, exp_ratio(-(n + 1) * (left + 1), q), wide, rn))))
+    betas = tuple(tuple(sum((-1) ** m * math.comb(i, m) * (left - m) ** j for m in range(i + 1))
+                        for i in reversed(range(j + 1))) for j in range(MAX_ORDER + 1))
+    return _Table(q, frac, left, high, orders, tuple(terms), betas,
+                  _series(terms, betas[0], q, left, frac, 1 << frac, 1 << frac),
+                  tuple(_remainder(j, size, q, left) for j in range(MAX_ORDER + 1)))
 
 
 # The trapezoidal sum of the Kurepa integrals as the package lays it out,

@@ -35,6 +35,8 @@ from helpers import (
     K_HALF,
     clear_quadrature_memos,
     quadrature_memos,
+    reference_steps,
+    reference_table,
     reference_trapezoid,
     requires_recorded_mpmath,
 )
@@ -57,6 +59,26 @@ TABLE_HASHES = {
     35: "392957113eca16e74549c92bfaec39112971c827b2ed076f813e97620653da2b",
     50: "066eda11df78f10463a8d5ac0dcdaf4390a39203fab030fcb32110926729463c",
 }
+
+def test_steps_match_the_every_band_search():
+    # q comes from the binding (order, band) alone; the search over all 64
+    # pairs gives the same q, and at it every pair meets its quarter share
+    for digits in range(15, 161):
+        q = quadrature._steps(digits)
+        assert q == reference_steps(digits), digits
+        for n in range(quadrature.MAX_ARGUMENT):
+            share = quadrature._share(digits, max(1, sum(map(math.factorial, range(n)))))
+            for j in range(quadrature.MAX_ORDER + 1):
+                assert not mpmath.libmp.mpf_gt(quadrature._discretization(j, n, q), share), \
+                    (digits, j, n)
+
+
+@requires_recorded_mpmath
+def test_table_matches_the_direct_exponentials():
+    # e^(k/q) from the chain, not one exponential per node: the same tables
+    for digits in range(15, 101):
+        assert quadrature._table(digits) == reference_table(digits), digits
+
 
 # the oracle gate: every order at these x, at three precisions
 GATE_ARGUMENTS = (0, 4 ** -12, "0.37", "0.8", 1, "2.6", "7.3", 16)
@@ -451,6 +473,22 @@ class TestMemos:
                 _result(x, j, p35)
                 monkeypatch.setattr(quadrature, "mpf_exp", exp)
                 assert calls == 1, (x, j, calls)
+
+    def test_a_cold_table_makes_few_exponentials(self, monkeypatch):
+        # from emptied memos the P35 table takes q from 16 discretization
+        # bounds, each e^(k/q) from a chain and one exp(-t) per node
+        calls = 0
+        exp = quadrature.mpf_exp
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return exp(*args)
+
+        clear_quadrature_memos()
+        monkeypatch.setattr(quadrature, "mpf_exp", counted)
+        quadrature._table(35)
+        assert (calls, quadrature._discretization.cache_info().misses) == (362, 16)
 
     def test_threads_get_the_solo_bits(self, p35):
         # a call's chain lives in the call; the threads share only the
