@@ -50,8 +50,10 @@ from .precision import (
     Precision,
     context,
     decimal_str,
+    exact,
     finite_orders,
     finite_segment,
+    fraction,
     resolution_floor,
     sampling_ratio,
     to_mpf,
@@ -192,12 +194,6 @@ def residual_check(g, polynomial: Polynomial, delta, grid_size: int,
     )
 
 
-def _dyadic(value):
-    """(numerator, exponent) of a finite mpf: value == numerator * 2**exponent."""
-    sign, man, exp, _ = value._mpf_
-    return (-int(man) if sign else int(man)), exp
-
-
 def _bernstein(cheb):
     """Integers N_k with sum_j cheb[j] T_j(2t - 1) == sum_k N_k B_k(t) / n!.
 
@@ -267,14 +263,11 @@ def certify_positive(polynomial: Polynomial, delta, margin_factor,
     # every value is an integer times 2**low, and leaves at depth d
     # scale their coefficients by 2**(n*d): compare at the deepest scale
     n = len(coefficients) - 1
-    cheb = [_dyadic(c) for c in coefficients]
-    (dn, de), (mn, me) = _dyadic(dv), _dyadic(mv)
-    margin = (dn * mn, de + me)
-    low = min(e for _, e in cheb + [margin])
+    product = ctx.make_mpf(libmp.mpf_mul(dv._mpf_, mv._mpf_))  # delta*margin, unrounded
+    (*cheb, margin), low = exact(coefficients + [product], "coefficients and delta*margin")
     fact = math.factorial(n)
-    root = [v - (margin[0] << (margin[1] - low)) * fact
-            for v in _bernstein([c << (e - low) for c, e in cheb])]
-    slack_num, slack_den = libmp.to_rational(to_mpf(REL_SLACK, p)._mpf_)
+    root = [v - margin * fact for v in _bernstein(cheb)]
+    slack_num, slack_den = fraction(to_mpf(REL_SLACK, p)).as_integer_ratio()
 
     def key(value, depth):
         return value << (n * (MAX_DEPTH - depth))

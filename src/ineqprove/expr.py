@@ -26,6 +26,7 @@ arithmetic at that precision gives.  Compiled trees are memoized per
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -180,52 +181,23 @@ def pow_(base: Node, exponent: Constant) -> Node:
 # Tokenizer and recursive-descent parser
 # ----------------------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# a number, a name, an operator, or any other character but whitespace,
+# which is refused; whitespace between tokens is skipped
+_SCANNER = re.compile(r"(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+                      r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^(),])|(?P<bad>\S)")
 
-
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
+_Token = namedtuple("_Token", "kind text pos")
 
 
 def _tokenize(source: str):
     tokens = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        m = _NUMBER_RE.match(source, i)
-        if m:
-            tokens.append(_Token("number", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(source, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        if ch in "+-*/^(),":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ExpressionSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+    for m in _SCANNER.finditer(source):
+        kind, text = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ExpressionSyntaxError(f"unexpected character {text!r}", m.start())
+        tokens.append(_Token(text if kind == "op" else kind, text, m.start()))
+    tokens.append(_Token("end", "", len(source)))
     return tokens
-
-
-def _number_fraction(text: str) -> Fraction:
-    if "e" in text or "E" in text:
-        mantissa, _, exp = text.replace("E", "e").partition("e")
-        return Fraction(mantissa) * Fraction(10) ** int(exp)
-    return Fraction(text)
 
 
 class _Parser:
@@ -297,7 +269,7 @@ class _Parser:
     def atom(self) -> Node:
         tok = self.advance()
         if tok.kind == "number":
-            return Constant(_number_fraction(tok.text))
+            return Constant(Fraction(tok.text))
         if tok.kind == "(":
             node = self.expression()
             self.expect(")")

@@ -7,6 +7,8 @@ reads or sets the global ``mp``, so proofs in several threads cannot
 interfere, and results are deterministic: same inputs, same bits.  mpmath
 arithmetic takes the precision of its left operand, so a foreign value
 enters a routine's context through ``to_mpf`` before it meets another.
+``exact`` and ``fraction`` are the package's one exact conversion of mpfs,
+to integers on a common power of two and to Fractions.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import dps_to_prec, to_rational
 
 from .errors import ConfigurationError, IneqproveError
 
@@ -61,13 +63,13 @@ def _ten_to(exponent, prec):
     return context(prec).mpf(10) ** exponent
 
 
-def resolution_floor(p: Precision, prec=None):
+def resolution_floor(p: Precision):
     """10^-(digits - 10): the smallest quantity ``p``-digit arithmetic resolves.
 
     The least Remez tol, and the zero level of endpoint limits and of
     minimax residuals.
     """
-    return _ten_to(-(p.decimal_digits - 10), prec or p)
+    return _ten_to(-(p.decimal_digits - 10), p)
 
 
 def witness_floor(p: Precision):
@@ -124,6 +126,25 @@ def to_mpf(value, prec=Precision()):
         except IneqproveError as exc:
             cause = exc
     raise ConfigurationError(f"cannot interpret {value!r} as a real number") from cause
+
+
+def exact(values, what):
+    """(integers, low): the finite mpfs ``values`` as integers times 2^low, exactly.
+
+    low is the least exponent of the nonzero values, 0 if all are zero.
+    """
+    t = [v._mpf_ for v in values]
+    if any(bc < 0 for _, _, _, bc in t):
+        raise ConfigurationError(f"{what} must be finite, got {tuple(values)}")
+    low = min([e for _, m, e, _ in t if m], default=0)
+    return [((-m if sign else m) << (e - low)) if m else 0 for sign, m, e, _ in t], low
+
+
+def fraction(value):
+    """A finite mpf as the Fraction of the same value."""
+    if not mpmath.isfinite(value):
+        raise ConfigurationError(f"coefficients and segment ends must be finite, got {value}")
+    return Fraction(*to_rational(value._mpf_))
 
 
 def finite_segment(a, b, p: Precision):

@@ -42,7 +42,7 @@ from mpmath.libmp import (
 )
 
 from .errors import ConfigurationError, DomainError, PrecisionUnreachableError, RootBracketError
-from .precision import Precision, context, finite_segment, kurepa_floor, to_mpf
+from .precision import Precision, context, kurepa_floor, to_mpf
 
 # the supported domain: 0 <= x <= MAX_ARGUMENT, derivative orders up to MAX_ORDER
 MAX_ARGUMENT, MAX_ORDER = 16, 3
@@ -345,17 +345,18 @@ def kurepa_derivative(x, order: int, p: Precision = Precision()) -> QuadratureRe
 INFLECTION_WIDTH = "1e-9"
 
 
-def find_inflection(p: Precision = Precision(), bracket=(0, 1)) -> mpmath.mpf:
-    """Bisection root of K'' on ``bracket``, to INFLECTION_WIDTH; K is concave left of the root.
+def find_inflection(p: Precision = Precision()) -> mpmath.mpf:
+    """Bisection root of K'' on [0, 1], to INFLECTION_WIDTH; K is concave left of the root.
 
     Bisection is preferred over Newton here: sign robustness matters more
     than step count.
     """
-    lo, hi = finite_segment(*bracket, p)
+    ctx = context(p)
+    lo, hi = ctx.zero, ctx.one
     wtol = to_mpf(INFLECTION_WIDTH, p)
     f_lo, f_hi = (kurepa_derivative(v, 2, p).value for v in (lo, hi))
     if not f_lo < 0 < f_hi:
-        raise RootBracketError("second derivative does not change sign over the bracket; "
+        raise RootBracketError("second derivative does not change sign on [0, 1]; "
                                "the quadrature is likely misconfigured")
     while hi - lo > wtol:
         mid = (lo + hi) / 2

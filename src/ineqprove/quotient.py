@@ -26,12 +26,9 @@ real one.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import (
-    mpf_add, mpf_div, mpf_eq, mpf_lt, mpf_mul, mpf_pos, mpf_sub, round_nearest, to_rational,
-)
+from mpmath.libmp import mpf_add, mpf_div, mpf_eq, mpf_lt, mpf_mul, mpf_pos, mpf_sub, round_nearest
 
 from .errors import (
     ConfigurationError,
@@ -43,8 +40,8 @@ from .errors import (
 )
 from .expr import Expression, compiled, differentiate, evaluate, power, show
 from .precision import (
-    Precision, cancellation_floor, context, finite_orders, finite_segment, resolution_floor,
-    sampling_ratio, to_mpf,
+    Precision, cancellation_floor, context, finite_orders, finite_segment, fraction,
+    resolution_floor, sampling_ratio, to_mpf,
 )
 
 # width of the near-endpoint zone, relative to b - a, where the raw quotient
@@ -58,7 +55,7 @@ def _quotient(f, a, b, n, m, p):
     """x -> f(x) / ((x-a)^n (b-x)^m) on libmp tuples, with no endpoint handling."""
     prec, rn = context(p).prec, round_nearest
     fx = compiled(f, p)
-    pa, pb = (power(Fraction(*to_rational(e._mpf_)), prec, e._mpf_) for e in (n, m))
+    pa, pb = (power(fraction(e), prec, e._mpf_) for e in (n, m))
     a, b = a._mpf_, b._mpf_
 
     def quotient(x):

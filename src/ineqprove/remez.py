@@ -57,7 +57,7 @@ from mpmath.ctx_mp_python import _mpf
 from mpmath.libmp import (
     from_int, from_man_exp, from_rational, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_ge,
     mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_shift, mpf_sqrt, mpf_sub,
-    round_nearest, to_rational,
+    round_nearest,
 )
 
 from .errors import (
@@ -67,7 +67,8 @@ from .errors import (
     SingularSystemError,
 )
 from .precision import (
-    Precision, context, finite_segment, resolution_floor, rounding_floor, to_mpf,
+    Precision, context, exact, finite_segment, fraction, resolution_floor, rounding_floor,
+    to_mpf,
 )
 
 REFINE_WIDTH_FACTOR = "1e-12"
@@ -129,7 +130,7 @@ class Polynomial:
     @cached_property
     def _integers(self):
         """(c_0, c_n .. c_1, low): the c_j as integers on their lowest exponent 2^low, once."""
-        c, low = _on_one_exponent(self.coefficients, "coefficients")
+        c, low = exact(self.coefficients, "coefficients")
         return c[0], c[:0:-1], low
 
     def to_monomial(self, p: Precision = Precision()):
@@ -139,8 +140,8 @@ class Polynomial:
         gives the powers of t = (x - a)/(b - a), an affine shift on
         Fractions those of x.
         """
-        a, b = (_fraction(v) for v in self.segment)
-        power = chebyshev_to_power([_fraction(c) for c in self.coefficients])
+        a, b = (fraction(v) for v in self.segment)
+        power = chebyshev_to_power([fraction(c) for c in self.coefficients])
         return _rounded(_shift(power, -a / (b - a), 1 / (b - a)), p)
 
     @staticmethod
@@ -152,26 +153,14 @@ class Polynomial:
         on the triangular basis table the Chebyshev coefficients.
         """
         av, bv = finite_segment(a, b, p)
-        a, b = _fraction(av), _fraction(bv)
-        power = _shift([_fraction(to_mpf(c, p)) for c in coefficients], a, b - a)
+        a, b = fraction(av), fraction(bv)
+        power = _shift([fraction(to_mpf(c, p)) for c in coefficients], a, b - a)
         cheb = []
         for row in reversed(_shifted_chebyshev(len(power) - 1)):
             cheb.append(power[len(row) - 1] / row[-1])
             # eliminate T_j, and with it the top power
             power = [u - cheb[-1] * v for u, v in zip(power, row[:-1])]
         return Polynomial(coefficients=_rounded(reversed(cheb), p), segment=(av, bv))
-
-
-def _on_one_exponent(values, what):
-    """(integers, low): the finite mpfs ``values`` as integers times 2^low, exactly.
-
-    low is the least exponent of the values, 0 if all are zero.
-    """
-    t = [v._mpf_ for v in values]
-    if any(bc < 0 for *_, bc in t):
-        raise ConfigurationError(f"{what} must be finite, got {tuple(values)}")
-    low = min([e for _, m, e, _ in t if m], default=0)
-    return [((-m if sign else m) << (e - low)) if m else 0 for sign, m, e, _ in t], low
 
 
 def _shifted_chebyshev(n):
@@ -204,12 +193,6 @@ def _shift(coefficients, r, s):
         out = [r * u + s * v for u, v in zip(out + [0], [0] + out)]
         out[0] += c
     return out
-
-
-def _fraction(value):
-    if not mpmath.isfinite(value):
-        raise ConfigurationError(f"coefficients and segment ends must be finite, got {value}")
-    return Fraction(*to_rational(value._mpf_))
 
 
 def _rounded(values, p: Precision):
@@ -363,8 +346,8 @@ def _solve_levelled_system(g, nodes, a, b, p: Precision):
         basis = [ctx.one, u][:k + 1]
         for _ in range(2, k + 1):
             basis.append(2 * u * basis[-1] - basis[-2])
-        rows.append(_on_one_exponent(basis + [ctx.mpf((-1) ** i), ctx.convert(g(t))],
-                                     "a row of the levelled system")[0])
+        rows.append(exact(basis + [ctx.mpf((-1) ** i), ctx.convert(g(t))],
+                          "a row of the levelled system")[0])
     n, last = k + 2, 1
     for c in range(n):
         r = next((r for r in range(c, n) if rows[r][c]), None)

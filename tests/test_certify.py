@@ -21,7 +21,6 @@ from ineqprove import (
     certify_positive,
     endpoint_limits_numeric,
     endpoint_limits_taylor,
-    find_inflection,
     minimax,
     parse,
     prove_inequality,
@@ -611,9 +610,8 @@ class TestProvePipeline:
         lambda a, b, p: endpoint_limits_numeric(parse("x"), a, b, 1, 0, p),
         lambda a, b, p: QuotientFunction(parse("x"), a, b, 1, 0, 1, 1, p),
         lambda a, b, p: Polynomial.from_monomial(["-1", "0", "1"], a, b, p),
-        lambda a, b, p: find_inflection(p, bracket=(a, b)),
     ], ids=["prove_inequality", "minimax", "endpoint_limits_taylor",
-            "endpoint_limits_numeric", "QuotientFunction", "from_monomial", "find_inflection"])
+            "endpoint_limits_numeric", "QuotientFunction", "from_monomial"])
     def test_infinite_segment_end_refused(self, entry, a, b, end, p30):
         with ambient(p30), pytest.raises(ConfigurationError,
                                          match=f"segment end {end} must be finite"):
@@ -741,6 +739,28 @@ class TestProvePipeline:
         f = lambda x: x * (1 - x)
         assert f(mpmath.mpf(0)) == 0
         assert f(mpmath.mpf(1)) == 0
+
+
+class TestDisproofWitness:
+    @staticmethod
+    def run(source, p):
+        # a run whose g cache holds one clearly negative sample, at x = 1/2
+        one = to_mpf(1, p)
+        run = certify._Run(parse(source), ProofSettings(precision=p), "taylor", 0,
+                           {"alpha": one, "beta": one})
+        run.g = remez.CachedFunction(None)
+        run.g.values[to_mpf("0.5", p)] = -one
+        return run
+
+    def test_negative_f_is_a_witness(self, p30):
+        witness = certify._disproof_witness(self.run("x - 1", p30))
+        assert witness == {"x": "0.5", "f_value": "-0.5"}
+
+    @pytest.mark.parametrize("source", ["log(x - 1/2)", "x - 1/2 - 1e-40"],
+                             ids=["f_raises", "f_above_the_floor"])
+    def test_no_witness_leaves_the_run_inconclusive(self, source, p30):
+        # f raises at the sample, or lies above -witness_floor there
+        assert certify._disproof_witness(self.run(source, p30)) is None
 
 
 class TestReportJson:

@@ -7,6 +7,7 @@ import mpmath
 import pytest
 
 from ineqprove import ProofSettings, prove_inequality, report_to_json
+from ineqprove import cli
 from ineqprove.cli import _SETTING_KEYS, build_parser, main
 
 
@@ -201,6 +202,15 @@ class TestKurepaCommand:
     @pytest.mark.parametrize("flag", ["--node-factor", "--tail-factor", "--max-evaluations"])
     def test_quadrature_takes_no_options(self, flag):
         assert main(["kurepa", "--x", "1", "--precision", "30", flag, "2"]) == 3
+
+    def test_unexpected_error_exits_3(self, monkeypatch, capsys):
+        # any other exception is reported, never propagated
+        def broken(x, p):
+            raise RuntimeError("broken sum")
+
+        monkeypatch.setattr(cli, "kurepa", broken)
+        assert main(["kurepa", "--x", "1", "--precision", "30"]) == 3
+        assert capsys.readouterr().err == "unexpected error: RuntimeError: broken sum\n"
 
 
 class TestLimitsCommand:

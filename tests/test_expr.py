@@ -85,12 +85,18 @@ class TestParse:
         assert parse("2^10").root == Constant(1024)
         assert parse("0*sin(x)").root == Constant(0)
         assert parse("1e-3").root == Constant(Fraction(1, 1000))
+        assert parse("1E3").root == Constant(1000)
+        assert parse("2.50e-2").root == Constant(Fraction(1, 40))
+        assert parse("1e400").root == Constant(10 ** 400)
+        assert parse("x/1").root == Variable()
 
     def test_unary_plus(self):
         assert parse("+x").root == Variable()
 
     @pytest.mark.parametrize("source, position", [
         ("x $ 1", 2), ("x 1", 2), ("kurepa_deriv(0, x)", 13),
+        # a non-ASCII character is refused; a no-break space is skipped
+        ("x \u00d7 2", 2), ("x\u00a01", 2),
     ])
     def test_error_position(self, source, position):
         with pytest.raises(ExpressionSyntaxError) as err:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import hashlib
 import math
 import os
@@ -20,10 +21,13 @@ from ineqprove import (
     ConfigurationError,
     DomainError,
     Precision,
+    PrecisionUnreachableError,
+    ProofSettings,
     RootBracketError,
     find_inflection,
     kurepa,
     kurepa_derivative,
+    prove_inequality,
 )
 
 from helpers import (
@@ -393,6 +397,22 @@ class TestConvergenceInvariants:
         assert a.error_bound._mpf_ == b.error_bound._mpf_
 
 
+class TestMissedTarget:
+    def test_missed_bound_raises_and_the_proof_stays_inconclusive(self, p35, monkeypatch):
+        # the real proof runs first, so that every table it uses is built:
+        # the searches for q and the cut-offs read kurepa_floor too, and a
+        # zero target would never end them
+        settings = ProofSettings(precision=p35)
+        source = "(1.432205)*x - kurepa(x)"
+        assert prove_inequality(source, 0, 1, 1, 0, 1, settings).verdict == "disproven"
+        monkeypatch.setattr(quadrature, "kurepa_floor", lambda p, prec: mpmath.mpf(0))
+        with pytest.raises(PrecisionUnreachableError, match="exceeds its target"):
+            kurepa("0.5", p35)
+        report = prove_inequality(source, 0, 1, 1, 0, 1, settings)
+        assert report.verdict == "inconclusive"
+        assert report.diagnostics["stage"] == "endpoint_limits"
+
+
 class TestMemos:
     def test_cold_and_warm_calls_give_the_same_bits(self):
         # each call from emptied memos against the same call with every memo
@@ -527,6 +547,14 @@ class TestInflection:
         assert kurepa_derivative(c - mpmath.mpf("1e-9"), 2, p35).value < 0
         assert kurepa_derivative(c + mpmath.mpf("1e-9"), 2, p35).value > 0
 
-    def test_no_sign_change_reported(self, p35):
+    def test_no_sign_change_reported(self, p35, monkeypatch):
+        # a broken K'' sum, here |K''|, has no root on [0, 1]
+        real = quadrature.kurepa_derivative
+
+        def unsigned(x, order, p):
+            r = real(x, order, p)
+            return dataclasses.replace(r, value=abs(r.value))
+
+        monkeypatch.setattr(quadrature, "kurepa_derivative", unsigned)
         with pytest.raises(RootBracketError):
-            find_inflection(p35, bracket=(0, "0.5"))
+            find_inflection(p35)
