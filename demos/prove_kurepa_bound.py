@@ -47,6 +47,6 @@ print(f"  work: {report.timings}")
 print(f"\ncaveat: {report.caveat}")
 
 with open("kurepa_bound_report.json", "w", encoding="utf-8") as fh:
-    fh.write(report_to_json(report, settings.precision))
+    fh.write(report_to_json(report))
     fh.write("\n")
 print("\nfull report written to kurepa_bound_report.json")

@@ -19,7 +19,6 @@ from .certify import (
     residual_check,
 )
 from .errors import (
-    AlternationError,
     CertificationError,
     ConfigurationError,
     ConvergenceError,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CAVEAT",
-    "AlternationError",
     "CachedFunction",
     "CertificationError",
     "ConfigurationError",

@@ -27,13 +27,13 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath
 from mpmath import libmp
 
 from .errors import (
-    AlternationError,
     CertificationError,
     ConfigurationError,
     ConvergenceError,
@@ -53,7 +53,6 @@ from .precision import (
     exact,
     finite_orders,
     finite_segment,
-    fraction,
     resolution_floor,
     sampling_ratio,
     to_mpf,
@@ -84,7 +83,7 @@ CERTIFICATION_MIN_DIGITS = 30
 # the proof's margin on delta: P(x) - delta_hat * MARGIN_FACTOR > 0
 MARGIN_FACTOR = "1.000001"
 # the certifier's stopping rule (certify_positive)
-REL_SLACK, MAX_DEPTH, MAX_SUBINTERVALS = "0.01", 47, 200000
+REL_SLACK, MAX_DEPTH, MAX_SUBINTERVALS = Fraction(1, 100), 47, 200000
 
 
 @dataclass(frozen=True)
@@ -267,7 +266,7 @@ def certify_positive(polynomial: Polynomial, delta, margin_factor,
     (*cheb, margin), low = exact(coefficients + [product], "coefficients and delta*margin")
     fact = math.factorial(n)
     root = [v - margin * fact for v in _bernstein(cheb)]
-    slack_num, slack_den = fraction(to_mpf(REL_SLACK, p)).as_integer_ratio()
+    slack_num, slack_den = REL_SLACK.numerator, REL_SLACK.denominator
 
     def key(value, depth):
         return value << (n * (MAX_DEPTH - depth))
@@ -422,7 +421,7 @@ def _precondition(run: _Run):
 
 
 def _minimax(run: _Run):
-    mr = minimax(run.g, *run.fields["segment"], run.fields["degree"], tol=remez.TOL, p=run.p,
+    mr = minimax(run.g, *run.fields["segment"], run.fields["degree"], p=run.p,
                  grid_multiplier=run.settings.grid_multiplier)
     run.minimax = mr
     run.timings["remez_iterations"] = mr.iterations
@@ -494,8 +493,8 @@ def _failing_subinterval(exc: CertificationError, run: _Run):
 _STAGES = (
     ("endpoint_limits", _endpoint_limits, _LIMIT_FAILURES, _numeric_cross_check),
     ("precondition", _precondition, (ZeroLimitError,), _numeric_cross_check),
-    ("minimax", _minimax, (ConvergenceError, AlternationError, SingularSystemError,
-                           DomainError, PrecisionUnreachableError), None),
+    ("minimax", _minimax, (ConvergenceError, SingularSystemError, DomainError,
+                           PrecisionUnreachableError), None),
     ("equioscillation", _equioscillation, (), None),
     ("residual_check", _residual_check, (DomainError, PrecisionUnreachableError), None),
     ("positivity", _positivity, (CertificationError,), _failing_subinterval),
@@ -571,14 +570,13 @@ def prove_inequality(f, a, b, n, m, k: int,
     return _run_stages(_Run(f, s, method, residual_grid_size, fields))
 
 
-def report_to_json(report: ProofReport, p: Precision = None) -> str:
-    """Serialize a ProofReport to its documented JSON shape.
+def report_to_json(report: ProofReport) -> str:
+    """Serialize a ProofReport to its documented JSON shape, at the precision of its settings.
 
     Field order and decimal rendering are fixed, so identical runs produce
     byte-identical output.
     """
-    if p is None:
-        p = Precision(report.settings.get("precision_digits", Precision().decimal_digits))
+    p = Precision(report.settings["precision_digits"])
     doc = {
         "verdict": report.verdict,
         "alpha": decimal_str(report.alpha, p),

@@ -29,7 +29,7 @@ from .expr import parse
 from .precision import Precision, decimal_str, to_mpf
 from .quadrature import MAX_ORDER, kurepa, kurepa_derivative
 from .quotient import endpoint_limits_numeric, endpoint_limits_taylor
-from .remez import TOL, minimax
+from .remez import minimax
 
 EXIT_PROVEN = 0
 EXIT_DISPROVEN = 1
@@ -102,7 +102,7 @@ def cmd_prove(args) -> int:
         raise IneqproveError(f"invalid setting value: {exc}") from exc
     report = prove_inequality(merged["function"], a, b, merged["n"], merged["m"],
                               degree, settings)
-    _emit(report_to_json(report, settings.precision), merged.get("out"))
+    _emit(report_to_json(report), merged.get("out"))
     return {
         "proven": EXIT_PROVEN,
         "disproven": EXIT_DISPROVEN,
@@ -118,8 +118,7 @@ def cmd_minimax(args) -> int:
     def g(x):
         return f.evaluate(x, p)
 
-    result = minimax(g, a, b, args.degree, tol=args.tol, p=p,
-                     grid_multiplier=args.grid_multiplier)
+    result = minimax(g, a, b, args.degree, p=p, grid_multiplier=args.grid_multiplier)
     mono = result.polynomial.to_monomial(p)
     doc = {
         "degree": args.degree,
@@ -189,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     mmx.add_argument("--function", required=True)
     mmx.add_argument("--interval", metavar="A,B", required=True)
     mmx.add_argument("--degree", type=int, required=True)
-    mmx.add_argument("--tol", default=TOL)
     mmx.add_argument("--precision", type=int, default=defaults.precision.decimal_digits)
     mmx.add_argument("--grid-multiplier", dest="grid_multiplier", type=int,
                      default=defaults.grid_multiplier)

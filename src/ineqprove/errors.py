@@ -83,15 +83,6 @@ class SingularSystemError(IneqproveError):
     """The levelled system is exactly singular: three coincident nodes make it so, two do not."""
 
 
-class AlternationError(IneqproveError):
-    """The exchange step found fewer alternating extrema than required."""
-
-    def __init__(self, message, found=None, required=None):
-        super().__init__(message)
-        self.found = found
-        self.required = required
-
-
 class ConvergenceError(IneqproveError):
     """Remez iteration exhausted its budget without converging."""
 

@@ -427,16 +427,15 @@ _UNARY = {
 UNARY_FUNCTIONS = tuple(name for name in _UNARY if name != "neg")  # the parser's names
 
 
-def power(q: Fraction, prec, qt=None):
+def power(q: Fraction, prec):
     """(l, prec, rnd) -> l^q on libmp tuples, as mpmath's ``power`` rounds it.
 
     With the domain checks of a real power: a negative l needs an integer q.
-    ``qt`` is q as the tuple the power is taken with; by default q rounded
-    to prec, as ``mpf(numerator) / denominator`` gives it.
+    The power is taken with q rounded to prec, as ``mpf(numerator) /
+    denominator`` gives it.
     """
-    if qt is None:
-        qt = mpf_div(from_int(q.numerator, prec, round_nearest), from_int(q.denominator),
-                     prec, round_nearest)
+    qt = mpf_div(from_int(q.numerator, prec, round_nearest), from_int(q.denominator),
+                 prec, round_nearest)
 
     def power_q(l, prec, rnd):
         if mpf_gt(l, fzero):
@@ -569,7 +568,7 @@ def _d(node: Node) -> Node:
 
 def differentiate(e: Expression, order: int = 1) -> Expression:
     """Symbolic derivative of the given order (tree rewriting plus folding)."""
-    if not isinstance(order, int) or order < 1:
+    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
         raise ConfigurationError(f"derivative order must be a positive integer, got {order!r}")
     root = e.root if isinstance(e, Expression) else e
     for _ in range(order):

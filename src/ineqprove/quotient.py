@@ -55,7 +55,7 @@ def _quotient(f, a, b, n, m, p):
     """x -> f(x) / ((x-a)^n (b-x)^m) on libmp tuples, with no endpoint handling."""
     prec, rn = context(p).prec, round_nearest
     fx = compiled(f, p)
-    pa, pb = (power(fraction(e), prec, e._mpf_) for e in (n, m))
+    pa, pb = (power(fraction(e), prec) for e in (n, m))
     a, b = a._mpf_, b._mpf_
 
     def quotient(x):
@@ -82,7 +82,6 @@ class QuotientFunction:
 
     def __init__(self, f: Expression, a, b, n, m, alpha, beta,
                  precision: Precision = Precision()):
-        self.precision = precision
         self.a, self.b = finite_segment(a, b, precision)
         self.n, self.m = finite_orders(n, m, precision)
         self.alpha, self.beta = to_mpf(alpha, precision), to_mpf(beta, precision)
@@ -95,7 +94,6 @@ class QuotientFunction:
         # per end: its limit and the zone boundary where the blend meets g
         self._zones = ((self.alpha._mpf_, (self.a + edge)._mpf_),
                        (self.beta._mpf_, (self.b - edge)._mpf_))
-        self.f = f
         self._make = context(precision).make_mpf
         self._prec = context(precision).prec
         self._edge = edge._mpf_
@@ -121,8 +119,6 @@ class QuotientFunction:
             if mpf_eq(t, end):
                 return self._make(mpf_pos(lim._mpf_, prec, rn))
         raise DomainError(f"{show(t, prec)} outside segment [{show(a, prec)}, {show(b, prec)}]")
-
-    __call__ = evaluate
 
 
 def endpoint_limits_taylor(f: Expression, a, b, n, m, p: Precision = Precision()):

@@ -42,7 +42,7 @@ dense as the Remez grid, the even points and the nodes.
 Convergence is judged by the de la Vallee-Poussin sandwich: the residual
 magnitudes at the exchanged points bound the true minimax error from below,
 the grid maximum bounds it from above, and iteration stops when their
-relative gap falls under ``tol``.
+relative gap falls under ``TOL``.
 """
 
 from __future__ import annotations
@@ -60,20 +60,16 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .errors import (
-    AlternationError,
-    ConfigurationError,
-    ConvergenceError,
-    SingularSystemError,
-)
+from .errors import ConfigurationError, ConvergenceError, SingularSystemError
 from .precision import (
     Precision, context, exact, finite_segment, fraction, resolution_floor, rounding_floor,
     to_mpf,
 )
 
 REFINE_WIDTH_FACTOR = "1e-12"
-# minimax's defaults, the proof pipeline's too, and the iteration cap and
-# spread tolerance that minimax and verify_equioscillation read at call time
+# minimax's stopping tolerance, its grid multiplier (the proof pipeline's
+# default too), and the iteration cap and spread tolerance; minimax and
+# verify_equioscillation read them at call time
 TOL, GRID_MULTIPLIER, MAX_ITERATIONS, EQUIOSCILLATION_REL_TOL = "1e-12", 64, 50, "1e-6"
 # cosine tables kept: a proof's grids and the halves they are built from
 _COSINE_LIMIT = 16
@@ -124,8 +120,6 @@ class Polynomial:
                 b1, b2 = d * b1 - (b2 << s2) + (ck << shift), b1
                 shift += s
             yield from_man_exp(u * b1 - (b2 << s2) + (c0 << shift), low - shift, prec, rn)
-
-    __call__ = evaluate
 
     @cached_property
     def _integers(self):
@@ -263,10 +257,7 @@ class MinimaxResult:
 @dataclass(frozen=True)
 class EquioscillationReport:
     passed: bool
-    residuals: tuple
     spread: object
-    delta_hat: mpmath.mpf
-    failure_index: object
     message: str
 
 
@@ -458,12 +449,13 @@ def _polish_max(phi, lo, hi, width_tol, known, prec):
     return x, fx
 
 
-def _exchange_core(g, poly, grid, rs, current_nodes=None):
+def _exchange_core(g, poly, grid, rs, current_nodes):
     """(nodes, residuals) of the next reference, from the residuals ``rs`` at the grid points.
 
-    ``rs`` are libmp tuples.  The candidates are the grid points whose
-    magnitude is at least their neighbours'; mpfs are made only where g is
-    called and for the extrema polishing finds.
+    ``rs`` are libmp tuples, not all zero; ``current_nodes`` is the strictly
+    increasing reference P was solved on.  The candidates are the grid
+    points whose magnitude is at least their neighbours'; mpfs are made only
+    where g is called and for the extrema polishing finds.
     """
     a, b = poly.segment
     ctx = a.context
@@ -508,22 +500,17 @@ def _exchange_core(g, poly, grid, rs, current_nodes=None):
         # degenerate residual (fewer alternations than the reference needs,
         # e.g. a levelled solve with h = 0 on a symmetric function): fall
         # back to single-point exchange, swapping the global extremum into
-        # the nearest point of the current reference
-        if current_nodes is not None and merged:
-            x_star, r_star, _ = max(merged, key=lambda item: abs(item[1]))
-            nodes = [+t for t in current_nodes]
-            nearest = min(range(len(nodes)), key=lambda j: abs(nodes[j] - x_star))
-            nodes[nearest] = x_star
-            nodes.sort()
-            if all(l < r for l, r in zip(nodes, nodes[1:])):
-                return tuple(nodes), tuple(map(make, residual_sweep(
-                    (g(t)._mpf_ for t in nodes), poly, nodes)))
-        grid_max = make(largest_magnitude(rs, prec)[1])
-        raise AlternationError(
-            f"exchange found {len(merged)} alternating extrema, needs {required} "
-            f"(grid max residual {mpmath.nstr(grid_max, 8)})",
-            found=len(merged), required=required,
-        )
+        # the nearest point of the current reference.  merged is not empty:
+        # the first grid point of largest nonzero residual is a candidate, and
+        # polishing never returns less.  x_star replaces its nearest node, the
+        # node itself if x_star is one, so the sorted nodes stay distinct
+        x_star = max(merged, key=lambda item: abs(item[1]))[0]
+        nodes = [+t for t in current_nodes]
+        nearest = min(range(len(nodes)), key=lambda j: abs(nodes[j] - x_star))
+        nodes[nearest] = x_star
+        nodes.sort()
+        return tuple(nodes), tuple(map(make, residual_sweep(
+            (g(t)._mpf_ for t in nodes), poly, nodes)))
     while len(merged) > required:
         if abs(merged[0][1]) <= abs(merged[-1][1]):
             merged.pop(0)
@@ -533,13 +520,14 @@ def _exchange_core(g, poly, grid, rs, current_nodes=None):
     return tuple(+x for x, _, _ in merged), tuple(+r for _, r, _ in merged)
 
 
-def minimax(g, a, b, k: int, tol=TOL, p: Precision = Precision(),
+def minimax(g, a, b, k: int, p: Precision = Precision(),
             grid_multiplier: int = GRID_MULTIPLIER) -> MinimaxResult:
-    """Minimax degree-k polynomial approximation of g on [a, b].
+    """Minimax degree-k polynomial approximation of g on [a, b], to relative gap ``TOL``.
 
     Returns the polynomial, the error estimate ``delta_hat`` (maximum
     observed residual, an upper-bound-flavored estimate), the k+2
-    equioscillation nodes, and the de la Vallee-Poussin bounds.
+    equioscillation nodes, and the de la Vallee-Poussin bounds.  p must
+    resolve ``TOL``.
 
     ``g`` receives mpfs of p's working context and should compute in it,
     ``lambda x: x.context.exp(x)``: ``mpmath.exp`` uses the ambient precision.
@@ -551,10 +539,10 @@ def minimax(g, a, b, k: int, tol=TOL, p: Precision = Precision(),
         raise ConfigurationError(
             f"grid_multiplier must be a positive integer, got {grid_multiplier!r}")
     av, bv = finite_segment(a, b, p)
-    tol_v = to_mpf(tol, p)
-    if tol_v < resolution_floor(p):
+    tol = to_mpf(TOL, p)
+    if tol < resolution_floor(p):
         raise ConfigurationError(
-            f"tol={tol} is below what {p.decimal_digits}-digit arithmetic can resolve"
+            f"tol={TOL} is below what {p.decimal_digits}-digit arithmetic can resolve"
         )
     gc = g if isinstance(g, CachedFunction) else CachedFunction(g)
     ctx = av.context
@@ -588,13 +576,13 @@ def minimax(g, a, b, k: int, tol=TOL, p: Precision = Precision(),
             residuals = [make(r) for r in residual_sweep((gc(t)._mpf_ for t in nodes),
                                                          poly, nodes)]
             return result(zero_floor, min(abs(h), grid_max))
-        nodes, residuals = _exchange_core(gc, poly, grid, rs, current_nodes=nodes)
+        nodes, residuals = _exchange_core(gc, poly, grid, rs, nodes)
         lower = min(abs(r) for r in residuals)
         upper = max(max(abs(r) for r in residuals), grid_max)
-        if (upper - lower) / upper <= tol_v:
+        if (upper - lower) / upper <= tol:
             return result(upper, lower)
     raise ConvergenceError(
-        f"no convergence to tol={tol} within {MAX_ITERATIONS} iterations",
+        f"no convergence to tol={TOL} within {MAX_ITERATIONS} iterations",
         history=history,
     )
 
@@ -613,28 +601,23 @@ def verify_equioscillation(result: MinimaxResult,
     make = result.nodes[0].context.make_mpf
     residuals = tuple(make(result.residuals[t._mpf_]) for t in result.nodes)
 
-    def report(passed, message, spread=None, failure_index=None):
-        return EquioscillationReport(passed=passed, residuals=residuals, spread=spread,
-                                     delta_hat=result.delta_hat, failure_index=failure_index,
-                                     message=message)
-
     scale = max([abs(v) for v in result.node_values] + [context(p).mpf(1)])
     floor = resolution_floor(p) * scale
     if result.delta_hat <= floor:
         bad = [i for i, r in enumerate(residuals) if abs(r) > floor]
         if not bad:
-            return report(True, "exact representation: all residuals at the arithmetic floor")
-        return report(False, f"delta_hat at floor but residual {bad[0]} above it",
-                      failure_index=bad[0])
+            return EquioscillationReport(
+                True, None, "exact representation: all residuals at the arithmetic floor")
+        return EquioscillationReport(False, None,
+                                     f"delta_hat at floor but residual {bad[0]} above it")
     for i in range(1, len(residuals)):
         if residuals[i] == 0 or residuals[i - 1] == 0 or \
                 (residuals[i] > 0) == (residuals[i - 1] > 0):
-            return report(False, f"residual signs do not alternate at node {i}",
-                          failure_index=i)
+            return EquioscillationReport(False, None,
+                                         f"residual signs do not alternate at node {i}")
     mags = [abs(r) for r in residuals]
     spread = (max(mags) - min(mags)) / result.delta_hat
     if spread > to_mpf(EQUIOSCILLATION_REL_TOL, p):
-        worst = min(range(len(mags)), key=lambda i: mags[i])
-        return report(False, f"residual spread {mpmath.nstr(spread, 6)} exceeds tolerance",
-                      +spread, worst)
-    return report(True, "equioscillation verified", +spread)
+        return EquioscillationReport(
+            False, +spread, f"residual spread {mpmath.nstr(spread, 6)} exceeds tolerance")
+    return EquioscillationReport(True, +spread, "equioscillation verified")

@@ -117,7 +117,7 @@ def test_equioscillation_suite():
         for g in functions:
             previous = None
             for k in range(1, 7):
-                result = minimax(g, 0, 1, k, tol="1e-12", p=P50)
+                result = minimax(g, 0, 1, k, p=P50)
                 assert result.iterations <= 12
                 report = verify_equioscillation(result, p=P50)
                 assert report.passed, report.message

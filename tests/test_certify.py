@@ -626,7 +626,7 @@ class TestProvePipeline:
         with ambient(p30):
             rounded = +fine
         assert fine != rounded
-        reports = [report_to_json(prove_inequality("exp(x)-1-x", 0, end, 2, 0, 1, settings), p30)
+        reports = [report_to_json(prove_inequality("exp(x)-1-x", 0, end, 2, 0, 1, settings))
                    for end in (fine, rounded)]
         assert reports[0] == reports[1]
         assert json.loads(reports[0])["verdict"] == "proven"
@@ -767,7 +767,7 @@ class TestReportJson:
     def test_shape_and_order(self, p30):
         report = prove_inequality("x*(1-x)", 0, 1, 1, 1, 1,
                                   ProofSettings(precision=p30))
-        payload = report_to_json(report, p30)
+        payload = report_to_json(report)
         doc = json.loads(payload)
         assert list(doc.keys()) == [
             "verdict", "alpha", "beta", "n", "m", "degree", "limit_method", "delta_hat",
@@ -780,8 +780,8 @@ class TestReportJson:
 
     def test_byte_determinism(self, p30):
         settings = ProofSettings(precision=p30)
-        a = report_to_json(prove_inequality("x*(1-x)", 0, 1, 1, 1, 1, settings), p30)
-        b = report_to_json(prove_inequality("x*(1-x)", 0, 1, 1, 1, 1, settings), p30)
+        a = report_to_json(prove_inequality("x*(1-x)", 0, 1, 1, 1, 1, settings))
+        b = report_to_json(prove_inequality("x*(1-x)", 0, 1, 1, 1, 1, settings))
         assert a.encode() == b.encode()
 
     def test_proofs_in_threads_give_their_solo_bytes(self):

@@ -168,6 +168,12 @@ class TestMinimaxCommand:
         doc = json.loads(out.read_text())
         assert mpmath.mpf(doc["delta_hat"]) < mpmath.mpf("1e-40")
 
+    def test_tol_is_no_option(self, capsys):
+        # the Remez tolerance is a fixed constant, remez.TOL
+        assert main(["minimax", "--function", "x*x", "--interval=-1,1", "--degree", "1",
+                     "--tol", "1e-12"]) == 3
+        assert "unrecognized arguments: --tol 1e-12" in capsys.readouterr().err
+
 
 class TestKurepaCommand:
     def test_value_at_one(self, capsys):

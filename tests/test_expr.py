@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
 from ineqprove import (
+    ConfigurationError,
     DomainError,
     ExpressionSyntaxError,
     Polynomial,
@@ -361,8 +362,10 @@ class TestDifferentiate:
         assert d.root == KurepaNode(2, Variable())
 
     def test_order_validation(self):
-        with pytest.raises(Exception):
-            differentiate(parse("x"), 0)
+        for order in (0, True):
+            with pytest.raises(ConfigurationError, match=(
+                    f"^derivative order must be a positive integer, got {order}$")):
+                differentiate(parse("x"), order)
 
     def test_power_rule(self, p50):
         d = differentiate(parse("x^(3/2)"))

@@ -197,7 +197,7 @@ class TestQuotientFunction:
             eq = verify_equioscillation(mr, p=p30)
             stats = residual_check(h, mr.polynomial, mr.delta_hat, 64, p30)
             cert = certify_positive(mr.polynomial, "0.5", "1.000001", p30)
-            values += [mr.delta_hat, *mr.polynomial.coefficients, *mr.nodes, *eq.residuals,
+            values += [mr.delta_hat, *mr.polynomial.coefficients, *mr.nodes, eq.spread,
                        stats.max_residual, stats.threshold, cert.global_min_bound,
                        *(v for leaf in cert.subintervals for v in leaf)]
             report = report_to_json(prove_inequality(f, 0, 1, 2, 0, 1,
@@ -205,7 +205,7 @@ class TestQuotientFunction:
             assert main(["prove", "--function", "exp(x)-1-x", "--interval", "0,1",
                          "--n", "2", "--m", "0", "--precision", "30", "--out", str(out)]) == 0
             return ([v._mpf_ for v in values], str(err.value), eq.passed, stats.passed,
-                    report, out.read_bytes())
+                    report, out.read_bytes(), [mr.residuals[t._mpf_] for t in mr.nodes])
 
         reference = outcomes()
         assert reference[1].endswith(" outside segment [0.0, 1.0]")

@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
 from mpmath.libmp import (
     from_man_exp, from_rational, fzero, mpf_abs, mpf_cmp, mpf_neg, round_nearest, to_rational,
 )
 
 from ineqprove import (
-    AlternationError,
     ConfigurationError,
     ConvergenceError,
     Polynomial,
@@ -22,7 +21,7 @@ from ineqprove import (
     verify_equioscillation,
 )
 from ineqprove import remez
-from ineqprove.precision import context, finite_segment
+from ineqprove.precision import context, finite_segment, rounding_floor
 from ineqprove.remez import (
     CachedFunction, MinimaxResult, _exchange_core, _polish_max, _solve_levelled_system, _units,
     chebyshev_grid, largest_magnitude, magnitude_keys, residual_sweep,
@@ -349,13 +348,26 @@ class TestLevelledSystem:
 
 
 def _exchange(fn, p):
-    """_exchange_core on g = fn against P = 0 (degree 0), on 33 Chebyshev points of [0, 1]."""
+    """_exchange_core on g = fn against P = 0 (degree 0), on 33 Chebyshev points of [0, 1].
+
+    The reference is the 2-point Chebyshev one, (0, 1).
+    """
     a, b = finite_segment(0, 1, p)
     poly = Polynomial(coefficients=(context(p).zero,), segment=(a, b))
     g = CachedFunction(fn)
     grid = chebyshev_grid(a, b, 33)
     rs = list(residual_sweep([g(x)._mpf_ for x in grid], poly, grid))
-    return _exchange_core(g, poly, grid, rs)
+    return _exchange_core(g, poly, grid, rs, chebyshev_grid(a, b, 2))
+
+
+@st.composite
+def _exchange_cases(draw):
+    """(k, a reference as in ``_levelled_cases``, g's polynomial part, g's sine frequency)."""
+    k = draw(st.integers(0, 3))
+    ticks = draw(st.lists(st.integers(0, 2 ** _NODE_BITS), min_size=k + 2, max_size=k + 2,
+                          unique=True))
+    coefficients = draw(st.lists(st.integers(-8, 8), min_size=1, max_size=6))
+    return k, sorted(ticks), coefficients, draw(st.integers(0, 12))
 
 
 class TestExchange:
@@ -395,12 +407,35 @@ class TestExchange:
         assert nodes[0] == 0 and residuals[0] == 2
         assert abs(nodes[1] - mpmath.mpf("0.5")) < mpmath.mpf("0.05") and residuals[1] < -1
 
-    def test_too_few_alternations_raise(self, p50):
-        # 1 + x has a single extremum, at the right end; degree 0 needs two
-        with pytest.raises(AlternationError, match="found 1 alternating extrema, needs 2") \
-                as info:
-            _exchange(lambda x: 1 + x, p50)
-        assert (info.value.found, info.value.required) == (1, 2)
+    def test_too_few_alternations_take_the_single_point_exchange(self, p50):
+        # 1 + x has a single extremum, at the right end; degree 0 needs two,
+        # so that extremum replaces the nearest node of the reference (0, 1)
+        nodes, residuals = _exchange(lambda x: 1 + x, p50)
+        assert nodes == (0, 1) and residuals == (1, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_exchange_cases())
+    def test_next_reference_is_k_plus_2_increasing_nodes(self, case, p30):
+        # P solved on a strictly increasing reference, g smooth, the grid
+        # residuals above minimax's zero floor: by either exchange, the next
+        # reference has k+2 strictly increasing nodes
+        k, ticks, coefficients, freq = case
+        ctx = context(p30)
+        a, b = finite_segment(0, 1, p30)
+
+        def fn(x):
+            return sum(c * x ** i for i, c in enumerate(coefficients)) + x.context.sin(freq * x)
+
+        g = CachedFunction(fn)
+        reference = [ctx.ldexp(t, -_NODE_BITS) for t in ticks]
+        poly, _ = _solve_levelled_system(g, reference, a, b, p30)
+        grid = chebyshev_grid(a, b, 8 * (k + 2) + 1)
+        rs = list(residual_sweep([g(x)._mpf_ for x in grid], poly, grid))
+        g_max = max(max(abs(g(x)) for x in grid), 1)
+        assume(ctx.make_mpf(largest_magnitude(rs, ctx.prec)[1]) > rounding_floor(p30) * g_max)
+        nodes, residuals = _exchange_core(g, poly, grid, rs, reference)
+        assert len(nodes) == len(residuals) == k + 2
+        assert all(l < r for l, r in zip(nodes, nodes[1:]))
 
     def test_equal_neighbours_are_both_candidates(self, p50, monkeypatch):
         # g is 1 from grid point 6 to grid point 7 and falls at slope 2 on
@@ -597,9 +632,13 @@ class TestMinimax:
         with mp.workdps(60):
             assert minimax(mpmath.exp, 0, 1, 6, p=p50).delta_hat > 0
 
-    def test_tol_validation(self, p50):
-        with pytest.raises(ConfigurationError):
-            minimax(mpmath.exp, 0, 1, 1, tol="1e-60", p=p50)
+    def test_tol_validation(self):
+        # TOL, 1e-12, lies below 21-digit arithmetic's resolution floor, 1e-11
+        exp = lambda x: x.context.exp(x)
+        with pytest.raises(ConfigurationError, match=(
+                "^tol=1e-12 is below what 21-digit arithmetic can resolve$")):
+            minimax(exp, 0, 1, 1, p=Precision(21))
+        assert minimax(exp, 0, 1, 1, p=Precision(30)).delta_hat > 0
 
     @pytest.mark.parametrize("degree", [-1, 1.5, True])
     def test_bad_degree_refused(self, degree):
@@ -617,9 +656,9 @@ class TestVerifyEquioscillation:
         r = minimax(lambda x: x * x, -1, 1, 1, p=p50)
         report = verify_equioscillation(r, p=p50)
         assert report.passed
-        signs = [res > 0 for res in report.residuals]
-        assert signs == [True, False, True]
-        for res in report.residuals:
+        residuals = [context(p50).make_mpf(r.residuals[t._mpf_]) for t in r.nodes]
+        assert [res > 0 for res in residuals] == [True, False, True]
+        for res in residuals:
             assert abs(abs(res) - mpmath.mpf("0.5")) < mpmath.mpf("1e-10")
 
     def test_exact_polynomial_zero_rule(self, p50):
@@ -644,7 +683,9 @@ class TestVerifyEquioscillation:
         )
         report = verify_equioscillation(bad, p=p50)
         assert not report.passed
-        assert report.failure_index is not None
+        # the shifted node's residual is smaller by about 5 %
+        assert report.message.startswith("residual spread 0.05")
+        assert report.message.endswith(" exceeds tolerance")
 
     @staticmethod
     def _result(residuals, delta_hat, p):
@@ -665,7 +706,6 @@ class TestVerifyEquioscillation:
     def test_signs_that_do_not_alternate_fail(self, residuals, p50):
         report = verify_equioscillation(self._result(residuals, "0.5", p50), p=p50)
         assert not report.passed
-        assert report.failure_index == 1
         assert report.message == "residual signs do not alternate at node 1"
 
     def test_spread_beyond_the_tolerance_fails(self, p50, monkeypatch):
@@ -673,7 +713,6 @@ class TestVerifyEquioscillation:
         result = self._result(("0.5", "-0.4", "0.5"), "0.5", p50)
         report = verify_equioscillation(result, p=p50)
         assert not report.passed
-        assert report.failure_index == 1
         assert report.message == "residual spread 0.2 exceeds tolerance"
         # the tolerance is read at call time
         monkeypatch.setattr(remez, "EQUIOSCILLATION_REL_TOL", "0.25")
@@ -685,7 +724,6 @@ class TestVerifyEquioscillation:
         result = self._result(("-1e-42", "1e-20", "-1e-42"), "1e-45", p50)
         report = verify_equioscillation(result, p=p50)
         assert not report.passed
-        assert report.failure_index == 1
         assert report.message == "delta_hat at floor but residual 1 above it"
 
 

@@ -33,7 +33,7 @@ def _clenshaw(coeffs, a, b, x):
 def test_trig_arcsin_report_replays_from_json():
     report = prove_inequality(TRIG_ARCSIN_SOURCE, 0, "pi/2", 3, 1, 1,
                               ProofSettings(precision=P50))
-    doc = json.loads(report_to_json(report, P50))
+    doc = json.loads(report_to_json(report))
     assert doc["verdict"] == "proven"
 
     with mp.workdps(70):
