@@ -44,7 +44,7 @@ from .errors import (
     IneqproveError,
     UnknownIdentifierError,
 )
-from .precision import Precision, context, to_mpf
+from .precision import Precision, context, rational, to_mpf
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -431,11 +431,9 @@ def power(q: Fraction, prec):
     """(l, prec, rnd) -> l^q on libmp tuples, as mpmath's ``power`` rounds it.
 
     With the domain checks of a real power: a negative l needs an integer q.
-    The power is taken with q rounded to prec, as ``mpf(numerator) /
-    denominator`` gives it.
+    The power is taken with q rounded once to prec, as a NUMBER literal is.
     """
-    qt = mpf_div(from_int(q.numerator, prec, round_nearest), from_int(q.denominator),
-                 prec, round_nearest)
+    qt = rational(q, prec)
 
     def power_q(l, prec, rnd):
         if mpf_gt(l, fzero):
@@ -494,9 +492,7 @@ def _compile(root: Node, prec: int, p):
         if isinstance(node, Variable):
             return (lambda x: x), None
         if isinstance(node, Constant):
-            q = node.value
-            return (lambda x: mpf_div(from_int(q.numerator, prec, rn),
-                                      from_int(q.denominator), prec, rn)), ()
+            return (lambda x: rational(node.value, prec)), ()
         if isinstance(node, NamedConstant):
             return (lambda x: _NAMED[node.name](prec, rn)), ()
         if isinstance(node, BinaryOp) and node.op != "pow":

@@ -7,8 +7,9 @@ reads or sets the global ``mp``, so proofs in several threads cannot
 interfere, and results are deterministic: same inputs, same bits.  mpmath
 arithmetic takes the precision of its left operand, so a foreign value
 enters a routine's context through ``to_mpf`` before it meets another.
-``exact`` and ``fraction`` are the package's one exact conversion of mpfs,
-to integers on a common power of two and to Fractions.
+``rational`` is its one rounding of a Fraction, once to nearest, and
+``exact`` and ``fraction`` its one exact conversion of mpfs, to integers on
+a common power of two and to Fractions.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
-from mpmath.libmp import dps_to_prec, to_rational
+from mpmath.libmp import dps_to_prec, from_rational, round_nearest, to_rational
 
 from .errors import ConfigurationError, IneqproveError
 
@@ -32,7 +33,7 @@ class Precision:
     decimal_digits: int = 50
 
     def __post_init__(self):
-        if not isinstance(self.decimal_digits, int):
+        if isinstance(self.decimal_digits, bool) or not isinstance(self.decimal_digits, int):
             raise ConfigurationError("precision must be an integer number of decimal digits")
         if self.decimal_digits < 15:
             raise ConfigurationError(
@@ -112,7 +113,7 @@ def to_mpf(value, prec=Precision()):
             return ctx.make_mpf(value.func(ctx.prec, "n"))
         return value if type(value) is ctx.mpf else ctx.make_mpf(value._mpf_)
     if isinstance(value, Fraction):
-        return ctx.mpf(value.numerator) / value.denominator
+        return ctx.make_mpf(rational(value, ctx.prec))
     if isinstance(value, str):
         value = value.strip()
     try:
@@ -126,6 +127,11 @@ def to_mpf(value, prec=Precision()):
         except IneqproveError as exc:
             cause = exc
     raise ConfigurationError(f"cannot interpret {value!r} as a real number") from cause
+
+
+def rational(q: Fraction, prec):
+    """The Fraction q rounded once to nearest at binary precision prec, as a libmp tuple."""
+    return from_rational(q.numerator, q.denominator, prec, round_nearest)
 
 
 def exact(values, what):

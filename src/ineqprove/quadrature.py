@@ -12,7 +12,8 @@ the s = 0 node taking the limit (x h/e, h/e, then 0).  The nodes run from
 k = -4q to a right cut-off that grows with x; left of them
 w(s) = -sum_n a_n e^((n+1)s), a_n = sum_(i<=n) (-1)^i / i!, |a_n| <= 1, so
 that side is summed exactly as geometric series, up to a bounded remainder.
-All is summed in fixed point, on integers v standing for v 2^-frac: the
+All is summed in fixed point, on integers v standing for v 2^-frac, frac
+64 bits past p's working precision, and rounded once into ``context(p)``: the
 weights and series coefficients are one table per precision, its e^(k/q)
 raised along the nodes from e^(1/q) and e^(-1/q), and E one exponential,
 raised the same way.  ``error_bound`` sums the discretization bound of the
@@ -36,7 +37,7 @@ from operator import mul
 
 import mpmath
 from mpmath.libmp import (
-    dps_to_prec, fone, from_int, from_man_exp, from_rational, mpf_abs, mpf_add, mpf_cos,
+    fone, from_int, from_man_exp, from_rational, mpf_abs, mpf_add, mpf_cos,
     mpf_div, mpf_exp, mpf_gt, mpf_mul, mpf_neg, mpf_pi, mpf_pow_int, mpf_shift, mpf_sin,
     mpf_sub, to_fixed, to_int, round_ceiling as up, round_floor as down, round_nearest as rn,
 )
@@ -157,7 +158,7 @@ def _right(j, band, digits):
                    _b(mpf_mul, _b(mpf_sub, T, fone, rnd=down), _b(mpf_sub, fone, slope, rnd=down),
                       rnd=down))
         if not mpf_gt(bound, share):
-            prec = _working_prec(digits)
+            prec = context(Precision(digits)).prec
             return R, bound, mpf_exp(from_rational(R, q, prec, rn), prec, rn)
         R += 1
 
@@ -217,7 +218,7 @@ def _table(digits):
     C(l+i, i); and ``nought`` the j = 0 series at x = 0, with its rounding.
     """
     q = _steps(digits)
-    frac = _working_prec(digits) + _GUARD_BITS
+    frac = context(Precision(digits)).prec + _GUARD_BITS
     wide, left = frac + 20, _LEFT_SPAN * q
     high = _right(MAX_ORDER, MAX_ARGUMENT - 1, digits)[0]
 
@@ -258,11 +259,6 @@ def _table(digits):
                   tuple(_remainder(j, size, q, left) for j in range(MAX_ORDER + 1)))
 
 
-def _working_prec(digits):
-    # every Kurepa integral runs at p's digits and 15 guard digits
-    return dps_to_prec(digits + 15)
-
-
 def _round(terms, divisor, prec, rnd=rn):
     """The exact sum of (integer, exponent) terms over divisor, rounded once."""
     low = min(exp for _, exp in terms)
@@ -278,9 +274,9 @@ def _kurepa_integral(x, j, p):
         raise DomainError(f"kurepa argument {xv} lies outside [0, {MAX_ARGUMENT}]")
     if j > MAX_ORDER:
         raise DomainError(f"kurepa derivative of order {j} is not supported (max {MAX_ORDER})")
-    # x is rounded once, to p's working context, which takes its bits as they are
-    digits, ctx = p.decimal_digits, context(_working_prec(p.decimal_digits))
-    prec, xr, tab = ctx.prec, to_mpf(xv, ctx.prec)._mpf_, _table(digits)
+    # x is rounded once, to p's working context, where the sum is rounded too
+    digits, ctx = p.decimal_digits, context(p)
+    prec, xr, tab = ctx.prec, xv._mpf_, _table(digits)
     q, frac, left = tab.q, tab.frac, tab.left
     band = min(to_int(xr), MAX_ARGUMENT - 1)
     high, tail, cutoff = _right(j, band, digits)
@@ -324,9 +320,10 @@ def _kurepa_integral(x, j, p):
 def kurepa(x, p: Precision = Precision()) -> QuadratureResult:
     """K(x) for 0 <= x <= MAX_ARGUMENT, with error_bound at most 10^-(digits+3) max(1, |value|).
 
-    x is rounded to p's working context, p's digits and 15 guard digits, unless
-    it is an mpf, whose bits are kept; an x outside the domain raises
-    DomainError.  ``error_bound`` is proven, or PrecisionUnreachableError raised.
+    x is rounded to p's working context, ``context(p)``, unless it is an mpf,
+    whose bits are kept; value, error_bound and tail_cutoff are mpfs of that
+    context.  An x outside the domain raises DomainError.  ``error_bound`` is
+    proven, or PrecisionUnreachableError raised.
     """
     return _kurepa_integral(x, 0, p)
 

@@ -55,15 +55,15 @@ from operator import itemgetter, mul
 import mpmath
 from mpmath.ctx_mp_python import _mpf
 from mpmath.libmp import (
-    from_int, from_man_exp, from_rational, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_ge,
+    from_int, from_man_exp, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_ge,
     mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_shift, mpf_sqrt, mpf_sub,
     round_nearest,
 )
 
 from .errors import ConfigurationError, ConvergenceError, SingularSystemError
 from .precision import (
-    Precision, context, exact, finite_segment, fraction, resolution_floor, rounding_floor,
-    to_mpf,
+    Precision, context, exact, finite_segment, fraction, rational, resolution_floor,
+    rounding_floor, to_mpf,
 )
 
 REFINE_WIDTH_FACTOR = "1e-12"
@@ -192,8 +192,7 @@ def _shift(coefficients, r, s):
 def _rounded(values, p: Precision):
     """Rationals rounded once to mpfs of p's working context."""
     ctx = context(p)
-    return tuple(ctx.make_mpf(from_rational(v.numerator, v.denominator, ctx.prec, round_nearest))
-                 for v in values)
+    return tuple(ctx.make_mpf(rational(v, ctx.prec)) for v in values)
 
 
 def _units(segment, xs):

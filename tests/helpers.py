@@ -12,11 +12,11 @@ from mpmath.libmp import (
     round_nearest as rn, to_fixed,
 )
 
-from ineqprove import DomainError, quadrature, to_mpf
+from ineqprove import DomainError, Precision, quadrature, to_mpf
 from ineqprove.precision import GUARD_DIGITS, context
 from ineqprove.quadrature import (
     MAX_ARGUMENT, MAX_ORDER, _GUARD_BITS, _LEFT_SPAN, _Table, _discretization, _remainder,
-    _right, _series, _share, _working_prec,
+    _right, _series, _share,
 )
 from ineqprove.expr import (
     BinaryOp,
@@ -124,9 +124,14 @@ def reference_evaluate(e, x, p):
         return _walk(e.root, mp.convert(to_mpf(x, p)), p)
 
 
+def _once(q):
+    # a rational rounded once to nearest at the global mp's precision
+    return mp.make_mpf(from_rational(q.numerator, q.denominator, mp.prec, rn))
+
+
 def _walk(node, x, p):
     if isinstance(node, Constant):
-        return mp.mpf(node.value.numerator) / node.value.denominator
+        return _once(node.value)
     if isinstance(node, Variable):
         return x
     if isinstance(node, NamedConstant):
@@ -167,7 +172,7 @@ def _walk(node, x, p):
         if op == "pow":
             q = node.right.value
             if l > 0:
-                return mp.power(l, mp.mpf(q.numerator) / q.denominator)
+                return mp.power(l, _once(q))
             if l == 0:
                 if q > 0:
                     return mp.mpf(0)
@@ -314,7 +319,7 @@ def reference_table(digits):
     C(l+i, i); and ``nought`` the j = 0 series at x = 0, with its rounding.
     """
     q = reference_steps(digits)
-    frac = _working_prec(digits) + _GUARD_BITS
+    frac = context(Precision(digits)).prec + _GUARD_BITS
     wide, left = frac + 20, _LEFT_SPAN * q
     high = _right(MAX_ORDER, MAX_ARGUMENT - 1, digits)[0]
 
@@ -367,8 +372,8 @@ def reference_trapezoid(x, j, p):
     """
     digits = p.decimal_digits
     table = quadrature._table(digits)
-    prec = quadrature._working_prec(digits)
-    xr = to_mpf(to_mpf(x, p), prec)._mpf_
+    prec = context(p).prec
+    xr = to_mpf(x, p)._mpf_
     high = quadrature._right(j, min(int(mpmath.mpf(xr)), quadrature.MAX_ARGUMENT - 1),
                              digits)[0]
     ctx = mpmath.MPContext()

@@ -727,6 +727,12 @@ class TestProvePipeline:
         with pytest.raises(ConfigurationError):
             Precision(digits)
 
+    @pytest.mark.parametrize("digits", [True, False])
+    def test_bool_precision_refused(self, digits):
+        with pytest.raises(ConfigurationError,
+                           match="^precision must be an integer number of decimal digits$"):
+            Precision(digits)
+
     def test_precision_floor(self):
         with pytest.raises(ConfigurationError):
             prove_inequality("x*(1-x)", 0, 1, 1, 1, 1,

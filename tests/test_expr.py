@@ -9,6 +9,7 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
+from mpmath.libmp import from_int, from_rational, mpf_pow, round_nearest
 
 from ineqprove import (
     ConfigurationError,
@@ -34,6 +35,7 @@ from ineqprove.expr import (
     Variable,
     compiled,
 )
+from ineqprove.precision import context
 
 from helpers import KP0, ambient, reference_evaluate
 
@@ -231,6 +233,29 @@ class TestEvaluate:
         compiled(e, p50)
         with pytest.raises(DomainError, match=re.escape(message)):
             evaluate(e, 0, p50)
+
+    @pytest.mark.parametrize("digits", [15, 30, 35, 50])
+    def test_wide_literal_rounded_once(self, digits):
+        # a NUMBER of 20-90 significant digits is its rational value rounded
+        # once: the bits to_mpf gives the same text and its Fraction, and,
+        # as a rational exponent, the power of that one rounding
+        p = Precision(digits)
+        prec = context(p).prec
+        rng = random.Random(digits)
+        for _ in range(200):
+            figures = rng.choice("123456789") + "".join(
+                rng.choice("0123456789") for _ in range(rng.randint(19, 89)))
+            point = rng.randrange(len(figures))
+            text = f"{figures[:point] or '0'}.{figures[point:]}"
+            q = Fraction(text)
+            once = from_rational(q.numerator, q.denominator, prec, round_nearest)
+            assert evaluate(parse(text), 0, p)._mpf_ == once, text
+            assert to_mpf(text, p)._mpf_ == once, text
+            assert to_mpf(q, p)._mpf_ == once, text
+            exponent = Fraction(f"0.{figures}")
+            assert evaluate(parse(f"x^0.{figures}"), 3, p)._mpf_ == mpf_pow(
+                from_int(3), from_rational(exponent.numerator, exponent.denominator, prec,
+                                           round_nearest), prec, round_nearest), text
 
     def test_left_operand_evaluated_first(self, p50):
         e = parse("log(x) + 1/(1-1)")

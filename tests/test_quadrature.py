@@ -24,9 +24,11 @@ from ineqprove import (
     PrecisionUnreachableError,
     ProofSettings,
     RootBracketError,
+    evaluate,
     find_inflection,
     kurepa,
     kurepa_derivative,
+    parse,
     prove_inequality,
 )
 
@@ -44,24 +46,24 @@ from helpers import (
     reference_trapezoid,
     requires_recorded_mpmath,
 )
-from ineqprove.precision import to_mpf
+from ineqprove.precision import context, to_mpf
 from reference_oracle import kurepa_ts
 
 # sha256 of (value, error_bound, nodes_used) of K^(j)(x), j = 0..3, at each
 # x below, at P30, P35 and P50, in that order
-KUREPA_HASH = "2967a85905df17aa5765ad40874e5538c2165e06dae7d33df74be96af846223e"
+KUREPA_HASH = "11f6ede4da59d3e8832635d0c58ed3536cada888d54faa381c8e252adea2bf97"
 KUREPA_HASH_ARGUMENTS = (0, 4 ** -12, "0.37", "0.5", 1, 2)
 
 # the same at x far out in the domain, whose right cut-offs reach furthest
 # and whose chain of E^k grows largest
-KUREPA_FAR_HASH = "643c9ac4748b398d702436291b9946df435cd0453bf56af29c5dfd6d89710715"
+KUREPA_FAR_HASH = "ffce565484d0585da4461c8d64f23cebcdadcdf66620e63869978f657ae3d392"
 KUREPA_FAR_HASH_ARGUMENTS = ("7.3", "15.9", 16)
 
 # sha256 of the P35 and P50 tables: q, frac, the nodes' reach either side,
 # the weights T_k and the series' (e^(-(n+1)/q), c_n)
 TABLE_HASHES = {
-    35: "392957113eca16e74549c92bfaec39112971c827b2ed076f813e97620653da2b",
-    50: "066eda11df78f10463a8d5ac0dcdaf4390a39203fab030fcb32110926729463c",
+    35: "da9248fdddc3f7f4454ab6cbf14302e0ca13abbcf6ea8d1576c95b4e334b450b",
+    50: "ce54e5b6420f2368fb4a31ba9832d55a7339981574c13ad9722c2c9bbfe985a2",
 }
 
 def test_steps_match_the_every_band_search():
@@ -128,7 +130,7 @@ def test_table_bits_pinned(digits):
 def _gate_oracle(x, j):
     # tanh-sinh at 70 digits, digits + 20 for P50 and more for the others,
     # at x rounded to P50's working context, which every precision then keeps
-    xv = to_mpf(to_mpf(x, Precision(50)), quadrature._working_prec(50))
+    xv = to_mpf(x, Precision(50))
     with mp.workdps(70):
         return xv, +kurepa_ts(mp.mpf(xv), j)
 
@@ -261,6 +263,21 @@ class TestBoundTerms:
 
 
 class TestKurepaValues:
+    @pytest.mark.parametrize("digits", [15, 30, 35, 50])
+    def test_values_are_mpfs_of_the_working_context(self, digits):
+        # kurepa, every derivative order and a compiled Kurepa node are
+        # rounded once into context(p): each is its own rounding there
+        p = Precision(digits)
+        ctx = context(p)
+        for x in GATE_ARGUMENTS:
+            values = [evaluate(parse(source), x, p)
+                      for source in ("kurepa(x)", "kurepa_deriv(2, x)")]
+            for j in range(quadrature.MAX_ORDER + 1):
+                r = _result(x, j, p)
+                values += [r.value, r.error_bound, r.tail_cutoff]
+            for v in values:
+                assert v.context is ctx and v == +v, (x, v)
+
     def test_at_zero_integrand_vanishes(self, p50):
         r = kurepa(0, p50)
         assert r.value == 0
