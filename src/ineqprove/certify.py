@@ -8,7 +8,8 @@ one runner walking a fixed table of stages (``_STAGES``):
    inequality outright;
 3. ``minimax``: a degree-k minimax polynomial P of g with error estimate
    delta_hat (Remez exchange);
-4. ``equioscillation``: P must equioscillate before delta_hat is trusted;
+4. ``equioscillation``: the residuals g - P at the nodes must alternate
+   in sign;
 5. ``residual_check``: |g - P| <= delta_hat on a dense sample grid;
 6. ``positivity``: P(x) - delta_hat * margin > 0, certified rigorously by
    exact Bernstein subdivision on integers, refining the lowest leaf first.
@@ -115,8 +116,6 @@ class ProofSettings:
 @dataclass(frozen=True)
 class ProofReport:
     verdict: str
-    function_source: str
-    segment: tuple
     n: object
     m: object
     degree: int
@@ -125,7 +124,6 @@ class ProofReport:
     limit_method: object = None
     delta_hat: object = None
     lower_bound: object = None
-    upper_bound: object = None
     nodes: object = None
     polynomial: object = None
     global_min_bound: object = None
@@ -339,9 +337,7 @@ def _settings_echo(f_source, a, b, n, m, k, s: ProofSettings, residual_grid_size
             "n": decimal_str(n, p), "m": decimal_str(m, p), "degree": k,
             "precision_digits": p.decimal_digits, "tol": remez.TOL,
             "grid_multiplier": s.grid_multiplier, "residual_grid_size": residual_grid_size,
-            "margin_factor": MARGIN_FACTOR,
-            "equioscillation_rel_tol": remez.EQUIOSCILLATION_REL_TOL,
-            "max_iterations": remez.MAX_ITERATIONS}
+            "margin_factor": MARGIN_FACTOR, "max_iterations": remez.MAX_ITERATIONS}
 
 
 def _disproof_witness(run):
@@ -373,6 +369,7 @@ class _Run:
     """One proof: its inputs, the report fields so far, and g and minimax once they exist."""
 
     f: Expression
+    segment: tuple  # (a, b), as finite_segment rounds them
     settings: ProofSettings
     method: str  # the limit route, "taylor" or "numeric"
     residual_grid_size: int
@@ -390,7 +387,7 @@ class _Run:
 
     @property
     def limit_inputs(self):  # (f, a, b, n, m, p)
-        return (self.f, *self.fields["segment"], self.fields["n"], self.fields["m"], self.p)
+        return (self.f, *self.segment, self.fields["n"], self.fields["m"], self.p)
 
 
 class _Stop(NamedTuple):
@@ -421,12 +418,12 @@ def _precondition(run: _Run):
 
 
 def _minimax(run: _Run):
-    mr = minimax(run.g, *run.fields["segment"], run.fields["degree"], p=run.p,
+    mr = minimax(run.g, *run.segment, run.fields["degree"], p=run.p,
                  grid_multiplier=run.settings.grid_multiplier)
     run.minimax = mr
     run.timings["remez_iterations"] = mr.iterations
-    run.fields.update(delta_hat=mr.delta_hat, lower_bound=mr.lower_bound,
-                      upper_bound=mr.upper_bound, nodes=mr.nodes, polynomial=mr.polynomial)
+    run.fields.update(delta_hat=mr.delta_hat, lower_bound=mr.lower_bound, nodes=mr.nodes,
+                      polynomial=mr.polynomial)
 
 
 def _equioscillation(run: _Run):
@@ -563,11 +560,10 @@ def prove_inequality(f, a, b, n, m, k: int,
     nv, mv = finite_orders(n, m, p)
     residual_grid_size = 2 * s.grid_multiplier * (k + 2) + 1
     echo = _settings_echo(f.source_text, av, bv, nv, mv, k, s, residual_grid_size)
-    fields = dict(function_source=f.source_text, segment=(av, bv), n=nv, m=mv,
-                  degree=k, settings=echo)
+    fields = dict(n=nv, m=mv, degree=k, settings=echo)
     # the Taylor route needs integer orders
     method = "taylor" if nv == int(nv) and mv == int(mv) else "numeric"
-    return _run_stages(_Run(f, s, method, residual_grid_size, fields))
+    return _run_stages(_Run(f, (av, bv), s, method, residual_grid_size, fields))
 
 
 def report_to_json(report: ProofReport) -> str:
@@ -587,7 +583,6 @@ def report_to_json(report: ProofReport) -> str:
         "limit_method": report.limit_method,
         "delta_hat": decimal_str(report.delta_hat, p),
         "lower_bound": decimal_str(report.lower_bound, p),
-        "upper_bound": decimal_str(report.upper_bound, p),
         "nodes": [decimal_str(t, p) for t in report.nodes] if report.nodes is not None else None,
         "polynomial_coefficients": (
             [decimal_str(c, p) for c in report.polynomial.coefficients]

@@ -126,7 +126,6 @@ def cmd_minimax(args) -> int:
                     decimal_str(result.polynomial.segment[1], p)],
         "delta_hat": decimal_str(result.delta_hat, p),
         "lower_bound": decimal_str(result.lower_bound, p),
-        "upper_bound": decimal_str(result.upper_bound, p),
         "iterations": result.iterations,
         "nodes": [decimal_str(t, p) for t in result.nodes],
         "chebyshev_coefficients": [decimal_str(c, p) for c in result.polynomial.coefficients],

@@ -105,13 +105,16 @@ def to_mpf(value, prec=Precision()):
     exactly as given; other values are rounded to the context.  Strings and
     Fractions convert without an intermediate float, so decimal inputs keep
     full precision.  Strings may also be constant expressions in the package
-    grammar ("pi/2", "2 - sqrt2"); any that mentions x is rejected.
+    grammar ("pi/2", "2 - sqrt2"); any that mentions x is rejected, and so is
+    a bool.
     """
     ctx = context(prec)
     if hasattr(value, "_mpf_"):
         if hasattr(value, "func"):  # a constant such as mpmath.pi, evaluated here
             return ctx.make_mpf(value.func(ctx.prec, "n"))
         return value if type(value) is ctx.mpf else ctx.make_mpf(value._mpf_)
+    if isinstance(value, bool):
+        raise ConfigurationError(f"cannot interpret {value!r} as a real number")
     if isinstance(value, Fraction):
         return ctx.make_mpf(rational(value, ctx.prec))
     if isinstance(value, str):

@@ -98,7 +98,6 @@ class QuotientFunction:
         self._prec = context(precision).prec
         self._edge = edge._mpf_
         self._quotient = _quotient(f, self.a, self.b, self.n, self.m, precision)
-        self._edge_values = {}
 
     def evaluate(self, x):
         t, prec, rn = to_mpf(x, self._prec)._mpf_, self._prec, round_nearest
@@ -110,9 +109,7 @@ class QuotientFunction:
             # the blend lim + ((g0 - lim) * d) / edge toward the nearer end
             side, d = (0, da) if mpf_lt(da, edge) else (1, db)
             lim, x0 = self._zones[side]
-            g0 = self._edge_values.get(side)
-            if g0 is None:
-                g0 = self._edge_values[side] = self._quotient(x0)
+            g0 = self._quotient(x0)
             step = mpf_div(mpf_mul(mpf_sub(g0, lim, prec, rn), d, prec, rn), edge, prec, rn)
             return self._make(mpf_add(lim, step, prec, rn))
         for end, lim in ((a, self.alpha), (b, self.beta)):

@@ -49,7 +49,7 @@ P50 = Precision(50)
 P35 = Precision(35)
 
 # sha256 of report_to_json of the paper's full-size proof, K(x) <= K'(0) x
-KUREPA_REPORT_HASH = "af729227a58a19af71ebcea66c81a5f46eea2e6f3dd0edb221c8550edc6094c7"
+KUREPA_REPORT_HASH = "f8fc93ad95ffd6432ce472fc16541ccfec60f250f5296dd47bfc5a0067c32ed7"
 
 
 @contextlib.contextmanager

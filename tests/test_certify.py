@@ -592,6 +592,22 @@ class TestProvePipeline:
         with pytest.raises(ConfigurationError, match="finite"):
             prove_inequality("x*(1-x)", a, b, n, m, 1, ProofSettings(precision=p30))
 
+    # to_mpf refuses a bool, as Precision and the degree do: True would
+    # otherwise read as 1, False as 0
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("entry", [
+        lambda v, p: prove_inequality("exp(x)-1-x", 0, 1, v, 0, 1, ProofSettings(precision=p)),
+        lambda v, p: prove_inequality("exp(x)-1-x", 0, 1, 2, v, 1, ProofSettings(precision=p)),
+        lambda v, p: prove_inequality("exp(x)-1-x", v, 1, 2, 0, 1, ProofSettings(precision=p)),
+        lambda v, p: prove_inequality("exp(x)-1-x", 0, v, 2, 0, 1, ProofSettings(precision=p)),
+        lambda v, p: minimax(lambda x: x, v, 2, 1, p=p),
+        lambda v, p: certify_positive(make_poly(["1"]), v, "1.000001", p),
+    ], ids=["root_order_n", "root_order_m", "segment_end_a", "segment_end_b", "minimax",
+            "certifier_delta"])
+    def test_bool_number_refused(self, entry, flag, p30):
+        with pytest.raises(ConfigurationError, match=f"^cannot interpret {flag} as a real number$"):
+            entry(flag, p30)
+
     @pytest.mark.parametrize("order", ["inf", "nan"])
     @pytest.mark.parametrize("entry", [
         lambda n, p: endpoint_limits_taylor(parse("x"), 0, 1, n, 0, p),
@@ -752,8 +768,8 @@ class TestDisproofWitness:
     def run(source, p):
         # a run whose g cache holds one clearly negative sample, at x = 1/2
         one = to_mpf(1, p)
-        run = certify._Run(parse(source), ProofSettings(precision=p), "taylor", 0,
-                           {"alpha": one, "beta": one})
+        run = certify._Run(parse(source), finite_segment(0, 1, p), ProofSettings(precision=p),
+                           "taylor", 0, {"alpha": one, "beta": one})
         run.g = remez.CachedFunction(None)
         run.g.values[to_mpf("0.5", p)] = -one
         return run
@@ -777,7 +793,7 @@ class TestReportJson:
         doc = json.loads(payload)
         assert list(doc.keys()) == [
             "verdict", "alpha", "beta", "n", "m", "degree", "limit_method", "delta_hat",
-            "lower_bound", "upper_bound", "nodes", "polynomial_coefficients",
+            "lower_bound", "nodes", "polynomial_coefficients",
             "global_min_bound", "caveat", "settings", "timings", "diagnostics",
         ]
         assert (doc["verdict"], doc["limit_method"]) == ("proven", "taylor")

@@ -92,6 +92,13 @@ class TestParse:
         assert parse("2.50e-2").root == Constant(Fraction(1, 40))
         assert parse("1e400").root == Constant(10 ** 400)
         assert parse("x/1").root == Variable()
+        assert parse("1^(1/2)").root == Constant(1)
+        assert parse("0^(3/2)").root == Constant(0)
+        # a zero base with a negative exponent stays a pow node, refused when evaluated
+        unfolded = parse("0^(-1/2)")
+        assert unfolded.root == BinaryOp("pow", Constant(0), Constant(Fraction(-1, 2)))
+        with pytest.raises(DomainError, match="^zero base with non-positive exponent$"):
+            evaluate(unfolded, 1, Precision(30))
 
     def test_unary_plus(self):
         assert parse("+x").root == Variable()

@@ -387,6 +387,14 @@ class TestKurepaValues:
             with pytest.raises(ConfigurationError, match="positive integer"):
                 kurepa_derivative(0, order, p35)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_argument_refused(self, flag, p35):
+        # True would otherwise read as 1, False as 0
+        for call in (lambda: kurepa(flag, p35), lambda: kurepa_derivative(flag, 1, p35)):
+            with pytest.raises(ConfigurationError,
+                               match=f"^cannot interpret {flag} as a real number$"):
+                call()
+
     @pytest.mark.parametrize("j", range(4))
     def test_the_domain_ends_at_16(self, j, p35):
         # 16 is computed, the next mpf above it is refused before any work

@@ -505,6 +505,18 @@ class TestPolishMax:
             assert (x, v) == (end, falling(end))
             assert calls == [lo + width if side == "lo" else hi - width]
 
+    def test_narrow_bracket_returns_the_best_known_point_unprobed(self, p50):
+        def phi(t):
+            raise AssertionError("phi was called")
+
+        with ambient(p50):
+            # a bracket of 8e-13, already within width_tol = 1e-12
+            lo, width = mp.mpf("0.4"), mp.mpf("1e-12")
+            mid, hi = lo + mp.mpf("4e-13"), lo + mp.mpf("8e-13")
+            known = [(t._mpf_, mp.mpf(v)._mpf_) for t, v in ((lo, 1), (mid, 3), (hi, 2))]
+            x, v = _polish_max(phi, lo._mpf_, hi._mpf_, width._mpf_, known, mp.prec)
+        assert (x, v) == known[1]
+
     def test_bump_next_to_the_end_is_still_found(self, p50):
         with ambient(p50):
             lo, hi = mp.mpf(0), mp.mpf("0.01")
@@ -557,7 +569,7 @@ class TestMinimax:
         assert abs(r.polynomial.coefficients[0] - mpmath.mpf("0.5")) < mpmath.mpf("1e-10")
         for node, want in zip(r.nodes, (-1, 0, 1)):
             assert abs(node - want) < mpmath.mpf("1e-8")
-        assert r.lower_bound <= r.delta_hat <= r.upper_bound
+        assert r.lower_bound <= r.delta_hat
 
     def test_exact_polynomial(self, p50):
         rng = random.Random(4242)
@@ -607,8 +619,8 @@ class TestMinimax:
             residuals = [g(t) - r.polynomial.evaluate(t) for t in r.nodes]
             for prev, cur in zip(residuals, residuals[1:]):
                 assert (prev > 0) != (cur > 0)
-            assert r.lower_bound <= r.delta_hat <= r.upper_bound
-            assert (r.upper_bound - r.lower_bound) / r.upper_bound <= mpmath.mpf("1e-12")
+            assert r.lower_bound <= r.delta_hat
+            assert (r.delta_hat - r.lower_bound) / r.delta_hat <= mpmath.mpf("1e-12")
 
     def test_iteration_budget(self, p50):
         for k in range(1, 7):
@@ -668,7 +680,7 @@ class TestVerifyEquioscillation:
         assert report.passed
         assert "floor" in report.message or "exact" in report.message
 
-    def test_perturbed_node_fails(self, p50):
+    def test_perturbed_node_spread_is_reported_not_gated(self, p50):
         r = minimax(mpmath.exp, 0, 1, 2, p=p50)
         bad_nodes = list(r.nodes)
         bad_nodes[1] = bad_nodes[1] + mpmath.mpf("0.05")
@@ -677,15 +689,16 @@ class TestVerifyEquioscillation:
             polynomial=r.polynomial, delta_hat=r.delta_hat, nodes=tuple(bad_nodes),
             node_values=tuple(g(t) for t in bad_nodes),
             iterations=r.iterations, levelled_error_history=r.levelled_error_history,
-            lower_bound=r.lower_bound, upper_bound=r.upper_bound,
+            lower_bound=r.lower_bound,
             residuals=dict(zip((t._mpf_ for t in bad_nodes), residual_sweep(
                 [g(t)._mpf_ for t in bad_nodes], r.polynomial, bad_nodes))),
         )
         report = verify_equioscillation(bad, p=p50)
-        assert not report.passed
-        # the shifted node's residual is smaller by about 5 %
-        assert report.message.startswith("residual spread 0.05")
-        assert report.message.endswith(" exceeds tolerance")
+        # the signs still alternate; the shifted node's residual is smaller
+        # by about 5 %, and only the spread says so
+        assert (report.passed, report.message) == (True, "equioscillation verified")
+        assert mpmath.mpf("0.05") < report.spread < mpmath.mpf("0.06")
+        assert verify_equioscillation(r, p=p50).spread <= mpmath.mpf(remez.TOL)
 
     @staticmethod
     def _result(residuals, delta_hat, p):
@@ -698,7 +711,6 @@ class TestVerifyEquioscillation:
             polynomial=Polynomial(coefficients=(ctx.one,), segment=(a, b)),
             delta_hat=ctx.mpf(delta_hat), nodes=nodes, node_values=(ctx.one,) * 3,
             iterations=1, levelled_error_history=(), lower_bound=min(map(abs, values)),
-            upper_bound=max(map(abs, values)),
             residuals={t._mpf_: r._mpf_ for t, r in zip(nodes, values)},
         )
 
@@ -707,16 +719,6 @@ class TestVerifyEquioscillation:
         report = verify_equioscillation(self._result(residuals, "0.5", p50), p=p50)
         assert not report.passed
         assert report.message == "residual signs do not alternate at node 1"
-
-    def test_spread_beyond_the_tolerance_fails(self, p50, monkeypatch):
-        # magnitudes 0.5, 0.4, 0.5: a spread of (0.5 - 0.4)/0.5 = 0.2
-        result = self._result(("0.5", "-0.4", "0.5"), "0.5", p50)
-        report = verify_equioscillation(result, p=p50)
-        assert not report.passed
-        assert report.message == "residual spread 0.2 exceeds tolerance"
-        # the tolerance is read at call time
-        monkeypatch.setattr(remez, "EQUIOSCILLATION_REL_TOL", "0.25")
-        assert verify_equioscillation(result, p=p50).passed
 
     def test_floor_rule_fails_on_a_residual_above_the_floor(self, p50):
         # delta_hat is at the arithmetic floor (1e-40 at 50 digits), the
