@@ -19,7 +19,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
-from mpmath.libmp import dps_to_prec, from_rational, round_nearest, to_rational
+from mpmath.libmp import (
+    dps_to_prec, from_int, from_rational, mpf_pow_int, round_nearest, to_rational,
+)
 
 from .errors import ConfigurationError, IneqproveError
 
@@ -89,8 +91,12 @@ def cancellation_floor(p: Precision):
 
 
 def kurepa_floor(p: Precision, prec):
-    """10^-(digits + 3): the Kurepa error target, relative to max(1, |K|)."""
-    return _ten_to(-(p.decimal_digits + 3), prec)
+    """10^-(digits + 3): the Kurepa error target, relative to max(1, |K|).
+
+    A libmp tuple rounded to nearest at binary precision prec, the bits of
+    ``context(prec)``'s power, with no context built for it.
+    """
+    return mpf_pow_int(from_int(10), -(p.decimal_digits + 3), prec, round_nearest)
 
 
 def sampling_ratio(p: Precision):

@@ -22,7 +22,10 @@ each bound rounded outward.  q is the least step count whose
 discretization bound meets 10^-(digits+3) K on the band that binds it,
 order MAX_ORDER on the last; the tests check, from 15 to 160 digits, that
 every other band then meets its own, and a call that missed its target
-would raise.  Memos are pure functions of their keys, and nothing is built
+would raise.  q, the right cut-offs and the series length are each guessed
+in floating point, from an exact bound's value and the decay of its leading
+factor, and confirmed by the exact bounds at n and n - 1, which alone
+decide them.  Memos are pure functions of their keys, and nothing is built
 at import, so results are the same bits cold or warm, in any thread.
 """
 
@@ -31,8 +34,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate, count, repeat
+from functools import lru_cache, partial
+from itertools import accumulate, repeat
 from operator import mul
 
 import mpmath
@@ -100,14 +103,16 @@ def _majorant(j, low, high, a):
     return _b(mpf_add, box, _b(mpf_mul, inv, _b(mpf_add, right, left)))
 
 
+def _angle(j, band, q):
+    # a 2^6 for a = arctan(2 pi q / (band + j + 2)), about where the bound
+    # is least, cut to 6 fraction bits, so a < pi/2
+    return int(64 * math.atan(2 * math.pi * q / (band + j + 2)))
+
+
 @lru_cache(maxsize=_CACHE_LIMIT)
 def _discretization(j, band, q):
-    """2M / (e^(2 pi a q) - 1) on band <= x <= band + 1, rounded up; memoized.
-
-    a = arctan(2 pi q / (band + j + 2)), about where the bound is least,
-    cut to 6 fraction bits, so a < pi/2.
-    """
-    a = int(64 * math.atan(2 * math.pi * q / (band + j + 2)))
+    """2M / (e^(2 pi a q) - 1) on band <= x <= band + 1, a by ``_angle``, rounded up; memoized."""
+    a = _angle(j, band, q)
     growth = _b(mpf_mul, _b(mpf_pi, rnd=down), from_man_exp(a * q, -5), rnd=down)
     return _b(mpf_div, mpf_shift(_majorant(j, band, band + 1, a), 1),
               _b(mpf_sub, _b(mpf_exp, growth, rnd=down), fone, rnd=down))
@@ -115,8 +120,27 @@ def _discretization(j, band, q):
 
 def _share(digits, scale=1):
     # a quarter of the error target 10^-(digits+3), times scale
-    return mpf_shift(_b(mpf_mul, kurepa_floor(Precision(digits), _BOUND_BITS)._mpf_,
+    return mpf_shift(_b(mpf_mul, kurepa_floor(Precision(digits), _BOUND_BITS),
                         from_int(scale)), -2)
+
+
+def _ln(v):
+    # the natural log of a positive libmp tuple, a float at any exponent
+    return math.log(v[1]) + v[2] * math.log(2)
+
+
+def _least(bound, share, floor, guess):
+    # the least n >= floor with bound(n) <= share, for a bound falling in n:
+    # the exact bound must meet share at n and miss it at n - 1, and from a
+    # guess where either check disagrees the search walks one step at a time
+    n = max(floor, guess)
+    if mpf_gt(bound(n), share):
+        while mpf_gt(bound(n + 1), share):
+            n += 1
+        return n + 1
+    while n > floor and not mpf_gt(bound(n - 1), share):
+        n -= 1
+    return n
 
 
 @lru_cache(maxsize=_CACHE_LIMIT)
@@ -129,38 +153,50 @@ def _steps(digits):
     the band.  At that q every other (order, band) meets its own share too,
     which the tests check at 15 to 160 digits; each call still adds its own
     band's bound into ``error_bound`` and raises if the total misses the
-    target.  Memoized per digits.
+    target.  The bound falls about e^(-2 pi a) per step of q: from where
+    e^(-pi^2 q) meets the share, four Newton steps on the bound's log guess
+    q, and the exact bounds at q and q - 1 confirm it.  Memoized per digits.
     """
     band = MAX_ARGUMENT - 1
     share = _share(digits, sum(map(math.factorial, range(band))))
-    return next(q for q in count(1) if not mpf_gt(_discretization(MAX_ORDER, band, q), share))
+    bound = partial(_discretization, MAX_ORDER, band)
+    q = max(1, math.ceil(-_ln(share) / math.pi ** 2))  # 2 pi a < pi^2
+    for _ in range(4):  # a moves with q in 6-bit steps, so q may cycle
+        rate = math.pi * _angle(MAX_ORDER, band, q) / 32
+        q = max(1, q + math.ceil((_ln(bound(q)) - _ln(share)) / rate))
+    return _least(bound, share, 1, q)
 
 
 @lru_cache(maxsize=_CACHE_LIMIT)
 def _right(j, band, digits):
     """(R, bound, t at R): the right cut-off on band <= x <= band + 1; memoized.
 
-    R starts where T = e^(R/q) >= x + j + 3, past which the terms' majorant
-    w(s) s^j e^(xs) falls, so their sum is at most its integral from log T,
-    at most exp(-T) T^x log(T)^j / ((T - 1)(1 - x/T - j/(T log T))), as
+    Past T = e^(R/q) >= x + j + 3 the terms' majorant w(s) s^j e^(xs)
+    falls, so their sum is at most its integral from log T, at most
+    exp(-T) T^x log(T)^j / ((T - 1)(1 - x/T - j/(T log T))), as
     (log t^x log(t)^j)' is at most x/T + j/(T log T) past T.  R is the
-    first whose bound at x = band + 1 is a quarter of 10^-(digits+3) or less.
+    least with T >= max(x + j + 3, 2(digits + 3)) whose bound at
+    x = band + 1 is a quarter of 10^-(digits+3) or less.  The bound falls
+    about as e^(-T), so one step in T from the least R's bound guesses R,
+    and the exact bounds at R and R - 1 confirm it.
     """
     q, x, share = _steps(digits), band + 1, _share(digits)
-    R = math.ceil(q * math.log(max(x + j + 3, 2 * (digits + 3))))
-    while True:
+
+    def tail(R):
         s_lo, s_hi = _b(from_rational, R, q, rnd=down), _b(from_rational, R, q)
         T = _b(mpf_exp, s_lo, rnd=down)
         slope = _b(mpf_add, _b(mpf_div, from_int(x), T),
                    _b(mpf_div, from_int(j), _b(mpf_mul, T, s_lo, rnd=down)))
         rise = _b(mpf_exp, _b(mpf_sub, _b(mpf_mul, from_int(x), s_hi), T))
-        bound = _b(mpf_div, _b(mpf_mul, rise, _b(mpf_pow_int, s_hi, j)),
-                   _b(mpf_mul, _b(mpf_sub, T, fone, rnd=down), _b(mpf_sub, fone, slope, rnd=down),
-                      rnd=down))
-        if not mpf_gt(bound, share):
-            prec = context(Precision(digits)).prec
-            return R, bound, mpf_exp(from_rational(R, q, prec, rn), prec, rn)
-        R += 1
+        return _b(mpf_div, _b(mpf_mul, rise, _b(mpf_pow_int, s_hi, j)),
+                  _b(mpf_mul, _b(mpf_sub, T, fone, rnd=down), _b(mpf_sub, fone, slope, rnd=down),
+                     rnd=down))
+
+    first = math.ceil(q * math.log(max(x + j + 3, 2 * (digits + 3))))
+    T = math.exp(first / q) + max(0, _ln(tail(first)) - _ln(share))
+    R = _least(tail, share, first, math.ceil(q * math.log(T)))
+    prec = context(Precision(digits)).prec
+    return R, tail(R), mpf_exp(from_rational(R, q, prec, rn), prec, rn)
 
 
 def _remainder(j, n, q, left):
@@ -216,6 +252,8 @@ def _table(digits):
     W_k 2^frac and T_0 of h/e; ``terms`` (e^(-(n+1)/q), c_n) per series term;
     ``betas[j]`` the beta_i, highest first, of (K+1+l)^j = sum_i beta_i
     C(l+i, i); and ``nought`` the j = 0 series at x = 0, with its rounding.
+    The remainder shrinks about e^(-(left+1)/q) per term, so its value at no
+    term guesses the series' length, and the exact remainders confirm it.
     """
     q = _steps(digits)
     frac = context(Precision(digits)).prec + _GUARD_BITS
@@ -245,7 +283,8 @@ def _table(digits):
     orders = tuple(tuple(w * k ** j for k, w in zip(range(-left, high + 1), weights))
                    for j in range(MAX_ORDER + 1))
     share = _share(digits)
-    size = next(n for n in count() if not mpf_gt(_remainder(MAX_ORDER, n, q, left), share))
+    guess = int((_ln(_remainder(MAX_ORDER, 0, q, left)) - _ln(share)) * q / (left + 1))
+    size = _least(lambda n: _remainder(MAX_ORDER, n, q, left), share, 0, guess)
     terms, derangements = [], 1
     for n in range(size):
         derangements = n * derangements + (-1) ** n if n else 1
@@ -310,7 +349,7 @@ def _kurepa_integral(x, j, p):
     err = mpf_add(_round([(units, -2 * frac)], q ** j, prec, up), mpf_shift(size, -prec), prec, up)
     for term in (_discretization(j, band, q), tail, tab.remainder[j]):
         err = mpf_add(err, term, prec, up)
-    if mpf_gt(err, mpf_mul(kurepa_floor(p, prec)._mpf_, size if mpf_gt(size, fone) else fone)):
+    if mpf_gt(err, mpf_mul(kurepa_floor(p, prec), size if mpf_gt(size, fone) else fone)):
         raise PrecisionUnreachableError(
             f"Kurepa error bound {mpmath.nstr(ctx.make_mpf(err), 5)} exceeds its target")
     return QuadratureResult(ctx.make_mpf(value), ctx.make_mpf(err),

@@ -2,21 +2,22 @@
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 
 import mpmath
 import pytest
 from mpmath import mp
 from mpmath.libmp import (
-    fone, from_int, from_rational, mpf_div, mpf_exp, mpf_gt, mpf_mul, mpf_neg, mpf_sub,
-    round_nearest as rn, to_fixed,
+    fone, from_int, from_rational, mpf_add, mpf_div, mpf_exp, mpf_gt, mpf_mul, mpf_neg,
+    mpf_pow_int, mpf_sub, round_floor as down, round_nearest as rn, to_fixed,
 )
 
 from ineqprove import DomainError, Precision, quadrature, to_mpf
 from ineqprove.precision import GUARD_DIGITS, context
 from ineqprove.quadrature import (
-    MAX_ARGUMENT, MAX_ORDER, _GUARD_BITS, _LEFT_SPAN, _Table, _discretization, _remainder,
-    _right, _series, _share,
+    MAX_ARGUMENT, MAX_ORDER, _GUARD_BITS, _LEFT_SPAN, _Table, _b, _discretization, _remainder,
+    _series, _share,
 )
 from ineqprove.expr import (
     BinaryOp,
@@ -291,12 +292,14 @@ def clear_quadrature_memos():
         memo.cache_clear()
 
 
-# q and the weight and series table as the package derived them before it
-# took q from the one binding (order, band) and e^(k/q) from a chain: the
-# search over all 64 pairs and one direct exponential per node.  The
-# oracles of ``quadrature._steps`` and ``quadrature._table``, which must
-# give the same q and the same table.
+# q, the right cut-off and the weight and series table as the package
+# derived them before it took q from the one binding (order, band), e^(k/q)
+# from a chain, and q, R and the series length from a guess: the search over
+# all 64 pairs, every R and every length in turn, and one direct exponential
+# per node.  The oracles of ``quadrature._steps``, ``quadrature._right`` and
+# ``quadrature._table``, which must give the same q, R and table.
 
+@lru_cache(maxsize=None)
 def reference_steps(digits):
     """q: the least count of nodes per unit of s that meets the target on every band.
 
@@ -310,6 +313,29 @@ def reference_steps(digits):
                 if not any(mpf_gt(_discretization(j, n, q), share) for j, n, share in bands))
 
 
+def reference_right(j, band, digits):
+    """(R, bound, t at R): the right cut-off on band <= x <= band + 1, by a search over every R.
+
+    R is the first from T = e^(R/q) >= max(x + j + 3, 2(digits + 3)) whose
+    tail bound at x = band + 1 is a quarter of 10^-(digits+3) or less.
+    """
+    q, x, share = reference_steps(digits), band + 1, _share(digits)
+    R = math.ceil(q * math.log(max(x + j + 3, 2 * (digits + 3))))
+    while True:
+        s_lo, s_hi = _b(from_rational, R, q, rnd=down), _b(from_rational, R, q)
+        T = _b(mpf_exp, s_lo, rnd=down)
+        slope = _b(mpf_add, _b(mpf_div, from_int(x), T),
+                   _b(mpf_div, from_int(j), _b(mpf_mul, T, s_lo, rnd=down)))
+        rise = _b(mpf_exp, _b(mpf_sub, _b(mpf_mul, from_int(x), s_hi), T))
+        bound = _b(mpf_div, _b(mpf_mul, rise, _b(mpf_pow_int, s_hi, j)),
+                   _b(mpf_mul, _b(mpf_sub, T, fone, rnd=down), _b(mpf_sub, fone, slope, rnd=down),
+                      rnd=down))
+        if not mpf_gt(bound, share):
+            prec = context(Precision(digits)).prec
+            return R, bound, mpf_exp(from_rational(R, q, prec, rn), prec, rn)
+        R += 1
+
+
 def reference_table(digits):
     """The weights and series of one precision's sum, each e^(k/q) a direct exponential.
 
@@ -321,7 +347,7 @@ def reference_table(digits):
     q = reference_steps(digits)
     frac = context(Precision(digits)).prec + _GUARD_BITS
     wide, left = frac + 20, _LEFT_SPAN * q
-    high = _right(MAX_ORDER, MAX_ARGUMENT - 1, digits)[0]
+    high = reference_right(MAX_ORDER, MAX_ARGUMENT - 1, digits)[0]
 
     def fixed(v, scale=q):
         return (to_fixed(mpf_div(v, from_int(scale), wide, rn), frac + 1) + 1) >> 1

@@ -41,6 +41,7 @@ from helpers import (
     K_HALF,
     clear_quadrature_memos,
     quadrature_memos,
+    reference_right,
     reference_steps,
     reference_table,
     reference_trapezoid,
@@ -68,7 +69,8 @@ TABLE_HASHES = {
 
 def test_steps_match_the_every_band_search():
     # q comes from the binding (order, band) alone; the search over all 64
-    # pairs gives the same q, and at it every pair meets its quarter share
+    # pairs gives the same q, and at it every pair meets its quarter share;
+    # at 95 digits the guess cycles between 31 and 32 until its rounds end
     for digits in range(15, 161):
         q = quadrature._steps(digits)
         assert q == reference_steps(digits), digits
@@ -77,6 +79,26 @@ def test_steps_match_the_every_band_search():
             for j in range(quadrature.MAX_ORDER + 1):
                 assert not mpmath.libmp.mpf_gt(quadrature._discretization(j, n, q), share), \
                     (digits, j, n)
+
+
+def test_right_matches_the_every_cut_off_search():
+    # R from a guess confirmed by two exact bounds; the search over every R
+    # from the first gives the same cut-off, bound and t
+    for digits in range(15, 161):
+        for j in range(quadrature.MAX_ORDER + 1):
+            for band in (0, 1, 7, 14, 15):
+                assert quadrature._right(j, band, digits) == reference_right(j, band, digits), \
+                    (digits, j, band)
+
+
+def test_large_precisions_match_the_searches():
+    # far past 160 digits, where the log ratio that guesses q passes 700
+    # and e^700 a float's range
+    for digits, q, R in ((200, 57, 362), (300, 81, 542), (500, 129, 923), (1000, 247, 1926)):
+        assert quadrature._steps(digits) == reference_steps(digits) == q
+        right = quadrature._right(quadrature.MAX_ORDER, quadrature.MAX_ARGUMENT - 1, digits)
+        assert right == reference_right(quadrature.MAX_ORDER, quadrature.MAX_ARGUMENT - 1, digits)
+        assert right[0] == R
 
 
 @requires_recorded_mpmath
@@ -430,7 +452,7 @@ class TestMissedTarget:
         settings = ProofSettings(precision=p35)
         source = "(1.432205)*x - kurepa(x)"
         assert prove_inequality(source, 0, 1, 1, 0, 1, settings).verdict == "disproven"
-        monkeypatch.setattr(quadrature, "kurepa_floor", lambda p, prec: mpmath.mpf(0))
+        monkeypatch.setattr(quadrature, "kurepa_floor", lambda p, prec: mpmath.libmp.fzero)
         with pytest.raises(PrecisionUnreachableError, match="exceeds its target"):
             kurepa("0.5", p35)
         report = prove_inequality(source, 0, 1, 1, 0, 1, settings)
@@ -520,20 +542,28 @@ class TestMemos:
                 assert calls == 1, (x, j, calls)
 
     def test_a_cold_table_makes_few_exponentials(self, monkeypatch):
-        # from emptied memos the P35 table takes q from 16 discretization
-        # bounds, each e^(k/q) from a chain and one exp(-t) per node
-        calls = 0
-        exp = quadrature.mpf_exp
+        # from emptied memos the P35 table takes q from 4 discretization
+        # bounds and its series length from 3 remainders (4 more give the
+        # table's own), each guessed and then confirmed, and each e^(k/q)
+        # from a chain and one exp(-t) per node
+        calls = remainders = 0
+        exp, remainder = quadrature.mpf_exp, quadrature._remainder
 
         def counted(*args):
             nonlocal calls
             calls += 1
             return exp(*args)
 
+        def counted_remainder(*args):
+            nonlocal remainders
+            remainders += 1
+            return remainder(*args)
+
         clear_quadrature_memos()
         monkeypatch.setattr(quadrature, "mpf_exp", counted)
+        monkeypatch.setattr(quadrature, "_remainder", counted_remainder)
         quadrature._table(35)
-        assert (calls, quadrature._discretization.cache_info().misses) == (362, 16)
+        assert (calls, quadrature._discretization.cache_info().misses, remainders) == (222, 4, 7)
 
     def test_threads_get_the_solo_bits(self, p35):
         # a call's chain lives in the call; the threads share only the
