@@ -8,25 +8,29 @@ h sum_k F_j(k/q) over all integers k is within 2M/(e^(2 pi a q) - 1) of it,
 for a < pi/2 and M >= integral |F_j(sigma + ib)| dsigma, |b| <= a
 (Trefethen and Weideman, SIAM Review 2014, Thm 5.1).  With W_k = h w(k/q)
 and E = e^(x/q) the sum is sum_k W_k (k/q)^j E^k, less sum_k W_k for j = 0,
-the s = 0 node taking the limit (x h/e, h/e, then 0).  The nodes run from
-k = -4q to a right cut-off that grows with x; left of them
+the s = 0 node taking the limit (x h/e, h/e, then 0).  A call takes the
+band n <= x <= n + 1 with n = ceil(x) - 1, floored at 0, so an integer x
+takes the band below it and 0 <= x <= 1 is one band.  The nodes run from
+k = -4q to the band's right cut-off; left of them
 w(s) = -sum_n a_n e^((n+1)s), a_n = sum_(i<=n) (-1)^i / i!, |a_n| <= 1, so
 that side is summed exactly as geometric series, up to a bounded remainder.
 All is summed in fixed point, on integers v standing for v 2^-frac, frac
 64 bits past p's working precision, and rounded once into ``context(p)``: the
-weights and series coefficients are one table per precision, its e^(k/q)
-raised along the nodes from e^(1/q) and e^(-1/q), and E one exponential,
-raised the same way.  ``error_bound`` sums the discretization bound of the
-call's own band, the right tail, the series' remainder and the rounding,
-each bound rounded outward.  q is the least step count whose
-discretization bound meets 10^-(digits+3) K on the band that binds it,
-order MAX_ORDER on the last; the tests check, from 15 to 160 digits, that
-every other band then meets its own, and a call that missed its target
-would raise.  q, the right cut-offs and the series length are each guessed
-in floating point, from an exact bound's value and the decay of its leading
-factor, and confirmed by the exact bounds at n and n - 1, which alone
-decide them.  Memos are pure functions of their keys, and nothing is built
-at import, so results are the same bits cold or warm, in any thread.
+weights and series coefficients are one table per precision and band, its
+e^(k/q) raised along the nodes from e^(1/q) and e^(-1/q), and E one
+exponential, raised the same way.  ``error_bound`` sums the band's
+discretization bound at the call's order, its right tail, the series'
+remainder and the rounding, each bound rounded outward.  Each band's q is
+the least step count whose discretization bound at order MAX_ORDER meets
+10^-(digits+3) max(1, K) there, and its one right cut-off is MAX_ORDER's,
+whose tail bound is at least every lower order's; the tests check, from 15
+to 160 digits, that every lower order then meets its own, and a call that
+missed its target would raise.  q, the right cut-off and the series length
+are each guessed in floating point, from an exact bound's value and the
+decay of its leading factor, and confirmed by the exact bounds at n and
+n - 1, which alone decide them.  Memos are pure functions of their keys,
+and nothing is built at import, so results are the same bits cold or warm,
+in any thread.
 """
 
 from __future__ import annotations
@@ -130,57 +134,60 @@ def _ln(v):
 
 
 def _least(bound, share, floor, guess):
-    # the least n >= floor with bound(n) <= share, for a bound falling in n:
-    # the exact bound must meet share at n and miss it at n - 1, and from a
-    # guess where either check disagrees the search walks one step at a time
+    # (n, bound(n)) for the least n >= floor with bound(n) <= share, for a
+    # bound falling in n: the exact bound must meet share at n and miss it
+    # at n - 1, and from a guess where either check disagrees the search
+    # walks one step at a time
     n = max(floor, guess)
-    if mpf_gt(bound(n), share):
-        while mpf_gt(bound(n + 1), share):
+    value = bound(n)
+    if mpf_gt(value, share):
+        while mpf_gt(value, share):
             n += 1
-        return n + 1
-    while n > floor and not mpf_gt(bound(n - 1), share):
-        n -= 1
-    return n
+            value = bound(n)
+        return n, value
+    while n > floor and not mpf_gt(lower := bound(n - 1), share):
+        n, value = n - 1, lower
+    return n, value
 
 
 @lru_cache(maxsize=_CACHE_LIMIT)
-def _steps(digits):
-    """q: the least count of nodes per unit of s that meets the target on the binding band.
+def _steps(digits, band):
+    """q: the least count of nodes per unit of s that meets the target on band <= x <= band + 1.
 
-    That band is the last, n = MAX_ARGUMENT - 1 <= x <= n + 1, at order
-    MAX_ORDER: its discretization bound must be at most a quarter of
-    10^-(digits+3) K(n), K(n) the sum of i! over i < n, K's least value on
-    the band.  At that q every other (order, band) meets its own share too,
-    which the tests check at 15 to 160 digits; each call still adds its own
-    band's bound into ``error_bound`` and raises if the total misses the
-    target.  The bound falls about e^(-2 pi a) per step of q: from where
-    e^(-pi^2 q) meets the share, four Newton steps on the bound's log guess
-    q, and the exact bounds at q and q - 1 confirm it.  Memoized per digits.
+    At order MAX_ORDER the band's discretization bound must be at most a
+    quarter of 10^-(digits+3) max(1, K(band)), K(band) the sum of i! over
+    i < band, K's least value on the band.  At that q every lower order
+    meets it too, which the tests check at 15 to 160 digits; each call
+    still adds its own order's bound into ``error_bound`` and raises if the
+    total misses the target.  The bound falls about e^(-2 pi a) per step of
+    q: from where e^(-pi^2 q) meets the share, four Newton steps on the
+    bound's log guess q, and the exact bounds at q and q - 1 confirm it.
+    Memoized per (digits, band).
     """
-    band = MAX_ARGUMENT - 1
-    share = _share(digits, sum(map(math.factorial, range(band))))
+    share = _share(digits, max(1, sum(map(math.factorial, range(band)))))
     bound = partial(_discretization, MAX_ORDER, band)
     q = max(1, math.ceil(-_ln(share) / math.pi ** 2))  # 2 pi a < pi^2
     for _ in range(4):  # a moves with q in 6-bit steps, so q may cycle
         rate = math.pi * _angle(MAX_ORDER, band, q) / 32
         q = max(1, q + math.ceil((_ln(bound(q)) - _ln(share)) / rate))
-    return _least(bound, share, 1, q)
+    return _least(bound, share, 1, q)[0]
 
 
-@lru_cache(maxsize=_CACHE_LIMIT)
-def _right(j, band, digits):
-    """(R, bound, t at R): the right cut-off on band <= x <= band + 1; memoized.
+def _right(digits, band):
+    """(R, bound, t at R): the right cut-off of every order on band <= x <= band + 1.
 
     Past T = e^(R/q) >= x + j + 3 the terms' majorant w(s) s^j e^(xs)
     falls, so their sum is at most its integral from log T, at most
     exp(-T) T^x log(T)^j / ((T - 1)(1 - x/T - j/(T log T))), as
     (log t^x log(t)^j)' is at most x/T + j/(T log T) past T.  R is the
-    least with T >= max(x + j + 3, 2(digits + 3)) whose bound at
-    x = band + 1 is a quarter of 10^-(digits+3) or less.  The bound falls
-    about as e^(-T), so one step in T from the least R's bound guesses R,
-    and the exact bounds at R and R - 1 confirm it.
+    least with T >= max(x + MAX_ORDER + 3, 2(digits + 3)) whose bound at
+    x = band + 1 and j = MAX_ORDER is a quarter of 10^-(digits+3) or less.
+    As log T > 1 there, that bound is at least each lower order's at the
+    same R, so every order takes it.  The bound falls about as e^(-T), so
+    one step in T from the least R's bound guesses R, and the exact bounds
+    at R and R - 1 confirm it.
     """
-    q, x, share = _steps(digits), band + 1, _share(digits)
+    q, x, j, share = _steps(digits, band), band + 1, MAX_ORDER, _share(digits)
 
     def tail(R):
         s_lo, s_hi = _b(from_rational, R, q, rnd=down), _b(from_rational, R, q)
@@ -194,9 +201,9 @@ def _right(j, band, digits):
 
     first = math.ceil(q * math.log(max(x + j + 3, 2 * (digits + 3))))
     T = math.exp(first / q) + max(0, _ln(tail(first)) - _ln(share))
-    R = _least(tail, share, first, math.ceil(q * math.log(T)))
+    R, bound = _least(tail, share, first, math.ceil(q * math.log(T)))
     prec = context(Precision(digits)).prec
-    return R, tail(R), mpf_exp(from_rational(R, q, prec, rn), prec, rn)
+    return R, bound, mpf_exp(from_rational(R, q, prec, rn), prec, rn)
 
 
 def _remainder(j, n, q, left):
@@ -241,24 +248,27 @@ def _chain(factor, count, bits):
     return list(accumulate(repeat(factor, count), lambda v, f: v * f >> bits, initial=1 << bits))
 
 
-_Table = namedtuple("_Table", "q frac left high orders terms betas nought remainder")
+_Table = namedtuple("_Table", "q frac left high tail cutoff orders terms betas nought remainder")
 
 
 @lru_cache(maxsize=_CACHE_LIMIT)
-def _table(digits):
-    """The weights and series of one precision's sum; memoized per digits.
+def _table(digits, band):
+    """The weights and series of one precision's sum on band <= x <= band + 1; memoized.
 
-    ``orders[j]`` holds T_k k^j for k = -left .. high, T_k within a unit of
-    W_k 2^frac and T_0 of h/e; ``terms`` (e^(-(n+1)/q), c_n) per series term;
-    ``betas[j]`` the beta_i, highest first, of (K+1+l)^j = sum_i beta_i
-    C(l+i, i); and ``nought`` the j = 0 series at x = 0, with its rounding.
-    The remainder shrinks about e^(-(left+1)/q) per term, so its value at no
-    term guesses the series' length, and the exact remainders confirm it.
+    The band's q and its right cut-off R = ``high`` from ``_right``, with
+    R's ``tail`` bound and ``cutoff`` t; ``orders[j]`` holds T_k k^j for
+    k = -left .. high, T_k within a unit of W_k 2^frac and T_0 of h/e;
+    ``terms`` (e^(-(n+1)/q), c_n) per series term; ``betas[j]`` the beta_i,
+    highest first, of (K+1+l)^j = sum_i beta_i C(l+i, i); and ``nought``
+    what j = 0 adds, the series at x = 0 less sum_k T_k 2^frac, with its
+    rounding and a unit of 2^frac per node.  The remainder shrinks about
+    e^(-(left+1)/q) per term, so its value at no term guesses the series'
+    length, and the exact remainders confirm it.
     """
-    q = _steps(digits)
+    q = _steps(digits, band)
     frac = context(Precision(digits)).prec + _GUARD_BITS
     wide, left = frac + 20, _LEFT_SPAN * q
-    high = _right(MAX_ORDER, MAX_ARGUMENT - 1, digits)[0]
+    high, tail, cutoff = _right(digits, band)
 
     def fixed(v, scale=q):
         return (to_fixed(mpf_div(v, from_int(scale), wide, rn), frac + 1) + 1) >> 1
@@ -284,7 +294,7 @@ def _table(digits):
                    for j in range(MAX_ORDER + 1))
     share = _share(digits)
     guess = int((_ln(_remainder(MAX_ORDER, 0, q, left)) - _ln(share)) * q / (left + 1))
-    size = _least(lambda n: _remainder(MAX_ORDER, n, q, left), share, 0, guess)
+    size, last = _least(lambda n: _remainder(MAX_ORDER, n, q, left), share, 0, guess)
     terms, derangements = [], 1
     for n in range(size):
         derangements = n * derangements + (-1) ** n if n else 1
@@ -293,9 +303,10 @@ def _table(digits):
                       fixed(mpf_mul(a, exp_ratio(-(n + 1) * (left + 1), q), wide, rn))))
     betas = tuple(tuple(sum((-1) ** m * math.comb(i, m) * (left - m) ** j for m in range(i + 1))
                         for i in reversed(range(j + 1))) for j in range(MAX_ORDER + 1))
-    return _Table(q, frac, left, high, orders, tuple(terms), betas,
-                  _series(terms, betas[0], q, left, frac, 1 << frac, 1 << frac),
-                  tuple(_remainder(j, size, q, left) for j in range(MAX_ORDER + 1)))
+    series, units = _series(terms, betas[0], q, left, frac, 1 << frac, 1 << frac)
+    nought = series - (sum(orders[0]) << frac), units + ((high + left) << frac)
+    return _Table(q, frac, left, high, tail, cutoff, orders, tuple(terms), betas, nought,
+                  tuple(_remainder(j, size, q, left) for j in range(MAX_ORDER)) + (last,))
 
 
 def _round(terms, divisor, prec, rnd=rn):
@@ -315,10 +326,10 @@ def _kurepa_integral(x, j, p):
         raise DomainError(f"kurepa derivative of order {j} is not supported (max {MAX_ORDER})")
     # x is rounded once, to p's working context, where the sum is rounded too
     digits, ctx = p.decimal_digits, context(p)
-    prec, xr, tab = ctx.prec, xv._mpf_, _table(digits)
-    q, frac, left = tab.q, tab.frac, tab.left
-    band = min(to_int(xr), MAX_ARGUMENT - 1)
-    high, tail, cutoff = _right(j, band, digits)
+    prec, xr = ctx.prec, xv._mpf_
+    band = max(0, to_int(xr, up) - 1)  # an integer x takes the band below it
+    tab = _table(digits, band)
+    q, frac, left, high = tab.q, tab.frac, tab.left, tab.high
     one = 1 << frac
 
     # E^k for k = -(left + 1) .. high: within 4|k| units of 2^-frac times max(1, E^k)
@@ -326,7 +337,7 @@ def _kurepa_integral(x, j, p):
                   frac + 1) + 1) >> 1
     ups, downs = _chain(e, high, frac), _chain((one << frac) // e, left + 1, frac)
     weights = tab.orders[j]
-    right = sum(map(mul, weights[left:left + high + 1], ups))
+    right = sum(map(mul, weights[left:], ups))
     num = right + sum(map(mul, weights[left - 1::-1], downs[1:left + 1]))
     series, series_units = _series(tab.terms, tab.betas[j], q, left, frac, downs[1], downs[-1])
     # the rounding in units of 2^-2frac q^-j: a unit of each T_k times
@@ -337,8 +348,8 @@ def _kurepa_integral(x, j, p):
              + 5 * high * (right + upper) // one + series_units)
     if j == 0:
         # less sum W_k and the series at x = 0; |E^k - 1| <= E^k + 1
-        num += tab.nought[0] - (sum(weights[:left + high + 1]) << frac)
-        units += tab.nought[1] + (high + left) * one
+        num += tab.nought[0]
+        units += tab.nought[1]
     terms, zero = [(num + (-1) ** (j + 1) * series, -2 * frac)], tab.orders[0][left]
     if j < 2:
         # the s = 0 node, x h/e for j = 0 and h/e for j = 1, T_0 within a unit
@@ -347,13 +358,13 @@ def _kurepa_integral(x, j, p):
     value = _round(terms, q ** j, prec)
     size = mpf_abs(value)
     err = mpf_add(_round([(units, -2 * frac)], q ** j, prec, up), mpf_shift(size, -prec), prec, up)
-    for term in (_discretization(j, band, q), tail, tab.remainder[j]):
+    for term in (_discretization(j, band, q), tab.tail, tab.remainder[j]):
         err = mpf_add(err, term, prec, up)
     if mpf_gt(err, mpf_mul(kurepa_floor(p, prec), size if mpf_gt(size, fone) else fone)):
         raise PrecisionUnreachableError(
             f"Kurepa error bound {mpmath.nstr(ctx.make_mpf(err), 5)} exceeds its target")
     return QuadratureResult(ctx.make_mpf(value), ctx.make_mpf(err),
-                            left + high + 1 + len(tab.terms), ctx.make_mpf(cutoff))
+                            left + high + 1 + len(tab.terms), ctx.make_mpf(tab.cutoff))
 
 
 def kurepa(x, p: Precision = Precision()) -> QuadratureResult:

@@ -16,7 +16,7 @@ from mpmath.libmp import (
 from ineqprove import DomainError, Precision, quadrature, to_mpf
 from ineqprove.precision import GUARD_DIGITS, context
 from ineqprove.quadrature import (
-    MAX_ARGUMENT, MAX_ORDER, _GUARD_BITS, _LEFT_SPAN, _Table, _b, _discretization, _remainder,
+    MAX_ORDER, _GUARD_BITS, _LEFT_SPAN, _Table, _b, _discretization, _remainder,
     _series, _share,
 )
 from ineqprove.expr import (
@@ -292,62 +292,72 @@ def clear_quadrature_memos():
         memo.cache_clear()
 
 
-# q, the right cut-off and the weight and series table as the package
-# derived them before it took q from the one binding (order, band), e^(k/q)
-# from a chain, and q, R and the series length from a guess: the search over
-# all 64 pairs, every R and every length in turn, and one direct exponential
-# per node.  The oracles of ``quadrature._steps``, ``quadrature._right`` and
-# ``quadrature._table``, which must give the same q, R and table.
+# q, the right cut-off and the weight and series table of one band by plain
+# searches, where the package takes q from the band's highest order alone,
+# e^(k/q) from a chain, and q, R and the series length from a guess: q the
+# least at which all four orders meet the band's share, every R and every
+# length in turn, and one direct exponential per node.  The oracles of
+# ``quadrature._steps``, ``quadrature._right`` and ``quadrature._table``,
+# which must give the same q, R and table.
 
 @lru_cache(maxsize=None)
-def reference_steps(digits):
-    """q: the least count of nodes per unit of s that meets the target on every band.
+def reference_steps(digits, band):
+    """q: the least count of nodes per unit of s that meets the target on band <= x <= band + 1.
 
-    On the band n <= x <= n + 1 the discretization bound of every order
-    must be at most a quarter of 10^-(digits+3) max(1, K(n)), K(n) the sum
-    of i! over i < n, K's least value on the band.
+    The discretization bound of every order must be at most a quarter of
+    10^-(digits+3) max(1, K(band)), K(band) the sum of i! over i < band,
+    K's least value on the band.
     """
-    bands = [(j, n, _share(digits, max(1, sum(map(math.factorial, range(n))))))
-             for n in reversed(range(MAX_ARGUMENT)) for j in reversed(range(MAX_ORDER + 1))]
+    share = _share(digits, max(1, sum(map(math.factorial, range(band)))))
     return next(q for q in count(1)
-                if not any(mpf_gt(_discretization(j, n, q), share) for j, n, share in bands))
+                if not any(mpf_gt(_discretization(j, band, q), share)
+                           for j in reversed(range(MAX_ORDER + 1))))
 
 
-def reference_right(j, band, digits):
+def reference_right(digits, band):
     """(R, bound, t at R): the right cut-off on band <= x <= band + 1, by a search over every R.
 
-    R is the first from T = e^(R/q) >= max(x + j + 3, 2(digits + 3)) whose
-    tail bound at x = band + 1 is a quarter of 10^-(digits+3) or less.
+    R is the first from T = e^(R/q) >= max(x + MAX_ORDER + 3, 2(digits + 3))
+    whose tail bound at x = band + 1 and j = MAX_ORDER is a quarter of
+    10^-(digits+3) or less.
     """
-    q, x, share = reference_steps(digits), band + 1, _share(digits)
+    q, x, j, share = reference_steps(digits, band), band + 1, MAX_ORDER, _share(digits)
     R = math.ceil(q * math.log(max(x + j + 3, 2 * (digits + 3))))
     while True:
-        s_lo, s_hi = _b(from_rational, R, q, rnd=down), _b(from_rational, R, q)
-        T = _b(mpf_exp, s_lo, rnd=down)
-        slope = _b(mpf_add, _b(mpf_div, from_int(x), T),
-                   _b(mpf_div, from_int(j), _b(mpf_mul, T, s_lo, rnd=down)))
-        rise = _b(mpf_exp, _b(mpf_sub, _b(mpf_mul, from_int(x), s_hi), T))
-        bound = _b(mpf_div, _b(mpf_mul, rise, _b(mpf_pow_int, s_hi, j)),
-                   _b(mpf_mul, _b(mpf_sub, T, fone, rnd=down), _b(mpf_sub, fone, slope, rnd=down),
-                      rnd=down))
+        bound = reference_tail(j, band, q, R)
         if not mpf_gt(bound, share):
             prec = context(Precision(digits)).prec
             return R, bound, mpf_exp(from_rational(R, q, prec, rn), prec, rn)
         R += 1
 
 
-def reference_table(digits):
-    """The weights and series of one precision's sum, each e^(k/q) a direct exponential.
+def reference_tail(j, band, q, R):
+    """The bound on order j's terms past R at x = band + 1, as ``quadrature._right`` takes it."""
+    x = band + 1
+    s_lo, s_hi = _b(from_rational, R, q, rnd=down), _b(from_rational, R, q)
+    T = _b(mpf_exp, s_lo, rnd=down)
+    slope = _b(mpf_add, _b(mpf_div, from_int(x), T),
+               _b(mpf_div, from_int(j), _b(mpf_mul, T, s_lo, rnd=down)))
+    rise = _b(mpf_exp, _b(mpf_sub, _b(mpf_mul, from_int(x), s_hi), T))
+    return _b(mpf_div, _b(mpf_mul, rise, _b(mpf_pow_int, s_hi, j)),
+              _b(mpf_mul, _b(mpf_sub, T, fone, rnd=down), _b(mpf_sub, fone, slope, rnd=down),
+                 rnd=down))
 
-    ``orders[j]`` holds T_k k^j for k = -left .. high, T_k within a unit of
-    W_k 2^frac and T_0 of h/e; ``terms`` (e^(-(n+1)/q), c_n) per series term;
-    ``betas[j]`` the beta_i, highest first, of (K+1+l)^j = sum_i beta_i
-    C(l+i, i); and ``nought`` the j = 0 series at x = 0, with its rounding.
+
+def reference_table(digits, band):
+    """The weights and series of one band's sum, each e^(k/q) a direct exponential.
+
+    The band's q, its cut-off R = ``high`` with R's ``tail`` bound and
+    ``cutoff`` t; ``orders[j]`` holds T_k k^j for k = -left .. high, T_k
+    within a unit of W_k 2^frac and T_0 of h/e; ``terms`` (e^(-(n+1)/q),
+    c_n) per series term; ``betas[j]`` the beta_i, highest first, of
+    (K+1+l)^j = sum_i beta_i C(l+i, i); and ``nought`` the j = 0 series at
+    x = 0 less sum_k T_k 2^frac, with its rounding and 2^frac per node.
     """
-    q = reference_steps(digits)
+    q = reference_steps(digits, band)
     frac = context(Precision(digits)).prec + _GUARD_BITS
     wide, left = frac + 20, _LEFT_SPAN * q
-    high = reference_right(MAX_ORDER, MAX_ARGUMENT - 1, digits)[0]
+    high, tail, cutoff = reference_right(digits, band)
 
     def fixed(v, scale=q):
         return (to_fixed(mpf_div(v, from_int(scale), wide, rn), frac + 1) + 1) >> 1
@@ -373,8 +383,9 @@ def reference_table(digits):
                       fixed(mpf_mul(a, exp_ratio(-(n + 1) * (left + 1), q), wide, rn))))
     betas = tuple(tuple(sum((-1) ** m * math.comb(i, m) * (left - m) ** j for m in range(i + 1))
                         for i in reversed(range(j + 1))) for j in range(MAX_ORDER + 1))
-    return _Table(q, frac, left, high, orders, tuple(terms), betas,
-                  _series(terms, betas[0], q, left, frac, 1 << frac, 1 << frac),
+    series, units = _series(terms, betas[0], q, left, frac, 1 << frac, 1 << frac)
+    return _Table(q, frac, left, high, tail, cutoff, orders, tuple(terms), betas,
+                  (series - (sum(orders[0]) << frac), units + ((high + left) << frac)),
                   tuple(_remainder(j, size, q, left) for j in range(MAX_ORDER + 1)))
 
 
@@ -388,7 +399,7 @@ def _li(r, j):
 
 
 def reference_trapezoid(x, j, p):
-    """K^(j)(x) by the package's trapezoidal sum, with its q and cut-offs, at twice its bits.
+    """K^(j)(x) by the package's trapezoidal sum, with its q and cut-off, at twice its bits.
 
     Every weight h w(k/q) and every e^(xk/q) is evaluated directly, and the
     series left of the nodes takes each geometric sum from the closed form
@@ -396,15 +407,13 @@ def reference_trapezoid(x, j, p):
     bits, and the sum is returned with all of them, as an mpf of the working
     context.  The oracle of the package's integer table, chain and series.
     """
-    digits = p.decimal_digits
-    table = quadrature._table(digits)
-    prec = context(p).prec
     xr = to_mpf(x, p)._mpf_
-    high = quadrature._right(j, min(int(mpmath.mpf(xr)), quadrature.MAX_ARGUMENT - 1),
-                             digits)[0]
+    # an integer x takes the band below it
+    table = quadrature._table(p.decimal_digits, max(0, int(mpmath.ceil(mpmath.mpf(xr))) - 1))
+    prec = context(p).prec
     ctx = mpmath.MPContext()
     ctx.prec = 2 * table.frac
-    q, left, x = table.q, table.left, ctx.make_mpf(xr)
+    q, left, high, x = table.q, table.left, table.high, ctx.make_mpf(xr)
     total = ctx.mpf(0)
     for k in range(-left, high + 1):
         s = ctx.mpf(k) / q

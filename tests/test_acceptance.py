@@ -49,7 +49,7 @@ P50 = Precision(50)
 P35 = Precision(35)
 
 # sha256 of report_to_json of the paper's full-size proof, K(x) <= K'(0) x
-KUREPA_REPORT_HASH = "f8fc93ad95ffd6432ce472fc16541ccfec60f250f5296dd47bfc5a0067c32ed7"
+KUREPA_REPORT_HASH = "aa65dd065284b4c26f63699c906f589e28316446502a57c92288dbf90217b9db"
 
 
 @contextlib.contextmanager

@@ -44,6 +44,7 @@ from helpers import (
     reference_right,
     reference_steps,
     reference_table,
+    reference_tail,
     reference_trapezoid,
     requires_recorded_mpmath,
 )
@@ -52,52 +53,56 @@ from reference_oracle import kurepa_ts
 
 # sha256 of (value, error_bound, nodes_used) of K^(j)(x), j = 0..3, at each
 # x below, at P30, P35 and P50, in that order
-KUREPA_HASH = "11f6ede4da59d3e8832635d0c58ed3536cada888d54faa381c8e252adea2bf97"
+KUREPA_HASH = "6ef3ac3c744dc86f0bce66cfb060a4bf415b9db6af313f170d058d2627e5375b"
 KUREPA_HASH_ARGUMENTS = (0, 4 ** -12, "0.37", "0.5", 1, 2)
 
 # the same at x far out in the domain, whose right cut-offs reach furthest
 # and whose chain of E^k grows largest
-KUREPA_FAR_HASH = "ffce565484d0585da4461c8d64f23cebcdadcdf66620e63869978f657ae3d392"
+KUREPA_FAR_HASH = "c80acbe47d0be17a8fa2623585f3a9276a92c9c516f312b5f16034ce563977c1"
 KUREPA_FAR_HASH_ARGUMENTS = ("7.3", "15.9", 16)
 
-# sha256 of the P35 and P50 tables: q, frac, the nodes' reach either side,
-# the weights T_k and the series' (e^(-(n+1)/q), c_n)
+# sha256 of the P35 and P50 tables of the last band, 15 <= x <= 16, and of
+# the first, 0 <= x <= 1: q, frac, the nodes' reach either side, the
+# weights T_k and the series' (e^(-(n+1)/q), c_n)
 TABLE_HASHES = {
     35: "da9248fdddc3f7f4454ab6cbf14302e0ca13abbcf6ea8d1576c95b4e334b450b",
     50: "ce54e5b6420f2368fb4a31ba9832d55a7339981574c13ad9722c2c9bbfe985a2",
 }
+FIRST_BAND_TABLE_HASHES = {
+    35: "8a1485db11c5551aac73b333196822466a8f9667114de8853f684f1f1b567d19",
+    50: "2ee8f4b3a6f97c35c1bc8033bfcca20cd0dc5e528e1a5527dd9b28a389e7620a",
+}
+
 
 def test_steps_match_the_every_band_search():
-    # q comes from the binding (order, band) alone; the search over all 64
-    # pairs gives the same q, and at it every pair meets its quarter share;
-    # at 95 digits the guess cycles between 31 and 32 until its rounds end
-    for digits in range(15, 161):
-        q = quadrature._steps(digits)
-        assert q == reference_steps(digits), digits
-        for n in range(quadrature.MAX_ARGUMENT):
-            share = quadrature._share(digits, max(1, sum(map(math.factorial, range(n)))))
-            for j in range(quadrature.MAX_ORDER + 1):
-                assert not mpmath.libmp.mpf_gt(quadrature._discretization(j, n, q), share), \
-                    (digits, j, n)
+    # each band's q comes from its highest order alone; the search over all
+    # four orders gives the same q, so at it every order meets the band's
+    # quarter share; at 95 digits the last band's guess cycles between 31
+    # and 32 until its rounds end
+    cases = [(digits, band) for digits in (15, 35, 50, 95, 160)
+             for band in range(quadrature.MAX_ARGUMENT)]
+    cases += [(digits, band) for digits in range(15, 161) for band in (0, 15)]
+    for digits, band in cases:
+        assert quadrature._steps(digits, band) == reference_steps(digits, band), (digits, band)
 
 
 def test_right_matches_the_every_cut_off_search():
     # R from a guess confirmed by two exact bounds; the search over every R
     # from the first gives the same cut-off, bound and t
     for digits in range(15, 161):
-        for j in range(quadrature.MAX_ORDER + 1):
-            for band in (0, 1, 7, 14, 15):
-                assert quadrature._right(j, band, digits) == reference_right(j, band, digits), \
-                    (digits, j, band)
+        for band in (0, 1, 7, 14, 15):
+            assert quadrature._right(digits, band) == reference_right(digits, band), \
+                (digits, band)
 
 
 def test_large_precisions_match_the_searches():
     # far past 160 digits, where the log ratio that guesses q passes 700
     # and e^700 a float's range
+    band = quadrature.MAX_ARGUMENT - 1
     for digits, q, R in ((200, 57, 362), (300, 81, 542), (500, 129, 923), (1000, 247, 1926)):
-        assert quadrature._steps(digits) == reference_steps(digits) == q
-        right = quadrature._right(quadrature.MAX_ORDER, quadrature.MAX_ARGUMENT - 1, digits)
-        assert right == reference_right(quadrature.MAX_ORDER, quadrature.MAX_ARGUMENT - 1, digits)
+        assert quadrature._steps(digits, band) == reference_steps(digits, band) == q
+        right = quadrature._right(digits, band)
+        assert right == reference_right(digits, band)
         assert right[0] == R
 
 
@@ -105,7 +110,9 @@ def test_large_precisions_match_the_searches():
 def test_table_matches_the_direct_exponentials():
     # e^(k/q) from the chain, not one exponential per node: the same tables
     for digits in range(15, 101):
-        assert quadrature._table(digits) == reference_table(digits), digits
+        for band in (0, 15):
+            assert quadrature._table(digits, band) == reference_table(digits, band), \
+                (digits, band)
 
 
 # the oracle gate: every order at these x, at three precisions
@@ -140,12 +147,22 @@ def test_kurepa_far_bits_pinned():
     assert hashlib.sha256(repr(data).encode("ascii")).hexdigest() == KUREPA_FAR_HASH
 
 
+def _table_hash(digits, band):
+    t = quadrature._table(digits, band)
+    data = (t.q, t.frac, t.left, t.high, t.orders[0], t.terms)
+    return hashlib.sha256(repr(data).encode("ascii")).hexdigest()
+
+
 @requires_recorded_mpmath
 @pytest.mark.parametrize("digits", sorted(TABLE_HASHES))
 def test_table_bits_pinned(digits):
-    t = quadrature._table(digits)
-    data = (t.q, t.frac, t.left, t.high, t.orders[0], t.terms)
-    assert hashlib.sha256(repr(data).encode("ascii")).hexdigest() == TABLE_HASHES[digits]
+    assert _table_hash(digits, quadrature.MAX_ARGUMENT - 1) == TABLE_HASHES[digits]
+
+
+@requires_recorded_mpmath
+@pytest.mark.parametrize("digits", sorted(FIRST_BAND_TABLE_HASHES))
+def test_first_band_table_bits_pinned(digits):
+    assert _table_hash(digits, 0) == FIRST_BAND_TABLE_HASHES[digits]
 
 
 @lru_cache(maxsize=None)
@@ -190,7 +207,7 @@ class TestOracleGate:
         # integral |F_j(sigma + ib)| dsigma at both ends of the band and at
         # three heights b up to a, by a fine midpoint sum in complex floats,
         # against the closed-form M
-        q = quadrature._steps(35)
+        q = quadrature._steps(35, band)
         a = int(64 * math.atan(2 * math.pi * q / (band + j + 2)))
         bound = float(mpmath.mpf(quadrature._majorant(j, band, band + 1, a)))
         for x in (band, band + 1):
@@ -244,11 +261,13 @@ class TestBoundTerms:
     @pytest.mark.parametrize("j", range(4))
     @pytest.mark.parametrize("band", [0, 7, 15])
     def test_right_tail_bounds_the_dropped_terms(self, band, j, digits):
-        # the terms past the cut-off R at x = band + 1, where each is
-        # largest on the band, against the tail bound, itself at most a
-        # quarter of the target 10^-(digits+3)
-        q = quadrature._steps(digits)
-        R, bound, _ = quadrature._right(j, band, digits)
+        # order j's terms past the band's one cut-off R at x = band + 1,
+        # where each is largest on the band, against the band's tail bound,
+        # itself at most a quarter of the target 10^-(digits+3) and at least
+        # order j's own bound at R
+        q = quadrature._steps(digits, band)
+        R, bound, _ = quadrature._right(digits, band)
+        assert not mpmath.libmp.mpf_gt(reference_tail(j, band, q, R), bound)
         bound = mpmath.mpf(bound)
         with mp.workdps(digits + 30):
             total = mp.mpf(0)
@@ -266,22 +285,24 @@ class TestBoundTerms:
         # at s = -m/q, m > K, left of the nodes, the table's series keeps
         # a_n e^((n+1)s) of w(s) for n below its size; what it drops, times
         # |s|^j and |E^-m| or |E^-m - 1|, both at most 1, summed directly
-        # against the remainder the error bound adds
-        tab = quadrature._table(digits)
-        q, size = tab.q, len(tab.terms)
-        with mp.workdps(3 * digits):
-            a = [sum(mp.mpf(-1) ** i / mp.factorial(i) for i in range(n + 1))
-                 for n in range(size)]
-            assert all(abs(a_n) <= 1 for a_n in a)
-            total = mp.mpf(0)
-            for m in count(tab.left + 1):
-                u = mp.exp(-mp.mpf(m) / q)
-                kept = sum(a_n * u ** (n + 1) for n, a_n in enumerate(a))
-                term = abs(u * mp.exp(-u) / (u - 1) + kept) * (mp.mpf(m) / q) ** j / q
-                total += term
-                if term < total * mp.mpf(10) ** -30:
-                    break
-        assert 0 < total <= mpmath.mpf(tab.remainder[j])
+        # against the remainder the error bound adds, on the first band and
+        # the last
+        for band in (0, quadrature.MAX_ARGUMENT - 1):
+            tab = quadrature._table(digits, band)
+            q, size = tab.q, len(tab.terms)
+            with mp.workdps(3 * digits):
+                a = [sum(mp.mpf(-1) ** i / mp.factorial(i) for i in range(n + 1))
+                     for n in range(size)]
+                assert all(abs(a_n) <= 1 for a_n in a)
+                total = mp.mpf(0)
+                for m in count(tab.left + 1):
+                    u = mp.exp(-mp.mpf(m) / q)
+                    kept = sum(a_n * u ** (n + 1) for n, a_n in enumerate(a))
+                    term = abs(u * mp.exp(-u) / (u - 1) + kept) * (mp.mpf(m) / q) ** j / q
+                    total += term
+                    if term < total * mp.mpf(10) ** -30:
+                        break
+            assert 0 < total <= mpmath.mpf(tab.remainder[j]), band
 
 
 class TestKurepaValues:
@@ -503,23 +524,53 @@ class TestMemos:
 
     def test_every_memo_is_bounded(self):
         memos = quadrature_memos()
-        assert {"_table", "_steps", "_right", "_discretization"} <= set(memos)
+        assert {"_table", "_steps", "_discretization"} <= set(memos)
         for memo in memos.values():
             assert memo.cache_info().maxsize == quadrature._CACHE_LIMIT
 
     def test_a_sweep_of_arguments_builds_no_table(self, p35):
-        # the table depends on the precision alone: after x = 1/2, twenty
-        # more x in (0, 1] and seventeen across [0, 16] find it in the memo
+        # the table depends on the precision and the band alone, and x = 1
+        # takes the band below it: after x = 1/2, twenty more x in (0, 1]
+        # find it in the memo
         for j in range(3):
             _result("0.5", j, p35)
         built = quadrature._table.cache_info().misses
-        xs = [mpmath.mpf(i) / 20 for i in range(1, 21)]
-        xs += [mpmath.mpf(i) - mpmath.mpf(i % 4) / 4 for i in range(17)]
-        for x in xs:
+        for x in [mpmath.mpf(i) / 20 for i in range(1, 21)]:
             for j in range(3):
                 r = _result(x, j, p35)
                 assert r.error_bound <= mpmath.mpf(10) ** -38 * max(1, abs(r.value))
         assert quadrature._table.cache_info().misses == built
+
+    def test_a_sweep_builds_one_table_per_band(self, p35):
+        # seventeen x across [0, 16], integers among them, from emptied
+        # memos: each band ceil(x) - 1, floored at 0, is built once, and
+        # they touch all sixteen
+        clear_quadrature_memos()
+        xs = [mpmath.mpf(i) - mpmath.mpf(i % 4) / 4 for i in range(17)]
+        for x in xs + xs:
+            for j in range(3):
+                r = _result(x, j, p35)
+                assert r.error_bound <= mpmath.mpf(10) ** -38 * max(1, abs(r.value))
+        bands = {max(0, int(mpmath.ceil(x)) - 1) for x in xs}
+        assert quadrature._table.cache_info().misses == len(bands) == 16
+
+    def test_the_benchmark_proof_builds_one_table(self):
+        # a fresh interpreter, so no other test has built a table: the
+        # Kurepa bound on [0, 1] at 35 digits, with the benchmark's coarse
+        # grids, and its near miss need the first band's table alone
+        script = (
+            "from ineqprove import Precision, ProofSettings, prove_inequality, quadrature\n"
+            "p = Precision(35)\n"
+            f"proof = prove_inequality('({KP0})*x - kurepa(x)', 0, 1, 2, 0, 1,\n"
+            "                         ProofSettings(precision=p, grid_multiplier=4))\n"
+            "miss = prove_inequality('(1.432205)*x - kurepa(x)', 0, 1, 1, 0, 1,\n"
+            "                        ProofSettings(precision=p))\n"
+            "print(proof.verdict, miss.verdict, quadrature._table.cache_info().misses)\n"
+        )
+        src = str(Path(quadrature.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                             text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src)).stdout
+        assert out.split() == ["proven", "disproven", "1"]
 
     def test_a_warm_call_makes_one_exponential(self, p35, monkeypatch):
         # E = e^(x/q); every power of E comes from the chain on integers, and
@@ -542,10 +593,10 @@ class TestMemos:
                 assert calls == 1, (x, j, calls)
 
     def test_a_cold_table_makes_few_exponentials(self, monkeypatch):
-        # from emptied memos the P35 table takes q from 4 discretization
-        # bounds and its series length from 3 remainders (4 more give the
-        # table's own), each guessed and then confirmed, and each e^(k/q)
-        # from a chain and one exp(-t) per node
+        # from emptied memos the P35 table of the first band takes q from 3
+        # discretization bounds and its series length from 3 remainders (3
+        # more give the table's own), each guessed and then confirmed, and
+        # each e^(k/q) from a chain and one exp(-t) per node
         calls = remainders = 0
         exp, remainder = quadrature.mpf_exp, quadrature._remainder
 
@@ -562,8 +613,8 @@ class TestMemos:
         clear_quadrature_memos()
         monkeypatch.setattr(quadrature, "mpf_exp", counted)
         monkeypatch.setattr(quadrature, "_remainder", counted_remainder)
-        quadrature._table(35)
-        assert (calls, quadrature._discretization.cache_info().misses, remainders) == (222, 4, 7)
+        quadrature._table(35, 0)
+        assert (calls, quadrature._discretization.cache_info().misses, remainders) == (168, 3, 6)
 
     def test_threads_get_the_solo_bits(self, p35):
         # a call's chain lives in the call; the threads share only the
