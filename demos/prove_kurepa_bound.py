@@ -9,8 +9,8 @@ makes the quotient's left limit negative.  The proof states it exactly,
 as ``kurepa_deriv(1, 0)``, so the slopes of K'(0) x and K(x) cancel at 0
 bit for bit; a decimal slope, however long, lies above or below K'(0).
 
-Takes 1.3-1.9 s on a shared 2-vCPU machine (6 runs; Python 3.11.7, mpmath 1.3.0
-without gmpy2).
+Takes 0.29-0.43 s on a shared 2-vCPU machine (12 runs; Python 3.11.7, mpmath
+1.3.0 without gmpy2).
 Run:  python3 demos/prove_kurepa_bound.py
 """
 

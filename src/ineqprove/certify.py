@@ -27,7 +27,7 @@ import heapq
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -112,15 +112,30 @@ class ProofSettings:
     precision: Precision = Precision()
     grid_multiplier: int = remez.GRID_MULTIPLIER
 
+    def __post_init__(self):
+        if not isinstance(self.precision, Precision):
+            raise ConfigurationError(f"precision must be a Precision, got {self.precision!r}")
+        if self.precision.decimal_digits < CERTIFICATION_MIN_DIGITS:
+            raise ConfigurationError(
+                f"the proof pipeline certifies only at >= {CERTIFICATION_MIN_DIGITS} digits"
+            )
+        # from 2 on, the residual grid, twice as dense as Remez's, has the
+        # 4*(k+2) points that residual_check asks for
+        if not isinstance(self.grid_multiplier, int) or self.grid_multiplier < 2:
+            raise ConfigurationError(
+                f"grid_multiplier must be an integer of at least 2, got {self.grid_multiplier!r}")
+
 
 @dataclass(frozen=True)
 class ProofReport:
+    """The proof's result; ``report_to_json`` renders its fields in this order."""
+
     verdict: str
-    n: object
-    m: object
-    degree: int
     alpha: object = None
     beta: object = None
+    n: object = None
+    m: object = None
+    degree: int = None
     limit_method: object = None
     delta_hat: object = None
     lower_bound: object = None
@@ -543,19 +558,10 @@ def prove_inequality(f, a, b, n, m, k: int,
     """
     s = settings or ProofSettings()
     p = s.precision
-    if p.decimal_digits < CERTIFICATION_MIN_DIGITS:
-        raise ConfigurationError(
-            f"the proof pipeline certifies only at >= {CERTIFICATION_MIN_DIGITS} digits"
-        )
     if isinstance(f, str):
         f = parse(f)
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise ConfigurationError(f"degree must be a nonnegative integer, got {k!r}")
-    # from 2 on, the residual grid, twice as dense as Remez's, has the
-    # 4*(k+2) points that residual_check asks for
-    if not isinstance(s.grid_multiplier, int) or s.grid_multiplier < 2:
-        raise ConfigurationError(
-            f"grid_multiplier must be an integer of at least 2, got {s.grid_multiplier!r}")
     av, bv = finite_segment(a, b, p)
     nv, mv = finite_orders(n, m, p)
     residual_grid_size = 2 * s.grid_multiplier * (k + 2) + 1
@@ -567,31 +573,23 @@ def prove_inequality(f, a, b, n, m, k: int,
 
 
 def report_to_json(report: ProofReport) -> str:
-    """Serialize a ProofReport to its documented JSON shape, at the precision of its settings.
+    """Serialize a ProofReport's fields in order, at the precision of its settings.
 
-    Field order and decimal rendering are fixed, so identical runs produce
-    byte-identical output.
+    An mpf is rendered by ``decimal_str``, a tuple as a list of them, and the
+    polynomial as its Chebyshev coefficients, under ``polynomial_coefficients``;
+    so identical runs produce byte-identical output.
     """
     p = Precision(report.settings["precision_digits"])
-    doc = {
-        "verdict": report.verdict,
-        "alpha": decimal_str(report.alpha, p),
-        "beta": decimal_str(report.beta, p),
-        "n": decimal_str(report.n, p),
-        "m": decimal_str(report.m, p),
-        "degree": report.degree,
-        "limit_method": report.limit_method,
-        "delta_hat": decimal_str(report.delta_hat, p),
-        "lower_bound": decimal_str(report.lower_bound, p),
-        "nodes": [decimal_str(t, p) for t in report.nodes] if report.nodes is not None else None,
-        "polynomial_coefficients": (
-            [decimal_str(c, p) for c in report.polynomial.coefficients]
-            if report.polynomial is not None else None
-        ),
-        "global_min_bound": decimal_str(report.global_min_bound, p),
-        "caveat": report.caveat,
-        "settings": report.settings,
-        "timings": report.timings,
-        "diagnostics": report.diagnostics,
-    }
+
+    def render(value):
+        if hasattr(value, "_mpf_"):  # each context's mpfs are a class of their own
+            return decimal_str(value, p)
+        if isinstance(value, tuple):
+            return [render(v) for v in value]
+        if isinstance(value, Polynomial):
+            return render(value.coefficients)
+        return value
+
+    doc = {("polynomial_coefficients" if f.name == "polynomial" else f.name):
+           render(getattr(report, f.name)) for f in fields(report)}
     return json.dumps(doc, indent=2, ensure_ascii=True)

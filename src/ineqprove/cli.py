@@ -9,10 +9,11 @@ Subcommands:
 * ``kurepa``  -- evaluate the Kurepa function or one of its derivatives;
 * ``limits``  -- compute endpoint limits by the Taylor and/or numeric route.
 
-Config files are flat ``key = value`` text, one key per line, ``#`` comments
-allowed; every numeric value is a decimal string so no precision is lost in
-transit.  Reports are rendered deterministically: the same config produces
-byte-identical output.
+Config files are flat ``key = value`` text, one key per line, each at most
+once, ``#`` comments allowed; every numeric value is a decimal string so no
+precision is lost in transit.  Each key is also a ``prove`` flag, which
+overrides the file.  Reports are rendered deterministically: the same config
+produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ def read_config(path: str) -> dict:
             value = value.strip()
             if key not in _CONFIG_KEYS:
                 raise IneqproveError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in config:
+                raise IneqproveError(f"{path}:{lineno}: repeated key {key!r}")
             config[key] = value
     return config
 
@@ -67,15 +70,6 @@ def _split_interval(text: str):
     if len(parts) != 2 or not all(parts):
         raise IneqproveError(f"interval must be 'a,b', got {text!r}")
     return parts[0], parts[1]
-
-
-def _merged(config: dict, args, keys):
-    merged = dict(config)
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
 
 
 def _emit(payload: str, out) -> None:
@@ -88,8 +82,9 @@ def _emit(payload: str, out) -> None:
 
 
 def cmd_prove(args) -> int:
-    config = read_config(args.config) if args.config else {}
-    merged = _merged(config, args, _CONFIG_KEYS)
+    merged = read_config(args.config) if args.config else {}
+    flags = vars(args)  # a flag overrides the config file's value of its key
+    merged.update((key, flags[key]) for key in _CONFIG_KEYS if flags[key] is not None)
     for required in ("function", "interval", "n", "m"):
         if required not in merged:
             raise IneqproveError(f"missing required setting {required!r}")
@@ -151,14 +146,12 @@ def cmd_limits(args) -> int:
     p = Precision(args.precision)
     f = parse(args.function)
     a, b = _split_interval(args.interval)
-    if args.method in ("taylor", "both"):
-        alpha, beta = endpoint_limits_taylor(f, a, b, args.n, args.m, p)
-        print(f"taylor alpha {decimal_str(alpha, p)}")
-        print(f"taylor beta {decimal_str(beta, p)}")
-    if args.method in ("numeric", "both"):
-        alpha, beta = endpoint_limits_numeric(f, a, b, args.n, args.m, p)
-        print(f"numeric alpha {decimal_str(alpha, p)}")
-        print(f"numeric beta {decimal_str(beta, p)}")
+    for method, route in (("taylor", endpoint_limits_taylor),
+                          ("numeric", endpoint_limits_numeric)):
+        if args.method in (method, "both"):
+            alpha, beta = route(f, a, b, args.n, args.m, p)
+            print(f"{method} alpha {decimal_str(alpha, p)}")
+            print(f"{method} beta {decimal_str(beta, p)}")
     return EXIT_PROVEN
 
 
@@ -172,14 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     prove = sub.add_parser("prove", help="run the full proof pipeline")
     prove.add_argument("--config", help="flat key = value config file")
-    prove.add_argument("--function")
-    prove.add_argument("--interval", metavar="A,B")
-    prove.add_argument("--n")
-    prove.add_argument("--m")
-    prove.add_argument("--degree", type=int)
-    for key in _SETTING_KEYS:  # converted as config values are
+    for key in _CONFIG_KEYS:  # converted as config values are
         prove.add_argument("--" + key.replace("_", "-"))
-    prove.add_argument("--out")
     prove.set_defaults(func=cmd_prove)
 
     defaults = ProofSettings()

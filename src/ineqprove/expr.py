@@ -45,6 +45,7 @@ from .errors import (
     UnknownIdentifierError,
 )
 from .precision import Precision, context, rational, to_mpf
+from . import quadrature
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -451,7 +452,6 @@ def power(q: Fraction, prec):
 
 def _kurepa(order, p: Precision):
     """v -> K^(order)(v) by the quadrature module, at precision p, which checks v and order."""
-    from . import quadrature  # deferred: quadrature has no expr dependency
     if p is None:
         raise ConfigurationError("kurepa needs an explicit precision")
     make = context(p).make_mpf

@@ -262,8 +262,8 @@ class CachedFunction:
     """Memoizing wrapper for the approximated function; counts fresh calls.
 
     A value of ``fn`` not in the context of its argument is rounded into it,
-    unless it is an mpf of a coarser context: its lost digits would stall
-    Remez, so it is refused.
+    unless it is an mpf of a coarser context or a float (53 bits): its lost
+    digits would stall Remez, so it is refused.
     """
 
     def __init__(self, fn):
@@ -276,9 +276,10 @@ class CachedFunction:
         if v is None:
             v = self.fn(x)
             if type(v) is not type(x):
-                if hasattr(v, "_mpf_") and v.context.prec < x.context.prec:
+                bits = 53 if isinstance(v, float) else getattr(v, "context", x.context).prec
+                if bits < x.context.prec:
                     raise ConfigurationError(
-                        f"g returned a {v.context.prec}-bit value for a {x.context.prec}-bit x; "
+                        f"g returned a {bits}-bit value for a {x.context.prec}-bit x; "
                         "compute in x.context, as lambda x: x.context.exp(x) does")
                 v = x.context.mpf(v)
             self.values[x] = v

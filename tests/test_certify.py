@@ -721,16 +721,16 @@ class TestProvePipeline:
 
     # the residual grid, 2*grid_multiplier*(k+2)+1 points, needs 4*(k+2)
     @pytest.mark.parametrize("grid_multiplier", [0, -2, 1, 2.5, "4"], ids=repr)
-    def test_grid_settings_refused_before_any_stage(self, grid_multiplier, p30, monkeypatch):
-        def no_stage(*args):
-            raise AssertionError("a stage ran")
-
-        for name in ("endpoint_limits_taylor", "endpoint_limits_numeric"):
-            monkeypatch.setattr(certify, name, no_stage)
+    def test_grid_settings_refused_before_any_stage(self, grid_multiplier, p30):
+        # ProofSettings refuses them where they are made
         with pytest.raises(ConfigurationError,
                            match=r"grid_multiplier must be an integer of at least 2, got "):
-            prove_inequality("exp(x)-1-x", 0, 1, 2, 0, 1,
-                             ProofSettings(precision=p30, grid_multiplier=grid_multiplier))
+            ProofSettings(precision=p30, grid_multiplier=grid_multiplier)
+
+    @pytest.mark.parametrize("precision", [50, "50", None], ids=repr)
+    def test_precision_that_is_no_precision_refused(self, precision):
+        with pytest.raises(ConfigurationError, match="^precision must be a Precision, got "):
+            ProofSettings(precision=precision)
 
     def test_least_grid_multiplier_proves(self, p30):
         report = prove_inequality("exp(x)-1-x", 0, 1, 2, 0, 1,
@@ -750,9 +750,8 @@ class TestProvePipeline:
             Precision(digits)
 
     def test_precision_floor(self):
-        with pytest.raises(ConfigurationError):
-            prove_inequality("x*(1-x)", 0, 1, 1, 1, 1,
-                             ProofSettings(precision=Precision(25)))
+        with pytest.raises(ConfigurationError, match="certifies only at >= 30 digits"):
+            ProofSettings(precision=Precision(25))
 
     def test_endpoint_roots_admitted(self, p30):
         report = prove_inequality("x*(1-x)", 0, 1, 1, 1, 1,
@@ -799,6 +798,15 @@ class TestReportJson:
         assert (doc["verdict"], doc["limit_method"]) == ("proven", "taylor")
         assert doc["settings"]["precision_digits"] == 30
         assert isinstance(doc["timings"]["g_evaluations"], int)
+
+    @pytest.mark.parametrize("source, verdict", [("x*(1-x)", "proven"),
+                                                 ("x*(1-x)*(x-0.5)^2", "inconclusive")])
+    def test_keys_are_the_report_fields(self, source, verdict, p30):
+        report = prove_inequality(source, 0, 1, 1, 1, 1, ProofSettings(precision=p30))
+        assert report.verdict == verdict
+        names = [f.name for f in dataclasses.fields(certify.ProofReport)]
+        keys = ["polynomial_coefficients" if name == "polynomial" else name for name in names]
+        assert list(json.loads(report_to_json(report))) == keys
 
     def test_byte_determinism(self, p30):
         settings = ProofSettings(precision=p30)

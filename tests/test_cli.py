@@ -8,7 +8,7 @@ import pytest
 
 from ineqprove import ProofSettings, prove_inequality, report_to_json
 from ineqprove import cli
-from ineqprove.cli import _SETTING_KEYS, build_parser, main
+from ineqprove.cli import _CONFIG_KEYS, _SETTING_KEYS, build_parser, main
 
 
 def write_config(path, **kwargs):
@@ -86,6 +86,24 @@ class TestProveCommand:
         path.write_text("function = x\ninterval 0,1\n", encoding="utf-8")
         assert main(["prove", "--config", str(path)]) == 3
         assert "noeq.cfg:2: expected 'key = value', got 'interval 0,1'" in capsys.readouterr().err
+
+    def test_repeated_key_refused(self, tmp_path, capsys):
+        path = tmp_path / "twice.cfg"
+        path.write_text("function = x*(1-x)\ninterval = 0,1\nn = 1\nm = 1\n"
+                        "precision = 30\nprecision = 31\n", encoding="utf-8")
+        assert main(["prove", "--config", str(path)]) == 3
+        assert "twice.cfg:6: repeated key 'precision'" in capsys.readouterr().err
+
+    def test_every_config_key_is_a_flag(self):
+        parser = build_parser()
+        for key in _CONFIG_KEYS:
+            args = parser.parse_args(["prove", "--" + key.replace("_", "-"), "7"])
+            assert getattr(args, key) == "7"
+
+    def test_fractional_degree_flag_refused(self, capsys):
+        assert main(["prove", "--function", "x*(1-x)", "--interval", "0,1", "--n", "1",
+                     "--m", "1", "--precision", "30", "--degree", "1.5"]) == 3
+        assert "invalid setting value" in capsys.readouterr().err
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = write_config(

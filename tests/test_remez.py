@@ -644,6 +644,15 @@ class TestMinimax:
         with mp.workdps(60):
             assert minimax(mpmath.exp, 0, 1, 6, p=p50).delta_hat > 0
 
+    @pytest.mark.parametrize("g", [lambda x: float(x * x), lambda x: float(x)],
+                             ids=["x^2", "x"])
+    def test_float_g_values_refused(self, g):
+        # a float carries 53 bits, as an mpf of a coarser context would: the
+        # first returns a delta_hat off in its 17th digit, the second stalls
+        with pytest.raises(ConfigurationError,
+                           match=r"^g returned a 53-bit value for a 136-bit x; .*x\.context"):
+            minimax(g, 0, 1, 1, p=Precision(30))
+
     def test_tol_validation(self):
         # TOL, 1e-12, lies below 21-digit arithmetic's resolution floor, 1e-11
         exp = lambda x: x.context.exp(x)
