@@ -10,7 +10,7 @@ one runner walking a fixed table of stages (``_STAGES``):
    delta_hat (Remez exchange);
 4. ``equioscillation``: the residuals g - P at the nodes must alternate
    in sign;
-5. ``residual_check``: |g - P| <= delta_hat on a dense sample grid;
+5. ``residual_check``: |g - P| <= delta_hat * margin on a dense sample grid;
 6. ``positivity``: P(x) - delta_hat * margin > 0, certified rigorously by
    exact Bernstein subdivision on integers, refining the lowest leaf first.
 
@@ -27,7 +27,7 @@ import heapq
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -55,7 +55,6 @@ from .precision import (
     finite_orders,
     finite_segment,
     resolution_floor,
-    sampling_ratio,
     to_mpf,
     witness_floor,
 )
@@ -172,12 +171,14 @@ def precondition_check(alpha, beta, p: Precision = Precision()):
 
 def residual_check(g, polynomial: Polynomial, delta, grid_size: int,
                    p: Precision = Precision(), extra_points=(), known=None) -> GridStatistics:
-    """Sampled verification of |g - P| <= delta on ``grid_size`` Chebyshev extremum points.
+    """Sampled check of |g - P| <= delta * MARGIN_FACTOR on ``grid_size`` Chebyshev points.
 
     This is evidence, not proof; the pipeline records it and the caveat says
-    so.  ``extra_points`` lets callers include the equioscillation nodes.
-    Residuals are libmp tuples at the precision of P's segment, p's for the
-    P that ``minimax`` returns.  ``known`` may map x._mpf_ to g(x) - P(x), as
+    so.  The slack is the certificate's margin: the proof needs |g - P| no
+    larger than the delta * MARGIN_FACTOR that P clears.  ``extra_points``
+    lets callers include the equioscillation nodes.  Residuals are libmp
+    tuples at the precision of P's segment, p's for the P that ``minimax``
+    returns.  ``known`` may map x._mpf_ to g(x) - P(x), as
     ``MinimaxResult.residuals`` does for its polynomial; every sample found
     there takes that residual, and only the others are computed.
     """
@@ -196,7 +197,7 @@ def residual_check(g, polynomial: Polynomial, delta, grid_size: int,
     # the first point of largest residual
     top, max_res = largest_magnitude(residuals, polynomial.segment[0].context.prec)
     max_res = context(p).make_mpf(max_res)
-    threshold = to_mpf(delta, p) * (1 + sampling_ratio(p))
+    threshold = to_mpf(delta, p) * to_mpf(MARGIN_FACTOR, p)
     return GridStatistics(
         passed=bool(max_res <= threshold),
         max_residual=+max_res,
@@ -347,10 +348,8 @@ def certify_positive(polynomial: Polynomial, delta, margin_factor,
 
 def _settings_echo(f_source, a, b, n, m, k, s: ProofSettings, residual_grid_size):
     """The report's settings: the inputs, the settings and the constants the stages read."""
-    p = s.precision
-    return {"function": f_source, "interval": [decimal_str(a, p), decimal_str(b, p)],
-            "n": decimal_str(n, p), "m": decimal_str(m, p), "degree": k,
-            "precision_digits": p.decimal_digits, "tol": remez.TOL,
+    return {"function": f_source, "interval": [a, b], "n": n, "m": m, "degree": k,
+            "precision_digits": s.precision.decimal_digits, "tol": remez.TOL,
             "grid_multiplier": s.grid_multiplier, "residual_grid_size": residual_grid_size,
             "margin_factor": MARGIN_FACTOR, "max_iterations": remez.MAX_ITERATIONS}
 
@@ -370,7 +369,7 @@ def _disproof_witness(run):
     except IneqproveError:
         return None
     if fv < -floor:
-        return {"x": decimal_str(worst_x, p), "f_value": decimal_str(fv, p)}
+        return {"x": worst_x, "f_value": fv}
     return None
 
 
@@ -443,11 +442,7 @@ def _minimax(run: _Run):
 
 def _equioscillation(run: _Run):
     eq = verify_equioscillation(run.minimax, p=run.p)
-    run.diagnostics["equioscillation"] = {
-        "passed": eq.passed,
-        "spread": decimal_str(eq.spread, run.p),
-        "message": eq.message,
-    }
+    run.diagnostics["equioscillation"] = asdict(eq)
     if not eq.passed:
         return _Stop(eq.message)
 
@@ -458,11 +453,8 @@ def _residual_check(run: _Run):
                            run.p, extra_points=mr.nodes, known=mr.residuals)
     run.timings["residual_samples"] = stats.sample_count
     run.diagnostics["residual_check"] = {
-        "passed": stats.passed,
-        "max_residual": decimal_str(stats.max_residual, run.p),
-        "max_location": decimal_str(stats.max_location, run.p),
-        "threshold": decimal_str(stats.threshold, run.p),
-    }
+        "passed": stats.passed, "max_residual": stats.max_residual,
+        "max_location": stats.max_location, "threshold": stats.threshold}
     if not stats.passed:
         return _Stop("sampled residual exceeds delta_hat; the Remez result "
                      "does not bound g on this grid")
@@ -490,13 +482,12 @@ def _numeric_cross_check(exc, run: _Run):
     except IneqproveError as failure:
         entry = {"failed": f"{type(failure).__name__}: {failure}"}
     else:
-        entry = {"alpha_numeric": decimal_str(alpha, run.p),
-                 "beta_numeric": decimal_str(beta, run.p)}
+        entry = {"alpha_numeric": alpha, "beta_numeric": beta}
     return (("limit_cross_check", entry),)
 
 
 def _failing_subinterval(exc: CertificationError, run: _Run):
-    return (("failing_subinterval", {key: decimal_str(getattr(exc, key), run.p)
+    return (("failing_subinterval", {key: getattr(exc, key)
                                      for key in ("left", "right", "bound")}),)
 
 
@@ -575,21 +566,17 @@ def prove_inequality(f, a, b, n, m, k: int,
 def report_to_json(report: ProofReport) -> str:
     """Serialize a ProofReport's fields in order, at the precision of its settings.
 
-    An mpf is rendered by ``decimal_str``, a tuple as a list of them, and the
-    polynomial as its Chebyshev coefficients, under ``polynomial_coefficients``;
-    so identical runs produce byte-identical output.
+    The polynomial goes under ``polynomial_coefficients``; ``to_json``
+    renders the numbers, so identical runs produce byte-identical output.
     """
-    p = Precision(report.settings["precision_digits"])
-
-    def render(value):
-        if hasattr(value, "_mpf_"):  # each context's mpfs are a class of their own
-            return decimal_str(value, p)
-        if isinstance(value, tuple):
-            return [render(v) for v in value]
-        if isinstance(value, Polynomial):
-            return render(value.coefficients)
-        return value
-
     doc = {("polynomial_coefficients" if f.name == "polynomial" else f.name):
-           render(getattr(report, f.name)) for f in fields(report)}
-    return json.dumps(doc, indent=2, ensure_ascii=True)
+           getattr(report, f.name) for f in fields(report)}
+    return to_json(doc, Precision(report.settings["precision_digits"]))
+
+
+def to_json(doc: dict, p: Precision) -> str:
+    """doc as indented JSON: an mpf by ``decimal_str`` at p, a Polynomial by its coefficients."""
+    def render(value):
+        return value.coefficients if isinstance(value, Polynomial) else decimal_str(value, p)
+
+    return json.dumps(doc, indent=2, ensure_ascii=True, default=render)

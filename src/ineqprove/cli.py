@@ -19,12 +19,11 @@ produces byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import mpmath
 
-from .certify import ProofSettings, prove_inequality, report_to_json
+from .certify import ProofSettings, prove_inequality, report_to_json, to_json
 from .errors import IneqproveError
 from .expr import parse
 from .precision import Precision, decimal_str, to_mpf
@@ -45,7 +44,7 @@ _CONFIG_KEYS = ("function", "interval", "n", "m", "degree", *_SETTING_KEYS, "out
 
 def read_config(path: str) -> dict:
     config = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a BOM is skipped
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -113,21 +112,13 @@ def cmd_minimax(args) -> int:
     def g(x):
         return f.evaluate(x, p)
 
-    result = minimax(g, a, b, args.degree, p=p, grid_multiplier=args.grid_multiplier)
-    mono = result.polynomial.to_monomial(p)
-    doc = {
-        "degree": args.degree,
-        "segment": [decimal_str(result.polynomial.segment[0], p),
-                    decimal_str(result.polynomial.segment[1], p)],
-        "delta_hat": decimal_str(result.delta_hat, p),
-        "lower_bound": decimal_str(result.lower_bound, p),
-        "iterations": result.iterations,
-        "nodes": [decimal_str(t, p) for t in result.nodes],
-        "chebyshev_coefficients": [decimal_str(c, p) for c in result.polynomial.coefficients],
-        "monomial_coefficients": [decimal_str(c, p) for c in mono],
-        "levelled_error_history": [decimal_str(h, p) for h in result.levelled_error_history],
-    }
-    _emit(json.dumps(doc, indent=2, ensure_ascii=True), args.out)
+    mr = minimax(g, a, b, args.degree, p=p, grid_multiplier=args.grid_multiplier)
+    doc = {"degree": args.degree, "segment": mr.polynomial.segment, "delta_hat": mr.delta_hat,
+           "lower_bound": mr.lower_bound, "iterations": mr.iterations, "nodes": mr.nodes,
+           "chebyshev_coefficients": mr.polynomial.coefficients,
+           "monomial_coefficients": mr.polynomial.to_monomial(p),
+           "levelled_error_history": mr.levelled_error_history}
+    _emit(to_json(doc, p), args.out)
     return EXIT_PROVEN
 
 

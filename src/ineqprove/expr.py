@@ -201,78 +201,68 @@ def _tokenize(source: str):
     return tokens
 
 
+# the binary operators, loosest first: each level's operands are the next
+# level's expressions, the last level's unary ones
+_LEVELS = ({"+": add, "-": sub}, {"*": mul, "/": div})
+
+
 class _Parser:
     def __init__(self, source: str):
         self.source = source
         self.tokens = _tokenize(source)
         self.i = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
+    def take(self, kinds=None):
+        """The next token, consumed, if kinds is None or holds its kind; else None."""
         tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+        if kinds is None or tok.kind in kinds:
+            self.i += 1
+            return tok
+        return None
 
     def expect(self, kind: str) -> _Token:
-        tok = self.peek()
+        tok = self.take()
         if tok.kind != kind:
             raise ExpressionSyntaxError(f"expected {kind!r}", tok.pos)
-        return self.advance()
+        return tok
 
     def parse(self) -> Node:
-        node = self.expression()
-        tok = self.peek()
+        node = self.binary()
+        tok = self.take()
         if tok.kind != "end":
             raise ExpressionSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
         return node
 
-    def expression(self) -> Node:
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self.term()
-            node = add(node, rhs) if op == "+" else sub(node, rhs)
-        return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            rhs = self.unary()
-            node = mul(node, rhs) if op == "*" else div(node, rhs)
+    def binary(self, level: int = 0) -> Node:
+        ops, last = _LEVELS[level], level + 1 == len(_LEVELS)
+        node = self.unary() if last else self.binary(level + 1)
+        while tok := self.take(ops):
+            node = ops[tok.kind](node, self.unary() if last else self.binary(level + 1))
         return node
 
     def unary(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "-":
-            self.advance()
-            return neg(self.unary())
-        if tok.kind == "+":
-            self.advance()
-            return self.unary()
-        return self.power()
+        sign = self.take(("-", "+"))
+        if not sign:
+            return self.power()
+        node = self.unary()
+        return neg(node) if sign.kind == "-" else node
 
     def power(self) -> Node:
         base = self.atom()
-        tok = self.peek()
-        if tok.kind == "^":
-            caret = self.advance()
-            exponent = self.unary()
-            if not isinstance(exponent, Constant):
-                raise ExpressionSyntaxError(
-                    "exponent must be a rational constant", caret.pos
-                )
-            return pow_(base, exponent)
-        return base
+        caret = self.take(("^",))
+        if not caret:
+            return base
+        exponent = self.unary()
+        if not isinstance(exponent, Constant):
+            raise ExpressionSyntaxError("exponent must be a rational constant", caret.pos)
+        return pow_(base, exponent)
 
     def atom(self) -> Node:
-        tok = self.advance()
+        tok = self.take()
         if tok.kind == "number":
             return Constant(Fraction(tok.text))
         if tok.kind == "(":
-            node = self.expression()
+            node = self.binary()
             self.expect(")")
             return node
         if tok.kind == "ident":
@@ -285,19 +275,15 @@ class _Parser:
                 self.expect("(")
                 order = 0
                 if name == "kurepa_deriv":
-                    order_tok = self.peek()
-                    if order_tok.kind != "number" or not order_tok.text.isdigit():
+                    order_tok = self.take()
+                    if order_tok.kind != "number" or not order_tok.text.isdigit() \
+                            or int(order_tok.text) < 1:
                         raise ExpressionSyntaxError(
                             "kurepa_deriv expects a positive integer order", order_tok.pos
                         )
-                    self.advance()
                     order = int(order_tok.text)
-                    if order < 1:
-                        raise ExpressionSyntaxError(
-                            "kurepa_deriv order must be >= 1", order_tok.pos
-                        )
                     self.expect(",")
-                arg = self.expression()
+                arg = self.binary()
                 self.expect(")")
                 if name in UNARY_FUNCTIONS:
                     return UnaryOp(name, arg)

@@ -100,7 +100,7 @@ def kurepa_floor(p: Precision, prec):
 
 
 def sampling_ratio(p: Precision):
-    """10^-6: the slack of a sampled residual bound, and an endpoint limit that counts as zero."""
+    """10^-6: a numeric-route endpoint limit under ratio * scale counts as zero."""
     return _ten_to(-6, p)
 
 
@@ -189,5 +189,4 @@ def finite_orders(n, m, p: Precision):
 
 def decimal_str(value, p: Precision) -> str:
     """Deterministic decimal rendering at full working precision."""
-    return None if value is None else mpmath.nstr(to_mpf(value, p), p.decimal_digits,
-                                                  strip_zeros=True)
+    return mpmath.nstr(to_mpf(value, p), p.decimal_digits, strip_zeros=True)

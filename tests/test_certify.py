@@ -30,7 +30,7 @@ from ineqprove import (
 )
 from ineqprove import certify, remez
 from ineqprove.certify import precondition_check
-from ineqprove.precision import finite_segment
+from ineqprove.precision import decimal_str, finite_segment
 from ineqprove.remez import chebyshev_grid
 
 from helpers import ARCSIN_DIFF_SOURCE, KP0, TRIG_ARCSIN_SOURCE, ambient, exact_taylor, fraction
@@ -77,6 +77,8 @@ class TestResidualCheck:
         P = make_poly(["0.5"], -1, 1)
         stats = residual_check(lambda x: x * x, P, "0.5", 64, p50)
         assert stats.passed
+        # the sampled bound's slack is the certificate's margin
+        assert stats.threshold == to_mpf("0.5", p50) * to_mpf(certify.MARGIN_FACTOR, p50)
         assert abs(stats.max_residual - mpmath.mpf("0.5")) < mpmath.mpf("1e-30")
         assert min(abs(stats.max_location - v) for v in (-1, 0, 1)) < mpmath.mpf("1e-6")
 
@@ -446,8 +448,8 @@ class TestProvePipeline:
         where = report.diagnostics["failing_subinterval"]
         assert list(where) == ["left", "right", "bound"]
         # P - delta*margin is negative already at the left end
-        assert where["left"] == where["right"] == "0.0"
-        assert mpmath.mpf(where["bound"]) < 0
+        assert where["left"] == where["right"] == 0
+        assert where["bound"] < 0
 
     def test_monotone_repair_at_higher_degree(self, p30):
         report = prove_inequality("x^2 - x + 0.25 + 1e-8", 0, 1, 0, 0, 2,
@@ -775,7 +777,7 @@ class TestDisproofWitness:
 
     def test_negative_f_is_a_witness(self, p30):
         witness = certify._disproof_witness(self.run("x - 1", p30))
-        assert witness == {"x": "0.5", "f_value": "-0.5"}
+        assert witness == {"x": to_mpf("0.5", p30), "f_value": to_mpf("-0.5", p30)}
 
     @pytest.mark.parametrize("source", ["log(x - 1/2)", "x - 1/2 - 1e-40"],
                              ids=["f_raises", "f_above_the_floor"])
@@ -807,6 +809,26 @@ class TestReportJson:
         names = [f.name for f in dataclasses.fields(certify.ProofReport)]
         keys = ["polynomial_coefficients" if name == "polynomial" else name for name in names]
         assert list(json.loads(report_to_json(report))) == keys
+
+    @pytest.mark.parametrize("source, verdict, entries", [
+        ("x*(1-x)", "proven", {"residual_check": ("max_residual", "max_location", "threshold")}),
+        ("x*(1-x)*(x-0.5)^2", "inconclusive",
+         {"equioscillation": ("spread",),
+          "residual_check": ("max_residual", "max_location", "threshold"),
+          "failing_subinterval": ("left", "right", "bound")}),
+    ])
+    def test_settings_and_diagnostics_keep_their_numbers(self, source, verdict, entries, p30):
+        # the stages store mpfs, and report_to_json renders each as decimal_str does
+        report = prove_inequality(source, 0, 1, 1, 1, 1, ProofSettings(precision=p30))
+        assert report.verdict == verdict
+        doc = json.loads(report_to_json(report))
+        pairs = list(zip(report.settings["interval"], doc["settings"]["interval"]))
+        pairs += [(report.settings[key], doc["settings"][key]) for key in ("n", "m")]
+        pairs += [(report.diagnostics[name][key], doc["diagnostics"][name][key])
+                  for name, keys in entries.items() for key in keys]
+        for value, rendered in pairs:
+            assert hasattr(value, "_mpf_")
+            assert rendered == decimal_str(value, p30)
 
     def test_byte_determinism(self, p30):
         settings = ProofSettings(precision=p30)
