@@ -54,6 +54,7 @@ from .precision import (
     exact,
     finite_orders,
     finite_segment,
+    integer,
     resolution_floor,
     to_mpf,
     witness_floor,
@@ -114,15 +115,11 @@ class ProofSettings:
     def __post_init__(self):
         if not isinstance(self.precision, Precision):
             raise ConfigurationError(f"precision must be a Precision, got {self.precision!r}")
-        if self.precision.decimal_digits < CERTIFICATION_MIN_DIGITS:
-            raise ConfigurationError(
-                f"the proof pipeline certifies only at >= {CERTIFICATION_MIN_DIGITS} digits"
-            )
+        integer(self.precision.decimal_digits, "certified precision in decimal digits",
+                CERTIFICATION_MIN_DIGITS)
         # from 2 on, the residual grid, twice as dense as Remez's, has the
         # 4*(k+2) points that residual_check asks for
-        if not isinstance(self.grid_multiplier, int) or self.grid_multiplier < 2:
-            raise ConfigurationError(
-                f"grid_multiplier must be an integer of at least 2, got {self.grid_multiplier!r}")
+        integer(self.grid_multiplier, "grid_multiplier", 2)
 
 
 @dataclass(frozen=True)
@@ -182,11 +179,7 @@ def residual_check(g, polynomial: Polynomial, delta, grid_size: int,
     ``MinimaxResult.residuals`` does for its polynomial; every sample found
     there takes that residual, and only the others are computed.
     """
-    degree = polynomial.degree
-    if not isinstance(grid_size, int) or grid_size < 4 * (degree + 2):
-        raise ConfigurationError(
-            f"grid_size must be an integer of at least 4*(degree+2) = {4 * (degree + 2)}"
-        )
+    integer(grid_size, "grid_size", 4 * (polynomial.degree + 2))
     g = g if isinstance(g, CachedFunction) else CachedFunction(g)
     pts = chebyshev_grid(*(to_mpf(v, p) for v in polynomial.segment), grid_size)
     pts += tuple(to_mpf(x, p) for x in extra_points)
@@ -253,11 +246,7 @@ def certify_positive(polynomial: Polynomial, delta, margin_factor,
     a positive bound, or when the leaves would exceed MAX_SUBINTERVALS.
     That signals delta too large for this degree, not a disproof.
     """
-    if p.decimal_digits < CERTIFICATION_MIN_DIGITS:
-        raise ConfigurationError(
-            f"certification requires at least {CERTIFICATION_MIN_DIGITS} decimal digits, "
-            f"got {p.decimal_digits}"
-        )
+    integer(p.decimal_digits, "certified precision in decimal digits", CERTIFICATION_MIN_DIGITS)
     ctx = context(p)
     dv = to_mpf(delta, p)
     mv = to_mpf(margin_factor, p)
@@ -547,12 +536,15 @@ def prove_inequality(f, a, b, n, m, k: int,
     negative endpoint limit or a concrete negative interior sample yields
     'disproven'.
     """
-    s = settings or ProofSettings()
+    s = ProofSettings() if settings is None else settings
+    if not isinstance(s, ProofSettings):
+        raise ConfigurationError(f"settings must be a ProofSettings, got {settings!r}")
     p = s.precision
     if isinstance(f, str):
         f = parse(f)
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise ConfigurationError(f"degree must be a nonnegative integer, got {k!r}")
+    elif not isinstance(f, Expression):
+        raise ConfigurationError(f"f must be text or an Expression, got {f!r}")
+    integer(k, "degree", 0)
     av, bv = finite_segment(a, b, p)
     nv, mv = finite_orders(n, m, p)
     residual_grid_size = 2 * s.grid_multiplier * (k + 2) + 1

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import mpmath
 
@@ -44,23 +45,22 @@ _CONFIG_KEYS = ("function", "interval", "n", "m", "degree", *_SETTING_KEYS, "out
 
 def read_config(path: str) -> dict:
     config = {}
-    with open(path, "r", encoding="utf-8-sig") as fh:  # a BOM is skipped
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise IneqproveError(
-                    f"{path}:{lineno}: expected 'key = value', got {line!r}"
-                )
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _CONFIG_KEYS:
-                raise IneqproveError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in config:
-                raise IneqproveError(f"{path}:{lineno}: repeated key {key!r}")
-            config[key] = value
+    try:
+        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")  # a BOM is skipped
+    except UnicodeDecodeError as exc:
+        raise IneqproveError(f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise IneqproveError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in _CONFIG_KEYS:
+            raise IneqproveError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in config:
+            raise IneqproveError(f"{path}:{lineno}: repeated key {key!r}")
+        config[key] = value
     return config
 
 

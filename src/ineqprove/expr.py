@@ -44,7 +44,7 @@ from .errors import (
     IneqproveError,
     UnknownIdentifierError,
 )
-from .precision import Precision, context, rational, to_mpf
+from .precision import Precision, context, integer, rational, to_mpf
 from . import quadrature
 
 _ZERO = Fraction(0)
@@ -549,9 +549,8 @@ def _d(node: Node) -> Node:
 
 
 def differentiate(e: Expression, order: int = 1) -> Expression:
-    """Symbolic derivative of the given order (tree rewriting plus folding)."""
-    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
-        raise ConfigurationError(f"derivative order must be a positive integer, got {order!r}")
+    """Symbolic derivative of an order ``precision.integer`` accepts, by tree rewriting and folding."""
+    integer(order, "derivative order", 1)
     root = e.root if isinstance(e, Expression) else e
     for _ in range(order):
         root = _d(root)

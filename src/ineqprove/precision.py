@@ -7,9 +7,10 @@ reads or sets the global ``mp``, so proofs in several threads cannot
 interfere, and results are deterministic: same inputs, same bits.  mpmath
 arithmetic takes the precision of its left operand, so a foreign value
 enters a routine's context through ``to_mpf`` before it meets another.
-``rational`` is its one rounding of a Fraction, once to nearest, and
-``exact`` and ``fraction`` its one exact conversion of mpfs, to integers on
-a common power of two and to Fractions.
+``rational`` is its one rounding of a Fraction, once to nearest, ``exact`` and
+``fraction`` its one exact conversion of mpfs, to integers on a common power
+of two and to Fractions, and ``integer`` its one check of a whole-number
+argument: a degree, a derivative order, a grid size or a digit count.
 """
 
 from __future__ import annotations
@@ -28,6 +29,13 @@ from .errors import ConfigurationError, IneqproveError
 GUARD_DIGITS = 10
 
 
+def integer(value, what, least):
+    """value, if it is an int (not a bool) of at least ``least``; else ConfigurationError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigurationError(f"{what} must be an integer of at least {least}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Precision:
     """Number of decimal digits carried by all real arithmetic."""
@@ -35,12 +43,7 @@ class Precision:
     decimal_digits: int = 50
 
     def __post_init__(self):
-        if isinstance(self.decimal_digits, bool) or not isinstance(self.decimal_digits, int):
-            raise ConfigurationError("precision must be an integer number of decimal digits")
-        if self.decimal_digits < 15:
-            raise ConfigurationError(
-                f"working precision must be at least 15 decimal digits, got {self.decimal_digits}"
-            )
+        integer(self.decimal_digits, "precision in decimal digits", 15)
 
 
 @lru_cache(maxsize=64)

@@ -50,7 +50,7 @@ from mpmath.libmp import (
 )
 
 from .errors import ConfigurationError, DomainError, PrecisionUnreachableError, RootBracketError
-from .precision import Precision, context, kurepa_floor, to_mpf
+from .precision import Precision, context, integer, kurepa_floor, to_mpf
 
 # the supported domain: 0 <= x <= MAX_ARGUMENT, derivative orders up to MAX_ORDER
 MAX_ARGUMENT, MAX_ORDER = 16, 3
@@ -381,11 +381,9 @@ def kurepa(x, p: Precision = Precision()) -> QuadratureResult:
 def kurepa_derivative(x, order: int, p: Precision = Precision()) -> QuadratureResult:
     """K^(j)(x), 1 <= j <= MAX_ORDER, as ``kurepa`` computes K, each weight times (k/q)^j.
 
-    An order above MAX_ORDER raises DomainError, and one that is not a
-    positive integer (a bool included) ConfigurationError.
+    ``precision.integer`` checks the order; one above MAX_ORDER raises DomainError.
     """
-    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
-        raise ConfigurationError(f"derivative order must be a positive integer, got {order!r}")
+    integer(order, "derivative order", 1)
     return _kurepa_integral(x, order, p)
 
 

@@ -62,8 +62,8 @@ from mpmath.libmp import (
 
 from .errors import ConfigurationError, ConvergenceError, SingularSystemError
 from .precision import (
-    Precision, context, exact, finite_segment, fraction, rational, resolution_floor,
-    rounding_floor, to_mpf,
+    Precision, context, exact, finite_segment, fraction, integer, rational,
+    resolution_floor, rounding_floor, to_mpf,
 )
 
 REFINE_WIDTH_FACTOR = "1e-12"
@@ -530,12 +530,8 @@ def minimax(g, a, b, k: int, p: Precision = Precision(),
     ``g`` receives mpfs of p's working context and should compute in it,
     ``lambda x: x.context.exp(x)``: ``mpmath.exp`` uses the ambient precision.
     """
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise ConfigurationError(f"degree must be a nonnegative integer, got {k!r}")
-    if (isinstance(grid_multiplier, bool) or not isinstance(grid_multiplier, int)
-            or grid_multiplier < 1):
-        raise ConfigurationError(
-            f"grid_multiplier must be a positive integer, got {grid_multiplier!r}")
+    integer(k, "degree", 0)
+    integer(grid_multiplier, "grid_multiplier", 1)
     av, bv = finite_segment(a, b, p)
     tol = to_mpf(TOL, p)
     if tol < resolution_floor(p):

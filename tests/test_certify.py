@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb
@@ -112,8 +113,9 @@ class TestResidualCheck:
 
     def test_grid_size_validation(self, p50):
         P = make_poly(["0.5", "1"])
-        for grid_size in (8, 12.5):
-            with pytest.raises(ConfigurationError):
+        for grid_size in (8, 12.5, True):
+            with pytest.raises(ConfigurationError, match="^" + re.escape(
+                    f"grid_size must be an integer of at least 12, got {grid_size!r}") + "$"):
                 residual_check(lambda x: x, P, "0.1", grid_size, p50)
 
     # N = 4*(2+2) = 16 Remez intervals: 2N+1 and 3N+1 nest the Remez grid,
@@ -194,8 +196,11 @@ class TestCertifyPositive:
 
     def test_low_precision_refused(self):
         P = make_poly(["1"])
-        with pytest.raises(ConfigurationError):
-            certify_positive(P, 0, "1.000001", Precision(20))
+        for digits in (20, 29):
+            with pytest.raises(ConfigurationError, match=(
+                    "^certified precision in decimal digits must be an integer of at least 30, "
+                    f"got {digits}$")):
+                certify_positive(P, 0, "1.000001", Precision(digits))
 
     def test_margin_validation(self, p50):
         P = make_poly(["1"])
@@ -542,7 +547,8 @@ class TestProvePipeline:
 
     @pytest.mark.parametrize("degree", [-1, 1.5, True])
     def test_bad_degree_refused(self, degree, p30):
-        with pytest.raises(ConfigurationError, match="degree must be a nonnegative integer"):
+        with pytest.raises(ConfigurationError,
+                           match=f"^degree must be an integer of at least 0, got {degree!r}$"):
             prove_inequality("exp(x)-1-x", 0, 1, 2, 0, degree, ProofSettings(precision=p30))
 
     def test_trig_arcsin_bound_proven(self, p50):
@@ -722,17 +728,29 @@ class TestProvePipeline:
         assert mr == dataclasses.replace(mr, residuals={})
 
     # the residual grid, 2*grid_multiplier*(k+2)+1 points, needs 4*(k+2)
-    @pytest.mark.parametrize("grid_multiplier", [0, -2, 1, 2.5, "4"], ids=repr)
+    @pytest.mark.parametrize("grid_multiplier", [0, -2, 1, 2.5, "4", True], ids=repr)
     def test_grid_settings_refused_before_any_stage(self, grid_multiplier, p30):
         # ProofSettings refuses them where they are made
-        with pytest.raises(ConfigurationError,
-                           match=r"grid_multiplier must be an integer of at least 2, got "):
+        with pytest.raises(ConfigurationError, match="^" + re.escape(
+                f"grid_multiplier must be an integer of at least 2, got {grid_multiplier!r}") + "$"):
             ProofSettings(precision=p30, grid_multiplier=grid_multiplier)
 
-    @pytest.mark.parametrize("precision", [50, "50", None], ids=repr)
-    def test_precision_that_is_no_precision_refused(self, precision):
-        with pytest.raises(ConfigurationError, match="^precision must be a Precision, got "):
-            ProofSettings(precision=precision)
+    # a value of the wrong type where the precision, the settings or the
+    # function goes is refused before any stage; a Precision is no settings
+    @pytest.mark.parametrize("call, message", [
+        (lambda p: ProofSettings(precision=50), "precision must be a Precision, got 50"),
+        (lambda p: ProofSettings(precision="50"), "precision must be a Precision, got '50'"),
+        (lambda p: ProofSettings(precision=None), "precision must be a Precision, got None"),
+        (lambda p: prove_inequality("1+x", 0, 1, 0, 0, 1, p),
+         "settings must be a ProofSettings, got Precision(decimal_digits=30)"),
+        (lambda p: prove_inequality("1+x", 0, 1, 0, 0, 1, False),
+         "settings must be a ProofSettings, got False"),
+        (lambda p: prove_inequality(5, 0, 1, 0, 0, 1, ProofSettings(precision=p)),
+         "f must be text or an Expression, got 5"),
+    ], ids=["50", "'50'", "None", "settings_Precision", "settings_False", "f_int"])
+    def test_precision_that_is_no_precision_refused(self, call, message, p30):
+        with pytest.raises(ConfigurationError, match="^" + re.escape(message) + "$"):
+            call(p30)
 
     def test_least_grid_multiplier_proves(self, p30):
         report = prove_inequality("exp(x)-1-x", 0, 1, 2, 0, 1,
@@ -747,12 +765,15 @@ class TestProvePipeline:
 
     @pytest.mark.parametrize("digits", [True, False])
     def test_bool_precision_refused(self, digits):
-        with pytest.raises(ConfigurationError,
-                           match="^precision must be an integer number of decimal digits$"):
+        with pytest.raises(ConfigurationError, match=(
+                f"^precision in decimal digits must be an integer of at least 15, got {digits}$")):
             Precision(digits)
 
     def test_precision_floor(self):
-        with pytest.raises(ConfigurationError, match="certifies only at >= 30 digits"):
+        # the message certify_positive gives at 29 digits (test_low_precision_refused)
+        with pytest.raises(ConfigurationError, match=(
+                "^certified precision in decimal digits must be an integer of at least 30, "
+                "got 25$")):
             ProofSettings(precision=Precision(25))
 
     def test_endpoint_roots_admitted(self, p30):

@@ -102,6 +102,15 @@ class TestProveCommand:
         assert cfg.read_bytes().startswith(b"\xef\xbb\xbf")
         assert main(["prove", "--config", str(cfg)]) == 0
 
+    def test_config_that_is_not_utf8_names_its_byte(self, tmp_path, capsys):
+        # the offset counts the file's bytes, a BOM's included
+        cfg = tmp_path / "latin1.cfg"
+        for head, at in ((b"", 5), (b"\xef\xbb\xbf", 8)):
+            cfg.write_bytes(head + "# café\nfunction = x\n".encode("latin-1"))
+            assert main(["prove", "--config", str(cfg)]) == 3
+            assert capsys.readouterr().err == (
+                f"error: {cfg}: not UTF-8 text at byte {at}: invalid continuation byte\n")
+
     def test_every_config_key_is_a_flag(self):
         parser = build_parser()
         for key in _CONFIG_KEYS:
@@ -223,12 +232,11 @@ class TestKurepaCommand:
         (["--x", "17"], "kurepa argument 17.0 lies outside [0, 16]"),
         (["--x", "-1"], "kurepa argument -1.0 lies outside [0, 16]"),
         (["--x", "0", "--order", "4"], "kurepa derivative of order 4 is not supported (max 3)"),
-        (["--x", "0", "--order", "-1"], "derivative order must be a positive integer"),
+        (["--x", "0", "--order", "-1"], "derivative order must be an integer of at least 1, got -1"),
     ])
     def test_outside_the_domain_exits_3(self, argv, message, capsys):
         assert main(["kurepa", "--precision", "30", *argv]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("flag", ["--node-factor", "--tail-factor", "--max-evaluations"])
     def test_quadrature_takes_no_options(self, flag):

@@ -396,7 +396,7 @@ class TestDifferentiate:
     def test_order_validation(self):
         for order in (0, True):
             with pytest.raises(ConfigurationError, match=(
-                    f"^derivative order must be a positive integer, got {order}$")):
+                    f"^derivative order must be an integer of at least 1, got {order}$")):
                 differentiate(parse("x"), order)
 
     def test_power_rule(self, p50):

@@ -427,7 +427,8 @@ class TestKurepaValues:
             kurepa_derivative(0, 4, p35)
         assert time.perf_counter() - start < 0.05
         for order in (0, True):
-            with pytest.raises(ConfigurationError, match="positive integer"):
+            with pytest.raises(ConfigurationError, match=(
+                    f"^derivative order must be an integer of at least 1, got {order}$")):
                 kurepa_derivative(0, order, p35)
 
     @pytest.mark.parametrize("flag", [True, False])

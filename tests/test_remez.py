@@ -663,7 +663,8 @@ class TestMinimax:
 
     @pytest.mark.parametrize("degree", [-1, 1.5, True])
     def test_bad_degree_refused(self, degree):
-        with pytest.raises(ConfigurationError, match="degree must be a nonnegative integer"):
+        with pytest.raises(ConfigurationError,
+                           match=f"^degree must be an integer of at least 0, got {degree!r}$"):
             minimax(lambda x: x, 0, 1, degree)
 
     @pytest.mark.parametrize("grid_multiplier", [0, -2, True])
