@@ -113,8 +113,7 @@ class ProofSettings:
     grid_multiplier: int = remez.GRID_MULTIPLIER
 
     def __post_init__(self):
-        if not isinstance(self.precision, Precision):
-            raise ConfigurationError(f"precision must be a Precision, got {self.precision!r}")
+        context(self.precision)
         integer(self.precision.decimal_digits, "certified precision in decimal digits",
                 CERTIFICATION_MIN_DIGITS)
         # from 2 on, the residual grid, twice as dense as Remez's, has the
@@ -246,17 +245,12 @@ def certify_positive(polynomial: Polynomial, delta, margin_factor,
     a positive bound, or when the leaves would exceed MAX_SUBINTERVALS.
     That signals delta too large for this degree, not a disproof.
     """
-    integer(p.decimal_digits, "certified precision in decimal digits", CERTIFICATION_MIN_DIGITS)
     ctx = context(p)
+    integer(p.decimal_digits, "certified precision in decimal digits", CERTIFICATION_MIN_DIGITS)
     dv = to_mpf(delta, p)
     mv = to_mpf(margin_factor, p)
     coefficients = [to_mpf(c, p) for c in polynomial.coefficients]
     a, b = (to_mpf(v, p) for v in polynomial.segment)
-    inputs = [("delta", dv), ("margin_factor", mv), ("segment end", a), ("segment end", b)]
-    inputs += [("coefficient", c) for c in coefficients]
-    for name, value in inputs:
-        if not mpmath.isfinite(value):
-            raise ConfigurationError(f"{name} must be finite, got {value}")
     if dv < 0:
         raise ConfigurationError("delta must be nonnegative")
     if not (1 < mv <= 2):
@@ -266,7 +260,7 @@ def certify_positive(polynomial: Polynomial, delta, margin_factor,
     # scale their coefficients by 2**(n*d): compare at the deepest scale
     n = len(coefficients) - 1
     product = ctx.make_mpf(libmp.mpf_mul(dv._mpf_, mv._mpf_))  # delta*margin, unrounded
-    (*cheb, margin), low = exact(coefficients + [product], "coefficients and delta*margin")
+    (*cheb, margin), low = exact(coefficients + [product])
     fact = math.factorial(n)
     root = [v - margin * fact for v in _bernstein(cheb)]
     slack_num, slack_den = REL_SLACK.numerator, REL_SLACK.denominator

@@ -437,9 +437,7 @@ def power(q: Fraction, prec):
 
 
 def _kurepa(order, p: Precision):
-    """v -> K^(order)(v) by the quadrature module, at precision p, which checks v and order."""
-    if p is None:
-        raise ConfigurationError("kurepa needs an explicit precision")
+    """v -> K^(order)(v) by the quadrature module, at the Precision p, which checks v and order."""
     make = context(p).make_mpf
 
     def kurepa(v, prec, rnd):
@@ -517,16 +515,17 @@ def evaluate(e: Expression, x, p: Precision = Precision()):
     return context(p).make_mpf(compiled(e, p)(to_mpf(x, p)._mpf_))
 
 
-def constant_value(source: str, prec):
-    """Value of a constant expression as an mpf of ``context(prec)``.
+def constant_value(source: str, p: Precision):
+    """Value of a constant expression as an mpf of ``context(p)``.
 
     A source that mentions x is refused, even where parsing folds x away
-    (``x*0``, ``x^0``); so is a kurepa node, which needs a Precision.
+    (``x*0``, ``x^0``); so is a kurepa node, which ``context`` refuses here
+    with no Precision to compile it at.
     """
     e = parse(source)
     if any(tok.kind == "ident" and tok.text == "x" for tok in _tokenize(source)):
         raise ConfigurationError(f"{source!r} involves x")
-    ctx = context(prec)
+    ctx = context(p)
     return ctx.make_mpf(_compile(e.root, ctx.prec, None)(None))
 
 

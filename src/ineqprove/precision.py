@@ -1,16 +1,17 @@
-"""Working-precision plumbing.
+"""Working-precision plumbing: the one door for precisions and numbers.
 
-Every numeric routine in this package receives a :class:`Precision` and does
-its arithmetic in ``context(p)``, a private mpmath context at p's digits plus
-guard digits, whose precision is set once and never changed.  No routine
-reads or sets the global ``mp``, so proofs in several threads cannot
-interfere, and results are deterministic: same inputs, same bits.  mpmath
-arithmetic takes the precision of its left operand, so a foreign value
-enters a routine's context through ``to_mpf`` before it meets another.
-``rational`` is its one rounding of a Fraction, once to nearest, ``exact`` and
-``fraction`` its one exact conversion of mpfs, to integers on a common power
-of two and to Fractions, and ``integer`` its one check of a whole-number
-argument: a degree, a derivative order, a grid size or a digit count.
+Every numeric routine in this package receives a :class:`Precision`, the one
+argument ``context`` takes, and computes in ``context(p)``, a private mpmath
+context at p's digits plus guard digits, whose precision is set once and never
+changed.  No routine reads or sets the global ``mp``, so proofs in several
+threads cannot interfere, and results are deterministic: same inputs, same
+bits.  mpmath arithmetic takes the precision of its left operand, so a foreign
+value enters a routine's context through ``to_mpf``, which gives finite mpfs
+only, before it meets another.  ``rational`` is its one rounding of a
+Fraction, once to nearest, ``exact`` and ``fraction`` its one exact conversion
+of mpfs, to integers on a common power of two and to Fractions, and
+``integer`` its one check of a whole-number argument: a degree, a derivative
+order, a grid size or a digit count.
 """
 
 from __future__ import annotations
@@ -46,27 +47,30 @@ class Precision:
         integer(self.decimal_digits, "precision in decimal digits", 15)
 
 
-@lru_cache(maxsize=64)
-def context(prec) -> mpmath.MPContext:
-    """The mpmath context of binary precision ``prec``, round to nearest.
+def context(p) -> mpmath.MPContext:
+    """The working context of the Precision p: its digits plus GUARD_DIGITS, round to nearest.
 
-    A Precision ``prec`` stands for its working precision, its digits plus
-    GUARD_DIGITS.  The context's precision is set here, once, and never
-    changed, so one context serves every caller at that precision.
+    Anything but a Precision is refused.  The context's precision is set
+    here, once, and never changed, so one context serves every caller at p.
     """
-    if isinstance(prec, Precision):
-        return context(dps_to_prec(prec.decimal_digits + GUARD_DIGITS))
+    if not isinstance(p, Precision):
+        raise ConfigurationError(f"precision must be a Precision, got {p!r}")
+    return _context(p.decimal_digits)
+
+
+@lru_cache(maxsize=64)
+def _context(digits):
     ctx = mpmath.MPContext()
-    ctx.prec = prec
+    ctx.prec = dps_to_prec(digits + GUARD_DIGITS)
     return ctx
 
 
 # The named floors: each power of ten below which a quantity, relative to
-# its scale, counts as zero for one decision, in ``context(prec)``, by
-# default p's working context.  Most count their exponent from p's digits.
+# its scale, counts as zero for one decision, in p's working context.
+# Most count their exponent from p's digits.
 
-def _ten_to(exponent, prec):
-    return context(prec).mpf(10) ** exponent
+def _ten_to(exponent, p):
+    return context(p).mpf(10) ** exponent
 
 
 def resolution_floor(p: Precision):
@@ -97,7 +101,7 @@ def kurepa_floor(p: Precision, prec):
     """10^-(digits + 3): the Kurepa error target, relative to max(1, |K|).
 
     A libmp tuple rounded to nearest at binary precision prec, the bits of
-    ``context(prec)``'s power, with no context built for it.
+    the power in ``context(p)`` at its precision, with no mpf built for it.
     """
     return mpf_pow_int(from_int(10), -(p.decimal_digits + 3), prec, round_nearest)
 
@@ -107,38 +111,40 @@ def sampling_ratio(p: Precision):
     return _ten_to(-6, p)
 
 
-def to_mpf(value, prec=Precision()):
-    """A scalar as an mpf of ``context(prec)``, by default Precision()'s.
+def to_mpf(value, p=Precision()):
+    """A finite scalar as an mpf of ``context(p)``, by default Precision()'s.
 
     An mpf of any context keeps its bits, so a caller's coefficients are used
     exactly as given; other values are rounded to the context.  Strings and
     Fractions convert without an intermediate float, so decimal inputs keep
     full precision.  Strings may also be constant expressions in the package
     grammar ("pi/2", "2 - sqrt2"); any that mentions x is rejected, and so is
-    a bool.
+    a bool, an infinity or a NaN, whether a string, a float or an mpf.
     """
-    ctx = context(prec)
+    ctx = context(p)
+    v = cause = None
     if hasattr(value, "_mpf_"):
         if hasattr(value, "func"):  # a constant such as mpmath.pi, evaluated here
             return ctx.make_mpf(value.func(ctx.prec, "n"))
-        return value if type(value) is ctx.mpf else ctx.make_mpf(value._mpf_)
-    if isinstance(value, bool):
-        raise ConfigurationError(f"cannot interpret {value!r} as a real number")
-    if isinstance(value, Fraction):
+        v = value if type(value) is ctx.mpf else ctx.make_mpf(value._mpf_)
+    elif isinstance(value, Fraction):
         return ctx.make_mpf(rational(value, ctx.prec))
-    if isinstance(value, str):
-        value = value.strip()
-    try:
-        return ctx.mpf(value)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        cause = exc
-    if isinstance(value, str):
-        from .expr import constant_value  # deferred: expr imports this module
+    elif not isinstance(value, bool):
+        if isinstance(value, str):
+            value = value.strip()
         try:
-            return constant_value(value, ctx.prec)
-        except IneqproveError as exc:
+            v = ctx.mpf(value)
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
             cause = exc
-    raise ConfigurationError(f"cannot interpret {value!r} as a real number") from cause
+        if v is None and isinstance(value, str):
+            from .expr import constant_value  # deferred: expr imports this module
+            try:
+                v = constant_value(value, p)
+            except IneqproveError as exc:
+                cause = exc
+    if v is None or v._mpf_[3] < 0:  # bc < 0: an infinity or a NaN
+        raise ConfigurationError(f"cannot interpret {value!r} as a real number") from cause
+    return v
 
 
 def rational(q: Fraction, prec):
@@ -146,47 +152,40 @@ def rational(q: Fraction, prec):
     return from_rational(q.numerator, q.denominator, prec, round_nearest)
 
 
-def exact(values, what):
+def exact(values):
     """(integers, low): the finite mpfs ``values`` as integers times 2^low, exactly.
 
     low is the least exponent of the nonzero values, 0 if all are zero.
     """
     t = [v._mpf_ for v in values]
-    if any(bc < 0 for _, _, _, bc in t):
-        raise ConfigurationError(f"{what} must be finite, got {tuple(values)}")
     low = min([e for _, m, e, _ in t if m], default=0)
     return [((-m if sign else m) << (e - low)) if m else 0 for sign, m, e, _ in t], low
 
 
 def fraction(value):
     """A finite mpf as the Fraction of the same value."""
-    if not mpmath.isfinite(value):
-        raise ConfigurationError(f"coefficients and segment ends must be finite, got {value}")
     return Fraction(*to_rational(value._mpf_))
 
 
 def finite_segment(a, b, p: Precision):
-    """a and b rounded to the working context of p, both finite, a < b.
+    """a and b, finite by ``to_mpf``, rounded to the working context of p, a < b.
 
     Rounding here, not in ``to_mpf``, keeps the bits of a caller's ambient
     precision out of the proof while the certifier still sees exactly the
     coefficients it is given.
     """
     av, bv = +to_mpf(a, p), +to_mpf(b, p)
-    for name, v in (("a", av), ("b", bv)):
-        if not mpmath.isfinite(v):
-            raise ConfigurationError(f"segment end {name} must be finite, got {v}")
     if not av < bv:
         raise ConfigurationError("segment must satisfy a < b")
     return av, bv
 
 
 def finite_orders(n, m, p: Precision):
-    """Root orders n and m rounded to the working context of p, finite and nonnegative."""
+    """Root orders n and m, finite by ``to_mpf``, rounded to p's working context, nonnegative."""
     nv, mv = +to_mpf(n, p), +to_mpf(m, p)
     for name, v in (("n", nv), ("m", mv)):
-        if not (mpmath.isfinite(v) and v >= 0):
-            raise ConfigurationError(f"root order {name} must be finite and nonnegative, got {v}")
+        if v < 0:
+            raise ConfigurationError(f"root order {name} must be nonnegative, got {v}")
     return nv, mv
 
 

@@ -49,7 +49,7 @@ from mpmath.libmp import (
     mpf_sub, to_fixed, to_int, round_ceiling as up, round_floor as down, round_nearest as rn,
 )
 
-from .errors import ConfigurationError, DomainError, PrecisionUnreachableError, RootBracketError
+from .errors import DomainError, PrecisionUnreachableError, RootBracketError
 from .precision import Precision, context, integer, kurepa_floor, to_mpf
 
 # the supported domain: 0 <= x <= MAX_ARGUMENT, derivative orders up to MAX_ORDER
@@ -318,8 +318,6 @@ def _round(terms, divisor, prec, rnd=rn):
 
 def _kurepa_integral(x, j, p):
     xv = to_mpf(x, p)
-    if not mpmath.isfinite(xv):
-        raise ConfigurationError(f"kurepa argument must be finite, got {xv}")
     if not 0 <= xv <= MAX_ARGUMENT:
         raise DomainError(f"kurepa argument {xv} lies outside [0, {MAX_ARGUMENT}]")
     if j > MAX_ORDER:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 
-import mpmath
 from mpmath.libmp import mpf_add, mpf_div, mpf_eq, mpf_lt, mpf_mul, mpf_pos, mpf_sub, round_nearest
 
 from .errors import (
@@ -86,21 +85,19 @@ class QuotientFunction:
         self.n, self.m = finite_orders(n, m, precision)
         self.alpha, self.beta = to_mpf(alpha, precision), to_mpf(beta, precision)
         for name, v in (("alpha", self.alpha), ("beta", self.beta)):
-            if not mpmath.isfinite(v) or v == 0:
-                raise ConfigurationError(
-                    f"endpoint limit {name} must be finite and non-zero, got {v}"
-                )
+            if v == 0:
+                raise ConfigurationError(f"endpoint limit {name} must be non-zero, got {v}")
         edge = (self.b - self.a) * to_mpf(EDGE_FRACTION, precision)
         # per end: its limit and the zone boundary where the blend meets g
         self._zones = ((self.alpha._mpf_, (self.a + edge)._mpf_),
                        (self.beta._mpf_, (self.b - edge)._mpf_))
-        self._make = context(precision).make_mpf
-        self._prec = context(precision).prec
+        self._p, ctx = precision, context(precision)
+        self._make, self._prec = ctx.make_mpf, ctx.prec
         self._edge = edge._mpf_
         self._quotient = _quotient(f, self.a, self.b, self.n, self.m, precision)
 
     def evaluate(self, x):
-        t, prec, rn = to_mpf(x, self._prec)._mpf_, self._prec, round_nearest
+        t, prec, rn = to_mpf(x, self._p)._mpf_, self._prec, round_nearest
         a, b, edge = self.a._mpf_, self.b._mpf_, self._edge
         if mpf_lt(a, t) and mpf_lt(t, b):
             da, db = mpf_sub(t, a, prec, rn), mpf_sub(b, t, prec, rn)

@@ -21,7 +21,7 @@ falls away from the end.
 Chebyshev grids nest: the grid with ``c`` times as many intervals holds a
 grid at every c-th point, bit for bit, because each angle pi*i/(count-1)
 is taken in lowest terms and its cosine comes from one memoized table per
-(count, binary precision); a table of an even interval count takes every
+(count, context, precision); a table of an even interval count takes every
 other cosine from the table of half as many.
 
 The sweep stays on libmp tuples.  ``minimax`` fetches g on its grid once,
@@ -87,8 +87,11 @@ class Polynomial:
         # every method reads the fields' bits and the segment's context
         for what, values in (("coefficient", self.coefficients), ("segment end", self.segment)):
             for v in values:
-                if not isinstance(v, _mpf):
-                    raise ConfigurationError(f"a polynomial's {what} must be an mpf, got {v!r}")
+                if not isinstance(v, _mpf) or v._mpf_[3] < 0:  # bc < 0: not finite
+                    raise ConfigurationError(
+                        f"a polynomial's {what} must be a finite mpf, got {v!r}")
+        if not self.segment[0] < self.segment[1]:
+            raise ConfigurationError("segment must satisfy a < b")
 
     @property
     def degree(self) -> int:
@@ -123,7 +126,7 @@ class Polynomial:
     @cached_property
     def _integers(self):
         """(c_0, c_n .. c_1, low): the c_j as integers on their lowest exponent 2^low, once."""
-        c, low = exact(self.coefficients, "coefficients")
+        c, low = exact(self.coefficients)
         return c[0], c[:0:-1], low
 
     def to_monomial(self, p: Precision = Precision()):
@@ -288,8 +291,8 @@ class CachedFunction:
 
 
 @lru_cache(maxsize=_COSINE_LIMIT)
-def _chebyshev_cosines(count: int, prec: int):
-    """cos(pi*i/(count-1)) for i = 1..count-2, in ``context(prec)``.
+def _chebyshev_cosines(count: int, ctx, prec: int):
+    """cos(pi*i/(count-1)) for i = 1..count-2, in the context ctx at its precision prec.
 
     Each angle is pi times i/(count-1) in lowest terms, so grids whose
     interval counts are multiples of one another share these values bit
@@ -299,8 +302,7 @@ def _chebyshev_cosines(count: int, prec: int):
     intervals = count - 1
     table = [None] * (intervals - 1)
     if intervals > 2 and intervals % 2 == 0:
-        table[1::2] = _chebyshev_cosines(intervals // 2 + 1, prec)
-    ctx = context(prec)
+        table[1::2] = _chebyshev_cosines(intervals // 2 + 1, ctx, prec)
     for i, c in enumerate(table, 1):
         if c is None:
             t = Fraction(i, intervals)
@@ -315,7 +317,7 @@ def chebyshev_grid(a, b, count):
     mid, hw = ((a + b) / 2)._mpf_, ((b - a) / 2)._mpf_
     # mid - hw*c, on tuples
     return (a, *(ctx.make_mpf(mpf_sub(mid, mpf_mul(hw, c._mpf_, prec, rnd), prec, rnd))
-                 for c in _chebyshev_cosines(count, prec)), b)
+                 for c in _chebyshev_cosines(count, ctx, prec)), b)
 
 
 def _solve_levelled_system(g, nodes, a, b, p: Precision):
@@ -323,11 +325,12 @@ def _solve_levelled_system(g, nodes, a, b, p: Precision):
 
     ``nodes`` are k+2 strictly increasing mpf points of the mpf segment
     [a, b].  Row i holds T_j(u_i) by the recurrence in a's context, u_i as
-    ``_units`` rounds it, then (-1)^i and g(t_i); a power of two puts it
-    exactly on integers.  Bareiss' fraction-free elimination, a row swap at
-    each zero pivot, solves that system exactly, and each unknown is rounded
-    once to nearest in p's working context.  Only an exactly singular
-    system, as three coincident nodes make, raises ``SingularSystemError``.
+    ``_units`` rounds it, then (-1)^i and g(t_i), finite by ``to_mpf``; a
+    power of two puts it exactly on integers.  Bareiss' fraction-free
+    elimination, a row swap at each zero pivot, solves that system exactly,
+    and each unknown is rounded once to nearest in p's working context.
+    Only an exactly singular system, as three coincident nodes make, raises
+    ``SingularSystemError``.
     """
     k, ctx = len(nodes) - 2, a.context
     rows = []
@@ -335,8 +338,7 @@ def _solve_levelled_system(g, nodes, a, b, p: Precision):
         basis = [ctx.one, u][:k + 1]
         for _ in range(2, k + 1):
             basis.append(2 * u * basis[-1] - basis[-2])
-        rows.append(exact(basis + [ctx.mpf((-1) ** i), ctx.convert(g(t))],
-                          "a row of the levelled system")[0])
+        rows.append(exact(basis + [ctx.mpf((-1) ** i), to_mpf(g(t), p)])[0])
     n, last = k + 2, 1
     for c in range(n):
         r = next((r for r in range(c, n) if rows[r][c]), None)

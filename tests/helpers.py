@@ -410,7 +410,6 @@ def reference_trapezoid(x, j, p):
     xr = to_mpf(x, p)._mpf_
     # an integer x takes the band below it
     table = quadrature._table(p.decimal_digits, max(0, int(mpmath.ceil(mpmath.mpf(xr))) - 1))
-    prec = context(p).prec
     ctx = mpmath.MPContext()
     ctx.prec = 2 * table.frac
     q, left, high, x = table.q, table.left, table.high, ctx.make_mpf(xr)
@@ -431,4 +430,4 @@ def reference_trapezoid(x, j, p):
             tails.append(_li(r, j) - sum(ctx.mpf(m) ** j * r ** m for m in range(1, left + 1)))
         tail = tails[0] - tails[1] if j == 0 else tails[0]
         total -= a / q * (-ctx.mpf(1) / q) ** j * tail
-    return context(prec).make_mpf(total._mpf_)
+    return context(p).make_mpf(total._mpf_)

@@ -22,12 +22,17 @@ from ineqprove import (
     certify_positive,
     endpoint_limits_numeric,
     endpoint_limits_taylor,
+    evaluate,
+    find_inflection,
+    kurepa,
+    kurepa_derivative,
     minimax,
     parse,
     prove_inequality,
     report_to_json,
     residual_check,
     to_mpf,
+    verify_equioscillation,
 )
 from ineqprove import certify, remez
 from ineqprove.certify import precondition_check
@@ -234,12 +239,16 @@ class TestCertifyPositive:
 
     @pytest.mark.parametrize("field", ["delta", "margin_factor", "coefficient"])
     def test_non_finite_input_refused(self, p50, field):
+        # to_mpf refuses a non-finite delta or margin, and the Polynomial a
+        # non-finite coefficient where it is built
         for bad in ("nan", "inf", "-inf"):
             args = {"delta": "0.1", "margin_factor": "1.000001", "coefficient": "1"}
             args[field] = bad
-            P = Polynomial(coefficients=(mpmath.mpf(args["coefficient"]), mpmath.mpf("0.5")),
-                           segment=(mpmath.mpf(0), mpmath.mpf(1)))
-            with pytest.raises(ConfigurationError, match="finite"):
+            message = (f"cannot interpret {bad!r} as a real number" if field != "coefficient" else
+                       f"a polynomial's coefficient must be a finite mpf, got {mpmath.mpf(bad)!r}")
+            with pytest.raises(ConfigurationError, match="^" + re.escape(message) + "$"):
+                P = Polynomial(coefficients=(mpmath.mpf(args["coefficient"]), mpmath.mpf("0.5")),
+                               segment=(mpmath.mpf(0), mpmath.mpf(1)))
                 certify_positive(P, args["delta"], args["margin_factor"], p50)
 
 
@@ -576,8 +585,12 @@ class TestProvePipeline:
                 x = mp.mpf(rng.random())
                 assert f(x) >= floor
 
-    @pytest.mark.parametrize("text", ["1/0", "0/0", "pi/0", "2*x", "x", "-(-x)",
-                                      "kurepa(1)"])
+    # to_mpf gives finite mpfs only: an infinity or a NaN is refused, as a
+    # string, a float or an mpf
+    @pytest.mark.parametrize("text", [
+        "1/0", "0/0", "pi/0", "2*x", "x", "-(-x)", "kurepa(1)", "inf", "-inf", "nan",
+        pytest.param(float("inf"), id="float_inf"), pytest.param(mpmath.inf, id="mpf_inf"),
+    ])
     def test_uninterpretable_number_refused(self, text):
         with pytest.raises(ConfigurationError, match="cannot interpret"):
             to_mpf(text)
@@ -597,7 +610,9 @@ class TestProvePipeline:
         (0, 1, "inf", 1), (0, 1, 1, "nan"),
     ])
     def test_non_finite_input_refused(self, a, b, n, m, p30):
-        with pytest.raises(ConfigurationError, match="finite"):
+        bad = next(v for v in (a, b, n, m) if isinstance(v, str))
+        with pytest.raises(ConfigurationError, match="^" + re.escape(
+                f"cannot interpret {bad!r} as a real number") + "$"):
             prove_inequality("x*(1-x)", a, b, n, m, 1, ProofSettings(precision=p30))
 
     # to_mpf refuses a bool, as Precision and the degree do: True would
@@ -623,7 +638,8 @@ class TestProvePipeline:
         lambda n, p: QuotientFunction(parse("x"), 0, 1, n, 0, 1, 1, p),
     ], ids=["endpoint_limits_taylor", "endpoint_limits_numeric", "QuotientFunction"])
     def test_non_finite_order_refused(self, entry, order, p30):
-        with pytest.raises(ConfigurationError, match="nonnegative"):
+        with pytest.raises(ConfigurationError,
+                           match=f"^cannot interpret '{order}' as a real number$"):
             entry(order, p30)
 
     @pytest.mark.parametrize("a, b, end", [(0, "inf", "b"), ("-inf", 1, "a")])
@@ -637,8 +653,9 @@ class TestProvePipeline:
     ], ids=["prove_inequality", "minimax", "endpoint_limits_taylor",
             "endpoint_limits_numeric", "QuotientFunction", "from_monomial"])
     def test_infinite_segment_end_refused(self, entry, a, b, end, p30):
-        with ambient(p30), pytest.raises(ConfigurationError,
-                                         match=f"segment end {end} must be finite"):
+        bad = a if end == "a" else b
+        with ambient(p30), pytest.raises(ConfigurationError, match="^" + re.escape(
+                f"cannot interpret {bad!r} as a real number") + "$"):
             entry(a, b, p30)
 
     def test_segment_end_rounded_to_working_precision(self, p30):
@@ -751,6 +768,40 @@ class TestProvePipeline:
     def test_precision_that_is_no_precision_refused(self, call, message, p30):
         with pytest.raises(ConfigurationError, match="^" + re.escape(message) + "$"):
             call(p30)
+
+    # context takes a Precision and nothing else, so every entry point that
+    # takes a precision refuses an int (a binary precision or a digit
+    # count), a string, None or an unhashable value, with one message
+    @pytest.mark.parametrize("bad", [30, "30", None, [30]], ids=repr)
+    @pytest.mark.parametrize("entry", [
+        lambda p: to_mpf("1", p),
+        lambda p: decimal_str(1, p),
+        lambda p: evaluate(parse("x"), 0, p),
+        lambda p: parse("x").evaluate(0, p),
+        lambda p: kurepa(1, p),
+        lambda p: kurepa_derivative(1, 1, p),
+        lambda p: find_inflection(p),
+        lambda p: endpoint_limits_taylor(parse("x"), 0, 1, 1, 0, p),
+        lambda p: endpoint_limits_numeric(parse("x"), 0, 1, 1, 0, p),
+        lambda p: QuotientFunction(parse("x"), 0, 1, 1, 0, 1, 1, p),
+        lambda p: minimax(lambda x: x.context.exp(x), 0, 1, 1, p=p),
+        lambda p: verify_equioscillation(
+            minimax(lambda x: x.context.exp(x), 0, 1, 1, p=Precision(30), grid_multiplier=2), p),
+        lambda p: Polynomial.from_monomial(["1", "2"], 0, 1, p),
+        lambda p: make_poly(["1", "2"]).to_monomial(p),
+        lambda p: residual_check(lambda x: x, make_poly(["1"]), "0.1", 8, p),
+        lambda p: precondition_check(1, 1, p),
+        lambda p: certify_positive(make_poly(["1"]), "0.1", "1.000001", p),
+        lambda p: ProofSettings(precision=p),
+    ], ids=["to_mpf", "decimal_str", "evaluate", "Expression.evaluate", "kurepa",
+            "kurepa_derivative", "find_inflection", "endpoint_limits_taylor",
+            "endpoint_limits_numeric", "QuotientFunction", "minimax", "verify_equioscillation",
+            "from_monomial", "to_monomial", "residual_check", "precondition_check",
+            "certify_positive", "ProofSettings"])
+    def test_only_a_precision_is_a_precision(self, entry, bad):
+        with pytest.raises(ConfigurationError, match="^" + re.escape(
+                f"precision must be a Precision, got {bad!r}") + "$"):
+            entry(bad)
 
     def test_least_grid_multiplier_proves(self, p30):
         report = prove_inequality("exp(x)-1-x", 0, 1, 2, 0, 1,

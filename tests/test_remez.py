@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -88,18 +89,17 @@ class TestNestedGrids:
     @pytest.mark.parametrize("digits", [30, 50])
     def test_table_from_a_coarser_one_equals_a_cold_build(self, digits, ratio, monkeypatch):
         # an even interval count takes every other cosine from its half
-        prec = context(Precision(digits)).prec
         intervals = ratio * 192
-        ctx = context(prec)
+        ctx = context(Precision(digits))
         cold = []
         for i in range(1, intervals):
             t = Fraction(i, intervals)
             cold.append(ctx.cos(ctx.pi * t.numerator / t.denominator))
         remez._chebyshev_cosines.cache_clear()
-        half = remez._chebyshev_cosines(intervals // 2 + 1, prec)
+        half = remez._chebyshev_cosines(intervals // 2 + 1, ctx, ctx.prec)
         cos, cosines = ctx.cos, []
         monkeypatch.setattr(ctx, "cos", lambda x: cosines.append(x) or cos(x))
-        warm = remez._chebyshev_cosines(intervals + 1, prec)
+        warm = remez._chebyshev_cosines(intervals + 1, ctx, ctx.prec)
         assert [c._mpf_ for c in warm] == [c._mpf_ for c in cold]
         # the shared values are the half table's own objects
         assert all(w is c for w, c in zip(warm[1::2], half))
@@ -109,15 +109,16 @@ class TestNestedGrids:
         # tables built, built from their halves and evicted while other
         # threads read the memo
         counts = range(3, 41)
-        precs = [context(Precision(d)).prec for d in (30, 50)]
-        solo = {(c, q): [v._mpf_ for v in remez._chebyshev_cosines(c, q)]
-                for c in counts for q in precs}
+        contexts = [context(Precision(d)) for d in (30, 50)]
+        solo = {key: [v._mpf_ for v in remez._chebyshev_cosines(*key)]
+                for key in ((c, ctx, ctx.prec) for c in counts for ctx in contexts)}
         remez._chebyshev_cosines.cache_clear()
 
         def work(seed):
             rng = random.Random(seed)
             for _ in range(600):
-                key = rng.choice(counts), rng.choice(precs)
+                ctx = rng.choice(contexts)
+                key = rng.choice(counts), ctx, ctx.prec
                 if [v._mpf_ for v in remez._chebyshev_cosines(*key)] != solo[key]:
                     return False
             return True
@@ -318,7 +319,8 @@ class TestLevelledSystem:
     @pytest.mark.parametrize("bad", ["inf", "nan"])
     def test_non_finite_g_refused(self, bad, p50):
         ctx = context(p50)
-        with pytest.raises(ConfigurationError, match="finite"):
+        with pytest.raises(ConfigurationError, match="^" + re.escape(
+                f"cannot interpret {ctx.mpf(bad)!r} as a real number") + "$"):
             _solve_on_unit([ctx.mpf(0), ctx.mpf(1)], [ctx.mpf(1), ctx.mpf(bad)], p50)
 
     def test_three_coincident_nodes_are_singular(self, p50):
@@ -806,27 +808,34 @@ class TestPolynomial:
         with pytest.raises(ConfigurationError, match="at least one coefficient"):
             Polynomial(coefficients=(), segment=finite_segment(0, 1, p50))
 
-    @pytest.mark.parametrize("coefficients, segment", [
-        ((1.0, mpmath.mpf("0.5")), (mpmath.mpf(0), mpmath.mpf(1))),
-        ((mpmath.mpf(1), mpmath.mpf("0.5")), (0, mpmath.mpf(1))),
-    ], ids=["float coefficient", "int segment end"])
-    def test_non_mpf_fields_refused(self, coefficients, segment):
+    @pytest.mark.parametrize("coefficients, segment, message", [
+        ((1.0, mpmath.mpf("0.5")), (mpmath.mpf(0), mpmath.mpf(1)),
+         "a polynomial's coefficient must be a finite mpf, got 1.0"),
+        ((mpmath.mpf(1), mpmath.mpf("0.5")), (0, mpmath.mpf(1)),
+         "a polynomial's segment end must be a finite mpf, got 0"),
+        ((mpmath.mpf(1), mpmath.mpf("0.5")), (mpmath.mpf(1), mpmath.mpf(1)),
+         "segment must satisfy a < b"),
+        ((mpmath.mpf(1), mpmath.mpf("0.5")), (mpmath.mpf(1), mpmath.mpf(0)),
+         "segment must satisfy a < b"),
+    ], ids=["float coefficient", "int segment end", "degenerate segment", "reversed segment"])
+    def test_non_mpf_fields_refused(self, coefficients, segment, message):
         # evaluate and to_monomial read each field's bits and the segment's
-        # context, so a float or an int is refused where it enters
-        with pytest.raises(ConfigurationError, match="must be an mpf"):
+        # context, and divide by b - a, so a float, an int or a segment
+        # without a < b is refused where it enters
+        with pytest.raises(ConfigurationError, match="^" + re.escape(message) + "$"):
             Polynomial(coefficients=coefficients, segment=segment)
 
     @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
     def test_non_finite_coefficients_refused(self, p50, bad):
-        with pytest.raises(ConfigurationError, match="finite"):
+        with pytest.raises(ConfigurationError,
+                           match=f"^cannot interpret '{bad}' as a real number$"):
             Polynomial.from_monomial(["1", bad], 0, 1, p50)
-        P = Polynomial(coefficients=(mpmath.mpf(1), mpmath.mpf(bad)),
+        # refused where it is built, before evaluate or to_monomial can run
+        with pytest.raises(ConfigurationError, match="^" + re.escape(
+                f"a polynomial's coefficient must be a finite mpf, got {mpmath.mpf(bad)!r}") + "$"):
+            Polynomial(coefficients=(mpmath.mpf(1), mpmath.mpf(bad)),
                        segment=(mpmath.mpf(0), mpmath.mpf(1)))
-        with pytest.raises(ConfigurationError, match="finite"):
-            P.to_monomial(p50)
-        with pytest.raises(ConfigurationError, match="finite"):
-            P.evaluate(mpmath.mpf("0.5"))
         P = Polynomial(coefficients=(mpmath.mpf(1), mpmath.mpf(1)),
                        segment=(mpmath.mpf(0), mpmath.mpf(1)))
-        with pytest.raises(ConfigurationError, match="finite"):
+        with pytest.raises(ConfigurationError, match="^P is evaluated at finite points only$"):
             P.evaluate(mpmath.mpf(bad))
