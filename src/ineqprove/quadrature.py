@@ -14,13 +14,20 @@ takes the band below it and 0 <= x <= 1 is one band.  The nodes run from
 k = -4q to the band's right cut-off; left of them
 w(s) = -sum_n a_n e^((n+1)s), a_n = sum_(i<=n) (-1)^i / i!, |a_n| <= 1, so
 that side is summed exactly as geometric series, up to a bounded remainder.
-All is summed in fixed point, on integers v standing for v 2^-frac, frac
-64 bits past p's working precision, and rounded once into ``context(p)``: the
-weights and series coefficients are one table per precision and band, its
-e^(k/q) raised along the nodes from e^(1/q) and e^(-1/q), and E one
-exponential, raised the same way.  ``error_bound`` sums the band's
-discretization bound at the call's order, its right tail, the series'
-remainder and the rounding, each bound rounded outward.  Each band's q is
+All is summed in fixed point, on integers v standing for v 2^-frac, and
+rounded once into ``context(p)``: the weights and series coefficients are
+one table per precision and band, its e^(k/q) raised along the nodes from
+e^(1/q) and e^(-1/q).  A call takes E from one exponential and E^-1 from
+it, and sums each side by Horner's rule over the weights, in E right of
+s = 0 and in E^-1 left of it; the series reads E^-1 and E^-(4q+1), by
+binary powering.  A Horner step floors once, and that floor, like a
+weight's unit, enters the sum times E^k, up to the band's cut-off t to the
+power band + 1, so frac is 64 bits past p's working precision plus the
+bits of t^(band+1): from 15 to 160 digits, 6 to 9 on the first band and
+112 to 143 on the last.  ``error_bound`` sums the band's discretization
+bound at the call's order, its right tail, the series' remainder and the
+rounding, each bound rounded outward; all but the value's own rounding
+hold at every x of the band, each table summing them once.  Each band's q is
 the least step count whose discretization bound at order MAX_ORDER meets
 10^-(digits+3) max(1, K) there, and its one right cut-off is MAX_ORDER's,
 whose tail bound is at least every lower order's; the tests check, from 15
@@ -40,7 +47,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate, repeat
-from operator import mul
 
 import mpmath
 from mpmath.libmp import (
@@ -56,8 +62,9 @@ from .precision import Precision, context, integer, kurepa_floor, to_mpf
 MAX_ARGUMENT, MAX_ORDER = 16, 3
 
 # entries kept by each memo; fraction bits of the sums past the working
-# precision; bits of every bound, each step rounded outward; and the span of
-# s < 0 the nodes cover, the series summing what lies left of it
+# precision, before each band's growth; bits of every bound, each step
+# rounded outward; and the span of s < 0 the nodes cover, the series
+# summing what lies left of it
 _CACHE_LIMIT, _GUARD_BITS, _BOUND_BITS, _LEFT_SPAN = 256, 64, 64, 4
 
 
@@ -226,10 +233,12 @@ def _series(terms, betas, q, left, frac, e1, ek):
 
     Term n is c_n S_n E^-(K+1), c_n = h a_n e^(-(n+1)(K+1)/q), and by Horner
     S_n = sum_(l>=0) (K+1+l)^j r^l = sum_i beta_i v^(i+1), v = 1/(1 - r),
-    r = e^(-(n+1)/q) E^-1; e1 and ek are E^-1 and E^-(K+1) from the chain.
-    r is within 4 units and 1 - r >= h/2, so v is within (8q + 1) units
-    relative; each beta_i >= 0 and beta_j = j!, so each of j + 1 steps adds
-    as much; c_n is within a unit and E^-(K+1) within 4(K + 1).
+    r = e^(-(n+1)/q) E^-1; e1 is E^-1 within 2 units and ek E^-(K+1) by
+    binary powering from it.  r is within 4 units and 1 - r >= h/2, so v is
+    within (8q + 1) units relative; each beta_i >= 0 and beta_j = j!, so
+    each of j + 1 steps adds as much; c_n is within a unit and E^-(K+1)
+    within 4(K + 1).  Every step is monotone in e1, and c_n >= 0, so the
+    rounding at e1 = 1, x = 0, bounds it at every x.
     """
     one = 1 << frac
     total = spread = 0
@@ -248,7 +257,50 @@ def _chain(factor, count, bits):
     return list(accumulate(repeat(factor, count), lambda v, f: v * f >> bits, initial=1 << bits))
 
 
-_Table = namedtuple("_Table", "q frac left high tail cutoff orders terms betas nought remainder")
+def _power(v, n, bits):
+    # v^n by binary powering on integers standing for v 2^-bits, each
+    # product floored: for v <= 1 within u units, within n (u + 1) units
+    out = 1 << bits
+    while n:
+        if n & 1:
+            out = out * v >> bits
+        n >>= 1
+        if n:
+            v = v * v >> bits
+    return out
+
+
+def _bounds(band, q, frac, growth, left, high, tail, series, remainder):
+    """Per order j, error_bound less the value's last rounding, at every x of the band.
+
+    The band's discretization bound at order j, its right tail, the series'
+    remainder, and the rounding of the sum, in units of 2^-2frac q^-j,
+    each rounded up at _BOUND_BITS.  Right of s = 0, in units of 2^-frac,
+    with E^k <= 2^growth: each T_k is within a unit, times k^j E^k; each
+    Horner step floors once, step k's floor entering times E~^k, E~ = e
+    2^-frac within a unit of E, so E~^k is within (1 + 2^-50) k E^k units,
+    times |T_k| k^j <= 2^frac k^j.  That is at most
+    (high + 1)(high + 3) high^j 2^growth.  Left of it E^-1 is within 2 units, so the same count is
+    (2 left + 2) left^(j+1).  ``series[j]`` is the series' rounding at
+    x = 0, which bounds it at every x; j = 0 adds it again for the series at
+    x = 0, a unit of 2^frac per node and x <= band + 1 times T_0's, and
+    j = 1 T_0's.
+    """
+    one, out = 1 << frac, []
+    for j in range(MAX_ORDER + 1):
+        units = ((high + 1) * (high + 3) * high ** j << growth) + (2 * left + 2) * left ** (j + 1)
+        units = units * one + series[j]
+        if j == 0:
+            units += series[0] + (high + left + band + 1) * one
+        elif j == 1:
+            units += q * one
+        rounding = _b(mpf_div, from_man_exp(units, -2 * frac, _BOUND_BITS, up), from_int(q ** j))
+        out.append(_b(mpf_add, _b(mpf_add, _discretization(j, band, q), tail),
+                      _b(mpf_add, remainder[j], rounding)))
+    return tuple(out)
+
+
+_Table = namedtuple("_Table", "q frac left high cutoff orders terms betas nought remainder floor bounds")
 
 
 @lru_cache(maxsize=_CACHE_LIMIT)
@@ -256,19 +308,24 @@ def _table(digits, band):
     """The weights and series of one precision's sum on band <= x <= band + 1; memoized.
 
     The band's q and its right cut-off R = ``high`` from ``_right``, with
-    R's ``tail`` bound and ``cutoff`` t; ``orders[j]`` holds T_k k^j for
-    k = -left .. high, T_k within a unit of W_k 2^frac and T_0 of h/e;
-    ``terms`` (e^(-(n+1)/q), c_n) per series term; ``betas[j]`` the beta_i,
-    highest first, of (K+1+l)^j = sum_i beta_i C(l+i, i); and ``nought``
-    what j = 0 adds, the series at x = 0 less sum_k T_k 2^frac, with its
-    rounding and a unit of 2^frac per node.  The remainder shrinks about
+    its ``cutoff`` t; ``frac`` _GUARD_BITS and the bits of t^(band+1) past
+    the working precision; ``orders[j]`` holds T_k k^j for k = -left .. high,
+    T_k within a unit of W_k 2^frac and T_0 of h/e; ``terms``
+    (e^(-(n+1)/q), c_n) per series term; ``betas[j]`` the beta_i, highest
+    first, of (K+1+l)^j = sum_i beta_i C(l+i, i); ``nought`` what j = 0
+    adds, the series at x = 0 less sum_k T_k 2^frac; ``remainder[j]`` the
+    series' remainder; ``floor`` the target 10^-(digits+3); and
+    ``bounds[j]`` from ``_bounds``.  The remainder shrinks about
     e^(-(left+1)/q) per term, so its value at no term guesses the series'
     length, and the exact remainders confirm it.
     """
-    q = _steps(digits, band)
-    frac = context(Precision(digits)).prec + _GUARD_BITS
-    wide, left = frac + 20, _LEFT_SPAN * q
+    q, prec = _steps(digits, band), context(Precision(digits)).prec
     high, tail, cutoff = _right(digits, band)
+    # a weight's unit at node k, or the floor of Horner's step k, enters the
+    # sum times E^k <= e^((band+1)k/q) < 2^growth, the cut-off's t^(band+1)
+    growth = to_int(_b(mpf_exp, _b(from_rational, (band + 1) * high, q)), up).bit_length()
+    frac = prec + _GUARD_BITS + growth
+    wide, left = frac + 20, _LEFT_SPAN * q
 
     def fixed(v, scale=q):
         return (to_fixed(mpf_div(v, from_int(scale), wide, rn), frac + 1) + 1) >> 1
@@ -283,10 +340,10 @@ def _table(digits, band):
     # guard bits between wide and frac absorb that, as they do mpf_exp's error;
     # the series' e^(-(n+1)/q) are entries too, its length staying below left
     bits = wide + 40
-    down, up = ((to_fixed(mpf_exp(from_rational(sign, q, bits, rn), bits, rn), bits + 1) + 1) >> 1
-                for sign in (-1, 1))
-    ts = [from_man_exp(v, -bits, wide, rn) for v in _chain(down, left, bits)[:0:-1]
-          + _chain(up, high, bits)]
+    shrink, grow = ((to_fixed(mpf_exp(from_rational(sign, q, bits, rn), bits, rn), bits + 1) + 1)
+                    >> 1 for sign in (-1, 1))
+    ts = [from_man_exp(v, -bits, wide, rn) for v in _chain(shrink, left, bits)[:0:-1]
+          + _chain(grow, high, bits)]
     weights = [fixed(mpf_div(mpf_mul(t, mpf_exp(mpf_neg(t), wide, rn), wide, rn),
                              mpf_sub(t, fone, wide, rn), wide, rn) if k else exp_ratio(-1, 1))
                for k, t in zip(range(-left, high + 1), ts)]
@@ -303,17 +360,14 @@ def _table(digits, band):
                       fixed(mpf_mul(a, exp_ratio(-(n + 1) * (left + 1), q), wide, rn))))
     betas = tuple(tuple(sum((-1) ** m * math.comb(i, m) * (left - m) ** j for m in range(i + 1))
                         for i in reversed(range(j + 1))) for j in range(MAX_ORDER + 1))
-    series, units = _series(terms, betas[0], q, left, frac, 1 << frac, 1 << frac)
-    nought = series - (sum(orders[0]) << frac), units + ((high + left) << frac)
-    return _Table(q, frac, left, high, tail, cutoff, orders, tuple(terms), betas, nought,
-                  tuple(_remainder(j, size, q, left) for j in range(MAX_ORDER)) + (last,))
-
-
-def _round(terms, divisor, prec, rnd=rn):
-    """The exact sum of (integer, exponent) terms over divisor, rounded once."""
-    low = min(exp for _, exp in terms)
-    num = sum(man << (exp - low) for man, exp in terms)
-    return from_rational(num << max(low, 0), divisor << max(-low, 0), prec, rnd)
+    one = 1 << frac
+    at_zero = [_series(terms, b, q, left, frac, one, one) for b in betas]
+    remainder = tuple(_remainder(j, size, q, left) for j in range(MAX_ORDER)) + (last,)
+    return _Table(q, frac, left, high, cutoff, orders, tuple(terms), betas,
+                  at_zero[0][0] - (sum(orders[0]) << frac), remainder,
+                  kurepa_floor(Precision(digits), prec),
+                  _bounds(band, q, frac, growth, left, high, tail, [u for _, u in at_zero],
+                          remainder))
 
 
 def _kurepa_integral(x, j, p):
@@ -323,46 +377,42 @@ def _kurepa_integral(x, j, p):
     if j > MAX_ORDER:
         raise DomainError(f"kurepa derivative of order {j} is not supported (max {MAX_ORDER})")
     # x is rounded once, to p's working context, where the sum is rounded too
-    digits, ctx = p.decimal_digits, context(p)
+    ctx = context(p)
     prec, xr = ctx.prec, xv._mpf_
     band = max(0, to_int(xr, up) - 1)  # an integer x takes the band below it
-    tab = _table(digits, band)
-    q, frac, left, high = tab.q, tab.frac, tab.left, tab.high
-    one = 1 << frac
+    tab = _table(p.decimal_digits, band)
+    q, frac, left = tab.q, tab.frac, tab.left
 
-    # E^k for k = -(left + 1) .. high: within 4|k| units of 2^-frac times max(1, E^k)
+    # E within a unit of 2^-frac and E^-1 within 2; each side of s = 0 by
+    # Horner's rule, in E right of it and in E^-1 left of it
     e = (to_fixed(mpf_exp(mpf_div(xr, from_int(q), frac + 20, rn), frac + 20, rn),
                   frac + 1) + 1) >> 1
-    ups, downs = _chain(e, high, frac), _chain((one << frac) // e, left + 1, frac)
-    weights = tab.orders[j]
-    right = sum(map(mul, weights[left:], ups))
-    num = right + sum(map(mul, weights[left - 1::-1], downs[1:left + 1]))
-    series, series_units = _series(tab.terms, tab.betas[j], q, left, frac, downs[1], downs[-1])
-    # the rounding in units of 2^-2frac q^-j: a unit of each T_k times
-    # |k|^j E^k, and E^k's error, 5k E^k / 2^frac units right of 0 and 4|k|
-    # left of it, times |T_k| + 1 <= 2^(frac+1)
-    upper = high ** j * sum(ups)
-    units = (upper + left ** j * sum(downs[1:-1]) + 8 * left ** (j + 2) * one + 4
-             + 5 * high * (right + upper) // one + series_units)
+    inverse = (1 << 2 * frac) // e
+    weights, right, leftward = tab.orders[j], 0, 0
+    for w in weights[:left - 1:-1]:
+        right = (right * e >> frac) + w
+    for w in weights[:left]:
+        leftward = (leftward + w) * inverse >> frac
+    series = _series(tab.terms, tab.betas[j], q, left, frac, inverse,
+                     _power(inverse, left + 1, frac))[0]
+    num, zero = (right + leftward << frac) + (-1) ** (j + 1) * series, tab.orders[0][left]
     if j == 0:
-        # less sum W_k and the series at x = 0; |E^k - 1| <= E^k + 1
-        num += tab.nought[0]
-        units += tab.nought[1]
-    terms, zero = [(num + (-1) ** (j + 1) * series, -2 * frac)], tab.orders[0][left]
-    if j < 2:
-        # the s = 0 node, x h/e for j = 0 and h/e for j = 1, T_0 within a unit
-        terms.append((xr[1] * zero, xr[2] - frac) if j == 0 else (zero * q, -frac))
-        units += (to_int(xr) + 1 if j == 0 else q) * one
-    value = _round(terms, q ** j, prec)
+        # less sum W_k and the series at x = 0, and the s = 0 node, x h/e
+        num += tab.nought
+        low = min(-2 * frac, xr[2] - frac)
+        value = from_man_exp((num << -2 * frac - low) + (xr[1] * zero << xr[2] - frac - low),
+                             low, prec, rn)
+    else:
+        # the s = 0 node, h/e for j = 1
+        value = mpf_div(from_man_exp(num + (zero * q << frac if j == 1 else 0), -2 * frac),
+                        from_int(q ** j), prec, rn)
     size = mpf_abs(value)
-    err = mpf_add(_round([(units, -2 * frac)], q ** j, prec, up), mpf_shift(size, -prec), prec, up)
-    for term in (_discretization(j, band, q), tab.tail, tab.remainder[j]):
-        err = mpf_add(err, term, prec, up)
-    if mpf_gt(err, mpf_mul(kurepa_floor(p, prec), size if mpf_gt(size, fone) else fone)):
+    err = mpf_add(tab.bounds[j], mpf_shift(size, -prec), prec, up)
+    if mpf_gt(err, mpf_mul(tab.floor, size if mpf_gt(size, fone) else fone)):
         raise PrecisionUnreachableError(
             f"Kurepa error bound {mpmath.nstr(ctx.make_mpf(err), 5)} exceeds its target")
     return QuadratureResult(ctx.make_mpf(value), ctx.make_mpf(err),
-                            left + high + 1 + len(tab.terms), ctx.make_mpf(tab.cutoff))
+                            left + tab.high + 1 + len(tab.terms), ctx.make_mpf(tab.cutoff))
 
 
 def kurepa(x, p: Precision = Precision()) -> QuadratureResult:

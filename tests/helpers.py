@@ -14,9 +14,9 @@ from mpmath.libmp import (
 )
 
 from ineqprove import DomainError, Precision, quadrature, to_mpf
-from ineqprove.precision import GUARD_DIGITS, context
+from ineqprove.precision import GUARD_DIGITS, context, kurepa_floor
 from ineqprove.quadrature import (
-    MAX_ORDER, _GUARD_BITS, _LEFT_SPAN, _Table, _b, _discretization, _remainder,
+    MAX_ORDER, _GUARD_BITS, _LEFT_SPAN, _Table, _b, _bounds, _discretization, _remainder,
     _series, _share,
 )
 from ineqprove.expr import (
@@ -347,17 +347,23 @@ def reference_tail(j, band, q, R):
 def reference_table(digits, band):
     """The weights and series of one band's sum, each e^(k/q) a direct exponential.
 
-    The band's q, its cut-off R = ``high`` with R's ``tail`` bound and
-    ``cutoff`` t; ``orders[j]`` holds T_k k^j for k = -left .. high, T_k
-    within a unit of W_k 2^frac and T_0 of h/e; ``terms`` (e^(-(n+1)/q),
-    c_n) per series term; ``betas[j]`` the beta_i, highest first, of
-    (K+1+l)^j = sum_i beta_i C(l+i, i); and ``nought`` the j = 0 series at
-    x = 0 less sum_k T_k 2^frac, with its rounding and 2^frac per node.
+    The band's q, its cut-off R = ``high`` with its ``cutoff`` t; ``frac``
+    64 bits past the working precision and the bits of t^(band+1), a direct
+    exponential; ``orders[j]`` holds T_k k^j for k = -left .. high, T_k
+    within a unit of W_k 2^frac and T_0 of h/e; ``terms`` (e^(-(n+1)/q), c_n)
+    per series term; ``betas[j]`` the beta_i, highest first, of
+    (K+1+l)^j = sum_i beta_i C(l+i, i); ``nought`` the j = 0 series at
+    x = 0 less sum_k T_k 2^frac; the series' remainders, the target, and
+    ``quadrature._bounds`` of them all.
     """
     q = reference_steps(digits, band)
-    frac = context(Precision(digits)).prec + _GUARD_BITS
-    wide, left = frac + 20, _LEFT_SPAN * q
     high, tail, cutoff = reference_right(digits, band)
+    prec = context(Precision(digits)).prec
+    ctx = mpmath.MPContext()
+    ctx.prec = 4 * _GUARD_BITS
+    growth = int(ctx.ceil(ctx.exp(ctx.mpf((band + 1) * high) / q))).bit_length()
+    frac = prec + _GUARD_BITS + growth
+    wide, left = frac + 20, _LEFT_SPAN * q
 
     def fixed(v, scale=q):
         return (to_fixed(mpf_div(v, from_int(scale), wide, rn), frac + 1) + 1) >> 1
@@ -383,10 +389,14 @@ def reference_table(digits, band):
                       fixed(mpf_mul(a, exp_ratio(-(n + 1) * (left + 1), q), wide, rn))))
     betas = tuple(tuple(sum((-1) ** m * math.comb(i, m) * (left - m) ** j for m in range(i + 1))
                         for i in reversed(range(j + 1))) for j in range(MAX_ORDER + 1))
-    series, units = _series(terms, betas[0], q, left, frac, 1 << frac, 1 << frac)
-    return _Table(q, frac, left, high, tail, cutoff, orders, tuple(terms), betas,
-                  (series - (sum(orders[0]) << frac), units + ((high + left) << frac)),
-                  tuple(_remainder(j, size, q, left) for j in range(MAX_ORDER + 1)))
+    one = 1 << frac
+    at_zero = [_series(terms, b, q, left, frac, one, one) for b in betas]
+    remainder = tuple(_remainder(j, size, q, left) for j in range(MAX_ORDER + 1))
+    return _Table(q, frac, left, high, cutoff, orders, tuple(terms), betas,
+                  at_zero[0][0] - (sum(orders[0]) << frac), remainder,
+                  kurepa_floor(Precision(digits), prec),
+                  _bounds(band, q, frac, growth, left, high, tail, [u for _, u in at_zero],
+                          remainder))
 
 
 # The trapezoidal sum of the Kurepa integrals as the package lays it out,
@@ -405,7 +415,7 @@ def reference_trapezoid(x, j, p):
     series left of the nodes takes each geometric sum from the closed form
     of the polylogarithm of order -j, all at twice the package's fraction
     bits, and the sum is returned with all of them, as an mpf of the working
-    context.  The oracle of the package's integer table, chain and series.
+    context.  The oracle of the package's integer table, Horner sums and series.
     """
     xr = to_mpf(x, p)._mpf_
     # an integer x takes the band below it

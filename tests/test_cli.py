@@ -228,6 +228,12 @@ class TestKurepaCommand:
         value = mpmath.mpf(capsys.readouterr().out.splitlines()[0].split()[1])
         assert value == 0
 
+    def test_last_band_at_160_digits(self, capsys):
+        # K'''(15.9) at 160 digits, where a unit at the last node enters the
+        # sum times about 2^142
+        assert main(["kurepa", "--x", "15.9", "--order", "3", "--precision", "160"]) == 0
+        assert "exceeds its target" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, message", [
         (["--x", "17"], "kurepa argument 17.0 lies outside [0, 16]"),
         (["--x", "-1"], "kurepa argument -1.0 lies outside [0, 16]"),

@@ -53,24 +53,24 @@ from reference_oracle import kurepa_ts
 
 # sha256 of (value, error_bound, nodes_used) of K^(j)(x), j = 0..3, at each
 # x below, at P30, P35 and P50, in that order
-KUREPA_HASH = "6ef3ac3c744dc86f0bce66cfb060a4bf415b9db6af313f170d058d2627e5375b"
+KUREPA_HASH = "b44afef01c86bc109a1afa2ff46aab34b1b7981829e0e0e3e85608dfa40efce2"
 KUREPA_HASH_ARGUMENTS = (0, 4 ** -12, "0.37", "0.5", 1, 2)
 
 # the same at x far out in the domain, whose right cut-offs reach furthest
-# and whose chain of E^k grows largest
-KUREPA_FAR_HASH = "c80acbe47d0be17a8fa2623585f3a9276a92c9c516f312b5f16034ce563977c1"
+# and whose powers of E grow largest
+KUREPA_FAR_HASH = "d47887237a28f733341c6bb137549659cbebbac07d41121707f26ca5d2e4f7c3"
 KUREPA_FAR_HASH_ARGUMENTS = ("7.3", "15.9", 16)
 
 # sha256 of the P35 and P50 tables of the last band, 15 <= x <= 16, and of
 # the first, 0 <= x <= 1: q, frac, the nodes' reach either side, the
 # weights T_k and the series' (e^(-(n+1)/q), c_n)
 TABLE_HASHES = {
-    35: "da9248fdddc3f7f4454ab6cbf14302e0ca13abbcf6ea8d1576c95b4e334b450b",
-    50: "ce54e5b6420f2368fb4a31ba9832d55a7339981574c13ad9722c2c9bbfe985a2",
+    35: "9d9bb9687e60c9738ebc36053db4235bf75c0d4a83d46be0ff370f7956cb99c8",
+    50: "19aa8d34229ef9aeb3d75090b3dac7d6e78dd14c07cd0bb0085ec7de5a269002",
 }
 FIRST_BAND_TABLE_HASHES = {
-    35: "8a1485db11c5551aac73b333196822466a8f9667114de8853f684f1f1b567d19",
-    50: "2ee8f4b3a6f97c35c1bc8033bfcca20cd0dc5e528e1a5527dd9b28a389e7620a",
+    35: "81683d03b75b4386ba15a144cb20d426d7b6fa578fb834e451b5e2ff90ef70ea",
+    50: "b48cb5824e6219075afffa3abbe82e5d4bd630b2f7a5710df551091d3e04767f",
 }
 
 
@@ -190,11 +190,12 @@ class TestOracleGate:
 
     @pytest.mark.parametrize("j", range(4))
     @pytest.mark.parametrize("digits", [35, 50])
-    @pytest.mark.parametrize("x", [0, 4 ** -12, "0.37", 1, "2.6", "7.3"])
+    @pytest.mark.parametrize("x", [0, 4 ** -12, "0.37", 1, "2.6", "7.3", "15.9", 16])
     def test_integer_sums_match_the_direct_sum(self, x, digits, j):
-        # the table, the chain of E^k and the series' geometric sums against
-        # the same trapezoidal sum with every term evaluated directly at
-        # twice the bits: the fixed-point sum rounds within half an ulp
+        # the table, the Horner sums in E and E^-1 and the series' geometric
+        # sums against the same trapezoidal sum with every term evaluated
+        # directly at twice the bits: the fixed-point sum rounds within half
+        # an ulp, on the last band too, where E^k grows largest
         p = Precision(digits)
         r = _result(x, j, p)
         ref = reference_trapezoid(x, j, p)
@@ -452,6 +453,18 @@ class TestKurepaValues:
             call(above)
         assert time.perf_counter() - start < 0.05
 
+    @pytest.mark.parametrize("digits", [15, 35, 50, 63, 95, 160])
+    def test_the_whole_domain_meets_its_target(self, digits):
+        # a unit at node k grows by E^k, up to cut-off^16 on the last band,
+        # and the fraction bits grow with it, so every order returns within
+        # 10^-(digits+3) max(1, |value|) from the first band to the last
+        p = Precision(digits)
+        for x in (0, "0.37", "7.3", "14.9", "15.9", 16):
+            for j in range(4):
+                r = _result(x, j, p)
+                assert r.error_bound <= mpmath.mpf(10) ** -(digits + 3) * max(1, abs(r.value)), \
+                    (x, j)
+
 
 class TestConvergenceInvariants:
     def test_monotone_increasing_on_grid(self):
@@ -470,11 +483,14 @@ class TestMissedTarget:
     def test_missed_bound_raises_and_the_proof_stays_inconclusive(self, p35, monkeypatch):
         # the real proof runs first, so that every table it uses is built:
         # the searches for q and the cut-offs read kurepa_floor too, and a
-        # zero target would never end them
+        # zero target would never end them; each table holds its target, so
+        # the built tables are then handed out with a zero one
         settings = ProofSettings(precision=p35)
         source = "(1.432205)*x - kurepa(x)"
         assert prove_inequality(source, 0, 1, 1, 0, 1, settings).verdict == "disproven"
-        monkeypatch.setattr(quadrature, "kurepa_floor", lambda p, prec: mpmath.libmp.fzero)
+        table = quadrature._table
+        monkeypatch.setattr(quadrature, "_table", lambda digits, band:
+                            table(digits, band)._replace(floor=mpmath.libmp.fzero))
         with pytest.raises(PrecisionUnreachableError, match="exceeds its target"):
             kurepa("0.5", p35)
         report = prove_inequality(source, 0, 1, 1, 0, 1, settings)
@@ -574,8 +590,9 @@ class TestMemos:
         assert out.split() == ["proven", "disproven", "1"]
 
     def test_a_warm_call_makes_one_exponential(self, p35, monkeypatch):
-        # E = e^(x/q); every power of E comes from the chain on integers, and
-        # the weights, series and bounds from the memos
+        # E = e^(x/q); every power of E comes from it on integers, by Horner's
+        # rule and binary powering, and the weights, series and bounds from
+        # the memos
         calls = 0
         exp = quadrature.mpf_exp
 
@@ -595,9 +612,10 @@ class TestMemos:
 
     def test_a_cold_table_makes_few_exponentials(self, monkeypatch):
         # from emptied memos the P35 table of the first band takes q from 3
-        # discretization bounds and its series length from 3 remainders (3
-        # more give the table's own), each guessed and then confirmed, and
-        # each e^(k/q) from a chain and one exp(-t) per node
+        # discretization bounds (3 more give the lower orders' bounds) and its
+        # series length from 3 remainders (3 more give the table's own), each
+        # guessed and then confirmed, its fraction bits from one exponential,
+        # and each e^(k/q) from a chain and one exp(-t) per node
         calls = remainders = 0
         exp, remainder = quadrature.mpf_exp, quadrature._remainder
 
@@ -615,10 +633,10 @@ class TestMemos:
         monkeypatch.setattr(quadrature, "mpf_exp", counted)
         monkeypatch.setattr(quadrature, "_remainder", counted_remainder)
         quadrature._table(35, 0)
-        assert (calls, quadrature._discretization.cache_info().misses, remainders) == (168, 3, 6)
+        assert (calls, quadrature._discretization.cache_info().misses, remainders) == (184, 6, 6)
 
     def test_threads_get_the_solo_bits(self, p35):
-        # a call's chain lives in the call; the threads share only the
+        # a call's Horner sums live in the call; the threads share only the
         # memoized tables and bounds, cleared to be rebuilt while they run
         work = [("0.1", 0), ("0.37", 1), ("0.77", 2), ("0.93", 0), ("0.5", 3), ("1", 1)]
 
