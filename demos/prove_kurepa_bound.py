@@ -9,8 +9,8 @@ makes the quotient's left limit negative.  The proof states it exactly,
 as ``kurepa_deriv(1, 0)``, so the slopes of K'(0) x and K(x) cancel at 0
 bit for bit; a decimal slope, however long, lies above or below K'(0).
 
-Takes 0.29-0.43 s on a shared 2-vCPU machine (12 runs; Python 3.11.7, mpmath
-1.3.0 without gmpy2).
+Takes 0.19-0.22 s, 57-77 ms of it the proof, on a shared 2-vCPU machine
+(8 runs; Python 3.11.7, mpmath 1.3.0 without gmpy2).
 Run:  python3 demos/prove_kurepa_bound.py
 """
 
@@ -38,7 +38,7 @@ start = time.perf_counter()
 report = prove_inequality(source, 0, 1, 2, 0, 1, settings)
 elapsed = time.perf_counter() - start
 
-print(f"\nverdict: {report.verdict}   ({elapsed:.0f}s)")
+print(f"\nverdict: {report.verdict}   ({1000 * elapsed:.0f} ms)")
 print(f"  alpha (left limit, = -K''(0)/2) : {mpmath.nstr(report.alpha, 20)}")
 print(f"  beta  (right limit, = K'(0)-1)  : {mpmath.nstr(report.beta, 20)}")
 print(f"  delta_hat                       : {mpmath.nstr(report.delta_hat, 10)}")

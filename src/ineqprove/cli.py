@@ -9,11 +9,15 @@ Subcommands:
 * ``kurepa``  -- evaluate the Kurepa function or one of its derivatives;
 * ``limits``  -- compute endpoint limits by the Taylor and/or numeric route.
 
-Config files are flat ``key = value`` text, one key per line, each at most
-once, ``#`` comments allowed; every numeric value is a decimal string so no
-precision is lost in transit.  Each key is also a ``prove`` flag, which
-overrides the file.  Reports are rendered deterministically: the same config
-produces byte-identical output.
+Every flag of every subcommand is text, read as a config value is: one
+table converts each key's text, and a missing required key or a malformed
+value exits 3 with one error form.  A key left out takes the API's default;
+the CLI keeps only ``prove``'s degree 1, ``kurepa``'s order 0 and ``limits``'
+method ``both``.  Config files are flat ``key = value`` text, one key per
+line, each at most once, ``#`` comments allowed; every numeric value is a
+decimal string so no precision is lost in transit.  Each key is also a
+``prove`` flag, which overrides the file.  Reports are rendered
+deterministically: the same config produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ import mpmath
 
 from .certify import ProofSettings, prove_inequality, report_to_json, to_json
 from .errors import IneqproveError
-from .expr import parse
-from .precision import Precision, decimal_str, to_mpf
-from .quadrature import MAX_ORDER, kurepa, kurepa_derivative
+from .expr import evaluate, parse
+from .precision import Precision, decimal_str
+from .quadrature import kurepa, kurepa_derivative
 from .quotient import endpoint_limits_numeric, endpoint_limits_taylor
 from .remez import minimax
 
@@ -71,6 +75,10 @@ def _split_interval(text: str):
     return parts[0], parts[1]
 
 
+# every key's conversion from its text; the other keys stay text
+_CONVERSIONS = {"interval": _split_interval, "degree": int, "order": int, **_SETTING_KEYS}
+
+
 def _emit(payload: str, out) -> None:
     """Write the JSON payload and a newline to the file out, or print it if out is unset."""
     if out:
@@ -80,70 +88,74 @@ def _emit(payload: str, out) -> None:
         print(payload)
 
 
-def cmd_prove(args) -> int:
-    merged = read_config(args.config) if args.config else {}
-    flags = vars(args)  # a flag overrides the config file's value of its key
-    merged.update((key, flags[key]) for key in _CONFIG_KEYS if flags[key] is not None)
-    for required in ("function", "interval", "n", "m"):
-        if required not in merged:
-            raise IneqproveError(f"missing required setting {required!r}")
-    a, b = _split_interval(merged["interval"])
-    try:
-        degree = int(merged.get("degree", 1))
-        settings = ProofSettings(**{key: convert(merged[key])
-                                    for key, convert in _SETTING_KEYS.items() if key in merged})
-    except ValueError as exc:
-        raise IneqproveError(f"invalid setting value: {exc}") from exc
-    report = prove_inequality(merged["function"], a, b, merged["n"], merged["m"],
-                              degree, settings)
-    _emit(report_to_json(report), merged.get("out"))
-    return {
-        "proven": EXIT_PROVEN,
-        "disproven": EXIT_DISPROVEN,
-        "inconclusive": EXIT_INCONCLUSIVE,
-    }[report.verdict]
+def cmd_prove(function, interval, n, m, degree=1, out=None, **settings) -> int:
+    report = prove_inequality(function, *interval, n, m, degree, ProofSettings(**settings))
+    _emit(report_to_json(report), out)
+    return {"proven": EXIT_PROVEN, "disproven": EXIT_DISPROVEN,
+            "inconclusive": EXIT_INCONCLUSIVE}[report.verdict]
 
 
-def cmd_minimax(args) -> int:
-    p = Precision(args.precision)
-    f = parse(args.function)
-    a, b = _split_interval(args.interval)
-
-    def g(x):
-        return f.evaluate(x, p)
-
-    mr = minimax(g, a, b, args.degree, p=p, grid_multiplier=args.grid_multiplier)
-    doc = {"degree": args.degree, "segment": mr.polynomial.segment, "delta_hat": mr.delta_hat,
+def cmd_minimax(function, interval, degree, precision=Precision(), out=None, **options) -> int:
+    f = parse(function)
+    mr = minimax(lambda x: evaluate(f, x, precision), *interval, degree, p=precision, **options)
+    doc = {"degree": degree, "segment": mr.polynomial.segment, "delta_hat": mr.delta_hat,
            "lower_bound": mr.lower_bound, "iterations": mr.iterations, "nodes": mr.nodes,
            "chebyshev_coefficients": mr.polynomial.coefficients,
-           "monomial_coefficients": mr.polynomial.to_monomial(p),
+           "monomial_coefficients": mr.polynomial.to_monomial(precision),
            "levelled_error_history": mr.levelled_error_history}
-    _emit(to_json(doc, p), args.out)
+    _emit(to_json(doc, precision), out)
     return EXIT_PROVEN
 
 
-def cmd_kurepa(args) -> int:
-    p = Precision(args.precision)
-    x = to_mpf(args.x, p)
-    result = kurepa(x, p) if args.order == 0 else kurepa_derivative(x, args.order, p)
-    print(f"value {decimal_str(result.value, p)}")
+def cmd_kurepa(x, order=0, precision=Precision()) -> int:
+    result = kurepa(x, precision) if order == 0 else kurepa_derivative(x, order, precision)
+    print(f"value {decimal_str(result.value, precision)}")
     print(f"error_bound {mpmath.nstr(result.error_bound, 5)}")
     print(f"nodes_used {result.nodes_used}")
     print(f"tail_cutoff {mpmath.nstr(result.tail_cutoff, 8)}")
     return EXIT_PROVEN
 
 
-def cmd_limits(args) -> int:
-    p = Precision(args.precision)
-    f = parse(args.function)
-    a, b = _split_interval(args.interval)
-    for method, route in (("taylor", endpoint_limits_taylor),
-                          ("numeric", endpoint_limits_numeric)):
-        if args.method in (method, "both"):
-            alpha, beta = route(f, a, b, args.n, args.m, p)
-            print(f"{method} alpha {decimal_str(alpha, p)}")
-            print(f"{method} beta {decimal_str(beta, p)}")
+def cmd_limits(function, interval, n, m, method="both", precision=Precision()) -> int:
+    f = parse(function)
+    for name, route in (("taylor", endpoint_limits_taylor), ("numeric", endpoint_limits_numeric)):
+        if method in (name, "both"):
+            alpha, beta = route(f, *interval, n, m, precision)
+            print(f"{name} alpha {decimal_str(alpha, precision)}")
+            print(f"{name} beta {decimal_str(beta, precision)}")
     return EXIT_PROVEN
+
+
+# subcommand: (handler, help, its keys, the keys it requires); a key left out
+# takes the handler's default, which is the API's but for prove's degree,
+# kurepa's order and limits' method
+_COMMANDS = {
+    "prove": (cmd_prove, "run the full proof pipeline", _CONFIG_KEYS,
+              ("function", "interval", "n", "m")),
+    "minimax": (cmd_minimax, "minimax approximation of one function",
+                ("function", "interval", "degree", *_SETTING_KEYS, "out"),
+                ("function", "interval", "degree")),
+    "kurepa": (cmd_kurepa, "evaluate the Kurepa integral family",
+               ("x", "order", "precision"), ("x",)),
+    "limits": (cmd_limits, "endpoint limits of the quotient",
+               ("function", "interval", "n", "m", "method", "precision"),
+               ("function", "interval", "n", "m")),
+}
+
+
+def _read(args) -> dict:
+    """The subcommand's values: prove's config file under its flags, each key's text converted."""
+    _, _, keys, required = _COMMANDS[args.command]
+    values = read_config(args.config) if getattr(args, "config", None) else {}
+    flags = vars(args)  # a flag overrides the config file's value of its key
+    values.update((key, flags[key]) for key in keys if flags[key] is not None)
+    for key in required:
+        if key not in values:
+            raise IneqproveError(f"missing required setting {key!r}")
+    try:
+        return {key: _CONVERSIONS.get(key, str)(values[key]) for key in keys if key in values}
+    except ValueError as exc:
+        raise IneqproveError(f"invalid setting value: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,39 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "via minimax polynomial certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    prove = sub.add_parser("prove", help="run the full proof pipeline")
-    prove.add_argument("--config", help="flat key = value config file")
-    for key in _CONFIG_KEYS:  # converted as config values are
-        prove.add_argument("--" + key.replace("_", "-"))
-    prove.set_defaults(func=cmd_prove)
-
-    defaults = ProofSettings()
-    mmx = sub.add_parser("minimax", help="minimax approximation of one function")
-    mmx.add_argument("--function", required=True)
-    mmx.add_argument("--interval", metavar="A,B", required=True)
-    mmx.add_argument("--degree", type=int, required=True)
-    mmx.add_argument("--precision", type=int, default=defaults.precision.decimal_digits)
-    mmx.add_argument("--grid-multiplier", dest="grid_multiplier", type=int,
-                     default=defaults.grid_multiplier)
-    mmx.add_argument("--out")
-    mmx.set_defaults(func=cmd_minimax)
-
-    kur = sub.add_parser("kurepa", help="evaluate the Kurepa integral family")
-    kur.add_argument("--x", required=True)
-    kur.add_argument("--order", type=int, default=0, help=f"0 for K, at most {MAX_ORDER}")
-    kur.add_argument("--precision", type=int, default=defaults.precision.decimal_digits)
-    kur.set_defaults(func=cmd_kurepa)
-
-    lim = sub.add_parser("limits", help="endpoint limits of the quotient")
-    lim.add_argument("--function", required=True)
-    lim.add_argument("--interval", metavar="A,B", required=True)
-    lim.add_argument("--n", required=True)
-    lim.add_argument("--m", required=True)
-    lim.add_argument("--method", choices=("taylor", "numeric", "both"), default="both")
-    lim.add_argument("--precision", type=int, default=defaults.precision.decimal_digits)
-    lim.set_defaults(func=cmd_limits)
-
+    for name, (func, summary, keys, _) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        if name == "prove":
+            command.add_argument("--config", help="flat key = value config file")
+        for key in keys:  # text, converted as config values are
+            choices = ("taylor", "numeric", "both") if key == "method" else None
+            command.add_argument("--" + key.replace("_", "-"), choices=choices)
+        command.set_defaults(func=func)
     return parser
 
 
@@ -198,7 +185,7 @@ def main(argv=None) -> int:
         # inconclusive verdicts, so remap
         return EXIT_ERROR if exc.code else EXIT_PROVEN
     try:
-        return args.func(args)
+        return args.func(**_read(args))
     except IneqproveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

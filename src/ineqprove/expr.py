@@ -338,9 +338,6 @@ class Expression:
     def __str__(self):
         return to_source(self.root)
 
-    def evaluate(self, x, p: Precision = Precision()):
-        return evaluate(self, x, p)
-
 
 def parse(source: str) -> Expression:
     """Parse source text into an Expression.

@@ -454,7 +454,5 @@ def find_inflection(p: Precision = Precision()) -> mpmath.mpf:
     while hi - lo > wtol:
         mid = (lo + hi) / 2
         fm = kurepa_derivative(mid, 2, p).value
-        if fm == 0:
-            return mid
         lo, hi = (mid, hi) if fm < 0 else (lo, mid)
     return (lo + hi) / 2

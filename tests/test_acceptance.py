@@ -30,6 +30,7 @@ from ineqprove import (
     decimal_str,
     endpoint_limits_numeric,
     endpoint_limits_taylor,
+    evaluate,
     find_inflection,
     kurepa,
     kurepa_derivative,
@@ -172,8 +173,8 @@ def test_arcsin_bound_reproduction():
     with criterion("arcsin bound reproduction", 30.0):
         f = parse(ARCSIN_DIFF_SOURCE)
         settings = ProofSettings(precision=P50)
-        v0 = f.evaluate(0, P50)
-        v1 = f.evaluate(1, P50)
+        v0 = evaluate(f, 0, P50)
+        v1 = evaluate(f, 1, P50)
         assert abs(v0) < mpmath.mpf("1e-30")
         assert abs(v1) < mpmath.mpf("1e-30")
 

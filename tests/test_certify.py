@@ -108,7 +108,7 @@ class TestResidualCheck:
     def test_first_of_equal_residuals_is_reported(self, source, first_known, p50):
         P = make_poly(["0"], -1, 1)
         f = parse(source)
-        g = lambda x: f.evaluate(x, p50)
+        g = lambda x: evaluate(f, x, p50)
         start = P.segment[0]
         known = {start._mpf_: g(start)._mpf_} if first_known else None
         stats = residual_check(g, P, "0.1", 64, p50, known=known)
@@ -129,7 +129,7 @@ class TestResidualCheck:
     @pytest.mark.parametrize("source", ["exp(x)", "1+exp(-10^6*(x-3/10)^2)"])
     def test_reused_grid_residuals_give_the_cold_statistics(self, source, size, p30):
         f = parse(source)
-        mr = minimax(lambda x: f.evaluate(x, p30), 0, 1, 2, p=p30, grid_multiplier=4)
+        mr = minimax(lambda x: evaluate(f, x, p30), 0, 1, 2, p=p30, grid_multiplier=4)
         av, bv = finite_segment(0, 1, p30)
         remez_grid = {x._mpf_ for x in chebyshev_grid(av, bv, 17)}
         grid = [x._mpf_ for x in chebyshev_grid(av, bv, size)]
@@ -138,7 +138,7 @@ class TestResidualCheck:
         stats, lookups, expected = [], [], []
         # nothing reused, the Remez grid's residuals, and the nodes' too
         for known in ({}, {x: mr.residuals[x] for x in remez_grid}, mr.residuals):
-            g = _CountingCache(lambda x: f.evaluate(x, p30))
+            g = _CountingCache(lambda x: evaluate(f, x, p30))
             stats.append(residual_check(g, mr.polynomial, mr.delta_hat, size, p30,
                                         extra_points=mr.nodes, known=known))
             lookups.append(g.lookups)
@@ -777,7 +777,6 @@ class TestProvePipeline:
         lambda p: to_mpf("1", p),
         lambda p: decimal_str(1, p),
         lambda p: evaluate(parse("x"), 0, p),
-        lambda p: parse("x").evaluate(0, p),
         lambda p: kurepa(1, p),
         lambda p: kurepa_derivative(1, 1, p),
         lambda p: find_inflection(p),
@@ -793,9 +792,9 @@ class TestProvePipeline:
         lambda p: precondition_check(1, 1, p),
         lambda p: certify_positive(make_poly(["1"]), "0.1", "1.000001", p),
         lambda p: ProofSettings(precision=p),
-    ], ids=["to_mpf", "decimal_str", "evaluate", "Expression.evaluate", "kurepa",
-            "kurepa_derivative", "find_inflection", "endpoint_limits_taylor",
-            "endpoint_limits_numeric", "QuotientFunction", "minimax", "verify_equioscillation",
+    ], ids=["to_mpf", "decimal_str", "evaluate", "kurepa", "kurepa_derivative",
+            "find_inflection", "endpoint_limits_taylor", "endpoint_limits_numeric",
+            "QuotientFunction", "minimax", "verify_equioscillation",
             "from_monomial", "to_monomial", "residual_check", "precondition_check",
             "certify_positive", "ProofSettings"])
     def test_only_a_precision_is_a_precision(self, entry, bad):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,6 +10,22 @@ import pytest
 from ineqprove import ProofSettings, prove_inequality, report_to_json
 from ineqprove import cli
 from ineqprove.cli import _CONFIG_KEYS, _SETTING_KEYS, build_parser, main
+
+from helpers import requires_recorded_mpmath
+
+NOT_AN_INT = "invalid setting value: invalid literal for int() with base 10: "
+
+# sha256 of the stdout of `ineqprove <argv>`
+STDOUT_HASHES = {
+    "minimax --function exp(x) --interval 0,1 --degree 2 --precision 30":
+        "de20820ba5903cb33404d63e99cc2527df102fdedc9d2c96d7d1d6ba93f4d371",
+    "minimax --function exp(x) --interval 0,1 --degree 2 --precision 30 --grid-multiplier 8":
+        "dabdc4624c952e0dafb5f97df1a79a59256338c72373817a1ab604a21c3d5612",
+    "kurepa --x 0.5 --order 2 --precision 40":
+        "165d8c0452c52000afaf1bfd33411caf9cc3736aa57b6cd6e3627cd7f8bf89d0",
+    "limits --function x*(1-x) --interval 0,1 --n 1 --m 1 --precision 30":
+        "82441f55b72a87a278257e56de1f5d20db4c7defb15b03fb6a8f7faa6796a0f1",
+}
 
 
 def write_config(path, **kwargs):
@@ -315,6 +332,31 @@ class TestExitContract:
         assert main(argv + ["--out", str(tmp_path / "missing" / "r.json")]) == 3
         assert capsys.readouterr().err.startswith("i/o error: ")
 
+    # every flag of every subcommand is read as a config value is, with one
+    # error form for a malformed value and one for a missing required key
+    @pytest.mark.parametrize("argv, message", [
+        (["prove", "--function", "x", "--interval", "0,1", "--n", "1", "--m", "1",
+          "--precision", "abc"], NOT_AN_INT + "'abc'"),
+        (["prove", "--function", "x", "--interval", "0,1", "--n", "1"],
+         "missing required setting 'm'"),
+        (["minimax", "--function", "x", "--interval", "0,1", "--degree", "1.5"],
+         NOT_AN_INT + "'1.5'"),
+        (["minimax", "--function", "x", "--interval", "0,1", "--degree", "1",
+          "--grid-multiplier", "many"], NOT_AN_INT + "'many'"),
+        (["minimax", "--function", "x", "--interval", "0,1"], "missing required setting 'degree'"),
+        (["kurepa", "--x", "1", "--order", "x"], NOT_AN_INT + "'x'"),
+        (["kurepa", "--order", "1"], "missing required setting 'x'"),
+        (["limits", "--function", "x", "--interval", "0,1", "--n", "1", "--m", "1",
+          "--precision", "abc"], NOT_AN_INT + "'abc'"),
+        (["limits", "--function", "x", "--interval", "0,1", "--n", "1"],
+         "missing required setting 'm'"),
+    ], ids=["prove-precision", "prove-missing", "minimax-degree", "minimax-grid-multiplier",
+            "minimax-missing", "kurepa-order", "kurepa-missing", "limits-precision",
+            "limits-missing"])
+    def test_flags_are_read_one_way(self, argv, message, capsys):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_installed_entry_point(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "ineqprove.cli", "kurepa", "--x", "1",
@@ -325,3 +367,11 @@ class TestExitContract:
         assert result.stdout.startswith("value ")
         value = mpmath.mpf(result.stdout.splitlines()[0].split()[1])
         assert abs(value - 1) < mpmath.mpf("1e-19")
+
+
+@requires_recorded_mpmath
+@pytest.mark.parametrize("argv", sorted(STDOUT_HASHES))
+def test_stdout_bytes(argv, capsys):
+    assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == \
+        STDOUT_HASHES[argv]

@@ -129,6 +129,23 @@ def test_taylor_numeric_agreement_on_planted_roots(p50):
         assert abs(beta_t - beta_n) <= mpmath.mpf("1e-6") * abs(beta_t)
 
 
+# a negative root order is refused, with one message, at every entry that takes n and m
+@pytest.mark.parametrize("n, m, message", [
+    (-1, 0, r"^root order n must be nonnegative, got -1\.0$"),
+    (0, "-1/2", r"^root order m must be nonnegative, got -0\.5$"),
+], ids=["n", "m"])
+@pytest.mark.parametrize("entry", [
+    lambda n, m, p: prove_inequality("x", 0, 1, n, m, 1),
+    lambda n, m, p: QuotientFunction(parse("x"), 0, 1, n, m, 1, 1, p),
+    lambda n, m, p: endpoint_limits_taylor(parse("x"), 0, 1, n, m, p),
+    lambda n, m, p: endpoint_limits_numeric(parse("x"), 0, 1, n, m, p),
+], ids=["prove_inequality", "QuotientFunction", "endpoint_limits_taylor",
+        "endpoint_limits_numeric"])
+def test_negative_root_order_refused(entry, n, m, message, p30):
+    with pytest.raises(ConfigurationError, match=message):
+        entry(n, m, p30)
+
+
 class TestQuotientFunction:
     def _parabola(self, p):
         f = parse("x*(1-x)")
@@ -150,7 +167,7 @@ class TestQuotientFunction:
         f = parse(ARCSIN_DIFF_SOURCE)
         g = QuotientFunction(f, 0, 1, 1, 1, 1, 1, p50)
         x = mpmath.mpf("0.5")
-        direct = f.evaluate(x, p50) / (x * (1 - x))
+        direct = evaluate(f, x, p50) / (x * (1 - x))
         got = g.evaluate(x)
         assert abs(got - direct) <= mpmath.mpf("1e-50") * abs(direct)
 
