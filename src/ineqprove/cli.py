@@ -75,8 +75,15 @@ def _split_interval(text: str):
     return parts[0], parts[1]
 
 
+def _method(text: str) -> str:
+    if text not in ("taylor", "numeric", "both"):
+        raise ValueError(f"method must be 'taylor', 'numeric' or 'both', got {text!r}")
+    return text
+
+
 # every key's conversion from its text; the other keys stay text
-_CONVERSIONS = {"interval": _split_interval, "degree": int, "order": int, **_SETTING_KEYS}
+_CONVERSIONS = {"interval": _split_interval, "degree": int, "order": int, "method": _method,
+                **_SETTING_KEYS}
 
 
 def _emit(payload: str, out) -> None:
@@ -170,8 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "prove":
             command.add_argument("--config", help="flat key = value config file")
         for key in keys:  # text, converted as config values are
-            choices = ("taylor", "numeric", "both") if key == "method" else None
-            command.add_argument("--" + key.replace("_", "-"), choices=choices)
+            command.add_argument("--" + key.replace("_", "-"))
         command.set_defaults(func=func)
     return parser
 

@@ -17,8 +17,11 @@ that side is summed exactly as geometric series, up to a bounded remainder.
 All is summed in fixed point, on integers v standing for v 2^-frac, and
 rounded once into ``context(p)``: the weights and series coefficients are
 one table per precision and band, its e^(k/q) raised along the nodes from
-e^(1/q) and e^(-1/q).  A call takes E from one exponential and E^-1 from
-it, and sums each side by Horner's rule over the weights, in E right of
+e^(1/q) and e^(-1/q).  Each weight costs one exponential, e^-t, and
+integer arithmetic, and the series coefficients are the powers of one
+chained factor e^(-(4q+1)/q), each times a derangement number and divided
+exactly by n! q.  A call takes E from one exponential and E^-1 from it,
+and sums each side by Horner's rule over the weights, in E right of
 s = 0 and in E^-1 left of it; the series reads E^-1 and E^-(4q+1), by
 binary powering.  A Horner step floors once, and that floor, like a
 weight's unit, enters the sum times E^k, up to the band's cut-off t to the
@@ -310,14 +313,17 @@ def _table(digits, band):
     The band's q and its right cut-off R = ``high`` from ``_right``, with
     its ``cutoff`` t; ``frac`` _GUARD_BITS and the bits of t^(band+1) past
     the working precision; ``orders[j]`` holds T_k k^j for k = -left .. high,
-    T_k within a unit of W_k 2^frac and T_0 of h/e; ``terms``
-    (e^(-(n+1)/q), c_n) per series term; ``betas[j]`` the beta_i, highest
-    first, of (K+1+l)^j = sum_i beta_i C(l+i, i); ``nought`` what j = 0
-    adds, the series at x = 0 less sum_k T_k 2^frac; ``remainder[j]`` the
-    series' remainder; ``floor`` the target 10^-(digits+3); and
-    ``bounds[j]`` from ``_bounds``.  The remainder shrinks about
-    e^(-(left+1)/q) per term, so its value at no term guesses the series'
-    length, and the exact remainders confirm it.
+    T_k within a unit of W_k 2^frac and T_0 of h/e, each from one
+    exponential and one integer floor division; ``terms`` (e^(-(n+1)/q),
+    c_n) per series term, c_n = h a_n f^(n+1) with f = e^(-(left+1)/q) one
+    more step of the nodes' chain, its powers chained too, each divided
+    exactly by n! q; ``betas[j]`` the beta_i, highest first, of
+    (K+1+l)^j = sum_i beta_i C(l+i, i); ``nought`` what j = 0 adds, the
+    series at x = 0 less sum_k T_k 2^frac; ``remainder[j]`` the series'
+    remainder; ``floor`` the target 10^-(digits+3); and ``bounds[j]`` from
+    ``_bounds``.  The remainder shrinks about e^(-(left+1)/q) per term, so
+    its value at no term guesses the series' length, and the exact
+    remainders confirm it.
     """
     q, prec = _steps(digits, band), context(Precision(digits)).prec
     high, tail, cutoff = _right(digits, band)
@@ -327,37 +333,46 @@ def _table(digits, band):
     frac = prec + _GUARD_BITS + growth
     wide, left = frac + 20, _LEFT_SPAN * q
 
-    def fixed(v, scale=q):
-        return (to_fixed(mpf_div(v, from_int(scale), wide, rn), frac + 1) + 1) >> 1
-
-    def exp_ratio(num, den):
-        return mpf_exp(from_rational(num, den, wide, rn), wide, rn)
+    def fixed(num, den, exp=0):
+        # num 2^exp / den in units of 2^-frac: one floor at frac + 1 bits,
+        # then rounded half up
+        shift = exp + frac + 1
+        return ((num << max(shift, 0)) // (den << max(-shift, 0)) + 1) >> 1
 
     # t = e^(k/q), k = -left .. high, by one chain on integers at wide + 40
     # bits from e^(-1/q) and e^(1/q), each within 3 units of 2^-(wide+40):
     # as each step floors, e^(k/q) is within 4|k| max(1, e^(k/q)) units,
-    # at most 16 q e^4 units relative, then rounded once to wide; the 20
-    # guard bits between wide and frac absorb that, as they do mpf_exp's error;
-    # the series' e^(-(n+1)/q) are entries too, its length staying below left
+    # at most 16 q e^4 units relative, then rounded once to wide.  A weight
+    # is t e^-t / ((t - 1) q), or h/e at t = 1, floored once from the
+    # mantissas of t = m 2^x and of e^-t, one exponential at wide bits; the
+    # 20 guard bits between wide and frac absorb t's rounding and mpf_exp's
+    # error, so T_k is within a unit.  The series' e^(-(n+1)/q) are entries
+    # too, its length staying below left, and one more step gives
+    # f = e^(-(left+1)/q) within 4(left + 1) units, whose powers f^(n+1) by
+    # a chain are within (n + 1)(4 left + 5) units of 2^-bits, 2^59 times
+    # finer than 2^-(frac+1); c_n = h a_n f^(n+1), a_n = D_n / n! with D_n
+    # the derangement numbers, is then one floor division by n! q, so c_n is
+    # within a unit too
     bits = wide + 40
     shrink, grow = ((to_fixed(mpf_exp(from_rational(sign, q, bits, rn), bits, rn), bits + 1) + 1)
                     >> 1 for sign in (-1, 1))
-    ts = [from_man_exp(v, -bits, wide, rn) for v in _chain(shrink, left, bits)[:0:-1]
-          + _chain(grow, high, bits)]
-    weights = [fixed(mpf_div(mpf_mul(t, mpf_exp(mpf_neg(t), wide, rn), wide, rn),
-                             mpf_sub(t, fone, wide, rn), wide, rn) if k else exp_ratio(-1, 1))
-               for k, t in zip(range(-left, high + 1), ts)]
+    shrinks = _chain(shrink, left + 1, bits)
+    ts = [from_man_exp(v, -bits, wide, rn) for v in shrinks[left:0:-1] + _chain(grow, high, bits)]
+    weights = []
+    for t in ts:
+        (_, m, x, _), (_, e, y, _) = t, mpf_exp(mpf_neg(t), wide, rn)
+        span = (m << x + bits) - (1 << bits)  # (t - 1) 2^bits, 0 at t = 1
+        weights.append(fixed(m * e, span * q, x + y + bits) if span else fixed(e, q, y))
     orders = tuple(tuple(w * k ** j for k, w in zip(range(-left, high + 1), weights))
                    for j in range(MAX_ORDER + 1))
     share = _share(digits)
     guess = int((_ln(_remainder(MAX_ORDER, 0, q, left)) - _ln(share)) * q / (left + 1))
     size, last = _least(lambda n: _remainder(MAX_ORDER, n, q, left), share, 0, guess)
     terms, derangements = [], 1
-    for n in range(size):
+    for n, power in enumerate(_chain(shrinks[-1], size, bits)[1:]):
         derangements = n * derangements + (-1) ** n if n else 1
-        a = from_rational(derangements, math.factorial(n), wide, rn)
-        terms.append((fixed(ts[left - n - 1], 1),
-                      fixed(mpf_mul(a, exp_ratio(-(n + 1) * (left + 1), q), wide, rn))))
+        _, m, x, _ = ts[left - n - 1]
+        terms.append((fixed(m, 1, x), fixed(derangements * power, math.factorial(n) * q, -bits)))
     betas = tuple(tuple(sum((-1) ** m * math.comb(i, m) * (left - m) ** j for m in range(i + 1))
                         for i in reversed(range(j + 1))) for j in range(MAX_ORDER + 1))
     one = 1 << frac

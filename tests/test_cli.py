@@ -350,9 +350,12 @@ class TestExitContract:
           "--precision", "abc"], NOT_AN_INT + "'abc'"),
         (["limits", "--function", "x", "--interval", "0,1", "--n", "1"],
          "missing required setting 'm'"),
+        (["limits", "--function", "exp(x)-1-x", "--interval", "0,1", "--n", "2", "--m", "0",
+          "--method", "foo"],
+         "invalid setting value: method must be 'taylor', 'numeric' or 'both', got 'foo'"),
     ], ids=["prove-precision", "prove-missing", "minimax-degree", "minimax-grid-multiplier",
             "minimax-missing", "kurepa-order", "kurepa-missing", "limits-precision",
-            "limits-missing"])
+            "limits-missing", "limits-method"])
     def test_flags_are_read_one_way(self, argv, message, capsys):
         assert main(argv) == 3
         assert capsys.readouterr().err == f"error: {message}\n"

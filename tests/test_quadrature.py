@@ -115,6 +115,16 @@ def test_table_matches_the_direct_exponentials():
                 (digits, band)
 
 
+@requires_recorded_mpmath
+def test_every_band_matches_the_direct_exponentials():
+    # the weights and series coefficients floored on integers: the same
+    # tables on every band, not only the first and the last
+    for digits in (35, 160):
+        for band in range(quadrature.MAX_ARGUMENT):
+            assert quadrature._table(digits, band) == reference_table(digits, band), \
+                (digits, band)
+
+
 # the oracle gate: every order at these x, at three precisions
 GATE_ARGUMENTS = (0, 4 ** -12, "0.37", "0.8", 1, "2.6", "7.3", 16)
 
@@ -615,7 +625,9 @@ class TestMemos:
         # discretization bounds (3 more give the lower orders' bounds) and its
         # series length from 3 remainders (3 more give the table's own), each
         # guessed and then confirmed, its fraction bits from one exponential,
-        # and each e^(k/q) from a chain and one exp(-t) per node
+        # each e^(k/q) from a chain and one exp(-t) per node, and the series
+        # coefficients from powers of the chain's e^(-(left+1)/q): 162, a
+        # count that may fall but should never rise
         calls = remainders = 0
         exp, remainder = quadrature.mpf_exp, quadrature._remainder
 
@@ -633,7 +645,7 @@ class TestMemos:
         monkeypatch.setattr(quadrature, "mpf_exp", counted)
         monkeypatch.setattr(quadrature, "_remainder", counted_remainder)
         quadrature._table(35, 0)
-        assert (calls, quadrature._discretization.cache_info().misses, remainders) == (184, 6, 6)
+        assert (calls, quadrature._discretization.cache_info().misses, remainders) == (162, 6, 6)
 
     def test_threads_get_the_solo_bits(self, p35):
         # a call's Horner sums live in the call; the threads share only the
