@@ -343,7 +343,7 @@ def _disproof_witness(run):
     scale = max(context(p).mpf(1), abs(run.fields["alpha"]), abs(run.fields["beta"]))
     floor = witness_floor(p) * scale
     # the first sample of smallest g
-    worst_x, worst_g = min(run.g.values.items(), key=lambda item: item[1],
+    worst_x, worst_g = min(run.g.values.values(), key=lambda entry: entry[1],
                            default=(None, 0))
     if worst_g >= -floor:
         return None

@@ -54,7 +54,7 @@ from itertools import accumulate, repeat
 import mpmath
 from mpmath.libmp import (
     fone, from_int, from_man_exp, from_rational, mpf_abs, mpf_add, mpf_cos,
-    mpf_div, mpf_exp, mpf_gt, mpf_mul, mpf_neg, mpf_pi, mpf_pow_int, mpf_shift, mpf_sin,
+    mpf_div, mpf_exp, mpf_gt, mpf_ln2, mpf_mul, mpf_neg, mpf_pi, mpf_pow_int, mpf_shift, mpf_sin,
     mpf_sub, to_fixed, to_int, round_ceiling as up, round_floor as down, round_nearest as rn,
 )
 
@@ -86,6 +86,7 @@ def _b(f, *args, rnd=up):
     return f(*args, _BOUND_BITS, rnd)
 
 
+@lru_cache(maxsize=_CACHE_LIMIT)
 def _majorant(j, low, high, a):
     """M >= integral |F_j(sigma + ib)| dsigma for |b| <= a 2^-6 and low <= x <= high, rounded up.
 
@@ -99,11 +100,12 @@ def _majorant(j, low, high, a):
     |e^s| = e^sigma and |exp(-e^s)| <= 1, which leaves
     e^((1 + low) a) j! / (1 + low)^(j + 1).  For j = 0,
     |e^(xs) - 1| <= x |s| e^(x max(sigma, 0)): high times j = 1's M at low = 0.
+    Memoized: bounds at one angle share it.
     """
     if j == 0:
         return _b(mpf_mul, from_int(high), _majorant(1, 0, high, a))
     angle, half = from_man_exp(a, -6), from_man_exp(1, -1)
-    inv = _b(mpf_div, fone, _b(mpf_sub, fone, _b(mpf_exp, mpf_neg(half)), rnd=down))
+    inv = _b(mpf_div, fone, _gap(-1, 2))
     top = _b(mpf_div, _b(mpf_exp, mpf_shift(half, -1)),
              mpf_shift(_b(mpf_sin, mpf_shift(angle, -1), rnd=down), 1))
     box = _b(mpf_mul, _b(mpf_pow_int, _b(mpf_add, half, angle), j),
@@ -226,9 +228,14 @@ def _remainder(j, n, q, left):
     k = left + 1
     lead = _b(mpf_mul, _b(from_rational, k ** j, q ** (j + 1)),
               _b(mpf_exp, _b(from_rational, -(n + 1) * k, q)))
-    gaps = [_b(mpf_sub, fone, _b(mpf_exp, _b(from_rational, num, den)), rnd=down)
-            for num, den in ((j * q - (n + 1) * k, k * q), (-k, q))]
+    gaps = [_gap(num, den) for num, den in ((j * q - (n + 1) * k, k * q), (-k, q))]
     return _b(mpf_div, lead, _b(mpf_mul, *gaps, rnd=down))
+
+
+@lru_cache(maxsize=_CACHE_LIMIT)
+def _gap(num, den):
+    """1 - e^(num/den) for num < 0, rounded down; memoized: majorants and remainders share one."""
+    return _b(mpf_sub, fone, _b(mpf_exp, _b(from_rational, num, den)), rnd=down)
 
 
 def _series(terms, betas, q, left, frac, e1, ek):
@@ -325,8 +332,12 @@ def _table(digits, band):
     its value at no term guesses the series' length, and the exact
     remainders confirm it.
     """
-    q, prec = _steps(digits, band), context(Precision(digits)).prec
-    high, tail, cutoff = _right(digits, band)
+    prec = context(Precision(digits)).prec
+    # mpmath keeps ln2 at the highest precision asked so far, so ask first for
+    # the most the weights' exponentials need, prec + 100 + (band + 2) log2 t
+    # bits, guessing t <= 3 (digits + 2 band + 3): ln2 is then computed once
+    mpf_ln2(prec + 100 + (band + 2) * (3 * (digits + 2 * band + 3)).bit_length())
+    q, (high, tail, cutoff) = _steps(digits, band), _right(digits, band)
     # a weight's unit at node k, or the floor of Horner's step k, enters the
     # sum times E^k <= e^((band+1)k/q) < 2^growth, the cut-off's t^(band+1)
     growth = to_int(_b(mpf_exp, _b(from_rational, (band + 1) * high, q)), up).bit_length()

@@ -18,16 +18,19 @@ Endpoint limits come from two routes:
   supplied order is off.
 
 The quotient is formed on raw ``mpmath.libmp`` tuples from the compiled f,
-at the working precision of the run, with the compiler's real power for
-the denominator: ``mpf_pow_int`` for an integer order, ``mpf_pow`` for a
-real one.
+at the working precision of the run, from x, x - a and b - x.  An order 0
+forms no factor, an order 1 is the difference itself, another integer order
+goes straight to ``mpf_pow_int`` and a real one to the compiler's real
+power: for each, the bits that real power gives.
 """
 
 from __future__ import annotations
 
 import math
 
-from mpmath.libmp import mpf_add, mpf_div, mpf_eq, mpf_lt, mpf_mul, mpf_pos, mpf_sub, round_nearest
+from mpmath.libmp import (
+    fone, fzero, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_pos, mpf_pow_int, mpf_sub, round_nearest,
+)
 
 from .errors import (
     ConfigurationError,
@@ -50,20 +53,33 @@ EDGE_FRACTION = "1e-8"
 STABILIZE_TOL = "1e-8"
 
 
-def _quotient(f, a, b, n, m, p):
-    """x -> f(x) / ((x-a)^n (b-x)^m) on libmp tuples, with no endpoint handling."""
+def _factor(order, prec):
+    """d -> d^order on libmp tuples, as ``power`` rounds it for a d > 0 at prec; None for order 0."""
+    q, rn = fraction(order), round_nearest
+    if q.denominator != 1:
+        real = power(q, prec)
+        return lambda d: real(d, prec, rn)
+    k = q.numerator
+    return None if k == 0 else (lambda d: d) if k == 1 else (lambda d: mpf_pow_int(d, k, prec, rn))
+
+
+def _quotient(f, n, m, p):
+    """(x, x-a, b-x) -> f(x) / ((x-a)^n (b-x)^m) on libmp tuples, a < x < b, no endpoint handling."""
     prec, rn = context(p).prec, round_nearest
     fx = compiled(f, p)
-    pa, pb = (power(fraction(e), prec) for e in (n, m))
-    a, b = a._mpf_, b._mpf_
+    pa, pb = _factor(n, prec), _factor(m, prec)
 
-    def quotient(x):
-        num = fx(x)
-        den = mpf_mul(pa(mpf_sub(x, a, prec, rn), prec, rn),
-                      pb(mpf_sub(b, x, prec, rn), prec, rn), prec, rn)
-        return mpf_div(num, den, prec, rn)
+    def quotient(x, da, db):
+        den = mpf_mul(pa(da), pb(db), prec, rn) if pa and pb else \
+            pa(da) if pa else pb(db) if pb else fone
+        return mpf_div(fx(x), den, prec, rn)
 
     return quotient
+
+
+def _arguments(x, a, b, prec):
+    # the quotient's arguments at x: (x, x - a, b - x), on libmp tuples at prec
+    return x, mpf_sub(x, a, prec, round_nearest), mpf_sub(b, x, prec, round_nearest)
 
 
 class QuotientFunction:
@@ -88,31 +104,33 @@ class QuotientFunction:
             if v == 0:
                 raise ConfigurationError(f"endpoint limit {name} must be non-zero, got {v}")
         edge = (self.b - self.a) * to_mpf(EDGE_FRACTION, precision)
-        # per end: its limit and the zone boundary where the blend meets g
-        self._zones = ((self.alpha._mpf_, (self.a + edge)._mpf_),
-                       (self.beta._mpf_, (self.b - edge)._mpf_))
         self._p, ctx = precision, context(precision)
         self._make, self._prec = ctx.make_mpf, ctx.prec
+        a, b = self.a._mpf_, self.b._mpf_
+        # per end: its limit and the quotient's arguments where the blend meets g
+        self._zones = ((self.alpha._mpf_, _arguments((self.a + edge)._mpf_, a, b, ctx.prec)),
+                       (self.beta._mpf_, _arguments((self.b - edge)._mpf_, a, b, ctx.prec)))
         self._edge = edge._mpf_
-        self._quotient = _quotient(f, self.a, self.b, self.n, self.m, precision)
+        self._quotient = _quotient(f, self.n, self.m, precision)
 
     def evaluate(self, x):
         t, prec, rn = to_mpf(x, self._p)._mpf_, self._prec, round_nearest
         a, b, edge = self.a._mpf_, self.b._mpf_, self._edge
-        if mpf_lt(a, t) and mpf_lt(t, b):
-            da, db = mpf_sub(t, a, prec, rn), mpf_sub(b, t, prec, rn)
-            if not (mpf_lt(da, edge) or mpf_lt(db, edge)):
-                return self._make(self._quotient(t))
-            # the blend lim + ((g0 - lim) * d) / edge toward the nearer end
-            side, d = (0, da) if mpf_lt(da, edge) else (1, db)
-            lim, x0 = self._zones[side]
-            g0 = self._quotient(x0)
-            step = mpf_div(mpf_mul(mpf_sub(g0, lim, prec, rn), d, prec, rn), edge, prec, rn)
-            return self._make(mpf_add(lim, step, prec, rn))
-        for end, lim in ((a, self.alpha), (b, self.beta)):
-            if mpf_eq(t, end):
+        # rounded to nearest, each difference has the sign of the exact one
+        da, db = mpf_sub(t, a, prec, rn), mpf_sub(b, t, prec, rn)
+        if not (da[0] or db[0] or mpf_lt(da, edge) or mpf_lt(db, edge)):
+            return self._make(self._quotient(t, da, db))
+        if da[0] or db[0]:
+            raise DomainError(f"{show(t, prec)} outside segment [{show(a, prec)}, {show(b, prec)}]")
+        for d, lim in ((da, self.alpha), (db, self.beta)):
+            if d == fzero:  # t is that end
                 return self._make(mpf_pos(lim._mpf_, prec, rn))
-        raise DomainError(f"{show(t, prec)} outside segment [{show(a, prec)}, {show(b, prec)}]")
+        # the blend lim + ((g0 - lim) * d) / edge toward the nearer end
+        side, d = (0, da) if mpf_lt(da, edge) else (1, db)
+        lim, arguments = self._zones[side]
+        g0 = self._quotient(*arguments)
+        step = mpf_div(mpf_mul(mpf_sub(g0, lim, prec, rn), d, prec, rn), edge, prec, rn)
+        return self._make(mpf_add(lim, step, prec, rn))
 
 
 def endpoint_limits_taylor(f: Expression, a, b, n, m, p: Precision = Precision()):
@@ -219,10 +237,10 @@ def endpoint_limits_numeric(f: Expression, a, b, n, m, p: Precision = Precision(
     ctx = context(p)
     av, bv = finite_segment(a, b, p)
     nv, mv = finite_orders(n, m, p)
-    span = bv - av
-    q = _quotient(f, av, bv, nv, mv, p)
-    qa = [ctx.make_mpf(q((av + span * ctx.mpf(4) ** (-j))._mpf_)) for j in range(3, 13)]
-    qb = [ctx.make_mpf(q((bv - span * ctx.mpf(4) ** (-j))._mpf_)) for j in range(3, 13)]
+    span, a, b, q = bv - av, av._mpf_, bv._mpf_, _quotient(f, nv, mv, p)
+    sample = lambda x: ctx.make_mpf(q(*_arguments(x._mpf_, a, b, ctx.prec)))
+    qa = [sample(av + span * ctx.mpf(4) ** (-j)) for j in range(3, 13)]
+    qb = [sample(bv - span * ctx.mpf(4) ** (-j)) for j in range(3, 13)]
     alpha = _extrapolate(qa, "a", p)
     beta = _extrapolate(qb, "b", p)
     return +alpha, +beta

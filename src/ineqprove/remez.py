@@ -264,9 +264,10 @@ class EquioscillationReport:
 class CachedFunction:
     """Memoizing wrapper for the approximated function; counts fresh calls.
 
-    A value of ``fn`` not in the context of its argument is rounded into it,
-    unless it is an mpf of a coarser context or a float (53 bits): its lost
-    digits would stall Remez, so it is refused.
+    ``values`` maps each ``x._mpf_``, in the order sampled, to (x, g(x)): a
+    tuple key needs no mpf hash.  A value of ``fn`` not in the context of its
+    argument is rounded into it, unless it is an mpf of a coarser context or a
+    float (53 bits): its lost digits would stall Remez, so it is refused.
     """
 
     def __init__(self, fn):
@@ -275,8 +276,8 @@ class CachedFunction:
         self.calls = 0
 
     def __call__(self, x):
-        v = self.values.get(x)
-        if v is None:
+        entry = self.values.get(x._mpf_)
+        if entry is None:
             v = self.fn(x)
             if type(v) is not type(x):
                 bits = 53 if isinstance(v, float) else getattr(v, "context", x.context).prec
@@ -285,9 +286,9 @@ class CachedFunction:
                         f"g returned a {bits}-bit value for a {x.context.prec}-bit x; "
                         "compute in x.context, as lambda x: x.context.exp(x) does")
                 v = x.context.mpf(v)
-            self.values[x] = v
+            entry = self.values[x._mpf_] = x, v
             self.calls += 1
-        return v
+        return entry[1]
 
 
 @lru_cache(maxsize=_COSINE_LIMIT)

@@ -842,8 +842,8 @@ class TestDisproofWitness:
         one = to_mpf(1, p)
         run = certify._Run(parse(source), finite_segment(0, 1, p), ProofSettings(precision=p),
                            "taylor", 0, {"alpha": one, "beta": one})
-        run.g = remez.CachedFunction(None)
-        run.g.values[to_mpf("0.5", p)] = -one
+        run.g = remez.CachedFunction(lambda x: -one)
+        run.g(to_mpf("0.5", p))
         return run
 
     def test_negative_f_is_a_witness(self, p30):

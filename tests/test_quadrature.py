@@ -626,8 +626,10 @@ class TestMemos:
         # series length from 3 remainders (3 more give the table's own), each
         # guessed and then confirmed, its fraction bits from one exponential,
         # each e^(k/q) from a chain and one exp(-t) per node, and the series
-        # coefficients from powers of the chain's e^(-(left+1)/q): 162, a
-        # count that may fall but should never rise
+        # coefficients from powers of the chain's e^(-(left+1)/q); the
+        # majorants share one 1 - e^(-1/2), the remainders one
+        # 1 - e^(-(left+1)/q), and a majorant at an angle already met is
+        # not rebuilt: 149, a count that may fall but should never rise
         calls = remainders = 0
         exp, remainder = quadrature.mpf_exp, quadrature._remainder
 
@@ -645,7 +647,7 @@ class TestMemos:
         monkeypatch.setattr(quadrature, "mpf_exp", counted)
         monkeypatch.setattr(quadrature, "_remainder", counted_remainder)
         quadrature._table(35, 0)
-        assert (calls, quadrature._discretization.cache_info().misses, remainders) == (162, 6, 6)
+        assert (calls, quadrature._discretization.cache_info().misses, remainders) == (149, 6, 6)
 
     def test_threads_get_the_solo_bits(self, p35):
         # a call's Horner sums live in the call; the threads share only the

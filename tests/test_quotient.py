@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import mpmath
 import pytest
 from mpmath import mp
+from mpmath.libmp import mpf_div, mpf_mul, mpf_sub, round_nearest
 
 from ineqprove import (
     ConfigurationError,
@@ -24,6 +26,9 @@ from ineqprove import (
     verify_equioscillation,
 )
 from ineqprove.cli import main
+from ineqprove.expr import compiled, power
+from ineqprove.precision import Precision, context, finite_orders, finite_segment, fraction, to_mpf
+from ineqprove.quotient import EDGE_FRACTION, _quotient
 
 from helpers import ARCSIN_DIFF_SOURCE, KP0, ambient, planted_endpoint_polynomial
 
@@ -244,3 +249,66 @@ class TestQuotientFunction:
                 x = mp.mpf(1) / 52 * (i + 1)
                 den = (x - g.a) ** 1 * (g.b - x) ** 1
                 assert den > 0
+
+
+class TestQuotientBits:
+    """``_quotient`` on (x, x - a, b - x) against the quotient by the real power.
+
+    The reference forms every factor through ``expr.power``, order 0's 1
+    included, and divides f(x) by their product, at the working precision.
+    """
+
+    SOURCE, ORDERS = "exp(x) - x^3/(1+x)", ("0", "1", "2", "3", "1/2", "3/2")
+
+    @staticmethod
+    def points(a, b, p):
+        # the zone boundaries, the numeric route's samples and a few interior points
+        ctx = context(p)
+        span, edge = b - a, (b - a) * to_mpf(EDGE_FRACTION, p)
+        routes = [v for j in range(3, 13)
+                  for v in (a + span * ctx.mpf(4) ** (-j), b - span * ctx.mpf(4) ** (-j))]
+        return [a + edge, b - edge], routes + [a + span * i / 7 for i in range(1, 7)]
+
+    @pytest.mark.parametrize("digits", [30, 35, 50])
+    def test_every_order_gives_the_real_power_bits(self, digits):
+        p = Precision(digits)
+        prec, rn = context(p).prec, round_nearest
+        f = parse(self.SOURCE)
+        fx = compiled(f, p)
+        a, b = finite_segment("1/3", 2, p)
+        zones, inside = self.points(a, b, p)
+        for n, m in itertools.product(self.ORDERS, repeat=2):
+            nv, mv = finite_orders(n, m, p)
+            quotient = _quotient(f, nv, mv, p)
+            pa, pb = (power(fraction(v), prec) for v in (nv, mv))
+            g = QuotientFunction(f, a, b, nv, mv, "0.5", 2, p)
+            for x in zones + inside:
+                t = x._mpf_
+                da, db = mpf_sub(t, a._mpf_, prec, rn), mpf_sub(b._mpf_, t, prec, rn)
+                expected = mpf_div(fx(t), mpf_mul(pa(da, prec, rn), pb(db, prec, rn), prec, rn),
+                                   prec, rn)
+                assert quotient(t, da, db) == expected, (n, m, x)
+                if x in inside:  # outside the blend zones, g is the raw quotient
+                    assert g.evaluate(x)._mpf_ == expected, (n, m, x)
+
+    @pytest.mark.parametrize("digits, threes", [(30, 40), (35, 45), (50, 60)])
+    def test_the_ends_and_outside(self, digits, threes):
+        # the ends give the limits, bit for bit, however x is spelled; a point
+        # outside, even by less than a unit of the working precision, raises
+        # DomainError, its text naming x and the segment
+        p = Precision(digits)
+        g = QuotientFunction(parse(self.SOURCE), "1/3", 2, "3/2", 2, "0.5", 2, p)
+        for end, limit in ((g.a, g.alpha), (g.b, g.beta)):
+            for x in (end, mpmath.mpf(end), to_mpf(end, Precision(200))):
+                assert g.evaluate(x)._mpf_ == limit._mpf_
+        tiny = mpmath.mpf(2) ** -400
+        with mp.workprec(1000):
+            below, above = mp.mpf(g.a) - tiny, mp.mpf(g.a) + tiny
+        assert g.evaluate(above) > 0
+        span = f"[0.{'3' * threes}, 2.0]"
+        for x, text in (("0.25", "0.25"), (3, "3.0"), ("-1e-30", "-1.0e-30")):
+            with pytest.raises(DomainError) as err:
+                g.evaluate(x)
+            assert str(err.value) == f"{text} outside segment {span}"
+        with pytest.raises(DomainError, match=r" outside segment \["):
+            g.evaluate(below)
