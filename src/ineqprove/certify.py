@@ -4,8 +4,8 @@ The pipeline proves f(x) >= 0 on [a, b] (roots allowed at the endpoints) by
 one runner walking a fixed table of stages (``_STAGES``):
 
 1. ``endpoint_limits``: the limits alpha, beta of the quotient extension g;
-2. ``precondition``: both must be positive, a negative one disproves the
-   inequality outright;
+2. ``precondition``: both must be positive; a negative one ends the run
+   like any failed gate, and the witness search probes f near that end;
 3. ``minimax``: a degree-k minimax polynomial P of g with error estimate
    delta_hat (Remez exchange);
 4. ``equioscillation``: the residuals g - P at the nodes must alternate
@@ -17,8 +17,8 @@ one runner walking a fixed table of stages (``_STAGES``):
 Each stage adds its results to the run or ends it; the runner alone turns
 the end into a report.  Step 5 is a sampled check, not a proof, and
 delta_hat is a numerical estimate; every report therefore carries a fixed
-caveat.  The verdict vocabulary is three-valued: a failed stage never
-claims disproof, only a concrete negative witness does.
+caveat.  The verdict vocabulary is three-valued: a stage never claims
+disproof, only a concrete negative witness does (``_disproof_witness``).
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ from .precision import (
     to_mpf,
     witness_floor,
 )
-from .quotient import QuotientFunction, endpoint_limits_numeric, endpoint_limits_taylor
+from .quotient import (QuotientFunction, endpoint_limits_numeric, endpoint_limits_taylor,
+                       probe_points)
 from . import remez
 from .remez import (
     CachedFunction,
@@ -338,21 +339,27 @@ def _settings_echo(f_source, a, b, n, m, k, s: ProofSettings, residual_grid_size
 
 
 def _disproof_witness(run):
-    """Diagnostics entry of an interior sample with clearly negative f, if g's cache holds one."""
-    p = run.p
-    scale = max(context(p).mpf(1), abs(run.fields["alpha"]), abs(run.fields["beta"]))
-    floor = witness_floor(p) * scale
-    # the first sample of smallest g
-    worst_x, worst_g = min(run.g.values.values(), key=lambda entry: entry[1],
-                           default=(None, 0))
-    if worst_g >= -floor:
-        return None
-    try:
-        fv = evaluate(run.f, worst_x, p)
-    except IneqproveError:
-        return None
-    if fv < -floor:
-        return {"x": worst_x, "f_value": fv}
+    """Diagnostics entry of the first candidate where f is clearly negative, or None.
+
+    The one way to disprove.  The candidates: the first cached sample of
+    smallest g, if below -floor, then at each end whose limit is negative
+    the numeric route's ``probe_points``, nearest the end first.
+    """
+    p, alpha, beta = run.p, run.fields.get("alpha", 0), run.fields.get("beta", 0)
+    floor = witness_floor(p) * max(context(p).mpf(1), abs(alpha), abs(beta))
+    samples = () if run.g is None else run.g.values.values()
+    worst_x, worst_g = min(samples, key=lambda entry: entry[1], default=(None, 0))
+    candidates = [worst_x] if worst_g < -floor else []
+    if min(alpha, beta) < 0:
+        candidates += [x for limit, points in zip((alpha, beta), probe_points(*run.segment, p))
+                       if limit < 0 for x in reversed(points)]
+    for x in candidates:
+        try:
+            fv = evaluate(run.f, x, p)
+        except IneqproveError:
+            continue
+        if fv < -floor:
+            return {"x": x, "f_value": fv}
     return None
 
 
@@ -388,10 +395,9 @@ class _Run:
 
 
 class _Stop(NamedTuple):
-    """A failed gate or a disproof by sign: how a stage ends the run."""
+    """A failed gate: how a stage ends the run, with the diagnostics entries it adds."""
 
     message: str
-    verdict: str = "inconclusive"
     extra: tuple = ()
 
 
@@ -409,7 +415,7 @@ def _precondition(run: _Run):
     which = precondition_check(alpha, beta, run.p)
     if which is not None:
         return _Stop(f"endpoint limit {which} is negative; the inequality fails "
-                     f"near that endpoint", "disproven", (("negative_limit", which),))
+                     f"near that endpoint", (("negative_limit", which),))
     f, a, b, n, m, p = run.limit_inputs
     run.g = CachedFunction(QuotientFunction(f, a, b, n, m, alpha, beta, p).evaluate)
 
@@ -490,28 +496,27 @@ _STAGES = (
 def _run_stages(run: _Run) -> ProofReport:
     """Run the stages in order and build the report where the run ends.
 
-    A stage that raises one of its failures, or fails its gate, ends the
-    run inconclusive, unless g's cache holds a concrete negative sample: then
-    the verdict is disproven, with that witness and the failure's message
-    ("negative sample" for a failed gate) in place of the stage's extra
-    diagnostics.
+    A stage ends the run by failing its gate or by raising one of its
+    failures, and the report keeps its message: the gate's, or
+    "<Error>: <text>".  The run is disproven if ``_disproof_witness`` finds
+    a witness, which follows the gate's own entries; otherwise it is
+    inconclusive, and a raised failure adds its stage's details.
     """
     stage, verdict, message, extra = "complete", "proven", "all stages passed", ()
     for name, step, failures, details in _STAGES:
-        witness_message = "negative sample"
+        failure = None
         try:
             stop = step(run)
         except failures as exc:
-            witness_message = f"{type(exc).__name__}: {exc}"
-            stop = _Stop(witness_message, extra=details(exc, run) if details else ())
+            failure, stop = exc, _Stop(f"{type(exc).__name__}: {exc}")
         if stop is None:
             continue
-        stage = name
-        message, verdict, extra = stop
-        if verdict == "inconclusive" and run.g is not None:
-            witness = _disproof_witness(run)
-            if witness is not None:
-                verdict, message, extra = "disproven", witness_message, (("witness", witness),)
+        stage, verdict, (message, extra) = name, "inconclusive", stop
+        witness = _disproof_witness(run)
+        if witness is not None:
+            verdict, extra = "disproven", extra + (("witness", witness),)
+        elif failure is not None and details:
+            extra = details(failure, run)
         break
     if run.g is not None:
         run.timings["g_evaluations"] = run.g.calls
@@ -525,10 +530,10 @@ def prove_inequality(f, a, b, n, m, k: int,
                      settings: ProofSettings = None) -> ProofReport:
     """Run the full pipeline and return a ProofReport.
 
-    ``f`` may be an Expression or source text.  Stage failures after the
-    sign preconditions yield an 'inconclusive' verdict naming the stage; a
-    negative endpoint limit or a concrete negative interior sample yields
-    'disproven'.
+    ``f`` may be an Expression or source text.  A stage that fails, the
+    sign precondition included, ends the run 'inconclusive' and names the
+    stage; only a concrete point of negative f (``_disproof_witness``)
+    makes it 'disproven'.
     """
     s = ProofSettings() if settings is None else settings
     if not isinstance(s, ProofSettings):

@@ -12,10 +12,10 @@ Endpoint limits come from two routes:
   orders: alpha = f^(n)(a) / (n! (b-a)^m), beta = (-1)^m f^(m)(b) / (m! (b-a)^n),
   after checking that all lower-order derivatives vanish: each must lie
   within ``resolution_floor(p)``, the zero level of the endpoint limits;
-* ``endpoint_limits_numeric`` -- quotient samples along a + (b-a) 4^-j,
-  j = 3..12 (mirrored at b), accelerated by iterated Aitken extrapolation;
-  works for non-integer orders, and its observed exponent says which
-  supplied order is off.
+* ``endpoint_limits_numeric`` -- quotient samples at ``probe_points``,
+  a + (b-a) 4^-j, j = 3..12 (mirrored at b), accelerated by iterated Aitken
+  extrapolation; works for non-integer orders, and its observed exponent
+  says which supplied order is off.
 
 The quotient is formed on raw ``mpmath.libmp`` tuples from the compiled f,
 at the working precision of the run, from x, x - a and b - x.  An order 0
@@ -225,6 +225,12 @@ def _extrapolate(seq, endpoint, p):
     return stab
 
 
+def probe_points(a, b, p: Precision):
+    """Per end, the points a + (b-a) 4^-j and b - (b-a) 4^-j, j = 3..12, for mpfs a < b of p."""
+    steps = [(b - a) * context(p).mpf(4) ** (-j) for j in range(3, 13)]
+    return [a + step for step in steps], [b - step for step in steps]
+
+
 def endpoint_limits_numeric(f: Expression, a, b, n, m, p: Precision = Precision()):
     """Endpoint limits by geometric sampling plus iterated Aitken acceleration.
 
@@ -237,10 +243,9 @@ def endpoint_limits_numeric(f: Expression, a, b, n, m, p: Precision = Precision(
     ctx = context(p)
     av, bv = finite_segment(a, b, p)
     nv, mv = finite_orders(n, m, p)
-    span, a, b, q = bv - av, av._mpf_, bv._mpf_, _quotient(f, nv, mv, p)
+    a, b, q = av._mpf_, bv._mpf_, _quotient(f, nv, mv, p)
     sample = lambda x: ctx.make_mpf(q(*_arguments(x._mpf_, a, b, ctx.prec)))
-    qa = [sample(av + span * ctx.mpf(4) ** (-j)) for j in range(3, 13)]
-    qb = [sample(bv - span * ctx.mpf(4) ** (-j)) for j in range(3, 13)]
+    qa, qb = ([sample(x) for x in points] for points in probe_points(av, bv, p))
     alpha = _extrapolate(qa, "a", p)
     beta = _extrapolate(qb, "b", p)
     return +alpha, +beta

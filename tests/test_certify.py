@@ -8,6 +8,7 @@ from math import comb
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from ineqprove import (
@@ -39,7 +40,11 @@ from ineqprove.certify import precondition_check
 from ineqprove.precision import decimal_str, finite_segment
 from ineqprove.remez import chebyshev_grid
 
-from helpers import ARCSIN_DIFF_SOURCE, KP0, TRIG_ARCSIN_SOURCE, ambient, exact_taylor, fraction
+from helpers import (
+    ARCSIN_DIFF_SOURCE, KP0, TRIG_ARCSIN_SOURCE, ambient, exact_taylor, fraction,
+    reference_evaluate,
+)
+from reference_oracle import kurepa_ts
 
 
 def make_poly(monomial, a=0, b=1):
@@ -438,6 +443,8 @@ class TestProvePipeline:
         report = prove_inequality("-x", 0, 1, 1, 0, 1, ProofSettings(precision=p30))
         assert report.verdict == "disproven"
         assert report.diagnostics["negative_limit"] == "alpha"
+        # the probe nearest the end comes first
+        assert report.diagnostics["witness"]["x"] == to_mpf(Fraction(1, 4 ** 12), p30)
 
     def test_disproven_interior_witness(self, p30):
         # positive at both ends, dips below zero inside
@@ -836,6 +843,35 @@ class TestProvePipeline:
 
 
 class TestDisproofWitness:
+    @pytest.mark.parametrize("source, end", [
+        ("-x", "alpha"), ("x*(1/2-x)", "beta"), ("(1.432205)*x - kurepa(x)", "alpha")])
+    def test_negative_limit_disproves_with_a_confirmed_witness(self, source, end, p30):
+        report = prove_inequality(source, 0, 1, 1, 0, 1, ProofSettings(precision=p30))
+        assert (report.verdict, report.diagnostics["stage"]) == ("disproven", "precondition")
+        assert list(report.diagnostics)[-2:] == ["negative_limit", "witness"]
+        assert report.diagnostics["negative_limit"] == end
+        witness, p60 = report.diagnostics["witness"], Precision(60)
+        # f at the witness by an independent oracle at twice the digits
+        if "kurepa" in source:
+            with ambient(p60):
+                x = mp.convert(witness["x"])
+                value = mpmath.mpf("1.432205") * x - kurepa_ts(x)
+        else:
+            value = reference_evaluate(parse(source), witness["x"], p60)
+        assert value < 0
+        assert abs(value - witness["f_value"]) <= mpmath.mpf("1e-28") * abs(value)
+
+    @pytest.mark.parametrize("source, digits", [("x*(x - 10^(-30))", 50),
+                                                ("x*(x - 10^(-12))", 35)])
+    def test_negative_limit_without_a_witness_is_inconclusive(self, source, digits):
+        # false only on (0, 1e-30) or (0, 1e-12), where no probe has f below
+        # -witness_floor: the sign of a computed limit disproves nothing
+        report = prove_inequality(source, 0, 1, 1, 0, 1,
+                                  ProofSettings(precision=Precision(digits)))
+        assert (report.verdict, report.diagnostics["stage"]) == ("inconclusive", "precondition")
+        assert report.diagnostics["negative_limit"] == "alpha"
+        assert "witness" not in report.diagnostics
+
     @staticmethod
     def run(source, p):
         # a run whose g cache holds one clearly negative sample, at x = 1/2
@@ -924,3 +960,26 @@ class TestReportJson:
         for _ in range(3):
             with ThreadPoolExecutor(len(proofs)) as pool:
                 assert list(pool.map(run, proofs)) == solo
+
+
+@st.composite
+def _wrong_orders(draw):
+    """f = x^n (1-x)^m h(x) with h > 0 on [0, 1], and n or m claimed off by one."""
+    h = draw(st.sampled_from(["1+x^2", "exp(x)", "2-x", "1/2+sin(x)"]))
+    orders = [draw(st.integers(0, 3)), draw(st.integers(0, 3))]
+    end, shift = draw(st.integers(0, 1)), draw(st.sampled_from([-1, 1]))
+    n, m = orders
+    claimed = list(orders)
+    claimed[end] += shift if orders[end] + shift >= 0 else -shift
+    return f"x^{n}*(1-x)^{m}*({h})", *claimed
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_wrong_orders())
+def test_wrong_orders_are_never_proven_or_disproven(case):
+    # the statement is true, and the orders are wrong: no verdict either way
+    source, n, m = case
+    report = prove_inequality(source, 0, 1, n, m, 1,
+                              ProofSettings(precision=Precision(30), grid_multiplier=4))
+    assert report.verdict == "inconclusive", report.diagnostics
+    assert report.diagnostics["stage"] in ("endpoint_limits", "precondition")

@@ -46,7 +46,8 @@ CASES = {
     # a real-exponent denominator, (1-x)^(1/2)
     "proven_real_exponent": (ARCSIN_DIFF_SOURCE, 0, 1, 3, "1/2", 8, {}, "proven",
                              "complete"),
-    # a kurepa node: the slope just below K'(0) makes alpha negative
+    # a kurepa node: the slope just below K'(0) makes alpha negative, and
+    # the probe nearest 0 is the witness
     "disproven_kurepa_near_miss": ("(1.432205)*x - kurepa(x)", 0, 1, 1, 0, 1, {},
                                    "disproven", "precondition"),
 }
@@ -70,8 +71,8 @@ PATCHES = {
 # sha256 of report_to_json for each case, at 30 digits
 REPORT_HASHES = {
     "proven": "386808aafad47b273ea294ffd9a362d62cfaaa58037e21be385d95c725446848",
-    "disproven_alpha": "3c7a518422f5e31badb2bb0a492a0cf9a0a6612591a3281f04d2e2724663eb36",
-    "disproven_beta": "3bdaf92f9a3b3694c95afc135e55114ae2ffffd7cea1c08a57aca615a1dbac44",
+    "disproven_alpha": "1687a493221399f5c500cd977673203faa710c9f2cc0e43ab92215aaad7a51ee",
+    "disproven_beta": "694c28ec5b654c6488d15cd96a99c50225a9bd0ade8fb7fdd0244df7a9a69960",
     "disproven_witness": "ce0dd16b067759b5a21d1edc5b74b1c977fdd2a8364e3b17fb97bb37e20b69ab",
     "inconclusive_endpoint_limits":
         "a0255f9fd0c48a860ff3d0729239a6b17b64d035f56d73d07f623fd08e742ed0",
@@ -87,7 +88,7 @@ REPORT_HASHES = {
     "proven_real_exponent":
         "6400049e90af11739072c9c78692505726dee0d1a8fabf744e1d1934cb568f5e",
     "disproven_kurepa_near_miss":
-        "a38ac89f0e9ae84066ec74a834a0d7598256a1b7b16b0ab2bcd46c787f0e9a5c",
+        "1b76c4abba6ae7371bc64bdfbcce7af566b969c4b52de261043a9f50989dd1fa",
 }
 
 # sha256 of the report file `ineqprove prove --config demos/configs/<name>` writes
