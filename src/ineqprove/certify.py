@@ -14,11 +14,13 @@ one runner walking a fixed table of stages (``_STAGES``):
 6. ``positivity``: P(x) - delta_hat * margin > 0, certified rigorously by
    exact Bernstein subdivision on integers, refining the lowest leaf first.
 
-Each stage adds its results to the run or ends it; the runner alone turns
-the end into a report.  Step 5 is a sampled check, not a proof, and
-delta_hat is a numerical estimate; every report therefore carries a fixed
-caveat.  The verdict vocabulary is three-valued: a stage never claims
-disproof, only a concrete negative witness does (``_disproof_witness``).
+Each stage adds its results to the run or ends it, by failing its gate or
+by raising an IneqproveError; the runner alone turns the end into a report,
+and lets a ConfigurationError, the caller's fault, propagate.  Step 5 is a
+sampled check, not a proof, and delta_hat is a numerical estimate; every
+report therefore carries a fixed caveat.  The verdict vocabulary is
+three-valued: a stage never claims disproof, only a concrete negative
+witness does (``_disproof_witness``).
 """
 
 from __future__ import annotations
@@ -34,18 +36,7 @@ from typing import NamedTuple
 import mpmath
 from mpmath import libmp
 
-from .errors import (
-    CertificationError,
-    ConfigurationError,
-    ConvergenceError,
-    DomainError,
-    IneqproveError,
-    LimitError,
-    MultiplicityError,
-    PrecisionUnreachableError,
-    SingularSystemError,
-    ZeroLimitError,
-)
+from .errors import CertificationError, ConfigurationError, IneqproveError, ZeroLimitError
 from .expr import Expression, evaluate, parse
 from .precision import (
     Precision,
@@ -142,28 +133,6 @@ class ProofReport:
     settings: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
-
-
-def precondition_check(alpha, beta, p: Precision = Precision()):
-    """The endpoint whose limit is negative ("alpha", else "beta"), or None if both are positive.
-
-    A limit at zero means misconfigured n, m and raises ZeroLimitError,
-    naming its end "a" or "b" as the limit routes do.
-    """
-    av, bv = to_mpf(alpha, p), to_mpf(beta, p)
-    floor = resolution_floor(p)
-    for name, end, v in (("alpha", "a", av), ("beta", "b", bv)):
-        if abs(v) <= floor:
-            raise ZeroLimitError(
-                f"endpoint limit {name} is zero at working precision; "
-                "n, m are misconfigured (limit premise violated)",
-                endpoint=end,
-            )
-    if av < 0:
-        return "alpha"
-    if bv < 0:
-        return "beta"
-    return None
 
 
 def residual_check(g, polynomial: Polynomial, delta, grid_size: int,
@@ -363,11 +332,6 @@ def _disproof_witness(run):
     return None
 
 
-# failures of an endpoint-limit route that make a proof inconclusive
-_LIMIT_FAILURES = (LimitError, MultiplicityError, DomainError,
-                   PrecisionUnreachableError, ZeroDivisionError)
-
-
 @dataclass
 class _Run:
     """One proof: its inputs, the report fields so far, and g and minimax once they exist."""
@@ -411,11 +375,20 @@ def _endpoint_limits(run: _Run):
 
 
 def _precondition(run: _Run):
+    # a limit at zero means misconfigured n, m: its end is named "a" or "b"
+    # as the limit routes name it
     alpha, beta = run.fields["alpha"], run.fields["beta"]
-    which = precondition_check(alpha, beta, run.p)
-    if which is not None:
-        return _Stop(f"endpoint limit {which} is negative; the inequality fails "
-                     f"near that endpoint", (("negative_limit", which),))
+    limits, floor = (("alpha", "a", alpha), ("beta", "b", beta)), resolution_floor(run.p)
+    for name, end, v in limits:
+        if abs(v) <= floor:
+            raise ZeroLimitError(
+                f"endpoint limit {name} is zero at working precision; "
+                "n, m are misconfigured (limit premise violated)",
+                endpoint=end,
+            )
+    for name, _, v in limits:
+        if v < 0:
+            return _Stop(f"endpoint limit {name} is negative", (("negative_limit", name),))
     f, a, b, n, m, p = run.limit_inputs
     run.g = CachedFunction(QuotientFunction(f, a, b, n, m, alpha, beta, p).evaluate)
 
@@ -475,39 +448,44 @@ def _numeric_cross_check(exc, run: _Run):
     return (("limit_cross_check", entry),)
 
 
-def _failing_subinterval(exc: CertificationError, run: _Run):
+def _failing_subinterval(exc: IneqproveError, run: _Run):
+    """Diagnostics entry of the leaf or point where a CertificationError found no proof."""
+    if not isinstance(exc, CertificationError):
+        return ()
     return (("failing_subinterval", {key: getattr(exc, key)
                                      for key in ("left", "right", "bound")}),)
 
 
-# (report stage name, stage, exceptions that end the run at that stage,
-#  the diagnostics entries such an exception adds to an inconclusive report)
+# (report stage name, stage, the diagnostics entries that an IneqproveError
+#  raised by the stage adds to an inconclusive report)
 _STAGES = (
-    ("endpoint_limits", _endpoint_limits, _LIMIT_FAILURES, _numeric_cross_check),
-    ("precondition", _precondition, (ZeroLimitError,), _numeric_cross_check),
-    ("minimax", _minimax, (ConvergenceError, SingularSystemError, DomainError,
-                           PrecisionUnreachableError), None),
-    ("equioscillation", _equioscillation, (), None),
-    ("residual_check", _residual_check, (DomainError, PrecisionUnreachableError), None),
-    ("positivity", _positivity, (CertificationError,), _failing_subinterval),
+    ("endpoint_limits", _endpoint_limits, _numeric_cross_check),
+    ("precondition", _precondition, _numeric_cross_check),
+    ("minimax", _minimax, None),
+    ("equioscillation", _equioscillation, None),
+    ("residual_check", _residual_check, None),
+    ("positivity", _positivity, _failing_subinterval),
 )
 
 
 def _run_stages(run: _Run) -> ProofReport:
     """Run the stages in order and build the report where the run ends.
 
-    A stage ends the run by failing its gate or by raising one of its
-    failures, and the report keeps its message: the gate's, or
+    A stage ends the run by failing its gate or by raising any
+    IneqproveError but a ConfigurationError, which is the caller's and
+    propagates.  The report keeps the stage's message: the gate's, or
     "<Error>: <text>".  The run is disproven if ``_disproof_witness`` finds
     a witness, which follows the gate's own entries; otherwise it is
-    inconclusive, and a raised failure adds its stage's details.
+    inconclusive, and a raised error adds its stage's details.
     """
     stage, verdict, message, extra = "complete", "proven", "all stages passed", ()
-    for name, step, failures, details in _STAGES:
+    for name, step, details in _STAGES:
         failure = None
         try:
             stop = step(run)
-        except failures as exc:
+        except IneqproveError as exc:
+            if isinstance(exc, ConfigurationError):
+                raise
             failure, stop = exc, _Stop(f"{type(exc).__name__}: {exc}")
         if stop is None:
             continue
@@ -533,7 +511,8 @@ def prove_inequality(f, a, b, n, m, k: int,
     ``f`` may be an Expression or source text.  A stage that fails, the
     sign precondition included, ends the run 'inconclusive' and names the
     stage; only a concrete point of negative f (``_disproof_witness``)
-    makes it 'disproven'.
+    makes it 'disproven'.  A ConfigurationError, raised before the stages
+    or by one of them, propagates: the inputs or settings are bad.
     """
     s = ProofSettings() if settings is None else settings
     if not isinstance(s, ProofSettings):

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all ineqprove modules."""
+"""Exception hierarchy shared by all ineqprove modules.
+
+A ConfigurationError is the caller's fault, a bad input or setting, and
+propagates.  Every other IneqproveError is an attempt that could not
+decide: raised in a stage of a proof, it ends the proof at that stage.
+"""
 
 
 class IneqproveError(Exception):

@@ -19,7 +19,7 @@ from ineqprove import (
     Precision,
     ProofSettings,
     QuotientFunction,
-    ZeroLimitError,
+    RootBracketError,
     certify_positive,
     endpoint_limits_numeric,
     endpoint_limits_taylor,
@@ -36,7 +36,6 @@ from ineqprove import (
     verify_equioscillation,
 )
 from ineqprove import certify, remez
-from ineqprove.certify import precondition_check
 from ineqprove.precision import decimal_str, finite_segment
 from ineqprove.remez import chebyshev_grid
 
@@ -62,25 +61,54 @@ class _CountingCache(remez.CachedFunction):
 
 
 class TestPrecondition:
+    """The sign gate, run through the pipeline at 50 digits and degree 1."""
+
+    @staticmethod
+    def diagnostics(source, n, m, verdict, p):
+        report = prove_inequality(source, 0, 1, n, m, 1, ProofSettings(precision=p))
+        assert (report.verdict, report.diagnostics["stage"]) == (verdict, "precondition")
+        return report.diagnostics
+
+    @classmethod
+    def check_negative(cls, source, end, p):
+        # the message claims only the sign; the witness shows the failure
+        diagnostics = cls.diagnostics(source, 1, 0, "disproven", p)
+        assert diagnostics["message"] == f"endpoint limit {end} is negative"
+        assert list(diagnostics) == ["stage", "message", "negative_limit", "witness"]
+        assert diagnostics["negative_limit"] == end
+
+    @classmethod
+    def check_zero(cls, source, n, m, end, p):
+        # the end is spelled as the limit routes spell it
+        diagnostics = cls.diagnostics(source, n, m, "inconclusive", p)
+        name = {"a": "alpha", "b": "beta"}[end]
+        assert re.fullmatch(rf"ZeroLimitError: endpoint limit {name} is zero .*"
+                            rf"\[endpoint {end}\]", diagnostics["message"])
+        assert list(diagnostics) == ["stage", "message", "limit_cross_check"]
+
     def test_both_positive(self, p50):
-        assert precondition_check(1, "0.5", p50) is None
+        report = prove_inequality("x*(1-x)", 0, 1, 1, 1, 1, ProofSettings(precision=p50))
+        assert (report.verdict, report.diagnostics["stage"]) == ("proven", "complete")
 
     def test_negative_alpha(self, p50):
-        assert precondition_check(-1, "0.5", p50) == "alpha"
+        self.check_negative("-x", "alpha", p50)
 
     def test_negative_beta(self, p50):
-        assert precondition_check(1, "-0.5", p50) == "beta"
+        self.check_negative("x*(1/2-x)", "beta", p50)
 
     def test_zero_limit(self, p50):
-        # the end is spelled as the limit routes spell it
-        with pytest.raises(ZeroLimitError, match=r"beta is zero .*\[endpoint b\]$") as err:
-            precondition_check(1, 0, p50)
-        assert err.value.endpoint == "b"
+        self.check_zero("x*(1-x)^2", 1, 1, "b", p50)
 
     def test_tiny_limit_counts_as_zero(self, p50):
-        with pytest.raises(ZeroLimitError, match=r"\[endpoint a\]$") as err:
-            precondition_check("1e-45", 1, p50)
-        assert err.value.endpoint == "a"
+        # 1e-45 lies below 1e-40, the zero level of 50-digit limits
+        self.check_zero("10^(-45)*x", 1, 0, "a", p50)
+
+    def test_zero_limit_leaves_the_other_end_to_the_witness_search(self, p50):
+        # alpha is zero and beta = -1/2: the probes at b find f < 0
+        diagnostics = self.diagnostics("x^2*(1/2-x)", 1, 0, "disproven", p50)
+        assert diagnostics["message"].startswith("ZeroLimitError: endpoint limit alpha is zero")
+        assert diagnostics["witness"]["x"] > mpmath.mpf("0.5")
+        assert diagnostics["witness"]["f_value"] < 0
 
 
 class TestResidualCheck:
@@ -525,7 +553,7 @@ class TestProvePipeline:
         assert json.loads(report_to_json(report))["limit_method"] == method
         assert list(report.diagnostics) == ["stage", "message", "limit_cross_check"]
         if stage == "precondition":
-            # precondition_check names the end as the limit routes do
+            # the precondition names the end as the limit routes do
             assert report.diagnostics["message"].endswith("[endpoint a]")
         failed = report.diagnostics["limit_cross_check"]["failed"]
         assert failed.startswith(hint) and failed.endswith("[endpoint a]")
@@ -547,6 +575,27 @@ class TestProvePipeline:
         assert message.startswith(hint) and message.endswith("[endpoint a]")
         assert "observed exponent hint" in message
         assert json.loads(report_to_json(report))["limit_method"] is None
+
+    # each stage's routine, looked up by name when the stage runs
+    @pytest.mark.parametrize("stage, name", [
+        ("endpoint_limits", "endpoint_limits_taylor"), ("precondition", "QuotientFunction"),
+        ("minimax", "minimax"), ("equioscillation", "verify_equioscillation"),
+        ("residual_check", "residual_check"), ("positivity", "certify_positive")])
+    @pytest.mark.parametrize("error", [RootBracketError, ConfigurationError])
+    def test_a_package_error_ends_its_stage_but_a_bad_input_propagates(
+            self, stage, name, error, p30, monkeypatch):
+        def fail(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(certify, name, fail)
+        args = ("x*(1-x)", 0, 1, 1, 1, 1, ProofSettings(precision=p30))
+        if error is ConfigurationError:
+            with pytest.raises(ConfigurationError, match="^boom$"):
+                prove_inequality(*args)
+        else:
+            report = prove_inequality(*args)
+            assert (report.verdict, report.diagnostics["stage"]) == ("inconclusive", stage)
+            assert report.diagnostics["message"] == "RootBracketError: boom"
 
     def test_taylor_proof_runs_no_numeric_route(self, p30, monkeypatch):
         settings = ProofSettings(precision=p30)
@@ -796,14 +845,13 @@ class TestProvePipeline:
         lambda p: Polynomial.from_monomial(["1", "2"], 0, 1, p),
         lambda p: make_poly(["1", "2"]).to_monomial(p),
         lambda p: residual_check(lambda x: x, make_poly(["1"]), "0.1", 8, p),
-        lambda p: precondition_check(1, 1, p),
         lambda p: certify_positive(make_poly(["1"]), "0.1", "1.000001", p),
         lambda p: ProofSettings(precision=p),
     ], ids=["to_mpf", "decimal_str", "evaluate", "kurepa", "kurepa_derivative",
             "find_inflection", "endpoint_limits_taylor", "endpoint_limits_numeric",
             "QuotientFunction", "minimax", "verify_equioscillation",
-            "from_monomial", "to_monomial", "residual_check", "precondition_check",
-            "certify_positive", "ProofSettings"])
+            "from_monomial", "to_monomial", "residual_check", "certify_positive",
+            "ProofSettings"])
     def test_only_a_precision_is_a_precision(self, entry, bad):
         with pytest.raises(ConfigurationError, match="^" + re.escape(
                 f"precision must be a Precision, got {bad!r}") + "$"):

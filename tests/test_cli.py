@@ -287,6 +287,15 @@ class TestLimitsCommand:
         assert abs(values["numeric_alpha"] - 1) < mpmath.mpf("1e-8")
         assert abs(values["taylor_beta"] - values["numeric_beta"]) < mpmath.mpf("1e-8")
 
+    @pytest.mark.parametrize("method", ["taylor", "numeric"])
+    def test_one_method_prints_only_its_route(self, method, capsys):
+        code = main(["limits", "--function", "x*(1-x)", "--interval", "0,1",
+                     "--n", "1", "--m", "1", "--precision", "30", "--method", method])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines] == [[method, "alpha"], [method, "beta"]]
+        assert all(abs(mpmath.mpf(line.split()[2]) - 1) < mpmath.mpf("1e-8") for line in lines)
+
 
 class TestExitContract:
     def test_unknown_subcommand(self, capsys):

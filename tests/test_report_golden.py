@@ -71,8 +71,8 @@ PATCHES = {
 # sha256 of report_to_json for each case, at 30 digits
 REPORT_HASHES = {
     "proven": "386808aafad47b273ea294ffd9a362d62cfaaa58037e21be385d95c725446848",
-    "disproven_alpha": "1687a493221399f5c500cd977673203faa710c9f2cc0e43ab92215aaad7a51ee",
-    "disproven_beta": "694c28ec5b654c6488d15cd96a99c50225a9bd0ade8fb7fdd0244df7a9a69960",
+    "disproven_alpha": "030ccde9aec989c40d6a2ccf2375ebe3c7f704d08fbac42291abcdd624f245d7",
+    "disproven_beta": "e65980ed3495016340a60ea01164901548a7bc89a53f42a2e4dfd2406dd7d4e6",
     "disproven_witness": "ce0dd16b067759b5a21d1edc5b74b1c977fdd2a8364e3b17fb97bb37e20b69ab",
     "inconclusive_endpoint_limits":
         "a0255f9fd0c48a860ff3d0729239a6b17b64d035f56d73d07f623fd08e742ed0",
@@ -88,7 +88,7 @@ REPORT_HASHES = {
     "proven_real_exponent":
         "6400049e90af11739072c9c78692505726dee0d1a8fabf744e1d1934cb568f5e",
     "disproven_kurepa_near_miss":
-        "1b76c4abba6ae7371bc64bdfbcce7af566b969c4b52de261043a9f50989dd1fa",
+        "fc2b5ae87a68f259f41d6976aa5dc7734319e9c71611867944077b8702aa2486",
 }
 
 # sha256 of the report file `ineqprove prove --config demos/configs/<name>` writes
