@@ -15,12 +15,13 @@ identity rewrites (0 + u, 1 * u, u^1, ...) so that derivative trees stay
 compact.  The canonical printer is fully parenthesized and round-trips:
 ``parse(str(e))`` is structurally identical to ``e``.
 
-Evaluation compiles a tree once into closures on raw ``mpmath.libmp``
-tuples at an explicit binary precision, round to nearest, and reads no
-context.  Constant subtrees are folded at compile time, unless their
-evaluation raises (``1/(1-1)``), and every result has the bits that mpmath
-arithmetic at that precision gives.  Compiled trees are memoized per
-(expression, precision) in a small bounded memo.
+Evaluation compiles a tree once into one straight-line program on raw
+``mpmath.libmp`` tuples, one slot per distinct subexpression, at an
+explicit binary precision, round to nearest, and reads no context.
+Constant subtrees are folded at compile time, unless their evaluation
+raises (``1/(1-1)``), and every result has the bits that mpmath arithmetic
+at that precision gives.  Compiled trees are memoized per (expression,
+precision) in a small bounded memo.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath.libmp import (
-    fnone, fone, from_int, fzero, mpf_add, mpf_asin, mpf_atan, mpf_cos, mpf_div, mpf_e,
-    mpf_eq, mpf_exp, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_neg, mpf_pi, mpf_pow,
-    mpf_pow_int, mpf_sin, mpf_sqrt, mpf_sub, prec_to_dps, round_nearest, to_str,
+    fnone, fone, from_int, fzero, mpf_add, mpf_asin, mpf_atan, mpf_cos, mpf_cos_sin, mpf_div,
+    mpf_e, mpf_eq, mpf_exp, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_neg, mpf_pi,
+    mpf_pow, mpf_pow_int, mpf_sin, mpf_sqrt, mpf_sub, prec_to_dps, round_nearest, to_str,
 )
 
 from .errors import (
@@ -449,53 +450,87 @@ def _kurepa(order, p: Precision):
 def _compile(root: Node, prec: int, p):
     """x -> root(x) on libmp tuples at binary precision prec, round to nearest.
 
-    Children are evaluated left before right.  A subtree shared by several
-    parents is compiled once.  A constant subtree is evaluated once, here,
-    unless that raises: then it is left unfolded, so that its error is raised
-    at evaluation, where a walk of the tree would meet it.
+    The tree becomes one straight-line program with one slot per distinct
+    subexpression: each node is visited once, by identity, and numbered by
+    its operator and argument slots, a constant by its value.  The steps run
+    in order of first occurrence, children left before right, so the first
+    error raised is the one a walk of the tree meets.  A constant subtree is
+    evaluated once, here, unless that raises: then it keeps its step, so that
+    its error is raised at evaluation.  sin(u) and cos(u) of one slot share
+    one ``mpf_cos_sin`` call, which writes both slots.
     """
     rn = round_nearest
-    done = {}  # id(node) -> (fn, whether node is constant)
+    values = [None]  # slot -> its value where known here; slot 0 is x
+    # key -> slot; id(node) -> slot; the steps (f, a, b, out), each writing
+    # f(v[a], v[b]), or f(v[a]) where b is None, to slot or slice out; and
+    # slot a -> the index of the step of sin(a) or cos(a)
+    numbers, seen, steps, trig = {}, {}, [], {}
 
-    def build(node):
-        if id(node) not in done:
-            fn, children = compile_node(node)
-            done[id(node)] = fn, False
-            if children is not None and all(done[id(c)][1] for c in children):
-                try:
-                    value = fn(None)
-                    done[id(node)] = (lambda x: value), True
-                except (IneqproveError, ArithmeticError):
-                    pass
-        return done[id(node)][0]
+    def slot(node):
+        if id(node) not in seen:
+            seen[id(node)] = number(node)
+        return seen[id(node)]
 
-    def compile_node(node):  # (fn, children); children is None for x
+    def paired(op, a):  # sin(a) and cos(a): adjacent slots, one step where both occur
+        if ("cos", a) not in numbers:
+            numbers["cos", a], numbers["sin", a] = len(values), len(values) + 1
+            values.extend((None, None))
+            trig[a] = len(steps)
+            steps.append((_UNARY[op][0], a, None, numbers[op, a]))
+        elif steps[trig[a]][3] != numbers[op, a]:
+            cos = numbers["cos", a]
+            steps[trig[a]] = mpf_cos_sin, a, None, slice(cos, cos + 2)
+        return numbers[op, a]
+
+    def number(node):
         if isinstance(node, Variable):
-            return (lambda x: x), None
+            return 0
         if isinstance(node, Constant):
-            return (lambda x: rational(node.value, prec)), ()
-        if isinstance(node, NamedConstant):
-            return (lambda x: _NAMED[node.name](prec, rn)), ()
-        if isinstance(node, BinaryOp) and node.op != "pow":
-            f = _BINARY[node.op][0]
-            lf, rf = build(node.left), build(node.right)
-            return (lambda x: f(lf(x), rf(x), prec, rn)), (node.left, node.right)
-        if isinstance(node, UnaryOp):
-            f, child = _UNARY[node.op][0], node.child
+            key, f, args = node.value, lambda prec, rnd: rational(node.value, prec), ()
+        elif isinstance(node, NamedConstant):
+            key, f, args = node.name, _NAMED[node.name], ()
+        elif isinstance(node, BinaryOp) and node.op != "pow":
+            args = slot(node.left), slot(node.right)
+            key, f = (node.op, *args), _BINARY[node.op][0]
+        elif isinstance(node, UnaryOp):
+            args = slot(node.child),
+            if node.op in ("cos", "sin") and values[args[0]] is None:
+                return paired(node.op, args[0])
+            key, f = (node.op, *args), _UNARY[node.op][0]
         elif isinstance(node, BinaryOp):
-            f, child = power(node.right.value, prec), node.left
+            args = slot(node.left),
+            key, f = ("pow", node.right.value, *args), power(node.right.value, prec)
         elif isinstance(node, KurepaNode):
-            f, child = _kurepa(node.order, p), node.child
+            args = slot(node.child),
+            key, f = ("kurepa", node.order, *args), _kurepa(node.order, p)
         else:
             raise TypeError(f"not an expression node: {node!r}")
-        cf = build(child)
-        return (lambda x: f(cf(x), prec, rn)), (child,)
+        if key not in numbers:
+            out = numbers[key] = len(values)
+            values.append(None)
+            if all(values[i] is not None for i in args):
+                try:
+                    values[out] = f(*(values[i] for i in args), prec, rn)
+                except (IneqproveError, ArithmeticError):
+                    pass
+            if values[out] is None:
+                steps.append((f, *args, out) if len(args) == 2 else (f, *args, None, out))
+        return numbers[key]
 
-    return build(root)
+    top = slot(root)
+
+    def program(x):
+        v = values.copy()
+        v[0] = x
+        for f, a, b, out in steps:
+            v[out] = f(v[a], prec, rn) if b is None else f(v[a], v[b], prec, rn)
+        return v[top]
+
+    return program
 
 
 def compiled(e, p: Precision):
-    """x -> e(x) on libmp tuples at the working precision of p.
+    """x -> e(x) on libmp tuples at the working precision of p, by ``_compile``'s program.
 
     Memoized per (tree, precision) in a bounded memo; the result depends on
     the argument alone.

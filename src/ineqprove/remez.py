@@ -22,7 +22,10 @@ Chebyshev grids nest: the grid with ``c`` times as many intervals holds a
 grid at every c-th point, bit for bit, because each angle pi*i/(count-1)
 is taken in lowest terms and its cosine comes from one memoized table per
 (count, context, precision); a table of an even interval count takes every
-other cosine from the table of half as many.
+other cosine from the table of half as many.  The memo keeps 64 tables: a
+proof uses up to 10 (the Remez grid's halving chain, 193 -> 97 -> ... -> 4
+at k = 1, the residual grid and the node grid), and a batch of mixed
+proofs, such as a round of the benchmark's ``elementary_mix``, 36 to 45.
 
 The sweep stays on libmp tuples.  ``minimax`` fetches g on its grid once,
 in grid order, and each iteration forms every g - P by ``residual_sweep``,
@@ -70,8 +73,9 @@ REFINE_WIDTH_FACTOR = "1e-12"
 # minimax's stopping tolerance, its grid multiplier (the proof pipeline's
 # default too), and its iteration cap; minimax reads them at call time
 TOL, GRID_MULTIPLIER, MAX_ITERATIONS = "1e-12", 64, 50
-# cosine tables kept: a proof's grids and the halves they are built from
-_COSINE_LIMIT = 16
+# cosine tables kept: up to 10 per proof, 36 to 45 (about 0.6-0.9 MiB) for a
+# round of mixed proofs, which a smaller memo evicts every round
+_COSINE_LIMIT = 64
 
 
 @dataclass(frozen=True)

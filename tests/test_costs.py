@@ -14,6 +14,7 @@ import math
 import mpmath.ctx_mp_python
 import numpy as np
 import pytest
+from mpmath.libmp import libelefun, libmpf
 
 from ineqprove import (
     CertificationError,
@@ -21,12 +22,16 @@ from ineqprove import (
     Precision,
     ProofSettings,
     certify_positive,
+    differentiate,
     expr,
     kurepa,
+    parse,
     prove_inequality,
     quadrature,
     quotient,
+    to_mpf,
 )
+from ineqprove.precision import context
 
 from helpers import ARCSIN_DIFF_SOURCE, TRIG_ARCSIN_SOURCE, clear_quadrature_memos
 from test_acceptance import _poly_oracle_min
@@ -59,6 +64,21 @@ PROOF_COSTS = {
 # mpf_exp calls of one P35 Kurepa call at x = 0.37: from emptied memos, with
 # its table, and warm
 KUREPA_EXPONENTIALS = {"cold": 150, "warm": 1}
+
+# kernel calls of one evaluation of a compiled f at P50, where each distinct
+# subexpression is computed once: sin(x/2) and cos(x/2) by one
+# cos_sin_basecase, sqrt(1+x) and sqrt(1-x) by one sqrtrem each (the
+# round-to-nearest square root; arcsin's own takes isqrt), and the order-7
+# derivative of exp(sin(x))*arctan(x) - x - x^2 with one exp and one sin and
+# cos of x.  Before value numbering: 2; 4; 12,294 and 4,140 (at x = 0.125).
+# name: (source, derivative order, {kernel: calls})
+EVALUATION_COSTS = {
+    "trig_arcsin": (TRIG_ARCSIN_SOURCE, 0, {"cos_sin_basecase": 1}),
+    "arcsin_bound": (ARCSIN_DIFF_SOURCE, 0, {"sqrtrem": 2}),
+    "derivative_7": ("exp(sin(x))*arctan(x) - x - x^2", 7,
+                     {"cos_sin_basecase": 1, "exp_basecase": 1}),
+}
+KERNELS = {"cos_sin_basecase": libelefun, "exp_basecase": libelefun, "sqrtrem": libmpf}
 
 # over the 100 polynomials of the acceptance test's certifier fuzz: how many
 # are certified, which is no cost and is pinned, then their leaves in all and
@@ -153,3 +173,34 @@ def test_a_fresh_sample_takes_two_differences(monkeypatch):
     blends = _counter(monkeypatch, quotient, "mpf_add")
     fresh = _prove("exp").timings["g_evaluations"]
     assert (subs[0], blends[0]) == (2 * fresh + 4 + 2, 2)
+
+
+@pytest.mark.parametrize("name", EVALUATION_COSTS)
+def test_evaluation_computes_each_value_once(name, monkeypatch):
+    source, order, bounds = EVALUATION_COSTS[name]
+    p50 = Precision(50)
+    e = parse(source)
+    f = expr.compiled(differentiate(e, order) if order else e, p50)
+    calls = {kernel: _counter(monkeypatch, KERNELS[kernel], kernel) for kernel in bounds}
+    for x in ("0.125", "0.37", "0.75"):
+        for count in calls.values():
+            count[0] = 0
+        f(to_mpf(x, p50)._mpf_)
+        assert all(calls[kernel][0] <= bound for kernel, bound in bounds.items()), (x, calls)
+
+
+def test_a_repeated_batch_of_proofs_computes_no_cosine(monkeypatch):
+    # the Chebyshev cosine memo holds the 45 tables of this batch (P50 at k = 1
+    # and 8, P30 at k = 1..4), so its second pass computes no cosine; a
+    # 16-table memo computed 53 tables on each pass
+    batch = [("exp", 50, 1), ("arcsin_real_k8", 50, 8)] + [("exp", 30, k) for k in range(1, 5)]
+
+    def run():
+        for name, digits, k in batch:
+            source, a, b, n, m, _, _ = PROBLEMS[name]
+            prove_inequality(source, a, b, n, m, k, ProofSettings(precision=Precision(digits)))
+
+    run()
+    calls = [_counter(monkeypatch, context(Precision(digits)), "cos") for digits in (30, 50)]
+    run()
+    assert [count[0] for count in calls] == [0, 0]

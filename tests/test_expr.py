@@ -29,11 +29,14 @@ from ineqprove import (
 from ineqprove.expr import (
     BinaryOp,
     Constant,
+    Expression,
     KurepaNode,
     NamedConstant,
     UnaryOp,
     Variable,
     compiled,
+    constant_value,
+    to_source,
 )
 from ineqprove.precision import context
 
@@ -349,6 +352,56 @@ def test_compiled_matches_reference_walker_on_fixed_trees(source, p30):
     for tree in (e, differentiate(e)):
         for x in ("0", "0.25", "1.25"):
             assert _outcome(evaluate, tree, x, p30) == _outcome(reference_evaluate, tree, x, p30)
+
+
+# leaves of the trees below: x, constants, a constant subtree whose evaluation
+# raises, and subtrees that raise for some x
+_LEAVES = ["x", "2*x", "1/3", "pi", "sqrt2", "1/(1-1)", "sqrt(0-1)", "sqrt(x-1)", "log(x)",
+           "arcsin(x/2)", "(x-1)^(1/3)", "x^2"]
+_OPS = ["add", "sub", "mul", "div"]
+_recipes = st.recursive(
+    st.sampled_from(_LEAVES),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(sorted(_FLOAT_UNARY)), inner),
+        st.tuples(st.sampled_from(_OPS), inner, inner),
+        st.tuples(st.sampled_from(["twice", "trig"]), st.sampled_from(_OPS), inner),
+    ),
+    max_leaves=8,
+)
+
+
+def _build(recipe):
+    """A tree of the recipe in which no two nodes are one object.
+
+    ("twice", op, u) is op(u, u) and ("trig", op, u) is op(sin(u), cos(u)),
+    with u built twice.  The nodes are made as they are, unfolded.
+    """
+    if isinstance(recipe, str):
+        return parse(recipe).root
+    head, *rest = recipe
+    if head == "twice":
+        return BinaryOp(rest[0], _build(rest[1]), _build(rest[1]))
+    if head == "trig":
+        return BinaryOp(rest[0], UnaryOp("sin", _build(rest[1])), UnaryOp("cos", _build(rest[1])))
+    if len(rest) == 1:
+        return UnaryOp(head, _build(rest[0]))
+    return BinaryOp(head, _build(rest[0]), _build(rest[1]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_recipes, st.sampled_from([20, 50]))
+def test_value_numbered_program_matches_reference_walker(recipe, digits):
+    """Repeated subtrees, sin and cos of one argument and raising constants, bit for bit."""
+    e, p = Expression(_build(recipe), ""), Precision(digits)
+    points = [x for x in ("-0.75", "0", "0.5", "1.5", "3") if _moderate(e.root, float(x))]
+    assume(points)
+    for x in points:
+        assert _outcome(evaluate, e, x, p) == _outcome(reference_evaluate, e, x, p), x
+    # a tree without x, as its source, by constant_value
+    parsed = parse(to_source(e.root))
+    value = _outcome(lambda c, x, p: constant_value(c.source_text, p), parsed, None, p)
+    if value[0] is not ConfigurationError:
+        assert value == _outcome(reference_evaluate, parsed, "0", p)
 
 
 # every operator's derivative rule and the Kurepa node's, each taken 1 to 4 times
