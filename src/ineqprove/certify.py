@@ -57,7 +57,8 @@ from .remez import (
     CachedFunction,
     MinimaxResult,
     Polynomial,
-    chebyshev_grid,
+    _units,
+    chebyshev_table,
     chebyshev_to_power,
     largest_magnitude,
     minimax,
@@ -150,14 +151,20 @@ def residual_check(g, polynomial: Polynomial, delta, grid_size: int,
     """
     integer(grid_size, "grid_size", 4 * (polynomial.degree + 2))
     g = g if isinstance(g, CachedFunction) else CachedFunction(g)
-    pts = chebyshev_grid(*(to_mpf(v, p) for v in polynomial.segment), grid_size)
-    pts += tuple(to_mpf(x, p) for x in extra_points)
+    segment = polynomial.segment
+    grid, units = chebyshev_table(*(to_mpf(v, p) for v in segment), grid_size)
+    pts = grid + tuple(to_mpf(x, p) for x in extra_points)
+    # u as P's segment rounds it: the table's where the table has P's
+    # precision, and computed for the points after them
+    if grid[0].context.prec != segment[0].context.prec:
+        units = ()
+    units += tuple(_units(segment, pts[len(units):]))
     known = known or {}
-    fresh_pts = [x for x in pts if x._mpf_ not in known]
-    fresh = residual_sweep((g(x)._mpf_ for x in fresh_pts), polynomial, fresh_pts)
+    fresh = [(x, u) for x, u in zip(pts, units) if x._mpf_ not in known]
+    fresh = residual_sweep((g(x)._mpf_ for x, _ in fresh), polynomial, None, [u for _, u in fresh])
     residuals = (known.get(x._mpf_) or next(fresh) for x in pts)
     # the first point of largest residual
-    top, max_res = largest_magnitude(residuals, polynomial.segment[0].context.prec)
+    top, max_res = largest_magnitude(residuals, segment[0].context.prec)
     max_res = context(p).make_mpf(max_res)
     threshold = to_mpf(delta, p) * to_mpf(MARGIN_FACTOR, p)
     return GridStatistics(

@@ -58,35 +58,53 @@ class Node:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass that keeps its hash, so that a memo hit on a tree costs O(1).
+
+    The dataclass's own hash hashes the whole tree below a node on every call.
+    """
+    cls = dataclass(frozen=True)(cls)
+    fields_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = fields_hash(self)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class Constant(Node):
     value: Fraction
 
 
-@dataclass(frozen=True)
+@_node
 class Variable(Node):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class NamedConstant(Node):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class UnaryOp(Node):
     op: str
     child: Node
 
 
-@dataclass(frozen=True)
+@_node
 class BinaryOp(Node):
     op: str
     left: Node
     right: Node
 
 
-@dataclass(frozen=True)
+@_node
 class KurepaNode(Node):
     """K^(order)(child); order 0 is K itself."""
 

@@ -21,7 +21,8 @@ The quotient is formed on raw ``mpmath.libmp`` tuples from the compiled f,
 at the working precision of the run, from x, x - a and b - x.  An order 0
 forms no factor, an order 1 is the difference itself, another integer order
 goes straight to ``mpf_pow_int`` and a real one to the compiler's real
-power: for each, the bits that real power gives.
+power: for each, the bits that real power gives.  With both orders 0 there
+is no division, and f's value is rounded to the working precision alone.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 
 from mpmath.libmp import (
-    fone, fzero, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_pos, mpf_pow_int, mpf_sub, round_nearest,
+    fzero, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_pos, mpf_pow_int, mpf_sub, round_nearest,
 )
 
 from .errors import (
@@ -69,9 +70,12 @@ def _quotient(f, n, m, p):
     fx = compiled(f, p)
     pa, pb = _factor(n, prec), _factor(m, prec)
 
+    if not (pa or pb):
+        # f's value rounded to prec, as a division by one rounds it
+        return lambda x, da, db: mpf_pos(fx(x), prec, rn)
+
     def quotient(x, da, db):
-        den = mpf_mul(pa(da), pb(db), prec, rn) if pa and pb else \
-            pa(da) if pa else pb(db) if pb else fone
+        den = mpf_mul(pa(da), pb(db), prec, rn) if pa and pb else pa(da) if pa else pb(db)
         return mpf_div(fx(x), den, prec, rn)
 
     return quotient
@@ -110,15 +114,22 @@ class QuotientFunction:
         # per end: its limit and the quotient's arguments where the blend meets g
         self._zones = ((self.alpha._mpf_, _arguments((self.a + edge)._mpf_, a, b, ctx.prec)),
                        (self.beta._mpf_, _arguments((self.b - edge)._mpf_, a, b, ctx.prec)))
-        self._edge = edge._mpf_
+        # edge < 2^top, top the exponent just above edge's leading bit
+        self._edge, self._top, self._type = edge._mpf_, edge._mpf_[2] + edge._mpf_[3], ctx.mpf
         self._quotient = _quotient(f, self.n, self.m, precision)
 
     def evaluate(self, x):
-        t, prec, rn = to_mpf(x, self._p)._mpf_, self._prec, round_nearest
-        a, b, edge = self.a._mpf_, self.b._mpf_, self._edge
-        # rounded to nearest, each difference has the sign of the exact one
+        # a finite mpf of the working context is taken as it is
+        t = x._mpf_ if type(x) is self._type and x._mpf_[3] >= 0 else to_mpf(x, self._p)._mpf_
+        prec, rn = self._prec, round_nearest
+        a, b, edge, top = self.a._mpf_, self.b._mpf_, self._edge, self._top
+        # rounded to nearest, each difference has the sign of the exact one;
+        # a positive one whose leading bit lies above edge's clears the zone
+        # without a comparison
         da, db = mpf_sub(t, a, prec, rn), mpf_sub(b, t, prec, rn)
-        if not (da[0] or db[0] or mpf_lt(da, edge) or mpf_lt(db, edge)):
+        if not (da[0] or db[0]) and da[1] and db[1] and \
+                (da[2] + da[3] > top or not mpf_lt(da, edge)) and \
+                (db[2] + db[3] > top or not mpf_lt(db, edge)):
             return self._make(self._quotient(t, da, db))
         if da[0] or db[0]:
             raise DomainError(f"{show(t, prec)} outside segment [{show(a, prec)}, {show(b, prec)}]")

@@ -20,17 +20,20 @@ falls away from the end.
 
 Chebyshev grids nest: the grid with ``c`` times as many intervals holds a
 grid at every c-th point, bit for bit, because each angle pi*i/(count-1)
-is taken in lowest terms and its cosine comes from one memoized table per
-(count, context, precision); a table of an even interval count takes every
-other cosine from the table of half as many.  The memo keeps 64 tables: a
+is taken in lowest terms.  Each grid is built once, as a table of its
+points and their u = (2x - a - b)/(b - a), memoized per (a, b, count,
+context, precision); a table of an even interval count takes its even
+points and their u, the same objects, from the table of half as many, and
+computes cosines for its new points only.  The memo keeps 64 tables: a
 proof uses up to 10 (the Remez grid's halving chain, 193 -> 97 -> ... -> 4
 at k = 1, the residual grid and the node grid), and a batch of mixed
-proofs, such as a round of the benchmark's ``elementary_mix``, 36 to 45.
+proofs, such as a round of the benchmark's ``elementary_mix``, 45 to 54.
 
 The sweep stays on libmp tuples.  ``minimax`` fetches g on its grid once,
 in grid order, and each iteration forms every g - P by ``residual_sweep``,
-whose P values come from the one Clenshaw loop (``Polynomial._values``;
-``evaluate`` is its one-point case), with u computed once per grid.  P(x)
+whose P values come from the one Clenshaw loop (``Polynomial._value``,
+which ``_values`` maps over a sweep and ``evaluate`` and the Brent probes
+call for one point), with u read from the grid's table.  P(x)
 is the exact sum of c_j T_j(u), u as ``_units`` rounds it, rounded once to
 nearest; the loop runs on integers, which grow by about the precision per
 degree plus the spread of the coefficients' exponents.  Magnitudes are
@@ -73,9 +76,9 @@ REFINE_WIDTH_FACTOR = "1e-12"
 # minimax's stopping tolerance, its grid multiplier (the proof pipeline's
 # default too), and its iteration cap; minimax reads them at call time
 TOL, GRID_MULTIPLIER, MAX_ITERATIONS = "1e-12", 64, 50
-# cosine tables kept: up to 10 per proof, 36 to 45 (about 0.6-0.9 MiB) for a
+# grid tables kept: up to 10 per proof, and 45 to 54 (about 1 MiB) for a
 # round of mixed proofs, which a smaller memo evicts every round
-_COSINE_LIMIT = 64
+_TABLE_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -102,22 +105,30 @@ class Polynomial:
         return len(self.coefficients) - 1
 
     def evaluate(self, x):
-        """P(x) in the context of the segment: the one-point case of ``_values``."""
-        return self.segment[0].context.make_mpf(next(self._values((x,))))
+        """P(x) in the context of the segment, with the bits ``_values`` gives at x."""
+        ctx = self.segment[0].context
+        return ctx.make_mpf(self._value(self._unit(ctx.convert(x)._mpf_)))
 
     def _values(self, xs, units=None):
-        """P at each x of ``xs`` in turn, as libmp tuples: sum c_j T_j(u), exact, rounded once.
+        """P at each x of ``xs`` in turn, by ``_value``; ``units`` may hold the u of each."""
+        return map(self._value, _units(self.segment, xs) if units is None else units)
 
-        u = (2x - a - b)/(b - a) is rounded as ``_units`` rounds it (``units``
-        may hold it, for points swept more than once), and the sum at that u
-        is rounded to nearest at the segment's precision.  Clenshaw's
-        b_k = 2u b_(k+1) - b_(k+2) + c_k runs exactly on the integers
-        D^(n-k) b_k, u = U/D with D = 2^s and the c_j on their lowest exponent;
-        they grow by about the precision per degree, plus the c_j's exponent spread.
+    @cached_property
+    def _value(self):
+        """u -> P at u = (2x - a - b)/(b - a), a libmp tuple: sum c_j T_j(u), exact, rounded once.
+
+        The one Clenshaw loop, a point per call; the sum is rounded to nearest
+        at the segment's precision.  Clenshaw's b_k = 2u b_(k+1) - b_(k+2) + c_k
+        runs exactly on the integers D^(n-k) b_k, u = U/D with D = 2^s and the
+        c_j as integers on their lowest exponent 2^low; they grow by about the
+        precision per degree, plus the c_j's exponent spread.
         """
+        (c0, *rest), low = exact(self.coefficients)
+        rest.reverse()
         prec, rn = self.segment[0].context.prec, round_nearest
-        c0, rest, low = self._integers
-        for sign, m, e, bc in _units(self.segment, xs) if units is None else units:
+
+        def value(u):
+            sign, m, e, bc = u
             if bc < 0:
                 raise ConfigurationError("P is evaluated at finite points only")
             u, s = ((-m if sign else m) << e, 0) if e >= 0 else (-m if sign else m, -e)
@@ -125,13 +136,14 @@ class Polynomial:
             for ck in rest:
                 b1, b2 = d * b1 - (b2 << s2) + (ck << shift), b1
                 shift += s
-            yield from_man_exp(u * b1 - (b2 << s2) + (c0 << shift), low - shift, prec, rn)
+            return from_man_exp(u * b1 - (b2 << s2) + (c0 << shift), low - shift, prec, rn)
+
+        return value
 
     @cached_property
-    def _integers(self):
-        """(c_0, c_n .. c_1, low): the c_j as integers on their lowest exponent 2^low, once."""
-        c, low = exact(self.coefficients)
-        return c[0], c[:0:-1], low
+    def _unit(self):
+        """t -> u of a libmp tuple t, as ``_units`` rounds it, once per polynomial."""
+        return _unit_map(self.segment)
 
     def to_monomial(self, p: Precision = Precision()):
         """Coefficients (low to high) of the same polynomial in powers of x.
@@ -201,23 +213,28 @@ def _rounded(values, p: Precision):
     return tuple(ctx.make_mpf(rational(v, ctx.prec)) for v in values)
 
 
-def _units(segment, xs):
-    """u = (2x - a - b)/(b - a) of each x in turn, as libmp tuples in the segment's context."""
-    ctx = segment[0].context
-    prec, rn = ctx.prec, round_nearest
+def _unit_map(segment):
+    """t -> u = (2t - a - b)/(b - a) on libmp tuples, each step rounded in the segment's context."""
+    prec, rn = segment[0].context.prec, round_nearest
     a, b = (v._mpf_ for v in segment)
     width = mpf_sub(b, a, prec, rn)
-    return (mpf_div(mpf_sub(mpf_sub(mpf_mul_int(ctx.convert(x)._mpf_, 2, prec, rn), a, prec, rn),
-                            b, prec, rn), width, prec, rn)
-            for x in xs)
+    return lambda t: mpf_div(mpf_sub(mpf_sub(mpf_mul_int(t, 2, prec, rn), a, prec, rn), b,
+                                     prec, rn), width, prec, rn)
+
+
+def _units(segment, xs):
+    """u = (2x - a - b)/(b - a) of each x in turn, as libmp tuples in the segment's context."""
+    convert, unit = segment[0].context.convert, _unit_map(segment)
+    return (unit(convert(x)._mpf_) for x in xs)
 
 
 def residual_sweep(g_values, poly, xs, units=None):
     """g(x) - P(x) at each x of ``xs`` in turn, as libmp tuples.
 
-    ``g_values`` yields each g(x) as a tuple, in order.  ``units`` (see
-    ``Polynomial._values``) spares recomputing u on a grid swept again.  For x and g(x) in the context of
-    P's segment, each residual has the bits of ``g(x) - poly.evaluate(x)``.
+    ``g_values`` yields each g(x) as a tuple, in order.  ``units`` may hold
+    the u of each x, as a grid's table does, in place of ``xs``.  For x and
+    g(x) in the context of P's segment, each residual has the bits of
+    ``g(x) - poly.evaluate(x)``.
     """
     prec, rn = poly.segment[0].context.prec, round_nearest
     return (mpf_sub(gx, px, prec, rn) for gx, px in zip(g_values, poly._values(xs, units)))
@@ -295,34 +312,47 @@ class CachedFunction:
         return entry[1]
 
 
-@lru_cache(maxsize=_COSINE_LIMIT)
-def _chebyshev_cosines(count: int, ctx, prec: int):
-    """cos(pi*i/(count-1)) for i = 1..count-2, in the context ctx at its precision prec.
+@lru_cache(maxsize=_TABLE_LIMIT)
+def _chebyshev_table(a, b, count: int, ctx, prec: int):
+    """(points, units) of [a, b], libmp tuples a < b, in the context ctx at its precision prec.
 
-    Each angle is pi times i/(count-1) in lowest terms, so grids whose
-    interval counts are multiples of one another share these values bit
-    for bit.  An even interval count takes its even-indexed values from the
-    table of half as many intervals.
+    Point i is mid - hw*cos(pi*i/(count-1)), endpoints included, and its u
+    is as ``_units`` rounds it.  Each angle is pi times i/(count-1) in
+    lowest terms, so grids whose interval counts are multiples of one
+    another share points bit for bit.  An even interval count takes its even
+    points and their u, the same objects, from the table of half as many
+    intervals, and computes cosines for its new points only.
     """
+    make, rnd = ctx.make_mpf, ctx._prec_rounding[1]
     intervals = count - 1
-    table = [None] * (intervals - 1)
+    points, units = [make(a), *[None] * (intervals - 1), make(b)], [None] * count
     if intervals > 2 and intervals % 2 == 0:
-        table[1::2] = _chebyshev_cosines(intervals // 2 + 1, ctx, prec)
-    for i, c in enumerate(table, 1):
-        if c is None:
+        points[::2], units[::2] = _chebyshev_table(a, b, intervals // 2 + 1, ctx, prec)
+    # the points and u of a table share each exponent's int: 15 % less kept
+    exponents = {}
+    share = lambda t: (t[0], t[1], exponents.setdefault(t[2], t[2]), t[3])
+    av, bv = points[0], points[-1]
+    mid, hw = ((av + bv) / 2)._mpf_, ((bv - av) / 2)._mpf_
+    for i in range(1, intervals):
+        if points[i] is None:
             t = Fraction(i, intervals)
-            table[i - 1] = ctx.cos(ctx.pi * t.numerator / t.denominator)
-    return tuple(table)
+            c = ctx.cos(ctx.pi * t.numerator / t.denominator)._mpf_
+            points[i] = make(share(mpf_sub(mid, mpf_mul(hw, c, prec, rnd), prec, rnd)))
+    new = [i for i, u in enumerate(units) if u is None]
+    for i, u in zip(new, _units((av, bv), [points[i] for i in new])):
+        units[i] = share(u)
+    return tuple(points), tuple(units)
+
+
+def chebyshev_table(a, b, count):
+    """(points, units): ``chebyshev_grid`` and the u of each point, memoized."""
+    ctx = a.context
+    return _chebyshev_table(a._mpf_, b._mpf_, count, ctx, ctx.prec)
 
 
 def chebyshev_grid(a, b, count):
     """The ``count`` Chebyshev extremum abscissae of [a, b], endpoints included, in a's context."""
-    ctx = a.context
-    prec, rnd = ctx._prec_rounding
-    mid, hw = ((a + b) / 2)._mpf_, ((b - a) / 2)._mpf_
-    # mid - hw*c, on tuples
-    return (a, *(ctx.make_mpf(mpf_sub(mid, mpf_mul(hw, c._mpf_, prec, rnd), prec, rnd))
-                 for c in _chebyshev_cosines(count, ctx, prec)), b)
+    return chebyshev_table(a, b, count)[0]
 
 
 def _solve_levelled_system(g, nodes, a, b, p: Precision):
@@ -481,7 +511,7 @@ def _exchange_core(g, poly, grid, rs, current_nodes):
 
         def phi(t, _negative=negative):
             x = make(t)
-            r = mpf_sub(g(x)._mpf_, next(poly._values((x,))), prec, rn)
+            r = mpf_sub(g(x)._mpf_, poly._value(poly._unit(t)), prec, rn)
             return mpf_neg(r) if _negative else r
 
         known = [(grid[j]._mpf_, mpf_neg(rs[j]) if negative else rs[j])
@@ -548,8 +578,7 @@ def minimax(g, a, b, k: int, p: Precision = Precision(),
     gc = g if isinstance(g, CachedFunction) else CachedFunction(g)
     ctx = av.context
     prec, make = ctx.prec, ctx.make_mpf
-    grid = chebyshev_grid(av, bv, grid_multiplier * (k + 2) + 1)
-    units = tuple(_units((av, bv), grid))
+    grid, units = chebyshev_table(av, bv, grid_multiplier * (k + 2) + 1)
     nodes = chebyshev_grid(av, bv, k + 2)
     # g on the grid, fetched once, in grid order
     g_grid = [gc(x)._mpf_ for x in grid]

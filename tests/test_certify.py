@@ -127,6 +127,16 @@ class TestResidualCheck:
         assert stats.passed
         assert stats.max_residual == 0
 
+    def test_a_polynomial_of_another_precision_rounds_u_at_its_own(self, p30):
+        # a P50 polynomial checked on a P30 grid: each residual has the bits
+        # of g(x) - P.evaluate(x), whose u is rounded at P50
+        P = make_poly(["0.25", "-1", "3"], 0, "pi/3")
+        g = lambda x: x.context.mpf(P.evaluate(x))
+        stats = residual_check(g, P, 1, 97, p30)
+        grid = chebyshev_grid(*(to_mpf(v, p30) for v in P.segment), 97)
+        want = max(abs(P.segment[0].context.mpf(g(x)) - P.evaluate(x)) for x in grid)
+        assert stats.max_residual == +to_mpf(want, p30) != 0
+
     def test_failing_residual_with_witness(self, p50):
         P = make_poly(["0"])
         stats = residual_check(lambda x: x, P, "0.1", 64, p50)

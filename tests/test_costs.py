@@ -14,7 +14,7 @@ import math
 import mpmath.ctx_mp_python
 import numpy as np
 import pytest
-from mpmath.libmp import libelefun, libmpf
+from mpmath.libmp import from_rational, libelefun, libmpf, mpf_pos, round_nearest
 
 from ineqprove import (
     CertificationError,
@@ -29,6 +29,7 @@ from ineqprove import (
     prove_inequality,
     quadrature,
     quotient,
+    remez,
     to_mpf,
 )
 from ineqprove.precision import context
@@ -190,9 +191,9 @@ def test_evaluation_computes_each_value_once(name, monkeypatch):
 
 
 def test_a_repeated_batch_of_proofs_computes_no_cosine(monkeypatch):
-    # the Chebyshev cosine memo holds the 45 tables of this batch (P50 at k = 1
-    # and 8, P30 at k = 1..4), so its second pass computes no cosine; a
-    # 16-table memo computed 53 tables on each pass
+    # the Chebyshev grid memo holds the tables of this batch (P50 at k = 1
+    # and 8, P30 at k = 1..4), so its second pass builds no table and
+    # computes no cosine; a 16-table memo computed 53 tables on each pass
     batch = [("exp", 50, 1), ("arcsin_real_k8", 50, 8)] + [("exp", 30, k) for k in range(1, 5)]
 
     def run():
@@ -202,5 +203,48 @@ def test_a_repeated_batch_of_proofs_computes_no_cosine(monkeypatch):
 
     run()
     calls = [_counter(monkeypatch, context(Precision(digits)), "cos") for digits in (30, 50)]
+    misses = remez._chebyshev_table.cache_info().misses
     run()
     assert [count[0] for count in calls] == [0, 0]
+    assert remez._chebyshev_table.cache_info().misses == misses
+
+
+def _g(source, a, b, n, m, alpha, beta):
+    return quotient.QuotientFunction(parse(source), a, b, n, m, alpha, beta, Precision(50))
+
+
+def test_an_interior_sample_compares_by_exponents(monkeypatch):
+    # x - a and b - x clear the blend zone by their leading bits, with no
+    # mpf_lt call (before: 2 per sample)
+    g = _g("exp(x)-1-x", 0, 1, 2, 0, "1/2", "e-2")
+    lts = _counter(monkeypatch, quotient, "mpf_lt")
+    for x in ("1e-7", "0.37", "0.9999999"):
+        g.evaluate(to_mpf(x, Precision(50)))
+    assert lts[0] == 0
+
+
+def test_orders_zero_form_no_denominator(monkeypatch):
+    # f(x) alone, rounded to the working precision, with no division by one
+    g = _g("(x-3/10)^2-1/100", 0, 1, 0, 0, "8/100", "48/100")
+    divisions = _counter(monkeypatch, quotient, "mpf_div")
+    g.evaluate(to_mpf("0.37", Precision(50)))
+    assert divisions[0] == 0
+    # at an x wider than the working precision, g(x) = x is x rounded
+    g = _g("x", 1, 2, 0, 0, 1, 2)
+    ctx = context(Precision(50))
+    wide = from_rational(4, 3, ctx.prec + 40, round_nearest)
+    assert g.evaluate(ctx.make_mpf(wide))._mpf_ == mpf_pos(wide, ctx.prec, round_nearest) != wide
+
+
+def test_a_compiled_memo_hit_hashes_one_node(monkeypatch):
+    # each node keeps its hash, so a hit on the order-7 derivative of
+    # exp(sin(x))*arctan(x) - x - x^2 hashes its root alone (before: every
+    # node of the tree, 93,167)
+    p50 = Precision(50)
+    e = differentiate(parse(EVALUATION_COSTS["derivative_7"][0]), 7)
+    expr.compiled(e, p50)
+    hashes = [_counter(monkeypatch, cls, "__hash__") for cls in (
+        expr.Constant, expr.Variable, expr.NamedConstant, expr.UnaryOp, expr.BinaryOp,
+        expr.KurepaNode)]
+    expr.compiled(e, p50)
+    assert sum(count[0] for count in hashes) == 1

@@ -67,59 +67,69 @@ class TestNestedGrids:
             fine = chebyshev_grid(av, bv, ratio * intervals + 1)
             assert [x._mpf_ for x in fine[::ratio]] == [x._mpf_ for x in coarse]
 
-    def test_cosine_memo_is_bounded(self):
+    def test_table_memo_is_bounded(self):
         # it keeps the most recently used tables, as many as its maxsize
-        cosines = remez._chebyshev_cosines
-        cosines.cache_clear()
-        limit = cosines.cache_info().maxsize
+        tables = remez._chebyshev_table
+        tables.cache_clear()
+        limit = tables.cache_info().maxsize
         av, bv = finite_segment(0, 1, Precision(30))
         # odd interval counts: each table is built on its own
         counts = range(4, 4 + 4 * limit, 2)
         for count in counts:
             chebyshev_grid(av, bv, count)
-        assert cosines.cache_info().currsize == limit
-        hits = cosines.cache_info().hits
+        assert tables.cache_info().currsize == limit
+        hits = tables.cache_info().hits
         for count in counts[-limit:]:
             chebyshev_grid(av, bv, count)
-        assert cosines.cache_info().hits == hits + limit
+        assert tables.cache_info().hits == hits + limit
         chebyshev_grid(av, bv, counts[0])
-        assert cosines.cache_info().hits == hits + limit
+        assert tables.cache_info().hits == hits + limit
 
     @pytest.mark.parametrize("ratio", [2, 3])
     @pytest.mark.parametrize("digits", [30, 50])
-    def test_table_from_a_coarser_one_equals_a_cold_build(self, digits, ratio, monkeypatch):
-        # an even interval count takes every other cosine from its half
+    def test_table_from_its_half_equals_a_cold_build(self, digits, ratio, monkeypatch):
+        # an even interval count takes every other point and its u from its half
         intervals = ratio * 192
         ctx = context(Precision(digits))
-        cold = []
+        av, bv = finite_segment(0, "pi/2", Precision(digits))
+        mid, hw = (av + bv) / 2, (bv - av) / 2
+        cold = [av]
         for i in range(1, intervals):
             t = Fraction(i, intervals)
-            cold.append(ctx.cos(ctx.pi * t.numerator / t.denominator))
-        remez._chebyshev_cosines.cache_clear()
-        half = remez._chebyshev_cosines(intervals // 2 + 1, ctx, ctx.prec)
+            cold.append(mid - hw * ctx.cos(ctx.pi * t.numerator / t.denominator))
+        cold.append(bv)
+        cold_units = list(_units((av, bv), cold))
+        remez._chebyshev_table.cache_clear()
+        half = remez.chebyshev_table(av, bv, intervals // 2 + 1)
         cos, cosines = ctx.cos, []
         monkeypatch.setattr(ctx, "cos", lambda x: cosines.append(x) or cos(x))
-        warm = remez._chebyshev_cosines(intervals + 1, ctx, ctx.prec)
-        assert [c._mpf_ for c in warm] == [c._mpf_ for c in cold]
-        # the shared values are the half table's own objects
-        assert all(w is c for w, c in zip(warm[1::2], half))
-        assert len(cosines) == len(warm) - len(half)
+        points, units = remez.chebyshev_table(av, bv, intervals + 1)
+        assert [x._mpf_ for x in points] == [x._mpf_ for x in cold]
+        assert list(units) == cold_units
+        # the shared points and u are the half table's own objects
+        assert all(w is c for w, c in zip(points[::2], half[0]))
+        assert all(w is c for w, c in zip(units[::2], half[1]))
+        # a cosine for each new point, and none kept
+        assert len(cosines) == len(points) - len(half[0])
 
     def test_threads_sharing_the_memo_get_the_solo_bits(self):
         # tables built, built from their halves and evicted while other
         # threads read the memo
         counts = range(3, 41)
-        contexts = [context(Precision(d)) for d in (30, 50)]
-        solo = {key: [v._mpf_ for v in remez._chebyshev_cosines(*key)]
-                for key in ((c, ctx, ctx.prec) for c in counts for ctx in contexts)}
-        remez._chebyshev_cosines.cache_clear()
+        segments = [finite_segment(0, 1, Precision(d)) for d in (30, 50)]
+
+        def bits(count, a, b):
+            points, units = remez.chebyshev_table(a, b, count)
+            return [x._mpf_ for x in points], list(units)
+
+        solo = {(count, i): bits(count, *segments[i]) for count in counts for i in range(2)}
+        remez._chebyshev_table.cache_clear()
 
         def work(seed):
             rng = random.Random(seed)
             for _ in range(600):
-                ctx = rng.choice(contexts)
-                key = rng.choice(counts), ctx, ctx.prec
-                if [v._mpf_ for v in remez._chebyshev_cosines(*key)] != solo[key]:
+                key = rng.choice(counts), rng.randrange(2)
+                if bits(key[0], *segments[key[1]]) != solo[key]:
                     return False
             return True
 
@@ -131,7 +141,7 @@ class TestNestedGrids:
                 assert all(future.result(timeout=120) for future in futures)
         finally:
             sys.setswitchinterval(interval)
-        info = remez._chebyshev_cosines.cache_info()
+        info = remez._chebyshev_table.cache_info()
         assert info.currsize == info.maxsize
 
 
