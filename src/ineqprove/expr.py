@@ -15,13 +15,13 @@ identity rewrites (0 + u, 1 * u, u^1, ...) so that derivative trees stay
 compact.  The canonical printer is fully parenthesized and round-trips:
 ``parse(str(e))`` is structurally identical to ``e``.
 
-Evaluation compiles a tree once into one straight-line program on raw
-``mpmath.libmp`` tuples, one slot per distinct subexpression, at an
-explicit binary precision, round to nearest, and reads no context.
-Constant subtrees are folded at compile time, unless their evaluation
-raises (``1/(1-1)``), and every result has the bits that mpmath arithmetic
-at that precision gives.  Compiled trees are memoized per (expression,
-precision) in a small bounded memo.
+Evaluation turns a tree into one straight-line program of plain data, one
+slot per distinct subexpression, and binds it to the point table: raw
+``mpmath.libmp`` tuples at an explicit binary precision, round to nearest,
+reading no context.  Constant subtrees are folded when it is bound, unless
+their evaluation raises (``1/(1-1)``), and every result has the bits that
+mpmath arithmetic at that precision gives.  Bound programs are memoized per
+(expression, precision) in a small bounded memo.
 """
 
 from __future__ import annotations
@@ -374,7 +374,7 @@ def parse(source: str) -> Expression:
 # Compiled evaluation on libmp tuples
 # ----------------------------------------------------------------------
 
-_MEMO_LIMIT = 8  # compiled trees kept by the memo
+_MEMO_LIMIT = 8  # bound programs kept by the memo
 
 
 def show(v, prec):
@@ -430,13 +430,64 @@ _UNARY = {
 UNARY_FUNCTIONS = tuple(name for name in _UNARY if name != "neg")  # the parser's names
 
 
-def power(q: Fraction, prec):
-    """(l, prec, rnd) -> l^q on libmp tuples, as mpmath's ``power`` rounds it.
+def _program(root: Node):
+    """root as a straight-line program of plain data: (slot count, top slot, steps).
 
-    With the domain checks of a real power: a negative l needs an integer q.
-    The power is taken with q rounded once to prec, as a NUMBER literal is.
+    Slot 0 is x.  A step is (key, argument slots, output slot), in order of
+    first occurrence, children left before right, so the first error raised
+    is a tree walk's.  Each node is visited once, by identity, and numbered
+    by its key and argument slots.  A key is a name of ``_UNARY`` or
+    ``_BINARY``, ("pow", q), ("kurepa", order), or "cos_sin", which writes
+    cos(u) and sin(u) to adjacent slots where both occur; a constant is a
+    step with no arguments, keyed by its exact value (a Fraction or a name).
     """
-    qt = rational(q, prec)
+    # (key, args) -> slot; id(node) -> slot; args -> the index of their sin or cos step
+    numbers, seen, steps, trig = {}, {}, [], {}
+
+    def slot(node):
+        if id(node) in seen:
+            return seen[id(node)]
+        if isinstance(node, Variable):
+            return 0
+        if isinstance(node, (Constant, NamedConstant)):
+            key, args = node.value if isinstance(node, Constant) else node.name, ()
+        elif isinstance(node, UnaryOp):
+            key, args = node.op, (slot(node.child),)
+        elif isinstance(node, KurepaNode):
+            key, args = ("kurepa", node.order), (slot(node.child),)
+        elif isinstance(node, BinaryOp) and node.op == "pow":
+            key, args = ("pow", node.right.value), (slot(node.left),)
+        elif isinstance(node, BinaryOp):
+            key, args = node.op, (slot(node.left), slot(node.right))
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        if key in ("cos", "sin"):
+            if args not in trig:
+                numbers["cos", args], numbers["sin", args] = len(numbers) + 1, len(numbers) + 2
+                trig[args] = len(steps)
+                steps.append((key, args, numbers[key, args]))
+            elif steps[trig[args]][0] != key:
+                steps[trig[args]] = "cos_sin", args, numbers["cos", args]
+        elif (key, args) not in numbers:
+            numbers[key, args] = len(numbers) + 1
+            steps.append((key, args, numbers[key, args]))
+        seen[id(node)] = numbers[key, args]
+        return seen[id(node)]
+
+    top = slot(root)
+    return len(numbers) + 1, top, steps
+
+
+def _point_pow(q: Fraction, prec, p):
+    """The point table's ("pow", q): (l, prec, rnd) -> l^q, as mpmath's ``power`` rounds it.
+
+    A positive integer q goes straight to ``mpf_pow_int``, as ``mpf_pow`` sends
+    it; another is rounded once to prec, as a NUMBER literal is, and has the
+    domain checks of a real power: a negative l needs an integer q.
+    """
+    k, qt = q.numerator, rational(q, prec)
+    if q.denominator == 1 and k > 0:
+        return lambda l, prec, rnd: mpf_pow_int(l, k, prec, rnd)
 
     def power_q(l, prec, rnd):
         if mpf_gt(l, fzero):
@@ -446,105 +497,62 @@ def power(q: Fraction, prec):
                 return fzero
             raise DomainError("zero base with non-positive exponent")
         if q.denominator == 1:
-            return mpf_pow_int(l, q.numerator, prec, rnd)
+            return mpf_pow_int(l, k, prec, rnd)
         raise DomainError(f"negative base {show(l, prec)} with non-integer exponent {q}")
 
     return power_q
 
 
-def _kurepa(order, p: Precision):
-    """v -> K^(order)(v) by the quadrature module, at the Precision p, which checks v and order."""
+def _point_kurepa(order, prec, p: Precision):
+    """("kurepa", order): v -> K^(order)(v) at p, by ``quadrature``'s functions as of each call."""
     make = context(p).make_mpf
+    if order == 0:
+        return lambda v, prec, rnd: quadrature.kurepa(make(v), p).value._mpf_
+    return lambda v, prec, rnd: quadrature.kurepa_derivative(make(v), order, p).value._mpf_
 
-    def kurepa(v, prec, rnd):
-        if order == 0:
-            return quadrature.kurepa(make(v), p).value._mpf_
-        return quadrature.kurepa_derivative(make(v), order, p).value._mpf_
 
-    return kurepa
+# The point table: each key of a program -> its function, as in the operator
+# tables; a name -> (prec, rnd) -> its value; "pow" and "kurepa" -> (parameter,
+# prec, Precision) -> the function of that key.
+POINT = {name: entry[0] for name, entry in (*_UNARY.items(), *_BINARY.items())} | _NAMED | {
+    "cos_sin": mpf_cos_sin, "pow": _point_pow, "kurepa": _point_kurepa}
 
 
 @lru_cache(maxsize=_MEMO_LIMIT)
 def _compile(root: Node, prec: int, p):
     """x -> root(x) on libmp tuples at binary precision prec, round to nearest.
 
-    The tree becomes one straight-line program with one slot per distinct
-    subexpression: each node is visited once, by identity, and numbered by
-    its operator and argument slots, a constant by its value.  The steps run
-    in order of first occurrence, children left before right, so the first
-    error raised is the one a walk of the tree meets.  A constant subtree is
-    evaluated once, here, unless that raises: then it keeps its step, so that
-    its error is raised at evaluation.  sin(u) and cos(u) of one slot share
-    one ``mpf_cos_sin`` call, which writes both slots.
+    ``_program(root)`` bound to ``POINT``: each step's function is looked up
+    once, and a step whose arguments are known here runs here, unless it raises.
     """
     rn = round_nearest
-    values = [None]  # slot -> its value where known here; slot 0 is x
-    # key -> slot; id(node) -> slot; the steps (f, a, b, out), each writing
-    # f(v[a], v[b]), or f(v[a]) where b is None, to slot or slice out; and
-    # slot a -> the index of the step of sin(a) or cos(a)
-    numbers, seen, steps, trig = {}, {}, [], {}
+    size, top, program = _program(root)
+    # slot -> its value where known here; the steps (f, a, b, out) left, each
+    # writing f(v[a], v[b]), or f(v[a]) where b is None, to slot or slice out
+    values, steps = [None] * size, []
+    for key, args, out in program:
+        if not args:
+            values[out] = rational(key, prec) if isinstance(key, Fraction) else POINT[key](prec, rn)
+            continue
+        f = POINT[key[0]](key[1], prec, p) if isinstance(key, tuple) else POINT[key]
+        if key == "cos_sin":
+            out = slice(out, out + 2)
+        if all(values[i] is not None for i in args):
+            try:
+                values[out] = f(*(values[i] for i in args), prec, rn)
+                continue
+            except (IneqproveError, ArithmeticError):
+                pass
+        steps.append((f, *args, out) if len(args) == 2 else (f, *args, None, out))
 
-    def slot(node):
-        if id(node) not in seen:
-            seen[id(node)] = number(node)
-        return seen[id(node)]
-
-    def paired(op, a):  # sin(a) and cos(a): adjacent slots, one step where both occur
-        if ("cos", a) not in numbers:
-            numbers["cos", a], numbers["sin", a] = len(values), len(values) + 1
-            values.extend((None, None))
-            trig[a] = len(steps)
-            steps.append((_UNARY[op][0], a, None, numbers[op, a]))
-        elif steps[trig[a]][3] != numbers[op, a]:
-            cos = numbers["cos", a]
-            steps[trig[a]] = mpf_cos_sin, a, None, slice(cos, cos + 2)
-        return numbers[op, a]
-
-    def number(node):
-        if isinstance(node, Variable):
-            return 0
-        if isinstance(node, Constant):
-            key, f, args = node.value, lambda prec, rnd: rational(node.value, prec), ()
-        elif isinstance(node, NamedConstant):
-            key, f, args = node.name, _NAMED[node.name], ()
-        elif isinstance(node, BinaryOp) and node.op != "pow":
-            args = slot(node.left), slot(node.right)
-            key, f = (node.op, *args), _BINARY[node.op][0]
-        elif isinstance(node, UnaryOp):
-            args = slot(node.child),
-            if node.op in ("cos", "sin") and values[args[0]] is None:
-                return paired(node.op, args[0])
-            key, f = (node.op, *args), _UNARY[node.op][0]
-        elif isinstance(node, BinaryOp):
-            args = slot(node.left),
-            key, f = ("pow", node.right.value, *args), power(node.right.value, prec)
-        elif isinstance(node, KurepaNode):
-            args = slot(node.child),
-            key, f = ("kurepa", node.order, *args), _kurepa(node.order, p)
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-        if key not in numbers:
-            out = numbers[key] = len(values)
-            values.append(None)
-            if all(values[i] is not None for i in args):
-                try:
-                    values[out] = f(*(values[i] for i in args), prec, rn)
-                except (IneqproveError, ArithmeticError):
-                    pass
-            if values[out] is None:
-                steps.append((f, *args, out) if len(args) == 2 else (f, *args, None, out))
-        return numbers[key]
-
-    top = slot(root)
-
-    def program(x):
+    def run(x):
         v = values.copy()
         v[0] = x
         for f, a, b, out in steps:
             v[out] = f(v[a], prec, rn) if b is None else f(v[a], v[b], prec, rn)
         return v[top]
 
-    return program
+    return run
 
 
 def compiled(e, p: Precision):

@@ -2,8 +2,9 @@
 
 Every numeric routine in this package receives a :class:`Precision`, the one
 argument ``context`` takes, and computes in ``context(p)``, a private mpmath
-context at p's digits plus guard digits, whose precision is set once and never
-changed.  No routine reads or sets the global ``mp``, so proofs in several
+context at p's digits plus guard digits, whose precision is set when it is
+made and which refuses any change to it.  No routine reads or sets the global
+``mp``, and no caller can change a working context, so proofs in several
 threads cannot interfere, and results are deterministic: same inputs, same
 bits.  mpmath arithmetic takes the precision of its left operand, so a foreign
 value enters a routine's context through ``to_mpf``, which gives finite mpfs
@@ -51,17 +52,28 @@ def context(p) -> mpmath.MPContext:
     """The working context of the Precision p: its digits plus GUARD_DIGITS, round to nearest.
 
     Anything but a Precision is refused.  The context's precision is set
-    here, once, and never changed, so one context serves every caller at p.
+    here, once, and no caller can change it, so one context serves every
+    caller at p.
     """
     if not isinstance(p, Precision):
         raise ConfigurationError(f"precision must be a Precision, got {p!r}")
     return _context(p.decimal_digits)
 
 
+class _WorkingContext(mpmath.MPContext):
+    """An mpmath context whose precision, set when it is made, no caller can change."""
+
+    def _refuse(ctx, value):
+        raise ConfigurationError(f"a working context keeps its precision of {ctx._prec} bits")
+
+    prec = property(mpmath.MPContext.prec.fget, _refuse)
+    dps = property(mpmath.MPContext.dps.fget, _refuse)
+
+
 @lru_cache(maxsize=64)
 def _context(digits):
-    ctx = mpmath.MPContext()
-    ctx.prec = dps_to_prec(digits + GUARD_DIGITS)
+    ctx = _WorkingContext()
+    mpmath.MPContext._set_prec(ctx, dps_to_prec(digits + GUARD_DIGITS))
     return ctx
 
 

@@ -19,9 +19,9 @@ Endpoint limits come from two routes:
 
 The quotient is formed on raw ``mpmath.libmp`` tuples from the compiled f,
 at the working precision of the run, from x, x - a and b - x.  An order 0
-forms no factor, an order 1 is the difference itself, another integer order
-goes straight to ``mpf_pow_int`` and a real one to the compiler's real
-power: for each, the bits that real power gives.  With both orders 0 there
+forms no factor, an order 1 is the difference itself, and another order is
+the point table's power, ``expr.POINT["pow"]``: one ``mpf_pow_int`` for an
+integer order, the real power for another.  With both orders 0 there
 is no division, and f's value is rounded to the working precision alone.
 """
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 
 from mpmath.libmp import (
-    fzero, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_pos, mpf_pow_int, mpf_sub, round_nearest,
+    fzero, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_pos, mpf_sub, round_nearest,
 )
 
 from .errors import (
@@ -41,7 +41,7 @@ from .errors import (
     UnstableLimitError,
     ZeroLimitError,
 )
-from .expr import Expression, compiled, differentiate, evaluate, power, show
+from .expr import POINT, Expression, compiled, differentiate, evaluate, show
 from .precision import (
     Precision, cancellation_floor, context, finite_orders, finite_segment, fraction,
     resolution_floor, sampling_ratio, to_mpf,
@@ -55,13 +55,9 @@ STABILIZE_TOL = "1e-8"
 
 
 def _factor(order, prec):
-    """d -> d^order on libmp tuples, as ``power`` rounds it for a d > 0 at prec; None for order 0."""
-    q, rn = fraction(order), round_nearest
-    if q.denominator != 1:
-        real = power(q, prec)
-        return lambda d: real(d, prec, rn)
-    k = q.numerator
-    return None if k == 0 else (lambda d: d) if k == 1 else (lambda d: mpf_pow_int(d, k, prec, rn))
+    """(d, prec, rnd) -> d^order on libmp tuples, by ``POINT``'s power for d > 0; None for order 0."""
+    q = fraction(order)
+    return None if q == 0 else (lambda d, prec, rnd: d) if q == 1 else POINT["pow"](q, prec, None)
 
 
 def _quotient(f, n, m, p):
@@ -75,7 +71,8 @@ def _quotient(f, n, m, p):
         return lambda x, da, db: mpf_pos(fx(x), prec, rn)
 
     def quotient(x, da, db):
-        den = mpf_mul(pa(da), pb(db), prec, rn) if pa and pb else pa(da) if pa else pb(db)
+        den = mpf_mul(pa(da, prec, rn), pb(db, prec, rn), prec, rn) if pa and pb else \
+            pa(da, prec, rn) if pa else pb(db, prec, rn)
         return mpf_div(fx(x), den, prec, rn)
 
     return quotient

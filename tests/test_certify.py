@@ -1019,6 +1019,22 @@ class TestReportJson:
             with ThreadPoolExecutor(len(proofs)) as pool:
                 assert list(pool.map(run, proofs)) == solo
 
+    def test_no_caller_can_change_a_working_context(self):
+        # a report's mpfs carry the one working context of their precision,
+        # which every later proof at that precision computes in: setting its
+        # precision, or entering a context manager that would, is refused
+        settings = ProofSettings(precision=Precision(35))
+        first = prove_inequality("exp(x)-1-x", 0, 1, 2, 0, 1, settings)
+        ctx = first.alpha.context
+        with pytest.raises(ConfigurationError):
+            ctx.dps = 15
+        with pytest.raises(ConfigurationError):
+            ctx.prec = 60
+        with pytest.raises(ConfigurationError), ctx.workdps(60):
+            pass
+        second = prove_inequality("exp(x)-1-x", 0, 1, 2, 0, 1, settings)
+        assert report_to_json(second).encode() == report_to_json(first).encode()
+
 
 @st.composite
 def _wrong_orders(draw):

@@ -166,6 +166,16 @@ def test_integer_orders_take_no_real_power(monkeypatch):
     assert (powers[0], hashes[0]) == (0, 0)
 
 
+def test_an_integer_exponent_takes_mpf_pow_int_alone(monkeypatch):
+    # the square of the elementary_mix dip goes straight to mpf_pow_int, with
+    # no sign test and no real power (before: one mpf_gt and one mpf_pow)
+    p30 = Precision(30)
+    f = expr.compiled(parse("(x-31/100)^2-1/100"), p30)
+    calls = [_counter(monkeypatch, expr, name) for name in ("mpf_pow", "mpf_gt")]
+    f(to_mpf("0.37", p30)._mpf_)
+    assert [count[0] for count in calls] == [0, 0]
+
+
 def test_a_fresh_sample_takes_two_differences(monkeypatch):
     # x - a and b - x, once per fresh sample of g; besides them, building g
     # takes the two differences at each blend zone's boundary, and a sample

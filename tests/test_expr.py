@@ -34,6 +34,7 @@ from ineqprove.expr import (
     NamedConstant,
     UnaryOp,
     Variable,
+    _program,
     compiled,
     constant_value,
     to_source,
@@ -402,6 +403,63 @@ def test_value_numbered_program_matches_reference_walker(recipe, digits):
     value = _outcome(lambda c, x, p: constant_value(c.source_text, p), parsed, None, p)
     if value[0] is not ConfigurationError:
         assert value == _outcome(reference_evaluate, parsed, "0", p)
+
+
+def _leaves(value):
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def test_the_program_is_plain_data():
+    """Keys, slots and exact constants, with no function and no precision in it."""
+    program = _program(parse("sin(x/2)+cos(x/2)+2^(1/2)*kurepa(x)").root)
+    # slot 0 is x; sin(x/2) and cos(x/2) take slots 4 and 3 from one step
+    assert program == (10, 9, [
+        (Fraction(2), (), 1), ("div", (0, 1), 2), ("cos_sin", (2,), 3), ("add", (4, 3), 5),
+        (("pow", Fraction(1, 2)), (1,), 6), (("kurepa", 0), (0,), 7), ("mul", (6, 7), 8),
+        ("add", (5, 8), 9)])
+    steps = program[2]
+    assert not any(callable(leaf) for leaf in _leaves(program))
+    assert [key for key, _, _ in steps].count("cos_sin") == 1
+    assert [type(key) for key, args, _ in steps if not args] == [Fraction]
+    assert all(type(key[1]) in (Fraction, int) for key, _, _ in steps if type(key) is tuple)
+
+
+# a table of exact rational arithmetic: an operator key -> its function, and
+# "pow" -> q -> the function of ("pow", q), for integer q
+_EXACT = {"neg": operator.neg, "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+          "div": operator.truediv, "pow": lambda q: lambda l: l ** q}
+
+
+def _run_exactly(program, x):
+    size, top, steps = program
+    v = [x] + [None] * (size - 1)
+    for key, args, out in steps:
+        if not args:  # a constant, keyed by its exact value
+            v[out] = key
+        else:
+            f = _EXACT[key[0]](key[1]) if isinstance(key, tuple) else _EXACT[key]
+            v[out] = f(*(v[i] for i in args))
+    return v[top]
+
+
+@pytest.mark.parametrize("source, exact", [
+    ("(x+1/3)*(x-2)/(x^2+1) - x^3",
+     lambda x: (x + Fraction(1, 3)) * (x - 2) / (x ** 2 + 1) - x ** 3),
+    ("1/(x-1/2) + (x-1/2)^(-2) - (2*x)*(2*x)",
+     lambda x: 1 / (x - Fraction(1, 2)) + (x - Fraction(1, 2)) ** -2 - (2 * x) * (2 * x)),
+    ("-(x/7 - 3)^3 + x*x*x - (x/7 - 3)", lambda x: -(x / 7 - 3) ** 3 + x * x * x - (x / 7 - 3)),
+    ("2.5 - x*(1.25 - x)", lambda x: Fraction(5, 2) - x * (Fraction(5, 4) - x)),
+])
+def test_any_arithmetic_runs_the_program(source, exact):
+    # the program of a rational expression, run under exact rational
+    # arithmetic, gives the exact value
+    program = _program(parse(source).root)
+    for x in (Fraction(1, 3), Fraction(-5, 7), Fraction(2), Fraction(10 ** 30 + 1, 10 ** 30)):
+        assert _run_exactly(program, x) == exact(x), x
 
 
 # every operator's derivative rule and the Kurepa node's, each taken 1 to 4 times

@@ -4,7 +4,7 @@ import random
 import mpmath
 import pytest
 from mpmath import mp
-from mpmath.libmp import mpf_div, mpf_mul, mpf_sub, round_nearest
+from mpmath.libmp import mpf_div, mpf_sub, round_nearest
 
 from ineqprove import (
     ConfigurationError,
@@ -26,8 +26,10 @@ from ineqprove import (
     verify_equioscillation,
 )
 from ineqprove.cli import main
-from ineqprove.expr import compiled, power
-from ineqprove.precision import Precision, context, finite_orders, finite_segment, fraction, to_mpf
+from ineqprove.expr import compiled
+from ineqprove.precision import (
+    Precision, context, finite_orders, finite_segment, fraction, rational, to_mpf,
+)
 from ineqprove.quotient import EDGE_FRACTION, _quotient
 
 from helpers import ARCSIN_DIFF_SOURCE, KP0, ambient, planted_endpoint_polynomial
@@ -254,8 +256,10 @@ class TestQuotientFunction:
 class TestQuotientBits:
     """``_quotient`` on (x, x - a, b - x) against the quotient by the real power.
 
-    The reference forms every factor through ``expr.power``, order 0's 1
-    included, and divides f(x) by their product, at the working precision.
+    The reference forms every factor by mpmath's ``power``, with the order
+    rounded once, as ``helpers.reference_evaluate`` takes an exponent, order
+    0's 1 included, and divides f(x) by their product, at the working
+    precision.
     """
 
     SOURCE, ORDERS = "exp(x) - x^3/(1+x)", ("0", "1", "2", "3", "1/2", "3/2")
@@ -280,13 +284,14 @@ class TestQuotientBits:
         for n, m in itertools.product(self.ORDERS, repeat=2):
             nv, mv = finite_orders(n, m, p)
             quotient = _quotient(f, nv, mv, p)
-            pa, pb = (power(fraction(v), prec) for v in (nv, mv))
+            qa, qb = (mp.make_mpf(rational(fraction(v), prec)) for v in (nv, mv))
             g = QuotientFunction(f, a, b, nv, mv, "0.5", 2, p)
             for x in zones + inside:
                 t = x._mpf_
                 da, db = mpf_sub(t, a._mpf_, prec, rn), mpf_sub(b._mpf_, t, prec, rn)
-                expected = mpf_div(fx(t), mpf_mul(pa(da, prec, rn), pb(db, prec, rn), prec, rn),
-                                   prec, rn)
+                with ambient(p):
+                    den = mp.power(mp.make_mpf(da), qa) * mp.power(mp.make_mpf(db), qb)
+                expected = mpf_div(fx(t), den._mpf_, prec, rn)
                 assert quotient(t, da, db) == expected, (n, m, x)
                 if x in inside:  # outside the blend zones, g is the raw quotient
                     assert g.evaluate(x)._mpf_ == expected, (n, m, x)
