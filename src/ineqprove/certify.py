@@ -6,21 +6,22 @@ one runner walking a fixed table of stages (``_STAGES``):
 1. ``endpoint_limits``: the limits alpha, beta of the quotient extension g;
 2. ``precondition``: both must be positive; a negative one ends the run
    like any failed gate, and the witness search probes f near that end;
-3. ``minimax``: a degree-k minimax polynomial P of g with error estimate
-   delta_hat (Remez exchange);
+3. ``minimax``: g on the Remez grid, where the first sample at which f is
+   confirmed negative ends the run, then from the same samples a degree-k
+   minimax polynomial P of g with error estimate delta_hat (Remez exchange);
 4. ``equioscillation``: the residuals g - P at the nodes must alternate
    in sign;
-5. ``residual_check``: |g - P| <= delta_hat * margin on a dense sample grid;
-6. ``positivity``: P(x) - delta_hat * margin > 0, certified rigorously by
-   exact Bernstein subdivision on integers, refining the lowest leaf first.
+5. ``positivity``: P(x) - delta_hat * margin > 0, certified rigorously by
+   exact Bernstein subdivision on integers, refining the lowest leaf first;
+6. ``residual_check``: |g - P| <= delta_hat * margin on a dense sample grid.
 
 Each stage adds its results to the run or ends it, by failing its gate or
 by raising an IneqproveError; the runner alone turns the end into a report,
-and lets a ConfigurationError, the caller's fault, propagate.  Step 5 is a
-sampled check, not a proof, and delta_hat is a numerical estimate; every
-report therefore carries a fixed caveat.  The verdict vocabulary is
-three-valued: a stage never claims disproof, only a concrete negative
-witness does (``_disproof_witness``).
+and lets a ConfigurationError, the caller's fault, propagate.  Cheap and
+decisive work comes first.  Step 6 is a sampled check, not a proof, and
+delta_hat is a numerical estimate; every report therefore carries a fixed
+caveat.  The verdict vocabulary is three-valued: a stage never claims
+disproof, only a concrete negative witness does (``_confirmed``).
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .remez import (
     CachedFunction,
     MinimaxResult,
     Polynomial,
+    _BY_VALUE,
     _units,
     chebyshev_table,
     chebyshev_to_power,
@@ -314,29 +316,38 @@ def _settings_echo(f_source, a, b, n, m, k, s: ProofSettings, residual_grid_size
             "margin_factor": MARGIN_FACTOR, "max_iterations": remez.MAX_ITERATIONS}
 
 
-def _disproof_witness(run):
+def _confirmed(run, candidates):
     """Diagnostics entry of the first candidate where f is clearly negative, or None.
 
-    The one way to disprove.  The candidates: the first cached sample of
-    smallest g, if below -floor, then at each end whose limit is negative
-    the numeric route's ``probe_points``, nearest the end first.
+    The one way to disprove: f at x, not g, must lie below -``run.floor``.
+    Candidates are read lazily, no further than the witness.
     """
-    p, alpha, beta = run.p, run.fields.get("alpha", 0), run.fields.get("beta", 0)
-    floor = witness_floor(p) * max(context(p).mpf(1), abs(alpha), abs(beta))
-    samples = () if run.g is None else run.g.values.values()
-    worst_x, worst_g = min(samples, key=lambda entry: entry[1], default=(None, 0))
-    candidates = [worst_x] if worst_g < -floor else []
-    if min(alpha, beta) < 0:
-        candidates += [x for limit, points in zip((alpha, beta), probe_points(*run.segment, p))
-                       if limit < 0 for x in reversed(points)]
     for x in candidates:
         try:
-            fv = evaluate(run.f, x, p)
+            fv = evaluate(run.f, x, run.p)
         except IneqproveError:
             continue
-        if fv < -floor:
+        if fv < -run.floor:
             return {"x": x, "f_value": fv}
     return None
+
+
+def _disproof_witness(run):
+    """The witness of a run that ends after the sweep of the Remez grid, or None.
+
+    The candidates: the first cached sample of smallest g (libmp tuples
+    compared) if below -floor, then at each end whose limit is negative the
+    numeric route's ``probe_points``, nearest the end first.
+    """
+    samples = () if run.g is None else run.g.values.values()
+    negative = [(x, v._mpf_) for x, v in samples if v._mpf_[0]]
+    worst_x, worst_g = min(negative, key=_BY_VALUE, default=(None, libmp.fzero))
+    candidates = [worst_x] if libmp.mpf_lt(worst_g, libmp.mpf_neg(run.floor._mpf_)) else []
+    alpha, beta = run.fields.get("alpha", 0), run.fields.get("beta", 0)
+    if min(alpha, beta) < 0:
+        candidates += [x for limit, points in zip((alpha, beta), probe_points(*run.segment, run.p))
+                       if limit < 0 for x in reversed(points)]
+    return _confirmed(run, candidates)
 
 
 @dataclass
@@ -364,12 +375,18 @@ class _Run:
     def limit_inputs(self):  # (f, a, b, n, m, p)
         return (self.f, *self.segment, self.fields["n"], self.fields["m"], self.p)
 
+    @property
+    def floor(self):  # the witness floor times the largest of 1, |alpha| and |beta|
+        limits = (abs(self.fields.get(end, 0)) for end in ("alpha", "beta"))
+        return witness_floor(self.p) * max(context(self.p).mpf(1), *limits)
+
 
 class _Stop(NamedTuple):
     """A failed gate: how a stage ends the run, with the diagnostics entries it adds."""
 
     message: str
     extra: tuple = ()
+    witness: dict = None  # a witness of disproof that the stage found itself
 
 
 # Stages look up the routines they call (minimax, residual_check, ...) as
@@ -401,8 +418,13 @@ def _precondition(run: _Run):
 
 
 def _minimax(run: _Run):
-    mr = minimax(run.g, *run.segment, run.fields["degree"], p=run.p,
-                 grid_multiplier=run.settings.grid_multiplier)
+    # g on the Remez grid in the order minimax takes it, so minimax finds
+    # it cached: a negative sample (its sign bit) that f confirms ends the run
+    k, multiplier = run.fields["degree"], run.settings.grid_multiplier
+    grid = chebyshev_table(*run.segment, multiplier * (k + 2) + 1)[0]
+    if witness := _confirmed(run, (x for x in grid if run.g(x)._mpf_[0])):
+        return _Stop("g is negative at a sample of the Remez grid", witness=witness)
+    mr = minimax(run.g, *run.segment, k, p=run.p, grid_multiplier=multiplier)
     run.minimax = mr
     run.timings["remez_iterations"] = mr.iterations
     run.fields.update(delta_hat=mr.delta_hat, lower_bound=mr.lower_bound, nodes=mr.nodes,
@@ -470,8 +492,8 @@ _STAGES = (
     ("precondition", _precondition, _numeric_cross_check),
     ("minimax", _minimax, None),
     ("equioscillation", _equioscillation, None),
-    ("residual_check", _residual_check, None),
     ("positivity", _positivity, _failing_subinterval),
+    ("residual_check", _residual_check, None),
 )
 
 
@@ -481,9 +503,9 @@ def _run_stages(run: _Run) -> ProofReport:
     A stage ends the run by failing its gate or by raising any
     IneqproveError but a ConfigurationError, which is the caller's and
     propagates.  The report keeps the stage's message: the gate's, or
-    "<Error>: <text>".  The run is disproven if ``_disproof_witness`` finds
-    a witness, which follows the gate's own entries; otherwise it is
-    inconclusive, and a raised error adds its stage's details.
+    "<Error>: <text>".  The run is disproven by a witness that the stage
+    hands over or ``_disproof_witness`` finds, after the gate's own entries;
+    otherwise it is inconclusive, and a raised error adds its stage's details.
     """
     stage, verdict, message, extra = "complete", "proven", "all stages passed", ()
     for name, step, details in _STAGES:
@@ -496,8 +518,8 @@ def _run_stages(run: _Run) -> ProofReport:
             failure, stop = exc, _Stop(f"{type(exc).__name__}: {exc}")
         if stop is None:
             continue
-        stage, verdict, (message, extra) = name, "inconclusive", stop
-        witness = _disproof_witness(run)
+        stage, verdict, (message, extra, witness) = name, "inconclusive", stop
+        witness = witness or _disproof_witness(run)
         if witness is not None:
             verdict, extra = "disproven", extra + (("witness", witness),)
         elif failure is not None and details:

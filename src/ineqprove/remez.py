@@ -321,7 +321,9 @@ def _chebyshev_table(a, b, count: int, ctx, prec: int):
     lowest terms, so grids whose interval counts are multiples of one
     another share points bit for bit.  An even interval count takes its even
     points and their u, the same objects, from the table of half as many
-    intervals, and computes cosines for its new points only.
+    intervals, and computes cosines for its new points only.  ``prec`` stays
+    in the key: mpmath's global ``mp``, whose precision any caller may set,
+    is a context too.
     """
     make, rnd = ctx.make_mpf, ctx._prec_rounding[1]
     intervals = count - 1

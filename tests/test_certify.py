@@ -492,9 +492,9 @@ class TestProvePipeline:
         assert "witness" in report.diagnostics
         x = mpmath.mpf(report.diagnostics["witness"]["x"])
         assert mpmath.mpf("0.3") < x < mpmath.mpf("0.7")
-        # the witness replaces the failing leaf, the message stays the failure's
-        assert report.diagnostics["stage"] == "positivity"
-        assert report.diagnostics["message"].startswith("CertificationError: ")
+        # the sweep of the Remez grid finds it, before minimax or any leaf
+        assert report.diagnostics["stage"] == "minimax"
+        assert report.diagnostics["message"] == "g is negative at a sample of the Remez grid"
         assert "failing_subinterval" not in report.diagnostics
 
     def test_inconclusive_when_degree_too_low(self, p30):
@@ -930,6 +930,28 @@ class TestDisproofWitness:
         assert report.diagnostics["negative_limit"] == "alpha"
         assert "witness" not in report.diagnostics
 
+    def test_the_first_confirmed_grid_sample_ends_the_run(self, p30):
+        # sample 84 of the 193-point Remez grid is the first where the dip
+        # is negative: the run ends there, before minimax, after 85 samples
+        report = prove_inequality("(x-1/2)^2-1/100", 0, 1, 0, 0, 1, ProofSettings(precision=p30))
+        assert (report.verdict, report.diagnostics["stage"]) == ("disproven", "minimax")
+        grid = chebyshev_grid(*finite_segment(0, 1, p30), 193)
+        witness = report.diagnostics["witness"]
+        assert witness["x"] == grid[84] and witness["f_value"] < 0
+        assert report.timings["g_evaluations"] == 85
+        assert (report.delta_hat, report.timings["remez_iterations"]) == (None, 0)
+
+    def test_a_negative_sample_above_the_floor_ends_nothing(self, p30):
+        # sample 96 of the Remez grid, x = 1/2, is the only negative one,
+        # at f = -1e-40, far above -witness_floor: the sweep passes it over
+        # and the run goes on to fail at positivity, with no witness
+        source = "x^2 - x + 0.25 - 10^(-40)"
+        x = chebyshev_grid(*finite_segment(0, 1, p30), 193)[96]
+        assert -mpmath.mpf("1e-39") < evaluate(parse(source), x, p30) < 0
+        report = prove_inequality(source, 0, 1, 0, 0, 1, ProofSettings(precision=p30))
+        assert (report.verdict, report.diagnostics["stage"]) == ("inconclusive", "positivity")
+        assert "witness" not in report.diagnostics
+
     @staticmethod
     def run(source, p):
         # a run whose g cache holds one clearly negative sample, at x = 1/2
@@ -979,7 +1001,6 @@ class TestReportJson:
         ("x*(1-x)", "proven", {"residual_check": ("max_residual", "max_location", "threshold")}),
         ("x*(1-x)*(x-0.5)^2", "inconclusive",
          {"equioscillation": ("spread",),
-          "residual_check": ("max_residual", "max_location", "threshold"),
           "failing_subinterval": ("left", "right", "bound")}),
     ])
     def test_settings_and_diagnostics_keep_their_numbers(self, source, verdict, entries, p30):

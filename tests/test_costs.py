@@ -45,6 +45,9 @@ PROBLEMS = {
     "trig_arcsin_k1": (TRIG_ARCSIN_SOURCE, 0, "pi/2", 3, 1, 1, 50),
     "trig_arcsin_k3": (TRIG_ARCSIN_SOURCE, 0, "pi/2", 3, 1, 3, 50),
     "arcsin_real_k8": (ARCSIN_DIFF_SOURCE, 0, 1, 3, "1/2", 8, 50),
+    "arcsin_real_k1": (ARCSIN_DIFF_SOURCE, 0, 1, 3, "1/2", 1, 50),
+    "golden_dip": ("(x-1/2)^2-1/100", 0, 1, 0, 0, 1, 35),
+    "positivity_fails": ("x^2+1/100", 0, 1, 0, 0, 1, 35),
 }
 
 # the report's work counts
@@ -60,6 +63,13 @@ PROOF_COSTS = {
     "trig_arcsin_k1": (394, 2, 388, 1, 0, 0, 0),
     "trig_arcsin_k3": (703, 3, 646, 1, 0, 0, 0),
     "arcsin_real_k8": (1558, 5, 1291, 10, 0, 0, 0),
+    # rejections: the certificate fails before the residual grid is sampled
+    # (395 and 389 calls when it came after), and the dip ends at its first
+    # confirmed negative sample of the Remez grid (389 calls when it waited
+    # for the certificate)
+    "arcsin_real_k1": (203, 2, 0, 0, 0, 0, 0),
+    "golden_dip": (85, 0, 0, 0, 0, 0, 0),
+    "positivity_fails": (197, 1, 0, 0, 0, 0, 0),
 }
 
 # mpf_exp calls of one P35 Kurepa call at x = 0.37: from emptied memos, with

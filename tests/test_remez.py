@@ -53,6 +53,17 @@ class TestInitialNodes:
         for node, want in zip(nodes, expected):
             assert abs(node - mpmath.mpf(want)) < mpmath.mpf("1e-50")
 
+    def test_the_global_context_takes_a_grid_at_its_own_precision(self, p50):
+        # mp is one context whose precision a caller may set, so the grid
+        # memo keys it by that precision too: a grid made at 15 digits is
+        # not handed out at 50
+        remez._chebyshev_table.cache_clear()
+        with ambient(Precision(15)):
+            chebyshev_grid(mp.mpf(0), mp.mpf(1), 5)
+        with ambient(p50):
+            nodes = chebyshev_grid(mp.mpf(0), mp.mpf(1), 5)
+            assert abs(nodes[1] - (1 - mp.sqrt(2) / 2) / 2) < mpmath.mpf("1e-50")
+
 
 class TestNestedGrids:
     """A grid whose interval count is a multiple of another's holds it bit for bit."""

@@ -28,8 +28,8 @@ CASES = {
     "proven": ("exp(x)-1-x", 0, 1, 2, 0, 1, {}, "proven", "complete"),
     "disproven_alpha": ("-x", 0, 1, 1, 0, 1, {}, "disproven", "precondition"),
     "disproven_beta": ("x*(1/2-x)", 0, 1, 1, 0, 1, {}, "disproven", "precondition"),
-    "disproven_witness": ("(x-1/2)^2-1/100", 0, 1, 0, 0, 1, {}, "disproven",
-                          "positivity"),
+    # the first sample of the Remez grid where f is negative ends the run
+    "disproven_witness": ("(x-1/2)^2-1/100", 0, 1, 0, 0, 1, {}, "disproven", "minimax"),
     "inconclusive_endpoint_limits": ("x", 0, 1, 2, 0, 1, {}, "inconclusive",
                                      "endpoint_limits"),
     "inconclusive_precondition": ("x^2", 0, 1, 1, 0, 1, {}, "inconclusive",
@@ -73,7 +73,7 @@ REPORT_HASHES = {
     "proven": "386808aafad47b273ea294ffd9a362d62cfaaa58037e21be385d95c725446848",
     "disproven_alpha": "030ccde9aec989c40d6a2ccf2375ebe3c7f704d08fbac42291abcdd624f245d7",
     "disproven_beta": "e65980ed3495016340a60ea01164901548a7bc89a53f42a2e4dfd2406dd7d4e6",
-    "disproven_witness": "ce0dd16b067759b5a21d1edc5b74b1c977fdd2a8364e3b17fb97bb37e20b69ab",
+    "disproven_witness": "2025a11c773e719b0eebdd18f6ad749a2939c5cec03565a8bdaf899901d2e3f2",
     "inconclusive_endpoint_limits":
         "a0255f9fd0c48a860ff3d0729239a6b17b64d035f56d73d07f623fd08e742ed0",
     "inconclusive_precondition":
@@ -82,9 +82,9 @@ REPORT_HASHES = {
     "inconclusive_equioscillation":
         "db0d756a30c9bd36f69eaf914b92b91edb8a9bf1c3e76d7b1e23c7ee88dafaa3",
     "inconclusive_residual_check":
-        "0bac988b2df1eb3136152413e4481c13c01598459701552bea93597bf20c1f7a",
+        "8bd0cf84d5ee35f87bceb8186b663a41f5e5cdaa1df5af1ec77568e4b4df29c5",
     "inconclusive_positivity":
-        "11a43b89d1eab17dfa279bc9c6785383e7e66bbd7127e4f185d61b6f09597267",
+        "64007e0db2ce1cf157631c0277814b9922036cd8b9be1a18689bbeefb3786006",
     "proven_real_exponent":
         "6400049e90af11739072c9c78692505726dee0d1a8fabf744e1d1934cb568f5e",
     "disproven_kurepa_near_miss":
