@@ -13,6 +13,7 @@ one runner walking a fixed table of stages (``_STAGES``):
    in sign;
 5. ``positivity``: P(x) - delta_hat * margin > 0, certified rigorously by
    exact Bernstein subdivision on integers, refining the lowest leaf first;
+   the Bernstein coefficients come from one integer matrix per degree;
 6. ``residual_check``: |g - P| <= delta_hat * margin on a dense sample grid.
 
 Each stage adds its results to the run or ends it, by failing its gate or
@@ -32,6 +33,8 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 import mpmath
@@ -61,7 +64,6 @@ from .remez import (
     _BY_VALUE,
     _units,
     chebyshev_table,
-    chebyshev_to_power,
     largest_magnitude,
     minimax,
     residual_sweep,
@@ -179,17 +181,23 @@ def residual_check(g, polynomial: Polynomial, delta, grid_size: int,
 
 
 def _bernstein(cheb):
-    """Integers N_k with sum_j cheb[j] T_j(2t - 1) == sum_k N_k B_k(t) / n!.
+    """N_k = sum_j M_n[k][j] cheb[j]: sum_j cheb[j] T_j(2t - 1) == sum_k N_k B_k(t) / n!."""
+    return [sum(map(mul, row, cheb)) for row in _bernstein_matrix(len(cheb) - 1)]
 
-    The basis table gives the integer coefficients in powers of t, and n!
-    clears the denominators of the power-to-Bernstein map
-    b_k = sum_i C(k, i) / C(n, i) a_i.
+
+@lru_cache(maxsize=64)
+def _bernstein_matrix(n):
+    """M_n, the Chebyshev-to-Bernstein map of degree n on integers; memoized per degree.
+
+    The basis table gives T_j(2t - 1) in powers of t, and n! clears the
+    denominators of the power-to-Bernstein map b_k = sum_i C(k, i) / C(n, i) a_i,
+    so M_n[k][j] = sum_i k! (n - i)! / (k - i)! table[j][i], exactly.
     """
-    n = len(cheb) - 1
-    power = chebyshev_to_power(cheb)
-    fact = [math.factorial(i) for i in range(n + 1)]
-    return [sum(power[i] * fact[k] * fact[n - i] // fact[k - i] for i in range(k + 1))
-            for k in range(n + 1)]
+    fact, table = [math.factorial(i) for i in range(n + 1)], remez._shifted_chebyshev(n)
+    return tuple(tuple(sum(row[i] * (fact[k] * fact[n - i] // fact[k - i])
+                           for i in range(min(j, k) + 1))
+                       for j, row in enumerate(table))
+                 for k in range(n + 1))
 
 
 def _split(coeffs):
@@ -230,9 +238,9 @@ def certify_positive(polynomial: Polynomial, delta, margin_factor,
     mv = to_mpf(margin_factor, p)
     coefficients = [to_mpf(c, p) for c in polynomial.coefficients]
     a, b = (to_mpf(v, p) for v in polynomial.segment)
-    if dv < 0:
+    if dv._mpf_[0]:  # the sign bit: to_mpf gives finite values only
         raise ConfigurationError("delta must be nonnegative")
-    if not (1 < mv <= 2):
+    if not (libmp.mpf_gt(mv._mpf_, libmp.fone) and libmp.mpf_le(mv._mpf_, libmp.ftwo)):
         raise ConfigurationError("margin_factor must lie in (1, 2]")
 
     # every value is an integer times 2**low, and leaves at depth d

@@ -132,7 +132,20 @@ def to_mpf(value, p=Precision()):
     full precision.  Strings may also be constant expressions in the package
     grammar ("pi/2", "2 - sqrt2"); any that mentions x is rejected, and so is
     a bool, an infinity or a NaN, whether a string, a float or an mpf.
+    Text is converted once per (text, digits) by a bounded memo, so constant
+    text such as the proof's margin is parsed once per precision; errors are not kept.
     """
+    if isinstance(value, str) and isinstance(p, Precision):
+        return context(p).make_mpf(_text(value, p.decimal_digits))
+    return _convert(value, p)
+
+
+@lru_cache(maxsize=256)
+def _text(text, digits):
+    return _convert(text, Precision(digits))._mpf_
+
+
+def _convert(value, p):
     ctx = context(p)
     v = cause = None
     if hasattr(value, "_mpf_"):

@@ -250,16 +250,23 @@ def _series(terms, betas, q, left, frac, e1, ek):
     within 4(K + 1).  Every step is monotone in e1, and c_n >= 0, so the
     rounding at e1 = 1, x = 0, bounds it at every x.
     """
-    one = 1 << frac
-    total = spread = 0
+    total, spread = _sums(terms, betas, frac, e1)
+    return total * ek >> frac, 2 * spread + ((40 * q + 4 * left + 16) * total >> frac) + 1
+
+
+def _sums(terms, betas, frac, e1):
+    """(sum_n c_n S_n, sum_n S_n) on integers: the one loop of ``_series`` and of a call."""
+    one, first, rest = 1 << frac, betas[0], [b << frac for b in betas[1:]]
+    ones, total, spread = one << frac, 0, 0
     for g, c in terms:
-        v = (one << frac) // (one - (g * e1 >> frac))
-        acc = 0
-        for b in betas:
-            acc = (acc + (b << frac)) * v >> frac
+        acc = v = ones // (one - (g * e1 >> frac))
+        if rest:  # Horner's first step, beta_j v, is exact; j = 0 has beta_0 = 1 alone
+            acc *= first
+            for b in rest:
+                acc = (acc + b) * v >> frac
         total += c * acc
         spread += acc
-    return total * ek >> frac, 2 * spread + ((40 * q + 4 * left + 16) * total >> frac) + 1
+    return total, spread
 
 
 def _chain(factor, count, bits):
@@ -398,13 +405,14 @@ def _table(digits, band):
 
 def _kurepa_integral(x, j, p):
     xv = to_mpf(x, p)
-    if not 0 <= xv <= MAX_ARGUMENT:
+    xr = xv._mpf_
+    if xr[0] or mpf_gt(xr, from_int(MAX_ARGUMENT)):  # the sign bit, or above the domain
         raise DomainError(f"kurepa argument {xv} lies outside [0, {MAX_ARGUMENT}]")
     if j > MAX_ORDER:
         raise DomainError(f"kurepa derivative of order {j} is not supported (max {MAX_ORDER})")
     # x is rounded once, to p's working context, where the sum is rounded too
     ctx = context(p)
-    prec, xr = ctx.prec, xv._mpf_
+    prec = ctx.prec
     band = max(0, to_int(xr, up) - 1)  # an integer x takes the band below it
     tab = _table(p.decimal_digits, band)
     q, frac, left = tab.q, tab.frac, tab.left
@@ -419,8 +427,8 @@ def _kurepa_integral(x, j, p):
         right = (right * e >> frac) + w
     for w in weights[:left]:
         leftward = (leftward + w) * inverse >> frac
-    series = _series(tab.terms, tab.betas[j], q, left, frac, inverse,
-                     _power(inverse, left + 1, frac))[0]
+    series = _sums(tab.terms, tab.betas[j], frac, inverse)[0]
+    series = series * _power(inverse, left + 1, frac) >> frac
     num, zero = (right + leftward << frac) + (-1) ** (j + 1) * series, tab.orders[0][left]
     if j == 0:
         # less sum W_k and the series at x = 0, and the s = 0 node, x h/e
@@ -434,7 +442,7 @@ def _kurepa_integral(x, j, p):
                         from_int(q ** j), prec, rn)
     size = mpf_abs(value)
     err = mpf_add(tab.bounds[j], mpf_shift(size, -prec), prec, up)
-    if mpf_gt(err, mpf_mul(tab.floor, size if mpf_gt(size, fone) else fone)):
+    if mpf_gt(err, mpf_mul(tab.floor, size) if mpf_gt(size, fone) else tab.floor):
         raise PrecisionUnreachableError(
             f"Kurepa error bound {mpmath.nstr(ctx.make_mpf(err), 5)} exceeds its target")
     return QuadratureResult(ctx.make_mpf(value), ctx.make_mpf(err),

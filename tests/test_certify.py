@@ -4,11 +4,11 @@ import random
 import re
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from ineqprove import (
@@ -293,6 +293,26 @@ class TestCertifyPositive:
                 P = Polynomial(coefficients=(mpmath.mpf(args["coefficient"]), mpmath.mpf("0.5")),
                                segment=(mpmath.mpf(0), mpmath.mpf(1)))
                 certify_positive(P, args["delta"], args["margin_factor"], p50)
+
+
+def _two_step_bernstein(cheb):
+    # the change of basis the matrix replaces: powers of t from the basis
+    # table, then n! times the power-to-Bernstein map, k!(n-i)!/(k-i)!
+    n = len(cheb) - 1
+    power = remez.chebyshev_to_power(cheb)
+    fact = [factorial(i) for i in range(n + 1)]
+    return [sum(power[i] * fact[k] * fact[n - i] // fact[k - i] for i in range(k + 1))
+            for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("degree", range(21))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(cheb=st.lists(st.one_of(st.just(0), st.integers(-2 ** 256, 2 ** 256)),
+                     min_size=21, max_size=21))
+@example(cheb=[0] * 21)
+def test_bernstein_matrix_is_the_two_step_map(degree, cheb):
+    cheb = cheb[:degree + 1]
+    assert certify._bernstein(cheb) == _two_step_bernstein(cheb)
 
 
 def _exact_value(P, x):

@@ -21,11 +21,13 @@ from ineqprove import (
     Polynomial,
     Precision,
     ProofSettings,
+    certify,
     certify_positive,
     differentiate,
     expr,
     kurepa,
     parse,
+    precision,
     prove_inequality,
     quadrature,
     quotient,
@@ -96,13 +98,18 @@ KERNELS = {"cos_sin_basecase": libelefun, "exp_basecase": libelefun, "sqrtrem": 
 # the deepest bisection level of any
 FUZZ_COSTS = (67, 114, 7)
 
+# inside those 100 calls: the basis tables read, one per distinct degree,
+# and the parses of the margin text "1.000001" (100 and 100 when each call
+# built its own change of basis and parsed its own margin)
+FUZZ_PARSES = (7, 1)
 
-def _counter(monkeypatch, owner, name):
-    """Wrap owner.name for the test; the returned list holds its call count."""
+
+def _counter(monkeypatch, owner, name, when=lambda *args: True):
+    """Wrap owner.name for the test; the returned list counts its calls whose args pass ``when``."""
     calls, original = [0], getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls[0] += 1
+        calls[0] += bool(when(*args))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
@@ -143,9 +150,17 @@ def test_kurepa_call_exponentials(state, monkeypatch):
     assert calls[0] <= KUREPA_EXPONENTIALS[state]
 
 
-def test_certifier_fuzz_costs():
-    # the acceptance fuzz's draws, in its order
+def test_certifier_fuzz_costs(monkeypatch):
+    # the acceptance fuzz's draws, in its order; the basis table and the
+    # margin text are counted inside certify_positive alone, as
+    # Polynomial.from_monomial reads the table too
     rng, p30 = np.random.default_rng(20260809), Precision(30)
+    certify._bernstein_matrix.cache_clear()
+    precision._text.cache_clear()
+    inside = [False]
+    bases = _counter(monkeypatch, remez, "_shifted_chebyshev", lambda *args: inside[0])
+    margins = _counter(monkeypatch, mpmath.ctx_mp_python, "from_str",
+                       lambda text, *args: inside[0] and text == "1.000001")
     certified = leaves = depth = 0
     for trial in range(100):
         degree = int(rng.integers(0, 7))
@@ -155,15 +170,19 @@ def test_certifier_fuzz_costs():
         low, high = ((0.05, 0.6), (-0.5, -0.01), (1e-4, 1e-2))[trial % 3]
         mono[0] += delta + float(rng.uniform(low, high)) - raw_min
         P = Polynomial.from_monomial([repr(float(c)) for c in mono], 0, 1)
+        inside[0] = True
         try:
             cert = certify_positive(P, repr(delta), "1.000001", p30)
         except CertificationError:
             continue
+        finally:
+            inside[0] = False
         narrowest = min(hi - lo for lo, hi, _ in cert.subintervals)
         certified, leaves = certified + 1, leaves + len(cert.subintervals)
         depth = max(depth, round(math.log2(1 / narrowest)))
     assert certified == FUZZ_COSTS[0] and leaves <= FUZZ_COSTS[1] and depth <= FUZZ_COSTS[2], \
         (certified, leaves, depth)
+    assert bases[0] <= FUZZ_PARSES[0] and margins[0] <= FUZZ_PARSES[1], (bases[0], margins[0])
 
 
 def test_integer_orders_take_no_real_power(monkeypatch):
