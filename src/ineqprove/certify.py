@@ -236,7 +236,10 @@ def certify_positive(polynomial: Polynomial, delta, margin_factor,
     integer(p.decimal_digits, "certified precision in decimal digits", CERTIFICATION_MIN_DIGITS)
     dv = to_mpf(delta, p)
     mv = to_mpf(margin_factor, p)
-    coefficients = [to_mpf(c, p) for c in polynomial.coefficients]
+    # a Polynomial's coefficients are finite mpfs, read as their tuples are;
+    # a constant such as mpmath.pi is evaluated here, as to_mpf does
+    coefficients = [to_mpf(c, p) if hasattr(c, "func") else c
+                    for c in polynomial.coefficients]
     a, b = (to_mpf(v, p) for v in polynomial.segment)
     if dv._mpf_[0]:  # the sign bit: to_mpf gives finite values only
         raise ConfigurationError("delta must be nonnegative")

@@ -21,7 +21,9 @@ slot per distinct subexpression, and binds it to the point table: raw
 reading no context.  Constant subtrees are folded when it is bound, unless
 their evaluation raises (``1/(1-1)``), and every result has the bits that
 mpmath arithmetic at that precision gives.  Bound programs are memoized per
-(expression, precision) in a small bounded memo.
+(expression, precision) in a small bounded memo; a longer tree whose
+program starts with a memoized one, as the quotient's starts with f's,
+binds only its further steps (``compiled_over``).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from functools import lru_cache
 from mpmath.libmp import (
     fnone, fone, from_int, fzero, mpf_add, mpf_asin, mpf_atan, mpf_cos, mpf_cos_sin, mpf_div,
     mpf_e, mpf_eq, mpf_exp, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_neg, mpf_pi,
-    mpf_pow, mpf_pow_int, mpf_sin, mpf_sqrt, mpf_sub, prec_to_dps, round_nearest, to_str,
+    mpf_pos, mpf_pow, mpf_pow_int, mpf_sin, mpf_sqrt, mpf_sub, prec_to_dps, round_nearest, to_str,
 )
 
 from .errors import (
@@ -430,7 +432,7 @@ _UNARY = {
 UNARY_FUNCTIONS = tuple(name for name in _UNARY if name != "neg")  # the parser's names
 
 
-def _program(root: Node):
+def _program(root: Node, prefix=None):
     """root as a straight-line program of plain data: (slot count, top slot, steps).
 
     Slot 0 is x.  A step is (key, argument slots, output slot), in order of
@@ -440,9 +442,20 @@ def _program(root: Node):
     ``_BINARY``, ("pow", q), ("kurepa", order), or "cos_sin", which writes
     cos(u) and sin(u) to adjacent slots where both occur; a constant is a
     step with no arguments, keyed by its exact value (a Fraction or a name).
+    ``prefix``, (subtree, its program), numbers a subtree of root first, as
+    that program does, without walking it again: root's steps start with its.
     """
     # (key, args) -> slot; id(node) -> slot; args -> the index of their sin or cos step
     numbers, seen, steps, trig = {}, {}, [], {}
+    if prefix is not None:
+        subtree, (_, subtree_top, subtree_steps) = prefix
+        seen[id(subtree)], steps = subtree_top, list(subtree_steps)
+        for i, (key, args, out) in enumerate(steps):
+            if key in ("cos", "sin", "cos_sin"):
+                cos = out - (key == "sin")
+                numbers["cos", args], numbers["sin", args], trig[args] = cos, cos + 1, i
+            else:
+                numbers[key, args] = out
 
     def slot(node):
         if id(node) in seen:
@@ -511,6 +524,11 @@ def _point_kurepa(order, prec, p: Precision):
     return lambda v, prec, rnd: quadrature.kurepa_derivative(make(v), order, p).value._mpf_
 
 
+def _rounded(v, prec, rnd):
+    """v - 0 as ``mpf_sub`` rounds it: v itself where v has at most prec bits."""
+    return v if v[3] <= prec else mpf_pos(v, prec, rnd)
+
+
 # The point table: each key of a program -> its function, as in the operator
 # tables; a name -> (prec, rnd) -> its value; "pow" and "kurepa" -> (parameter,
 # prec, Precision) -> the function of that key.
@@ -518,23 +536,37 @@ POINT = {name: entry[0] for name, entry in (*_UNARY.items(), *_BINARY.items())} 
     "cos_sin": mpf_cos_sin, "pow": _point_pow, "kurepa": _point_kurepa}
 
 
-@lru_cache(maxsize=_MEMO_LIMIT)
-def _compile(root: Node, prec: int, p):
-    """x -> root(x) on libmp tuples at binary precision prec, round to nearest.
+# a bound program: x -> its value, and for a longer program that starts with
+# it, its slot values known when bound, the steps left to run, its tree and
+# its program
+_Bound = namedtuple("_Bound", "run values steps root program")
 
-    ``_program(root)`` bound to ``POINT``: each step's function is looked up
-    once, and a step whose arguments are known here runs here, unless it raises.
+
+def _bind(root: Node, prec: int, p, base: _Bound = None) -> _Bound:
+    """``_program(root)`` bound to ``POINT``: x -> root(x) at binary precision prec, to nearest.
+
+    Each step's function is looked up once, and a step whose arguments are
+    known here runs here, unless it raises.  ``base``, bound at the same
+    precision, is that of a subtree of root, which ``_program`` numbers
+    first: its slots and steps are taken as they are bound, folded constants
+    included, and only the steps after its own are bound.
     """
     rn = round_nearest
-    size, top, program = _program(root)
+    size, top, program = _program(root, base and (base.root, base.program))
     # slot -> its value where known here; the steps (f, a, b, out) left, each
     # writing f(v[a], v[b]), or f(v[a]) where b is None, to slot or slice out
-    values, steps = [None] * size, []
-    for key, args, out in program:
+    values, steps, done = [None] * size, [], 0
+    if base is not None:
+        done, steps, values[:len(base.values)] = len(base.program[2]), list(base.steps), base.values
+        if program[:done] != base.program[2]:  # a sin or cos of root's merged with one of base's
+            raise ValueError("the tree's program does not start with the base program")
+    for key, args, out in program[done:]:
         if not args:
             values[out] = rational(key, prec) if isinstance(key, Fraction) else POINT[key](prec, rn)
             continue
         f = POINT[key[0]](key[1], prec, p) if isinstance(key, tuple) else POINT[key]
+        if key == "sub" and values[args[1]] == fzero:
+            f, args = _rounded, args[:1]
         if key == "cos_sin":
             out = slice(out, out + 2)
         if all(values[i] is not None for i in args):
@@ -552,7 +584,11 @@ def _compile(root: Node, prec: int, p):
             v[out] = f(v[a], prec, rn) if b is None else f(v[a], v[b], prec, rn)
         return v[top]
 
-    return run
+    return _Bound(run, values, steps, root, (size, top, program))
+
+
+# _bind(root, prec, p), memoized per (tree, precision)
+_compile = lru_cache(maxsize=_MEMO_LIMIT)(_bind)
 
 
 def compiled(e, p: Precision):
@@ -562,7 +598,19 @@ def compiled(e, p: Precision):
     the argument alone.
     """
     root = e.root if isinstance(e, Expression) else e
-    return _compile(root, context(p).prec, p)
+    return _compile(root, context(p).prec, p).run
+
+
+def compiled_over(e, root: Node, p: Precision):
+    """x -> root(x) as ``compiled`` gives it, for a tree whose program starts with e's.
+
+    e's memoized program is taken as it is bound, and only root's further
+    steps are bound here, so e's constant subtrees are not folded again;
+    the result is kept in no memo.  Where root is e's tree, it is e's run.
+    """
+    prec = context(p).prec
+    base = _compile(e.root, prec, p)
+    return base.run if root is e.root else _bind(root, prec, p, base).run
 
 
 def evaluate(e: Expression, x, p: Precision = Precision()):
@@ -584,7 +632,7 @@ def constant_value(source: str, p: Precision):
     if any(tok.kind == "ident" and tok.text == "x" for tok in _tokenize(source)):
         raise ConfigurationError(f"{source!r} involves x")
     ctx = context(p)
-    return ctx.make_mpf(_compile(e.root, ctx.prec, None)(None))
+    return ctx.make_mpf(_compile(e.root, ctx.prec, None).run(None))
 
 
 def _d(node: Node) -> Node:

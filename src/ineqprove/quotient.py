@@ -13,24 +13,30 @@ Endpoint limits come from two routes:
   after checking that all lower-order derivatives vanish: each must lie
   within ``resolution_floor(p)``, the zero level of the endpoint limits;
 * ``endpoint_limits_numeric`` -- quotient samples at ``probe_points``,
-  a + (b-a) 4^-j, j = 3..12 (mirrored at b), accelerated by iterated Aitken
-  extrapolation; works for non-integer orders, and its observed exponent
-  says which supplied order is off.
+  a + (b-a) 4^-j, j = 3..12 (mirrored at b, sampled once end a has its
+  limit), accelerated by iterated Aitken extrapolation; works for
+  non-integer orders, and its observed exponent says which supplied order
+  is off.
 
-The quotient is formed on raw ``mpmath.libmp`` tuples from the compiled f,
-at the working precision of the run, from x, x - a and b - x.  An order 0
-forms no factor, an order 1 is the difference itself, and another order is
-the point table's power, ``expr.POINT["pow"]``: one ``mpf_pow_int`` for an
-integer order, the real power for another.  With both orders 0 there
-is no division, and f's value is rounded to the working precision alone.
+g is one straight-line program over f's (``_compiled_quotient``): the tree
+f / ((x-a)^n (b-x)^m), built with ``expr``'s constructors, f's subtree
+first, so that f's memoized program is its prefix and only the quotient's
+steps are bound on top of it.  Value numbering shares the quotient's steps
+with f's own: b - x with f's 1 - x where b = 1, and (b - x)^(1/2), written
+as sqrt, with f's sqrt(1 - x).  It runs on raw ``mpmath.libmp`` tuples at
+the working precision of the run.  An order 0 forms no factor, an order 1
+is the difference itself, and another is a power step of the program: one
+``mpf_pow_int`` for an integer order, the real power for another.  With
+both orders 0 there is no division, and f's value is g's.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from mpmath.libmp import (
-    fzero, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_pos, mpf_sub, round_nearest,
+    from_man_exp, fzero, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_pos, mpf_sub, round_nearest,
 )
 
 from .errors import (
@@ -41,7 +47,10 @@ from .errors import (
     UnstableLimitError,
     ZeroLimitError,
 )
-from .expr import POINT, Expression, compiled, differentiate, evaluate, show
+from .expr import (
+    BinaryOp, Constant, Expression, UnaryOp, X, compiled_over, differentiate, div, evaluate,
+    mul, pow_, show,
+)
 from .precision import (
     Precision, cancellation_floor, context, finite_orders, finite_segment, fraction,
     resolution_floor, sampling_ratio, to_mpf,
@@ -54,33 +63,29 @@ EDGE_FRACTION = "1e-8"
 STABILIZE_TOL = "1e-8"
 
 
-def _factor(order, prec):
-    """(d, prec, rnd) -> d^order on libmp tuples, by ``POINT``'s power for d > 0; None for order 0."""
-    q = fraction(order)
-    return None if q == 0 else (lambda d, prec, rnd: d) if q == 1 else POINT["pow"](q, prec, None)
+def _compiled_quotient(f: Expression, a, b, n, m, p):
+    """x -> f(x) / ((x-a)^n (b-x)^m) on libmp tuples, a < x < b: one program over f's.
+
+    The differences are left unfolded, so x - a is rounded before its power
+    for a = 0 too; with no factor, an f that is x alone is divided by one,
+    which rounds it.
+    """
+    def power(d, order):
+        q = fraction(order)
+        return UnaryOp("sqrt", d) if q == Fraction(1, 2) else pow_(d, Constant(q))
+
+    den = mul(power(BinaryOp("sub", X, Constant(fraction(a))), n),
+              power(BinaryOp("sub", Constant(fraction(b)), X), m))
+    root = BinaryOp("div", X, den) if f.root == X else div(f.root, den)
+    return compiled_over(f, root, p)
 
 
-def _quotient(f, n, m, p):
-    """(x, x-a, b-x) -> f(x) / ((x-a)^n (b-x)^m) on libmp tuples, a < x < b, no endpoint handling."""
-    prec, rn = context(p).prec, round_nearest
-    fx = compiled(f, p)
-    pa, pb = _factor(n, prec), _factor(m, prec)
-
-    if not (pa or pb):
-        # f's value rounded to prec, as a division by one rounds it
-        return lambda x, da, db: mpf_pos(fx(x), prec, rn)
-
-    def quotient(x, da, db):
-        den = mpf_mul(pa(da, prec, rn), pb(db, prec, rn), prec, rn) if pa and pb else \
-            pa(da, prec, rn) if pa else pb(db, prec, rn)
-        return mpf_div(fx(x), den, prec, rn)
-
-    return quotient
-
-
-def _arguments(x, a, b, prec):
-    # the quotient's arguments at x: (x, x - a, b - x), on libmp tuples at prec
-    return x, mpf_sub(x, a, prec, round_nearest), mpf_sub(b, x, prec, round_nearest)
+def _less(s, t):
+    """s < t, exactly, for finite libmp tuples."""
+    ss, sm, se, _ = s
+    ts, tm, te, _ = t
+    sm, tm = -sm if ss else sm, -tm if ts else tm
+    return (sm << se - te) < tm if se >= te else sm < (tm << te - se)
 
 
 class QuotientFunction:
@@ -88,11 +93,12 @@ class QuotientFunction:
 
     Within (b-a)*1e-8 of an endpoint the raw quotient is 0/0-noisy, so
     evaluation switches to a linear blend between the endpoint limit and the
-    quotient value at the zone boundary.  Instances are immutable once built.
+    quotient value at the zone boundary, g0, formed once per end on first
+    need.  Instances do not change otherwise once built.
 
-    ``f`` is compiled once.  Every value of g -- interior, blend zone or
-    endpoint -- and the message of an argument outside the segment are
-    formed on libmp tuples at the working precision of ``precision``, and
+    Every value of g -- interior, blend zone or endpoint -- and the message
+    of an argument outside the segment are formed on libmp tuples at the
+    working precision of ``precision``, the quotient by its one program, and
     every value is an mpf of its working context.
     """
 
@@ -107,36 +113,39 @@ class QuotientFunction:
         edge = (self.b - self.a) * to_mpf(EDGE_FRACTION, precision)
         self._p, ctx = precision, context(precision)
         self._make, self._prec = ctx.make_mpf, ctx.prec
-        a, b = self.a._mpf_, self.b._mpf_
-        # per end: its limit and the quotient's arguments where the blend meets g
-        self._zones = ((self.alpha._mpf_, _arguments((self.a + edge)._mpf_, a, b, ctx.prec)),
-                       (self.beta._mpf_, _arguments((self.b - edge)._mpf_, a, b, ctx.prec)))
-        # edge < 2^top, top the exponent just above edge's leading bit
-        self._edge, self._top, self._type = edge._mpf_, edge._mpf_[2] + edge._mpf_[3], ctx.mpf
-        self._quotient = _quotient(f, self.n, self.m, precision)
+        # per end: its limit, the point where the blend meets g, and g there once formed
+        self._zones = [[self.alpha._mpf_, (self.a + edge)._mpf_, None],
+                       [self.beta._mpf_, (self.b - edge)._mpf_, None]]
+        self._edge, self._type = edge._mpf_, ctx.mpf
+        # an x in [a + 2^top, b - 2^top], compared exactly, where 2^top is the
+        # power of two just above edge, clears both zones with no difference
+        # of its own: each difference rounds to at least 2^top
+        step = from_man_exp(1, edge._mpf_[2] + edge._mpf_[3])
+        self._inner = mpf_add(self.a._mpf_, step, 0), mpf_sub(self.b._mpf_, step, 0)
+        self._g = _compiled_quotient(f, self.a, self.b, self.n, self.m, precision)
 
     def evaluate(self, x):
         # a finite mpf of the working context is taken as it is
         t = x._mpf_ if type(x) is self._type and x._mpf_[3] >= 0 else to_mpf(x, self._p)._mpf_
+        lo, hi = self._inner
+        if not (_less(t, lo) or _less(hi, t)):
+            return self._make(self._g(t))
         prec, rn = self._prec, round_nearest
-        a, b, edge, top = self.a._mpf_, self.b._mpf_, self._edge, self._top
-        # rounded to nearest, each difference has the sign of the exact one;
-        # a positive one whose leading bit lies above edge's clears the zone
-        # without a comparison
+        a, b, edge = self.a._mpf_, self.b._mpf_, self._edge
+        # rounded to nearest, each difference has the sign of the exact one
         da, db = mpf_sub(t, a, prec, rn), mpf_sub(b, t, prec, rn)
-        if not (da[0] or db[0]) and da[1] and db[1] and \
-                (da[2] + da[3] > top or not mpf_lt(da, edge)) and \
-                (db[2] + db[3] > top or not mpf_lt(db, edge)):
-            return self._make(self._quotient(t, da, db))
+        if not (mpf_lt(da, edge) or mpf_lt(db, edge)):
+            return self._make(self._g(t))
         if da[0] or db[0]:
             raise DomainError(f"{show(t, prec)} outside segment [{show(a, prec)}, {show(b, prec)}]")
         for d, lim in ((da, self.alpha), (db, self.beta)):
             if d == fzero:  # t is that end
                 return self._make(mpf_pos(lim._mpf_, prec, rn))
         # the blend lim + ((g0 - lim) * d) / edge toward the nearer end
-        side, d = (0, da) if mpf_lt(da, edge) else (1, db)
-        lim, arguments = self._zones[side]
-        g0 = self._quotient(*arguments)
+        zone, d = (self._zones[0], da) if mpf_lt(da, edge) else (self._zones[1], db)
+        lim, boundary, g0 = zone
+        if g0 is None:
+            g0 = zone[2] = self._g(boundary)
         step = mpf_div(mpf_mul(mpf_sub(g0, lim, prec, rn), d, prec, rn), edge, prec, rn)
         return self._make(mpf_add(lim, step, prec, rn))
 
@@ -251,9 +260,7 @@ def endpoint_limits_numeric(f: Expression, a, b, n, m, p: Precision = Precision(
     ctx = context(p)
     av, bv = finite_segment(a, b, p)
     nv, mv = finite_orders(n, m, p)
-    a, b, q = av._mpf_, bv._mpf_, _quotient(f, nv, mv, p)
-    sample = lambda x: ctx.make_mpf(q(*_arguments(x._mpf_, a, b, ctx.prec)))
-    qa, qb = ([sample(x) for x in points] for points in probe_points(av, bv, p))
-    alpha = _extrapolate(qa, "a", p)
-    beta = _extrapolate(qb, "b", p)
-    return +alpha, +beta
+    q = _compiled_quotient(f, av, bv, nv, mv, p)
+    # end b is sampled only once end a has its limit
+    return tuple(+_extrapolate([ctx.make_mpf(q(x._mpf_)) for x in points], end, p)
+                 for end, points in zip("ab", probe_points(av, bv, p)))

@@ -31,15 +31,20 @@ proofs, such as a round of the benchmark's ``elementary_mix``, 45 to 54.
 
 The sweep stays on libmp tuples.  ``minimax`` fetches g on its grid once,
 in grid order, and each iteration forms every g - P by ``residual_sweep``,
-whose P values come from the one Clenshaw loop (``Polynomial._value``,
-which ``_values`` maps over a sweep and ``evaluate`` and the Brent probes
-call for one point), with u read from the grid's table.  P(x)
-is the exact sum of c_j T_j(u), u as ``_units`` rounds it, rounded once to
-nearest; the loop runs on integers, which grow by about the precision per
-degree plus the spread of the coefficients' exponents.  Magnitudes are
-compared as integer keys (``magnitude_keys``); the exchange and its Brent
-polisher step on tuples, rounding to nearest as mpf arithmetic of the same
-precision does, and make mpfs only where g is called and for the extrema.
+with u read from the grid's table.  P(x) is the exact sum of c_j T_j(u), u
+as ``_units`` rounds it, rounded once to nearest, and g - P is rounded once
+more, as ``mpf_sub`` rounds it.  Each residual is one integer pass
+(``Polynomial._residual``, which the sweeps and the Brent probes call):
+Clenshaw in fixed point at prec + 64 bits, whose error is under k + 1 units
+for |u| <= 1, gives P's rounding where its value less and plus that bound
+round alike (Ziv's rounding test); elsewhere the exact Clenshaw on integers
+(``Polynomial._value``, which ``evaluate`` calls) gives it, its integers
+growing by about the precision per degree plus the spread of the
+coefficients' exponents.  g - P is then formed on integers and rounded once.
+Magnitudes are compared as integer keys (``magnitude_keys``), formed once
+per sweep; the exchange and its Brent polisher step on tuples, rounding to
+nearest as mpf arithmetic of the same precision does, and make mpfs only
+where g is called and for the extrema.
 ``minimax`` returns a map of the residuals of its last iteration, on the
 grid and at the nodes, and the residual check takes every sample it finds
 there instead of computing it again: on the proof's residual grid, twice as
@@ -105,13 +110,9 @@ class Polynomial:
         return len(self.coefficients) - 1
 
     def evaluate(self, x):
-        """P(x) in the context of the segment, with the bits ``_values`` gives at x."""
+        """P(x) in the context of the segment: ``_value`` at x's u."""
         ctx = self.segment[0].context
         return ctx.make_mpf(self._value(self._unit(ctx.convert(x)._mpf_)))
-
-    def _values(self, xs, units=None):
-        """P at each x of ``xs`` in turn, by ``_value``; ``units`` may hold the u of each."""
-        return map(self._value, _units(self.segment, xs) if units is None else units)
 
     @cached_property
     def _value(self):
@@ -139,6 +140,50 @@ class Polynomial:
             return from_man_exp(u * b1 - (b2 << s2) + (c0 << shift), low - shift, prec, rn)
 
         return value
+
+    @cached_property
+    def _residual(self):
+        """(g, u) -> g - P(u) on libmp tuples, with the bits of ``mpf_sub(g, _value(u))``.
+
+        One integer pass: Clenshaw in fixed point, u exact on W = prec + 64
+        fraction bits and the b_k on integers in units of 2^L, where every
+        c_j is a whole number of units and L <= top - W, |c_j| < 2^top.  The
+        floor of each product 2u b_(k+1), and of the last u b_1, acts as a
+        change of that step's c_j by less than a unit, so for |u| <= 1, where
+        |T_j(u)| <= 1, the value V is within E = k + 1 units of the exact sum.
+        If V - E and V + E round alike at prec bits, in one binade and one
+        rounding cell, P rounds so too (Ziv's test); otherwise, and where
+        |u| > 1, u is not exact on W bits or g is not finite, ``_value`` gives
+        P.  g - P is formed on integers and rounded once by ``_normal``.
+        """
+        value, prec, rn = self._value, self.segment[0].context.prec, round_nearest
+        (c0, *rest), low = exact(self.coefficients)
+        rest.reverse()
+        w, err = prec + 64, len(rest) + 1
+        # units of 2^lo: at least W bits below the largest |c_j|, and none above low
+        shift = max(0, w - max(abs(c).bit_length() for c in (c0, *rest)))
+        lo, c0, rest = low - shift, c0 << shift, [c << shift for c in rest]
+
+        def residual(g, u):
+            sign, m, e, bc = u
+            if e >= -w and (e + bc <= 0 or m == 1 and not e) and g[3] >= 0:
+                t = (-m if sign else m) << e + w
+                b1 = b2 = 0
+                for c in rest:
+                    b1, b2 = (t * b1 >> w - 1) - b2 + c, b1
+                v = (t * b1 >> w) - b2 + c0
+                below, above = abs(v) - err, abs(v) + err
+                n = above.bit_length() - prec
+                if below > 0 and n > 0 and below.bit_length() == above.bit_length() and \
+                        below + (1 << n - 1) >> n == (q := above + (1 << n - 1) >> n):
+                    # g - P on integers, P = +-q 2^(lo + n)
+                    gs, gm, ge, _ = g
+                    pe, pm, gm = lo + n, (-q if v < 0 else q), (-gm if gs else gm)
+                    d, de = ((gm << ge - pe) - pm, pe) if ge >= pe else (gm - (pm << pe - ge), ge)
+                    return _normal(d, de, prec) if d else fzero
+            return mpf_sub(g, value(u), prec, rn)
+
+        return residual
 
     @cached_property
     def _unit(self):
@@ -173,6 +218,22 @@ class Polynomial:
             # eliminate T_j, and with it the top power
             power = [u - cheb[-1] * v for u, v in zip(power, row[:-1])]
         return Polynomial(coefficients=_rounded(reversed(cheb), p), segment=(av, bv))
+
+
+def _normal(n, exp, prec):
+    """n 2^exp, n a nonzero integer, rounded to nearest at prec bits as libmp's ``normalize`` does.
+
+    Ties go to the even mantissa, and the tuple's mantissa is odd.
+    """
+    sign, man = (1, -n) if n < 0 else (0, n)
+    shift = man.bit_length() - prec
+    if shift > 0:
+        t = man >> shift - 1
+        man = (t >> 1) + 1 if t & 1 and (t & 2 or man & (1 << shift - 1) - 1) else t >> 1
+        exp += shift
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return sign, man, exp + zeros, man.bit_length()
 
 
 def _shifted_chebyshev(n):
@@ -236,8 +297,7 @@ def residual_sweep(g_values, poly, xs, units=None):
     g(x) in the context of P's segment, each residual has the bits of
     ``g(x) - poly.evaluate(x)``.
     """
-    prec, rn = poly.segment[0].context.prec, round_nearest
-    return (mpf_sub(gx, px, prec, rn) for gx, px in zip(g_values, poly._values(xs, units)))
+    return map(poly._residual, g_values, _units(poly.segment, xs) if units is None else units)
 
 
 def magnitude_keys(values, prec):
@@ -255,7 +315,12 @@ def largest_magnitude(values, prec):
 
     The values are as ``magnitude_keys`` takes them.
     """
-    i, key = max(enumerate(magnitude_keys(values, prec)), key=itemgetter(1))
+    return _largest(magnitude_keys(values, prec), prec)
+
+
+def _largest(keys, prec):
+    """(index, |v|) of the first of largest magnitude, from the ``magnitude_keys`` of the values."""
+    i, key = max(enumerate(keys), key=itemgetter(1))
     # the key holds |v| exactly
     return i, from_man_exp(key[1], key[0] - prec) if key else fzero
 
@@ -402,6 +467,13 @@ def _solve_levelled_system(g, nodes, a, b, p: Precision):
 _BY_VALUE = cmp_to_key(lambda s, t: mpf_cmp(s[1], t[1]))
 
 
+@lru_cache(maxsize=16)
+def _golden(prec):
+    """(3 - sqrt(5))/2, the golden-section step, each step rounded to nearest at prec."""
+    rn = round_nearest
+    return mpf_shift(mpf_sub(from_int(3), mpf_sqrt(from_int(5), prec, rn), prec, rn), -1)
+
+
 def _polish_max(phi, lo, hi, width_tol, known, prec):
     """Brent's parabolic-plus-golden maximization of phi on [lo, hi], on libmp tuples.
 
@@ -428,7 +500,7 @@ def _polish_max(phi, lo, hi, width_tol, known, prec):
         (v, fv), (w, fw), (x, fx) = (w, fw), (x, fx), (u, fu)
     else:
         v, fv = ranked[2]
-    golden = mpf_shift(mpf_sub(from_int(3), mpf_sqrt(from_int(5), prec, rn), prec, rn), -1)
+    golden = _golden(prec)
     # least step; at a quarter of the width, every probe lands at least one
     # step inside a bracket wider than width_tol, so the bracket shrinks
     step_tol = mpf_shift(width_tol, -2)
@@ -486,22 +558,22 @@ def _polish_max(phi, lo, hi, width_tol, known, prec):
     return x, fx
 
 
-def _exchange_core(g, poly, grid, rs, current_nodes):
+def _exchange_core(g, poly, grid, rs, keys, current_nodes):
     """(nodes, residuals) of the next reference, from the residuals ``rs`` at the grid points.
 
-    ``rs`` are libmp tuples, not all zero; ``current_nodes`` is the strictly
-    increasing reference P was solved on.  The candidates are the grid
+    ``rs`` are libmp tuples, not all zero, and ``keys`` their
+    ``magnitude_keys``; ``current_nodes`` is the strictly increasing
+    reference P was solved on.  The candidates are the grid
     points whose magnitude is at least their neighbours'; mpfs are made only
     where g is called and for the extrema polishing finds.
     """
     a, b = poly.segment
     ctx = a.context
-    prec, rn, make = ctx.prec, round_nearest, ctx.make_mpf
+    prec, make = ctx.prec, ctx.make_mpf
     k = poly.degree
     required = k + 2
     width_tol = ((b - a) * ctx.mpf(REFINE_WIDTH_FACTOR))._mpf_
     count = len(grid)
-    keys = list(magnitude_keys(rs, prec))
 
     # () is the lowest key: the grid ends have one neighbour each
     candidates = [i for i, (left, r, right) in enumerate(zip([()] + keys, keys, keys[1:] + [()]))
@@ -513,7 +585,7 @@ def _exchange_core(g, poly, grid, rs, current_nodes):
 
         def phi(t, _negative=negative):
             x = make(t)
-            r = mpf_sub(g(x)._mpf_, poly._value(poly._unit(t)), prec, rn)
+            r = poly._residual(g(x)._mpf_, poly._unit(t))
             return mpf_neg(r) if _negative else r
 
         known = [(grid[j]._mpf_, mpf_neg(rs[j]) if negative else rs[j])
@@ -601,14 +673,15 @@ def minimax(g, a, b, k: int, p: Precision = Precision(),
         poly, h = _solve_levelled_system(gc, nodes, av, bv, p)
         history.append(abs(h))
         rs = list(residual_sweep(g_grid, poly, grid, units))
-        grid_max = make(largest_magnitude(rs, prec)[1])
+        keys = list(magnitude_keys(rs, prec))
+        grid_max = make(_largest(keys, prec)[1])
         if grid_max <= zero_floor:
             # exact representation: grid_max is only rounding noise, and a
             # denser grid finds more of it, so the floor is the estimate
             residuals = [make(r) for r in residual_sweep((gc(t)._mpf_ for t in nodes),
                                                          poly, nodes)]
             return result(zero_floor, min(abs(h), grid_max))
-        nodes, residuals = _exchange_core(gc, poly, grid, rs, nodes)
+        nodes, residuals = _exchange_core(gc, poly, grid, rs, keys, nodes)
         lower = min(abs(r) for r in residuals)
         upper = max(max(abs(r) for r in residuals), grid_max)
         if (upper - lower) / upper <= tol:

@@ -294,6 +294,21 @@ class TestCertifyPositive:
                                segment=(mpmath.mpf(0), mpmath.mpf(1)))
                 certify_positive(P, args["delta"], args["margin_factor"], p50)
 
+    def test_a_constant_coefficient_is_evaluated_at_its_precision(self, p30):
+        # the certifier reads each coefficient's tuple, but a constant such as
+        # mpmath.pi is evaluated in the certifier's context, as to_mpf does,
+        # whatever the ambient precision
+        segment = finite_segment(0, 1, p30)
+        ones = (mpmath.mpf(-1), mpmath.mpf("0.25"))
+        pi = Polynomial(coefficients=(mpmath.pi, *ones), segment=segment)
+        evaluated = Polynomial(coefficients=(to_mpf(mpmath.pi, p30), *ones), segment=segment)
+        want = certify_positive(evaluated, "0.1", "1.000001", p30)
+        for dps in (15, 30, 100):
+            with mp.workdps(dps):
+                got = certify_positive(pi, "0.1", "1.000001", p30)
+            assert (got.subintervals, got.global_min_bound) == \
+                (want.subintervals, want.global_min_bound), dps
+
 
 def _two_step_bernstein(cheb):
     # the change of basis the matrix replaces: powers of t from the basis

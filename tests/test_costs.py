@@ -10,6 +10,7 @@ counts do not depend on the order the tests run in.
 """
 
 import math
+import sys
 
 import mpmath.ctx_mp_python
 import numpy as np
@@ -100,8 +101,10 @@ FUZZ_COSTS = (67, 114, 7)
 
 # inside those 100 calls: the basis tables read, one per distinct degree,
 # and the parses of the margin text "1.000001" (100 and 100 when each call
-# built its own change of basis and parsed its own margin)
-FUZZ_PARSES = (7, 1)
+# built its own change of basis and parsed its own margin); then the values
+# that are not text converted by to_mpf, the two segment ends of each call
+# (628 when every coefficient was converted too)
+FUZZ_PARSES = (7, 1, 200)
 
 
 def _counter(monkeypatch, owner, name, when=lambda *args: True):
@@ -161,6 +164,8 @@ def test_certifier_fuzz_costs(monkeypatch):
     bases = _counter(monkeypatch, remez, "_shifted_chebyshev", lambda *args: inside[0])
     margins = _counter(monkeypatch, mpmath.ctx_mp_python, "from_str",
                        lambda text, *args: inside[0] and text == "1.000001")
+    conversions = _counter(monkeypatch, certify, "to_mpf",
+                           lambda value, *args: inside[0] and not isinstance(value, str))
     certified = leaves = depth = 0
     for trial in range(100):
         degree = int(rng.integers(0, 7))
@@ -182,7 +187,8 @@ def test_certifier_fuzz_costs(monkeypatch):
         depth = max(depth, round(math.log2(1 / narrowest)))
     assert certified == FUZZ_COSTS[0] and leaves <= FUZZ_COSTS[1] and depth <= FUZZ_COSTS[2], \
         (certified, leaves, depth)
-    assert bases[0] <= FUZZ_PARSES[0] and margins[0] <= FUZZ_PARSES[1], (bases[0], margins[0])
+    counts = (bases[0], margins[0], conversions[0])
+    assert all(count <= bound for count, bound in zip(counts, FUZZ_PARSES)), counts
 
 
 def test_integer_orders_take_no_real_power(monkeypatch):
@@ -205,14 +211,40 @@ def test_an_integer_exponent_takes_mpf_pow_int_alone(monkeypatch):
     assert [count[0] for count in calls] == [0, 0]
 
 
-def test_a_fresh_sample_takes_two_differences(monkeypatch):
-    # x - a and b - x, once per fresh sample of g; besides them, building g
-    # takes the two differences at each blend zone's boundary, and a sample
-    # in a blend zone one more, for g0 - lim, beside its one mpf_add
+def test_an_interior_sample_takes_no_difference_of_its_own(monkeypatch):
+    # x - a and b - x are steps of g's program; evaluate takes them itself
+    # only off [a + 2^top, b - 2^top], at the ends and in the blend zones,
+    # where a sample takes one more, for g0 - lim, beside its one mpf_add.
+    # Building g adds one of each for those bounds.  The exp proof has 4 such
+    # samples, its two ends and two of Brent's probes (before: 2 * fresh + 4 +
+    # 2 differences, two per fresh sample and two at each zone's boundary)
     subs = _counter(monkeypatch, quotient, "mpf_sub")
     blends = _counter(monkeypatch, quotient, "mpf_add")
-    fresh = _prove("exp").timings["g_evaluations"]
-    assert (subs[0], blends[0]) == (2 * fresh + 4 + 2, 2)
+    _prove("exp")
+    assert (subs[0], blends[0]) == (1 + 2 * 4 + 2, 1 + 2)
+
+
+def test_the_numeric_route_samples_an_end_once_the_other_has_its_limit(monkeypatch):
+    # the elementary_mix arcsin_raw proof (orders 1, 1 where f has 3 and 1/2)
+    # fails at end a, so its cross-check never samples end b: 10 quotient
+    # samples (before: 20, both ends sampled first)
+    samples, build = [0], quotient._compiled_quotient
+
+    def counting(*args):
+        run = build(*args)
+
+        def counted(x):
+            samples[0] += 1
+            return run(x)
+
+        return counted
+
+    monkeypatch.setattr(quotient, "_compiled_quotient", counting)
+    report = prove_inequality(ARCSIN_DIFF_SOURCE, 0, 1, 1, 1, 1,
+                              ProofSettings(precision=Precision(50)))
+    assert report.diagnostics["stage"] == "endpoint_limits"
+    assert "endpoint a" in report.diagnostics["limit_cross_check"]["failed"]
+    assert samples[0] <= 10
 
 
 @pytest.mark.parametrize("name", EVALUATION_COSTS)
@@ -252,9 +284,28 @@ def _g(source, a, b, n, m, alpha, beta):
     return quotient.QuotientFunction(parse(source), a, b, n, m, alpha, beta, Precision(50))
 
 
+def test_the_quotient_shares_the_square_root_of_f():
+    # one fresh sample of the real-order arcsin quotient, m = 1/2 on [0, 1]:
+    # sqrt(1+x), sqrt(1-x), arcsin's own and (1-x)^(1/2), which is f's
+    # sqrt(1-x), so 3 mpf_sqrt calls (before: 4); every call is counted,
+    # however its caller holds mpf_sqrt
+    g = _g(ARCSIN_DIFF_SOURCE, 0, 1, 3, "1/2", 1, 1)
+    x, calls, code = to_mpf("0.37", Precision(50)), [0], libmpf.mpf_sqrt.__code__
+
+    def profile(frame, event, arg):
+        calls[0] += event == "call" and frame.f_code is code
+
+    sys.setprofile(profile)
+    try:
+        g.evaluate(x)
+    finally:
+        sys.setprofile(None)
+    assert calls[0] <= 3
+
+
 def test_an_interior_sample_compares_by_exponents(monkeypatch):
-    # x - a and b - x clear the blend zone by their leading bits, with no
-    # mpf_lt call (before: 2 per sample)
+    # a sample in [a + 2^top, b - 2^top] clears the blend zones by one exact
+    # comparison on integers, with no mpf_lt call (before: 2 per sample)
     g = _g("exp(x)-1-x", 0, 1, 2, 0, "1/2", "e-2")
     lts = _counter(monkeypatch, quotient, "mpf_lt")
     for x in ("1e-7", "0.37", "0.9999999"):

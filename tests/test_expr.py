@@ -9,7 +9,9 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
-from mpmath.libmp import from_int, from_rational, mpf_pow, round_nearest
+from mpmath.libmp import (
+    from_int, from_man_exp, from_rational, fzero, mpf_pow, mpf_sub, round_nearest,
+)
 
 from ineqprove import (
     ConfigurationError,
@@ -34,9 +36,14 @@ from ineqprove.expr import (
     NamedConstant,
     UnaryOp,
     Variable,
+    X,
     _program,
     compiled,
+    compiled_over,
     constant_value,
+    div,
+    mul,
+    pow_,
     to_source,
 )
 from ineqprove.precision import context
@@ -426,6 +433,43 @@ def test_the_program_is_plain_data():
     assert [key for key, _, _ in steps].count("cos_sin") == 1
     assert [type(key) for key, args, _ in steps if not args] == [Fraction]
     assert all(type(key[1]) in (Fraction, int) for key, _, _ in steps if type(key) is tuple)
+
+
+@pytest.mark.parametrize("source", [
+    "sin(x/2)+cos(x/2)+2^(1/2)*kurepa(x)", "sin(x) - x", "cos(x^2)*(1-x)", "sqrt(1-x) + x^3",
+    "(x-(31/100))^2-(1/100)", "x", "cos(x) + x",
+])
+def test_a_prefix_numbers_as_a_fresh_walk(source):
+    # a tree over f, f's subtree first, numbered from f's program without
+    # walking f again, is numbered as a fresh walk numbers it
+    f = parse(source).root
+    den = mul(UnaryOp("sqrt", BinaryOp("sub", Constant(Fraction(1)), X)),
+              pow_(BinaryOp("sub", X, Constant(Fraction(0))), Constant(Fraction(3))))
+    for root in (div(f, den), f, BinaryOp("add", f, UnaryOp("sin", X))):
+        assert _program(root, (f, _program(f))) == _program(root), root
+
+
+def test_a_tree_that_changes_its_base_program_is_refused(p30):
+    # sin(x) beside f's lone cos(x) makes f's step a cos_sin step, which f's
+    # bound program does not run, so compiled_over refuses the tree
+    f = parse("cos(x) + x")
+    with pytest.raises(ValueError, match="does not start with the base program"):
+        compiled_over(f, BinaryOp("add", f.root, UnaryOp("sin", X)), p30)
+    g = compiled_over(f, BinaryOp("add", f.root, UnaryOp("exp", X)), p30)
+    x = to_mpf("0.37", p30)
+    assert context(p30).make_mpf(g(x._mpf_)) == evaluate(parse("cos(x) + x + exp(x)"), x, p30)
+
+
+def test_a_difference_with_zero_has_the_bits_of_mpf_sub(p30):
+    # the binder runs u - 0, which only rounds u, without a subtraction
+    prec = context(p30).prec
+    f = compiled(BinaryOp("sub", X, Constant(Fraction(0))), p30)
+    rng = random.Random(7)
+    for bits in (1, prec - 1, prec, prec + 1, prec + 2, 3 * prec):
+        for man in ((1 << bits) - 1, (1 << bits - 1) + 1, rng.getrandbits(bits) | 1):
+            for v in (from_man_exp(man, -bits), from_man_exp(-man, 40)):
+                assert f(v) == mpf_sub(v, fzero, prec, round_nearest), (bits, man)
+    assert f(fzero) == fzero
 
 
 # a table of exact rational arithmetic: an operator key -> its function, and

@@ -4,7 +4,10 @@ import random
 import mpmath
 import pytest
 from mpmath import mp
-from mpmath.libmp import mpf_div, mpf_sub, round_nearest
+from mpmath.libmp import (
+    from_man_exp, from_rational, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_pow_int, mpf_sqrt, mpf_sub,
+    round_nearest,
+)
 
 from ineqprove import (
     ConfigurationError,
@@ -30,7 +33,7 @@ from ineqprove.expr import compiled
 from ineqprove.precision import (
     Precision, context, finite_orders, finite_segment, fraction, rational, to_mpf,
 )
-from ineqprove.quotient import EDGE_FRACTION, _quotient
+from ineqprove.quotient import EDGE_FRACTION, _compiled_quotient
 
 from helpers import ARCSIN_DIFF_SOURCE, KP0, ambient, planted_endpoint_polynomial
 
@@ -254,7 +257,7 @@ class TestQuotientFunction:
 
 
 class TestQuotientBits:
-    """``_quotient`` on (x, x - a, b - x) against the quotient by the real power.
+    """``_compiled_quotient``'s program against the quotient by the real power.
 
     The reference forms every factor by mpmath's ``power``, with the order
     rounded once, as ``helpers.reference_evaluate`` takes an exponent, order
@@ -283,7 +286,7 @@ class TestQuotientBits:
         zones, inside = self.points(a, b, p)
         for n, m in itertools.product(self.ORDERS, repeat=2):
             nv, mv = finite_orders(n, m, p)
-            quotient = _quotient(f, nv, mv, p)
+            quotient = _compiled_quotient(f, a, b, nv, mv, p)
             qa, qb = (mp.make_mpf(rational(fraction(v), prec)) for v in (nv, mv))
             g = QuotientFunction(f, a, b, nv, mv, "0.5", 2, p)
             for x in zones + inside:
@@ -292,9 +295,68 @@ class TestQuotientBits:
                 with ambient(p):
                     den = mp.power(mp.make_mpf(da), qa) * mp.power(mp.make_mpf(db), qb)
                 expected = mpf_div(fx(t), den._mpf_, prec, rn)
-                assert quotient(t, da, db) == expected, (n, m, x)
+                assert quotient(t) == expected, (n, m, x)
                 if x in inside:  # outside the blend zones, g is the raw quotient
                     assert g.evaluate(x)._mpf_ == expected, (n, m, x)
+
+    @pytest.mark.parametrize("a, b", [(0, 1), ("1/3", 2), (-1, 3)])
+    def test_samples_near_the_zones_keep_their_branch(self, a, b, p50):
+        # around a + 2^top and b - 2^top, which a sample is compared with
+        # exactly, and around the zones' boundaries, x wide or not, g is the
+        # quotient where both differences, rounded, are at least edge, and
+        # the blend toward the limit otherwise; a point outside is refused
+        ctx = context(p50)
+        prec, rn = ctx.prec, round_nearest
+        fx = compiled(parse(self.SOURCE), p50)
+        av, bv = finite_segment(a, b, p50)
+        alpha, beta = to_mpf("0.5", p50)._mpf_, to_mpf(2, p50)._mpf_
+        g = QuotientFunction(parse(self.SOURCE), av, bv, 2, "1/2", "0.5", 2, p50)
+        lo, hi = av._mpf_, bv._mpf_
+        edge = ((bv - av) * to_mpf(EDGE_FRACTION, p50))._mpf_
+        power = from_man_exp(1, edge[2] + edge[3])
+
+        def quotient(t):
+            da, db = mpf_sub(t, lo, prec, rn), mpf_sub(hi, t, prec, rn)
+            den = mpf_mul(mpf_pow_int(da, 2, prec, rn), mpf_sqrt(db, prec, rn), prec, rn)
+            return mpf_div(fx(t), den, prec, rn)
+
+        def expected(t):
+            da, db = mpf_sub(t, lo, prec, rn), mpf_sub(hi, t, prec, rn)
+            if not (mpf_lt(da, edge) or mpf_lt(db, edge)):
+                return quotient(t)
+            lim, d, boundary = (alpha, da, mpf_add(lo, edge, prec, rn)) if mpf_lt(da, edge) \
+                else (beta, db, mpf_sub(hi, edge, prec, rn))
+            step = mpf_mul(mpf_sub(quotient(boundary), lim, prec, rn), d, prec, rn)
+            return mpf_add(lim, mpf_div(step, edge, prec, rn), prec, rn)
+
+        centres = (mpf_add(lo, power, 0), mpf_sub(hi, power, 0),
+                   mpf_add(lo, edge, prec, rn), mpf_sub(hi, edge, prec, rn))
+        for centre in centres:
+            # k units of 2^-40 of a unit in the last place of a prec-bit centre
+            unit = centre[2] + centre[3] - prec - 40
+            for k in (0, 1, -1, 2 ** 40, -2 ** 40, 2 ** 41, -2 ** 41):
+                t = mpf_add(centre, from_man_exp(k, unit), prec + 80, rn)
+                assert g.evaluate(ctx.make_mpf(t))._mpf_ == expected(t), (a, centre, k)
+        for x in (av - 1, av / 2 - bv, bv + 1, 2 * bv):
+            with pytest.raises(DomainError, match=" outside segment "):
+                g.evaluate(x)
+
+    def test_a_wide_x_is_rounded_before_its_power(self):
+        # f takes x as it is, and x - a is rounded to the working precision
+        # before its power, for a = 0 too, where the difference is x itself
+        p = Precision(50)
+        ctx = context(p)
+        prec, rn = ctx.prec, round_nearest
+        f = parse(self.SOURCE)
+        fx = compiled(f, p)
+        for a in (0, "1/3"):
+            av, bv = finite_segment(a, 2, p)
+            g = QuotientFunction(f, av, bv, 2, 3, "0.5", 2, p)
+            for i in range(1, 8):
+                t = from_rational(5 * i + 3, 21, prec + 40, rn)
+                da, db = mpf_sub(t, av._mpf_, prec, rn), mpf_sub(bv._mpf_, t, prec, rn)
+                den = mpf_mul(mpf_pow_int(da, 2, prec, rn), mpf_pow_int(db, 3, prec, rn), prec, rn)
+                assert g.evaluate(ctx.make_mpf(t))._mpf_ == mpf_div(fx(t), den, prec, rn), (a, i)
 
     @pytest.mark.parametrize("digits, threes", [(30, 40), (35, 45), (50, 60)])
     def test_the_ends_and_outside(self, digits, threes):

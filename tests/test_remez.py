@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
 from mpmath.libmp import (
-    from_man_exp, from_rational, fzero, mpf_abs, mpf_cmp, mpf_neg, round_nearest, to_rational,
+    from_man_exp, from_rational, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_neg, mpf_sub, round_nearest,
+    to_rational,
 )
 
 from ineqprove import (
@@ -22,7 +23,7 @@ from ineqprove import (
     verify_equioscillation,
 )
 from ineqprove import remez
-from ineqprove.precision import context, finite_segment, rounding_floor
+from ineqprove.precision import context, finite_segment, rounding_floor, to_mpf
 from ineqprove.remez import (
     CachedFunction, MinimaxResult, _exchange_core, _polish_max, _solve_levelled_system, _units,
     chebyshev_grid, largest_magnitude, magnitude_keys, residual_sweep,
@@ -212,7 +213,9 @@ class TestResidualSweep:
             assert list(units[:5]) == [x._mpf_ for x in xs[:5]]
         want = [clenshaw_reference(P, x)._mpf_ for x in xs]
         assert [P.evaluate(x)._mpf_ for x in xs] == want
-        assert list(P._values(xs, units)) == want
+        assert [P._value(u) for u in units] == want
+        # the integer pass: g = 0 leaves -P, rounded once
+        assert [mpf_neg(r) for r in residual_sweep([fzero] * len(xs), P, None, units)] == want
 
     def test_minimax_hands_out_the_residuals_of_its_polynomial(self, p50):
         g = CachedFunction(lambda x: x.context.exp(x))
@@ -234,6 +237,122 @@ class TestResidualSweep:
         assert [r.residuals[t._mpf_] for t in r.nodes] == \
             [(g(t) - r.polynomial.evaluate(t))._mpf_ for t in r.nodes]
         assert [v._mpf_ for v in r.node_values] == [g(t)._mpf_ for t in r.nodes]
+
+
+def _counting_value(P):
+    """Count the calls of P's exact Clenshaw, ``_value``, from the integer pass built after this."""
+    calls, value = [0], P._value
+
+    def counted(u):
+        calls[0] += 1
+        return value(u)
+
+    P.__dict__["_value"] = counted
+    return calls
+
+
+@st.composite
+def _residual_cases(draw, degree, digits):
+    """(P on [-1, 1], g, u): coefficients whose exponents spread over 200 bits, some zero.
+
+    u is -1, 0, 1, +-2^-300 or drawn from [-1, 1]; g is zero, P's value,
+    far above or below it, far smaller, or P's value moved by a few units of
+    its last place or far less.
+    """
+    ctx = context(Precision(digits))
+    prec = ctx.prec
+    coefficients = []
+    for _ in range(degree + 1):
+        if draw(st.integers(0, 5)) == 0:
+            coefficients.append(ctx.zero)
+            continue
+        bits = draw(st.integers(1, prec))
+        man = draw(st.integers(2 ** (bits - 1), 2 ** bits - 1))
+        exp = draw(st.integers(-200, 0)) - bits
+        coefficients.append(ctx.make_mpf(from_man_exp(-man if draw(st.booleans()) else man, exp)))
+    P = Polynomial(coefficients=tuple(coefficients), segment=(ctx.mpf(-1), ctx.mpf(1)))
+    fixed = [from_man_exp(v, e) for v, e in ((-1, 0), (0, 0), (1, 0), (1, -300), (-1, -300))]
+    ticks = draw(st.integers(-2 ** prec, 2 ** prec))
+    u = draw(st.sampled_from(fixed) | st.just(from_rational(ticks, 2 ** prec, prec, round_nearest)))
+    value = P._value(u)
+    kind = draw(st.sampled_from(["zero", "equal", "far", "tiny", "close", "barely"]))
+    if kind in ("zero", "equal"):
+        return P, fzero if kind == "zero" else value, u
+    # about 2^shift times P's size (2^-100 where P is 0); close runs from
+    # 2^-6 of a unit in P's last place to 2^-6 of P
+    scale = value if value[1] else from_man_exp(1, -100)
+    shift = {"far": 150, "tiny": -150, "close": -6, "barely": -150}[kind]
+    man = draw(st.integers(1, 2 ** prec - 1)) if kind == "close" else \
+        draw(st.integers(2 ** (prec - 1), 2 ** prec - 1))
+    away = from_man_exp(-man if draw(st.booleans()) else man, scale[2] + scale[3] + shift - prec)
+    return P, away if kind == "tiny" else mpf_add(value, away, prec, round_nearest), u
+
+
+class TestIntegerPass:
+    """``Polynomial._residual``, g - P in one integer pass, has the bits of mpf_sub(g, P)."""
+
+    @pytest.mark.parametrize("digits", [30, 50, 160])
+    @pytest.mark.parametrize("degree", range(13))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_bits_of_the_exact_path(self, degree, digits, data):
+        P, g, u = data.draw(_residual_cases(degree, digits))
+        prec = P.segment[0].context.prec
+        assert P._residual(g, u) == mpf_sub(g, P._value(u), prec, round_nearest)
+
+    def test_a_grid_sweep_takes_the_fixed_point_path(self, p50):
+        # on the Remez grid of a degree-8 fit, no sample needs the exact Clenshaw
+        ctx = context(p50)
+        P = Polynomial(coefficients=tuple(ctx.mpf(1) / (j * j + 1) for j in range(9)),
+                       segment=finite_segment(0, 1, p50))
+        calls = _counting_value(P)
+        grid, units = remez.chebyshev_table(*P.segment, 641)
+        g_values = [mpf_add(P._value(u), from_man_exp(1, -3 - j % 90), ctx.prec, round_nearest)
+                    for j, u in enumerate(units)]
+        want = [mpf_sub(g, P._value(u), ctx.prec, round_nearest) for g, u in zip(g_values, units)]
+        calls[0] = 0
+        assert list(residual_sweep(g_values, P, None, units)) == want
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("digits", [30, 50])
+    def test_a_tie_takes_the_exact_path(self, digits):
+        # P = 1 + 2^-prec T_1(u) at u = 1 is the midpoint of 1 and the next
+        # number above it, so V - E and V + E round apart, the exact Clenshaw
+        # decides, and the tie goes to the even mantissa: P rounds to 1
+        ctx = context(Precision(digits))
+        P = Polynomial(coefficients=(ctx.one, ctx.ldexp(1, -ctx.prec)),
+                       segment=(ctx.mpf(-1), ctx.one))
+        calls = _counting_value(P)
+        one = from_man_exp(1, 0)
+        assert P._residual(fzero, one) == mpf_neg(one)
+        assert calls[0] == 1
+
+    @pytest.mark.parametrize("above, up", [(1, False), (2, True)])
+    def test_a_tie_of_g_minus_p_goes_to_the_even_mantissa(self, above, up, p50):
+        # P = 2^-prec, g = 1 + above * 2^(1-prec): g - P lies halfway between
+        # two numbers of prec bits, and rounds to the one whose mantissa is even
+        ctx = context(p50)
+        prec = ctx.prec
+        P = Polynomial(coefficients=(ctx.ldexp(1, -prec),), segment=(ctx.mpf(-1), ctx.one))
+        g = from_man_exp((1 << prec - 1) + above, 1 - prec)
+        want = from_man_exp((1 << prec - 1) + above - 1 + up, 1 - prec)
+        assert P._residual(g, fzero) == want == mpf_sub(g, P._value(fzero), prec, round_nearest)
+
+    def test_outside_the_segment_keeps_the_exact_path(self, p50):
+        # |u| > 1: the fixed-point bound does not hold, so the exact Clenshaw
+        # gives P; evaluate there is the exact sum rounded once, as before
+        ctx = context(p50)
+        P = Polynomial(coefficients=tuple(ctx.mpf(1) / (j + 3) for j in range(6)),
+                       segment=finite_segment(0, 1, p50))
+        calls = _counting_value(P)
+        for x in ("-0.5", "1.25", "7", "-1e20"):
+            xv = to_mpf(x, p50)
+            assert P.evaluate(xv)._mpf_ == clenshaw_reference(P, xv)._mpf_
+            u, g = P._unit(xv._mpf_), from_man_exp(3, -1)
+            want = mpf_sub(g, P._value(u), ctx.prec, round_nearest)
+            calls[0] = 0
+            assert P._residual(g, u) == want
+            assert calls[0] == 1
 
 
 # at most this many bits in the tuples of the magnitude-key property
@@ -380,7 +499,8 @@ def _exchange(fn, p):
     g = CachedFunction(fn)
     grid = chebyshev_grid(a, b, 33)
     rs = list(residual_sweep([g(x)._mpf_ for x in grid], poly, grid))
-    return _exchange_core(g, poly, grid, rs, chebyshev_grid(a, b, 2))
+    return _exchange_core(g, poly, grid, rs, list(magnitude_keys(rs, context(p).prec)),
+                          chebyshev_grid(a, b, 2))
 
 
 @st.composite
@@ -456,7 +576,8 @@ class TestExchange:
         rs = list(residual_sweep([g(x)._mpf_ for x in grid], poly, grid))
         g_max = max(max(abs(g(x)) for x in grid), 1)
         assume(ctx.make_mpf(largest_magnitude(rs, ctx.prec)[1]) > rounding_floor(p30) * g_max)
-        nodes, residuals = _exchange_core(g, poly, grid, rs, reference)
+        nodes, residuals = _exchange_core(g, poly, grid, rs, list(magnitude_keys(rs, ctx.prec)),
+                                          reference)
         assert len(nodes) == len(residuals) == k + 2
         assert all(l < r for l, r in zip(nodes, nodes[1:]))
 
