@@ -65,6 +65,7 @@ from .remez import (
     _units,
     chebyshev_table,
     largest_magnitude,
+    magnitude_keys,
     minimax,
     residual_sweep,
     verify_equioscillation,
@@ -155,12 +156,12 @@ def residual_check(g, polynomial: Polynomial, delta, grid_size: int,
     """
     integer(grid_size, "grid_size", 4 * (polynomial.degree + 2))
     g = g if isinstance(g, CachedFunction) else CachedFunction(g)
-    segment = polynomial.segment
+    segment, prec = polynomial.segment, polynomial.segment[0].context.prec
     grid, units = chebyshev_table(*(to_mpf(v, p) for v in segment), grid_size)
     pts = grid + tuple(to_mpf(x, p) for x in extra_points)
     # u as P's segment rounds it: the table's where the table has P's
     # precision, and computed for the points after them
-    if grid[0].context.prec != segment[0].context.prec:
+    if grid[0].context.prec != prec:
         units = ()
     units += tuple(_units(segment, pts[len(units):]))
     known = known or {}
@@ -168,7 +169,7 @@ def residual_check(g, polynomial: Polynomial, delta, grid_size: int,
     fresh = residual_sweep((g(x)._mpf_ for x, _ in fresh), polynomial, None, [u for _, u in fresh])
     residuals = (known.get(x._mpf_) or next(fresh) for x in pts)
     # the first point of largest residual
-    top, max_res = largest_magnitude(residuals, segment[0].context.prec)
+    top, max_res = largest_magnitude(magnitude_keys(residuals, prec), prec)
     max_res = context(p).make_mpf(max_res)
     threshold = to_mpf(delta, p) * to_mpf(MARGIN_FACTOR, p)
     return GridStatistics(

@@ -21,8 +21,8 @@ slot per distinct subexpression, and binds it to the point table: raw
 reading no context.  Constant subtrees are folded when it is bound, unless
 their evaluation raises (``1/(1-1)``), and every result has the bits that
 mpmath arithmetic at that precision gives.  Bound programs are memoized per
-(expression, precision) in a small bounded memo; a longer tree whose
-program starts with a memoized one, as the quotient's starts with f's,
+(expression, precision) in a small bounded memo; a tree walked in full
+whose leftmost subtree's program is memoized, as the quotient's is f's,
 binds only its further steps (``compiled_over``).
 """
 
@@ -432,30 +432,20 @@ _UNARY = {
 UNARY_FUNCTIONS = tuple(name for name in _UNARY if name != "neg")  # the parser's names
 
 
-def _program(root: Node, prefix=None):
+def _program(root: Node):
     """root as a straight-line program of plain data: (slot count, top slot, steps).
 
     Slot 0 is x.  A step is (key, argument slots, output slot), in order of
     first occurrence, children left before right, so the first error raised
-    is a tree walk's.  Each node is visited once, by identity, and numbered
-    by its key and argument slots.  A key is a name of ``_UNARY`` or
-    ``_BINARY``, ("pow", q), ("kurepa", order), or "cos_sin", which writes
-    cos(u) and sin(u) to adjacent slots where both occur; a constant is a
-    step with no arguments, keyed by its exact value (a Fraction or a name).
-    ``prefix``, (subtree, its program), numbers a subtree of root first, as
-    that program does, without walking it again: root's steps start with its.
+    is a tree walk's, and a tree's program starts with its leftmost
+    subtree's.  Each node is visited once, by identity, and numbered by its
+    key and argument slots.  A key is a name of ``_UNARY`` or ``_BINARY``,
+    ("pow", q), ("kurepa", order), or "cos_sin", which writes cos(u) and
+    sin(u) to adjacent slots where both occur; a constant is a step with no
+    arguments, keyed by its exact value (a Fraction or a name).
     """
     # (key, args) -> slot; id(node) -> slot; args -> the index of their sin or cos step
     numbers, seen, steps, trig = {}, {}, [], {}
-    if prefix is not None:
-        subtree, (_, subtree_top, subtree_steps) = prefix
-        seen[id(subtree)], steps = subtree_top, list(subtree_steps)
-        for i, (key, args, out) in enumerate(steps):
-            if key in ("cos", "sin", "cos_sin"):
-                cos = out - (key == "sin")
-                numbers["cos", args], numbers["sin", args], trig[args] = cos, cos + 1, i
-            else:
-                numbers[key, args] = out
 
     def slot(node):
         if id(node) in seen:
@@ -474,20 +464,23 @@ def _program(root: Node, prefix=None):
             key, args = node.op, (slot(node.left), slot(node.right))
         else:
             raise TypeError(f"not an expression node: {node!r}")
-        if key in ("cos", "sin"):
+        # a Fraction key is hashed, and compared with a name, by a Python call
+        if isinstance(node, UnaryOp) and key in ("cos", "sin"):
             if args not in trig:
                 numbers["cos", args], numbers["sin", args] = len(numbers) + 1, len(numbers) + 2
                 trig[args] = len(steps)
                 steps.append((key, args, numbers[key, args]))
             elif steps[trig[args]][0] != key:
                 steps[trig[args]] = "cos_sin", args, numbers["cos", args]
-        elif (key, args) not in numbers:
-            numbers[key, args] = len(numbers) + 1
-            steps.append((key, args, numbers[key, args]))
-        seen[id(node)] = numbers[key, args]
-        return seen[id(node)]
+            out = numbers[key, args]
+        elif (out := numbers.get((key, args))) is None:
+            out = numbers[key, args] = len(numbers) + 1
+            steps.append((key, args, out))
+        seen[id(node)] = out
+        return out
 
     top = slot(root)
+    del slot  # slot refers to itself: unbound, it leaves no cycle for the collector
     return len(numbers) + 1, top, steps
 
 
@@ -536,10 +529,9 @@ POINT = {name: entry[0] for name, entry in (*_UNARY.items(), *_BINARY.items())} 
     "cos_sin": mpf_cos_sin, "pow": _point_pow, "kurepa": _point_kurepa}
 
 
-# a bound program: x -> its value, and for a longer program that starts with
-# it, its slot values known when bound, the steps left to run, its tree and
-# its program
-_Bound = namedtuple("_Bound", "run values steps root program")
+# a bound program: x -> its value, and for a tree bound over it, its slot
+# values known when bound, the steps left to run and its program's steps
+_Bound = namedtuple("_Bound", "run values steps program")
 
 
 def _bind(root: Node, prec: int, p, base: _Bound = None) -> _Bound:
@@ -547,18 +539,18 @@ def _bind(root: Node, prec: int, p, base: _Bound = None) -> _Bound:
 
     Each step's function is looked up once, and a step whose arguments are
     known here runs here, unless it raises.  ``base``, bound at the same
-    precision, is that of a subtree of root, which ``_program`` numbers
-    first: its slots and steps are taken as they are bound, folded constants
-    included, and only the steps after its own are bound.
+    precision, is that of root's leftmost subtree, whose program root's
+    starts with: its slots and steps are taken as they are bound, folded
+    constants included, and only the steps after its own are bound.
     """
     rn = round_nearest
-    size, top, program = _program(root, base and (base.root, base.program))
+    size, top, program = _program(root)
     # slot -> its value where known here; the steps (f, a, b, out) left, each
     # writing f(v[a], v[b]), or f(v[a]) where b is None, to slot or slice out
     values, steps, done = [None] * size, [], 0
     if base is not None:
-        done, steps, values[:len(base.values)] = len(base.program[2]), list(base.steps), base.values
-        if program[:done] != base.program[2]:  # a sin or cos of root's merged with one of base's
+        done, steps, values[:len(base.values)] = len(base.program), list(base.steps), base.values
+        if program[:done] != base.program:  # a sin or cos of root's merged with one of base's
             raise ValueError("the tree's program does not start with the base program")
     for key, args, out in program[done:]:
         if not args:
@@ -584,7 +576,7 @@ def _bind(root: Node, prec: int, p, base: _Bound = None) -> _Bound:
             v[out] = f(v[a], prec, rn) if b is None else f(v[a], v[b], prec, rn)
         return v[top]
 
-    return _Bound(run, values, steps, root, (size, top, program))
+    return _Bound(run, values, steps, program)
 
 
 # _bind(root, prec, p), memoized per (tree, precision)
@@ -602,11 +594,12 @@ def compiled(e, p: Precision):
 
 
 def compiled_over(e, root: Node, p: Precision):
-    """x -> root(x) as ``compiled`` gives it, for a tree whose program starts with e's.
+    """x -> root(x) as ``compiled`` gives it, for a tree whose leftmost subtree is e's tree.
 
     e's memoized program is taken as it is bound, and only root's further
     steps are bound here, so e's constant subtrees are not folded again;
-    the result is kept in no memo.  Where root is e's tree, it is e's run.
+    the result is kept in no memo.  Where root is e's tree, it is e's run; a
+    root whose sin or cos merges with one of e's raises ValueError.
     """
     prec = context(p).prec
     base = _compile(e.root, prec, p)

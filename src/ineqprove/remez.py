@@ -33,14 +33,13 @@ The sweep stays on libmp tuples.  ``minimax`` fetches g on its grid once,
 in grid order, and each iteration forms every g - P by ``residual_sweep``,
 with u read from the grid's table.  P(x) is the exact sum of c_j T_j(u), u
 as ``_units`` rounds it, rounded once to nearest, and g - P is rounded once
-more, as ``mpf_sub`` rounds it.  Each residual is one integer pass
-(``Polynomial._residual``, which the sweeps and the Brent probes call):
-Clenshaw in fixed point at prec + 64 bits, whose error is under k + 1 units
-for |u| <= 1, gives P's rounding where its value less and plus that bound
-round alike (Ziv's rounding test); elsewhere the exact Clenshaw on integers
-(``Polynomial._value``, which ``evaluate`` calls) gives it, its integers
-growing by about the precision per degree plus the spread of the
-coefficients' exponents.  g - P is then formed on integers and rounded once.
+more, as ``mpf_sub`` rounds it.  Each residual, and ``evaluate``'s P, is
+one integer pass of the one Clenshaw loop (``Polynomial._residual``):
+in fixed point at prec + 64 bits, whose error is under k + 1 units for
+|u| <= 1, it gives P's rounding where its value less and plus that bound
+round alike (Ziv's rounding test), and g - P is formed on integers and
+rounded once; elsewhere the same loop runs exact, its integers growing by
+about u's fraction bits per degree plus the coefficients' exponent spread.
 Magnitudes are compared as integer keys (``magnitude_keys``), formed once
 per sweep; the exchange and its Brent polisher step on tuples, rounding to
 nearest as mpf arithmetic of the same precision does, and make mpfs only
@@ -110,68 +109,52 @@ class Polynomial:
         return len(self.coefficients) - 1
 
     def evaluate(self, x):
-        """P(x) in the context of the segment: ``_value`` at x's u."""
+        """P(x) in the segment's context: -``_residual(0, u)`` at x's u; 0 - P is exact."""
         ctx = self.segment[0].context
-        return ctx.make_mpf(self._value(self._unit(ctx.convert(x)._mpf_)))
-
-    @cached_property
-    def _value(self):
-        """u -> P at u = (2x - a - b)/(b - a), a libmp tuple: sum c_j T_j(u), exact, rounded once.
-
-        The one Clenshaw loop, a point per call; the sum is rounded to nearest
-        at the segment's precision.  Clenshaw's b_k = 2u b_(k+1) - b_(k+2) + c_k
-        runs exactly on the integers D^(n-k) b_k, u = U/D with D = 2^s and the
-        c_j as integers on their lowest exponent 2^low; they grow by about the
-        precision per degree, plus the c_j's exponent spread.
-        """
-        (c0, *rest), low = exact(self.coefficients)
-        rest.reverse()
-        prec, rn = self.segment[0].context.prec, round_nearest
-
-        def value(u):
-            sign, m, e, bc = u
-            if bc < 0:
-                raise ConfigurationError("P is evaluated at finite points only")
-            u, s = ((-m if sign else m) << e, 0) if e >= 0 else (-m if sign else m, -e)
-            d, s2, b1, b2, shift = u << 1, 2 * s, 0, 0, 0
-            for ck in rest:
-                b1, b2 = d * b1 - (b2 << s2) + (ck << shift), b1
-                shift += s
-            return from_man_exp(u * b1 - (b2 << s2) + (c0 << shift), low - shift, prec, rn)
-
-        return value
+        return ctx.make_mpf(mpf_neg(self._residual(fzero, self._unit(ctx.convert(x)._mpf_))))
 
     @cached_property
     def _residual(self):
-        """(g, u) -> g - P(u) on libmp tuples, with the bits of ``mpf_sub(g, _value(u))``.
+        """(g, u) -> g - P(u) on libmp tuples, u finite: the exact sum P rounded, then g - P.
 
-        One integer pass: Clenshaw in fixed point, u exact on W = prec + 64
-        fraction bits and the b_k on integers in units of 2^L, where every
-        c_j is a whole number of units and L <= top - W, |c_j| < 2^top.  The
-        floor of each product 2u b_(k+1), and of the last u b_1, acts as a
-        change of that step's c_j by less than a unit, so for |u| <= 1, where
-        |T_j(u)| <= 1, the value V is within E = k + 1 units of the exact sum.
-        If V - E and V + E round alike at prec bits, in one binade and one
-        rounding cell, P rounds so too (Ziv's test); otherwise, and where
-        |u| > 1, u is not exact on W bits or g is not finite, ``_value`` gives
-        P.  g - P is formed on integers and rounded once by ``_normal``.
+        The one Clenshaw loop: b_k = 2u b_(k+1) - b_(k+2) + c_k on integers in
+        units of 2^lo, u in fixed point on W fraction bits, where the floor of
+        each product 2u b_(k+1), and of the last u b_1, acts as a change of that
+        step's c_j by less than a unit.  First W = prec + 64, lo <= low (the
+        c_j's lowest exponent) at least W bits below the largest |c_j|: for
+        |u| <= 1, where |T_j(u)| <= 1, the value V is within E = k + 1 units of
+        the sum; if V - E and V + E round alike at prec bits, in one binade and
+        one rounding cell, P rounds so too (Ziv's test), and g - P is formed on
+        integers and rounded once by ``_normal``.  Where that cannot decide (a
+        tie, |u| > 1, u below 2^-W, or g not finite) the loop runs exact, W one
+        bit past u's fraction bits and lo = low - kW: each step's 2u b keeps a
+        whole number of units, b_j a multiple of 2^(jW), so E = 0.
         """
-        value, prec, rn = self._value, self.segment[0].context.prec, round_nearest
+        prec, rn = self.segment[0].context.prec, round_nearest
         (c0, *rest), low = exact(self.coefficients)
         rest.reverse()
-        w, err = prec + 64, len(rest) + 1
+        k, err = len(rest), len(rest) + 1
         # units of 2^lo: at least W bits below the largest |c_j|, and none above low
-        shift = max(0, w - max(abs(c).bit_length() for c in (c0, *rest)))
-        lo, c0, rest = low - shift, c0 << shift, [c << shift for c in rest]
+        shift = max(0, prec + 64 - max(abs(c).bit_length() for c in (c0, *rest)))
+        fixed = prec + 64, low - shift, c0 << shift, [c << shift for c in rest]
 
         def residual(g, u):
             sign, m, e, bc = u
-            if e >= -w and (e + bc <= 0 or m == 1 and not e) and g[3] >= 0:
+            if bc < 0:
+                raise ConfigurationError("P is evaluated at finite points only")
+            w, lo, d0, ds = fixed
+            exact_pass = e < -w or e + bc > 0 and (m != 1 or e) or g[3] < 0
+            while True:
+                if exact_pass:
+                    w = max(0, -e) + 1
+                    lo, d0, ds = low - k * w, c0 << k * w, [c << k * w for c in rest]
                 t = (-m if sign else m) << e + w
                 b1 = b2 = 0
-                for c in rest:
+                for c in ds:
                     b1, b2 = (t * b1 >> w - 1) - b2 + c, b1
-                v = (t * b1 >> w) - b2 + c0
+                v = (t * b1 >> w) - b2 + d0
+                if exact_pass:
+                    return mpf_sub(g, _normal(v, lo, prec) if v else fzero, prec, rn)
                 below, above = abs(v) - err, abs(v) + err
                 n = above.bit_length() - prec
                 if below > 0 and n > 0 and below.bit_length() == above.bit_length() and \
@@ -181,7 +164,7 @@ class Polynomial:
                     pe, pm, gm = lo + n, (-q if v < 0 else q), (-gm if gs else gm)
                     d, de = ((gm << ge - pe) - pm, pe) if ge >= pe else (gm - (pm << pe - ge), ge)
                     return _normal(d, de, prec) if d else fzero
-            return mpf_sub(g, value(u), prec, rn)
+                exact_pass = True
 
         return residual
 
@@ -310,16 +293,8 @@ def magnitude_keys(values, prec):
     return ((e + bc, m << (prec - bc)) if m else () for _, m, e, bc in values)
 
 
-def largest_magnitude(values, prec):
-    """(index, |v|) of the first of the ``values`` of largest magnitude, |v| as a tuple.
-
-    The values are as ``magnitude_keys`` takes them.
-    """
-    return _largest(magnitude_keys(values, prec), prec)
-
-
-def _largest(keys, prec):
-    """(index, |v|) of the first of largest magnitude, from the ``magnitude_keys`` of the values."""
+def largest_magnitude(keys, prec):
+    """(index, |v|), |v| a tuple, of the first value of largest magnitude, from its keys at prec."""
     i, key = max(enumerate(keys), key=itemgetter(1))
     # the key holds |v| exactly
     return i, from_man_exp(key[1], key[0] - prec) if key else fzero
@@ -657,7 +632,8 @@ def minimax(g, a, b, k: int, p: Precision = Precision(),
     # g on the grid, fetched once, in grid order
     g_grid = [gc(x)._mpf_ for x in grid]
     # |g| as abs() rounds it
-    g_max = largest_magnitude((mpf_abs(v, prec, round_nearest) for v in g_grid), prec)[1]
+    g_max = largest_magnitude(magnitude_keys(
+        (mpf_abs(v, prec, round_nearest) for v in g_grid), prec), prec)[1]
     zero_floor = rounding_floor(p) * max(1, make(g_max))
     history = []
 
@@ -674,7 +650,7 @@ def minimax(g, a, b, k: int, p: Precision = Precision(),
         history.append(abs(h))
         rs = list(residual_sweep(g_grid, poly, grid, units))
         keys = list(magnitude_keys(rs, prec))
-        grid_max = make(_largest(keys, prec)[1])
+        grid_max = make(largest_magnitude(keys, prec)[1])
         if grid_max <= zero_floor:
             # exact representation: grid_max is only rounding noise, and a
             # denser grid finds more of it, so the floor is the estimate

@@ -233,23 +233,24 @@ def exact_taylor(P, lo, hi):
     return add(times_u(b1, 1), [-v for v in b2], [coeffs[0]])[:len(coeffs)]
 
 
-def clenshaw_reference(P, x):
+def clenshaw_reference(P, x=None, *, u=None):
     """P(x) = sum c_j T_j(u), exact on Fractions and rounded once to nearest.
 
     u = (2x - a - b)/(b - a) is formed as the package forms it, each step
-    rounded to the segment's precision; T_j(u) comes from the three-term
-    recurrence on Fractions, and the sum is rounded to the segment's
-    precision.  The test oracle for ``Polynomial.evaluate`` and the residual
-    sweep.
+    rounded to the segment's precision, unless u, a libmp tuple, is given
+    in place of x; T_j(u) comes from the three-term recurrence on
+    Fractions, and the sum is rounded to the segment's precision.  The test
+    oracle for ``Polynomial.evaluate`` and the residual sweep.
     """
     lm = mpmath.libmp
     ctx = P.segment[0].context
     prec, rn = ctx.prec, lm.round_nearest
-    a, b = (v._mpf_ for v in P.segment)
-    x = ctx.convert(x)._mpf_
-    u = Fraction(*lm.to_rational(lm.mpf_div(
-        lm.mpf_sub(lm.mpf_sub(lm.mpf_mul_int(x, 2, prec, rn), a, prec, rn), b, prec, rn),
-        lm.mpf_sub(b, a, prec, rn), prec, rn)))
+    if u is None:
+        a, b = (v._mpf_ for v in P.segment)
+        x = ctx.convert(x)._mpf_
+        u = lm.mpf_div(lm.mpf_sub(lm.mpf_sub(lm.mpf_mul_int(x, 2, prec, rn), a, prec, rn), b,
+                                  prec, rn), lm.mpf_sub(b, a, prec, rn), prec, rn)
+    u = Fraction(*lm.to_rational(u))
     total, t0, t1 = Fraction(0), Fraction(1), u
     for c in P.coefficients:
         total += _rational(c) * t0

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import operator
@@ -42,11 +43,10 @@ from ineqprove.expr import (
     compiled_over,
     constant_value,
     div,
-    mul,
-    pow_,
     to_source,
 )
-from ineqprove.precision import context
+from ineqprove.precision import context, finite_orders, finite_segment
+from ineqprove.quotient import _compiled_quotient
 
 from helpers import KP0, ambient, reference_evaluate
 
@@ -439,14 +439,36 @@ def test_the_program_is_plain_data():
     "sin(x/2)+cos(x/2)+2^(1/2)*kurepa(x)", "sin(x) - x", "cos(x^2)*(1-x)", "sqrt(1-x) + x^3",
     "(x-(31/100))^2-(1/100)", "x", "cos(x) + x",
 ])
-def test_a_prefix_numbers_as_a_fresh_walk(source):
-    # a tree over f, f's subtree first, numbered from f's program without
-    # walking f again, is numbered as a fresh walk numbers it
-    f = parse(source).root
-    den = mul(UnaryOp("sqrt", BinaryOp("sub", Constant(Fraction(1)), X)),
-              pow_(BinaryOp("sub", X, Constant(Fraction(0))), Constant(Fraction(3))))
-    for root in (div(f, den), f, BinaryOp("add", f, UnaryOp("sin", X))):
-        assert _program(root, (f, _program(f))) == _program(root), root
+def test_a_quotient_binds_over_its_f(source, p30):
+    # g's tree, f's subtree first, is walked in full: f's program is its
+    # prefix, so binding over f's raises no ValueError, and g has the bits
+    # of its own source evaluated
+    f = parse(source)
+    a, b = finite_segment(0, 1, p30)
+    for n, m, den in ((3, "1/2", "x^3 * sqrt(1 - x)"), (1, 2, "x * (1 - x)^2")):
+        g = _compiled_quotient(f, a, b, *finite_orders(n, m, p30), p30)
+        quotient = parse(f"({source}) / ({den})")
+        for x in ("0.125", "0.37", "0.5", "0.9"):
+            xv = to_mpf(x, p30)
+            assert g(xv._mpf_) == evaluate(quotient, xv, p30)._mpf_, (n, m, x)
+
+
+def test_a_build_leaves_no_cycle(p30):
+    # the walk's recursive closure, slot, refers to itself through its cell
+    # until the walk ends; a build leaves no slot for the collector
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        _program(parse("sin(x/2)+cos(x/2)+2^(1/2)*kurepa(x)").root)
+        f = parse("sqrt(1-x) + x^3")
+        compiled(f, p30)
+        compiled_over(f, div(f.root, UnaryOp("sqrt", X)), p30)
+        gc.collect()
+        names = [getattr(o, "__qualname__", None) for o in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert "_program.<locals>.slot" not in names
 
 
 def test_a_tree_that_changes_its_base_program_is_refused(p30):

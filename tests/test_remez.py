@@ -212,10 +212,12 @@ class TestResidualSweep:
         if (a, b) == (-1, 1):
             assert list(units[:5]) == [x._mpf_ for x in xs[:5]]
         want = [clenshaw_reference(P, x)._mpf_ for x in xs]
+        assert [clenshaw_reference(P, u=u)._mpf_ for u in units] == want
         assert [P.evaluate(x)._mpf_ for x in xs] == want
-        assert [P._value(u) for u in units] == want
-        # the integer pass: g = 0 leaves -P, rounded once
+        # the integer pass: g = 0 leaves -P, rounded once; g - P is rounded once more
         assert [mpf_neg(r) for r in residual_sweep([fzero] * len(xs), P, None, units)] == want
+        assert list(residual_sweep([third._mpf_] * len(xs), P, None, units)) == \
+            [mpf_sub(third._mpf_, v, ctx.prec, round_nearest) for v in want]
 
     def test_minimax_hands_out_the_residuals_of_its_polynomial(self, p50):
         g = CachedFunction(lambda x: x.context.exp(x))
@@ -239,15 +241,18 @@ class TestResidualSweep:
         assert [v._mpf_ for v in r.node_values] == [g(t)._mpf_ for t in r.nodes]
 
 
-def _counting_value(P):
-    """Count the calls of P's exact Clenshaw, ``_value``, from the integer pass built after this."""
-    calls, value = [0], P._value
+def _counting_exact(monkeypatch):
+    """Count the entries of the integer pass's exact branch, by its one ``mpf_sub`` call.
 
-    def counted(u):
+    ``_unit`` calls ``mpf_sub`` too, so u is formed before a count starts.
+    """
+    calls, sub = [0], remez.mpf_sub
+
+    def counted(*args):
         calls[0] += 1
-        return value(u)
+        return sub(*args)
 
-    P.__dict__["_value"] = counted
+    monkeypatch.setattr(remez, "mpf_sub", counted)
     return calls
 
 
@@ -274,7 +279,7 @@ def _residual_cases(draw, degree, digits):
     fixed = [from_man_exp(v, e) for v, e in ((-1, 0), (0, 0), (1, 0), (1, -300), (-1, -300))]
     ticks = draw(st.integers(-2 ** prec, 2 ** prec))
     u = draw(st.sampled_from(fixed) | st.just(from_rational(ticks, 2 ** prec, prec, round_nearest)))
-    value = P._value(u)
+    value = clenshaw_reference(P, u=u)._mpf_
     kind = draw(st.sampled_from(["zero", "equal", "far", "tiny", "close", "barely"]))
     if kind in ("zero", "equal"):
         return P, fzero if kind == "zero" else value, u
@@ -298,31 +303,32 @@ class TestIntegerPass:
     def test_bits_of_the_exact_path(self, degree, digits, data):
         P, g, u = data.draw(_residual_cases(degree, digits))
         prec = P.segment[0].context.prec
-        assert P._residual(g, u) == mpf_sub(g, P._value(u), prec, round_nearest)
+        assert P._residual(g, u) == mpf_sub(g, clenshaw_reference(P, u=u)._mpf_, prec,
+                                            round_nearest)
 
-    def test_a_grid_sweep_takes_the_fixed_point_path(self, p50):
+    def test_a_grid_sweep_takes_the_fixed_point_path(self, p50, monkeypatch):
         # on the Remez grid of a degree-8 fit, no sample needs the exact Clenshaw
         ctx = context(p50)
         P = Polynomial(coefficients=tuple(ctx.mpf(1) / (j * j + 1) for j in range(9)),
                        segment=finite_segment(0, 1, p50))
-        calls = _counting_value(P)
         grid, units = remez.chebyshev_table(*P.segment, 641)
-        g_values = [mpf_add(P._value(u), from_man_exp(1, -3 - j % 90), ctx.prec, round_nearest)
-                    for j, u in enumerate(units)]
-        want = [mpf_sub(g, P._value(u), ctx.prec, round_nearest) for g, u in zip(g_values, units)]
-        calls[0] = 0
+        values = [clenshaw_reference(P, u=u)._mpf_ for u in units]
+        g_values = [mpf_add(v, from_man_exp(1, -3 - j % 90), ctx.prec, round_nearest)
+                    for j, v in enumerate(values)]
+        want = [mpf_sub(g, v, ctx.prec, round_nearest) for g, v in zip(g_values, values)]
+        calls = _counting_exact(monkeypatch)
         assert list(residual_sweep(g_values, P, None, units)) == want
         assert calls[0] == 0
 
     @pytest.mark.parametrize("digits", [30, 50])
-    def test_a_tie_takes_the_exact_path(self, digits):
+    def test_a_tie_takes_the_exact_path(self, digits, monkeypatch):
         # P = 1 + 2^-prec T_1(u) at u = 1 is the midpoint of 1 and the next
         # number above it, so V - E and V + E round apart, the exact Clenshaw
         # decides, and the tie goes to the even mantissa: P rounds to 1
         ctx = context(Precision(digits))
         P = Polynomial(coefficients=(ctx.one, ctx.ldexp(1, -ctx.prec)),
                        segment=(ctx.mpf(-1), ctx.one))
-        calls = _counting_value(P)
+        calls = _counting_exact(monkeypatch)
         one = from_man_exp(1, 0)
         assert P._residual(fzero, one) == mpf_neg(one)
         assert calls[0] == 1
@@ -336,23 +342,42 @@ class TestIntegerPass:
         P = Polynomial(coefficients=(ctx.ldexp(1, -prec),), segment=(ctx.mpf(-1), ctx.one))
         g = from_man_exp((1 << prec - 1) + above, 1 - prec)
         want = from_man_exp((1 << prec - 1) + above - 1 + up, 1 - prec)
-        assert P._residual(g, fzero) == want == mpf_sub(g, P._value(fzero), prec, round_nearest)
+        assert P._residual(g, fzero) == want == \
+            mpf_sub(g, clenshaw_reference(P, u=fzero)._mpf_, prec, round_nearest)
 
-    def test_outside_the_segment_keeps_the_exact_path(self, p50):
+    def test_outside_the_segment_keeps_the_exact_path(self, p50, monkeypatch):
         # |u| > 1: the fixed-point bound does not hold, so the exact Clenshaw
         # gives P; evaluate there is the exact sum rounded once, as before
         ctx = context(p50)
         P = Polynomial(coefficients=tuple(ctx.mpf(1) / (j + 3) for j in range(6)),
                        segment=finite_segment(0, 1, p50))
-        calls = _counting_value(P)
+        calls = _counting_exact(monkeypatch)
         for x in ("-0.5", "1.25", "7", "-1e20"):
             xv = to_mpf(x, p50)
             assert P.evaluate(xv)._mpf_ == clenshaw_reference(P, xv)._mpf_
             u, g = P._unit(xv._mpf_), from_man_exp(3, -1)
-            want = mpf_sub(g, P._value(u), ctx.prec, round_nearest)
+            want = mpf_sub(g, clenshaw_reference(P, u=u)._mpf_, ctx.prec, round_nearest)
             calls[0] = 0
             assert P._residual(g, u) == want
             assert calls[0] == 1
+
+    @pytest.mark.parametrize("digits", [30, 160])
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_a_point_that_is_not_finite_is_refused(self, x, digits):
+        # libmp's NaN and infinities have a negative bit count, which the pass
+        # checks first: its fixed-point guard alone admits NaN at every
+        # precision, and the infinities where W reaches their exponents
+        p = Precision(digits)
+        ctx = context(p)
+        P = Polynomial(coefficients=(ctx.mpf(1) / 3, ctx.mpf(2) / 7),
+                       segment=finite_segment(0, 1, p))
+        xv = ctx.mpf(x)
+        with pytest.raises(ConfigurationError, match="finite points only"):
+            list(residual_sweep([ctx.one._mpf_], P, [xv]))
+        with pytest.raises(ConfigurationError, match="finite points only"):
+            P._residual(ctx.one._mpf_, xv._mpf_)
+        with pytest.raises(ConfigurationError, match="finite points only"):
+            P.evaluate(xv)
 
 
 # at most this many bits in the tuples of the magnitude-key property
@@ -385,7 +410,7 @@ def test_magnitude_keys_order_as_mpf_cmp(a, b, mirror):
     assert (ka > kb) - (ka < kb) == mpf_cmp(mpf_abs(a), mpf_abs(b))
     # the first of equal magnitudes, its magnitude decoded from its key
     first = 0 if ka >= kb else 1
-    assert largest_magnitude([a, b], _KEY_PREC) == (first, mpf_abs((a, b)[first]))
+    assert largest_magnitude([ka, kb], _KEY_PREC) == (first, mpf_abs((a, b)[first]))
 
 
 def _levelled(g, nodes, a, b, p):
@@ -575,9 +600,9 @@ class TestExchange:
         grid = chebyshev_grid(a, b, 8 * (k + 2) + 1)
         rs = list(residual_sweep([g(x)._mpf_ for x in grid], poly, grid))
         g_max = max(max(abs(g(x)) for x in grid), 1)
-        assume(ctx.make_mpf(largest_magnitude(rs, ctx.prec)[1]) > rounding_floor(p30) * g_max)
-        nodes, residuals = _exchange_core(g, poly, grid, rs, list(magnitude_keys(rs, ctx.prec)),
-                                          reference)
+        keys = list(magnitude_keys(rs, ctx.prec))
+        assume(ctx.make_mpf(largest_magnitude(keys, ctx.prec)[1]) > rounding_floor(p30) * g_max)
+        nodes, residuals = _exchange_core(g, poly, grid, rs, keys, reference)
         assert len(nodes) == len(residuals) == k + 2
         assert all(l < r for l, r in zip(nodes, nodes[1:]))
 
